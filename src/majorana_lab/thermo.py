@@ -1,21 +1,17 @@
 """Canonical-ensemble thermodynamics for the sqrt(n) spectrum E_n = sqrt(2 c hbar k n).
 
-Two routes to the single-particle partition function:
-
-  * partition_exact - direct summation of exp(-beta E_n) with an analytic
-    integral tail bound controlling the truncation;
-  * partition_em    - the Euler-Maclaurin closed form 1/2 + 1/(c hbar k beta^2),
-    valid at weak coupling (c hbar k beta^2 << 1; it tends to 1/2 instead of 1
-    as beta -> inf, so the exact series is the low-temperature authority).
-
-N indistinguishable fermions enter as Z_N = Z^N, and F, U, S, C_V follow from
-ln Z_N.  The closed forms carry the particle count N throughout (including U,
-which -d/dbeta ln Z^N forces to scale with N); the companion "exact" mode
-differentiates ln(partition_exact) numerically.
+The exact route is one Euler-Maclaurin pass (moment_sums) that returns the moments
+t_p = sum_n (beta E_n)^p exp(-beta E_n), p = 0, 1, 2, with a certified remainder bound;
+Z = t_0, U = N <E> and C_V = N k_B beta^2 Var E follow without finite differences.  The
+em route is the closed form 1/2 + 1/(c hbar k beta^2), the zeroth-order term of the same
+expansion: valid at weak coupling (c hbar k beta^2 << 1), it tends to 1/2 instead of 1 as
+beta -> inf.  N indistinguishable fermions enter as Z_N = Z^N; F, U, S, C_V carry N on
+both routes.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +21,14 @@ DEFAULT_TOL = 1e-10
 MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 
-_BLOCK = 65536
 _MODES = ("em", "exact")
+_M = 200  # explicit terms before the Euler-Maclaurin tail
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
+_REMAINDER = 1.0 / 1209600.0  # |B_8| / 8! = 2 zeta(8) / (2 pi)^8
 
 
 class TruncationBudget(RuntimeError):
-    """Series truncation exceeded the term budget before meeting the tolerance."""
+    """The series remainder bound could not reach the tolerance within the term budget."""
 
     def __init__(self, message, partial_sum, truncation_n, tail_bound):
         super().__init__(message)
@@ -93,120 +91,124 @@ class ThermoReport:
     tail_bound: float
 
 
-def partition_exact(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
-    """Single-particle Z = sum_n exp(-beta a sqrt(n)), a = sqrt(2 c hbar k).
+def _tail_terms(p):
+    """(tail, bound) for t_p from n = M on, as terms (c, a, e) meaning c lam^a M^e exp(-lam sqrt M).
 
-    Sums in blocks until the analytic tail bound
-    integral_N^inf exp(-beta a sqrt(x)) dx = 2 (beta a sqrt(N) + 1) e^{-beta a sqrt(N)} / (beta a)^2
-    drops below `tol`.  Returns (Z, truncation_n, tail_bound); summation order
-    is fixed, so results are bit-reproducible.
+    With g(x) = (lam sqrt x)^p exp(-lam sqrt x), tail is the integral
+    2 Gamma(p + 2, lam sqrt M) / lam^2 (a finite sum: the order is an integer),
+    g(M)/2 and four Bernoulli corrections.  bound majorizes the remainder
+    2 zeta(8)/(2 pi)^8 int_M^inf |g^(8)| (DLMF 2.10(i)): each term of g^(8) has
+    e <= -3, and exp(-lam sqrt x) <= exp(-lam sqrt M) on [M, inf).
+    """
+    tail = defaultdict(float)
+    for j in range(p + 2):
+        tail[j - 2, j / 2] += 2.0 * math.factorial(p + 1) / math.factorial(j)
+    tail[p, p / 2] += 0.5
+    g = {(p, p / 2): 1.0}  # the current derivative of g, as {(a, e): c}
+    for order in range(1, 9):
+        prev, g = g, defaultdict(float)
+        for (a, e), c in prev.items():
+            g[a, e - 1.0] += c * e
+            g[a + 1, e - 0.5] -= 0.5 * c
+        if order % 2:
+            for key, c in g.items():
+                tail[key] -= _BERNOULLI[order // 2] / math.factorial(order + 1) * c
+    bound = [(_REMAINDER * abs(c) / (-e - 1.0), a, e + 1.0) for (a, e), c in g.items()]
+    return [(c, a, e) for (a, e), c in tail.items()], bound
+
+
+_TERMS = [_tail_terms(p) for p in range(3)]
+
+
+def _em_pass(lam, m):
+    """((t_0, t_1, t_2), bound): n < m summed explicitly, the tail added from m on."""
+    x = lam * np.sqrt(np.arange(m, dtype=float))
+    e0 = np.exp(-x)
+    e1 = x * e0
+    heads = [float(np.sum(e)) for e in (e0, e1, x * e1)]
+    w = math.exp(-lam * math.sqrt(m))
+    if w == 0.0:  # tail and bound underflow to 0, while lam**a may overflow
+        return tuple(heads), 0.0
+
+    def at(terms):
+        return w * math.fsum(c * lam**a * m**e for c, a, e in terms)
+
+    return tuple(h + at(tail) for h, (tail, _) in zip(heads, _TERMS)), max(at(b) for _, b in _TERMS)
+
+
+def moment_sums(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
+    """((t_0, t_1, t_2), M, bound) with t_p = sum_n (beta E_n)^p exp(-beta E_n).
+
+    Sums n < M = 200 explicitly and adds the Euler-Maclaurin tail; bound caps
+    the remainder of all three sums.  M doubles until bound <= tol, and
+    TruncationBudget (carrying the best estimate of Z) is raised when that
+    needs more than max_terms explicit terms.
     """
     lam = ep.beta * math.sqrt(2.0 * ep.coupling)
-    block_sums = []
-    n0 = 0
-    while n0 <= max_terms:
-        n1 = min(n0 + _BLOCK, max_terms + 1)
-        idx = np.arange(n0, n1, dtype=float)
-        block_sums.append(float(np.sum(np.exp(-lam * np.sqrt(idx)))))
-        last = n1 - 1
-        w = lam * math.sqrt(last)
-        tail = 2.0 * (w + 1.0) * math.exp(-w) / lam**2
-        if tail < tol:
-            return math.fsum(block_sums), last, tail
-        n0 = n1
-    raise TruncationBudget(
-        f"partition series needs more than {max_terms} terms for tol={tol:g} "
-        f"(beta={ep.beta!r}, k={ep.k!r})",
-        partial_sum=math.fsum(block_sums),
-        truncation_n=max_terms,
-        tail_bound=tail,
-    )
+    m = min(_M, max_terms)
+    while True:
+        sums, bound = _em_pass(lam, m)
+        if bound <= tol:
+            return sums, m, bound
+        if 2 * m > max_terms:
+            raise TruncationBudget(f"partition series needs more than {max_terms} terms for "
+                                   f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})",
+                                   partial_sum=sums[0], truncation_n=max_terms, tail_bound=bound)
+        m *= 2
+
+
+def partition_exact(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
+    """(Z, truncation_n, tail_bound): Z = sum_n exp(-beta E_n) with moment_sums' M and bound."""
+    (z, _, _), m, bound = moment_sums(ep, tol, max_terms)
+    return z, m, bound
 
 
 def partition_em(ep):
-    """Euler-Maclaurin closed form: 1/2 + 1/(c hbar k beta^2), exactly as printed.
-
-    Validity is the caller's concern (see em_parameter); as beta -> inf this
-    tends to 1/2 while the exact series tends to 1.
-    """
+    """Closed form 1/2 + 1/(c hbar k beta^2) as printed; it tends to 1/2, not 1, as beta -> inf."""
     return 0.5 + 1.0 / ep.em_parameter
 
 
 def helmholtz(ep, mode="em", tol=DEFAULT_TOL):
     """F = -(N/beta) ln Z."""
-    _check_mode(mode)
-    if mode == "em":
-        z = partition_em(ep)
-    else:
-        z = partition_exact(ep, tol)[0]
-    return -(ep.N / ep.beta) * math.log(z)
+    if _exact(mode):
+        return report(ep, tol).F_exact
+    return -(ep.N / ep.beta) * math.log(partition_em(ep))
 
 
 def mean_energy(ep, mode="em", tol=DEFAULT_TOL):
-    """U = -d/dbeta ln Z_N = 4N / (beta (2 + c hbar k beta^2)) at weak coupling.
-
-    Exact mode: central difference of ln(partition_exact) with step beta*1e-5.
-    """
-    _check_mode(mode)
-    if mode == "em":
-        return 4.0 * ep.N / (ep.beta * (2.0 + ep.em_parameter))
-    h = ep.beta * 1e-5
-    lnz = _log_z_at(ep, (ep.beta + h, ep.beta - h), tol)
-    return -ep.N * (lnz[0] - lnz[1]) / (2.0 * h)
+    """U = -d/dbeta ln Z_N = 4N / (beta (2 + c hbar k beta^2)) at weak coupling; N <E> exactly."""
+    if _exact(mode):
+        return report(ep, tol).U_exact
+    return 4.0 * ep.N / (ep.beta * (2.0 + ep.em_parameter))
 
 
 def entropy(ep, mode="em", tol=DEFAULT_TOL):
-    """S = k_B beta^2 dF/dbeta = 4 N k_B/(2 + x) + N k_B ln(1/2 + 1/x), x = c hbar k beta^2.
-
-    Exact mode uses the identity S = k_B beta (U - F).
-    """
-    _check_mode(mode)
-    if mode == "em":
-        x = ep.em_parameter
-        return 4.0 * ep.N * ep.pc.k_B / (2.0 + x) + ep.N * ep.pc.k_B * math.log(0.5 + 1.0 / x)
-    u = mean_energy(ep, "exact", tol)
-    f = helmholtz(ep, "exact", tol)
-    return ep.pc.k_B * ep.beta * (u - f)
+    """S = 4 N k_B/(2 + x) + N k_B ln(1/2 + 1/x), x = c hbar k beta^2; exactly k_B beta (U - F)."""
+    if _exact(mode):
+        return report(ep, tol).S_exact
+    x = ep.em_parameter
+    return 4.0 * ep.N * ep.pc.k_B / (2.0 + x) + ep.N * ep.pc.k_B * math.log(0.5 + 1.0 / x)
 
 
 def heat_capacity(ep, mode="em", tol=DEFAULT_TOL):
-    """C_V = -k_B beta^2 dU/dbeta = 4 k_B N (2 + 3x) / (2 + x)^2; -> 2 N k_B as T -> inf.
-
-    Exact mode: k_B beta^2 d^2(ln Z_N)/dbeta^2 by a second central difference.
-    The step is beta*1e-3 (coarser than mean_energy's: second differences
-    amplify the series-truncation noise quadratically in 1/h).
-    """
-    _check_mode(mode)
-    if mode == "em":
-        x = ep.em_parameter
-        return 4.0 * ep.pc.k_B * ep.N * (2.0 + 3.0 * x) / (2.0 + x) ** 2
-    h = ep.beta * 1e-3
-    tight = min(tol, 1e-12)
-    lnz = _log_z_at(ep, (ep.beta + h, ep.beta, ep.beta - h), tight)
-    d2 = (lnz[0] - 2.0 * lnz[1] + lnz[2]) / h**2
-    return ep.pc.k_B * ep.beta**2 * ep.N * d2
+    """C_V = 4 k_B N (2 + 3x) / (2 + x)^2 -> 2 N k_B as T -> inf; exactly N k_B beta^2 Var E."""
+    if _exact(mode):
+        return report(ep, tol).C_V_exact
+    x = ep.em_parameter
+    return 4.0 * ep.pc.k_B * ep.N * (2.0 + 3.0 * x) / (2.0 + x) ** 2
 
 
 def report(ep, tol=DEFAULT_TOL):
     """Evaluate both partition routes and all four functions at one (beta, k, N)."""
-    z_exact, trunc_n, tail = partition_exact(ep, tol)
+    (t0, t1, t2), m, bound = moment_sums(ep, tol)
+    mean = t1 / t0  # beta <E>
+    f_exact = -(ep.N / ep.beta) * math.log(t0)
+    u_exact = ep.N * mean / ep.beta
     return ThermoReport(
-        beta=ep.beta,
-        k=ep.k,
-        N=ep.N,
-        T=ep.temperature,
-        Z_exact=z_exact,
-        Z_em=partition_em(ep),
-        F=helmholtz(ep, "em"),
-        U=mean_energy(ep, "em"),
-        S=entropy(ep, "em"),
-        C_V=heat_capacity(ep, "em"),
-        F_exact=-(ep.N / ep.beta) * math.log(z_exact),
-        U_exact=mean_energy(ep, "exact", tol),
-        S_exact=entropy(ep, "exact", tol),
-        C_V_exact=heat_capacity(ep, "exact", tol),
-        truncation_n=trunc_n,
-        tail_bound=tail,
+        ep.beta, ep.k, ep.N, ep.temperature, t0, partition_em(ep),
+        helmholtz(ep), mean_energy(ep), entropy(ep), heat_capacity(ep),
+        f_exact, u_exact, ep.pc.k_B * ep.beta * (u_exact - f_exact),
+        ep.N * ep.pc.k_B * (t2 / t0 - mean * mean), m, bound,
     )
 
 
@@ -222,10 +224,7 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
     return rows
 
 
-def _log_z_at(ep, betas, tol):
-    return [math.log(partition_exact(replace(ep, beta=b), tol)[0]) for b in betas]
-
-
-def _check_mode(mode):
+def _exact(mode):
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
+    return mode == "exact"

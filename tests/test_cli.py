@@ -246,6 +246,45 @@ def test_thermo_no_warning_when_valid(runner, tmp_path):
     assert "warning" not in combined_output(result)
 
 
+def test_thermo_weak_coupling_succeeds(runner, tmp_path):
+    # c hbar k beta^2 down to 1e-6: the closed form's own regime.
+    out = tmp_path / "weak.csv"
+    result = run_ok(runner, ["thermo", "--k", "0.01", "--tmax", "100", "--tsteps", "5",
+                             "--out", str(out)])
+    _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
+    assert len(rows) == 5
+    data = rows_as_floats(columns, rows, "em_rel_err", "truncation_n", "tail_bound")
+    assert all(n == 200 and 0.0 <= bound <= 1e-10 for _, n, bound in data)
+    assert data[-1][0] < 1e-8  # T = 100: the closed form is all but exact
+    worst = max(err for err, _, _ in data)
+    # T = 0.1 is outside the window; the warning quotes the measured deviation
+    assert f"|Z_em - Z|/Z up to {worst:.3g}" in combined_output(result)
+
+
+@pytest.mark.parametrize("args", [
+    ["--tmin", "0"],
+    ["--tsteps", "0"],
+    ["--particles", "0"],
+    ["--k", "0"],
+    ["--k", "-1"],
+    ["--tol", "0"],
+])
+def test_thermo_bad_input_is_usage_error(runner, args):
+    result = runner.invoke(main, ["thermo", *args])
+    assert result.exit_code == 2, combined_output(result)
+    assert "Invalid value" in combined_output(result)
+
+
+@pytest.mark.parametrize("line", ["tmin=0", "tsteps=0", "particles=0", "k=0.2,-1", "tol=0",
+                                  "k_B=0"])
+def test_thermo_bad_config_value_is_usage_error(runner, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["thermo"], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2, combined_output(result)
+    assert CONFIG_ENV_VAR in combined_output(result)
+
+
 def test_thermo_truncation_budget_exit_code(runner, monkeypatch):
     monkeypatch.setattr(cli_mod, "thermo_sweep", _raise_budget)
     result = runner.invoke(main, ["thermo", "--tsteps", "2"])

@@ -13,6 +13,7 @@ from majorana_lab.thermo import (
     heat_capacity,
     helmholtz,
     mean_energy,
+    moment_sums,
     partition_em,
     partition_exact,
     report,
@@ -39,6 +40,29 @@ def brute_force_z_converged(beta, coupling, w_stop=40.0):
         idx = np.arange(n0, min(n0 + 2_000_000, nmax), dtype=float)
         chunks.append(float(np.sum(np.exp(-lam * np.sqrt(idx)))))
     return math.fsum(chunks)
+
+
+def brute_force_moments(beta, coupling, w_stop=50.0):
+    """(t_0, t_1, t_2), t_p = sum_n (lam sqrt n)^p exp(-lam sqrt n), up to lam sqrt n = w_stop.
+
+    The neglected tail is below 1e-17 relative at w_stop = 50.  Chunked
+    differently from brute_force_z_converged and from the library.
+    """
+    lam = beta * math.sqrt(2.0 * coupling)
+    nmax = int((w_stop / lam) ** 2) + 1
+    chunks = ([], [], [])
+    for n0 in range(0, nmax, 1_500_000):
+        x = lam * np.sqrt(np.arange(n0, min(n0 + 1_500_000, nmax), dtype=float))
+        e = np.exp(-x)
+        for p in range(3):
+            chunks[p].append(float(np.sum(x**p * e)))
+    return tuple(math.fsum(c) for c in chunks)
+
+
+def z_u_cv(t, ep):
+    """Z, U and C_V of ep from the moments t = (t_0, t_1, t_2)."""
+    mean = t[1] / t[0]
+    return t[0], ep.N * mean / ep.beta, ep.N * ep.pc.k_B * (t[2] / t[0] - mean**2)
 
 
 # ---------------------------------------------------------------- partition function
@@ -74,14 +98,51 @@ def test_partition_exact_weak_coupling():
     assert abs(partition_em(ep) - z) / z < 0.01
 
 
+@pytest.mark.parametrize("beta, k", [(0.1, 0.2), (0.05, 0.05)])
+def test_moment_pass_matches_brute_force(beta, k):
+    ep = EnsembleParams(beta=beta, k=k, N=3)
+    tol = 1e-10
+    t, trunc_n, bound = moment_sums(ep, tol)
+    oracle = brute_force_moments(beta, k)
+    for p in range(3):
+        assert t[p] == pytest.approx(oracle[p], rel=1e-13)
+    rep = report(ep, tol)
+    z, u, cv = z_u_cv(oracle, ep)
+    assert rep.Z_exact == pytest.approx(z, rel=1e-13)
+    assert rep.U_exact == pytest.approx(u, rel=1e-13)
+    assert rep.C_V_exact == pytest.approx(cv, rel=1e-12)
+    assert (rep.truncation_n, rep.tail_bound) == (trunc_n, bound)
+    assert 0.0 <= bound <= tol
+
+
+def test_moment_pass_weak_coupling_matches_mpmath():
+    # c hbar k beta^2 = 1e-6: the regime of the closed form, where plain
+    # summation needs more than 1e8 terms.
+    mpmath = pytest.importorskip("mpmath")
+    ep = EnsembleParams(beta=0.01, k=0.01)
+    t, trunc_n, bound = moment_sums(ep, tol=1e-10)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(ep.beta) * mpmath.sqrt(2 * mpmath.mpf(ep.k))
+        oracle = [float(mpmath.nsum(lambda n, p=p: (lam * mpmath.sqrt(n)) ** p
+                                    * mpmath.exp(-lam * mpmath.sqrt(n)),
+                                    [0, mpmath.inf], method="euler-maclaurin"))
+                  for p in range(3)]
+    for got, want in zip(z_u_cv(t, ep), z_u_cv(oracle, ep)):
+        assert got == pytest.approx(want, rel=1e-14)
+    assert t[0] == pytest.approx(1_000_000.50029, abs=1e-5)
+    assert trunc_n == 200 and 0.0 <= bound <= 1e-10
+
+
 def test_partition_budget_exhaustion():
+    # The Euler-Maclaurin remainder bound meets any tolerance above double
+    # precision at M = 200, so only a tolerance far below it exhausts the budget.
     assert MAX_TERMS == 10**8
     ep = EnsembleParams(beta=1e-4, k=0.5)
     with pytest.raises(TruncationBudget) as excinfo:
-        partition_exact(ep, tol=1e-10, max_terms=10**5)
+        partition_exact(ep, tol=1e-300, max_terms=10**5)
     assert excinfo.value.partial_sum > 0.0
     assert excinfo.value.truncation_n == 10**5
-    assert excinfo.value.tail_bound > 1e-10
+    assert excinfo.value.tail_bound > 1e-300
 
 
 def test_partition_monotone_in_beta_and_k():
