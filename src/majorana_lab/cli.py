@@ -6,13 +6,16 @@ floats are written with 17 significant digits, so a command re-run with the
 same configuration produces bit-identical files.
 
 Configuration precedence: command-line flags > key=value lines from the file
-named by $MAJORANA_LAB_CONFIG > built-in defaults.
+named by $MAJORANA_LAB_CONFIG > built-in defaults.  SETTINGS holds each key's
+click type and default; the same type object casts the flag and the config
+value, so a bad value from either source is a usage error (exit 2).
 """
 
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -20,187 +23,187 @@ import numpy as np
 from .entropy import DEFAULT_THETA, BoundViolation, bbm_report, entropic_density
 from .quadrature import NonConvergence, truncation_radius
 from .spinor import PhysicalConstants, SpinorState, phase, probability_density_at_phase
-from .thermo import EM_VALIDITY_WARN, EnsembleParams, TruncationBudget, thermo_sweep
+from .thermo import (EM_PARAMETER_RANGE, EM_VALIDITY_WARN, EnsembleParams, TruncationBudget,
+                     thermo_sweep)
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
-EXIT_OK = 0
 EXIT_BBM_VIOLATION = 3
 EXIT_QUAD_NONCONVERGENCE = 4
 EXIT_TRUNCATION_BUDGET = 5
+_EXIT_CODES = {BoundViolation: EXIT_BBM_VIOLATION, NonConvergence: EXIT_QUAD_NONCONVERGENCE,
+               TruncationBudget: EXIT_TRUNCATION_BUDGET}
 
-_FORMATS = ("csv", "json")
-_DEFAULT_OMEGA = 0.2
-_DEFAULT_TOL = 1e-10
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+class FiniteFloat(click.FloatRange):
+    """click.FloatRange that also rejects inf and nan."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return rv
+
+    def _describe_range(self):
+        return "finite" if self.min is None and self.max is None else super()._describe_range()
+
+
+# A setting's click type casts both its --flag and its config value; help is the flag's.
+Setting = namedtuple("Setting", "type default help", defaults=("",))
+_POSITIVE = FiniteFloat(min=0.0, min_open=True)
 _COUNT = click.IntRange(min=1)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings of one command invocation (serialized into every file)."""
-
-    c: float = 1.0
-    hbar: float = 1.0
-    k_B: float = 1.0
-    omega: float = _DEFAULT_OMEGA
-    k: float = 0.0  # 0 means "omega given directly"
-    mass: float = 0.0
-    theta: float = DEFAULT_THETA
-    tol: float = _DEFAULT_TOL
-    format: str = "csv"
-    out: str = "-"
-
-    def __post_init__(self):
-        for name in ("c", "hbar", "k_B", "omega", "tol"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be strictly positive")
-        if self.k < 0.0 or self.mass < 0.0:
-            raise ValueError("k and mass must be >= 0")
-        if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
-
-    def constants(self):
-        return PhysicalConstants(c=self.c, hbar=self.hbar, k_B=self.k_B)
+SETTINGS = {
+    "c": Setting(_POSITIVE, 1.0),
+    "hbar": Setting(_POSITIVE, 1.0),
+    "k_B": Setting(_POSITIVE, 1.0),
+    "omega": Setting(_POSITIVE, 0.2, "Frequency omega."),
+    "k": Setting(_POSITIVE, None, "Potential slope; omega = k/(c hbar) unless --omega is given."),
+    "mass": Setting(FiniteFloat(min=0.0), 0.0, "Particle mass (records the y-origin shift)."),
+    "theta": Setting(FiniteFloat(), DEFAULT_THETA, "Evaluation phase."),
+    "tol": Setting(_POSITIVE, 1e-10, "Quadrature or series remainder tolerance."),
+    "format": Setting(click.Choice(("csv", "json")), "csv", "Output format."),
+    "out": Setting(click.STRING, "-", "Output path, or - for stdout."),
+    "n": Setting(click.IntRange(min=0), 0, "Quantum number."),
+    "space": Setting(click.Choice(("position", "momentum")), "position", "Coordinate space."),
+    "grid": Setting(_COUNT, 400, "Grid point count."),
+    "tmin": Setting(FiniteFloat(), 0.0, "Start time."),
+    "tmax": Setting(FiniteFloat(), 10.0, "End time."),
+    "tsteps": Setting(_COUNT, 25, "Number of time or temperature points."),
+    "particles": Setting(_COUNT, 1, "Particle count N."),
+}
+_HEADER = ("c", "hbar", "k_B", "omega", "k", "mass", "theta", "tol", "format", "out")
+_READ_BY_ALL = ("c", "hbar", "k_B", "tol", "format", "out")
 
 
-def _load_config_map():
+def _load_config():
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    if not os.path.exists(path):
-        raise click.ClickException(f"{CONFIG_ENV_VAR} points to a missing file: {path}")
-    mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.ClickException(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
-    return mapping
-
-
-def _cast(cast, key, value):
-    """cast(value) of a config-file value; a click type's usage error names the key."""
     try:
-        return cast(value)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"${CONFIG_ENV_VAR} names an unreadable file: {exc}") from None
+    cfg = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            cfg[key.strip()] = value.strip()
+    return cfg
+
+
+def _from_config(setting, key, text, many):
+    """Cast a config value (a comma list if many) with the setting's type; errors name the key."""
+    parts = [part.strip() for part in text.split(",") if part.strip()] if many else [text]
+    try:
+        if not parts:
+            raise click.BadParameter("expected at least one value")
+        values = [setting.type(part) for part in parts]
     except click.BadParameter as exc:
-        hint = f"{key!r} in ${CONFIG_ENV_VAR}"
-        raise click.BadParameter(exc.message, param_hint=hint) from None
+        raise click.BadParameter(exc.message, param_hint=f"{key!r} in ${CONFIG_ENV_VAR}") from None
+    return values if many else values[0]
 
 
-def _pick(flag_value, key, cast, default, cfg):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return _cast(cast, key, cfg[key])
-    return default
+def _resolve(settings, flags, cfg):
+    """flag > config file > default for each key of settings; other keys keep their defaults.
+
+    An `x_list` key reads setting x as a list, from a repeated --x flag or a comma list,
+    and its first value stands as x in the header.  The slope rule also lives here: k
+    sets omega = k/(c hbar) only when it was given more directly than omega (--k beats
+    a config omega; a config k beats the default), and the header's k is 0 otherwise.
+    """
+    s = {key: setting.default for key, setting in {**SETTINGS, **settings}.items()}
+    rank = {}
+    for key, setting in settings.items():
+        name = key.removesuffix("_list")
+        if flags.get(key) not in (None, ()):
+            s[key], rank[key] = flags[key], 2
+        elif name in cfg:
+            s[key], rank[key] = _from_config(setting, name, cfg[name], key != name), 1
+        if key != name:
+            s[name] = s[key][0]
+    if rank.get("k", 0) > rank.get("omega", 0):
+        s["omega"] = s["k"] / (s["c"] * s["hbar"])
+    else:
+        s["k"] = 0.0
+    return SimpleNamespace(**s)
 
 
-def _pick_list(flag_values, key, cast, default, cfg):
-    if flag_values:
-        return list(flag_values)
-    if key in cfg:
-        return [_cast(cast, key, part) for part in cfg[key].split(",") if part.strip()]
-    return list(default)
+def _option(key, setting):
+    many = key.endswith("_list")
+    shown = " ".join(map(str, setting.default)) if many else setting.default
+    extra = "" if shown is None else f" Default {shown}{', repeatable' * many}."
+    return click.option(f"--{key.removesuffix('_list')}", key, type=setting.type, multiple=many,
+                        default=None, help=setting.help + extra)
 
 
-def _resolve_constants(cfg):
-    return (
-        _pick(None, "c", _POSITIVE, 1.0, cfg),
-        _pick(None, "hbar", _POSITIVE, 1.0, cfg),
-        _pick(None, "k_B", _POSITIVE, 1.0, cfg),
-    )
+def _command(name, flags, config_only=(), **overrides):
+    """A subcommand with --flags (plus --format, --out) that also reads config_only keys.
+
+    overrides replace a key's default, or its whole Setting; an `x_list` key must give
+    its default list.  The body receives the resolved settings as attributes.
+    """
+    settings = {key: SETTINGS.get(key) for key in (*flags, *config_only, *_READ_BY_ALL)}
+    for key, value in overrides.items():
+        base = SETTINGS[key.removesuffix("_list")]
+        settings[key] = value if isinstance(value, Setting) else base._replace(default=value)
+
+    def wrap(body):
+        def callback(**given):
+            s = _resolve(settings, given, _load_config())
+            try:
+                body(s)
+            except tuple(_EXIT_CODES) as exc:
+                click.echo(f"error: {exc}", err=True)
+                raise SystemExit(_EXIT_CODES[type(exc)]) from None
+
+        for key in reversed((*flags, "format", "out")):
+            callback = _option(key, settings[key])(callback)
+        return main.command(name, help=body.__doc__)(callback)
+
+    return wrap
 
 
-def _resolve_omega(omega_flag, k_flag, mass_flag, cfg, c, hbar):
-    """--omega wins over --k; --k (with --mass) implies omega = k/(c hbar)."""
-    mass = _pick(mass_flag, "mass", float, 0.0, cfg)
-    if omega_flag is not None:
-        return omega_flag, 0.0, mass
-    if "omega" in cfg and k_flag is None:
-        return float(cfg["omega"]), 0.0, mass
-    k = _pick(k_flag, "k", float, None, cfg)
-    if k is not None:
-        return k / (c * hbar), k, mass
-    return _DEFAULT_OMEGA, 0.0, mass
-
-
-def _fmt_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError("boolean values have no place in emitted rows")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
+def _csv(v):
+    """One CSV field, or a comma-joined list/row: floats with 17 significant digits."""
+    if isinstance(v, (list, tuple)):
+        return ",".join(map(_csv, v))
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
     return f"{float(v):.17g}"
 
 
-def _native(v):
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, str):
-        return v
-    return float(v)
-
-
-def _emit(rc, command, extras, columns, rows):
-    header = {**asdict(rc), **extras}
-    if rc.format == "csv":
-        lines = [f"# majorana-lab {command}"]
-        lines.extend(f"# {key}={_serialize_header(value)}" for key, value in header.items())
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt_value(v) for v in row) for row in rows)
+def _emit(s, command, extras, columns, rows):
+    """Write rows under a header of the _HEADER settings followed by the extras keys."""
+    header = {key: getattr(s, key) for key in (*_HEADER, *extras)}
+    if s.format == "csv":
+        lines = [f"# majorana-lab {command}", *(f"# {k}={_csv(v)}" for k, v in header.items()),
+                 ",".join(columns), *map(_csv, rows)]
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "command": command,
-            "config": {key: _native_header(value) for key, value in header.items()},
-            "columns": list(columns),
-            "rows": [dict(zip(columns, (_native(v) for v in row))) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    if rc.out == "-":
+        payload = {"command": command, "config": header, "columns": list(columns),
+                   "rows": [dict(zip(columns, row)) for row in rows]}
+        # numpy floats are floats to json; numpy integers are the only other non-JSON values
+        text = json.dumps(payload, indent=2, default=int) + "\n"
+    if s.out == "-":
         click.echo(text, nl=False)
-    else:
-        with open(rc.out, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    try:
+        with open(s.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--out'") from None
 
 
-def _serialize_header(value):
-    if isinstance(value, (list, tuple)):
-        return ",".join(_fmt_value(v) for v in value)
-    return _fmt_value(value)
-
-
-def _native_header(value):
-    if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
-    return _native(value)
-
-
-def _fail(code, exc):
-    click.echo(f"error: {exc}", err=True)
-    raise SystemExit(code)
-
-
-_output_options = [
-    click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None,
-                 help="Output format (default csv)."),
-    click.option("--out", type=str, default=None,
-                 help="Output path, or - for stdout (default)."),
-]
-
-
-def _add_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
+def _coords(omega, n, grid, space):
+    """(radius, grid points) over the certified truncation radius of level n in space."""
+    radius = truncation_radius(omega if space == "position" else 1.0 / omega, n + 1,
+                               tail_tol=1e-12)
+    return radius, np.linspace(-radius, radius, grid)
 
 
 @click.group()
@@ -208,188 +211,72 @@ def main():
     """Quantum states, Shannon entropies, and thermodynamics of linear Majorana fermions."""
 
 
-@main.command("table1")
-@click.option("--omega", "omega_list", multiple=True, type=float,
-              help="Frequency values (repeatable; default 0.2 0.4 0.8).")
-@click.option("--n", "n_list", multiple=True, type=int,
-              help="Quantum numbers (repeatable; default 0 1 2 3).")
-@click.option("--theta", type=float, default=None, help="Evaluation phase (default pi/4).")
-@click.option("--tol", type=float, default=None, help="Quadrature tolerance (default 1e-10).")
-@_add_options(_output_options)
-def cmd_table1(omega_list, n_list, theta, tol, fmt, out):
+@_command("table1", ("omega_list", "n_list", "theta", "tol"),
+          omega_list=(0.2, 0.4, 0.8), n_list=(0, 1, 2, 3))
+def cmd_table1(s):
     """Entropy table: S_y, S_p, their sum, and the uncertainty bound per (n, omega)."""
-    cfg = _load_config_map()
-    c, hbar, k_B = _resolve_constants(cfg)
-    omegas = _pick_list(omega_list, "omega", float, (0.2, 0.4, 0.8), cfg)
-    ns = _pick_list(n_list, "n", int, (0, 1, 2, 3), cfg)
-    rc = RunConfig(
-        c=c, hbar=hbar, k_B=k_B,
-        omega=omegas[0],
-        theta=_pick(theta, "theta", float, DEFAULT_THETA, cfg),
-        tol=_pick(tol, "tol", float, _DEFAULT_TOL, cfg),
-        format=_pick(fmt, "format", str, "csv", cfg),
-        out=_pick(out, "out", str, "-", cfg),
-    )
-    rows = []
-    try:
-        for n in ns:
-            for om in omegas:
-                rep = bbm_report(n, om, rc.theta, rc.tol)
-                rows.append((n, om, rep.S_y, rep.S_p, rep.sum, rep.bbm_bound))
-    except BoundViolation as exc:
-        _fail(EXIT_BBM_VIOLATION, exc)
-    except NonConvergence as exc:
-        _fail(EXIT_QUAD_NONCONVERGENCE, exc)
-    _emit(rc, "table1", {"n_list": ns, "omega_list": omegas},
+    reports = [(n, om, bbm_report(n, om, s.theta, s.tol)) for n in s.n_list for om in s.omega_list]
+    rows = [(n, om, r.S_y, r.S_p, r.sum, r.bbm_bound) for n, om, r in reports]
+    _emit(s, "table1", ("n_list", "omega_list"),
           ("n", "omega", "S_y", "S_p", "S_sum", "bbm_bound"), rows)
 
 
-@main.command("density")
-@click.option("--n", type=int, default=None, help="Quantum number (default 0).")
-@click.option("--omega", type=float, default=None, help="Frequency omega (wins over --k).")
-@click.option("--k", type=float, default=None, help="Potential slope; omega = k/(c hbar).")
-@click.option("--mass", type=float, default=None, help="Particle mass (records the y-origin shift).")
-@click.option("--theta", type=float, default=None, help="Evaluation phase (default pi/4).")
-@click.option("--space", type=click.Choice(("position", "momentum")), default=None)
-@click.option("--grid", type=int, default=None, help="Grid point count (default 400).")
-@_add_options(_output_options)
-def cmd_density(n, omega, k, mass, theta, space, grid, fmt, out):
+@_command("density", ("n", "omega", "k", "mass", "theta", "space", "grid"))
+def cmd_density(s):
     """Probability density on a uniform grid over the certified truncation radius."""
-    cfg = _load_config_map()
-    c, hbar, k_B = _resolve_constants(cfg)
-    om, k_eff, mass_eff = _resolve_omega(omega, k, mass, cfg, c, hbar)
-    n = _pick(n, "n", int, 0, cfg)
-    space = _pick(space, "space", str, "position", cfg)
-    grid = _pick(grid, "grid", int, 400, cfg)
-    rc = RunConfig(
-        c=c, hbar=hbar, k_B=k_B, omega=om, k=k_eff, mass=mass_eff,
-        theta=_pick(theta, "theta", float, DEFAULT_THETA, cfg),
-        tol=_pick(None, "tol", float, _DEFAULT_TOL, cfg),
-        format=_pick(fmt, "format", str, "csv", cfg),
-        out=_pick(out, "out", str, "-", cfg),
-    )
-    state = SpinorState(n=n, omega=rc.omega)
-    freq = rc.omega if space == "position" else 1.0 / rc.omega
-    radius = truncation_radius(freq, n + 1, tail_tol=1e-12)
-    coords = np.linspace(-radius, radius, grid)
-    values = probability_density_at_phase(state, coords, rc.theta, space)
-    coord_name = "y" if space == "position" else "p"
+    s.radius, coords = _coords(s.omega, s.n, s.grid, s.space)
+    values = probability_density_at_phase(SpinorState(n=s.n, omega=s.omega), coords, s.theta,
+                                          s.space)
     rows = list(zip(coords.tolist(), np.atleast_1d(values).tolist()))
-    _emit(rc, "density", {"n": n, "space": space, "grid": grid, "radius": radius},
-          (coord_name, "density"), rows)
+    _emit(s, "density", ("n", "space", "grid", "radius"),
+          ("y" if s.space == "position" else "p", "density"), rows)
 
 
-@main.command("entropy-density")
-@click.option("--n", type=int, default=None, help="Quantum number (default 1).")
-@click.option("--omega", "omega_list", multiple=True, type=float,
-              help="Frequency values (repeatable; default 0.2 0.4 0.8).")
-@click.option("--theta", type=float, default=None, help="Evaluation phase (default pi/4).")
-@click.option("--space", type=click.Choice(("position", "momentum")), default=None)
-@click.option("--grid", type=int, default=None, help="Grid point count per omega (default 400).")
-@_add_options(_output_options)
-def cmd_entropy_density(n, omega_list, theta, space, grid, fmt, out):
+@_command("entropy-density", ("n", "omega_list", "theta", "space", "grid"),
+          n=1, omega_list=(0.2, 0.4, 0.8))
+def cmd_entropy_density(s):
     """Entropic density rho*ln(rho) on a grid, one block per omega value."""
-    cfg = _load_config_map()
-    c, hbar, k_B = _resolve_constants(cfg)
-    omegas = _pick_list(omega_list, "omega", float, (0.2, 0.4, 0.8), cfg)
-    n = _pick(n, "n", int, 1, cfg)
-    space = _pick(space, "space", str, "position", cfg)
-    grid = _pick(grid, "grid", int, 400, cfg)
-    rc = RunConfig(
-        c=c, hbar=hbar, k_B=k_B, omega=omegas[0],
-        theta=_pick(theta, "theta", float, DEFAULT_THETA, cfg),
-        tol=_pick(None, "tol", float, _DEFAULT_TOL, cfg),
-        format=_pick(fmt, "format", str, "csv", cfg),
-        out=_pick(out, "out", str, "-", cfg),
-    )
-    coord_name = "y" if space == "position" else "p"
     rows = []
-    for om in omegas:
-        freq = om if space == "position" else 1.0 / om
-        radius = truncation_radius(freq, n + 1, tail_tol=1e-12)
-        coords = np.linspace(-radius, radius, grid)
-        values = entropic_density(n, om, rc.theta, coords, space)
-        rows.extend(zip([om] * grid, coords.tolist(), np.atleast_1d(values).tolist()))
-    _emit(rc, "entropy-density",
-          {"n": n, "space": space, "grid": grid, "omega_list": omegas},
-          ("omega", coord_name, "entropic_density"), rows)
+    for om in s.omega_list:
+        _, coords = _coords(om, s.n, s.grid, s.space)
+        values = entropic_density(s.n, om, s.theta, coords, s.space)
+        rows.extend(zip([om] * s.grid, coords.tolist(), np.atleast_1d(values).tolist()))
+    _emit(s, "entropy-density", ("n", "space", "grid", "omega_list"),
+          ("omega", "y" if s.space == "position" else "p", "entropic_density"), rows)
 
 
-@main.command("heatmap")
-@click.option("--n", type=int, default=None, help="Quantum number (default 1).")
-@click.option("--omega", type=float, default=None, help="Frequency omega (default 0.2).")
-@click.option("--k", type=float, default=None, help="Potential slope; omega = k/(c hbar).")
-@click.option("--mass", type=float, default=None)
-@click.option("--grid", type=int, default=None, help="y-grid point count (default 400).")
-@click.option("--tmin", type=float, default=None, help="Start time (default 0).")
-@click.option("--tmax", type=float, default=None, help="End time (default 10).")
-@click.option("--tsteps", type=int, default=None, help="Number of time slices (default 25).")
-@_add_options(_output_options)
-def cmd_heatmap(n, omega, k, mass, grid, tmin, tmax, tsteps, fmt, out):
+@_command("heatmap", ("n", "omega", "k", "mass", "grid", "tmin", "tmax", "tsteps"), ("theta",),
+          n=1)
+def cmd_heatmap(s):
     """Position density rho(y, t) over a space-time grid (planar evolution data)."""
-    cfg = _load_config_map()
-    c, hbar, k_B = _resolve_constants(cfg)
-    om, k_eff, mass_eff = _resolve_omega(omega, k, mass, cfg, c, hbar)
-    n = _pick(n, "n", int, 1, cfg)
-    grid = _pick(grid, "grid", int, 400, cfg)
-    tmin = _pick(tmin, "tmin", float, 0.0, cfg)
-    tmax = _pick(tmax, "tmax", float, 10.0, cfg)
-    tsteps = _pick(tsteps, "tsteps", int, 25, cfg)
-    rc = RunConfig(
-        c=c, hbar=hbar, k_B=k_B, omega=om, k=k_eff, mass=mass_eff,
-        theta=_pick(None, "theta", float, DEFAULT_THETA, cfg),
-        tol=_pick(None, "tol", float, _DEFAULT_TOL, cfg),
-        format=_pick(fmt, "format", str, "csv", cfg),
-        out=_pick(out, "out", str, "-", cfg),
-    )
-    pc = rc.constants()
-    state = SpinorState(n=n, omega=rc.omega)
-    radius = truncation_radius(rc.omega, n + 1, tail_tol=1e-12)
-    ys = np.linspace(-radius, radius, grid)
-    ts = np.linspace(tmin, tmax, tsteps)
-    rows = []
-    for t in ts.tolist():
-        theta_t = phase(state, t, pc)
-        values = np.atleast_1d(probability_density_at_phase(state, ys, theta_t, "position"))
-        rows.extend(zip(ys.tolist(), [t] * grid, values.tolist()))
-    _emit(rc, "heatmap",
-          {"n": n, "grid": grid, "tmin": tmin, "tmax": tmax, "tsteps": tsteps, "radius": radius},
+    pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
+    state = SpinorState(n=s.n, omega=s.omega)
+    s.radius, ys = _coords(s.omega, s.n, s.grid, "position")
+    y_list, rows = ys.tolist(), []
+    for t in np.linspace(s.tmin, s.tmax, s.tsteps).tolist():
+        values = probability_density_at_phase(state, ys, phase(state, t, pc), "position")
+        rows.extend(zip(y_list, [t] * s.grid, np.atleast_1d(values).tolist()))
+    _emit(s, "heatmap", ("n", "grid", "tmin", "tmax", "tsteps", "radius"),
           ("y", "t", "density"), rows)
 
 
-@main.command("thermo")
-@click.option("--k", "k_list", multiple=True, type=_POSITIVE,
-              help="Potential slopes (repeatable; default 0.2 0.4 0.8).")
-@click.option("--tmin", type=_POSITIVE, default=None, help="Lowest temperature (default 0.1).")
-@click.option("--tmax", type=_POSITIVE, default=None, help="Highest temperature (default 10).")
-@click.option("--tsteps", type=_COUNT, default=None, help="Temperature grid size (default 50).")
-@click.option("--particles", type=_COUNT, default=None, help="Particle count N (default 1).")
-@click.option("--tol", type=_POSITIVE, default=None,
-              help="Series remainder tolerance (default 1e-10).")
-@_add_options(_output_options)
-def cmd_thermo(k_list, tmin, tmax, tsteps, particles, tol, fmt, out):
+@_command("thermo", ("k_list", "tmin", "tmax", "tsteps", "particles", "tol"),
+          k_list=(0.2, 0.4, 0.8), tsteps=50,
+          tmin=Setting(_POSITIVE, 0.1, "Lowest temperature."),
+          tmax=Setting(_POSITIVE, 10.0, "Highest temperature."))
+def cmd_thermo(s):
     """Partition function (exact series and closed form) and F, U, S, C_V over (k, T)."""
-    cfg = _load_config_map()
-    c, hbar, k_B = _resolve_constants(cfg)
-    ks = _pick_list(k_list, "k", _POSITIVE, (0.2, 0.4, 0.8), cfg)
-    tmin = _pick(tmin, "tmin", _POSITIVE, 0.1, cfg)
-    tmax = _pick(tmax, "tmax", _POSITIVE, 10.0, cfg)
-    tsteps = _pick(tsteps, "tsteps", _COUNT, 50, cfg)
-    N = _pick(particles, "particles", _COUNT, 1, cfg)
-    rc = RunConfig(
-        c=c, hbar=hbar, k_B=k_B,
-        tol=_pick(tol, "tol", _POSITIVE, _DEFAULT_TOL, cfg),
-        format=_pick(fmt, "format", str, "csv", cfg),
-        out=_pick(out, "out", str, "-", cfg),
-    )
-    pc = rc.constants()
-    T_values = np.linspace(tmin, tmax, tsteps)
-    try:
-        reports = thermo_sweep(ks, T_values, N=N, pc=pc, tol=rc.tol)
-    except TruncationBudget as exc:
-        _fail(EXIT_TRUNCATION_BUDGET, exc)
+    pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
+    lo, hi = EM_PARAMETER_RANGE
+    for key, T in (("tmin", s.tmin), ("tmax", s.tmax)):
+        beta = 1.0 / (pc.k_B * T)
+        if not all(lo <= pc.c * pc.hbar * k * beta * beta <= hi for k in s.k_list):
+            raise click.BadParameter(f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
+                                     "where the sums stay finite", param_hint=f"'--{key}'")
+    reports = thermo_sweep(s.k_list, np.linspace(s.tmin, s.tmax, s.tsteps), N=s.particles,
+                           pc=pc, tol=s.tol)
     em_rel_err = [abs(r.Z_em - r.Z_exact) / r.Z_exact for r in reports]
-    worst = max(EnsembleParams(beta=r.beta, k=r.k, N=N, pc=pc).em_parameter for r in reports)
+    worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=pc).em_parameter for r in reports)
     if worst > EM_VALIDITY_WARN:
         click.echo(
             f"warning: c*hbar*k*beta^2 reaches {worst:.3g} > {EM_VALIDITY_WARN:g}; "
@@ -398,21 +285,13 @@ def cmd_thermo(k_list, tmin, tmax, tsteps, particles, tol, fmt, out):
             err=True,
         )
     rows = [
-        (
-            r.k, r.T, r.beta, r.Z_exact, r.Z_em, err,
-            r.F, r.U, r.S, r.C_V,
-            r.F_exact, r.U_exact, r.S_exact, r.C_V_exact,
-            r.truncation_n, r.tail_bound,
-        )
+        (r.k, r.T, r.beta, r.Z_exact, r.Z_em, err, r.F, r.U, r.S, r.C_V,
+         r.F_exact, r.U_exact, r.S_exact, r.C_V_exact, r.truncation_n, r.tail_bound)
         for r, err in zip(reports, em_rel_err)
     ]
-    _emit(rc, "thermo",
-          {"k_list": ks, "tmin": tmin, "tmax": tmax, "tsteps": tsteps, "particles": N},
-          ("k", "T", "beta", "Z_exact", "Z_em", "em_rel_err",
-           "F_em", "U_em", "S_em", "C_V_em",
-           "F_exact", "U_exact", "S_exact", "C_V_exact",
-           "truncation_n", "tail_bound"),
-          rows)
+    _emit(s, "thermo", ("k_list", "tmin", "tmax", "tsteps", "particles"),
+          ("k", "T", "beta", "Z_exact", "Z_em", "em_rel_err", "F_em", "U_em", "S_em", "C_V_em",
+           "F_exact", "U_exact", "S_exact", "C_V_exact", "truncation_n", "tail_bound"), rows)
 
 
 if __name__ == "__main__":

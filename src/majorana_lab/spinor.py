@@ -109,10 +109,8 @@ def energy(n, pp, pc=NATURAL_UNITS, branch=1):
 
 
 def state_energy(state, pc=NATURAL_UNITS, branch=1):
-    """Same spectrum expressed through the state's omega: c hbar sqrt(2 omega n)."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return branch * pc.c * pc.hbar * math.sqrt(2.0 * state.omega * state.n)
+    """energy() of the state's level, through the slope k = omega c hbar its omega stands for."""
+    return energy(state.n, PotentialParams(k=state.omega * pc.c * pc.hbar), pc, branch)
 
 
 def phase(state, t, pc=NATURAL_UNITS):
@@ -171,23 +169,23 @@ def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
     return probability_density_at_phase(state, coord, phase(state, t, pc), space)
 
 
-def annihilation_apply(state, y, pc=NATURAL_UNITS):
-    """(c hbar d/dy + k y) applied to phi_n; equals E_n phi_{n-1} (0 for n = 0).
-
-    The derivative is analytic (H_n' = 2n H_{n-1}), not a finite difference.
-    """
+def _ladder_apply(state, y, pc, sign):
+    """(sign c hbar d/dy + k y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1}."""
     chbar = pc.c * pc.hbar
     k = state.omega * chbar
     dphi = hermite_norm_fn_derivative(state.n, state.omega, y)
-    return chbar * dphi + k * np.asarray(y, dtype=float) * hermite_norm_fn(state.n, state.omega, y)
+    phi = hermite_norm_fn(state.n, state.omega, y)
+    return sign * chbar * dphi + k * np.asarray(y, dtype=float) * phi
+
+
+def annihilation_apply(state, y, pc=NATURAL_UNITS):
+    """(c hbar d/dy + k y) applied to phi_n; equals E_n phi_{n-1} (0 for n = 0)."""
+    return _ladder_apply(state, y, pc, 1.0)
 
 
 def creation_apply(state, y, pc=NATURAL_UNITS):
     """(-c hbar d/dy + k y) applied to phi_n; equals E_{n+1} phi_{n+1}."""
-    chbar = pc.c * pc.hbar
-    k = state.omega * chbar
-    dphi = hermite_norm_fn_derivative(state.n, state.omega, y)
-    return -chbar * dphi + k * np.asarray(y, dtype=float) * hermite_norm_fn(state.n, state.omega, y)
+    return _ladder_apply(state, y, pc, -1.0)
 
 
 def ladder_down(state, y, pc=NATURAL_UNITS):

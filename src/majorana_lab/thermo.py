@@ -20,6 +20,7 @@ from .spinor import NATURAL_UNITS, PhysicalConstants
 DEFAULT_TOL = 1e-10
 MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
+EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
 
 _MODES = ("em", "exact")
 _M = 200  # explicit terms before the Euler-Maclaurin tail

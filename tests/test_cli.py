@@ -285,6 +285,105 @@ def test_thermo_bad_config_value_is_usage_error(runner, tmp_path, line):
     assert CONFIG_ENV_VAR in combined_output(result)
 
 
+@pytest.mark.parametrize("command, args", [
+    ("density", ["--grid", "0"]),
+    ("entropy-density", ["--grid", "0"]),
+    ("heatmap", ["--tsteps", "0"]),
+    ("heatmap", ["--grid", "0"]),
+    ("density", ["--n", "-1"]),
+    ("entropy-density", ["--n", "-1"]),
+    ("table1", ["--n", "-1"]),
+    ("table1", ["--omega", "0"]),
+    ("table1", ["--tol", "0"]),
+    ("density", ["--omega", "-1"]),
+    ("density", ["--k", "-0.5"]),
+    ("density", ["--k", "0"]),
+    ("density", ["--k", "0.5", "--mass", "-1"]),
+    ("heatmap", ["--k", "0.5", "--mass", "-1"]),
+    ("table1", ["--omega", "inf"]),
+    ("entropy-density", ["--omega", "nan"]),
+    ("thermo", ["--k", "inf"]),
+    ("thermo", ["--tmax", "inf"]),
+    ("thermo", ["--tol", "nan"]),
+    ("density", ["--theta", "nan"]),
+    ("table1", ["--theta", "-inf"]),
+    ("heatmap", ["--tmax", "nan"]),
+    ("heatmap", ["--tmin", "-inf"]),
+    ("density", ["--space", "diagonal"]),
+    ("table1", ["--format", "xml"]),
+])
+def test_bad_flag_is_usage_error(runner, command, args):
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2, combined_output(result)
+    assert f"Invalid value for '{args[-2]}'" in combined_output(result)
+
+
+@pytest.mark.parametrize("command, line", [
+    *((command, "format=xml") for command in ("table1", "density", "entropy-density",
+                                              "heatmap", "thermo")),
+    ("density", "grid=abc"),
+    ("density", "omega=abc"),
+    ("table1", "omega=abc"),
+    ("density", "theta=abc"),
+    ("table1", "theta=abc"),
+    ("table1", "omega=0.2,,inf"),
+    ("table1", "n=0,-1"),
+    ("table1", "omega= , "),
+    ("entropy-density", "n=abc"),
+    ("entropy-density", "space=diagonal"),
+    ("heatmap", "theta=nan"),
+    ("heatmap", "tsteps=0"),
+    ("heatmap", "mass=-1"),
+    ("density", "k=-1"),
+    ("density", "tol=0"),
+    ("density", "c=inf"),
+    ("thermo", "k="),
+    ("thermo", "hbar=abc"),
+])
+def test_bad_config_value_is_usage_error(runner, tmp_path, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    result = runner.invoke(main, [command], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2, combined_output(result)
+    output = combined_output(result)
+    assert f"'{line.partition('=')[0]}' in ${CONFIG_ENV_VAR}" in output
+
+
+@pytest.mark.parametrize("args", [
+    ["--tmin", "1e-300"],  # beta**2 overflows
+    ["--tmin", "1e160", "--tmax", "1e161"],  # Z ~ 2/lambda^2 exceeds the double range
+    ["--tmin", "5e-324"],  # beta = 1/T overflows
+    ["--k", "1e300", "--tmin", "1"],
+])
+def test_thermo_extreme_temperature_is_usage_error(runner, args):
+    result = runner.invoke(main, ["thermo", "--tsteps", "2", *args])
+    assert result.exit_code == 2, combined_output(result)
+    assert "Invalid value for '--tmin'" in combined_output(result)
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.2, 1e3])
+def test_thermo_finite_at_temperature_range_edges(runner, tmp_path, k):
+    # the extreme temperatures that keep c hbar k beta^2 inside [1e-300, 1e150]
+    tmin, tmax = math.sqrt(k / 1e150) * (1 + 1e-12), math.sqrt(k / 1e-300) * (1 - 1e-12)
+    out = tmp_path / "edge.csv"
+    run_ok(runner, ["thermo", "--k", repr(k), "--tmin", repr(tmin), "--tmax", repr(tmax),
+                    "--tsteps", "3", "--particles", "3", "--out", str(out)])
+    _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
+    assert len(rows) == 3
+    assert all(math.isfinite(float(field)) for row in rows for field in row)
+    for T, key in ((tmin * 0.99, "--tmin"), (tmax * 1.01, "--tmax")):
+        result = runner.invoke(main, ["thermo", "--k", repr(k), key, repr(T)])
+        assert result.exit_code == 2, combined_output(result)
+        assert f"Invalid value for '{key}'" in combined_output(result)
+
+
+def test_unwritable_out_is_usage_error(runner, tmp_path):
+    out = tmp_path / "no_such_dir" / "d.csv"
+    result = runner.invoke(main, ["density", "--grid", "3", "--out", str(out)])
+    assert result.exit_code == 2, combined_output(result)
+    assert "Invalid value for '--out'" in combined_output(result)
+
+
 def test_thermo_truncation_budget_exit_code(runner, monkeypatch):
     monkeypatch.setattr(cli_mod, "thermo_sweep", _raise_budget)
     result = runner.invoke(main, ["thermo", "--tsteps", "2"])
@@ -329,14 +428,14 @@ def test_env_config_merged_under_flags(runner, tmp_path):
 
 def test_env_config_missing_file_errors(runner, tmp_path):
     result = runner.invoke(main, ["density"], env={CONFIG_ENV_VAR: str(tmp_path / "nope.cfg")})
-    assert result.exit_code != 0
+    assert result.exit_code == 2
 
 
 def test_env_config_bad_line_errors(runner, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega 0.4\n", encoding="utf-8")
     result = runner.invoke(main, ["density"], env={CONFIG_ENV_VAR: str(cfg)})
-    assert result.exit_code != 0
+    assert result.exit_code == 2
 
 
 def test_stdout_emission(runner):

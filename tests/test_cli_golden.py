@@ -1,0 +1,91 @@
+"""Byte identity of every command's output against files under tests/golden/.
+
+Each case runs one command on a small grid, in CSV or JSON, optionally with a
+$MAJORANA_LAB_CONFIG file.  The config cases set keys that only the file can
+set (c, hbar, k_B, tol, and theta for heatmap) or comma lists, and exercise
+the flag > file > default order and the omega/k rule.  A case whose arguments
+or config name an output file is read from that file, so its header records a
+relative path; every other case is read from stdout.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from majorana_lab.cli import CONFIG_ENV_VAR, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name: (argv, config file text or None); the golden file is GOLDEN / f"{name}-{format}.golden"
+CASES = {
+    "table1": (["table1", "--n", "0", "--n", "2", "--omega", "0.3", "--omega", "0.7",
+                "--theta", "0.6"], None),
+    "table1_defaults": (["table1"], None),
+    "density": (["density", "--n", "2", "--omega", "0.3", "--theta", "1.1",
+                 "--space", "momentum", "--grid", "9"], None),
+    "density_defaults": (["density", "--grid", "5"], None),
+    "density_k_mass": (["density", "--n", "1", "--k", "0.3", "--mass", "0.5", "--grid", "5"],
+                       None),
+    "density_omega_beats_k": (["density", "--omega", "0.5", "--k", "0.3", "--grid", "3"], None),
+    "entropy_density": (["entropy-density", "--n", "1", "--omega", "0.4", "--omega", "0.9",
+                         "--theta", "0.3", "--grid", "5"], None),
+    "heatmap": (["heatmap", "--n", "2", "--omega", "0.5", "--grid", "5", "--tmin", "0",
+                 "--tmax", "3", "--tsteps", "3"], None),
+    "heatmap_k_negative_time": (["heatmap", "--k", "0.4", "--grid", "3", "--tmin", "-2",
+                                 "--tmax", "1", "--tsteps", "2"], None),
+    "thermo": (["thermo", "--k", "0.2", "--k", "0.5", "--tmin", "0.5", "--tmax", "4",
+                "--tsteps", "3", "--particles", "2", "--tol", "1e-12"], None),
+    "thermo_out_file": (["thermo", "--k", "0.3", "--tmin", "2", "--tmax", "3", "--tsteps", "2",
+                         "--out", "out.csv"], None),
+    # config-file cases: one or more per command
+    "table1_cfg": (["table1"], "omega=0.3, 0.6\nn=0,2\ntheta=0.7\ntol=1e-9\nk=0.5\nmass=1\n"),
+    "density_cfg_constants_k": (["density", "--n", "1"],
+                                "c=2\nhbar=0.25\nk=0.3\nmass=0.5\ngrid=5\nspace=momentum\n"),
+    "density_cfg_omega_beats_cfg_k": (["density"], "omega=0.4\nk=0.3\ngrid=3\n"),
+    "density_cfg_k_flag_beats_cfg_omega": (["density", "--k", "0.3", "--grid", "3"],
+                                           "omega=0.4\n"),
+    "entropy_density_cfg": (["entropy-density"],
+                            "k_B=1.5\nomega=0.5,0.25\nn=2\ngrid=3\ntol=1e-7\ntheta=0.2\n"),
+    "heatmap_cfg": (["heatmap", "--omega", "0.3"],
+                    "theta=0.5\ntol=1e-8\nn=1\ngrid=4\ntsteps=2\ntmax=1.5\nmass=0.25\n"),
+    "thermo_cfg": (["thermo", "--tsteps", "3"],
+                   "# shared by every command\nk=0.3,0.6\ntsteps=2\ntmin=1\ntmax=2\n"
+                   "particles=3\nk_B=2\nc=1.5\nomega=0.9\ntheta=0.1\ngrid=7\n"),
+    "thermo_cfg_out": (["thermo", "--k", "0.4", "--tsteps", "2", "--tmin", "3"],
+                       "out=out.json\nformat=json\n"),
+}
+FORMATS = {
+    "table1": ("csv", "json"),
+    "density": ("csv", "json"),
+    "entropy_density": ("csv", "json"),
+    "heatmap": ("csv", "json"),
+    "thermo": ("csv", "json"),
+}
+
+
+def _params():
+    for name in CASES:
+        for fmt in FORMATS.get(name, ("csv",)):
+            yield pytest.param(name, fmt, id=f"{name}-{fmt}")
+
+
+def run_case(name, fmt, workdir):
+    """Output bytes of one case, run with workdir as the current directory."""
+    argv, config = CASES[name]
+    argv = argv + (["--format", fmt] if fmt != "csv" else [])
+    env = {CONFIG_ENV_VAR: None}
+    if config is not None:
+        (workdir / "lab.cfg").write_text(config, encoding="utf-8")
+        env[CONFIG_ENV_VAR] = "lab.cfg"
+    result = CliRunner().invoke(main, argv, env=env)
+    assert result.exit_code == 0, f"{argv}: {result.output}\n{result.exception!r}"
+    outputs = sorted(workdir.glob("out.*"))
+    return outputs[0].read_bytes() if outputs else result.stdout_bytes
+
+
+@pytest.mark.parametrize("name, fmt", _params())
+def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    output = run_case(name, fmt, tmp_path)
+    assert output == (GOLDEN / f"{name}-{fmt}.golden").read_bytes()
