@@ -2,7 +2,12 @@
 #
 # Three things to watch in the table below:
 #   * down each omega column, S_y falls and S_p rises by exactly ln(2)/2 per
-#     omega doubling, so their sum never moves: localizing y delocalizes p;
+#     omega doubling, so their sum never moves: localizing y delocalizes p.
+#     The library uses this scaling law as its algorithm: one quadrature of
+#     S_1(n, theta) at omega = 1 serves every omega and both spaces, with
+#     S_y = S_1 - ln(omega)/2 and S_p = S_1 + ln(omega)/2, so the sum 2 S_1 is
+#     the same to the last bit for every omega (the test suite checks the law
+#     against direct quadratures at omega itself);
 #   * the sum grows with the level n but never dips below 1 + ln(pi);
 #   * at n = 0 the state is the Gaussian minimizer, so the bound is saturated
 #     to all digits the quadrature can certify.

@@ -2,7 +2,7 @@
 
 Library layout:
 
-  hermite     stable Hermite polynomials / normalized Hermite-Gauss functions
+  hermite     normalized Hermite-Gauss functions, phi_n and phi_{n-1} in one sweep
   quadrature  adaptive integration with certified truncation radii
   spinor      two-component states, spectrum, momentum space, ladder maps
   entropy     position/momentum Shannon entropies and the BBM bound
@@ -19,7 +19,7 @@ from .entropy import (
     shannon_momentum,
     shannon_position,
 )
-from .hermite import hermite_eval, hermite_norm_fn
+from .hermite import hermite_norm_fn
 from .quadrature import IntegrationSpec, NonConvergence, integrate, truncation_radius, xlogx
 from .spinor import (
     NATURAL_UNITS,
@@ -75,7 +75,6 @@ __all__ = [
     "entropic_density",
     "heat_capacity",
     "helmholtz",
-    "hermite_eval",
     "hermite_norm_fn",
     "integrate",
     "ladder_down",

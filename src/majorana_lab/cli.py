@@ -22,9 +22,10 @@ import numpy as np
 
 from .entropy import DEFAULT_THETA, BoundViolation, bbm_report, entropic_density
 from .quadrature import NonConvergence, truncation_radius
-from .spinor import PhysicalConstants, SpinorState, phase, probability_density_at_phase
-from .thermo import (EM_PARAMETER_RANGE, EM_VALIDITY_WARN, EnsembleParams, TruncationBudget,
-                     thermo_sweep)
+from .spinor import (PhysicalConstants, SpinorState, phase, probability_density_at_phase,
+                     space_frequency)
+from .thermo import (EM_PARAMETER_RANGE, EM_VALIDITY_WARN, MAX_PARTICLES, EnsembleParams,
+                     TruncationBudget, thermo_sweep)
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
@@ -46,6 +47,13 @@ class FiniteFloat(click.FloatRange):
 
     def _describe_range(self):
         return "finite" if self.min is None and self.max is None else super()._describe_range()
+
+
+class PowerCount(click.IntRange):
+    """click.IntRange whose max, a power of ten, shows in help as 1e+<power>."""
+
+    def _describe_range(self):
+        return f"{self.min}<=x<={self.max:.0e}"
 
 
 # A setting's click type casts both its --flag and its config value; help is the flag's.
@@ -70,7 +78,7 @@ SETTINGS = {
     "tmin": Setting(FiniteFloat(), 0.0, "Start time."),
     "tmax": Setting(FiniteFloat(), 10.0, "End time."),
     "tsteps": Setting(_COUNT, 25, "Number of time or temperature points."),
-    "particles": Setting(_COUNT, 1, "Particle count N."),
+    "particles": Setting(PowerCount(min=1, max=MAX_PARTICLES), 1, "Particle count N."),
 }
 _HEADER = ("c", "hbar", "k_B", "omega", "k", "mass", "theta", "tol", "format", "out")
 _READ_BY_ALL = ("c", "hbar", "k_B", "tol", "format", "out")
@@ -201,8 +209,7 @@ def _emit(s, command, extras, columns, rows):
 
 def _coords(omega, n, grid, space):
     """(radius, grid points) over the certified truncation radius of level n in space."""
-    radius = truncation_radius(omega if space == "position" else 1.0 / omega, n + 1,
-                               tail_tol=1e-12)
+    radius = truncation_radius(space_frequency(omega, space), n + 1, tail_tol=1e-12)
     return radius, np.linspace(-radius, radius, grid)
 
 

@@ -4,8 +4,15 @@ S = -integral(rho ln rho) over position or momentum space, in nats.  The sum
 S_y + S_p obeys the entropic uncertainty bound 1 + ln(pi) (one dimension),
 saturated by the n = 0 Gaussian.  The evaluation phase theta defaults to
 pi/4, the unique constant-weight choice sin^2 = cos^2 = 1/2.
+
+omega enters only through a scaling law.  The position density at omega is
+sqrt(omega) rho_1(sqrt(omega) y), with rho_1 the density at omega = 1, and
+the momentum density at omega is the position density at 1/omega (|i^n| = 1).
+So S_y = S_1(n, theta) - ln(omega)/2 and S_p = S_1(n, theta) + ln(omega)/2,
+and one quadrature of S_1 per (n, theta) serves every omega and both spaces.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,15 +44,15 @@ class EntropyReport:
 
 
 def shannon_position(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
-    """Position-space entropy -integral(rho ln rho dy) by certified quadrature."""
-    value, _ = _entropy_integral(n, omega, theta, "position", tol)
-    return value
+    """Position-space entropy -integral(rho ln rho dy) = S_1(n, theta) - ln(omega)/2."""
+    shift = _half_log(omega)
+    return _unit_entropy(n, theta, tol)[0] - shift
 
 
 def shannon_momentum(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
-    """Momentum-space entropy -integral(rho ln rho dp)."""
-    value, _ = _entropy_integral(n, omega, theta, "momentum", tol)
-    return value
+    """Momentum-space entropy -integral(rho ln rho dp) = S_1(n, theta) + ln(omega)/2."""
+    shift = _half_log(omega)
+    return _unit_entropy(n, theta, tol)[0] + shift
 
 
 def entropic_density(n, omega, theta, coord, space="position"):
@@ -60,39 +67,41 @@ def entropic_density(n, omega, theta, coord, space="position"):
 def bbm_report(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     """Both entropies, their sum, and the uncertainty bound, as one record.
 
-    Raises BoundViolation if the sum undercuts the bound by more than the
-    numerical guard; that signals a bug, not physics.
+    The sum is 2 S_1(n, theta), the same for every omega, and quad_err is
+    twice the error estimate of the one S_1 quadrature (it enters S_y and S_p
+    alike).  Raises BoundViolation if the sum undercuts the bound by more than
+    the numerical guard; that signals a bug, not physics.
     """
-    s_y, err_y = _entropy_integral(n, omega, theta, "position", tol)
-    s_p, err_p = _entropy_integral(n, omega, theta, "momentum", tol)
-    total = s_y + s_p
+    shift = _half_log(omega)
+    s_1, err = _unit_entropy(n, theta, tol)
+    total = 2.0 * s_1
     if total < BBM_BOUND - _BBM_GUARD:
         raise BoundViolation(
             f"S_y + S_p = {total!r} < {BBM_BOUND!r} - {_BBM_GUARD:g} "
             f"for n={n}, omega={omega!r}, theta={theta!r}"
         )
-    return EntropyReport(
-        n=n,
-        omega=omega,
-        theta=theta,
-        S_y=s_y,
-        S_p=s_p,
-        sum=total,
-        bbm_bound=BBM_BOUND,
-        quad_err=abs(err_y) + abs(err_p),
-    )
+    return EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND,
+                         quad_err=2.0 * abs(err))
 
 
-def _entropy_integral(n, omega, theta, space, tol):
-    state = SpinorState(n=n, omega=omega)
-    freq = omega if space == "position" else 1.0 / omega
-    # ln(rho) adds ~freq*coord^2 growth on top of the degree-2n polynomial,
-    # hence the +1 in the tail degree.
-    radius = truncation_radius(freq, n + 1, tail_tol=min(tol * 1e-2, 1e-12))
+def _half_log(omega):
+    """ln(omega)/2: all that omega changes in S_y (minus it) and S_p (plus it)."""
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise ValueError("omega must be positive and finite")
+    return 0.5 * math.log(omega)
+
+
+@functools.lru_cache(maxsize=128)
+def _unit_entropy(n, theta, tol):
+    """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
+    state = SpinorState(n=n, omega=1.0)
+    # ln(rho) adds ~y^2 growth on top of the degree-2n polynomial, hence the
+    # +1 in the tail degree.
+    radius = truncation_radius(1.0, n + 1, tail_tol=min(tol * 1e-2, 1e-12))
     spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=tol)
 
-    def integrand(coord):
-        return xlogx(probability_density_at_phase(state, coord, theta, space))
+    def integrand(y):
+        return xlogx(probability_density_at_phase(state, y, theta))
 
     value, err = integrate(integrand, spec)
     return -value, err

@@ -1,12 +1,12 @@
-"""Stable evaluation of physicists' Hermite polynomials and Hermite-Gauss functions.
+"""Stable evaluation of the normalized Hermite-Gauss functions.
 
 Every bound state in this package is built from the L2-normalized functions
 
-    phi_n(y) = (omega/pi)^(1/4) / sqrt(2^n n!) * exp(-omega y^2 / 2) * H_n(sqrt(omega) y),
+    phi_n(y) = (omega/pi)^(1/4) / sqrt(2^n n!) * exp(-omega y^2 / 2) * H_n(sqrt(omega) y).
 
-so the two entry points here are the raw polynomial H_n and the normalized
-function phi_n.  Factorials are never materialized: 2^n n! overflows double
-precision long before n = 64, which this module must support.
+A spinor needs phi_n and phi_{n-1} at the same points, and one sweep of the
+recurrence yields both.  Factorials are never materialized: 2^n n! overflows
+double precision long before n = 64, which this module must support.
 """
 
 import math
@@ -14,34 +14,8 @@ import math
 import numpy as np
 
 
-def hermite_eval(n, x):
-    """Physicists' Hermite polynomial H_n(x) via the upward recurrence.
-
-    Uses H_{n+1} = 2x H_n - 2n H_{n-1}, which is stable in the oscillatory
-    region.  Accepts a scalar or ndarray `x`.
-
-    Raises OverflowError if the recurrence leaves double range (large n|x|);
-    values are never silently saturated to inf.
-    """
-    n = _check_order(n)
-    x, scalar = _as_array(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return float(h_prev) if scalar else h_prev
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
-        h = 2.0 * x
-        for k in range(1, n):
-            h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    if not np.all(np.isfinite(h)):
-        raise OverflowError(f"H_{n} overflowed double precision at |x| ~ {np.max(np.abs(x)):g}")
-    return float(h) if scalar else h
-
-
-def hermite_norm_fn(n, omega, y):
-    """Normalized Hermite-Gauss function phi_n(y) for frequency omega > 0.
+def hermite_norm_pair(n, omega, y):
+    """(phi_n(y), phi_{n-1}(y)) for frequency omega > 0 from one recurrence sweep; phi_{-1} = 0.
 
     The 1/sqrt(2^n n!) normalization and the Gaussian envelope are folded
     into the recurrence start, so every iterate is itself a phi_k value and
@@ -56,29 +30,39 @@ def hermite_norm_fn(n, omega, y):
         raise ValueError("y must be finite")
 
     u = math.sqrt(omega) * y
-    phi_prev = (omega / math.pi) ** 0.25 * np.exp(-0.5 * u * u)
-    if n == 0:
-        return float(phi_prev) if scalar else phi_prev
-    phi = math.sqrt(2.0) * u * phi_prev
+    phi = (omega / math.pi) ** 0.25 * np.exp(-0.5 * u * u)
+    phi_prev = np.zeros_like(phi)
+    if n > 0:
+        phi, phi_prev = math.sqrt(2.0) * u * phi, phi
     for k in range(1, n):
         phi, phi_prev = (
             math.sqrt(2.0 / (k + 1)) * u * phi - math.sqrt(k / (k + 1.0)) * phi_prev,
             phi,
         )
-    return float(phi) if scalar else phi
+    return (float(phi), float(phi_prev)) if scalar else (phi, phi_prev)
 
 
-def hermite_norm_fn_derivative(n, omega, y):
-    """d/dy of phi_n(y), evaluated analytically.
+def hermite_norm_fn(n, omega, y):
+    """Normalized Hermite-Gauss function phi_n(y) for frequency omega > 0."""
+    return hermite_norm_pair(n, omega, y)[0]
+
+
+def hermite_norm_fn_and_derivative(n, omega, y):
+    """(phi_n(y), phi_n'(y)) from one sweep, the derivative evaluated analytically.
 
     Uses H_n' = 2n H_{n-1}, which in normalized form reads
     phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).
     """
-    n = _check_order(n)
-    term = -omega * np.asarray(y, dtype=float) * hermite_norm_fn(n, omega, y)
+    phi, phi_prev = hermite_norm_pair(n, omega, y)
+    slope = -omega * np.asarray(y, dtype=float) * phi
     if n > 0:
-        term = term + math.sqrt(2.0 * n * omega) * hermite_norm_fn(n - 1, omega, y)
-    return float(term) if np.ndim(y) == 0 else term
+        slope = slope + math.sqrt(2.0 * n * omega) * phi_prev
+    return phi, (float(slope) if np.ndim(y) == 0 else slope)
+
+
+def hermite_norm_fn_derivative(n, omega, y):
+    """d/dy of phi_n(y); see hermite_norm_fn_and_derivative."""
+    return hermite_norm_fn_and_derivative(n, omega, y)[1]
 
 
 def _check_order(n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import hermite_norm_fn, hermite_norm_fn_derivative
+from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair
 
 _SPACES = ("position", "momentum")
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
@@ -95,9 +95,6 @@ class SpinorValue:
     comp1: complex
     comp2: complex
 
-    def density(self):
-        return abs(self.comp1) ** 2 + abs(self.comp2) ** 2
-
 
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
     """Level energy: branch * sqrt(2 c hbar k n); zero at n = 0 for either branch."""
@@ -120,11 +117,10 @@ def phase(state, t, pc=NATURAL_UNITS):
 
 def position_spinor_at_phase(state, y, theta):
     """Spinor components at coordinate y for a given phase theta (both real)."""
+    f_n, f_m = hermite_norm_pair(state.n, state.omega, y)
     if state.n == 0:
-        return SpinorValue(hermite_norm_fn(0, state.omega, y), 0.0)
-    comp1 = hermite_norm_fn(state.n, state.omega, y) * math.sin(theta)
-    comp2 = hermite_norm_fn(state.n - 1, state.omega, y) * math.cos(theta)
-    return SpinorValue(comp1, comp2)
+        return SpinorValue(f_n, 0.0)
+    return SpinorValue(f_n * math.sin(theta), f_m * math.cos(theta))
 
 
 def position_spinor(state, y, t, pc=NATURAL_UNITS):
@@ -138,11 +134,11 @@ def momentum_spinor_at_phase(state, p, theta):
     1/omega; this reproduces the closed-form transforms of the first few
     levels exactly.
     """
-    inv_omega = 1.0 / state.omega
+    f_n, f_m = hermite_norm_pair(state.n, space_frequency(state.omega, "momentum"), p)
     if state.n == 0:
-        return SpinorValue(complex(hermite_norm_fn(0, inv_omega, p)), 0.0 + 0.0j)
-    comp1 = _I_POW[state.n % 4] * hermite_norm_fn(state.n, inv_omega, p) * math.sin(theta)
-    comp2 = _I_POW[(state.n - 1) % 4] * hermite_norm_fn(state.n - 1, inv_omega, p) * math.cos(theta)
+        return SpinorValue(complex(f_n), 0.0 + 0.0j)
+    comp1 = _I_POW[state.n % 4] * f_n * math.sin(theta)
+    comp2 = _I_POW[(state.n - 1) % 4] * f_m * math.cos(theta)
     return SpinorValue(comp1, comp2)
 
 
@@ -156,11 +152,9 @@ def probability_density_at_phase(state, coord, theta, space="position"):
     Vectorized over `coord`.  Normalized to 1 for every theta: the components
     carry sin^2/cos^2 weights on consecutive orthonormal basis functions.
     """
-    freq = _space_frequency(state, space)
-    f_n = hermite_norm_fn(state.n, freq, coord)
+    f_n, f_m = hermite_norm_pair(state.n, space_frequency(state.omega, space), coord)
     if state.n == 0:
         return f_n * f_n
-    f_m = hermite_norm_fn(state.n - 1, freq, coord)
     s, c = math.sin(theta), math.cos(theta)
     return f_n * f_n * s * s + f_m * f_m * c * c
 
@@ -173,8 +167,7 @@ def _ladder_apply(state, y, pc, sign):
     """(sign c hbar d/dy + k y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1}."""
     chbar = pc.c * pc.hbar
     k = state.omega * chbar
-    dphi = hermite_norm_fn_derivative(state.n, state.omega, y)
-    phi = hermite_norm_fn(state.n, state.omega, y)
+    phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
     return sign * chbar * dphi + k * np.asarray(y, dtype=float) * phi
 
 
@@ -205,7 +198,8 @@ def ladder_up(state, y, pc=NATURAL_UNITS):
     return creation_apply(state, y, pc) / state_energy(up, pc)
 
 
-def _space_frequency(state, space):
+def space_frequency(omega, space):
+    """The Hermite-Gauss frequency of a level's profile: omega in position, 1/omega in momentum."""
     if space not in _SPACES:
         raise ValueError(f"space must be one of {_SPACES}")
-    return state.omega if space == "position" else 1.0 / state.omega
+    return omega if space == "position" else 1.0 / omega

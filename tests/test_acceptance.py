@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from csv_utils import parse_csv, rows_as_floats
+from direct_entropy import direct_entropy
 from majorana_lab.cli import main as cli_main
 from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
 from majorana_lab.hermite import hermite_norm_fn
@@ -70,23 +71,30 @@ def test_criterion_02_bbm_saturation_ground_state():
 
 
 def test_criterion_03_scaling_invariance():
+    # the library's entropies at 2w against -integral(rho ln rho) computed directly at w
     shift = -0.5 * math.log(2.0)  # -0.34657
     worst = 0.0
     for n in range(6):
-        for omega in (0.2, 0.4):
-            delta = shannon_position(n, 2 * omega, QUARTER) - shannon_position(n, omega, QUARTER)
-            worst = max(worst, abs(delta - shift))
-    verdict(3, "S_y(n, 2w) - S_y(n, w) = -ln(2)/2 for n <= 5",
-            worst < 1e-6, f"worst |delta + 0.34657| = {worst:.3g} vs 1e-6")
+        for omega in (0.01, 0.2, 0.4, 100.0):
+            delta_y = shannon_position(n, 2 * omega, QUARTER) - direct_entropy(n, omega, QUARTER, "position")
+            delta_p = shannon_momentum(n, 2 * omega, QUARTER) - direct_entropy(n, omega, QUARTER, "momentum")
+            worst = max(worst, abs(delta_y - shift), abs(delta_p + shift))
+    verdict(3, "S_y(n, 2w) - S_y(n, w) = -ln(2)/2 = S_p(n, w) - S_p(n, 2w) for n <= 5",
+            worst < 1e-6, f"worst |delta -/+ 0.34657| = {worst:.3g} vs 1e-6")
 
 
 def test_criterion_04_closed_form_oracle():
+    # library and direct quadrature alike against the Gaussian closed form
     worst = 0.0
-    for omega in (0.05, 0.2, 0.8, 1.0, 3.0, 5.0):
+    for omega in (0.01, 0.05, 0.2, 0.8, 1.0, 3.0, 5.0, 100.0):
+        exact_y = 0.5 * (1.0 + math.log(math.pi / omega))
+        exact_p = 0.5 * (1.0 + math.log(math.pi * omega))
         worst = max(
             worst,
-            abs(shannon_position(0, omega) - 0.5 * (1.0 + math.log(math.pi / omega))),
-            abs(shannon_momentum(0, omega) - 0.5 * (1.0 + math.log(math.pi * omega))),
+            abs(shannon_position(0, omega) - exact_y),
+            abs(shannon_momentum(0, omega) - exact_p),
+            abs(direct_entropy(0, omega, QUARTER, "position") - exact_y),
+            abs(direct_entropy(0, omega, QUARTER, "momentum") - exact_p),
         )
     verdict(4, "analytic Gaussian-entropy oracle at n = 0",
             worst < 1e-8, f"worst |dev| = {worst:.3g} vs 1e-8")

@@ -15,6 +15,7 @@ from majorana_lab.cli import (
     main,
 )
 from majorana_lab.entropy import BBM_BOUND, BoundViolation
+from majorana_lab.thermo import MAX_PARTICLES
 
 
 @pytest.fixture
@@ -311,6 +312,7 @@ def test_thermo_bad_config_value_is_usage_error(runner, tmp_path, line):
     ("heatmap", ["--tmin", "-inf"]),
     ("density", ["--space", "diagonal"]),
     ("table1", ["--format", "xml"]),
+    ("thermo", ["--particles", "9" * 400]),  # beyond the float range
 ])
 def test_bad_flag_is_usage_error(runner, command, args):
     result = runner.invoke(main, [command, *args])
@@ -339,6 +341,7 @@ def test_bad_flag_is_usage_error(runner, command, args):
     ("density", "c=inf"),
     ("thermo", "k="),
     ("thermo", "hbar=abc"),
+    pytest.param("thermo", "particles=" + "9" * 400, id="thermo-particles=<400 digits>"),
 ])
 def test_bad_config_value_is_usage_error(runner, tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
@@ -375,6 +378,19 @@ def test_thermo_finite_at_temperature_range_edges(runner, tmp_path, k):
         result = runner.invoke(main, ["thermo", "--k", repr(k), key, repr(T)])
         assert result.exit_code == 2, combined_output(result)
         assert f"Invalid value for '{key}'" in combined_output(result)
+
+
+def test_thermo_finite_at_particle_bound(runner, tmp_path):
+    # beta = 1 with k at both ends of c hbar k beta^2 in [1e-300, 1e150]
+    out = tmp_path / "bound.csv"
+    run_ok(runner, ["thermo", "--k", "1e-300", "--k", "1e150", "--tmin", "1", "--tmax", "1",
+                    "--tsteps", "1", "--particles", str(MAX_PARTICLES), "--out", str(out)])
+    _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
+    assert len(rows) == 2
+    assert all(math.isfinite(float(field)) for row in rows for field in row)
+    result = runner.invoke(main, ["thermo", "--particles", str(MAX_PARTICLES + 1)])
+    assert result.exit_code == 2, combined_output(result)
+    assert "Invalid value for '--particles'" in combined_output(result)
 
 
 def test_unwritable_out_is_usage_error(runner, tmp_path):

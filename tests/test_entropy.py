@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import majorana_lab.entropy as entropy_mod
+from direct_entropy import direct_entropy
+from majorana_lab.cli import main as cli_main
 from majorana_lab.entropy import (
     BBM_BOUND,
     DEFAULT_THETA,
@@ -43,16 +47,51 @@ def test_reference_rows():
 
 @pytest.mark.parametrize("n", range(6))
 def test_scaling_law(n):
-    for omega in (0.2, 0.7):
-        shift = -0.5 * math.log(2.0)
-        assert shannon_position(n, 2 * omega) - shannon_position(n, omega) == pytest.approx(shift, abs=1e-6)
-        assert shannon_momentum(n, 2 * omega) - shannon_momentum(n, omega) == pytest.approx(-shift, abs=1e-6)
+    # the library's S_1 -/+ ln(omega)/2 against -integral(rho ln rho) at omega itself;
+    # each integral is certified to 1e-10
+    for omega in (0.01, 0.2, 0.7, 1.4, 100.0):
+        assert shannon_position(n, omega) == pytest.approx(
+            direct_entropy(n, omega, DEFAULT_THETA, "position"), abs=1e-9)
+        assert shannon_momentum(n, omega) == pytest.approx(
+            direct_entropy(n, omega, DEFAULT_THETA, "momentum"), abs=1e-9)
 
 
 def test_sum_invariant_under_scaling():
-    a = bbm_report(1, 0.15)
-    b = bbm_report(1, 0.6)
-    assert a.sum == pytest.approx(b.sum, abs=1e-6)
+    total = bbm_report(1, 0.15).sum
+    for omega in (0.01, 0.15, 0.6, 100.0):
+        direct = (direct_entropy(1, omega, DEFAULT_THETA, "position")
+                  + direct_entropy(1, omega, DEFAULT_THETA, "momentum"))
+        assert total == pytest.approx(direct, abs=2e-9)
+
+
+@pytest.mark.parametrize("omega", [1e-100, 1e-12, 1e12, 1e100])
+def test_ground_state_exact_at_extreme_omega(omega):
+    # the ln(omega)/2 shift is exact, so the only error left is S_1's and one rounding
+    for value, exact in ((shannon_position(0, omega), gaussian_entropy_position(omega)),
+                         (shannon_momentum(0, omega), gaussian_entropy_momentum(omega))):
+        assert abs(value - exact) <= 2e-15 + 2.0**-52 * abs(exact)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("theta", [0.3, DEFAULT_THETA])
+def test_sum_bitwise_independent_of_omega(n, theta):
+    sums = {bbm_report(n, omega, theta).sum for omega in (1e-100, 0.01, 0.2, 1.0, 100.0, 1e100)}
+    assert len(sums) == 1
+
+
+def test_default_table1_makes_four_integrals(monkeypatch):
+    calls = []
+    integrate = entropy_mod.integrate
+
+    def counted(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    entropy_mod._unit_entropy.cache_clear()
+    monkeypatch.setattr(entropy_mod, "integrate", counted)
+    result = CliRunner().invoke(cli_main, ["table1"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 4  # one per level n = 0..3, shared by the three omegas and both spaces
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 2.2, 5.0])
@@ -105,15 +144,16 @@ def test_report_fields():
     rep = bbm_report(2, 0.4)
     assert rep.n == 2 and rep.omega == 0.4
     assert rep.theta == DEFAULT_THETA
-    assert rep.sum == rep.S_y + rep.S_p
+    assert rep.sum == 2.0 * shannon_position(2, 1.0)  # 2 S_1: at omega = 1, S_y = S_1 exactly
+    assert rep.sum == pytest.approx(rep.S_y + rep.S_p, rel=2 * sys.float_info.epsilon, abs=0.0)
     assert rep.bbm_bound == BBM_BOUND
     assert 0.0 <= rep.quad_err < 1e-8
 
 
 def test_bound_violation_raised(monkeypatch):
-    def fake_integral(n, omega, theta, space, tol):
+    def fake_integral(n, theta, tol):
         return 0.1, 0.0
 
-    monkeypatch.setattr(entropy_mod, "_entropy_integral", fake_integral)
+    monkeypatch.setattr(entropy_mod, "_unit_entropy", fake_integral)
     with pytest.raises(BoundViolation):
         entropy_mod.bbm_report(0, 1.0)

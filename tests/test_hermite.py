@@ -4,8 +4,43 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite, gammaln
 
-from majorana_lab.hermite import hermite_eval, hermite_norm_fn, hermite_norm_fn_derivative
+from majorana_lab.hermite import (
+    hermite_norm_fn,
+    hermite_norm_fn_derivative,
+    hermite_norm_pair,
+)
 from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius
+
+
+def hermite_eval(n, x):
+    """Physicists' Hermite polynomial H_n(x) via the upward recurrence.
+
+    Uses H_{n+1} = 2x H_n - 2n H_{n-1}, which is stable in the oscillatory
+    region.  Accepts a scalar or ndarray `x`.  The package builds only the
+    normalized functions; this raw polynomial checks the recurrence itself.
+
+    Raises OverflowError if the recurrence leaves double range (large n|x|);
+    values are never silently saturated to inf.
+    """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise TypeError("order n must be an integer")
+    if n < 0:
+        raise ValueError("order n must be >= 0")
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+
+    h_prev = np.ones_like(x)
+    if n == 0:
+        return float(h_prev) if scalar else h_prev
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+        h = 2.0 * x
+        for k in range(1, n):
+            h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    if not np.all(np.isfinite(h)):
+        raise OverflowError(f"H_{n} overflowed double precision at |x| ~ {np.max(np.abs(x)):g}")
+    return float(h) if scalar else h
 
 
 def reference_norm_fn(n, omega, y):
@@ -141,3 +176,17 @@ def test_derivative_matches_finite_difference(n):
     for y in (-2.2, 0.0, 0.4, 1.9):
         fd = (hermite_norm_fn(n, omega, y + h) - hermite_norm_fn(n, omega, y - h)) / (2 * h)
         assert hermite_norm_fn_derivative(n, omega, y) == pytest.approx(fd, rel=2e-8, abs=1e-9)
+
+
+@pytest.mark.parametrize("omega", [0.01, 1.0, 100.0])
+def test_pair_sweep_matches_separate_lower_order(omega):
+    # phi_{n-1} from the pair sweep is the same floating-point sequence as a separate call
+    ys = np.concatenate([np.linspace(-30.0, 30.0, 121) / math.sqrt(omega), [0.0, 1e-3]])
+    for n in range(1, 65):
+        assert np.array_equal(hermite_norm_pair(n, omega, ys)[1], hermite_norm_fn(n - 1, omega, ys))
+        assert hermite_norm_pair(n, omega, 0.7)[1] == hermite_norm_fn(n - 1, omega, 0.7)
+
+
+def test_pair_at_ground_state_has_zero_partner():
+    assert np.array_equal(hermite_norm_pair(0, 0.4, np.linspace(-2.0, 2.0, 5))[1], np.zeros(5))
+    assert hermite_norm_pair(0, 0.4, 1.0)[1] == 0.0
