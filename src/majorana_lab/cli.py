@@ -276,13 +276,25 @@ def cmd_thermo(s):
     pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
     lo, hi = EM_PARAMETER_RANGE
     for key, T in (("tmin", s.tmin), ("tmax", s.tmax)):
-        beta = 1.0 / (pc.k_B * T)
-        if not all(lo <= pc.c * pc.hbar * k * beta * beta <= hi for k in s.k_list):
+        try:
+            xs = [EnsembleParams(beta=1.0 / (pc.k_B * T), k=k, pc=pc).em_parameter
+                  for k in s.k_list]
+        except (ValueError, ZeroDivisionError):  # k_B T out of the float range
+            xs = [math.nan]
+        if not all(lo <= x <= hi for x in xs):
             raise click.BadParameter(f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
                                      "where the sums stay finite", param_hint=f"'--{key}'")
     reports = thermo_sweep(s.k_list, np.linspace(s.tmin, s.tmax, s.tsteps), N=s.particles,
                            pc=pc, tol=s.tol)
     em_rel_err = [abs(r.Z_em - r.Z_exact) / r.Z_exact for r in reports]
+    rows = [
+        (r.k, r.T, r.beta, r.Z_exact, r.Z_em, err, r.F, r.U, r.S, r.C_V,
+         r.F_exact, r.U_exact, r.S_exact, r.C_V_exact, r.truncation_n, r.tail_bound)
+        for r, err in zip(reports, em_rel_err)
+    ]
+    if not np.isfinite(np.array(rows, dtype=float)).all():
+        raise click.UsageError(f"k_B={s.k_B:g} with --particles {s.particles} takes a field of "
+                               "the sweep out of the float range")
     worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=pc).em_parameter for r in reports)
     if worst > EM_VALIDITY_WARN:
         click.echo(
@@ -291,11 +303,6 @@ def cmd_thermo(s):
             f"(measured |Z_em - Z|/Z up to {max(em_rel_err):.3g})",
             err=True,
         )
-    rows = [
-        (r.k, r.T, r.beta, r.Z_exact, r.Z_em, err, r.F, r.U, r.S, r.C_V,
-         r.F_exact, r.U_exact, r.S_exact, r.C_V_exact, r.truncation_n, r.tail_bound)
-        for r, err in zip(reports, em_rel_err)
-    ]
     _emit(s, "thermo", ("k_list", "tmin", "tmax", "tsteps", "particles"),
           ("k", "T", "beta", "Z_exact", "Z_em", "em_rel_err", "F_em", "U_em", "S_em", "C_V_em",
            "F_exact", "U_exact", "S_exact", "C_V_exact", "truncation_n", "tail_bound"), rows)

@@ -65,8 +65,14 @@ class EnsembleParams:
 
     @property
     def em_parameter(self):
-        """c hbar k beta^2; the closed form requires this << 1."""
-        return self.coupling * self.beta**2
+        """c hbar k beta^2; the closed form requires this << 1.
+
+        beta^2 is formed only where it is a normal float; elsewhere the product is taken
+        left to right, so it neither underflows to 0 nor overflows where beta^2 alone would.
+        """
+        if 1e-150 < self.beta < 1e150:
+            return self.coupling * self.beta**2
+        return self.coupling * self.beta * self.beta
 
     @property
     def temperature(self):

@@ -1,12 +1,14 @@
 """Shannon entropy by direct quadrature at the actual omega and space.
 
-The library integrates once at omega = 1 and shifts the result by -/+ ln(omega)/2.
-This oracle integrates -rho ln rho of the density at omega itself, in position or in
-momentum space, so a test that compares the two checks the scaling law instead of
-assuming it.
+The library integrates once at omega = 1, with its own Gauss-Kronrod rule, and shifts
+the result by -/+ ln(omega)/2.  This oracle integrates -rho ln rho of the density at
+omega itself, in position or in momentum space, with scipy's QUADPACK, so a test that
+compares the two checks the scaling law and the integrator instead of assuming them.
 """
 
-from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
+from scipy.integrate import quad
+
+from majorana_lab.quadrature import truncation_radius, xlogx
 from majorana_lab.spinor import SpinorState, probability_density_at_phase
 
 
@@ -16,7 +18,8 @@ def direct_entropy(n, omega, theta, space, tol=1e-10):
     freq = omega if space == "position" else 1.0 / omega
     # ln(rho) adds ~freq*coord^2 growth on top of the degree-2n polynomial
     radius = truncation_radius(freq, n + 1, tail_tol=min(tol * 1e-2, 1e-12))
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=tol)
-    value, _ = integrate(
-        lambda u: xlogx(probability_density_at_phase(state, u, theta, space)), spec)
+    value, err = quad(lambda u: xlogx(probability_density_at_phase(state, u, theta, space)),
+                      -radius, radius, epsabs=tol, epsrel=0.0, limit=200)
+    if not err <= tol:
+        raise RuntimeError(f"QUADPACK error estimate {err:g} exceeds tol={tol:g}")
     return -value

@@ -123,9 +123,9 @@ def test_criterion_06_fourier_and_parseval():
             numeric = []
             for pick in (lambda v: v.comp1, lambda v: v.comp2):
                 re, _ = integrate(
-                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * math.cos(p * y), spec)
+                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), spec)
                 im, _ = integrate(
-                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * math.sin(p * y), spec)
+                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), spec)
                 numeric.append((re + 1j * im) / math.sqrt(2 * math.pi))
             analytic = momentum_spinor_at_phase(state, float(p), theta)
             worst_ft = max(worst_ft, abs(numeric[0] - analytic.comp1), abs(numeric[1] - analytic.comp2))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +104,19 @@ def test_table1_bbm_violation_exit_code(runner, monkeypatch):
 def test_quadrature_failure_exit_code(runner):
     result = runner.invoke(main, ["table1", "--n", "0", "--omega", "0.2", "--tol", "1e-300"])
     assert result.exit_code == EXIT_QUAD_NONCONVERGENCE
+
+
+@pytest.mark.parametrize("n, theta", [(20, "0"), (30, "1.5707963267948966"), (64, "0")])
+def test_table1_at_theta_endpoints(runner, n, theta):
+    run_ok(runner, ["table1", "--n", str(n), "--theta", theta])
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, majorana_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this checkout's src
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- density
@@ -362,6 +378,40 @@ def test_thermo_extreme_temperature_is_usage_error(runner, args):
     result = runner.invoke(main, ["thermo", "--tsteps", "2", *args])
     assert result.exit_code == 2, combined_output(result)
     assert "Invalid value for '--tmin'" in combined_output(result)
+
+
+@pytest.mark.parametrize("k, T", [
+    ("1e300", "1e300"),  # c*hbar*k*beta^2 = 1e-300, the range edge, while beta^2 underflows to 0
+    ("1e-300", "1e-200"),  # c*hbar*k*beta^2 = 1e100, while beta^2 overflows
+])
+def test_thermo_extreme_coupling_is_clean(runner, k, T):
+    result = runner.invoke(main, ["thermo", "--k", k, "--tmin", T, "--tmax", T, "--tsteps", "1"])
+    assert result.exit_code in (0, 2), combined_output(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_thermo_underflowing_temperature_is_usage_error(runner, tmp_path):
+    path = tmp_path / "lab.cfg"
+    path.write_text("k_B=1e-300\n", encoding="utf-8")  # k_B T underflows to 0 at --tmin
+    result = runner.invoke(main, ["thermo", "--tmin", "1e-300", "--tsteps", "2"],
+                           env={CONFIG_ENV_VAR: str(path)})
+    assert result.exit_code == 2, combined_output(result)
+    assert "Invalid value for '--tmin'" in combined_output(result)
+
+
+@pytest.mark.parametrize("cfg, args", [
+    ("k_B=1e308", ["--k", "1", "--tmin", "1e-308", "--tmax", "1e-308"]),
+    ("k_B=1e200", ["--k", "1", "--tmin", "1e-200", "--tmax", "1e-200",
+                   "--particles", str(MAX_PARTICLES)]),
+])
+def test_thermo_non_finite_field_is_usage_error(runner, tmp_path, cfg, args):
+    # c*hbar*k*beta^2 = 1 is in range; k_B and N scale S and C_V past the float range
+    path = tmp_path / "lab.cfg"
+    path.write_text(cfg + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["thermo", "--tsteps", "1", *args],
+                           env={CONFIG_ENV_VAR: str(path)})
+    assert result.exit_code == 2, combined_output(result)
+    assert "k_B=" in combined_output(result) and "--particles" in combined_output(result)
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.2, 1e3])

@@ -14,7 +14,7 @@ def gaussian_moment(m, omega):
 
 def test_standard_normal_mass():
     spec = IntegrationSpec(truncation_radius=12.0, target_abs_tol=1e-12)
-    value, err = integrate(lambda y: math.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), spec)
+    value, err = integrate(lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), spec)
     assert abs(value - 1.0) < 1e-12
     assert err <= 1e-12
 
@@ -22,13 +22,13 @@ def test_standard_normal_mass():
 def test_scaled_gaussian_mass():
     radius = truncation_radius(0.2, 0, tail_tol=1e-13)
     spec = IntegrationSpec(truncation_radius=radius)
-    value, _ = integrate(lambda y: math.sqrt(0.2 / math.pi) * math.exp(-0.2 * y * y), spec)
+    value, _ = integrate(lambda y: math.sqrt(0.2 / math.pi) * np.exp(-0.2 * y * y), spec)
     assert abs(value - 1.0) < 1e-10
 
 
 def test_odd_integrand_vanishes():
     spec = IntegrationSpec(truncation_radius=9.0)
-    value, _ = integrate(lambda y: y * math.exp(-y * y), spec)
+    value, _ = integrate(lambda y: y * np.exp(-y * y), spec)
     assert abs(value) < 1e-14
 
 
@@ -39,7 +39,7 @@ def test_error_estimate_bounds_true_error(m, omega):
     radius = truncation_radius(omega, m, tail_tol=1e-16)
     # the moments reach ~1e5, so the achievable tolerance scales with size
     spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-10 * max(1.0, exact))
-    value, est = integrate(lambda y: y ** (2 * m) * math.exp(-omega * y * y), spec)
+    value, est = integrate(lambda y: y ** (2 * m) * np.exp(-omega * y * y), spec)
     true_err = abs(value - exact)
     # floor: truncated tail plus last-ulp roundoff of the closed form
     assert true_err <= 10.0 * est + 1e-13 * max(1.0, exact)
@@ -51,7 +51,7 @@ def test_halving_tolerance_never_increases_error(tol):
     radius = truncation_radius(omega, 4, tail_tol=1e-16)
     for m in range(5):
         exact = gaussian_moment(m, omega)
-        f = lambda y, m=m: y ** (2 * m) * math.exp(-omega * y * y)
+        f = lambda y, m=m: y ** (2 * m) * np.exp(-omega * y * y)
         v1, _ = integrate(f, IntegrationSpec(truncation_radius=radius, target_abs_tol=tol))
         v2, _ = integrate(f, IntegrationSpec(truncation_radius=radius, target_abs_tol=tol / 2))
         assert abs(v2 - exact) <= abs(v1 - exact)
@@ -60,7 +60,7 @@ def test_halving_tolerance_never_increases_error(tol):
 def test_nonconvergence_carries_best_estimate():
     spec = IntegrationSpec(truncation_radius=1.0, target_abs_tol=1e-12, max_subdivisions=1)
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(lambda y: math.cos(1e4 * y), spec)
+        integrate(lambda y: np.cos(1e4 * y), spec)
     assert math.isfinite(excinfo.value.value)
     assert math.isfinite(excinfo.value.err_estimate)
 

@@ -42,8 +42,8 @@ def fourier_numeric(state, theta, p):
     spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
     comps = []
     for pick in (lambda v: v.comp1, lambda v: v.comp2):
-        re, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * math.cos(p * y), spec)
-        im, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * math.sin(p * y), spec)
+        re, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), spec)
+        im, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), spec)
         comps.append((re + 1j * im) / math.sqrt(2 * math.pi))
     return comps
 
