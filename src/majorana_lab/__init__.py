@@ -2,96 +2,50 @@
 
 Library layout:
 
+  common      units, defaults, range errors and a float linspace, free of numpy
   hermite     normalized Hermite-Gauss functions, phi_n and phi_{n-1} in one sweep
   quadrature  adaptive integration with certified truncation radii
   spinor      two-component states, spectrum, momentum space, ladder maps
   entropy     position/momentum Shannon entropies and the BBM bound
   thermo      partition function (exact series + closed form) and F, U, S, C_V
   cli         reproducible CSV/JSON emission for all of the above
+
+The package imports lazily (PEP 562): `majorana_lab.X` loads X's module on
+first use, so a process that only needs thermo never imports numpy.
 """
 
-from .entropy import (
-    BBM_BOUND,
-    BoundViolation,
-    EntropyReport,
-    bbm_report,
-    entropic_density,
-    shannon_momentum,
-    shannon_position,
-)
-from .hermite import hermite_norm_fn
-from .quadrature import IntegrationSpec, NonConvergence, integrate, truncation_radius, xlogx
-from .spinor import (
-    NATURAL_UNITS,
-    PhysicalConstants,
-    PotentialParams,
-    SpinorState,
-    SpinorValue,
-    annihilation_apply,
-    creation_apply,
-    energy,
-    ladder_down,
-    ladder_up,
-    momentum_spinor,
-    phase,
-    position_spinor,
-    probability_density,
-    probability_density_at_phase,
-    state_energy,
-)
-from .thermo import (
-    EnsembleParams,
-    ThermoReport,
-    TruncationBudget,
-    heat_capacity,
-    helmholtz,
-    mean_energy,
-    partition_em,
-    partition_exact,
-    thermo_sweep,
-)
-from .thermo import entropy as thermal_entropy
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BBM_BOUND",
-    "BoundViolation",
-    "EntropyReport",
-    "EnsembleParams",
-    "IntegrationSpec",
-    "NATURAL_UNITS",
-    "NonConvergence",
-    "PhysicalConstants",
-    "PotentialParams",
-    "SpinorState",
-    "SpinorValue",
-    "ThermoReport",
-    "TruncationBudget",
-    "annihilation_apply",
-    "bbm_report",
-    "creation_apply",
-    "energy",
-    "entropic_density",
-    "heat_capacity",
-    "helmholtz",
-    "hermite_norm_fn",
-    "integrate",
-    "ladder_down",
-    "ladder_up",
-    "mean_energy",
-    "momentum_spinor",
-    "partition_em",
-    "partition_exact",
-    "phase",
-    "position_spinor",
-    "probability_density",
-    "probability_density_at_phase",
-    "shannon_momentum",
-    "shannon_position",
-    "state_energy",
-    "thermal_entropy",
-    "thermo_sweep",
-    "truncation_radius",
-    "xlogx",
-]
+# module: its public names; "alias=name" exports the module's name under alias.
+_EXPORTS = {
+    "common": "NATURAL_UNITS PhysicalConstants",
+    "entropy": ("BBM_BOUND BoundViolation EntropyReport bbm_report entropic_density "
+                "shannon_momentum shannon_position"),
+    "hermite": "hermite_norm_fn",
+    "quadrature": "IntegrationSpec NonConvergence integrate truncation_radius xlogx",
+    "spinor": ("PotentialParams SpinorState SpinorValue annihilation_apply creation_apply energy "
+               "ladder_down ladder_up momentum_spinor phase position_spinor probability_density "
+               "probability_density_at_phase state_energy"),
+    "thermo": ("EnsembleParams ThermoReport TruncationBudget heat_capacity helmholtz mean_energy "
+               "partition_em partition_exact thermo_sweep thermal_entropy=entropy"),
+}
+_SOURCE = {alias: (module, name or alias)
+           for module, names in _EXPORTS.items()
+           for alias, _, name in (entry.partition("=") for entry in names.split())}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _SOURCE[name]
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

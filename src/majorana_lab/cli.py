@@ -9,31 +9,32 @@ Configuration precedence: command-line flags > key=value lines from the file
 named by $MAJORANA_LAB_CONFIG > built-in defaults.  SETTINGS holds each key's
 click type and default; the same type object casts the flag and the config
 value, so a bad value from either source is a usage error (exit 2).
+
+Only click and the numpy-free thermo path load at import; the grid and entropy
+commands import their numpy-backed modules when they run, so `thermo` and
+`--help` never import numpy.
 """
 
 import json
 import math
+import numbers
 import os
 from collections import namedtuple
 from types import SimpleNamespace
 
 import click
-import numpy as np
 
-from .entropy import DEFAULT_THETA, BoundViolation, bbm_report, entropic_density
-from .quadrature import NonConvergence, truncation_radius
-from .spinor import (PhysicalConstants, SpinorState, phase, probability_density_at_phase,
-                     space_frequency)
-from .thermo import (EM_PARAMETER_RANGE, EM_VALIDITY_WARN, MAX_PARTICLES, EnsembleParams,
-                     TruncationBudget, thermo_sweep)
+from .common import DEFAULT_THETA, MAX_LEVEL, OutOfRange, PhysicalConstants, linspace
+from .thermo import EM_VALIDITY_WARN, MAX_PARTICLES, EnsembleParams, thermo_sweep
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
 EXIT_BBM_VIOLATION = 3
 EXIT_QUAD_NONCONVERGENCE = 4
 EXIT_TRUNCATION_BUDGET = 5
-_EXIT_CODES = {BoundViolation: EXIT_BBM_VIOLATION, NonConvergence: EXIT_QUAD_NONCONVERGENCE,
-               TruncationBudget: EXIT_TRUNCATION_BUDGET}
+# By class name, so that mapping an error imports none of the modules that raise it.
+_EXIT_CODES = {"BoundViolation": EXIT_BBM_VIOLATION, "NonConvergence": EXIT_QUAD_NONCONVERGENCE,
+               "TruncationBudget": EXIT_TRUNCATION_BUDGET}
 
 
 class FiniteFloat(click.FloatRange):
@@ -72,7 +73,7 @@ SETTINGS = {
     "tol": Setting(_POSITIVE, 1e-10, "Quadrature or series remainder tolerance."),
     "format": Setting(click.Choice(("csv", "json")), "csv", "Output format."),
     "out": Setting(click.STRING, "-", "Output path, or - for stdout."),
-    "n": Setting(click.IntRange(min=0), 0, "Quantum number."),
+    "n": Setting(click.IntRange(min=0, max=MAX_LEVEL), 0, "Quantum number."),
     "space": Setting(click.Choice(("position", "momentum")), "position", "Coordinate space."),
     "grid": Setting(_COUNT, 400, "Grid point count."),
     "tmin": Setting(FiniteFloat(), 0.0, "Start time."),
@@ -165,9 +166,13 @@ def _command(name, flags, config_only=(), **overrides):
             s = _resolve(settings, given, _load_config())
             try:
                 body(s)
-            except tuple(_EXIT_CODES) as exc:
+            except OutOfRange as exc:
+                raise click.BadParameter(str(exc), param_hint=_range_flags(exc, s)) from None
+            except RuntimeError as exc:
+                if type(exc).__name__ not in _EXIT_CODES:
+                    raise
                 click.echo(f"error: {exc}", err=True)
-                raise SystemExit(_EXIT_CODES[type(exc)]) from None
+                raise SystemExit(_EXIT_CODES[type(exc).__name__]) from None
 
         for key in reversed((*flags, "format", "out")):
             callback = _option(key, settings[key])(callback)
@@ -176,11 +181,18 @@ def _command(name, flags, config_only=(), **overrides):
     return wrap
 
 
+def _range_flags(exc, s):
+    """The flags that set the parameter an OutOfRange names."""
+    if exc.param == "T":  # a thermo temperature: the end of the sweep it is
+        return ("--tmin",) if exc.value == s.tmin else ("--tmax",)
+    return {"t": ("--tmin", "--tmax"), "N": ("--particles",)}[exc.param]
+
+
 def _csv(v):
     """One CSV field, or a comma-joined list/row: floats with 17 significant digits."""
     if isinstance(v, (list, tuple)):
         return ",".join(map(_csv, v))
-    if isinstance(v, (str, int, np.integer)):
+    if isinstance(v, (str, numbers.Integral)):
         return str(v)
     return f"{float(v):.17g}"
 
@@ -209,6 +221,11 @@ def _emit(s, command, extras, columns, rows):
 
 def _coords(omega, n, grid, space):
     """(radius, grid points) over the certified truncation radius of level n in space."""
+    import numpy as np
+
+    from .quadrature import truncation_radius
+    from .spinor import space_frequency
+
     radius = truncation_radius(space_frequency(omega, space), n + 1, tail_tol=1e-12)
     return radius, np.linspace(-radius, radius, grid)
 
@@ -222,6 +239,8 @@ def main():
           omega_list=(0.2, 0.4, 0.8), n_list=(0, 1, 2, 3))
 def cmd_table1(s):
     """Entropy table: S_y, S_p, their sum, and the uncertainty bound per (n, omega)."""
+    from .entropy import bbm_report
+
     reports = [(n, om, bbm_report(n, om, s.theta, s.tol)) for n in s.n_list for om in s.omega_list]
     rows = [(n, om, r.S_y, r.S_p, r.sum, r.bbm_bound) for n, om, r in reports]
     _emit(s, "table1", ("n_list", "omega_list"),
@@ -231,10 +250,12 @@ def cmd_table1(s):
 @_command("density", ("n", "omega", "k", "mass", "theta", "space", "grid"))
 def cmd_density(s):
     """Probability density on a uniform grid over the certified truncation radius."""
+    from .spinor import SpinorState, probability_density_at_phase
+
     s.radius, coords = _coords(s.omega, s.n, s.grid, s.space)
     values = probability_density_at_phase(SpinorState(n=s.n, omega=s.omega), coords, s.theta,
                                           s.space)
-    rows = list(zip(coords.tolist(), np.atleast_1d(values).tolist()))
+    rows = list(zip(coords.tolist(), values.tolist()))
     _emit(s, "density", ("n", "space", "grid", "radius"),
           ("y" if s.space == "position" else "p", "density"), rows)
 
@@ -243,11 +264,13 @@ def cmd_density(s):
           n=1, omega_list=(0.2, 0.4, 0.8))
 def cmd_entropy_density(s):
     """Entropic density rho*ln(rho) on a grid, one block per omega value."""
+    from .entropy import entropic_density
+
     rows = []
     for om in s.omega_list:
         _, coords = _coords(om, s.n, s.grid, s.space)
         values = entropic_density(s.n, om, s.theta, coords, s.space)
-        rows.extend(zip([om] * s.grid, coords.tolist(), np.atleast_1d(values).tolist()))
+        rows.extend(zip([om] * s.grid, coords.tolist(), values.tolist()))
     _emit(s, "entropy-density", ("n", "space", "grid", "omega_list"),
           ("omega", "y" if s.space == "position" else "p", "entropic_density"), rows)
 
@@ -256,13 +279,15 @@ def cmd_entropy_density(s):
           n=1)
 def cmd_heatmap(s):
     """Position density rho(y, t) over a space-time grid (planar evolution data)."""
+    from .spinor import SpinorState, phase, probability_density_at_phase
+
     pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
     state = SpinorState(n=s.n, omega=s.omega)
     s.radius, ys = _coords(s.omega, s.n, s.grid, "position")
     y_list, rows = ys.tolist(), []
-    for t in np.linspace(s.tmin, s.tmax, s.tsteps).tolist():
+    for t in linspace(s.tmin, s.tmax, s.tsteps):
         values = probability_density_at_phase(state, ys, phase(state, t, pc), "position")
-        rows.extend(zip(y_list, [t] * s.grid, np.atleast_1d(values).tolist()))
+        rows.extend(zip(y_list, [t] * s.grid, values.tolist()))
     _emit(s, "heatmap", ("n", "grid", "tmin", "tmax", "tsteps", "radius"),
           ("y", "t", "density"), rows)
 
@@ -274,27 +299,14 @@ def cmd_heatmap(s):
 def cmd_thermo(s):
     """Partition function (exact series and closed form) and F, U, S, C_V over (k, T)."""
     pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
-    lo, hi = EM_PARAMETER_RANGE
-    for key, T in (("tmin", s.tmin), ("tmax", s.tmax)):
-        try:
-            xs = [EnsembleParams(beta=1.0 / (pc.k_B * T), k=k, pc=pc).em_parameter
-                  for k in s.k_list]
-        except (ValueError, ZeroDivisionError):  # k_B T out of the float range
-            xs = [math.nan]
-        if not all(lo <= x <= hi for x in xs):
-            raise click.BadParameter(f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
-                                     "where the sums stay finite", param_hint=f"'--{key}'")
-    reports = thermo_sweep(s.k_list, np.linspace(s.tmin, s.tmax, s.tsteps), N=s.particles,
-                           pc=pc, tol=s.tol)
+    reports = thermo_sweep(s.k_list, linspace(s.tmin, s.tmax, s.tsteps), N=s.particles, pc=pc,
+                           tol=s.tol)
     em_rel_err = [abs(r.Z_em - r.Z_exact) / r.Z_exact for r in reports]
     rows = [
         (r.k, r.T, r.beta, r.Z_exact, r.Z_em, err, r.F, r.U, r.S, r.C_V,
          r.F_exact, r.U_exact, r.S_exact, r.C_V_exact, r.truncation_n, r.tail_bound)
         for r, err in zip(reports, em_rel_err)
     ]
-    if not np.isfinite(np.array(rows, dtype=float)).all():
-        raise click.UsageError(f"k_B={s.k_B:g} with --particles {s.particles} takes a field of "
-                               "the sweep out of the float range")
     worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=pc).em_parameter for r in reports)
     if worst > EM_VALIDITY_WARN:
         click.echo(

@@ -1,0 +1,59 @@
+"""What every layer and the CLI share, in pure Python: units, defaults, range errors, grids.
+
+Nothing here imports numpy, so `majorana-lab thermo` and `--help`, which need
+only this module and `thermo`, start without it.
+"""
+
+import math
+from dataclasses import dataclass
+
+DEFAULT_THETA = math.pi / 4.0  # the constant-weight phase: sin^2 = cos^2 = 1/2
+# The highest level the tests certify, by normalization and against mpmath entropies.
+MAX_LEVEL = 64
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """Unit conventions; defaults are natural units c = hbar = k_B = 1."""
+
+    c: float = 1.0
+    hbar: float = 1.0
+    k_B: float = 1.0
+
+    def __post_init__(self):
+        for name in ("c", "hbar", "k_B"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be strictly positive")
+
+
+NATURAL_UNITS = PhysicalConstants()
+
+
+class OutOfRange(ValueError):
+    """An input that would carry a result out of the float range.
+
+    param names the input ("T", "t" or "N") and value is the offending value.
+    """
+
+    def __init__(self, param, value, message):
+        super().__init__(message)
+        self.param = param
+        self.value = value
+
+
+def linspace(start, stop, num):
+    """np.linspace(start, stop, num).tolist(), bit for bit, as a list of floats.
+
+    The same operations in the same order: step = (stop - start)/(num - 1), the
+    i-th point i*step + start (i/(num - 1)*(stop - start) + start when step
+    underflows to 0), and the last point set to stop.
+    """
+    start, stop = float(start), float(stop)
+    div, delta = num - 1, stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    points = ([i / div * delta + start for i in range(num)] if step == 0.0
+              else [i * step + start for i in range(num)])
+    points[-1] = stop
+    return points

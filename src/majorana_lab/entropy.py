@@ -16,11 +16,11 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .common import DEFAULT_THETA
 from .quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
 from .spinor import SpinorState, probability_density_at_phase
 
 BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
-DEFAULT_THETA = math.pi / 4.0
 DEFAULT_TOL = 1e-10
 
 # BBM can only fail here through a numerics bug, so the guard is tight.

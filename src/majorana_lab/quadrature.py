@@ -118,7 +118,9 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     """Half-width R such that the tail of exp(-omega y^2) * poly(deg 2n) is < tail_tol.
 
     R = sqrt((W + (n+2) ln(W+e)) / omega) with W = -ln(tail_tol), then doubled
-    as a safety margin (doubling squares the Gaussian tail twice over).
+    as a safety margin (doubling squares the Gaussian tail twice over).  Where
+    the quotient overflows (omega below ~1e-306), R is formed by the scaling law
+    R = R_1/sqrt(omega) instead, which is finite for every positive finite omega.
     """
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ValueError("omega must be positive and finite")
@@ -127,7 +129,8 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must lie in (0, 1)")
     W = -math.log(tail_tol)
-    base = math.sqrt((W + (n + 2) * math.log(W + math.e)) / omega)
+    w = W + (n + 2) * math.log(W + math.e)
+    base = math.sqrt(w / omega) if w / omega < math.inf else math.sqrt(w) / math.sqrt(omega)
     return 2.0 * base
 
 

@@ -22,27 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants  # noqa: F401 (re-exported)
 from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair
 
 _SPACES = ("position", "momentum")
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit conventions; defaults are natural units c = hbar = k_B = 1."""
-
-    c: float = 1.0
-    hbar: float = 1.0
-    k_B: float = 1.0
-
-    def __post_init__(self):
-        for name in ("c", "hbar", "k_B"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be strictly positive")
-
-
-NATURAL_UNITS = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -111,8 +95,15 @@ def state_energy(state, pc=NATURAL_UNITS, branch=1):
 
 
 def phase(state, t, pc=NATURAL_UNITS):
-    """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega)."""
-    return math.sqrt(2.0 * state.omega * state.n) * pc.c * t + state.Omega
+    """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega).
+
+    Raises OutOfRange naming "t" when theta_n(t) is not finite (t itself non-finite, or the
+    product overflowing).
+    """
+    theta = math.sqrt(2.0 * state.omega * state.n) * pc.c * t + state.Omega
+    if not math.isfinite(theta):
+        raise OutOfRange("t", t, f"t={t!r} takes the phase theta_n(t) out of the float range")
+    return theta
 
 
 def position_spinor_at_phase(state, y, theta):

@@ -9,13 +9,13 @@ beta -> inf.  N indistinguishable fermions enter as Z_N = Z^N; F, U, S, C_V carr
 both routes.
 """
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .spinor import NATURAL_UNITS, PhysicalConstants
+from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace
 
 DEFAULT_TOL = 1e-10
 MAX_TERMS = 10**8
@@ -128,43 +128,62 @@ def _tail_terms(p):
 
 
 _TERMS = [_tail_terms(p) for p in range(3)]
+_POWERS = sorted({a for pair in _TERMS for terms in pair for _, a, _ in terms})  # of lam
+_BLOCK = 4096  # explicit terms held in memory at once
 
 
-def _em_pass(lam, m):
-    """((t_0, t_1, t_2), bound): n < m summed explicitly, the tail added from m on."""
-    x = lam * np.sqrt(np.arange(m, dtype=float))
-    e0 = np.exp(-x)
-    e1 = x * e0
-    heads = [float(np.sum(e)) for e in (e0, e1, x * e1)]
+def _heads(lam, m):
+    """[t_0, t_1, t_2] summed over n < m with math.fsum, a block of _BLOCK terms at a time."""
+    blocks = []
+    for start in range(0, m, _BLOCK):
+        x = [lam * math.sqrt(n) for n in range(start, min(m, start + _BLOCK))]
+        e0 = [math.exp(-v) for v in x]
+        e1 = list(map(mul, x, e0))
+        blocks.append((math.fsum(e0), math.fsum(e1), math.fsum(map(mul, x, e1))))
+    return [math.fsum(sums) for sums in zip(*blocks)]
+
+
+@functools.lru_cache(maxsize=32)
+def _terms_at(m):
+    """_TERMS with M = m, as terms (c, a, m**e)."""
+    return tuple(tuple(tuple((c, a, m**e) for c, a, e in t) for t in pair) for pair in _TERMS)
+
+
+def _tails(lam, m):
+    """((tail of t_0, t_1, t_2 from n = m on), bound on the remainder of all three)."""
     w = math.exp(-lam * math.sqrt(m))
     if w == 0.0:  # tail and bound underflow to 0, while lam**a may overflow
-        return tuple(heads), 0.0
+        return (0.0, 0.0, 0.0), 0.0
+    power = {a: lam**a for a in _POWERS}  # each term stays (c * lam**a) * m**e
 
-    def at(terms):
-        return w * math.fsum(c * lam**a * m**e for c, a, e in terms)
+    def at(t):
+        return w * math.fsum([c * power[a] * m_e for c, a, m_e in t])
 
-    return tuple(h + at(tail) for h, (tail, _) in zip(heads, _TERMS)), max(at(b) for _, b in _TERMS)
+    terms = _terms_at(m)
+    return tuple(at(tail) for tail, _ in terms), max(at(bound) for _, bound in terms)
 
 
 def moment_sums(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
     """((t_0, t_1, t_2), M, bound) with t_p = sum_n (beta E_n)^p exp(-beta E_n).
 
     Sums n < M = 200 explicitly and adds the Euler-Maclaurin tail; bound caps
-    the remainder of all three sums.  M doubles until bound <= tol, and
+    the remainder of all three sums.  M doubles until bound <= tol (the bound
+    needs no explicit terms, so only the final M is summed), and
     TruncationBudget (carrying the best estimate of Z) is raised when that
     needs more than max_terms explicit terms.
     """
     lam = ep.beta * math.sqrt(2.0 * ep.coupling)
     m = min(_M, max_terms)
-    while True:
-        sums, bound = _em_pass(lam, m)
-        if bound <= tol:
-            return sums, m, bound
-        if 2 * m > max_terms:
-            raise TruncationBudget(f"partition series needs more than {max_terms} terms for "
-                                   f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})",
-                                   partial_sum=sums[0], truncation_n=max_terms, tail_bound=bound)
+    tails, bound = _tails(lam, m)
+    while bound > tol and 2 * m <= max_terms:
         m *= 2
+        tails, bound = _tails(lam, m)
+    sums = tuple(h + t for h, t in zip(_heads(lam, m), tails))
+    if bound > tol:
+        raise TruncationBudget(f"partition series needs more than {max_terms} terms for "
+                               f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})",
+                               partial_sum=sums[0], truncation_n=max_terms, tail_bound=bound)
+    return sums, m, bound
 
 
 def partition_exact(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
@@ -223,14 +242,30 @@ def report(ep, tol=DEFAULT_TOL):
 
 
 def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
-    """Reports over the (k, T) grid in deterministic (k-major, T-minor) order."""
-    if T_values is None:
-        T_values = np.linspace(0.1, 10.0, 50)
-    rows = []
-    for k in k_values:
-        for T in T_values:
-            beta = 1.0 / (pc.k_B * float(T))
-            rows.append(report(EnsembleParams(beta=beta, k=float(k), N=N, pc=pc), tol))
+    """Reports over the (k, T) grid in deterministic (k-major, T-minor) order.
+
+    The range rules of a sweep live here.  OutOfRange names "T" when at some
+    temperature (the first such, in T order) c hbar k beta^2 leaves
+    EM_PARAMETER_RANGE for some k, or k_B T leaves the float range; it names
+    "N" when k_B and N carry a field of an in-range point out of the float range.
+    """
+    T_values = linspace(0.1, 10.0, 50) if T_values is None else [float(T) for T in T_values]
+    k_values = [float(k) for k in k_values]
+    lo, hi = EM_PARAMETER_RANGE
+    grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
+    for T in T_values:
+        kT = pc.k_B * T
+        beta = 1.0 / kT if kT > 0.0 else math.inf
+        points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
+                  if 0.0 < beta < math.inf else None)
+        if points is None or not all(lo <= ep.em_parameter <= hi for ep in points):
+            raise OutOfRange("T", T, f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
+                                     "where the sums stay finite")
+        grid.append(points)
+    rows = [report(points[j], tol) for j in range(len(k_values)) for points in grid]
+    if not all(math.isfinite(v) for r in rows for v in vars(r).values()):
+        raise OutOfRange("N", N, f"k_B={pc.k_B:g} with N={N} takes a field of the sweep "
+                                 "out of the float range")
     return rows
 
 

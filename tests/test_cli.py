@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import majorana_lab.cli as cli_mod
+import majorana_lab.entropy as entropy_mod
 from csv_utils import parse_csv, rows_as_floats
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
@@ -17,6 +18,7 @@ from majorana_lab.cli import (
     EXIT_TRUNCATION_BUDGET,
     main,
 )
+from majorana_lab.common import MAX_LEVEL
 from majorana_lab.entropy import BBM_BOUND, BoundViolation
 from majorana_lab.thermo import MAX_PARTICLES
 
@@ -96,7 +98,8 @@ def test_table1_bbm_violation_exit_code(runner, monkeypatch):
     def explode(n, omega, theta, tol):
         raise BoundViolation("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli_mod, "bbm_report", explode)
+    # table1 looks bbm_report up in entropy when it runs: cli binds no such name
+    monkeypatch.setattr(entropy_mod, "bbm_report", explode)
     result = runner.invoke(main, ["table1"])
     assert result.exit_code == EXIT_BBM_VIOLATION
 
@@ -117,6 +120,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"]],
+                         ids=["import", "help", "thermo"])
+def test_thermo_path_loads_no_numpy(argv):
+    # import, --help and thermo need only click and the pure-math thermo path
+    run = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" if argv else ""
+    code = ("import sys\nfrom majorana_lab.cli import main\n" + run
+            + "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stderr.endswith("[]"), out.stderr[-2000:]
 
 
 # ---------------------------------------------------------------- density
@@ -329,6 +345,8 @@ def test_thermo_bad_config_value_is_usage_error(runner, tmp_path, line):
     ("density", ["--space", "diagonal"]),
     ("table1", ["--format", "xml"]),
     ("thermo", ["--particles", "9" * 400]),  # beyond the float range
+    *((command, ["--n", str(MAX_LEVEL + 1)]) for command in ("table1", "density",
+                                                            "entropy-density", "heatmap")),
 ])
 def test_bad_flag_is_usage_error(runner, command, args):
     result = runner.invoke(main, [command, *args])
@@ -358,6 +376,9 @@ def test_bad_flag_is_usage_error(runner, command, args):
     ("thermo", "k="),
     ("thermo", "hbar=abc"),
     pytest.param("thermo", "particles=" + "9" * 400, id="thermo-particles=<400 digits>"),
+    ("table1", f"n=0,{MAX_LEVEL + 1}"),
+    ("density", f"n={MAX_LEVEL + 1}"),
+    ("heatmap", f"n={MAX_LEVEL + 1}"),
 ])
 def test_bad_config_value_is_usage_error(runner, tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
@@ -366,6 +387,46 @@ def test_bad_config_value_is_usage_error(runner, tmp_path, command, line):
     assert result.exit_code == 2, combined_output(result)
     output = combined_output(result)
     assert f"'{line.partition('=')[0]}' in ${CONFIG_ENV_VAR}" in output
+
+
+@pytest.mark.parametrize("command", ["table1", "density", "entropy-density", "heatmap"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_n_at_max_level_is_accepted(runner, tmp_path, command, source):
+    # the largest level the tests certify is accepted; MAX_LEVEL + 1 is a usage error above
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("grid=3\ntsteps=2\n" + (f"n={MAX_LEVEL}\n" if source == "config" else ""),
+                   encoding="utf-8")
+    args = [command, *(["--n", str(MAX_LEVEL)] if source == "flag" else [])]
+    result = run_ok(runner, args, env={CONFIG_ENV_VAR: str(cfg)})
+    _, _, rows = parse_csv(result.output)
+    assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--omega", "1e-307", "--grid", "3"],
+    ["density", "--omega", "1e308", "--space", "momentum", "--grid", "3"],
+    ["entropy-density", "--omega", "1e308", "--space", "momentum", "--grid", "2"],
+    ["heatmap", "--omega", "1e-320", "--grid", "3", "--tsteps", "2"],
+])
+def test_grid_commands_at_extreme_omega(runner, args):
+    # the truncation radius sqrt(W/omega) overflowed here; it now follows R_1/sqrt(omega)
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2), combined_output(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 0:
+        header, _, rows = parse_csv(result.output)
+        assert math.isfinite(float(header.get("radius", 0.0)))
+        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+
+
+@pytest.mark.parametrize("args", [
+    ["--tmin", "-1e308", "--tmax", "1e308", "--tsteps", "3"],  # tmax - tmin overflows
+    ["--k", "1e10", "--tmin", "1.7e308", "--tmax", "1.7e308", "--tsteps", "2"],  # the phase does
+])
+def test_heatmap_time_overflow_is_usage_error(runner, args):
+    result = runner.invoke(main, ["heatmap", "--grid", "3", *args])
+    assert result.exit_code == 2, combined_output(result)
+    assert "Invalid value for '--tmin' / '--tmax'" in combined_output(result)
 
 
 @pytest.mark.parametrize("args", [

@@ -119,3 +119,11 @@ def test_xlogx_array():
     assert out[2] == pytest.approx(math.e, rel=1e-15)
     assert out[3] == pytest.approx(0.5 * math.log(0.5), rel=1e-15)
     assert not np.any(np.isnan(out))
+
+
+@pytest.mark.parametrize("omega", [1e-306, 1e-307, 1e-320, 5e-324])
+def test_truncation_radius_finite_at_tiny_omega(omega):
+    # sqrt(W/omega) overflows below ~1e-306; the radius follows R_1/sqrt(omega) there
+    radius = truncation_radius(omega, 2)
+    assert math.isfinite(radius)
+    assert radius == pytest.approx(truncation_radius(1.0, 2) / math.sqrt(omega), rel=1e-15)

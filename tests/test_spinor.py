@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from majorana_lab.common import OutOfRange
 from majorana_lab.hermite import hermite_norm_fn
 from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius
 from majorana_lab.spinor import (
@@ -88,6 +89,13 @@ def test_phase_examples():
     assert phase(SpinorState(0, 0.5, Omega=0.3), 5.0) == 0.3
     assert phase(SpinorState(1, 0.2), 1.0) == pytest.approx(math.sqrt(0.4), rel=1e-14)
     assert phase(SpinorState(2, 0.2, Omega=math.pi / 4), 0.0) == math.pi / 4
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1.7e308])
+def test_phase_out_of_float_range_is_rejected(t):
+    with pytest.raises(OutOfRange) as excinfo:
+        phase(SpinorState(1, 1e20), t)
+    assert excinfo.value.param == "t"
 
 
 def test_phase_equals_energy_over_hbar():

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from majorana_lab.common import OutOfRange
 from majorana_lab.spinor import PhysicalConstants
 from majorana_lab.thermo import (
+    EM_PARAMETER_RANGE,
     MAX_TERMS,
     EnsembleParams,
     TruncationBudget,
@@ -261,3 +263,41 @@ def test_sweep_em_agrees_where_valid():
     for row in thermo_sweep(k_values=(0.2,), T_values=ts, N=1):
         assert abs(row.Z_em - row.Z_exact) / row.Z_exact < 0.01
         assert abs(row.U - row.U_exact) / abs(row.U_exact) < 0.01
+
+
+@pytest.mark.parametrize("T_values, T_bad", [
+    ([1e-80, 1.0], 1e-80),  # c hbar k beta^2 above the range at the first T
+    ([1.0, 2.0, 1e160], 1e160),  # below it at the last
+    ([1.0, 5e-324], 5e-324),  # beta = 1/T overflows
+    ([1.0, -1.0], -1.0),
+])
+def test_sweep_rejects_temperatures_out_of_range(T_values, T_bad):
+    with pytest.raises(OutOfRange) as excinfo:
+        thermo_sweep(k_values=(0.2, 0.5), T_values=T_values)
+    assert (excinfo.value.param, excinfo.value.value) == ("T", T_bad)
+    lo, hi = EM_PARAMETER_RANGE
+    assert f"out of [{lo:g}, {hi:g}]" in str(excinfo.value)
+
+
+def test_sweep_rejects_fields_past_the_float_range():
+    # c hbar k beta^2 = 1 is in range, but k_B = 1e308 carries S and C_V past it
+    pc = PhysicalConstants(k_B=1e308)
+    with pytest.raises(OutOfRange) as excinfo:
+        thermo_sweep(k_values=(1.0,), T_values=(1e-308,), pc=pc)
+    assert excinfo.value.param == "N"
+    assert "k_B=1e+308 with N=1" in str(excinfo.value)
+
+
+def test_default_sweep_grid():
+    rows = thermo_sweep(k_values=(0.3,))
+    assert [r.beta for r in rows] == [1.0 / T for T in np.linspace(0.1, 10.0, 50).tolist()]
+
+
+def test_head_sums_in_blocks_agree_with_one_block():
+    # past 4096 explicit terms the heads are summed block by block, in bounded memory
+    ep = EnsembleParams(beta=0.1, k=0.2)
+    z, m, _ = partition_exact(ep)
+    with pytest.raises(TruncationBudget) as excinfo:
+        partition_exact(ep, tol=1e-300, max_terms=10**4)  # stops at M = 6400: two blocks
+    assert m == 200
+    assert excinfo.value.partial_sum == pytest.approx(z, rel=2e-16)
