@@ -8,7 +8,8 @@
 
 import numpy as np
 
-from majorana_lab import EnsembleParams, heat_capacity, partition_em, partition_exact, thermo_sweep
+from majorana_lab import EnsembleParams, partition_em, partition_exact, thermo_sweep
+from majorana_lab.thermo import report
 
 print("single-particle Z at k = 0.2: exact series vs closed form")
 print("    T      x=k/T^2     Z_exact       Z_em      rel err")
@@ -28,6 +29,6 @@ print("  (F falls, U climbs, and C_V approaches its plateau)")
 
 print("\nhigh-temperature plateau of the heat capacity, closed form:")
 for k in (0.2, 0.4, 0.8):
-    cv = heat_capacity(EnsembleParams(beta=1e-3, k=k, N=1))
+    cv = report(EnsembleParams(beta=1e-3, k=k, N=1)).C_V
     print(f"  k={k}: C_V/(N k_B) = {cv:.6f}")
 print("  -> 2 for every slope, the relativistic linear-potential value")

@@ -18,22 +18,19 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module: its public names; "alias=name" exports the module's name under alias.
+# module: its public names.
 _EXPORTS = {
     "common": "NATURAL_UNITS PhysicalConstants",
     "entropy": ("BBM_BOUND BoundViolation EntropyReport bbm_report entropic_density "
                 "shannon_momentum shannon_position"),
     "hermite": "hermite_norm_fn",
     "quadrature": "IntegrationSpec NonConvergence integrate truncation_radius xlogx",
-    "spinor": ("PotentialParams SpinorState SpinorValue annihilation_apply creation_apply energy "
+    "spinor": ("PotentialParams SpinorState annihilation_apply creation_apply energy "
                "ladder_down ladder_up momentum_spinor phase position_spinor probability_density "
                "probability_density_at_phase state_energy"),
-    "thermo": ("EnsembleParams ThermoReport TruncationBudget heat_capacity helmholtz mean_energy "
-               "partition_em partition_exact thermo_sweep thermal_entropy=entropy"),
+    "thermo": "EnsembleParams ThermoReport TruncationBudget partition_em partition_exact thermo_sweep",
 }
-_SOURCE = {alias: (module, name or alias)
-           for module, names in _EXPORTS.items()
-           for alias, _, name in (entry.partition("=") for entry in names.split())}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = sorted(_SOURCE)
 
@@ -41,8 +38,7 @@ __all__ = sorted(_SOURCE)
 def __getattr__(name):
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _SOURCE[name]
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
     globals()[name] = value
     return value
 

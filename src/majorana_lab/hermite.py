@@ -60,11 +60,6 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     return phi, (float(slope) if np.ndim(y) == 0 else slope)
 
 
-def hermite_norm_fn_derivative(n, omega, y):
-    """d/dy of phi_n(y); see hermite_norm_fn_and_derivative."""
-    return hermite_norm_fn_and_derivative(n, omega, y)[1]
-
-
 def _check_order(n):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError("order n must be an integer")

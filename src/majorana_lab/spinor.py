@@ -45,13 +45,6 @@ class PotentialParams:
     def omega(self, pc=NATURAL_UNITS):
         return self.k / (pc.c * pc.hbar)
 
-    def y_from_x(self, x, pc=NATURAL_UNITS):
-        """Shift to the natural coordinate y = x + m c^2 / k."""
-        return x + self.m * pc.c**2 / self.k
-
-    def x_from_y(self, y, pc=NATURAL_UNITS):
-        return y - self.m * pc.c**2 / self.k
-
 
 @dataclass(frozen=True)
 class SpinorState:

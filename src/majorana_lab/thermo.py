@@ -25,7 +25,6 @@ EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report 
 # in natural units: per particle they stay below ~700, and C_V's closed form forms 12 N x.
 MAX_PARTICLES = 10**150
 
-_MODES = ("em", "exact")
 _M = 200  # explicit terms before the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
 _REMAINDER = 1.0 / 1209600.0  # |B_8| / 8! = 2 zeta(8) / (2 pi)^8
@@ -163,32 +162,34 @@ def _tails(lam, m):
     return tuple(at(tail) for tail, _ in terms), max(at(bound) for _, bound in terms)
 
 
-def moment_sums(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
+def moment_sums(ep, tol=DEFAULT_TOL):
     """((t_0, t_1, t_2), M, bound) with t_p = sum_n (beta E_n)^p exp(-beta E_n).
 
     Sums n < M = 200 explicitly and adds the Euler-Maclaurin tail; bound caps
     the remainder of all three sums.  M doubles until bound <= tol (the bound
-    needs no explicit terms, so only the final M is summed), and
-    TruncationBudget (carrying the best estimate of Z) is raised when that
-    needs more than max_terms explicit terms.
+    needs no explicit terms, so only the final M is summed).  When that needs
+    more than MAX_TERMS explicit terms, TruncationBudget is raised without
+    summing them.  It carries Z and its bound at M = 200, the best estimate:
+    that bound is at most 1.6e-19 for any lam, far below the rounding of Z >= 1.
     """
     lam = ep.beta * math.sqrt(2.0 * ep.coupling)
-    m = min(_M, max_terms)
+    m = _M
     tails, bound = _tails(lam, m)
-    while bound > tol and 2 * m <= max_terms:
+    while bound > tol and 2 * m <= MAX_TERMS:
         m *= 2
         tails, bound = _tails(lam, m)
-    sums = tuple(h + t for h, t in zip(_heads(lam, m), tails))
     if bound > tol:
-        raise TruncationBudget(f"partition series needs more than {max_terms} terms for "
+        tails, bound = _tails(lam, _M)
+        raise TruncationBudget(f"partition series needs more than {MAX_TERMS} terms for "
                                f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})",
-                               partial_sum=sums[0], truncation_n=max_terms, tail_bound=bound)
-    return sums, m, bound
+                               partial_sum=_heads(lam, _M)[0] + tails[0],
+                               truncation_n=MAX_TERMS, tail_bound=bound)
+    return tuple(h + t for h, t in zip(_heads(lam, m), tails)), m, bound
 
 
-def partition_exact(ep, tol=DEFAULT_TOL, max_terms=MAX_TERMS):
+def partition_exact(ep, tol=DEFAULT_TOL):
     """(Z, truncation_n, tail_bound): Z = sum_n exp(-beta E_n) with moment_sums' M and bound."""
-    (z, _, _), m, bound = moment_sums(ep, tol, max_terms)
+    (z, _, _), m, bound = moment_sums(ep, tol)
     return z, m, bound
 
 
@@ -197,47 +198,27 @@ def partition_em(ep):
     return 0.5 + 1.0 / ep.em_parameter
 
 
-def helmholtz(ep, mode="em", tol=DEFAULT_TOL):
-    """F = -(N/beta) ln Z."""
-    if _exact(mode):
-        return report(ep, tol).F_exact
-    return -(ep.N / ep.beta) * math.log(partition_em(ep))
-
-
-def mean_energy(ep, mode="em", tol=DEFAULT_TOL):
-    """U = -d/dbeta ln Z_N = 4N / (beta (2 + c hbar k beta^2)) at weak coupling; N <E> exactly."""
-    if _exact(mode):
-        return report(ep, tol).U_exact
-    return 4.0 * ep.N / (ep.beta * (2.0 + ep.em_parameter))
-
-
-def entropy(ep, mode="em", tol=DEFAULT_TOL):
-    """S = 4 N k_B/(2 + x) + N k_B ln(1/2 + 1/x), x = c hbar k beta^2; exactly k_B beta (U - F)."""
-    if _exact(mode):
-        return report(ep, tol).S_exact
-    x = ep.em_parameter
-    return 4.0 * ep.N * ep.pc.k_B / (2.0 + x) + ep.N * ep.pc.k_B * math.log(0.5 + 1.0 / x)
-
-
-def heat_capacity(ep, mode="em", tol=DEFAULT_TOL):
-    """C_V = 4 k_B N (2 + 3x) / (2 + x)^2 -> 2 N k_B as T -> inf; exactly N k_B beta^2 Var E."""
-    if _exact(mode):
-        return report(ep, tol).C_V_exact
-    x = ep.em_parameter
-    return 4.0 * ep.pc.k_B * ep.N * (2.0 + 3.0 * x) / (2.0 + x) ** 2
-
-
 def report(ep, tol=DEFAULT_TOL):
-    """Evaluate both partition routes and all four functions at one (beta, k, N)."""
+    """Both partition routes and F, U, S, C_V along each at one (beta, k, N).
+
+    With x = c hbar k beta^2 the closed forms are F = -(N/beta) ln Z_em,
+    U = 4N / (beta (2 + x)), S = 4 N k_B/(2 + x) + N k_B ln Z_em and
+    C_V = 4 k_B N (2 + 3x) / (2 + x)^2 -> 2 N k_B as T -> inf.  The series gives
+    F = -(N/beta) ln Z, U = N <E>, S = k_B beta (U - F) and C_V = N k_B beta^2 Var E.
+    """
     (t0, t1, t2), m, bound = moment_sums(ep, tol)
+    x, N, k_B = ep.em_parameter, ep.N, ep.pc.k_B
+    z_em = partition_em(ep)
     mean = t1 / t0  # beta <E>
-    f_exact = -(ep.N / ep.beta) * math.log(t0)
-    u_exact = ep.N * mean / ep.beta
+    f_exact = -(N / ep.beta) * math.log(t0)
+    u_exact = N * mean / ep.beta
     return ThermoReport(
-        ep.beta, ep.k, ep.N, ep.temperature, t0, partition_em(ep),
-        helmholtz(ep), mean_energy(ep), entropy(ep), heat_capacity(ep),
-        f_exact, u_exact, ep.pc.k_B * ep.beta * (u_exact - f_exact),
-        ep.N * ep.pc.k_B * (t2 / t0 - mean * mean), m, bound,
+        ep.beta, ep.k, N, ep.temperature, t0, z_em,
+        -(N / ep.beta) * math.log(z_em), 4.0 * N / (ep.beta * (2.0 + x)),
+        4.0 * N * k_B / (2.0 + x) + N * k_B * math.log(z_em),
+        4.0 * k_B * N * (2.0 + 3.0 * x) / (2.0 + x) ** 2,
+        f_exact, u_exact, k_B * ep.beta * (u_exact - f_exact),
+        N * k_B * (t2 / t0 - mean * mean), m, bound,
     )
 
 
@@ -268,8 +249,3 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
                                  "out of the float range")
     return rows
 
-
-def _exact(mode):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    return mode == "exact"

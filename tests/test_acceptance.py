@@ -24,7 +24,7 @@ from majorana_lab.spinor import (
     probability_density_at_phase,
     state_energy,
 )
-from majorana_lab.thermo import EnsembleParams, heat_capacity, partition_em, partition_exact, thermo_sweep
+from majorana_lab.thermo import EnsembleParams, partition_em, partition_exact, report, thermo_sweep
 
 QUARTER = math.pi / 4
 
@@ -154,7 +154,7 @@ def test_criterion_07_ladder_intertwining():
 def test_criterion_08_thermodynamic_limits_and_identity():
     # high-temperature heat-capacity plateau
     plateau_dev = max(
-        abs(heat_capacity(EnsembleParams(beta=1e-3, k=k, N=2)) / 2.0 - 2.0)
+        abs(report(EnsembleParams(beta=1e-3, k=k, N=2)).C_V / 2.0 - 2.0)
         for k in (0.2, 0.4, 0.8)
     )
     # closed-form identity and exact-route monotonicity over the sweep grid

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import majorana_lab.cli as cli_mod
 import majorana_lab.entropy as entropy_mod
+import majorana_lab.thermo as thermo_mod
 from csv_utils import parse_csv, rows_as_floats
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
@@ -20,7 +21,7 @@ from majorana_lab.cli import (
 )
 from majorana_lab.common import MAX_LEVEL
 from majorana_lab.entropy import BBM_BOUND, BoundViolation
-from majorana_lab.thermo import MAX_PARTICLES
+from majorana_lab.thermo import MAX_PARTICLES, MAX_TERMS
 
 
 @pytest.fixture
@@ -521,6 +522,38 @@ def _raise_budget(*args, **kwargs):
     from majorana_lab.thermo import TruncationBudget
 
     raise TruncationBudget("forced", partial_sum=1.0, truncation_n=10**8, tail_bound=1.0)
+
+
+def test_unreachable_tol_fails_before_summing_the_budget(runner, monkeypatch):
+    # T = 0.1 (beta = 10) meets tol at M = 12800, where its tail bound underflows.  At T = 10 the
+    # tail bound alone shows that no M within MAX_TERMS meets tol, so only M = 200 is summed there
+    heads, seen = thermo_mod._heads, []
+    monkeypatch.setattr(thermo_mod, "_heads", lambda lam, m: seen.append(m) or heads(lam, m))
+    result = runner.invoke(main, ["thermo", "--tol", "1e-300", "--tsteps", "2"])
+    assert result.exit_code == EXIT_TRUNCATION_BUDGET, combined_output(result)
+    assert (f"error: partition series needs more than {MAX_TERMS} terms for tol=1e-300 "
+            "(beta=0.1, k=0.2)") in combined_output(result)
+    assert seen == [12800, 200]
+
+
+_EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
+
+
+@pytest.mark.parametrize("flag, value", [
+    *((flag, value) for flag in ("--k", "--tmin", "--tmax", "--tol") for value in _EDGE_FLOATS),
+    *(("--particles", value) for value in ("1", "64", str(MAX_PARTICLES), str(MAX_PARTICLES + 1))),
+    ("--tsteps", "1"), ("--tsteps", "64"),
+])
+def test_thermo_edge_sweep(runner, flag, value):
+    # every edge value ends in a documented exit code, never a traceback or a non-finite field
+    args = {"--tsteps": "2", flag: value}
+    result = runner.invoke(main, ["thermo", *(item for pair in args.items() for item in pair)])
+    assert result.exit_code in (0, 2, 3, 4, 5), combined_output(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in combined_output(result)
+    if result.exit_code == 0:
+        _, _, rows = parse_csv(result.stdout)
+        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
 
 def test_thermo_json(runner, tmp_path):

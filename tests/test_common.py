@@ -45,7 +45,7 @@ def test_constants_are_shared():
 def test_package_exports_resolve_lazily():
     for name in majorana_lab.__all__:
         assert getattr(majorana_lab, name) is not None, name
-    assert majorana_lab.thermal_entropy is majorana_lab.thermo.entropy
+    assert majorana_lab.partition_exact is majorana_lab.thermo.partition_exact
     assert set(majorana_lab.__all__) <= set(dir(majorana_lab))
     with pytest.raises(AttributeError):
         majorana_lab.no_such_name

@@ -11,10 +11,7 @@ from majorana_lab.thermo import (
     MAX_TERMS,
     EnsembleParams,
     TruncationBudget,
-    entropy,
-    heat_capacity,
-    helmholtz,
-    mean_energy,
+    _BLOCK,
     moment_sums,
     partition_em,
     partition_exact,
@@ -141,10 +138,18 @@ def test_partition_budget_exhaustion():
     assert MAX_TERMS == 10**8
     ep = EnsembleParams(beta=1e-4, k=0.5)
     with pytest.raises(TruncationBudget) as excinfo:
-        partition_exact(ep, tol=1e-300, max_terms=10**5)
+        partition_exact(ep, tol=1e-300)
     assert excinfo.value.partial_sum > 0.0
-    assert excinfo.value.truncation_n == 10**5
+    assert excinfo.value.partial_sum == partition_exact(ep)[0]  # the M = 200 sum
+    assert excinfo.value.truncation_n == MAX_TERMS
     assert excinfo.value.tail_bound > 1e-300
+
+
+def test_bound_at_200_terms_is_below_double_rounding_for_every_coupling():
+    # so the M = 200 sum that TruncationBudget carries is as good as a double Z >= 1 gets
+    for e in range(-600, 301):  # c hbar k beta^2 from 1e-300 to 1e150 in steps of 10^(1/2)
+        _, m, bound = moment_sums(EnsembleParams(beta=1.0, k=10.0 ** (e / 2)), tol=1.0)
+        assert m == 200 and 0.0 <= bound <= 1.6e-19
 
 
 def test_partition_monotone_in_beta_and_k():
@@ -160,7 +165,7 @@ def test_partition_monotone_in_beta_and_k():
 
 
 def test_mean_energy_carries_particle_count():
-    assert mean_energy(EnsembleParams(beta=1.0, k=1.0, N=3)) == pytest.approx(4.0, rel=1e-14)
+    assert report(EnsembleParams(beta=1.0, k=1.0, N=3)).U == pytest.approx(4.0, rel=1e-14)
 
 
 def test_mean_energy_matches_numeric_derivative_of_em():
@@ -168,14 +173,14 @@ def test_mean_energy_matches_numeric_derivative_of_em():
     h = ep.beta * 1e-6
     lnz = lambda b: ep.N * math.log(partition_em(replace(ep, beta=b)))
     numeric = -(lnz(ep.beta + h) - lnz(ep.beta - h)) / (2 * h)
-    assert mean_energy(ep) == pytest.approx(numeric, rel=1e-8)
+    assert report(ep).U == pytest.approx(numeric, rel=1e-8)
 
 
 def test_entropy_closed_form_is_f_derivative():
     ep = EnsembleParams(beta=0.6, k=0.5, N=2)
     h = ep.beta * 1e-6
-    dfdb = (helmholtz(replace(ep, beta=ep.beta + h)) - helmholtz(replace(ep, beta=ep.beta - h))) / (2 * h)
-    assert entropy(ep) == pytest.approx(ep.pc.k_B * ep.beta**2 * dfdb, rel=1e-8)
+    dfdb = (report(replace(ep, beta=ep.beta + h)).F - report(replace(ep, beta=ep.beta - h)).F) / (2 * h)
+    assert report(ep).S == pytest.approx(ep.pc.k_B * ep.beta**2 * dfdb, rel=1e-8)
 
 
 @pytest.mark.parametrize("k", [0.2, 0.4, 0.8])
@@ -183,28 +188,22 @@ def test_entropy_closed_form_is_f_derivative():
 def test_f_plus_ts_equals_u(k, T):
     pc = PhysicalConstants(k_B=1.7)
     ep = EnsembleParams(beta=1.0 / (pc.k_B * T), k=k, N=4, pc=pc)
-    f = helmholtz(ep)
-    u = mean_energy(ep)
-    s = entropy(ep)
+    rep = report(ep)
+    f, u, s = rep.F, rep.U, rep.S
     assert abs(f + T * s - u) <= 1e-12 * max(1.0, abs(f), abs(u), abs(T * s))
 
 
 def test_heat_capacity_limits():
-    high_t = heat_capacity(EnsembleParams(beta=1e-3, k=1.0, N=2))
+    high_t = report(EnsembleParams(beta=1e-3, k=1.0, N=2)).C_V
     assert abs(high_t / 2.0 - 2.0) < 1e-3
-    low_t = heat_capacity(EnsembleParams(beta=1e3, k=1.0))
+    low_t = report(EnsembleParams(beta=1e3, k=1.0)).C_V
     assert 0.0 < low_t < 1e-4
 
 
 def test_heat_capacity_positive():
     for k in (0.2, 0.8):
         for T in np.linspace(0.1, 10.0, 12):
-            assert heat_capacity(EnsembleParams(beta=1.0 / T, k=k)) > 0.0
-
-
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        helmholtz(EnsembleParams(beta=1.0, k=1.0), mode="euler")
+            assert report(EnsembleParams(beta=1.0 / T, k=k)).C_V > 0.0
 
 
 def test_params_validation():
@@ -216,22 +215,21 @@ def test_params_validation():
         EnsembleParams(beta=1.0, k=1.0, N=0)
 
 
-# ---------------------------------------------------------------- exact mode
+# ---------------------------------------------------------------- exact route
 
 
 @pytest.mark.parametrize("k", [1.0, 0.5])
 def test_exact_mode_matches_closed_forms_at_weak_coupling(k):
-    ep = EnsembleParams(beta=0.1, k=k, N=2)  # c hbar k beta^2 <= 0.01
-    assert abs(mean_energy(ep, "exact") - mean_energy(ep)) / mean_energy(ep) < 0.01
-    assert abs(heat_capacity(ep, "exact") - heat_capacity(ep)) / heat_capacity(ep) < 0.01
-    assert abs(helmholtz(ep, "exact") - helmholtz(ep)) / abs(helmholtz(ep)) < 0.01
+    rep = report(EnsembleParams(beta=0.1, k=k, N=2))  # c hbar k beta^2 <= 0.01
+    assert abs(rep.U_exact - rep.U) / rep.U < 0.01
+    assert abs(rep.C_V_exact - rep.C_V) / rep.C_V < 0.01
+    assert abs(rep.F_exact - rep.F) / abs(rep.F) < 0.01
 
 
 def test_exact_entropy_identity():
     ep = EnsembleParams(beta=0.5, k=0.3, N=2)
-    u = mean_energy(ep, "exact")
-    f = helmholtz(ep, "exact")
-    assert entropy(ep, "exact") == pytest.approx(ep.pc.k_B * ep.beta * (u - f), rel=1e-12)
+    rep = report(ep)
+    assert rep.S_exact == pytest.approx(ep.pc.k_B * ep.beta * (rep.U_exact - rep.F_exact), rel=1e-12)
 
 
 def test_report_invariants():
@@ -297,7 +295,7 @@ def test_head_sums_in_blocks_agree_with_one_block():
     # past 4096 explicit terms the heads are summed block by block, in bounded memory
     ep = EnsembleParams(beta=0.1, k=0.2)
     z, m, _ = partition_exact(ep)
-    with pytest.raises(TruncationBudget) as excinfo:
-        partition_exact(ep, tol=1e-300, max_terms=10**4)  # stops at M = 6400: two blocks
-    assert m == 200
-    assert excinfo.value.partial_sum == pytest.approx(z, rel=2e-16)
+    z_blocks, m_blocks, bound = partition_exact(ep, tol=1e-29)  # M = 6400: two blocks
+    assert m == 200 and m_blocks > _BLOCK
+    assert bound <= 1e-29
+    assert z_blocks == pytest.approx(z, rel=2e-16)
