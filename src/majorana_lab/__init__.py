@@ -4,14 +4,16 @@ Library layout:
 
   common      units, defaults, range errors and a float linspace, free of numpy
   hermite     normalized Hermite-Gauss functions, phi_n and phi_{n-1} in one sweep
-  quadrature  adaptive integration with certified truncation radii
+  quadrature  adaptive pure-Python integration with certified truncation radii
   spinor      two-component states, spectrum, momentum space, ladder maps
   entropy     position/momentum Shannon entropies and the BBM bound
   thermo      partition function (exact series + closed form) and F, U, S, C_V
   cli         reproducible CSV/JSON emission for all of the above
 
 The package imports lazily (PEP 562): `majorana_lab.X` loads X's module on
-first use, so a process that only needs thermo never imports numpy.
+first use.  No module imports numpy until it is handed a coordinate that is
+not a float (an array, say), so a process that needs only thermo or entropies
+(the `thermo` and `table1` commands) never imports it.
 """
 
 import importlib

@@ -10,9 +10,10 @@ named by $MAJORANA_LAB_CONFIG > built-in defaults.  SETTINGS holds each key's
 click type and default; the same type object casts the flag and the config
 value, so a bad value from either source is a usage error (exit 2).
 
-Only click and the numpy-free thermo path load at import; the grid and entropy
-commands import their numpy-backed modules when they run, so `thermo` and
-`--help` never import numpy.
+Only click and the numpy-free thermo path load at import; the other commands
+import their modules when they run.  Only the grid commands (density,
+entropy-density, heatmap) import numpy, through _coords, so `table1`, `thermo`
+and `--help` never do.
 """
 
 import json

@@ -96,8 +96,10 @@ def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
     state = SpinorState(n=n, omega=1.0)
     # ln(rho) adds ~y^2 growth on top of the degree-2n polynomial, hence the
-    # +1 in the tail degree.
-    radius = truncation_radius(1.0, n + 1, tail_tol=min(tol * 1e-2, 1e-12))
+    # +1 in the tail degree.  The tail tolerance stays at or above the least
+    # positive float, where tol * 1e-2 would underflow to 0; R grows only like
+    # sqrt(ln(1/tail_tol)), and such a tol fails in the quadrature instead.
+    radius = truncation_radius(1.0, n + 1, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
     spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=tol)
 
     def integrand(y):

@@ -7,11 +7,16 @@ Every bound state in this package is built from the L2-normalized functions
 A spinor needs phi_n and phi_{n-1} at the same points, and one sweep of the
 recurrence yields both.  Factorials are never materialized: 2^n n! overflows
 double precision long before n = 64, which this module must support.
+
+A float coordinate is evaluated in pure Python (math.exp, float arithmetic);
+any other coordinate, an array say, imports numpy.  Both run the same
+recurrence with the same coefficients, so a point gives the same bits either
+way wherever math.exp and numpy.exp agree.
 """
 
+import functools
 import math
-
-import numpy as np
+import numbers
 
 
 def hermite_norm_pair(n, omega, y):
@@ -20,26 +25,27 @@ def hermite_norm_pair(n, omega, y):
     The 1/sqrt(2^n n!) normalization and the Gaussian envelope are folded
     into the recurrence start, so every iterate is itself a phi_k value and
     stays O(1) regardless of n (no overflow for n >~ 20, unlike the naive
-    H_n / sqrt(2^n n!) route).
+    H_n / sqrt(2^n n!) route).  A scalar y gives floats, an array y arrays.
     """
     n = _check_order(n)
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ValueError("omega must be positive and finite")
-    y, scalar = _as_array(y)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    y = _as_float_or_array(y)
+    u, norm = math.sqrt(omega) * y, (omega / math.pi) ** 0.25
+    if isinstance(y, float):
+        if not math.isfinite(y):
+            raise ValueError("y must be finite")
+        phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
+    else:
+        import numpy as np
 
-    u = math.sqrt(omega) * y
-    phi = (omega / math.pi) ** 0.25 * np.exp(-0.5 * u * u)
-    phi_prev = np.zeros_like(phi)
-    if n > 0:
-        phi, phi_prev = math.sqrt(2.0) * u * phi, phi
-    for k in range(1, n):
-        phi, phi_prev = (
-            math.sqrt(2.0 / (k + 1)) * u * phi - math.sqrt(k / (k + 1.0)) * phi_prev,
-            phi,
-        )
-    return (float(phi), float(phi_prev)) if scalar else (phi, phi_prev)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
+        phi = norm * np.exp(-0.5 * u * u)
+        phi_prev = np.zeros_like(phi)
+    for a, b in _coefficients(n):
+        phi, phi_prev = a * u * phi - b * phi_prev, phi
+    return phi, phi_prev
 
 
 def hermite_norm_fn(n, omega, y):
@@ -53,21 +59,33 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     Uses H_n' = 2n H_{n-1}, which in normalized form reads
     phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).
     """
+    y = _as_float_or_array(y)
     phi, phi_prev = hermite_norm_pair(n, omega, y)
-    slope = -omega * np.asarray(y, dtype=float) * phi
+    slope = -omega * y * phi
     if n > 0:
         slope = slope + math.sqrt(2.0 * n * omega) * phi_prev
-    return phi, (float(slope) if np.ndim(y) == 0 else slope)
+    return phi, slope
+
+
+@functools.lru_cache(maxsize=128)
+def _coefficients(n):
+    """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k < n: phi_{k+1} = a u phi_k - b phi_{k-1}."""
+    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(n))
 
 
 def _check_order(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not isinstance(n, (int, numbers.Integral)) or isinstance(n, bool):
         raise TypeError("order n must be an integer")
     if n < 0:
         raise ValueError("order n must be >= 0")
     return int(n)
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _as_float_or_array(y):
+    """A float y as it is, any other scalar as a float, anything else as a float ndarray."""
+    if isinstance(y, float):
+        return y
+    import numpy as np
+
+    arr = np.asarray(y, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr

@@ -3,15 +3,18 @@
 The integrands in this package all decay like exp(-omega y^2) times a
 polynomial, so instead of an infinite-domain transformation we certify a
 truncation radius analytically and run an adaptive Gauss-Kronrod rule on the
-finite interval, in numpy: each round evaluates every unfinished panel in one
-call of the integrand.  The 0*ln(0) -> 0 convention lives here too, so entropy
-integrands never produce NaN at wavefunction nodes.
+finite interval, in pure Python: the integrand is called with one float at a
+time, and every sum is a math.fsum, so a result does not depend on the order
+in which panels are visited.  The 0*ln(0) -> 0 convention lives here too, so
+entropy integrands never produce NaN at wavefunction nodes.
+
+Nothing here imports numpy at module level; xlogx imports it for input that
+is not a float.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -26,12 +29,11 @@ _WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
 _G7 = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-_NODES = np.array([-x for x in _XK] + list(_XK[-2::-1]))  # the 15 nodes on [-1, 1], ascending
-_KRONROD = np.array(_WK + _WK[-2::-1])
-_GAUSS = np.zeros(15)
-_GAUSS[1::2] = _G7 + _G7[-2::-1]
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_NODES = tuple(-x for x in _XK) + _XK[-2::-1]  # the 15 nodes on [-1, 1], ascending
+_KRONROD = _WK + _WK[-2::-1]
+_GAUSS = _G7 + _G7[-2::-1]  # at the odd-indexed nodes
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 class NonConvergence(RuntimeError):
@@ -67,51 +69,68 @@ def integrate(f, spec):
     """Integrate f over [-R, R] adaptively; returns (value, err_estimate).
 
     Adaptive 15-point Gauss-Kronrod rule (G7K15; QUADPACK's qk15, Piessens et
-    al. 1983) run on whole arrays: f receives a 1-D array holding the 15 nodes
-    of every active panel and returns f at each.  Each panel carries qk15's
-    error estimate, floored at 50 eps times the integral of |f| over it.  A
-    panel retires once its error is at most tol * width / 2R, or once it is at
-    that roundoff floor or too narrow to halve; every other panel is halved
-    for the next round.  On success err_estimate, the sum of the panel errors,
-    satisfies err_estimate <= target_abs_tol.
+    al. 1983), like scipy.integrate.quad: f is called with one float and
+    returns one float.  Each panel carries qk15's error estimate, floored at
+    50 eps times the integral of |f| over it.  A panel retires once its error
+    is at most tol * width / 2R, or once it is at that roundoff floor or too
+    narrow to halve; every other panel is halved for the next round.  Every
+    sum is a math.fsum, so the result does not depend on the order of the
+    panels.  On success err_estimate, the sum of the panel errors, satisfies
+    err_estimate <= target_abs_tol.
 
     Raises NonConvergence (with the best estimate attached) when no panel can
-    still be halved, or halving would exceed spec.max_subdivisions panels.
+    still be halved, when halving would exceed spec.max_subdivisions panels,
+    or as soon as the retired panels' errors alone exceed the tolerance, which
+    no further round can undo.
     """
     R, tol = spec.truncation_radius, spec.target_abs_tol
-    center, half = np.zeros(1), np.full(1, R)
-    value = err = 0.0  # sums over the retired panels
-    panels = 1
+    active = [(0.0, R)]  # (center, half-width) of each unfinished panel
+    values, errs = [], []  # integral and error estimate of each retired panel
     while True:
-        x = center[:, None] + half[:, None] * _NODES
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        kronrod = fx @ _KRONROD
-        # qk15's error estimate: |K - G| scaled by resasc, floored at 50 eps resabs
-        abserr = np.abs((kronrod - fx @ _GAUSS) * half)
-        resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
-        resabs = np.abs(fx) @ _KRONROD * half
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
-        abserr = np.where((resasc > 0.0) & (abserr > 0.0), scaled, abserr)
-        floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
-        abserr = np.maximum(abserr, floor)
-        kronrod *= half
-        total, total_err = value + kronrod.sum(), err + abserr.sum()
+        rules = [_qk15(f, center, half) for center, half in active]
+        total = _fsum(values + [value for value, _, _ in rules])
+        total_err = _fsum(errs + [err for _, err, _ in rules])
         if total_err <= tol:
-            return float(total), float(total_err)
-        split = (abserr > tol * half / R) & (abserr > floor) & (half > 100.0 * _EPS * np.abs(center))
-        value += kronrod[~split].sum()
-        err += abserr[~split].sum()
-        added = int(split.sum())
-        if not added or panels + added > spec.max_subdivisions:
+            return total, total_err
+        panels = len(values) + len(active)
+        split = []
+        for (center, half), (value, err, floor) in zip(active, rules):
+            if err > tol * half / R and err > floor and half > 100.0 * _EPS * abs(center):
+                split.append((center, 0.5 * half))
+            else:
+                values.append(value)
+                errs.append(err)
+        if not split or panels + len(split) > spec.max_subdivisions or _fsum(errs) > tol:
             raise NonConvergence(
                 f"quadrature did not reach tol={tol:g} on [-{R:g}, {R:g}] "
                 f"(error estimate {total_err:g} over {panels} panels)",
-                float(total), float(total_err))
-        panels += added
-        center, half = center[split], 0.5 * half[split]
-        center = np.concatenate([center - half, center + half])
-        half = np.concatenate([half, half])
+                total, total_err)
+        active = [(c, h) for center, h in split for c in (center - h, center + h)]
+
+
+def _qk15(f, center, half):
+    """(integral, error estimate, roundoff floor) of f over center -/+ half by qk15."""
+    fx = [f(center + half * x) for x in _NODES]
+    kronrod = _fsum([w * v for w, v in zip(_KRONROD, fx)])
+    gauss = _fsum([w * v for w, v in zip(_GAUSS, fx[1::2])])
+    mean = 0.5 * kronrod
+    resasc = _fsum([w * abs(v - mean) for w, v in zip(_KRONROD, fx)]) * half
+    resabs = _fsum([w * abs(v) for w, v in zip(_KRONROD, fx)]) * half
+    # qk15's error estimate: |K - G| scaled by resasc, floored at 50 eps resabs.
+    # min(1, r)**1.5 equals min(1, r**1.5) and cannot overflow.
+    err = abs((kronrod - gauss) * half)
+    if resasc > 0.0 and err > 0.0:
+        err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+    floor = 50.0 * _EPS * resabs if resabs > _TINY / (50.0 * _EPS) else 0.0
+    return kronrod * half, max(err, floor), floor
+
+
+def _fsum(terms):
+    """math.fsum of a list, or its plain sum (inf or nan) where fsum overflows or meets inf - inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
 
 
 def truncation_radius(omega, n, tail_tol=1e-12):
@@ -137,16 +156,19 @@ def truncation_radius(omega, n, tail_tol=1e-12):
 def xlogx(v):
     """v * ln(v) extended continuously with 0 at v = 0; rejects v < 0.
 
-    Accepts scalars or ndarrays.  Centralizing the convention here keeps
-    rho*ln(rho) integrands NaN-free at density zeros.
+    Accepts scalars or ndarrays; input that is not a float imports numpy.  Centralizing
+    the convention here keeps rho*ln(rho) integrands NaN-free at density zeros.
     """
-    if np.ndim(v) == 0:
+    if not isinstance(v, float):
+        import numpy as np
+
+        if np.ndim(v):
+            arr = np.asarray(v, dtype=float)
+            if np.any(arr < 0.0):
+                raise ValueError("xlogx requires v >= 0")
+            safe = np.where(arr > 0.0, arr, 1.0)
+            return np.where(arr > 0.0, arr * np.log(safe), 0.0)
         v = float(v)
-        if v < 0.0:
-            raise ValueError("xlogx requires v >= 0")
-        return v * math.log(v) if v > 0.0 else 0.0
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0.0):
+    if v < 0.0:
         raise ValueError("xlogx requires v >= 0")
-    safe = np.where(arr > 0.0, arr, 1.0)
-    return np.where(arr > 0.0, arr * np.log(safe), 0.0)
+    return v * math.log(v) if v > 0.0 else 0.0

@@ -18,9 +18,8 @@ phase, not by t.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants  # noqa: F401 (re-exported)
 from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair
@@ -55,7 +54,7 @@ class SpinorState:
     Omega: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not isinstance(self.n, numbers.Integral) or self.n < 0:
             raise ValueError("quantum number n must be an integer >= 0")
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError("omega must be positive and finite")
@@ -152,7 +151,11 @@ def _ladder_apply(state, y, pc, sign):
     chbar = pc.c * pc.hbar
     k = state.omega * chbar
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
-    return sign * chbar * dphi + k * np.asarray(y, dtype=float) * phi
+    if not isinstance(y, float):
+        import numpy as np
+
+        y = np.asarray(y, dtype=float)
+    return sign * chbar * dphi + k * y * phi
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):

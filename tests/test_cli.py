@@ -110,6 +110,40 @@ def test_quadrature_failure_exit_code(runner):
     assert result.exit_code == EXIT_QUAD_NONCONVERGENCE
 
 
+@pytest.mark.parametrize("tol", ["1e-310", "1e-322", "5e-324"])
+def test_unreachable_quadrature_tol_exits_at_once(runner, monkeypatch, tol):
+    # below ~1e-322 the tail tolerance tol/100 underflows; it is floored, not passed on as 0.
+    # The quadrature gives up once its retired panels' errors pass tol, not at the budget
+    points, integrate = [], entropy_mod.integrate
+    monkeypatch.setattr(entropy_mod, "integrate",
+                        lambda f, spec: integrate(lambda y: points.append(y) or f(y), spec))
+    entropy_mod._unit_entropy.cache_clear()
+    result = runner.invoke(main, ["table1", "--n", "0", "--tol", tol])
+    assert result.exit_code == EXIT_QUAD_NONCONVERGENCE, combined_output(result)
+    assert "error: quadrature did not reach tol=" in combined_output(result)
+    assert "Traceback" not in combined_output(result)
+    assert 0 < len(points) < 10_000
+
+
+_TABLE1_EDGES = [
+    *((flag, value) for flag in ("--omega", "--theta", "--tol")
+      for value in ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")),
+    *(("--n", value) for value in ("0", str(MAX_LEVEL), str(MAX_LEVEL + 1))),
+]
+
+
+@pytest.mark.parametrize("flag, value", _TABLE1_EDGES)
+def test_table1_edge_sweep(runner, flag, value):
+    # every edge value ends in a documented exit code, never a traceback or a non-finite field
+    result = runner.invoke(main, ["table1", flag, value])
+    assert result.exit_code in (0, 2, 3, 4, 5), combined_output(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in combined_output(result)
+    if result.exit_code == 0:
+        _, _, rows = parse_csv(result.stdout)
+        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+
+
 @pytest.mark.parametrize("n, theta", [(20, "0"), (30, "1.5707963267948966"), (64, "0")])
 def test_table1_at_theta_endpoints(runner, n, theta):
     run_ok(runner, ["table1", "--n", str(n), "--theta", theta])
@@ -123,10 +157,12 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"]],
-                         ids=["import", "help", "thermo"])
+@pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"], ["table1"],
+                                  ["table1", "--n", "64", "--theta", "0"]],
+                         ids=["import", "help", "thermo", "table1", "table1-n64-theta0"])
 def test_thermo_path_loads_no_numpy(argv):
-    # import, --help and thermo need only click and the pure-math thermo path
+    # import, --help, thermo and table1 need only click and pure-math paths; only the grid
+    # commands import numpy
     run = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" if argv else ""
     code = ("import sys\nfrom majorana_lab.cli import main\n" + run
             + "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))")

@@ -9,12 +9,14 @@ relative path; every other case is read from stdout.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from csv_utils import parse_csv
+from mpmath_entropy import mpmath_unit_entropy
 
 from majorana_lab.cli import CONFIG_ENV_VAR, main
 
@@ -122,18 +124,22 @@ def mpmath_thermo(mpmath, k, beta, N, c, hbar, k_B, m=400, order=6):
         return t[0], f, u, mpmath.mpf(k_B) * beta * (u - f), N * mpmath.mpf(k_B) * (t[2] / t[0] - mean**2)
 
 
+def golden_rows(name):
+    """(config, rows as {column: value}) of one golden file, CSV or JSON."""
+    text = (GOLDEN / f"{name}.golden").read_text(encoding="utf-8")
+    if text.startswith("{"):
+        payload = json.loads(text)
+        return payload["config"], payload["rows"]
+    config, columns, fields = parse_csv(text)
+    return config, [dict(zip(columns, map(float, row))) for row in fields]
+
+
 @pytest.mark.parametrize("name", ["thermo-csv", "thermo-json", "thermo_out_file-csv",
                                   "thermo_cfg-csv", "thermo_cfg_out-csv"])
 def test_thermo_golden_exact_columns_match_mpmath(name):
     # the pure-math Euler-Maclaurin pass (fsum heads) against an independent 30-digit sum
     mpmath = pytest.importorskip("mpmath")
-    text = (GOLDEN / f"{name}.golden").read_text(encoding="utf-8")
-    if text.startswith("{"):
-        payload = json.loads(text)
-        config, rows = payload["config"], payload["rows"]
-    else:
-        config, columns, fields = parse_csv(text)
-        rows = [dict(zip(columns, map(float, row))) for row in fields]
+    config, rows = golden_rows(name)
     constants = [float(config[key]) for key in ("c", "hbar", "k_B")]
     names = ("Z_exact", "F_exact", "U_exact", "S_exact", "C_V_exact")
     for row in rows:
@@ -142,3 +148,15 @@ def test_thermo_golden_exact_columns_match_mpmath(name):
         for column, want in zip(names, reference):
             rel = abs((mpmath.mpf(row[column]) - want) / want)
             assert rel <= 1e-15, (column, row, float(rel))
+
+
+@pytest.mark.parametrize("name", ["table1-csv", "table1-json", "table1_defaults-csv",
+                                  "table1_cfg-csv"])
+def test_table1_golden_entropies_match_mpmath(name):
+    # S_sum = 2 S_1 exactly; each S_1 against an independent 30-digit quadrature, within 2 ulp
+    mpmath = pytest.importorskip("mpmath")
+    config, rows = golden_rows(name)
+    for row in rows:
+        want = mpmath_unit_entropy(int(row["n"]), float(config["theta"]))
+        ulps = abs(mpmath.mpf(row["S_sum"] / 2) - want) / math.ulp(float(want))
+        assert ulps <= 2, (row, float(ulps))

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 import majorana_lab.entropy as entropy_mod
 from direct_entropy import direct_entropy
+from mpmath_entropy import mpmath_unit_entropy
 from majorana_lab.cli import main as cli_main
 from majorana_lab.entropy import (
     BBM_BOUND,
@@ -45,25 +46,6 @@ def test_reference_rows():
     assert bbm_report(2, 0.4, QUARTER).sum == pytest.approx(3.18469, abs=2e-4)
 
 
-def mpmath_unit_entropy(n, theta):
-    """S_1(n, theta) for theta in {0, pi/2} at 30 digits, independent of the package.
-
-    There rho = phi_m^2 with m = n at pi/2 and m = n - 1 at 0, an even function whose
-    kinks in rho ln rho sit at the zeros of H_m; mpmath.quad integrates [0, inf) split there.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    m = n if theta else n - 1
-    with mpmath.workdps(30):
-        norm = 2**m * mpmath.factorial(m) * mpmath.sqrt(mpmath.pi)
-
-        def minus_rho_ln_rho(y):
-            rho = mpmath.hermite(m, y) ** 2 * mpmath.exp(-y * y) / norm
-            return -rho * mpmath.log(rho) if rho > 0 else mpmath.mpf(0)
-
-        zeros = [z for z in np.polynomial.hermite.hermgauss(m)[0] if z > 0]
-        return float(2 * mpmath.quad(minus_rho_ln_rho, [0, *map(float, zeros), mpmath.inf]))
-
-
 @pytest.mark.parametrize("theta", [QUARTER - 0.2, QUARTER, QUARTER + 0.2, 0.0, math.pi / 2])
 def test_entropy_certified_for_every_level(theta):
     for n in range(65):
@@ -76,7 +58,7 @@ def test_theta_endpoint_entropy_converges(n, theta):
     # one component vanishes at theta = 0 or pi/2, so rho has double zeros
     value, err = entropy_mod._unit_entropy(n, theta, 1e-10)
     assert err <= 1e-10
-    assert value == pytest.approx(mpmath_unit_entropy(n, theta), abs=1e-9)
+    assert value == pytest.approx(float(mpmath_unit_entropy(n, theta)), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -190,3 +190,29 @@ def test_pair_sweep_matches_separate_lower_order(omega):
 def test_pair_at_ground_state_has_zero_partner():
     assert np.array_equal(hermite_norm_pair(0, 0.4, np.linspace(-2.0, 2.0, 5))[1], np.zeros(5))
     assert hermite_norm_pair(0, 0.4, 1.0)[1] == 0.0
+
+
+@pytest.mark.parametrize("omega", [0.3, 1.0, 7.0])
+def test_float_and_array_paths_share_the_recurrence(omega):
+    # a float runs math.exp, an array np.exp; where the two starts agree, the sweeps must too
+    ys = np.linspace(-12.0, 12.0, 97) / math.sqrt(omega)
+    for n in (0, 1, 2, 17, 64):
+        f_n, f_m = hermite_norm_pair(n, omega, ys)
+        for i, y in enumerate(ys.tolist()):
+            pair = hermite_norm_pair(n, omega, y)
+            assert all(type(v) is float for v in pair)
+            u = math.sqrt(omega) * y
+            if math.exp(-0.5 * u * u) == np.exp(-0.5 * u * u):
+                assert pair == (f_n[i], f_m[i])
+            else:
+                assert pair == pytest.approx((f_n[i], f_m[i]), rel=1e-14, abs=1e-300)
+
+
+def test_numpy_scalars_are_accepted():
+    assert hermite_norm_pair(np.int64(5), 0.8, np.float64(0.4)) == hermite_norm_pair(5, 0.8, 0.4)
+    assert hermite_norm_pair(5, 0.8, np.array(0.4)) == hermite_norm_pair(5, 0.8, 0.4)
+    assert hermite_norm_fn(3, 1.0, 2) == hermite_norm_fn(3, 1.0, 2.0)
+    with pytest.raises(TypeError):
+        hermite_norm_fn(True, 1.0, 0.5)
+    with pytest.raises(TypeError):
+        hermite_norm_fn(np.float64(2.0), 1.0, 0.5)

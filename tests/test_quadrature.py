@@ -65,6 +65,50 @@ def test_nonconvergence_carries_best_estimate():
     assert math.isfinite(excinfo.value.err_estimate)
 
 
+def test_integrand_receives_one_float():
+    seen = set()
+
+    def f(y):
+        seen.add(type(y))
+        return math.exp(-y * y)
+
+    value, _ = integrate(f, IntegrationSpec(truncation_radius=9.0, target_abs_tol=1e-12))
+    assert seen == {float}
+    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+def test_unreachable_tol_fails_at_once():
+    # the retired panels' errors alone pass 1e-310 after a few rounds; at the full budget this
+    # integral made over a million panels before it gave up
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return math.exp(-y * y)
+
+    spec = IntegrationSpec(truncation_radius=truncation_radius(1.0, 1), target_abs_tol=1e-310)
+    with pytest.raises(NonConvergence) as excinfo:
+        integrate(f, spec)
+    assert len(calls) < 10_000
+    assert excinfo.value.value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert excinfo.value.err_estimate > 1e-310
+
+
+def test_overflowing_integrand_is_nonconvergence():
+    # its panel sums overflow: math.fsum raises there, the integral reports inf instead
+    with pytest.raises(NonConvergence) as excinfo:
+        integrate(lambda y: 1e308, IntegrationSpec(truncation_radius=1.0))
+    assert excinfo.value.value == math.inf
+
+
+def test_result_independent_of_panel_order():
+    # every sum is an fsum, so mirroring the integrand, which reverses the order of the
+    # panels and of each panel's nodes, gives the same bits
+    f = lambda y: math.exp(-0.3 * y * y) * (1.0 + y) ** 2
+    spec = IntegrationSpec(truncation_radius=truncation_radius(0.3, 1), target_abs_tol=1e-13)
+    assert integrate(f, spec) == integrate(lambda y: f(-y), spec)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         IntegrationSpec(truncation_radius=-1.0)
@@ -111,6 +155,12 @@ def test_xlogx_rejects_negative():
         xlogx(-1e-12)
     with pytest.raises(ValueError):
         xlogx(np.array([0.5, -0.5]))
+
+
+def test_xlogx_scalar_types():
+    assert xlogx(np.float64(0.5)) == xlogx(0.5) == 0.5 * math.log(0.5)
+    assert xlogx(np.array(0.5)) == xlogx(0.5)
+    assert xlogx(1) == 0.0 and isinstance(xlogx(2), float)
 
 
 def test_xlogx_array():
