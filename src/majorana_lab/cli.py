@@ -10,13 +10,12 @@ named by $MAJORANA_LAB_CONFIG > built-in defaults.  SETTINGS holds each key's
 click type and default; the same type object casts the flag and the config
 value, so a bad value from either source is a usage error (exit 2).
 
-Only click and the numpy-free thermo path load at import; the other commands
-import their modules when they run.  Only the grid commands (density,
-entropy-density, heatmap) import numpy, through _coords, so `table1`, `thermo`
-and `--help` never do.
+Only click and `common` load at import; each command imports its modules, and
+json, when it runs.  Only the grid commands (density, entropy-density,
+heatmap) import numpy, through _coords, so `table1`, `thermo` and `--help`
+never do, and `table1` never loads `thermo`.
 """
 
-import json
 import math
 import numbers
 import os
@@ -25,8 +24,7 @@ from types import SimpleNamespace
 
 import click
 
-from .common import DEFAULT_THETA, MAX_LEVEL, OutOfRange, PhysicalConstants, linspace
-from .thermo import EM_VALIDITY_WARN, MAX_PARTICLES, EnsembleParams, thermo_sweep
+from .common import DEFAULT_THETA, MAX_LEVEL, MAX_PARTICLES, OutOfRange, PhysicalConstants, linspace
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
@@ -137,7 +135,9 @@ def _resolve(settings, flags, cfg):
         if key != name:
             s[name] = s[key][0]
     if rank.get("k", 0) > rank.get("omega", 0):
-        s["omega"] = s["k"] / (s["c"] * s["hbar"])
+        s["omega"] = s["k"] / (s["c"] * s["hbar"]) if s["c"] * s["hbar"] > 0.0 else math.inf
+        if not 0.0 < s["omega"] < math.inf:
+            raise click.BadParameter("k/(c hbar) leaves the float range", param_hint="'--k'")
     else:
         s["k"] = 0.0
     return SimpleNamespace(**s)
@@ -206,6 +206,8 @@ def _emit(s, command, extras, columns, rows):
                  ",".join(columns), *map(_csv, rows)]
         text = "\n".join(lines) + "\n"
     else:
+        import json
+
         payload = {"command": command, "config": header, "columns": list(columns),
                    "rows": [dict(zip(columns, row)) for row in rows]}
         # numpy floats are floats to json; numpy integers are the only other non-JSON values
@@ -299,6 +301,8 @@ def cmd_heatmap(s):
           tmax=Setting(_POSITIVE, 10.0, "Highest temperature."))
 def cmd_thermo(s):
     """Partition function (exact series and closed form) and F, U, S, C_V over (k, T)."""
+    from .thermo import EM_VALIDITY_WARN, EnsembleParams, thermo_sweep
+
     pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
     reports = thermo_sweep(s.k_list, linspace(s.tmin, s.tmax, s.tsteps), N=s.particles, pc=pc,
                            tol=s.tol)

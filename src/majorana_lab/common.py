@@ -1,7 +1,7 @@
 """What every layer and the CLI share, in pure Python: units, defaults, range errors, grids.
 
-Nothing here imports numpy, so `majorana-lab thermo` and `--help`, which need
-only this module and `thermo`, start without it.
+Nothing here imports numpy, so `majorana-lab --help`, which needs only this module,
+starts without it, and so do `thermo` and `table1`, which add their own pure-math layers.
 """
 
 import math
@@ -10,6 +10,9 @@ from dataclasses import dataclass
 DEFAULT_THETA = math.pi / 4.0  # the constant-weight phase: sin^2 = cos^2 = 1/2
 # The highest level the tests certify, by normalization and against mpmath entropies.
 MAX_LEVEL = 64
+# N up to which every thermo report field stays finite at both ends of its coupling range at
+# beta = 1 in natural units: per particle they stay below ~700, and C_V's closed form forms 12 N x.
+MAX_PARTICLES = 10**150
 
 
 @dataclass(frozen=True)

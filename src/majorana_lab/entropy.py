@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .common import DEFAULT_THETA
 from .quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
-from .spinor import SpinorState, probability_density_at_phase
+from .spinor import SpinorState, density_evaluator, probability_density_at_phase
 
 BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
 DEFAULT_TOL = 1e-10
@@ -94,7 +94,7 @@ def _half_log(omega):
 @functools.lru_cache(maxsize=128)
 def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
-    state = SpinorState(n=n, omega=1.0)
+    density = density_evaluator(SpinorState(n=n, omega=1.0), theta)
     # ln(rho) adds ~y^2 growth on top of the degree-2n polynomial, hence the
     # +1 in the tail degree.  The tail tolerance stays at or above the least
     # positive float, where tol * 1e-2 would underflow to 0; R grows only like
@@ -102,8 +102,11 @@ def _unit_entropy(n, theta, tol):
     radius = truncation_radius(1.0, n + 1, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
     spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=tol)
 
+    pending = {}  # rho is even and the panels mirror exactly: each |y| is kept till its mirror
+
     def integrand(y):
-        return xlogx(probability_density_at_phase(state, y, theta))
+        r = abs(y)
+        return pending.pop(r) if r in pending else pending.setdefault(r, xlogx(density(r)))
 
     value, err = integrate(integrand, spec)
     return -value, err

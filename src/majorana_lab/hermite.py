@@ -27,25 +27,29 @@ def hermite_norm_pair(n, omega, y):
     stays O(1) regardless of n (no overflow for n >~ 20, unlike the naive
     H_n / sqrt(2^n n!) route).  A scalar y gives floats, an array y arrays.
     """
+    return hermite_pair_evaluator(n, omega)(finite_coordinate(y))
+
+
+def hermite_pair_evaluator(n, omega):
+    """y -> hermite_norm_pair(n, omega, y), y unchecked: a float costs an exp and the recurrence."""
     n = _check_order(n)
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ValueError("omega must be positive and finite")
-    y = _as_float_or_array(y)
-    u, norm = math.sqrt(omega) * y, (omega / math.pi) ** 0.25
-    if isinstance(y, float):
-        if not math.isfinite(y):
-            raise ValueError("y must be finite")
-        phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
-    else:
-        import numpy as np
+    root, norm, coefficients = math.sqrt(omega), (omega / math.pi) ** 0.25, _coefficients(n)
 
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y must be finite")
-        phi = norm * np.exp(-0.5 * u * u)
-        phi_prev = np.zeros_like(phi)
-    for a, b in _coefficients(n):
-        phi, phi_prev = a * u * phi - b * phi_prev, phi
-    return phi, phi_prev
+    def pair(y):
+        u = root * y
+        if isinstance(u, float):
+            phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
+        else:
+            import numpy as np
+
+            phi = norm * np.exp(-0.5 * u * u)
+            phi_prev = np.zeros_like(phi)
+        for a, b in coefficients:
+            phi, phi_prev = a * u * phi - b * phi_prev, phi
+        return phi, phi_prev
+    return pair
 
 
 def hermite_norm_fn(n, omega, y):
@@ -59,8 +63,8 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     Uses H_n' = 2n H_{n-1}, which in normalized form reads
     phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).
     """
-    y = _as_float_or_array(y)
     phi, phi_prev = hermite_norm_pair(n, omega, y)
+    y = finite_coordinate(y)
     slope = -omega * y * phi
     if n > 0:
         slope = slope + math.sqrt(2.0 * n * omega) * phi_prev
@@ -81,11 +85,15 @@ def _check_order(n):
     return int(n)
 
 
-def _as_float_or_array(y):
-    """A float y as it is, any other scalar as a float, anything else as a float ndarray."""
+def finite_coordinate(y):
+    """A float y as it is, any other scalar as a float, anything else as a finite float ndarray."""
     if isinstance(y, float):
+        if not math.isfinite(y):
+            raise ValueError("y must be finite")
         return y
     import numpy as np
 
     arr = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("y must be finite")
     return float(arr) if arr.ndim == 0 else arr

@@ -22,7 +22,8 @@ import numbers
 from dataclasses import dataclass
 
 from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants  # noqa: F401 (re-exported)
-from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair
+from .hermite import (finite_coordinate, hermite_norm_fn_and_derivative, hermite_norm_pair,
+                      hermite_pair_evaluator)
 
 _SPACES = ("position", "momentum")
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
@@ -135,11 +136,19 @@ def probability_density_at_phase(state, coord, theta, space="position"):
     Vectorized over `coord`.  Normalized to 1 for every theta: the components
     carry sin^2/cos^2 weights on consecutive orthonormal basis functions.
     """
-    f_n, f_m = hermite_norm_pair(state.n, space_frequency(state.omega, space), coord)
-    if state.n == 0:
-        return f_n * f_n
-    s, c = math.sin(theta), math.cos(theta)
-    return f_n * f_n * s * s + f_m * f_m * c * c
+    return density_evaluator(state, theta, space)(finite_coordinate(coord))
+
+
+def density_evaluator(state, theta, space="position"):
+    """coord -> probability_density_at_phase(state, coord, theta, space), coord unchecked."""
+    pair = hermite_pair_evaluator(state.n, space_frequency(state.omega, space))
+    # at n = 0, where phi_{-1} = 0, the weights 1 and 0 leave f_n * f_n exactly
+    s, c = (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
+
+    def density(coord):
+        f_n, f_m = pair(coord)
+        return f_n * f_n * s * s + f_m * f_m * c * c  # not f*f*(s*s): that rounds otherwise
+    return density
 
 
 def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
@@ -151,10 +160,7 @@ def _ladder_apply(state, y, pc, sign):
     chbar = pc.c * pc.hbar
     k = state.omega * chbar
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
-    if not isinstance(y, float):
-        import numpy as np
-
-        y = np.asarray(y, dtype=float)
+    y = finite_coordinate(y)
     return sign * chbar * dphi + k * y * phi
 
 

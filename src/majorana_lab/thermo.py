@@ -21,9 +21,6 @@ DEFAULT_TOL = 1e-10
 MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
-# N up to which every report field stays finite at both ends of EM_PARAMETER_RANGE at beta = 1
-# in natural units: per particle they stay below ~700, and C_V's closed form forms 12 N x.
-MAX_PARTICLES = 10**150
 
 _M = 200  # explicit terms before the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8

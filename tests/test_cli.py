@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import majorana_lab.cli as cli_mod
 import majorana_lab.entropy as entropy_mod
 import majorana_lab.thermo as thermo_mod
 from csv_utils import parse_csv, rows_as_floats
@@ -19,9 +19,9 @@ from majorana_lab.cli import (
     EXIT_TRUNCATION_BUDGET,
     main,
 )
-from majorana_lab.common import MAX_LEVEL
+from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES
 from majorana_lab.entropy import BBM_BOUND, BoundViolation
-from majorana_lab.thermo import MAX_PARTICLES, MAX_TERMS
+from majorana_lab.thermo import MAX_TERMS
 
 
 @pytest.fixture
@@ -157,19 +157,35 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def modules_loaded_by(argv):
+    """sys.modules after `from majorana_lab.cli import main` and main(argv), in a fresh process."""
+    run = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" if argv else ""
+    code = ("import sys\nfrom majorana_lab.cli import main\n" + run
+            + "sys.stderr.write('\\n' + repr(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return ast.literal_eval(out.stderr.rsplit("\n", 1)[1])
+
+
 @pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"], ["table1"],
                                   ["table1", "--n", "64", "--theta", "0"]],
                          ids=["import", "help", "thermo", "table1", "table1-n64-theta0"])
 def test_thermo_path_loads_no_numpy(argv):
     # import, --help, thermo and table1 need only click and pure-math paths; only the grid
     # commands import numpy
-    run = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" if argv else ""
-    code = ("import sys\nfrom majorana_lab.cli import main\n" + run
-            + "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stderr.endswith("[]"), out.stderr[-2000:]
+    assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (None, {"json", "majorana_lab.thermo"}),
+    (["--help"], {"json", "majorana_lab.thermo"}),
+    (["table1"], {"json", "majorana_lab.thermo"}),
+    (["thermo", "--tsteps", "2"], {"json"}),
+], ids=["import", "help", "table1", "thermo-csv"])
+def test_commands_load_only_what_they_use(argv, unused):
+    # cli imports thermo in the thermo command and json only for --format json
+    assert unused.isdisjoint(modules_loaded_by(argv))
 
 
 # ---------------------------------------------------------------- density
@@ -549,7 +565,7 @@ def test_unwritable_out_is_usage_error(runner, tmp_path):
 
 
 def test_thermo_truncation_budget_exit_code(runner, monkeypatch):
-    monkeypatch.setattr(cli_mod, "thermo_sweep", _raise_budget)
+    monkeypatch.setattr(thermo_mod, "thermo_sweep", _raise_budget)
     result = runner.invoke(main, ["thermo", "--tsteps", "2"])
     assert result.exit_code == EXIT_TRUNCATION_BUDGET
 
@@ -589,6 +605,52 @@ def test_thermo_edge_sweep(runner, flag, value):
     assert "Traceback" not in combined_output(result)
     if result.exit_code == 0:
         _, _, rows = parse_csv(result.stdout)
+        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+
+
+_LOWEST = "-1.7976931348623157e308"
+_GRID_COMMANDS = {  # command: (its base arguments, its float flags and their smallest values)
+    "density": (["--grid", "3"], {"--omega": (), "--k": (), "--mass": ("0",),
+                                  "--theta": (_LOWEST,)}),
+    "entropy-density": (["--grid", "3"], {"--omega": (), "--theta": (_LOWEST,)}),
+    "heatmap": (["--grid", "3", "--tsteps", "2"],
+                {"--omega": (), "--k": (), "--mass": ("0",), "--tmin": (_LOWEST,),
+                 "--tmax": (_LOWEST,)}),
+}
+_GRID_EDGES = [
+    *((command, flag, value) for command, (_, floats) in _GRID_COMMANDS.items()
+      for flag, lowest in floats.items() for value in (*lowest, *_EDGE_FLOATS)),
+    *((command, "--n", value) for command in _GRID_COMMANDS
+      for value in ("0", str(MAX_LEVEL), str(MAX_LEVEL + 1))),
+    *((command, "--grid", value) for command in _GRID_COMMANDS for value in ("1", "64")),
+    ("heatmap", "--tsteps", "1"), ("heatmap", "--tsteps", "64"),
+    # settings only the config file sets: c and hbar (with --k 1, so that they set omega), and
+    # heatmap's theta
+    *((command, key, value) for command in ("density", "heatmap") for key in ("c", "hbar")
+      for value in _EDGE_FLOATS),
+    *(("heatmap", "theta", value) for value in (_LOWEST, *_EDGE_FLOATS)),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _GRID_EDGES)
+def test_grid_command_edge_sweep(runner, tmp_path, command, flag, value):
+    # the grid counts have no maximum, so they are swept at the minimum and 64 only
+    base, _ = _GRID_COMMANDS[command]
+    args, env = dict(zip(base[::2], base[1::2])), {CONFIG_ENV_VAR: None}
+    if flag.startswith("--"):
+        args[flag] = value
+    else:
+        args["--k"] = "1"
+        (tmp_path / "lab.cfg").write_text(f"{flag}={value}\n", encoding="utf-8")
+        env[CONFIG_ENV_VAR] = str(tmp_path / "lab.cfg")
+    result = runner.invoke(main, [command, *(item for pair in args.items() for item in pair)],
+                           env=env)
+    assert result.exit_code in (0, 2, 3, 4, 5), combined_output(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in combined_output(result)
+    if result.exit_code == 0:
+        header, _, rows = parse_csv(result.stdout)
+        assert math.isfinite(float(header.get("radius", 0.0)))
         assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
 

@@ -1,11 +1,14 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import majorana_lab.entropy as entropy_mod
+import majorana_lab.spinor as spinor_mod
 from direct_entropy import direct_entropy
 from mpmath_entropy import mpmath_unit_entropy
 from majorana_lab.cli import main as cli_main
@@ -20,6 +23,10 @@ from majorana_lab.entropy import (
 )
 
 QUARTER = math.pi / 4
+# float.hex of (S_1, error estimate) from _unit_entropy, recorded before the mirrored
+# (even-rho) integrand: "tol_1e-10" maps repr(theta) to the 65 levels n = 0..64, and
+# "other_tols" lists [n, theta, tol, value, err]
+S1_BITS = json.loads((Path(__file__).parent / "unit_entropy_bits.json").read_text())
 
 
 def gaussian_entropy_position(omega):
@@ -48,8 +55,37 @@ def test_reference_rows():
 
 @pytest.mark.parametrize("theta", [QUARTER - 0.2, QUARTER, QUARTER + 0.2, 0.0, math.pi / 2])
 def test_entropy_certified_for_every_level(theta):
+    pins = S1_BITS["tol_1e-10"][repr(theta)]
     for n in range(65):
-        assert entropy_mod._unit_entropy(n, theta, 1e-10)[1] <= 1e-10, n
+        value, err = entropy_mod._unit_entropy(n, theta, 1e-10)
+        assert err <= 1e-10, n
+        assert [value.hex(), err.hex()] == pins[n], n  # bit for bit, value and error
+
+
+@pytest.mark.parametrize("n, theta, tol, value, err", S1_BITS["other_tols"])
+def test_unit_entropy_bits_at_other_tols(n, theta, tol, value, err):
+    assert [x.hex() for x in entropy_mod._unit_entropy(n, theta, tol)] == [value, err]
+
+
+@pytest.mark.parametrize("n, theta", [(0, QUARTER), (5, 0.3), (17, 0.0), (64, QUARTER)])
+def test_integral_sweeps_the_recurrence_once_per_mirror_pair(monkeypatch, n, theta):
+    # rho is even, so of P quadrature points only |y| is evaluated, each once: P/2 sweeps plus
+    # the origin, every one of them at y >= 0
+    points, sweeps = [], []
+    make_pair, integrate = spinor_mod.hermite_pair_evaluator, entropy_mod.integrate
+
+    def counted_pair(n, omega):
+        pair = make_pair(n, omega)
+        return lambda y: sweeps.append(y) or pair(y)
+
+    monkeypatch.setattr(spinor_mod, "hermite_pair_evaluator", counted_pair)
+    monkeypatch.setattr(entropy_mod, "integrate",
+                        lambda f, spec: integrate(lambda y: points.append(y) or f(y), spec))
+    entropy_mod._unit_entropy.cache_clear()
+    entropy_mod._unit_entropy(n, theta, 1e-10)
+    entropy_mod._unit_entropy.cache_clear()
+    assert points and len(sweeps) <= (len(points) + 1) / 2
+    assert min(sweeps) >= 0.0 and len(set(sweeps)) == len(sweeps)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])

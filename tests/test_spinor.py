@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from majorana_lab.common import OutOfRange
-from majorana_lab.hermite import hermite_norm_fn
+from majorana_lab.hermite import hermite_norm_fn, hermite_norm_pair, hermite_pair_evaluator
 from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius
 from majorana_lab.spinor import (
     NATURAL_UNITS,
@@ -13,6 +13,7 @@ from majorana_lab.spinor import (
     SpinorState,
     annihilation_apply,
     creation_apply,
+    density_evaluator,
     energy,
     ladder_down,
     ladder_up,
@@ -236,6 +237,33 @@ def test_density_matches_spinor_value():
             direct = probability_density_at_phase(state, u, 0.77, space)
             value = at(state, u, 0.77)
             assert direct == pytest.approx(abs(value.comp1) ** 2 + abs(value.comp2) ** 2, rel=1e-13)
+
+
+def stepwise_density(n, omega, theta, y):
+    """rho(y) in float arithmetic written out step by step, in the library's order of operations."""
+    u, norm = math.sqrt(omega) * y, (omega / math.pi) ** 0.25
+    f_n, f_m = norm * math.exp(-0.5 * u * u), 0.0
+    for k in range(n):
+        f_n, f_m = math.sqrt(2.0 / (k + 1)) * u * f_n - math.sqrt(k / (k + 1.0)) * f_m, f_n
+    if n == 0:
+        return (f_n, f_m), f_n * f_n
+    s, c = math.sin(theta), math.cos(theta)
+    return (f_n, f_m), f_n * f_n * s * s + f_m * f_m * c * c
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64])
+def test_evaluators_match_pointwise_functions_bit_for_bit(n):
+    ys = [0.0, -0.0, 1e-300, 0.3, 1.7, 4.25, 11.0, 23.5]
+    for omega in (1.0, 0.35, 1e-3):
+        pair = hermite_pair_evaluator(n, omega)
+        for theta in (0.0, math.pi / 4, 0.9, math.pi / 2):
+            density = density_evaluator(SpinorState(n, omega), theta)
+            for y in (*ys, *(-y for y in ys)):
+                (f_n, f_m), rho = stepwise_density(n, omega, theta, y)
+                assert pair(y) == hermite_norm_pair(n, omega, y) == (f_n, f_m), (omega, y)
+                assert density(y) == rho == probability_density_at_phase(
+                    SpinorState(n, omega), y, theta), (omega, theta, y)
+                assert density(-y) == density(y) and pair(-y) == ((-1) ** n * f_n, (-1) ** n * -f_m)
 
 
 @pytest.mark.parametrize("n", range(9))
