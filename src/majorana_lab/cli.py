@@ -1,28 +1,19 @@
 """Command-line interface: every computation as a reproducible, file-emitting command.
 
-Output files are self-describing: CSV carries the full effective configuration
-in `#`-prefixed header comments, JSON mirrors the same rows one-to-one.  All
-floats are written with 17 significant digits, so a command re-run with the
-same configuration produces bit-identical files.
-
-Configuration precedence: command-line flags > key=value lines from the file
-named by $MAJORANA_LAB_CONFIG > built-in defaults.  SETTINGS holds each key's
-click type and default; the same type object casts the flag and the config
-value, so a bad value from either source is a usage error (exit 2).
-
-Only click and `common` load at import; each command imports its modules, and
-json, when it runs.  Only the grid commands (density, entropy-density,
-heatmap) import numpy, through _coords, so `table1`, `thermo` and `--help`
-never do, and `table1` never loads `thermo`.
+Output files are self-describing: CSV carries the full effective configuration in
+`#`-prefixed header comments, JSON mirrors the same rows one-to-one, and floats have
+17 significant digits, so re-runs are bit-identical.  Settings come from flags, then
+key=value lines of the file named by $MAJORANA_LAB_CONFIG, then defaults.  The parser
+is plain Python and only `common` loads at import; each command imports its modules,
+and json, when it runs, and only the grid commands import numpy.
 """
 
 import math
 import numbers
 import os
+import sys
 from collections import namedtuple
 from types import SimpleNamespace
-
-import click
 
 from .common import DEFAULT_THETA, MAX_LEVEL, MAX_PARTICLES, OutOfRange, PhysicalConstants, linspace
 
@@ -36,52 +27,57 @@ _EXIT_CODES = {"BoundViolation": EXIT_BBM_VIOLATION, "NonConvergence": EXIT_QUAD
                "TruncationBudget": EXIT_TRUNCATION_BUDGET}
 
 
-class FiniteFloat(click.FloatRange):
-    """click.FloatRange that also rejects inf and nan."""
-
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        if not math.isfinite(rv):
-            self.fail(f"{value!r} is not a finite number.", param, ctx)
-        return rv
-
-    def _describe_range(self):
-        return "finite" if self.min is None and self.max is None else super()._describe_range()
+class UsageError(Exception):
+    """A bad command line, flag value or configuration: exit 2 with this message."""
 
 
-class PowerCount(click.IntRange):
-    """click.IntRange whose max, a power of ten, shows in help as 1e+<power>."""
-
-    def _describe_range(self):
-        return f"{self.min}<=x<={self.max:.0e}"
-
-
-# A setting's click type casts both its --flag and its config value; help is the flag's.
-Setting = namedtuple("Setting", "type default help", defaults=("",))
-_POSITIVE = FiniteFloat(min=0.0, min_open=True)
-_COUNT = click.IntRange(min=1)
+# A setting's type (or a tuple of the allowed words) casts its --flag and its config value
+# alike; a number must be finite and within [low, high].  help is the flag's.
+Setting = namedtuple("Setting", "type default help low high", defaults=("", -math.inf, math.inf))
+_TINY = math.ulp(0.0)  # the least positive float: low=_TINY means x > 0
 
 SETTINGS = {
-    "c": Setting(_POSITIVE, 1.0),
-    "hbar": Setting(_POSITIVE, 1.0),
-    "k_B": Setting(_POSITIVE, 1.0),
-    "omega": Setting(_POSITIVE, 0.2, "Frequency omega."),
-    "k": Setting(_POSITIVE, None, "Potential slope; omega = k/(c hbar) unless --omega is given."),
-    "mass": Setting(FiniteFloat(min=0.0), 0.0, "Particle mass (records the y-origin shift)."),
-    "theta": Setting(FiniteFloat(), DEFAULT_THETA, "Evaluation phase."),
-    "tol": Setting(_POSITIVE, 1e-10, "Quadrature or series remainder tolerance."),
-    "format": Setting(click.Choice(("csv", "json")), "csv", "Output format."),
-    "out": Setting(click.STRING, "-", "Output path, or - for stdout."),
-    "n": Setting(click.IntRange(min=0, max=MAX_LEVEL), 0, "Quantum number."),
-    "space": Setting(click.Choice(("position", "momentum")), "position", "Coordinate space."),
-    "grid": Setting(_COUNT, 400, "Grid point count."),
-    "tmin": Setting(FiniteFloat(), 0.0, "Start time."),
-    "tmax": Setting(FiniteFloat(), 10.0, "End time."),
-    "tsteps": Setting(_COUNT, 25, "Number of time or temperature points."),
-    "particles": Setting(PowerCount(min=1, max=MAX_PARTICLES), 1, "Particle count N."),
+    **dict.fromkeys(("c", "hbar", "k_B"), Setting(float, 1.0, "", _TINY)),  # config file only
+    "omega": Setting(float, 0.2, "Frequency omega.", _TINY),
+    "k": Setting(float, None, "Potential slope; omega = k/(c hbar) unless --omega is set.", _TINY),
+    "mass": Setting(float, 0.0, "Particle mass (records the y-origin shift).", 0.0),
+    "theta": Setting(float, DEFAULT_THETA, "Evaluation phase."),
+    "tol": Setting(float, 1e-10, "Quadrature or series remainder tolerance.", _TINY),
+    "format": Setting(("csv", "json"), "csv", "Output format."),
+    "out": Setting(str, "-", "Output path, or - for stdout."),
+    "n": Setting(int, 0, "Quantum number.", 0, MAX_LEVEL),
+    "space": Setting(("position", "momentum"), "position", "Coordinate space."),
+    "grid": Setting(int, 400, "Grid point count.", 1),
+    "tmin": Setting(float, 0.0, "Start time."),
+    "tmax": Setting(float, 10.0, "End time."),
+    "tsteps": Setting(int, 25, "Number of time or temperature points.", 1),
+    "particles": Setting(int, 1, "Particle count N.", 1, MAX_PARTICLES),
 }
 _HEADER = ("c", "hbar", "k_B", "omega", "k", "mass", "theta", "tol", "format", "out")
 _READ_BY_ALL = ("c", "hbar", "k_B", "tol", "format", "out")
+_COMMANDS = {}  # name: (body, the settings it reads, its flags)
+
+
+def _kind(setting):
+    """What a value of setting must be, as help and errors show it: FLOAT 0<x<inf, [csv|json]."""
+    kind, _, _, low, high = setting
+    if not isinstance(kind, type) or kind is str:
+        return "TEXT" if kind is str else f"[{'|'.join(kind)}]"
+    low = "0<x" if low == _TINY else f"{low:g}<=x" if low > -math.inf else "-inf<x"
+    return f"{kind.__name__.upper()} {low}" + (f"<={high:g}" if high < math.inf else "<inf")
+
+
+def _cast(setting, text, hint):
+    """text, a flag's or a config value, as a value of setting; hint names where it came from."""
+    kind = setting.type
+    try:
+        value = kind(text) if isinstance(kind, type) else text if text in kind else None
+    except ValueError:
+        value = None
+    if value is None or kind in (int, float) and not (setting.low <= value <= setting.high
+                                                      and abs(value) < math.inf):
+        raise UsageError(f"Invalid value for {hint}: {text!r} does not match {_kind(setting)}.")
+    return value
 
 
 def _load_config():
@@ -92,33 +88,24 @@ def _load_config():
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"${CONFIG_ENV_VAR} names an unreadable file: {exc}") from None
+        raise UsageError(f"${CONFIG_ENV_VAR} names an unreadable file: {exc}") from None
     cfg = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            cfg[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in raw.partition("="))
+        if key.startswith("#") or not (key or eq):
+            continue
+        if not eq:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        if key not in SETTINGS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[key] = value
     return cfg
-
-
-def _from_config(setting, key, text, many):
-    """Cast a config value (a comma list if many) with the setting's type; errors name the key."""
-    parts = [part.strip() for part in text.split(",") if part.strip()] if many else [text]
-    try:
-        if not parts:
-            raise click.BadParameter("expected at least one value")
-        values = [setting.type(part) for part in parts]
-    except click.BadParameter as exc:
-        raise click.BadParameter(exc.message, param_hint=f"{key!r} in ${CONFIG_ENV_VAR}") from None
-    return values if many else values[0]
 
 
 def _resolve(settings, flags, cfg):
     """flag > config file > default for each key of settings; other keys keep their defaults.
 
+    flags maps a flag's name to the texts it was given; a scalar setting takes the last.
     An `x_list` key reads setting x as a list, from a repeated --x flag or a comma list,
     and its first value stands as x in the header.  The slope rule also lives here: k
     sets omega = k/(c hbar) only when it was given more directly than omega (--k beats
@@ -128,31 +115,30 @@ def _resolve(settings, flags, cfg):
     rank = {}
     for key, setting in settings.items():
         name = key.removesuffix("_list")
-        if flags.get(key) not in (None, ()):
-            s[key], rank[key] = flags[key], 2
+        many = key != name
+        if name in flags:
+            texts, hint, rank[key] = flags[name] if many else flags[name][-1:], f"'--{name}'", 2
         elif name in cfg:
-            s[key], rank[key] = _from_config(setting, name, cfg[name], key != name), 1
-        if key != name:
+            texts = [t.strip() for t in cfg[name].split(",") if t.strip()] if many else [cfg[name]]
+            hint, rank[key] = f"{name!r} in ${CONFIG_ENV_VAR}", 1
+        if key in rank:
+            if not texts:
+                raise UsageError(f"Invalid value for {hint}: expected at least one value")
+            values = [_cast(setting, text, hint) for text in texts]
+            s[key] = values if many else values[0]
+        if many:
             s[name] = s[key][0]
     if rank.get("k", 0) > rank.get("omega", 0):
         s["omega"] = s["k"] / (s["c"] * s["hbar"]) if s["c"] * s["hbar"] > 0.0 else math.inf
         if not 0.0 < s["omega"] < math.inf:
-            raise click.BadParameter("k/(c hbar) leaves the float range", param_hint="'--k'")
+            raise UsageError("Invalid value for '--k': k/(c hbar) leaves the float range")
     else:
         s["k"] = 0.0
     return SimpleNamespace(**s)
 
 
-def _option(key, setting):
-    many = key.endswith("_list")
-    shown = " ".join(map(str, setting.default)) if many else setting.default
-    extra = "" if shown is None else f" Default {shown}{', repeatable' * many}."
-    return click.option(f"--{key.removesuffix('_list')}", key, type=setting.type, multiple=many,
-                        default=None, help=setting.help + extra)
-
-
 def _command(name, flags, config_only=(), **overrides):
-    """A subcommand with --flags (plus --format, --out) that also reads config_only keys.
+    """Register a command with --flags (plus --format, --out) that also reads config_only keys.
 
     overrides replace a key's default, or its whole Setting; an `x_list` key must give
     its default list.  The body receives the resolved settings as attributes.
@@ -162,31 +148,25 @@ def _command(name, flags, config_only=(), **overrides):
         base = SETTINGS[key.removesuffix("_list")]
         settings[key] = value if isinstance(value, Setting) else base._replace(default=value)
 
-    def wrap(body):
-        def callback(**given):
-            s = _resolve(settings, given, _load_config())
-            try:
-                body(s)
-            except OutOfRange as exc:
-                raise click.BadParameter(str(exc), param_hint=_range_flags(exc, s)) from None
-            except RuntimeError as exc:
-                if type(exc).__name__ not in _EXIT_CODES:
-                    raise
-                click.echo(f"error: {exc}", err=True)
-                raise SystemExit(_EXIT_CODES[type(exc).__name__]) from None
+    def register(body):
+        _COMMANDS[name] = (body, settings, (*flags, "format", "out"))
+        return body
 
-        for key in reversed((*flags, "format", "out")):
-            callback = _option(key, settings[key])(callback)
-        return main.command(name, help=body.__doc__)(callback)
-
-    return wrap
+    return register
 
 
-def _range_flags(exc, s):
-    """The flags that set the parameter an OutOfRange names."""
-    if exc.param == "T":  # a thermo temperature: the end of the sweep it is
-        return ("--tmin",) if exc.value == s.tmin else ("--tmax",)
-    return {"t": ("--tmin", "--tmax"), "N": ("--particles",)}[exc.param]
+def _help(prog, names):
+    """--help text: the usage line, then each named command's docstring and flags."""
+    lines = [f"Usage: {prog} {'COMMAND ' * (len(names) > 1)}[OPTIONS]"]
+    for name in names:
+        body, settings, flags = _COMMANDS[name]
+        lines += ["", f"{name}: {body.__doc__}"]
+        for key in flags:
+            setting, many = settings[key], key.endswith("_list")
+            shown = " ".join(map(str, setting.default)) if many else setting.default
+            lines.append(f"  --{key.removesuffix('_list')} {_kind(setting)}  {setting.help}"
+                         + ("" if shown is None else f" Default {shown}{', repeatable' * many}."))
+    return "\n".join(lines) + "\n"
 
 
 def _csv(v):
@@ -213,13 +193,14 @@ def _emit(s, command, extras, columns, rows):
         # numpy floats are floats to json; numpy integers are the only other non-JSON values
         text = json.dumps(payload, indent=2, default=int) + "\n"
     if s.out == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(s.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--out'") from None
+        raise UsageError(f"Invalid value for '--out': {exc}") from None
 
 
 def _coords(omega, n, grid, space):
@@ -231,11 +212,6 @@ def _coords(omega, n, grid, space):
 
     radius = truncation_radius(space_frequency(omega, space), n + 1, tail_tol=1e-12)
     return radius, np.linspace(-radius, radius, grid)
-
-
-@click.group()
-def main():
-    """Quantum states, Shannon entropies, and thermodynamics of linear Majorana fermions."""
 
 
 @_command("table1", ("omega_list", "n_list", "theta", "tol"),
@@ -297,8 +273,8 @@ def cmd_heatmap(s):
 
 @_command("thermo", ("k_list", "tmin", "tmax", "tsteps", "particles", "tol"),
           k_list=(0.2, 0.4, 0.8), tsteps=50,
-          tmin=Setting(_POSITIVE, 0.1, "Lowest temperature."),
-          tmax=Setting(_POSITIVE, 10.0, "Highest temperature."))
+          tmin=Setting(float, 0.1, "Lowest temperature.", _TINY),
+          tmax=Setting(float, 10.0, "Highest temperature.", _TINY))
 def cmd_thermo(s):
     """Partition function (exact series and closed form) and F, U, S, C_V over (k, T)."""
     from .thermo import EM_VALIDITY_WARN, EnsembleParams, thermo_sweep
@@ -314,16 +290,72 @@ def cmd_thermo(s):
     ]
     worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=pc).em_parameter for r in reports)
     if worst > EM_VALIDITY_WARN:
-        click.echo(
+        sys.stderr.write(
             f"warning: c*hbar*k*beta^2 reaches {worst:.3g} > {EM_VALIDITY_WARN:g}; "
             "the closed-form (EM) columns are outside their validity window at low T "
-            f"(measured |Z_em - Z|/Z up to {max(em_rel_err):.3g})",
-            err=True,
-        )
+            f"(measured |Z_em - Z|/Z up to {max(em_rel_err):.3g})\n")
     _emit(s, "thermo", ("k_list", "tmin", "tmax", "tsteps", "particles"),
           ("k", "T", "beta", "Z_exact", "Z_em", "em_rel_err", "F_em", "U_em", "S_em", "C_V_em",
            "F_exact", "U_exact", "S_exact", "C_V_exact", "truncation_n", "tail_bound"), rows)
 
+
+def main(args=None, prog_name="majorana-lab", standalone_mode=True):
+    """Quantum states, Shannon entropies, and thermodynamics of linear Majorana fermions.
+
+    Runs the command args (default sys.argv[1:]) names; a usage error exits 2, or is raised
+    if not standalone_mode.  click.testing.CliRunner calls main.main, named main.name.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    name = args[0] if args and args[0] in _COMMANDS else None
+    prog = f"{prog_name} {name}" if name else prog_name
+    try:
+        if name:
+            _run(prog, name, args[1:])
+        elif args[:1] == ["--help"]:
+            sys.stdout.write(_help(prog, sorted(_COMMANDS)))
+        else:
+            raise UsageError(f"No such command {args[0]!r}." if args else "Missing command.")
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        sys.stderr.write(f"Usage: {prog} {'' if name else 'COMMAND '}[OPTIONS]\n"
+                         f"Try '{prog} --help' for help.\n\nError: {exc}\n")
+        raise SystemExit(2) from None
+    except BrokenPipeError:  # the reader left: let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None
+
+
+def _run(prog, name, args):
+    """Parse args as the flags of command name, resolve its settings and run it."""
+    body, settings, flags = _COMMANDS[name]
+    options, given, tokens = {f"--{key.removesuffix('_list')}" for key in flags}, {}, iter(args)
+    for token in tokens:
+        if token == "--help":
+            sys.stdout.write(_help(prog, [name]))
+            return
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            raise UsageError(f"No such option: {flag}" if token.startswith("-")
+                             else f"Got unexpected extra argument ({token})")
+        if not eq and (text := next(tokens, None)) is None:
+            raise UsageError(f"Option {flag!r} requires an argument.")
+        given.setdefault(flag[2:], []).append(text)
+    s = _resolve(settings, given, _load_config())
+    try:
+        body(s)
+    except OutOfRange as exc:  # T is a thermo temperature: the end of the sweep it is
+        hint = {"t": "'--tmin' / '--tmax'", "N": "'--particles'",
+                "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'"}[exc.param]
+        raise UsageError(f"Invalid value for {hint}: {exc}") from None
+    except RuntimeError as exc:
+        if type(exc).__name__ not in _EXIT_CODES:
+            raise
+        sys.stderr.write(f"error: {exc}\n")
+        raise SystemExit(_EXIT_CODES[type(exc).__name__]) from None
+
+
+main.main, main.name = main, "majorana-lab"
 
 if __name__ == "__main__":
     main()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,20 +173,35 @@ def modules_loaded_by(argv):
                                   ["table1", "--n", "64", "--theta", "0"]],
                          ids=["import", "help", "thermo", "table1", "table1-n64-theta0"])
 def test_thermo_path_loads_no_numpy(argv):
-    # import, --help, thermo and table1 need only click and pure-math paths; only the grid
-    # commands import numpy
+    # import, --help, thermo and table1 need only the standard library and pure-math paths;
+    # only the grid commands import numpy
     assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (None, {"json", "majorana_lab.thermo"}),
-    (["--help"], {"json", "majorana_lab.thermo"}),
-    (["table1"], {"json", "majorana_lab.thermo"}),
-    (["thermo", "--tsteps", "2"], {"json"}),
+    (None, {"json", "majorana_lab.thermo", "click"}),
+    (["--help"], {"json", "majorana_lab.thermo", "click"}),
+    (["table1"], {"json", "majorana_lab.thermo", "click"}),
+    (["thermo", "--tsteps", "2"], {"json", "click"}),
 ], ids=["import", "help", "table1", "thermo-csv"])
 def test_commands_load_only_what_they_use(argv, unused):
-    # cli imports thermo in the thermo command and json only for --format json
+    # cli imports thermo in the thermo command and json only for --format json; the command
+    # line is parsed by the standard library alone
     assert unused.isdisjoint(modules_loaded_by(argv))
+
+
+def test_runs_without_click(tmp_path):
+    # a click package that cannot be imported, first on the path: the CLI never needs it
+    (tmp_path / "click").mkdir()
+    (tmp_path / "click" / "__init__.py").write_text("raise ImportError('no click here')\n",
+                                                    encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), *sys.path])}
+    env.pop(CONFIG_ENV_VAR, None)
+    out = subprocess.run([sys.executable, "-m", "majorana_lab.cli", "table1"], env=env,
+                         capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr.decode()
+    golden = Path(__file__).parent / "golden" / "table1_defaults-csv.golden"
+    assert out.stdout == golden.read_bytes()
 
 
 # ---------------------------------------------------------------- density
@@ -696,8 +712,117 @@ def test_env_config_bad_line_errors(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["table1", "thermo"])
+def test_env_config_unknown_key_errors(runner, tmp_path, command):
+    # a typo is not silently dropped: the error names the key and its line
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("# shared\ngrid=5\nomgea=0.3\n", encoding="utf-8")
+    result = runner.invoke(main, [command], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2, combined_output(result)
+    assert f"{cfg}:3" in result.stderr and "'omgea'" in result.stderr
+    assert result.stdout == ""
+
+
+def test_env_config_key_another_command_reads_is_allowed(runner, tmp_path):
+    # settings a command does not read (here grid, space, particles) keep a shared file usable
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("grid=5\nspace=momentum\nparticles=3\nomega=0.3\n", encoding="utf-8")
+    result = run_ok(runner, ["table1", "--n", "0"], env={CONFIG_ENV_VAR: str(cfg)})
+    header, _, rows = parse_csv(result.stdout)
+    assert header["omega_list"] == "0.29999999999999999" and len(rows) == 1
+
+
 def test_stdout_emission(runner):
     result = run_ok(runner, ["density", "--n", "0", "--grid", "5"])
     assert result.output.startswith("# majorana-lab density")
     _, columns, rows = parse_csv(result.output)
     assert columns == ["y", "density"] and len(rows) == 5
+
+
+# ---------------------------------------------------------------- the command line itself
+
+_COMMAND_FLAGS = {"table1": "--omega", "density": "--space", "entropy-density": "--space",
+                  "heatmap": "--tsteps", "thermo": "--particles"}
+
+
+def test_no_arguments_is_usage_error(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert "Usage:" in result.stderr and result.stdout == ""
+
+
+def test_help_lists_every_command(runner):
+    result = run_ok(runner, ["--help"])
+    assert result.stdout.startswith("Usage:")
+    assert all(command in result.stdout for command in _COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("command", _COMMAND_FLAGS)
+def test_command_help_lists_its_flags(runner, command):
+    result = run_ok(runner, [command, "--help"])
+    assert result.stdout.startswith("Usage:")
+    assert all(flag in result.stdout for flag in (_COMMAND_FLAGS[command], "--format", "--out"))
+
+
+@pytest.mark.parametrize("args, token", [
+    (["nosuch"], "nosuch"),
+    (["--nosuch"], "--nosuch"),
+    (["table1", "--nosuch"], "--nosuch"),
+    (["table1", "extra"], "extra"),
+    (["thermo", "--tsteps", "2", "extra"], "extra"),
+    (["table1", "--n"], "--n"),
+    (["density", "--grid", "3", "--out"], "--out"),
+])
+def test_bad_command_line_is_usage_error(runner, args, token):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, combined_output(result)
+    assert token in result.stderr and result.stdout == ""
+
+
+def test_key_equals_value_form(runner):
+    spaced = run_ok(runner, ["heatmap", "--grid", "3", "--tsteps", "2", "--tmin", "-2"])
+    joined = run_ok(runner, ["heatmap", "--grid=3", "--tsteps=2", "--tmin=-2"])
+    assert joined.stdout == spaced.stdout
+    header, _, rows = parse_csv(joined.stdout)
+    assert header["tmin"] == "-2" and len(rows) == 6
+
+
+def test_repeated_scalar_flag_keeps_the_last(runner):
+    result = run_ok(runner, ["density", "--grid", "3", "--grid", "5", "--theta", "1",
+                             "--theta", "0.5"])
+    header, _, rows = parse_csv(result.stdout)
+    assert header["grid"] == "5" and header["theta"] == "0.5" and len(rows) == 5
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["heatmap", "--grid", "3", "--tsteps", "2"], "--tmin", "-1e308"),
+    (["density", "--grid", "3"], "--theta", _LOWEST),
+    (["heatmap", "--grid", "3", "--tsteps", "2"], "--tmax", "-5"),
+])
+def test_flag_takes_a_value_that_starts_with_a_dash(runner, args, flag, value):
+    result = run_ok(runner, [*args, flag, value])
+    header, _, _ = parse_csv(result.stdout)
+    assert float(header[flag[2:]]) == float(value)
+
+
+@pytest.mark.parametrize("reader", ["leaves after one line", "gone before the first write"])
+def test_closed_pipe_is_quiet(reader):
+    # as with `| head -1`: no traceback, and no "Exception ignored ... BrokenPipeError" at
+    # interpreter exit.  A reader that leaves after one line may still let the whole text into
+    # the pipe (exit 0) or cut the write (exit 1); a reader gone before the write always cuts it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop(CONFIG_ENV_VAR, None)
+    argv = [sys.executable, "-m", "majorana_lab.cli", "heatmap", "--grid", "2000", "--tsteps", "50"]
+    if reader == "leaves after one line":
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"# majorana-lab heatmap\n"
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(argv, env=env, stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        os.close(read_end)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in ((0, 1) if reader == "leaves after one line" else (1,))
+    assert stderr == b""
