@@ -2,7 +2,7 @@
 
 Library layout:
 
-  common      units, defaults, range errors and a float linspace, free of numpy
+  common      units, defaults, range errors, a float linspace and array mapping
   hermite     normalized Hermite-Gauss functions, phi_n and phi_{n-1} in one sweep
   quadrature  adaptive pure-Python integration with certified truncation radii
   spinor      two-component states, spectrum, momentum space, ladder maps
@@ -11,9 +11,8 @@ Library layout:
   cli         reproducible CSV/JSON emission for all of the above
 
 The package imports lazily (PEP 562): `majorana_lab.X` loads X's module on
-first use.  No module imports numpy until it is handed a coordinate that is
-not a float (an array, say), so a process that needs only thermo or entropies
-(the `thermo` and `table1` commands) never imports it.
+first use.  Every number is a float computation; only an array handed to the
+library imports numpy, to map it (common.elementwise), so no command loads it.
 """
 
 import importlib

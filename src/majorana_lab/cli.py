@@ -5,11 +5,11 @@ Output files are self-describing: CSV carries the full effective configuration i
 17 significant digits, so re-runs are bit-identical.  Settings come from flags, then
 key=value lines of the file named by $MAJORANA_LAB_CONFIG, then defaults.  The parser
 is plain Python and only `common` loads at import; each command imports its modules,
-and json, when it runs, and only the grid commands import numpy.
+and json, when it runs.  Every command evaluates one float at a time, so none imports
+numpy and the bytes do not depend on the CPU's vector units.
 """
 
 import math
-import numbers
 import os
 import sys
 from collections import namedtuple
@@ -169,29 +169,27 @@ def _help(prog, names):
     return "\n".join(lines) + "\n"
 
 
-def _csv(v):
-    """One CSV field, or a comma-joined list/row: floats with 17 significant digits."""
-    if isinstance(v, (list, tuple)):
-        return ",".join(map(_csv, v))
-    if isinstance(v, (str, numbers.Integral)):
-        return str(v)
-    return f"{float(v):.17g}"
+def _field(value):
+    """A header value: floats with 17 significant digits, a list's items comma-joined."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in items)
 
 
 def _emit(s, command, extras, columns, rows):
-    """Write rows under a header of the _HEADER settings followed by the extras keys."""
+    """Write rows under a header of the _HEADER settings and the extras keys; a CSV row is
+    one %-format of 17 significant digits per field (an integer prints as with %d)."""
     header = {key: getattr(s, key) for key in (*_HEADER, *extras)}
     if s.format == "csv":
-        lines = [f"# majorana-lab {command}", *(f"# {k}={_csv(v)}" for k, v in header.items()),
-                 ",".join(columns), *map(_csv, rows)]
+        row = ",".join(["%.17g"] * len(columns))
+        lines = [f"# majorana-lab {command}", *(f"# {k}={_field(v)}" for k, v in header.items()),
+                 ",".join(columns), *(row % values for values in rows)]
         text = "\n".join(lines) + "\n"
     else:
         import json
 
         payload = {"command": command, "config": header, "columns": list(columns),
                    "rows": [dict(zip(columns, row)) for row in rows]}
-        # numpy floats are floats to json; numpy integers are the only other non-JSON values
-        text = json.dumps(payload, indent=2, default=int) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     if s.out == "-":
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -203,15 +201,13 @@ def _emit(s, command, extras, columns, rows):
         raise UsageError(f"Invalid value for '--out': {exc}") from None
 
 
-def _coords(omega, n, grid, space):
+def _grid(omega, n, grid, space):
     """(radius, grid points) over the certified truncation radius of level n in space."""
-    import numpy as np
-
     from .quadrature import truncation_radius
     from .spinor import space_frequency
 
     radius = truncation_radius(space_frequency(omega, space), n + 1, tail_tol=1e-12)
-    return radius, np.linspace(-radius, radius, grid)
+    return radius, linspace(-radius, radius, grid)
 
 
 @_command("table1", ("omega_list", "n_list", "theta", "tol"),
@@ -229,12 +225,11 @@ def cmd_table1(s):
 @_command("density", ("n", "omega", "k", "mass", "theta", "space", "grid"))
 def cmd_density(s):
     """Probability density on a uniform grid over the certified truncation radius."""
-    from .spinor import SpinorState, probability_density_at_phase
+    from .spinor import SpinorState, density_evaluator
 
-    s.radius, coords = _coords(s.omega, s.n, s.grid, s.space)
-    values = probability_density_at_phase(SpinorState(n=s.n, omega=s.omega), coords, s.theta,
-                                          s.space)
-    rows = list(zip(coords.tolist(), values.tolist()))
+    density = density_evaluator(SpinorState(n=s.n, omega=s.omega), s.theta, s.space)
+    s.radius, coords = _grid(s.omega, s.n, s.grid, s.space)
+    rows = [(y, density(y)) for y in coords]
     _emit(s, "density", ("n", "space", "grid", "radius"),
           ("y" if s.space == "position" else "p", "density"), rows)
 
@@ -243,13 +238,13 @@ def cmd_density(s):
           n=1, omega_list=(0.2, 0.4, 0.8))
 def cmd_entropy_density(s):
     """Entropic density rho*ln(rho) on a grid, one block per omega value."""
-    from .entropy import entropic_density
+    from .quadrature import xlogx
+    from .spinor import SpinorState, density_evaluator
 
     rows = []
     for om in s.omega_list:
-        _, coords = _coords(om, s.n, s.grid, s.space)
-        values = entropic_density(s.n, om, s.theta, coords, s.space)
-        rows.extend(zip([om] * s.grid, coords.tolist(), values.tolist()))
+        density = density_evaluator(SpinorState(n=s.n, omega=om), s.theta, s.space)
+        rows.extend((om, y, xlogx(density(y))) for y in _grid(om, s.n, s.grid, s.space)[1])
     _emit(s, "entropy-density", ("n", "space", "grid", "omega_list"),
           ("omega", "y" if s.space == "position" else "p", "entropic_density"), rows)
 
@@ -258,21 +253,24 @@ def cmd_entropy_density(s):
           n=1)
 def cmd_heatmap(s):
     """Position density rho(y, t) over a space-time grid (planar evolution data)."""
-    from .spinor import SpinorState, phase, probability_density_at_phase
+    from .spinor import SpinorState, density_slices, phase
 
+    if not math.isfinite(s.tmax - s.tmin):
+        raise UsageError(f"Invalid value for '--tmin' / '--tmax': the time span tmax - tmin = "
+                         f"{s.tmax!r} - {s.tmin!r} leaves the float range")
     pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
     state = SpinorState(n=s.n, omega=s.omega)
-    s.radius, ys = _coords(s.omega, s.n, s.grid, "position")
-    y_list, rows = ys.tolist(), []
-    for t in linspace(s.tmin, s.tmax, s.tsteps):
-        values = probability_density_at_phase(state, ys, phase(state, t, pc), "position")
-        rows.extend(zip(y_list, [t] * s.grid, values.tolist()))
+    s.radius, ys = _grid(s.omega, s.n, s.grid, "position")
+    times, rows = linspace(s.tmin, s.tmax, s.tsteps), []
+    for t, values in zip(times, density_slices(state, ys, [phase(state, t, pc) for t in times])):
+        rows.extend(zip(ys, [t] * s.grid, values))
     _emit(s, "heatmap", ("n", "grid", "tmin", "tmax", "tsteps", "radius"),
           ("y", "t", "density"), rows)
 
 
 @_command("thermo", ("k_list", "tmin", "tmax", "tsteps", "particles", "tol"),
-          k_list=(0.2, 0.4, 0.8), tsteps=50,
+          k_list=Setting(float, (0.2, 0.4, 0.8), "Potential slope k; one sweep over T per value.",
+                         _TINY), tsteps=50,
           tmin=Setting(float, 0.1, "Lowest temperature.", _TINY),
           tmax=Setting(float, 10.0, "Highest temperature.", _TINY))
 def cmd_thermo(s):

@@ -1,7 +1,8 @@
-"""What every layer and the CLI share, in pure Python: units, defaults, range errors, grids.
+"""What every layer and the CLI share: units, defaults, range errors, grids, array mapping.
 
-Nothing here imports numpy, so `majorana-lab --help`, which needs only this module,
-starts without it, and so do `thermo` and `table1`, which add their own pure-math layers.
+Every number is computed by a float function.  `elementwise` maps one over an array, and
+it is the only code that imports numpy, only when it is handed something that is not a
+float; no command does that, so none of them loads numpy.
 """
 
 import math
@@ -60,3 +61,18 @@ def linspace(start, stop, num):
               else [i * step + start for i in range(num)])
     points[-1] = stop
     return points
+
+
+def elementwise(f, x, outputs=1):
+    """f(x) for a float x, else f of each element of x as a float in x's shape, so an element
+    gets the bits its float gets.  f returns a float or a tuple of `outputs` floats, which an
+    array x turns into a tuple of arrays."""
+    if isinstance(x, float):
+        return f(x)
+    import numpy as np
+
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return f(float(arr))
+    table = np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(*arr.shape, outputs)
+    return table[..., 0] if outputs == 1 else tuple(np.moveaxis(table, -1, 0))

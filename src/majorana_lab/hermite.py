@@ -8,15 +8,16 @@ A spinor needs phi_n and phi_{n-1} at the same points, and one sweep of the
 recurrence yields both.  Factorials are never materialized: 2^n n! overflows
 double precision long before n = 64, which this module must support.
 
-A float coordinate is evaluated in pure Python (math.exp, float arithmetic);
-any other coordinate, an array say, imports numpy.  Both run the same
-recurrence with the same coefficients, so a point gives the same bits either
-way wherever math.exp and numpy.exp agree.
+A coordinate is evaluated in pure Python (math.exp, float arithmetic); an
+array of coordinates maps that float evaluation over its elements
+(common.elementwise), so an element gives the same bits as the float it holds.
 """
 
 import functools
 import math
 import numbers
+
+from .common import elementwise
 
 
 def hermite_norm_pair(n, omega, y):
@@ -27,25 +28,21 @@ def hermite_norm_pair(n, omega, y):
     stays O(1) regardless of n (no overflow for n >~ 20, unlike the naive
     H_n / sqrt(2^n n!) route).  A scalar y gives floats, an array y arrays.
     """
-    return hermite_pair_evaluator(n, omega)(finite_coordinate(y))
+    return elementwise(hermite_pair_evaluator(n, omega), y, outputs=2)
 
 
 def hermite_pair_evaluator(n, omega):
-    """y -> hermite_norm_pair(n, omega, y), y unchecked: a float costs an exp and the recurrence."""
+    """y -> hermite_norm_pair(n, omega, y) for a float y: an exp and the recurrence per point."""
     n = _check_order(n)
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ValueError("omega must be positive and finite")
     root, norm, coefficients = math.sqrt(omega), (omega / math.pi) ** 0.25, _coefficients(n)
 
     def pair(y):
+        if not math.isfinite(y):
+            raise ValueError("y must be finite")
         u = root * y
-        if isinstance(u, float):
-            phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
-        else:
-            import numpy as np
-
-            phi = norm * np.exp(-0.5 * u * u)
-            phi_prev = np.zeros_like(phi)
+        phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
         for a, b in coefficients:
             phi, phi_prev = a * u * phi - b * phi_prev, phi
         return phi, phi_prev
@@ -64,8 +61,7 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).
     """
     phi, phi_prev = hermite_norm_pair(n, omega, y)
-    y = finite_coordinate(y)
-    slope = -omega * y * phi
+    slope = -omega * elementwise(float, y) * phi  # y as a float or a float array
     if n > 0:
         slope = slope + math.sqrt(2.0 * n * omega) * phi_prev
     return phi, slope
@@ -84,16 +80,3 @@ def _check_order(n):
         raise ValueError("order n must be >= 0")
     return int(n)
 
-
-def finite_coordinate(y):
-    """A float y as it is, any other scalar as a float, anything else as a finite float ndarray."""
-    if isinstance(y, float):
-        if not math.isfinite(y):
-            raise ValueError("y must be finite")
-        return y
-    import numpy as np
-
-    arr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite")
-    return float(arr) if arr.ndim == 0 else arr

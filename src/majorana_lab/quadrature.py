@@ -7,14 +7,13 @@ finite interval, in pure Python: the integrand is called with one float at a
 time, and every sum is a math.fsum, so a result does not depend on the order
 in which panels are visited.  The 0*ln(0) -> 0 convention lives here too, so
 entropy integrands never produce NaN at wavefunction nodes.
-
-Nothing here imports numpy at module level; xlogx imports it for input that
-is not a float.
 """
 
 import math
 import sys
 from dataclasses import dataclass
+
+from .common import elementwise
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -156,19 +155,11 @@ def truncation_radius(omega, n, tail_tol=1e-12):
 def xlogx(v):
     """v * ln(v) extended continuously with 0 at v = 0; rejects v < 0.
 
-    Accepts scalars or ndarrays; input that is not a float imports numpy.  Centralizing
-    the convention here keeps rho*ln(rho) integrands NaN-free at density zeros.
+    Mapped over an array v, element by element.  Centralizing the convention here keeps
+    rho*ln(rho) integrands NaN-free at density zeros.
     """
     if not isinstance(v, float):
-        import numpy as np
-
-        if np.ndim(v):
-            arr = np.asarray(v, dtype=float)
-            if np.any(arr < 0.0):
-                raise ValueError("xlogx requires v >= 0")
-            safe = np.where(arr > 0.0, arr, 1.0)
-            return np.where(arr > 0.0, arr * np.log(safe), 0.0)
-        v = float(v)
+        return elementwise(xlogx, v)
     if v < 0.0:
         raise ValueError("xlogx requires v >= 0")
     return v * math.log(v) if v > 0.0 else 0.0

@@ -21,9 +21,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants  # noqa: F401 (re-exported)
-from .hermite import (finite_coordinate, hermite_norm_fn_and_derivative, hermite_norm_pair,
-                      hermite_pair_evaluator)
+from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, elementwise  # noqa: F401
+from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
 
 _SPACES = ("position", "momentum")
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
@@ -133,22 +132,36 @@ def momentum_spinor(state, p, t, pc=NATURAL_UNITS):
 def probability_density_at_phase(state, coord, theta, space="position"):
     """|comp1|^2 + |comp2|^2 at a position (y) or momentum (p) coordinate.
 
-    Vectorized over `coord`.  Normalized to 1 for every theta: the components
+    Mapped over an array `coord`.  Normalized to 1 for every theta: the components
     carry sin^2/cos^2 weights on consecutive orthonormal basis functions.
     """
-    return density_evaluator(state, theta, space)(finite_coordinate(coord))
+    return elementwise(density_evaluator(state, theta, space), coord)
 
 
 def density_evaluator(state, theta, space="position"):
-    """coord -> probability_density_at_phase(state, coord, theta, space), coord unchecked."""
+    """coord -> probability_density_at_phase(state, coord, theta, space) for a float coord."""
     pair = hermite_pair_evaluator(state.n, space_frequency(state.omega, space))
-    # at n = 0, where phi_{-1} = 0, the weights 1 and 0 leave f_n * f_n exactly
-    s, c = (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
+    s, c = _weights(state, theta)
 
     def density(coord):
         f_n, f_m = pair(coord)
         return f_n * f_n * s * s + f_m * f_m * c * c  # not f*f*(s*s): that rounds otherwise
     return density
+
+
+def density_slices(state, ys, thetas):
+    """Per theta, the list of density_evaluator(state, theta)(y) over the positions ys, the
+    same bits, but each y's profiles are evaluated and squared once, not once per theta."""
+    pair = hermite_pair_evaluator(state.n, state.omega)
+    squares = [(f_n * f_n, f_m * f_m) for f_n, f_m in map(pair, ys)]
+    for theta in thetas:
+        s, c = _weights(state, theta)
+        yield [a * s * s + b * c * c for a, b in squares]
+
+
+def _weights(state, theta):
+    """(sin theta, cos theta); at n = 0, where phi_{-1} = 0, 1 and 0 leave f_n * f_n exactly."""
+    return (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
 
 
 def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
@@ -160,8 +173,7 @@ def _ladder_apply(state, y, pc, sign):
     chbar = pc.c * pc.hbar
     k = state.omega * chbar
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
-    y = finite_coordinate(y)
-    return sign * chbar * dphi + k * y * phi
+    return sign * chbar * dphi + k * elementwise(float, y) * phi  # y as a float or a float array
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from click.testing import CliRunner
 import majorana_lab.entropy as entropy_mod
 import majorana_lab.thermo as thermo_mod
 from csv_utils import parse_csv, rows_as_floats
+from test_cli_golden import CASES as GOLDEN_CASES, GOLDEN
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
     EXIT_BBM_VIOLATION,
@@ -170,11 +170,14 @@ def modules_loaded_by(argv):
 
 
 @pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"], ["table1"],
-                                  ["table1", "--n", "64", "--theta", "0"]],
-                         ids=["import", "help", "thermo", "table1", "table1-n64-theta0"])
+                                  ["table1", "--n", "64", "--theta", "0"],
+                                  ["density", "--grid", "5"], ["entropy-density", "--grid", "5"],
+                                  ["heatmap", "--grid", "3", "--tsteps", "2", "--format", "json"]],
+                         ids=["import", "help", "thermo", "table1", "table1-n64-theta0", "density",
+                              "entropy-density", "heatmap-json"])
 def test_thermo_path_loads_no_numpy(argv):
-    # import, --help, thermo and table1 need only the standard library and pure-math paths;
-    # only the grid commands import numpy
+    # every command evaluates one float at a time, in the standard library and pure math;
+    # only an array handed to the library imports numpy
     assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
 
 
@@ -190,18 +193,20 @@ def test_commands_load_only_what_they_use(argv, unused):
     assert unused.isdisjoint(modules_loaded_by(argv))
 
 
-def test_runs_without_click(tmp_path):
-    # a click package that cannot be imported, first on the path: the CLI never needs it
-    (tmp_path / "click").mkdir()
-    (tmp_path / "click" / "__init__.py").write_text("raise ImportError('no click here')\n",
+@pytest.mark.parametrize("package", ["click", "numpy"])
+def test_runs_without(package, tmp_path):
+    # a package that cannot be imported, first on the path: no command needs it
+    (tmp_path / package).mkdir()
+    (tmp_path / package / "__init__.py").write_text(f"raise ImportError('no {package} here')\n",
                                                     encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), *sys.path])}
     env.pop(CONFIG_ENV_VAR, None)
-    out = subprocess.run([sys.executable, "-m", "majorana_lab.cli", "table1"], env=env,
-                         capture_output=True, timeout=60)
-    assert out.returncode == 0, out.stderr.decode()
-    golden = Path(__file__).parent / "golden" / "table1_defaults-csv.golden"
-    assert out.stdout == golden.read_bytes()
+    for name in ("table1_defaults", "density", "entropy_density", "heatmap"):
+        argv, _ = GOLDEN_CASES[name]
+        out = subprocess.run([sys.executable, "-m", "majorana_lab.cli", *argv], env=env,
+                             capture_output=True, timeout=60)
+        assert out.returncode == 0, out.stderr.decode()
+        assert out.stdout == (GOLDEN / f"{name}-csv.golden").read_bytes(), name
 
 
 # ---------------------------------------------------------------- density
@@ -496,6 +501,7 @@ def test_heatmap_time_overflow_is_usage_error(runner, args):
     result = runner.invoke(main, ["heatmap", "--grid", "3", *args])
     assert result.exit_code == 2, combined_output(result)
     assert "Invalid value for '--tmin' / '--tmax'" in combined_output(result)
+    assert "nan" not in combined_output(result)  # a time the user never gave
 
 
 @pytest.mark.parametrize("args", [
@@ -762,6 +768,8 @@ def test_command_help_lists_its_flags(runner, command):
     result = run_ok(runner, [command, "--help"])
     assert result.stdout.startswith("Usage:")
     assert all(flag in result.stdout for flag in (_COMMAND_FLAGS[command], "--format", "--out"))
+    # --omega is named only by the commands that have it
+    assert ("--omega" in result.stdout) == (command != "thermo")
 
 
 @pytest.mark.parametrize("args, token", [

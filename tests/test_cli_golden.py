@@ -90,13 +90,16 @@ def run_case(name, fmt, workdir):
     return outputs[0].read_bytes() if outputs else result.stdout_bytes
 
 
-# sha256 of outputs too long for a golden file, recorded before the scalar Hermite and spinor
-# evaluators were split from the array path they share: 400k and 300k rows
+# sha256 of outputs too long for a golden file: 400k, 300k and 100k rows.  The float path
+# writes them on every CPU; they equal what the earlier numpy-based grid commands wrote with
+# numpy's AVX-512 kernels switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
 LARGE_OUTPUTS = {
     "heatmap": (["heatmap", "--grid", "2000", "--tsteps", "200"],
-                "ff03b6c177e4fce54103c466d4bbac3c610dba18bd47c84bce70615e86482971"),
+                "904105a6419b1118ec245bbe6e33ea35fa075b38476a010375570e8146a120df"),
     "entropy_density": (["entropy-density", "--grid", "100000"],
-                        "8f1fedfc1453d351d78bce2b677177fb4f11930c9d3355d5e0f81881839169e8"),
+                        "276c87f22fccaab72b65a229cc1b6d544f42400f382cec2e15527ec914237714"),
+    "heatmap_json": (["heatmap", "--grid", "2000", "--tsteps", "50", "--format", "json"],
+                     "25420d45290fa8d7a96dadb6702635760affc31866a82d7061d00b67418affbb"),
 }
 
 
@@ -179,3 +182,57 @@ def test_table1_golden_entropies_match_mpmath(name):
         want = mpmath_unit_entropy(int(row["n"]), float(config["theta"]))
         ulps = abs(mpmath.mpf(row["S_sum"] / 2) - want) / math.ulp(float(want))
         assert ulps <= 2, (row, float(ulps))
+
+
+GRID_GOLDENS = [path.stem for path in sorted(GOLDEN.glob("*.golden"))
+                if path.stem.startswith(("density", "entropy_density", "heatmap"))]
+EPS = 2.0**-52
+
+
+def mpmath_density(mpmath, n, omega, theta, y):
+    """rho = sin^2(theta) phi_n^2 + cos^2(theta) phi_{n-1}^2 (phi_0^2 at n = 0) by mpmath."""
+    u = mpmath.sqrt(omega) * y
+    phi = [(omega / mpmath.pi) ** mpmath.mpf(0.25) / mpmath.sqrt(2**k * mpmath.factorial(k))
+           * mpmath.exp(-u * u / 2) * mpmath.hermite(k, u) for k in (n, max(n - 1, 0))]
+    if n == 0:
+        return phi[0] ** 2
+    return mpmath.sin(theta) ** 2 * phi[0] ** 2 + mpmath.cos(theta) ** 2 * phi[1] ** 2
+
+
+def density_rel_bound(n, u2):
+    """Relative error bound, in eps, of the float path's rho(y) at u2 = omega y^2.
+
+    u = sqrt(omega) y carries a relative error <= 1.25 eps (the root, of 1/omega in momentum
+    space, and the product), so -u*u/2 carries an absolute error <= 1.5 u^2 eps.  exp passes an
+    absolute error of its argument on as the same relative error, and squaring phi doubles it:
+    3 u^2 eps is the conditioning of exp(-u^2/2).  The rest is a fixed count of roundings, each
+    well conditioned: norm and exp 3 eps, each recurrence step 3.5 eps, then squaring, the sin^2
+    and cos^2 weights and their sum 4 eps.  (A recurrence step is well conditioned except near a
+    zero of phi_n; in the goldens, levels n <= 2, phi_{n-1} carries rho there with weight >= 0.2.)
+    """
+    return 3.0 * u2 + 2.0 * (3.0 + 3.5 * n) + 4.0
+
+
+@pytest.mark.parametrize("name", GRID_GOLDENS)
+def test_grid_golden_densities_match_mpmath(name):
+    # every rho and rho ln rho of the grid goldens against 40 digits, from the file's own inputs
+    mpmath = pytest.importorskip("mpmath")
+    config, rows = golden_rows(name)
+    n, momentum = int(config["n"]), config.get("space") == "momentum"
+    for row in rows:
+        omega = float(row.get("omega", config["omega"]))
+        theta = (math.sqrt(2.0 * omega * n) * float(config["c"]) * row["t"] if "t" in row
+                 else float(config["theta"]))  # heatmap's phase, as spinor.phase forms it
+        coord = row["p"] if momentum else row["y"]
+        with mpmath.workdps(40):
+            frequency = 1 / mpmath.mpf(omega) if momentum else mpmath.mpf(omega)
+            rho = mpmath_density(mpmath, n, frequency, mpmath.mpf(theta), coord)
+            bound = density_rel_bound(n, float(frequency * coord**2))
+            if "entropic_density" in row:
+                # x ln x: rho's relative error times |1 + 1/ln rho|, plus log's and product's
+                got, want = row["entropic_density"], rho * mpmath.log(rho) if rho else 0
+                bound = bound * abs(1 + 1 / mpmath.log(rho)) + 1.5 if rho else 0
+            else:
+                got, want = row["density"], rho
+            err = abs(got - want)
+            assert err <= bound * EPS * abs(want), (row, float(err / want) if want else err)

@@ -194,18 +194,16 @@ def test_pair_at_ground_state_has_zero_partner():
 
 @pytest.mark.parametrize("omega", [0.3, 1.0, 7.0])
 def test_float_and_array_paths_share_the_recurrence(omega):
-    # a float runs math.exp, an array np.exp; where the two starts agree, the sweeps must too
+    # an array maps the float evaluation, so every element has the bits of its float
     ys = np.linspace(-12.0, 12.0, 97) / math.sqrt(omega)
     for n in (0, 1, 2, 17, 64):
         f_n, f_m = hermite_norm_pair(n, omega, ys)
+        phi, slope = hermite_norm_fn_and_derivative(n, omega, ys.tolist())  # a list maps alike
         for i, y in enumerate(ys.tolist()):
             pair = hermite_norm_pair(n, omega, y)
             assert all(type(v) is float for v in pair)
-            u = math.sqrt(omega) * y
-            if math.exp(-0.5 * u * u) == np.exp(-0.5 * u * u):
-                assert pair == (f_n[i], f_m[i])
-            else:
-                assert pair == pytest.approx((f_n[i], f_m[i]), rel=1e-14, abs=1e-300)
+            assert pair == (f_n[i], f_m[i])
+            assert hermite_norm_fn_and_derivative(n, omega, y) == (phi[i], slope[i])
 
 
 def test_numpy_scalars_are_accepted():

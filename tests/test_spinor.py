@@ -14,6 +14,7 @@ from majorana_lab.spinor import (
     annihilation_apply,
     creation_apply,
     density_evaluator,
+    density_slices,
     energy,
     ladder_down,
     ladder_up,
@@ -254,11 +255,15 @@ def stepwise_density(n, omega, theta, y):
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64])
 def test_evaluators_match_pointwise_functions_bit_for_bit(n):
     ys = [0.0, -0.0, 1e-300, 0.3, 1.7, 4.25, 11.0, 23.5]
+    ys += [-y for y in ys]
+    thetas = (0.0, math.pi / 4, 0.9, math.pi / 2)
     for omega in (1.0, 0.35, 1e-3):
         pair = hermite_pair_evaluator(n, omega)
-        for theta in (0.0, math.pi / 4, 0.9, math.pi / 2):
+        slices = density_slices(SpinorState(n, omega), ys, thetas)
+        for theta, values in zip(thetas, slices, strict=True):
             density = density_evaluator(SpinorState(n, omega), theta)
-            for y in (*ys, *(-y for y in ys)):
+            assert values == [density(y) for y in ys], (omega, theta)
+            for y in ys:
                 (f_n, f_m), rho = stepwise_density(n, omega, theta, y)
                 assert pair(y) == hermite_norm_pair(n, omega, y) == (f_n, f_m), (omega, y)
                 assert density(y) == rho == probability_density_at_phase(
