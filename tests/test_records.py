@@ -1,0 +1,129 @@
+"""The contract of the eight value records: construction, defaults, validation, immutability
+and repr.  It holds for any record implementation, so it pins what callers may rely on."""
+
+import math
+
+import pytest
+
+from majorana_lab.common import NATURAL_UNITS, PhysicalConstants
+from majorana_lab.entropy import EntropyReport
+from majorana_lab.quadrature import IntegrationSpec
+from majorana_lab.spinor import PotentialParams, SpinorState, SpinorValue
+from majorana_lab.thermo import EnsembleParams, ThermoReport
+
+NAN, INF = math.nan, math.inf
+THERMO_FIELDS = ("beta", "k", "N", "T", "Z_exact", "Z_em", "F", "U", "S", "C_V", "F_exact",
+                 "U_exact", "S_exact", "C_V_exact", "truncation_n", "tail_bound")
+ENTROPY_FIELDS = ("n", "omega", "theta", "S_y", "S_p", "sum", "bbm_bound", "quad_err")
+
+# record, its field names in order, and a full set of valid values for them
+RECORDS = [
+    (PhysicalConstants, ("c", "hbar", "k_B"), (2.0, 0.5, 3.0)),
+    (IntegrationSpec, ("truncation_radius", "target_abs_tol", "max_subdivisions"), (7.5, 1e-8, 64)),
+    (PotentialParams, ("k", "m"), (0.3, 0.25)),
+    (SpinorState, ("n", "omega", "Omega"), (3, 0.4, 0.1)),
+    (SpinorValue, ("comp1", "comp2"), (0.5 + 0.25j, -0.125j)),
+    (EnsembleParams, ("beta", "k", "N", "pc"), (2.0, 0.4, 3, PhysicalConstants(c=2.0))),
+    (EntropyReport, ENTROPY_FIELDS, (2, 0.4, 0.7, 1.25, 1.5, 2.75, 2.14, 1e-11)),
+    (ThermoReport, THERMO_FIELDS, tuple(float(i) + 0.5 for i in range(14)) + (200, 1e-12)),
+]
+IDS = [record.__name__ for record, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, names, values", RECORDS, ids=IDS)
+def test_keyword_and_positional_construction_agree(record, names, values):
+    by_keyword, by_position = record(**dict(zip(names, values))), record(*values)
+    assert by_keyword == by_position
+    assert hash(by_keyword) == hash(by_position)
+    assert [getattr(by_keyword, name) for name in names] == list(values)
+    assert by_keyword != record(*values[:-1], values[0])
+
+
+@pytest.mark.parametrize("record, names, values", RECORDS, ids=IDS)
+def test_repr_names_every_field_in_order(record, names, values):
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record(*values)) == f"{record.__name__}({fields})"
+
+
+@pytest.mark.parametrize("record, names, values", RECORDS, ids=IDS)
+def test_records_are_immutable(record, names, values):
+    rec = record(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+    with pytest.raises(AttributeError):
+        rec.extra = 1.0
+    assert [getattr(rec, name) for name in names] == list(values)
+
+
+def test_defaults():
+    assert PhysicalConstants() == NATURAL_UNITS == PhysicalConstants(1.0, 1.0, 1.0)
+    assert repr(NATURAL_UNITS) == "PhysicalConstants(c=1.0, hbar=1.0, k_B=1.0)"
+    assert IntegrationSpec(3.0) == IntegrationSpec(3.0, 1e-10, 2**20)
+    assert PotentialParams(0.2).m == 0.0
+    assert SpinorState(1, 0.2).Omega == 0.0
+    ep = EnsembleParams(1.5, 0.2)
+    assert (ep.N, ep.pc) == (1, NATURAL_UNITS)
+    assert ep.pc is NATURAL_UNITS
+    assert repr(ep) == ("EnsembleParams(beta=1.5, k=0.2, N=1, "
+                        "pc=PhysicalConstants(c=1.0, hbar=1.0, k_B=1.0))")
+
+
+@pytest.mark.parametrize("build", [
+    PotentialParams, SpinorValue, EntropyReport, ThermoReport,
+    lambda: SpinorState(1), lambda: EnsembleParams(1.0), IntegrationSpec,
+    lambda: PhysicalConstants(1.0, 1.0, 1.0, 1.0),
+    lambda: SpinorState(1, 0.2, mass=0.0),
+], ids=["PotentialParams", "SpinorValue", "EntropyReport", "ThermoReport", "SpinorState",
+        "EnsembleParams", "IntegrationSpec", "PhysicalConstants-extra", "SpinorState-unknown"])
+def test_missing_or_unknown_arguments_are_type_errors(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PhysicalConstants(c=0.0), lambda: PhysicalConstants(hbar=0),
+    lambda: PhysicalConstants(k_B=-1.0),
+    lambda: PhysicalConstants(c=NAN), lambda: PhysicalConstants(1.0, 1.0, NAN),
+    lambda: IntegrationSpec(truncation_radius=INF), lambda: IntegrationSpec(0.0),
+    lambda: IntegrationSpec(NAN), lambda: IntegrationSpec(-1.0),
+    lambda: IntegrationSpec(1.0, target_abs_tol=0.0), lambda: IntegrationSpec(1.0, NAN),
+    lambda: IntegrationSpec(1.0, 1e-10, 0), lambda: IntegrationSpec(1.0, max_subdivisions=-3),
+    lambda: PotentialParams(k=0), lambda: PotentialParams(-0.5), lambda: PotentialParams(NAN),
+    lambda: PotentialParams(0.2, m=-0.1),
+    lambda: SpinorState(n=-1, omega=0.2), lambda: SpinorState(1.0, 0.2), lambda: SpinorState("1", 0.2),
+    lambda: SpinorState(1, 0.0), lambda: SpinorState(1, -0.2), lambda: SpinorState(1, INF),
+    lambda: SpinorState(1, NAN),
+    lambda: EnsembleParams(beta=0, k=0.2), lambda: EnsembleParams(-1.0, 0.2),
+    lambda: EnsembleParams(INF, 0.2), lambda: EnsembleParams(NAN, 0.2),
+    lambda: EnsembleParams(1.0, 0.0), lambda: EnsembleParams(1.0, NAN),
+    lambda: EnsembleParams(1.0, 0.2, N=0), lambda: EnsembleParams(1.0, 0.2, -2),
+])
+def test_every_validation_raises_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_validation_messages():
+    for name in ("c", "hbar", "k_B"):
+        with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+            PhysicalConstants(**{name: 0.0})
+    with pytest.raises(ValueError, match="truncation_radius must be positive and finite"):
+        IntegrationSpec(INF)
+    with pytest.raises(ValueError, match="slope k must be > 0"):
+        PotentialParams(0.0)
+    with pytest.raises(ValueError, match="quantum number n must be an integer >= 0"):
+        SpinorState(-1, 0.2)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        EnsembleParams(0.0, 0.2)
+
+
+def test_methods_and_properties_survive():
+    pc = PhysicalConstants(c=2.0, hbar=0.5, k_B=4.0)
+    assert PotentialParams(0.3).omega(pc) == 0.3
+    state = SpinorState.from_potential(2, PotentialParams(0.4), PhysicalConstants(c=2.0), Omega=0.5)
+    assert state == SpinorState(2, 0.2, 0.5) and type(state) is SpinorState
+    ep = EnsembleParams(0.5, 0.3, 2, pc)
+    assert ep.coupling == 0.3
+    assert ep.em_parameter == 0.3 * 0.5**2
+    assert ep.temperature == 0.5
