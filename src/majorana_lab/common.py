@@ -6,7 +6,7 @@ float; no command does that, so none of them loads numpy.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_THETA = math.pi / 4.0  # the constant-weight phase: sin^2 = cos^2 = 1/2
 # The highest level the tests certify, by normalization and against mpmath entropies.
@@ -16,18 +16,16 @@ MAX_LEVEL = 64
 MAX_PARTICLES = 10**150
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
     """Unit conventions; defaults are natural units c = hbar = k_B = 1."""
 
-    c: float = 1.0
-    hbar: float = 1.0
-    k_B: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("c", "hbar", "k_B"):
-            if not (getattr(self, name) > 0.0):
+    def __new__(cls, c=1.0, hbar=1.0, k_B=1.0):
+        for name, value in zip(cls._fields, (c, hbar, k_B)):
+            if not (value > 0.0):
                 raise ValueError(f"{name} must be strictly positive")
+        return super().__new__(cls, c, hbar, k_B)
 
 
 NATURAL_UNITS = PhysicalConstants()

@@ -14,7 +14,7 @@ and one quadrature of S_1 per (n, theta) serves every omega and both spaces.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .common import DEFAULT_THETA
 from .quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
@@ -31,16 +31,7 @@ class BoundViolation(RuntimeError):
     """Entropy sum fell below the uncertainty bound: internal-consistency failure."""
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    n: int
-    omega: float
-    theta: float
-    S_y: float
-    S_p: float
-    sum: float
-    bbm_bound: float
-    quad_err: float
+EntropyReport = namedtuple("EntropyReport", "n omega theta S_y S_p sum bbm_bound quad_err")
 
 
 def shannon_position(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):

@@ -11,7 +11,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .common import elementwise
 
@@ -47,21 +47,20 @@ class NonConvergence(RuntimeError):
         self.err_estimate = err_estimate
 
 
-@dataclass(frozen=True)
-class IntegrationSpec:
+class IntegrationSpec(namedtuple("IntegrationSpec",
+                                  "truncation_radius target_abs_tol max_subdivisions")):
     """Settings for one integral: domain half-width, tolerance, budget."""
 
-    truncation_radius: float
-    target_abs_tol: float = 1e-10
-    max_subdivisions: int = 2**20
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.truncation_radius > 0.0 and math.isfinite(self.truncation_radius)):
+    def __new__(cls, truncation_radius, target_abs_tol=1e-10, max_subdivisions=2**20):
+        if not (truncation_radius > 0.0 and math.isfinite(truncation_radius)):
             raise ValueError("truncation_radius must be positive and finite")
-        if not (self.target_abs_tol > 0.0):
+        if not (target_abs_tol > 0.0):
             raise ValueError("target_abs_tol must be positive")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        return super().__new__(cls, truncation_radius, target_abs_tol, max_subdivisions)
 
 
 def integrate(f, spec):

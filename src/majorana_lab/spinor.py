@@ -19,7 +19,7 @@ phase, not by t.
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, elementwise  # noqa: F401
 from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
@@ -28,48 +28,41 @@ _SPACES = ("position", "momentum")
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+class PotentialParams(namedtuple("PotentialParams", "k m")):
     """Linear potential V = k x with slope k > 0 and particle mass m >= 0."""
 
-    k: float
-    m: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.k > 0.0):
+    def __new__(cls, k, m=0.0):
+        if not (k > 0.0):
             raise ValueError("slope k must be > 0 (normalizability)")
-        if self.m < 0.0:
+        if m < 0.0:
             raise ValueError("mass m must be >= 0")
+        return super().__new__(cls, k, m)
 
     def omega(self, pc=NATURAL_UNITS):
         return self.k / (pc.c * pc.hbar)
 
 
-@dataclass(frozen=True)
-class SpinorState:
+class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     """Level n with effective frequency omega and initial phase offset Omega."""
 
-    n: int
-    omega: float
-    Omega: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 0:
+    def __new__(cls, n, omega, Omega=0.0):
+        if not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError("quantum number n must be an integer >= 0")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+        if not (omega > 0.0 and math.isfinite(omega)):
             raise ValueError("omega must be positive and finite")
+        return super().__new__(cls, n, omega, Omega)
 
     @classmethod
     def from_potential(cls, n, pp, pc=NATURAL_UNITS, Omega=0.0):
         return cls(n=n, omega=pp.omega(pc), Omega=Omega)
 
 
-@dataclass(frozen=True)
-class SpinorValue:
-    """One evaluation of the spinor: upper component comp1, lower comp2."""
-
-    comp1: complex
-    comp2: complex
+# One evaluation of the spinor: upper component comp1, lower comp2.
+SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
@@ -102,7 +95,7 @@ def position_spinor_at_phase(state, y, theta):
     """Spinor components at coordinate y for a given phase theta (both real)."""
     f_n, f_m = hermite_norm_pair(state.n, state.omega, y)
     if state.n == 0:
-        return SpinorValue(f_n, 0.0)
+        return SpinorValue(f_n, 0.0 * f_n)  # f_n >= 0: 0.0 for a float y, zeros for an array
     return SpinorValue(f_n * math.sin(theta), f_m * math.cos(theta))
 
 
@@ -118,8 +111,8 @@ def momentum_spinor_at_phase(state, p, theta):
     levels exactly.
     """
     f_n, f_m = hermite_norm_pair(state.n, space_frequency(state.omega, "momentum"), p)
-    if state.n == 0:
-        return SpinorValue(complex(f_n), 0.0 + 0.0j)
+    if state.n == 0:  # f_n >= 0: complex(f_n) and 0j for a float p, arrays for an array
+        return SpinorValue(_I_POW[0] * f_n, 0j * f_n)
     comp1 = _I_POW[state.n % 4] * f_n * math.sin(theta)
     comp2 = _I_POW[(state.n - 1) % 4] * f_m * math.cos(theta)
     return SpinorValue(comp1, comp2)

@@ -11,11 +11,10 @@ both routes.
 
 import functools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from operator import mul
 
-from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace
+from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace  # noqa: F401
 
 DEFAULT_TOL = 1e-10
 MAX_TERMS = 10**8
@@ -37,22 +36,19 @@ class TruncationBudget(RuntimeError):
         self.tail_bound = tail_bound
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
     """Inverse temperature beta = 1/(k_B T), slope k, particle count N."""
 
-    beta: float
-    k: float
-    N: int = 1
-    pc: PhysicalConstants = NATURAL_UNITS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+    def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
+        if not (beta > 0.0 and math.isfinite(beta)):
             raise ValueError("beta must be positive and finite")
-        if not (self.k > 0.0):
+        if not (k > 0.0):
             raise ValueError("k must be > 0")
-        if self.N < 1:
+        if N < 1:
             raise ValueError("N must be >= 1")
+        return super().__new__(cls, beta, k, N, pc)
 
     @property
     def coupling(self):
@@ -75,26 +71,9 @@ class EnsembleParams:
         return 1.0 / (self.pc.k_B * self.beta)
 
 
-@dataclass(frozen=True)
-class ThermoReport:
-    """One (beta, k, N) evaluation: both partition routes and all four functions."""
-
-    beta: float
-    k: float
-    N: int
-    T: float
-    Z_exact: float
-    Z_em: float
-    F: float
-    U: float
-    S: float
-    C_V: float
-    F_exact: float
-    U_exact: float
-    S_exact: float
-    C_V_exact: float
-    truncation_n: int
-    tail_bound: float
+# One (beta, k, N) evaluation: both partition routes and all four functions.
+ThermoReport = namedtuple("ThermoReport", "beta k N T Z_exact Z_em F U S C_V "
+                                          "F_exact U_exact S_exact C_V_exact truncation_n tail_bound")
 
 
 def _tail_terms(p):
@@ -241,7 +220,7 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
                                      "where the sums stay finite")
         grid.append(points)
     rows = [report(points[j], tol) for j in range(len(k_values)) for points in grid]
-    if not all(math.isfinite(v) for r in rows for v in vars(r).values()):
+    if not all(math.isfinite(v) for r in rows for v in r):
         raise OutOfRange("N", N, f"k_B={pc.k_B:g} with N={N} takes a field of the sweep "
                                  "out of the float range")
     return rows

@@ -181,15 +181,21 @@ def test_thermo_path_loads_no_numpy(argv):
     assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
 
 
+UNUSED_BY_CSV = {"json", "click", "dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv, unused", [
-    (None, {"json", "majorana_lab.thermo", "click"}),
-    (["--help"], {"json", "majorana_lab.thermo", "click"}),
-    (["table1"], {"json", "majorana_lab.thermo", "click"}),
-    (["thermo", "--tsteps", "2"], {"json", "click"}),
-], ids=["import", "help", "table1", "thermo-csv"])
+    (None, UNUSED_BY_CSV | {"majorana_lab.thermo"}),
+    (["--help"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
+    (["table1"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
+    (["thermo", "--tsteps", "2"], UNUSED_BY_CSV),
+    (["density", "--grid", "5"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
+    (["entropy-density", "--grid", "5"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
+], ids=["import", "help", "table1", "thermo-csv", "density", "entropy-density"])
 def test_commands_load_only_what_they_use(argv, unused):
     # cli imports thermo in the thermo command and json only for --format json; the command
-    # line is parsed by the standard library alone
+    # line is parsed by the standard library alone, and the records are namedtuples, so no
+    # command pulls in dataclasses and the inspect/ast/dis chain it imports
     assert unused.isdisjoint(modules_loaded_by(argv))
 
 

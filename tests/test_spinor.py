@@ -216,6 +216,22 @@ def test_momentum_spinor_time_path():
     assert v_t == v_phase
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("spinor_at_phase, kind", [(position_spinor_at_phase, "f"),
+                                                   (momentum_spinor_at_phase, "c")],
+                         ids=["position", "momentum"])
+def test_array_coordinates_give_the_float_values(spinor_at_phase, kind, n):
+    # both components follow the coordinate's shape, the ground state's zero comp2 included
+    state, theta = SpinorState(n, 0.5), 0.3
+    for coords in (np.linspace(-1, 1, 3), np.array([[0.0, 0.25], [-2.5, 4.0]])):
+        v = spinor_at_phase(state, coords, theta)
+        for comp in (v.comp1, v.comp2):
+            assert comp.shape == coords.shape and comp.dtype.kind == kind
+        for index, coord in np.ndenumerate(coords):
+            point = spinor_at_phase(state, float(coord), theta)
+            assert (v.comp1[index], v.comp2[index]) == (point.comp1, point.comp2), (index, coord)
+
+
 # ---------------------------------------------------------------- densities
 
 
