@@ -15,7 +15,8 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .common import DEFAULT_THETA, MAX_LEVEL, MAX_PARTICLES, OutOfRange, PhysicalConstants, linspace
+from .common import (DEFAULT_THETA, DEFAULT_TOL, MAX_LEVEL, MAX_PARTICLES, SPACES, OutOfRange,
+                     PhysicalConstants, linspace)
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
@@ -42,11 +43,11 @@ SETTINGS = {
     "k": Setting(float, None, "Potential slope; omega = k/(c hbar) unless --omega is set.", _TINY),
     "mass": Setting(float, 0.0, "Particle mass (records the y-origin shift).", 0.0),
     "theta": Setting(float, DEFAULT_THETA, "Evaluation phase."),
-    "tol": Setting(float, 1e-10, "Quadrature or series remainder tolerance.", _TINY),
+    "tol": Setting(float, DEFAULT_TOL, "Quadrature or series remainder tolerance.", _TINY),
     "format": Setting(("csv", "json"), "csv", "Output format."),
     "out": Setting(str, "-", "Output path, or - for stdout."),
     "n": Setting(int, 0, "Quantum number.", 0, MAX_LEVEL),
-    "space": Setting(("position", "momentum"), "position", "Coordinate space."),
+    "space": Setting(SPACES, "position", "Coordinate space."),
     "grid": Setting(int, 400, "Grid point count.", 1),
     "tmin": Setting(float, 0.0, "Start time."),
     "tmax": Setting(float, 10.0, "End time."),
@@ -141,7 +142,8 @@ def _command(name, flags, config_only=(), **overrides):
     """Register a command with --flags (plus --format, --out) that also reads config_only keys.
 
     overrides replace a key's default, or its whole Setting; an `x_list` key must give
-    its default list.  The body receives the resolved settings as attributes.
+    its default list.  The body receives the resolved settings as attributes and returns
+    what _emit writes: the header keys it adds, the column names and the rows.
     """
     settings = {key: SETTINGS.get(key) for key in (*flags, *config_only, *_READ_BY_ALL)}
     for key, value in overrides.items():
@@ -218,8 +220,7 @@ def cmd_table1(s):
 
     reports = [(n, om, bbm_report(n, om, s.theta, s.tol)) for n in s.n_list for om in s.omega_list]
     rows = [(n, om, r.S_y, r.S_p, r.sum, r.bbm_bound) for n, om, r in reports]
-    _emit(s, "table1", ("n_list", "omega_list"),
-          ("n", "omega", "S_y", "S_p", "S_sum", "bbm_bound"), rows)
+    return ("n_list", "omega_list"), ("n", "omega", "S_y", "S_p", "S_sum", "bbm_bound"), rows
 
 
 @_command("density", ("n", "omega", "k", "mass", "theta", "space", "grid"))
@@ -229,9 +230,8 @@ def cmd_density(s):
 
     density = density_evaluator(SpinorState(n=s.n, omega=s.omega), s.theta, s.space)
     s.radius, coords = _grid(s.omega, s.n, s.grid, s.space)
-    rows = [(y, density(y)) for y in coords]
-    _emit(s, "density", ("n", "space", "grid", "radius"),
-          ("y" if s.space == "position" else "p", "density"), rows)
+    return (("n", "space", "grid", "radius"), ("y" if s.space == "position" else "p", "density"),
+            [(y, density(y)) for y in coords])
 
 
 @_command("entropy-density", ("n", "omega_list", "theta", "space", "grid"),
@@ -245,8 +245,8 @@ def cmd_entropy_density(s):
     for om in s.omega_list:
         density = density_evaluator(SpinorState(n=s.n, omega=om), s.theta, s.space)
         rows.extend((om, y, xlogx(density(y))) for y in _grid(om, s.n, s.grid, s.space)[1])
-    _emit(s, "entropy-density", ("n", "space", "grid", "omega_list"),
-          ("omega", "y" if s.space == "position" else "p", "entropic_density"), rows)
+    return (("n", "space", "grid", "omega_list"),
+            ("omega", "y" if s.space == "position" else "p", "entropic_density"), rows)
 
 
 @_command("heatmap", ("n", "omega", "k", "mass", "grid", "tmin", "tmax", "tsteps"), ("theta",),
@@ -256,16 +256,15 @@ def cmd_heatmap(s):
     from .spinor import SpinorState, density_slices, phase
 
     if not math.isfinite(s.tmax - s.tmin):
-        raise UsageError(f"Invalid value for '--tmin' / '--tmax': the time span tmax - tmin = "
-                         f"{s.tmax!r} - {s.tmin!r} leaves the float range")
+        raise OutOfRange("t", s.tmax - s.tmin, f"the time span tmax - tmin = {s.tmax!r} - "
+                         f"{s.tmin!r} leaves the float range")
     pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
     state = SpinorState(n=s.n, omega=s.omega)
     s.radius, ys = _grid(s.omega, s.n, s.grid, "position")
     times, rows = linspace(s.tmin, s.tmax, s.tsteps), []
     for t, values in zip(times, density_slices(state, ys, [phase(state, t, pc) for t in times])):
         rows.extend(zip(ys, [t] * s.grid, values))
-    _emit(s, "heatmap", ("n", "grid", "tmin", "tmax", "tsteps", "radius"),
-          ("y", "t", "density"), rows)
+    return ("n", "grid", "tmin", "tmax", "tsteps", "radius"), ("y", "t", "density"), rows
 
 
 @_command("thermo", ("k_list", "tmin", "tmax", "tsteps", "particles", "tol"),
@@ -292,9 +291,9 @@ def cmd_thermo(s):
             f"warning: c*hbar*k*beta^2 reaches {worst:.3g} > {EM_VALIDITY_WARN:g}; "
             "the closed-form (EM) columns are outside their validity window at low T "
             f"(measured |Z_em - Z|/Z up to {max(em_rel_err):.3g})\n")
-    _emit(s, "thermo", ("k_list", "tmin", "tmax", "tsteps", "particles"),
-          ("k", "T", "beta", "Z_exact", "Z_em", "em_rel_err", "F_em", "U_em", "S_em", "C_V_em",
-           "F_exact", "U_exact", "S_exact", "C_V_exact", "truncation_n", "tail_bound"), rows)
+    return (("k_list", "tmin", "tmax", "tsteps", "particles"),
+            ("k", "T", "beta", "Z_exact", "Z_em", "em_rel_err", "F_em", "U_em", "S_em", "C_V_em",
+             "F_exact", "U_exact", "S_exact", "C_V_exact", "truncation_n", "tail_bound"), rows)
 
 
 def main(args=None, prog_name="majorana-lab", standalone_mode=True):
@@ -341,7 +340,7 @@ def _run(prog, name, args):
         given.setdefault(flag[2:], []).append(text)
     s = _resolve(settings, given, _load_config())
     try:
-        body(s)
+        _emit(s, name, *body(s))
     except OutOfRange as exc:  # T is a thermo temperature: the end of the sweep it is
         hint = {"t": "'--tmin' / '--tmax'", "N": "'--particles'",
                 "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'"}[exc.param]

@@ -1,4 +1,4 @@
-"""What every layer and the CLI share: units, defaults, range errors, grids, array mapping.
+"""Shared by every layer and the CLI: units, defaults, space names, range errors, grids, arrays.
 
 Every number is computed by a float function.  `elementwise` maps one over an array, and
 it is the only code that imports numpy, only when it is handed something that is not a
@@ -9,6 +9,8 @@ import math
 from collections import namedtuple
 
 DEFAULT_THETA = math.pi / 4.0  # the constant-weight phase: sin^2 = cos^2 = 1/2
+DEFAULT_TOL = 1e-10  # every quadrature and series remainder tolerance, unless one is given
+SPACES = ("position", "momentum")  # the coordinate spaces of a density or spinor
 # The highest level the tests certify, by normalization and against mpmath entropies.
 MAX_LEVEL = 64
 # N up to which every thermo report field stays finite at both ends of its coupling range at

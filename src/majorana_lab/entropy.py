@@ -16,12 +16,11 @@ import functools
 import math
 from collections import namedtuple
 
-from .common import DEFAULT_THETA
+from .common import DEFAULT_THETA, DEFAULT_TOL
 from .quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
 from .spinor import SpinorState, density_evaluator, probability_density_at_phase
 
 BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
-DEFAULT_TOL = 1e-10
 
 # BBM can only fail here through a numerics bug, so the guard is tight.
 _BBM_GUARD = 1e-6

@@ -13,7 +13,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .common import elementwise
+from .common import DEFAULT_TOL, elementwise
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -53,7 +53,7 @@ class IntegrationSpec(namedtuple("IntegrationSpec",
 
     __slots__ = ()
 
-    def __new__(cls, truncation_radius, target_abs_tol=1e-10, max_subdivisions=2**20):
+    def __new__(cls, truncation_radius, target_abs_tol=DEFAULT_TOL, max_subdivisions=2**20):
         if not (truncation_radius > 0.0 and math.isfinite(truncation_radius)):
             raise ValueError("truncation_radius must be positive and finite")
         if not (target_abs_tol > 0.0):

@@ -21,10 +21,9 @@ import math
 import numbers
 from collections import namedtuple
 
-from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, elementwise  # noqa: F401
+from .common import NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants, elementwise  # noqa: F401
 from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
 
-_SPACES = ("position", "momentum")
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
 
@@ -94,9 +93,8 @@ def phase(state, t, pc=NATURAL_UNITS):
 def position_spinor_at_phase(state, y, theta):
     """Spinor components at coordinate y for a given phase theta (both real)."""
     f_n, f_m = hermite_norm_pair(state.n, state.omega, y)
-    if state.n == 0:
-        return SpinorValue(f_n, 0.0 * f_n)  # f_n >= 0: 0.0 for a float y, zeros for an array
-    return SpinorValue(f_n * math.sin(theta), f_m * math.cos(theta))
+    s, c = _weights(state, theta)
+    return SpinorValue(f_n * s, f_m * c)
 
 
 def position_spinor(state, y, t, pc=NATURAL_UNITS):
@@ -111,11 +109,8 @@ def momentum_spinor_at_phase(state, p, theta):
     levels exactly.
     """
     f_n, f_m = hermite_norm_pair(state.n, space_frequency(state.omega, "momentum"), p)
-    if state.n == 0:  # f_n >= 0: complex(f_n) and 0j for a float p, arrays for an array
-        return SpinorValue(_I_POW[0] * f_n, 0j * f_n)
-    comp1 = _I_POW[state.n % 4] * f_n * math.sin(theta)
-    comp2 = _I_POW[(state.n - 1) % 4] * f_m * math.cos(theta)
-    return SpinorValue(comp1, comp2)
+    s, c = _weights(state, theta)
+    return SpinorValue(_I_POW[state.n % 4] * f_n * s, _I_POW[(state.n - 1) % 4] * f_m * c)
 
 
 def momentum_spinor(state, p, t, pc=NATURAL_UNITS):
@@ -153,7 +148,8 @@ def density_slices(state, ys, thetas):
 
 
 def _weights(state, theta):
-    """(sin theta, cos theta); at n = 0, where phi_{-1} = 0, 1 and 0 leave f_n * f_n exactly."""
+    """The component weights (sin theta, cos theta); at n = 0, the stationary (phi_0, 0), they
+    are 1 and 0, which leave phi_0 and phi_0 * phi_0 exactly as they are."""
     return (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
 
 
@@ -198,6 +194,6 @@ def ladder_up(state, y, pc=NATURAL_UNITS):
 
 def space_frequency(omega, space):
     """The Hermite-Gauss frequency of a level's profile: omega in position, 1/omega in momentum."""
-    if space not in _SPACES:
-        raise ValueError(f"space must be one of {_SPACES}")
+    if space not in SPACES:
+        raise ValueError(f"space must be one of {SPACES}")
     return omega if space == "position" else 1.0 / omega

@@ -14,9 +14,9 @@ import math
 from collections import defaultdict, namedtuple
 from operator import mul
 
-from .common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace  # noqa: F401
+from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
+                     linspace)
 
-DEFAULT_TOL = 1e-10
 MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
