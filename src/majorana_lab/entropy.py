@@ -81,7 +81,7 @@ def _half_log(omega):
     return 0.5 * math.log(omega)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)  # typed: a True level is not level 1
 def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
     density = density_evaluator(SpinorState(n=n, omega=1.0), theta)

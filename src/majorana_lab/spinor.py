@@ -49,7 +49,7 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     __slots__ = ()
 
     def __new__(cls, n, omega, Omega=0.0):
-        if not isinstance(n, numbers.Integral) or n < 0:
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
             raise ValueError("quantum number n must be an integer >= 0")
         if not (omega > 0.0 and math.isfinite(omega)):
             raise ValueError("omega must be positive and finite")
@@ -66,8 +66,8 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
     """Level energy: branch * sqrt(2 c hbar k n); zero at n = 0 for either branch."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+        raise ValueError("n must be an integer >= 0")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     return branch * math.sqrt(2.0 * pc.c * pc.hbar * pp.k * n)

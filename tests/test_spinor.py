@@ -75,6 +75,9 @@ def test_energy_validation():
         energy(-1, PotentialParams(k=1.0))
     with pytest.raises(ValueError):
         energy(1, PotentialParams(k=1.0), branch=2)
+    for level in (1.5, 2.0, True, False):  # a level is an integer, and a bool is not one
+        with pytest.raises(ValueError):
+            energy(level, PotentialParams(k=1.0))
 
 
 def test_partner_spectra_coincide():
