@@ -300,7 +300,8 @@ def main(args=None, prog_name="majorana-lab", standalone_mode=True):
     """Quantum states, Shannon entropies, and thermodynamics of linear Majorana fermions.
 
     Runs the command args (default sys.argv[1:]) names; a usage error exits 2, or is raised
-    if not standalone_mode.  click.testing.CliRunner calls main.main, named main.name.
+    if not standalone_mode.  click.testing.CliRunner calls main.main, named main.name, and
+    perfbench/run.py runs each op as main.main(args=..., prog_name=..., standalone_mode=False).
     """
     args = sys.argv[1:] if args is None else list(args)
     name = args[0] if args and args[0] in _COMMANDS else None

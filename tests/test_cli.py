@@ -18,6 +18,7 @@ from majorana_lab.cli import (
     EXIT_BBM_VIOLATION,
     EXIT_QUAD_NONCONVERGENCE,
     EXIT_TRUNCATION_BUDGET,
+    UsageError,
     main,
 )
 from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES
@@ -182,21 +183,28 @@ def test_thermo_path_loads_no_numpy(argv):
 
 
 UNUSED_BY_CSV = {"json", "click", "dataclasses", "inspect"}
+CORE = {"majorana_lab", "majorana_lab.cli", "majorana_lab.common"}
+GRID = CORE | {"majorana_lab.hermite", "majorana_lab.quadrature", "majorana_lab.spinor"}
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (None, UNUSED_BY_CSV | {"majorana_lab.thermo"}),
-    (["--help"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
-    (["table1"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
-    (["thermo", "--tsteps", "2"], UNUSED_BY_CSV),
-    (["density", "--grid", "5"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
-    (["entropy-density", "--grid", "5"], UNUSED_BY_CSV | {"majorana_lab.thermo"}),
-], ids=["import", "help", "table1", "thermo-csv", "density", "entropy-density"])
-def test_commands_load_only_what_they_use(argv, unused):
-    # cli imports thermo in the thermo command and json only for --format json; the command
-    # line is parsed by the standard library alone, and the records are namedtuples, so no
-    # command pulls in dataclasses and the inspect/ast/dis chain it imports
-    assert unused.isdisjoint(modules_loaded_by(argv))
+@pytest.mark.parametrize("argv, unused, package", [
+    (None, UNUSED_BY_CSV, CORE),
+    (["--help"], UNUSED_BY_CSV, CORE),
+    (["table1"], UNUSED_BY_CSV, GRID | {"majorana_lab.entropy"}),
+    (["thermo", "--tsteps", "2"], UNUSED_BY_CSV, CORE | {"majorana_lab.thermo"}),
+    (["density", "--grid", "5"], UNUSED_BY_CSV, GRID),
+    (["entropy-density", "--grid", "5"], UNUSED_BY_CSV, GRID),
+    (["heatmap", "--grid", "3", "--tsteps", "2", "--format", "json"], UNUSED_BY_CSV - {"json"},
+     GRID),
+], ids=["import", "help", "table1", "thermo-csv", "density", "entropy-density", "heatmap-json"])
+def test_commands_load_only_what_they_use(argv, unused, package):
+    # cli imports each command's modules when it runs and json only for --format json; the
+    # command line is parsed by the standard library alone, and the records are namedtuples,
+    # so no command pulls in dataclasses and the inspect/ast/dis chain it imports.  Every
+    # module loaded is compiled on a cold start without bytecode, so the package's are pinned
+    loaded = modules_loaded_by(argv)
+    assert unused.isdisjoint(loaded)
+    assert {m for m in loaded if m.split(".")[0] == "majorana_lab"} == package
 
 
 @pytest.mark.parametrize("package", ["click", "numpy"])
@@ -602,6 +610,48 @@ def _raise_budget(*args, **kwargs):
     from majorana_lab.thermo import TruncationBudget
 
     raise TruncationBudget("forced", partial_sum=1.0, truncation_n=10**8, tail_bound=1.0)
+
+
+def _raise_bound(*args):
+    raise BoundViolation("forced for the exit-code contract")
+
+
+def test_in_process_contract(capsys, monkeypatch):
+    # perfbench/run.py runs each op in its own process as main.main(args=..., prog_name=...,
+    # standalone_mode=False): a usage error is raised to it, unprinted, and exits 3-5 stay exits
+    def run(args):
+        main.main(args=args, prog_name="majorana-lab", standalone_mode=False)
+
+    assert main.main is main
+    with pytest.raises(UsageError, match="^No such option: --nosuch$"):
+        run(["table1", "--nosuch", "1"])
+    assert capsys.readouterr() == ("", "")
+    run(GOLDEN_CASES["table1_defaults"][0])
+    assert capsys.readouterr().out.encode() == (GOLDEN / "table1_defaults-csv.golden").read_bytes()
+    monkeypatch.setattr(entropy_mod, "bbm_report", _raise_bound)
+    monkeypatch.setattr(thermo_mod, "thermo_sweep", _raise_budget)
+    for args, code in [(["table1"], EXIT_BBM_VIOLATION), (["thermo"], EXIT_TRUNCATION_BUDGET)]:
+        with pytest.raises(SystemExit) as info:
+            run(args)
+        assert info.value.code == code
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as info:
+        run(["table1", "--n", "0", "--tol", "1e-300"])
+    assert info.value.code == EXIT_QUAD_NONCONVERGENCE
+
+
+def test_unmapped_runtime_error_escapes(capsys, monkeypatch):
+    # a RuntimeError with no documented exit code is a bug: it leaves _run as itself, unreported
+    error = RuntimeError("not a documented failure")
+
+    def explode(*args):
+        raise error
+
+    monkeypatch.setattr(entropy_mod, "bbm_report", explode)
+    with pytest.raises(RuntimeError) as info:
+        main(["table1"])
+    assert info.value is error
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_unreachable_tol_fails_before_summing_the_budget(runner, monkeypatch):

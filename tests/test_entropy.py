@@ -202,13 +202,15 @@ def test_report_fields():
     assert 0.0 <= rep.quad_err < 1e-8
 
 
-@pytest.mark.parametrize("call", [
-    lambda: shannon_position(0, 0.0), lambda: shannon_momentum(0, math.inf),
-    lambda: bbm_report(0, math.nan),
-    lambda: bbm_report(1, 0.5) and bbm_report(True, 0.5),  # a cached level 1 does not serve True
+@pytest.mark.parametrize("call, message", [
+    (lambda: shannon_position(0, 0.0), "omega must be positive and finite"),
+    (lambda: shannon_momentum(0, math.inf), "omega must be positive and finite"),
+    (lambda: bbm_report(0, math.nan), "omega must be positive and finite"),
+    # a cached level 1 does not serve True
+    (lambda: bbm_report(1, 0.5) and bbm_report(True, 0.5), "n must be an integer >= 0"),
 ], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "report-bool-level"])
-def test_bad_arguments_raise_value_error(call):
-    with pytest.raises(ValueError):
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

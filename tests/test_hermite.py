@@ -103,6 +103,8 @@ def test_overflow_is_reported():
 def test_input_validation():
     with pytest.raises(ValueError):
         hermite_eval(-1, 0.5)
+    with pytest.raises(ValueError):
+        hermite_norm_fn(-1, 1.0, 0.0)
     with pytest.raises(TypeError):
         hermite_eval(1.5, 0.5)
     with pytest.raises(ValueError):
