@@ -141,9 +141,8 @@ def _resolve(settings, flags, cfg):
 def _command(name, flags, config_only=(), **overrides):
     """Register a command with --flags (plus --format, --out) that also reads config_only keys.
 
-    overrides replace a key's default, or its whole Setting; an `x_list` key must give
-    its default list.  The body receives the resolved settings as attributes and returns
-    what _emit writes: the header keys it adds, the column names and the rows.
+    overrides replace a key's default, or its whole Setting; an `x_list` key must give its
+    default list.  The body maps the resolved settings to _emit's extras, columns and rows.
     """
     settings = {key: SETTINGS.get(key) for key in (*flags, *config_only, *_READ_BY_ALL)}
     for key, value in overrides.items():
