@@ -1,4 +1,4 @@
-"""Shared by every layer and the CLI: units, defaults, space names, range errors, grids, arrays.
+"""Shared by every layer and the CLI: units, defaults, input rules, range errors, grids, arrays.
 
 Every number is computed by a float function.  `elementwise` maps one over an array, and
 it is the only code that imports numpy, only when it is handed something that is not a
@@ -6,6 +6,7 @@ float; no command does that, so none of them loads numpy.
 """
 
 import math
+import operator
 from collections import namedtuple
 
 DEFAULT_THETA = math.pi / 4.0  # the constant-weight phase: sin^2 = cos^2 = 1/2
@@ -31,6 +32,24 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 
 
 NATURAL_UNITS = PhysicalConstants()
+
+
+class LevelError(ValueError, TypeError):
+    """A level n that is not an integer >= 0: a ValueError, and a TypeError for a non-integer."""
+
+
+def level(n):
+    """n as an int by operator.index, Python's integer protocol, which numpy integers implement;
+    a bool, an object without __index__ or a negative n raises LevelError."""
+    if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 0:
+        raise LevelError("quantum number n must be an integer >= 0")
+    return operator.index(n)
+
+
+def positive_finite(value, name):
+    """Raise ValueError naming value's parameter unless 0 < value < inf."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
 
 
 class OutOfRange(ValueError):

@@ -16,7 +16,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .common import DEFAULT_THETA, DEFAULT_TOL
+from .common import DEFAULT_THETA, DEFAULT_TOL, positive_finite
 from .quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
 from .spinor import SpinorState, density_evaluator, probability_density_at_phase
 
@@ -76,8 +76,7 @@ def bbm_report(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
 
 def _half_log(omega):
     """ln(omega)/2: all that omega changes in S_y (minus it) and S_p (plus it)."""
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError("omega must be positive and finite")
+    positive_finite(omega, "omega")
     return 0.5 * math.log(omega)
 
 

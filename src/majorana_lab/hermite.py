@@ -15,9 +15,8 @@ array of coordinates maps that float evaluation over its elements
 
 import functools
 import math
-import numbers
 
-from .common import elementwise
+from .common import elementwise, level, positive_finite
 
 
 def hermite_norm_pair(n, omega, y):
@@ -33,9 +32,8 @@ def hermite_norm_pair(n, omega, y):
 
 def hermite_pair_evaluator(n, omega):
     """y -> hermite_norm_pair(n, omega, y) for a float y: an exp and the recurrence per point."""
-    n = _check_order(n)
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError("omega must be positive and finite")
+    n = level(n)
+    positive_finite(omega, "omega")
     root, norm, coefficients = math.sqrt(omega), (omega / math.pi) ** 0.25, _coefficients(n)
 
     def pair(y):
@@ -71,12 +69,4 @@ def hermite_norm_fn_and_derivative(n, omega, y):
 def _coefficients(n):
     """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k < n: phi_{k+1} = a u phi_k - b phi_{k-1}."""
     return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(n))
-
-
-def _check_order(n):
-    if not isinstance(n, (int, numbers.Integral)) or isinstance(n, bool):
-        raise TypeError("order n must be an integer")
-    if n < 0:
-        raise ValueError("order n must be >= 0")
-    return int(n)
 

@@ -13,7 +13,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .common import DEFAULT_TOL, elementwise
+from .common import DEFAULT_TOL, elementwise, positive_finite
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -54,10 +54,8 @@ class IntegrationSpec(namedtuple("IntegrationSpec",
     __slots__ = ()
 
     def __new__(cls, truncation_radius, target_abs_tol=DEFAULT_TOL, max_subdivisions=2**20):
-        if not (truncation_radius > 0.0 and math.isfinite(truncation_radius)):
-            raise ValueError("truncation_radius must be positive and finite")
-        if not (target_abs_tol > 0.0):
-            raise ValueError("target_abs_tol must be positive")
+        positive_finite(truncation_radius, "truncation_radius")
+        positive_finite(target_abs_tol, "target_abs_tol")
         if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         return super().__new__(cls, truncation_radius, target_abs_tol, max_subdivisions)
@@ -139,8 +137,7 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     the quotient overflows (omega below ~1e-306), R is formed by the scaling law
     R = R_1/sqrt(omega) instead, which is finite for every positive finite omega.
     """
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError("omega must be positive and finite")
+    positive_finite(omega, "omega")
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (0.0 < tail_tol < 1.0):

@@ -18,10 +18,10 @@ phase, not by t.
 """
 
 import math
-import numbers
 from collections import namedtuple
 
-from .common import NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants, elementwise  # noqa: F401
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants,  # noqa: F401
+                     elementwise, level, positive_finite)
 from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
@@ -49,10 +49,8 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     __slots__ = ()
 
     def __new__(cls, n, omega, Omega=0.0):
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-            raise ValueError("quantum number n must be an integer >= 0")
-        if not (omega > 0.0 and math.isfinite(omega)):
-            raise ValueError("omega must be positive and finite")
+        level(n)
+        positive_finite(omega, "omega")
         return super().__new__(cls, n, omega, Omega)
 
     @classmethod
@@ -66,8 +64,7 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
     """Level energy: branch * sqrt(2 c hbar k n); zero at n = 0 for either branch."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-        raise ValueError("n must be an integer >= 0")
+    n = level(n)
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     return branch * math.sqrt(2.0 * pc.c * pc.hbar * pp.k * n)

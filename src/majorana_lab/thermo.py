@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
-                     linspace)
+                     linspace, positive_finite)
 
 MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
@@ -42,10 +42,8 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
     __slots__ = ()
 
     def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
-        if not (beta > 0.0 and math.isfinite(beta)):
-            raise ValueError("beta must be positive and finite")
-        if not (k > 0.0):
-            raise ValueError("k must be > 0")
+        positive_finite(beta, "beta")
+        positive_finite(k, "k")
         if N < 1:
             raise ValueError("N must be >= 1")
         return super().__new__(cls, beta, k, N, pc)
