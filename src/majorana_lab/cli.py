@@ -343,7 +343,8 @@ def _run(prog, name, args):
         _emit(s, name, *body(s))
     except OutOfRange as exc:  # T is a thermo temperature: the end of the sweep it is
         hint = {"t": "'--tmin' / '--tmax'", "N": "'--particles'",
-                "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'"}[exc.param]
+                "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'",
+                "omega": "'--k'" if s.k else "'--omega'"}[exc.param]
         raise UsageError(f"Invalid value for {hint}: {exc}") from None
     except RuntimeError as exc:
         if type(exc).__name__ not in _EXIT_CODES:

@@ -55,7 +55,7 @@ def positive_finite(value, name):
 class OutOfRange(ValueError):
     """An input that would carry a result out of the float range.
 
-    param names the input ("T", "t" or "N") and value is the offending value.
+    param names the input ("T", "t", "N" or "omega") and value is the offending value.
     """
 
     def __init__(self, param, value, message):

@@ -156,6 +156,6 @@ def xlogx(v):
     """
     if not isinstance(v, float):
         return elementwise(xlogx, v)
-    if v < 0.0:
+    if not v >= 0.0:  # not v < 0.0, which a nan passes
         raise ValueError("xlogx requires v >= 0")
     return v * math.log(v) if v > 0.0 else 0.0

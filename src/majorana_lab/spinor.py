@@ -51,6 +51,8 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     def __new__(cls, n, omega, Omega=0.0):
         level(n)
         positive_finite(omega, "omega")
+        if not math.isfinite(Omega):
+            raise ValueError("Omega must be finite")
         return super().__new__(cls, n, omega, Omega)
 
     @classmethod
@@ -67,6 +69,8 @@ def energy(n, pp, pc=NATURAL_UNITS, branch=1):
     n = level(n)
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    if n == 0:  # not sqrt(2 c hbar k * 0): 2 c hbar k may overflow, and inf * 0 is nan
+        return branch * 0.0
     return branch * math.sqrt(2.0 * pc.c * pc.hbar * pp.k * n)
 
 
@@ -79,9 +83,11 @@ def phase(state, t, pc=NATURAL_UNITS):
     """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega).
 
     Raises OutOfRange naming "t" when theta_n(t) is not finite (t itself non-finite, or the
-    product overflowing).
+    product overflowing).  2 n omega is formed level first, so n = 0 gives 0 at any omega.
     """
-    theta = math.sqrt(2.0 * state.omega * state.n) * pc.c * t + state.Omega
+    rate = 2.0 * state.n * state.omega
+    rate = math.sqrt(rate) if rate < math.inf else math.sqrt(2.0 * state.n) * math.sqrt(state.omega)
+    theta = rate * pc.c * t + state.Omega
     if not math.isfinite(theta):
         raise OutOfRange("t", t, f"t={t!r} takes the phase theta_n(t) out of the float range")
     return theta
@@ -147,6 +153,8 @@ def density_slices(state, ys, thetas):
 def _weights(state, theta):
     """The component weights (sin theta, cos theta); at n = 0, the stationary (phi_0, 0), they
     are 1 and 0, which leave phi_0 and phi_0 * phi_0 exactly as they are."""
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     return (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
 
 
@@ -190,7 +198,11 @@ def ladder_up(state, y, pc=NATURAL_UNITS):
 
 
 def space_frequency(omega, space):
-    """The Hermite-Gauss frequency of a level's profile: omega in position, 1/omega in momentum."""
+    """The Hermite-Gauss frequency of a level's profile: omega in position, 1/omega in momentum.
+    Raises OutOfRange naming "omega" where 1/omega overflows (omega below 2**-1024)."""
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    return omega if space == "position" else 1.0 / omega
+    frequency = omega if space == "position" else 1.0 / omega
+    if frequency == math.inf:
+        raise OutOfRange("omega", omega, f"omega={omega!r} takes 1/omega out of the float range")
+    return frequency
