@@ -182,7 +182,7 @@ def test_thermo_path_loads_no_numpy(argv):
     assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
 
 
-UNUSED_BY_CSV = {"json", "click", "dataclasses", "inspect"}
+UNUSED_BY_CSV = {"json", "click", "dataclasses", "inspect", "numbers"}
 CORE = {"majorana_lab", "majorana_lab.cli", "majorana_lab.common"}
 GRID = CORE | {"majorana_lab.hermite", "majorana_lab.quadrature", "majorana_lab.spinor"}
 
@@ -495,16 +495,29 @@ def test_n_at_max_level_is_accepted(runner, tmp_path, command, source):
     ["density", "--omega", "1e308", "--space", "momentum", "--grid", "3"],
     ["entropy-density", "--omega", "1e308", "--space", "momentum", "--grid", "2"],
     ["heatmap", "--omega", "1e-320", "--grid", "3", "--tsteps", "2"],
+    ["heatmap", "--n", "0", "--omega", "1e308", "--grid", "3", "--tsteps", "2"],
+    ["heatmap", "--n", "1", "--omega", "1e308", "--grid", "3", "--tsteps", "2"],
 ])
 def test_grid_commands_at_extreme_omega(runner, args):
-    # the truncation radius sqrt(W/omega) overflowed here; it now follows R_1/sqrt(omega)
+    # the truncation radius sqrt(W/omega) overflowed here; it now follows R_1/sqrt(omega).  The
+    # phase rate sqrt(2 n omega) is 0 at n = 0 however large omega is, and finite at n = 1
     result = runner.invoke(main, args)
-    assert result.exit_code in (0, 2), combined_output(result)
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    if result.exit_code == 0:
-        header, _, rows = parse_csv(result.output)
-        assert math.isfinite(float(header.get("radius", 0.0)))
-        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+    assert result.exit_code == 0, combined_output(result)
+    header, _, rows = parse_csv(result.output)
+    assert math.isfinite(float(header.get("radius", 0.0)))
+    assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["density", "--omega", "5e-324", "--space", "momentum", "--grid", "3"], "--omega"),
+    (["density", "--k", "1e-320", "--space", "momentum", "--grid", "3"], "--k"),
+    (["entropy-density", "--omega", "1e-310", "--space", "momentum", "--grid", "3"], "--omega"),
+], ids=["density-omega", "density-k", "entropy-density-omega"])
+def test_momentum_frequency_overflow_is_usage_error(runner, args, flag):
+    # below omega = 2**-1024 the momentum-space frequency 1/omega overflows
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, combined_output(result)
+    assert f"Invalid value for '{flag}'" in combined_output(result)
 
 
 @pytest.mark.parametrize("args", [

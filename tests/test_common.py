@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import majorana_lab
-from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace
+from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, level, linspace
+from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
+from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
+                                  hermite_norm_pair, hermite_pair_evaluator)
+from majorana_lab.quadrature import IntegrationSpec, truncation_radius
+from majorana_lab.spinor import PotentialParams, SpinorState, energy
+from majorana_lab.thermo import EnsembleParams
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -32,6 +38,53 @@ def test_out_of_range_is_a_value_error_naming_its_parameter():
     exc = OutOfRange("T", 1e-300, "too cold")
     assert isinstance(exc, ValueError)
     assert (exc.param, exc.value, str(exc)) == ("T", 1e-300, "too cold")
+
+
+LEVEL_TAKERS = {
+    "hermite_norm_fn": lambda n: hermite_norm_fn(n, 1.0, 0.5),
+    "hermite_norm_pair": lambda n: hermite_norm_pair(n, 1.0, 0.5),
+    "hermite_norm_fn_and_derivative": lambda n: hermite_norm_fn_and_derivative(n, 1.0, 0.5),
+    "hermite_pair_evaluator": lambda n: hermite_pair_evaluator(n, 1.0),
+    "SpinorState": lambda n: SpinorState(n, 1.0),
+    "energy": lambda n: energy(n, PotentialParams(1.0)),
+    "bbm_report": lambda n: bbm_report(n, 1.0),
+    "shannon_position": lambda n: shannon_position(n, 1.0),
+    "shannon_momentum": lambda n: shannon_momentum(n, 1.0),
+    "entropic_density": lambda n: entropic_density(n, 1.0, 0.3, 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [True, False, -1, 1.5, 2.0, np.float64(2.0), "2", None],
+                         ids=["True", "False", "-1", "1.5", "2.0", "float64", "str", "None"])
+@pytest.mark.parametrize("take", LEVEL_TAKERS.values(), ids=LEVEL_TAKERS.keys())
+def test_every_level_entry_point_has_one_rule(take, n):
+    # one error for every bad level: a ValueError, as the records raise, and a TypeError, as the
+    # Hermite functions raise for a bool or a float level, with one message
+    with pytest.raises(ValueError, match="^quantum number n must be an integer >= 0$") as excinfo:
+        take(n)
+    assert isinstance(excinfo.value, TypeError)
+
+
+def test_level_is_the_integer_protocol():
+    assert level(0) == 0
+    assert type(level(np.int64(64))) is int and level(np.int64(64)) == 64
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("name, take", [
+    ("omega", lambda v: hermite_pair_evaluator(1, v)),
+    ("omega", lambda v: SpinorState(1, v)),
+    ("omega", lambda v: shannon_position(1, v)),
+    ("omega", lambda v: truncation_radius(v, 1)),
+    ("truncation_radius", lambda v: IntegrationSpec(v)),
+    ("target_abs_tol", lambda v: IntegrationSpec(1.0, v)),
+    ("beta", lambda v: EnsembleParams(v, 0.2)),
+    ("k", lambda v: EnsembleParams(1.0, v)),
+], ids=["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
+        "spec-tol", "ensemble-beta", "ensemble-k"])
+def test_every_positive_finite_site_has_one_rule(name, take, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        take(value)
 
 
 def test_constants_are_shared():

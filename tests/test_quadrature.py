@@ -159,6 +159,8 @@ def test_xlogx_rejects_negative():
         xlogx(-1e-12)
     with pytest.raises(ValueError):
         xlogx(np.array([0.5, -0.5]))
+    with pytest.raises(ValueError):  # a nan is no v >= 0 either
+        xlogx(math.nan)
 
 
 def test_xlogx_scalar_types():

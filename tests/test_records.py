@@ -99,6 +99,7 @@ def test_missing_or_unknown_arguments_are_type_errors(build):
     lambda: EnsembleParams(1.0, 0.0), lambda: EnsembleParams(1.0, NAN),
     lambda: EnsembleParams(1.0, 0.2, N=0), lambda: EnsembleParams(1.0, 0.2, -2),
     lambda: SpinorState(True, 0.5), lambda: SpinorState(False, 0.5),
+    lambda: SpinorState(1, 0.2, Omega=INF), lambda: SpinorState(1, 0.2, NAN),
 ])
 def test_every_validation_raises_value_error(build):
     with pytest.raises(ValueError):

@@ -55,9 +55,10 @@ def fourier_numeric(state, theta, p):
 
 
 def test_energy_zero_mode():
-    pp = PotentialParams(k=0.37)
-    assert energy(0, pp, branch=1) == 0.0
-    assert energy(0, pp, branch=-1) == 0.0
+    for k in (0.37, 1e308, math.inf):  # 2 c hbar k overflows at the last two
+        pp = PotentialParams(k=k)
+        assert repr(energy(0, pp, branch=1)) == "0.0"
+        assert repr(energy(0, pp, branch=-1)) == "-0.0"
 
 
 def test_energy_values():
@@ -94,6 +95,10 @@ def test_phase_examples():
     assert phase(SpinorState(0, 0.5, Omega=0.3), 5.0) == 0.3
     assert phase(SpinorState(1, 0.2), 1.0) == pytest.approx(math.sqrt(0.4), rel=1e-14)
     assert phase(SpinorState(2, 0.2, Omega=math.pi / 4), 0.0) == math.pi / 4
+    # 2 omega overflows at omega = 1e308: n = 0 keeps its zero rate, and n >= 1 the rate's root
+    assert phase(SpinorState(0, 1e308, Omega=0.3), 5.0) == 0.3
+    assert phase(SpinorState(1, 1e308), 1.0) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    assert phase(SpinorState(2, 1e308), 1.0) == pytest.approx(2e154, rel=1e-15)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, 1.7e308])
@@ -101,6 +106,20 @@ def test_phase_out_of_float_range_is_rejected(t):
     with pytest.raises(OutOfRange) as excinfo:
         phase(SpinorState(1, 1e20), t)
     assert excinfo.value.param == "t"
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [0, 1])
+def test_non_finite_phase_is_rejected(n, theta):
+    # every evaluator takes its weights from one place, which refuses a theta with no sine
+    state = SpinorState(n, 0.2)
+    for evaluate in (lambda: position_spinor_at_phase(state, 0.3, theta),
+                     lambda: momentum_spinor_at_phase(state, 0.3, theta),
+                     lambda: probability_density_at_phase(state, 0.3, theta, "momentum"),
+                     lambda: density_evaluator(state, theta),
+                     lambda: list(density_slices(state, [0.3], [0.5, theta]))):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            evaluate()
 
 
 def test_phase_equals_energy_over_hbar():
