@@ -40,10 +40,13 @@ class LevelError(ValueError, TypeError):
 
 def level(n):
     """n as an int by operator.index, Python's integer protocol, which numpy integers implement;
-    a bool, an object without __index__ or a negative n raises LevelError."""
-    if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 0:
-        raise LevelError("quantum number n must be an integer >= 0")
-    return operator.index(n)
+    a bool, a non-integer or a negative n raises LevelError."""
+    try:
+        if (index := operator.index(n)) >= 0 and not isinstance(n, bool):
+            return index
+    except TypeError:
+        pass
+    raise LevelError("quantum number n must be an integer >= 0")
 
 
 def positive_finite(value, name):
