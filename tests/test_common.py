@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import majorana_lab
-from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, level, linspace
+from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, level,
+                                 linspace)
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
@@ -68,6 +69,8 @@ def test_every_level_entry_point_has_one_rule(take, n):
 def test_level_is_the_integer_protocol():
     assert level(0) == 0
     assert type(level(np.int64(64))) is int and level(np.int64(64)) == 64
+    with pytest.raises(LevelError):  # an integer array has an __index__ that raises TypeError
+        level(np.array([3]))
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
