@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from majorana_lab import IntegrationSpec, SpinorState, integrate, probability_density, truncation_radius
+from majorana_lab import SpinorState, integrate, probability_density, truncation_radius
 from majorana_lab.spinor import probability_density_at_phase
 
 omega, n = 0.2, 2
@@ -17,10 +17,9 @@ state = SpinorState(n, omega)
 
 # mass conservation, checked by quadrature at several times
 radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
-spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
 print(f"n={n}, omega={omega}: mass of rho(., t) by quadrature")
 for t in (0.0, 1.7, 4.2):
-    mass, _ = integrate(lambda y: probability_density(state, y, t), spec)
+    mass, _ = integrate(lambda y: probability_density(state, y, t), radius, 1e-11)
     print(f"  t={t:>4}: {mass:.12f}")
 
 # momentum space is the same construction at inverted frequency: broad position

@@ -25,7 +25,7 @@ _EXPORTS = {
     "entropy": ("BBM_BOUND BoundViolation EntropyReport bbm_report entropic_density "
                 "shannon_momentum shannon_position"),
     "hermite": "hermite_norm_fn",
-    "quadrature": "IntegrationSpec NonConvergence integrate truncation_radius xlogx",
+    "quadrature": "NonConvergence integrate truncation_radius xlogx",
     "spinor": ("PotentialParams SpinorState annihilation_apply creation_apply energy "
                "ladder_down ladder_up momentum_spinor phase position_spinor probability_density "
                "probability_density_at_phase state_energy"),

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .common import DEFAULT_THETA, DEFAULT_TOL, positive_finite
-from .quadrature import IntegrationSpec, integrate, truncation_radius, xlogx
+from .quadrature import integrate, truncation_radius, xlogx
 from .spinor import SpinorState, density_evaluator, probability_density_at_phase
 
 BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
@@ -89,7 +89,6 @@ def _unit_entropy(n, theta, tol):
     # positive float, where tol * 1e-2 would underflow to 0; R grows only like
     # sqrt(ln(1/tail_tol)), and such a tol fails in the quadrature instead.
     radius = truncation_radius(1.0, n + 1, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=tol)
 
     pending = {}  # rho is even and the panels mirror exactly: each |y| is kept till its mirror
 
@@ -97,5 +96,5 @@ def _unit_entropy(n, theta, tol):
         r = abs(y)
         return pending.pop(r) if r in pending else pending.setdefault(r, xlogx(density(r)))
 
-    value, err = integrate(integrand, spec)
+    value, err = integrate(integrand, radius, tol)
     return -value, err

@@ -11,7 +11,6 @@ entropy integrands never produce NaN at wavefunction nodes.
 
 import math
 import sys
-from collections import namedtuple
 
 from .common import DEFAULT_TOL, elementwise, positive_finite
 
@@ -33,6 +32,7 @@ _KRONROD = _WK + _WK[-2::-1]
 _GAUSS = _G7 + _G7[-2::-1]  # at the odd-indexed nodes
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
+_MAX_PANELS = 2**20  # a guard against runaway subdivision; an n = 64 entropy ends below 2,000
 
 
 class NonConvergence(RuntimeError):
@@ -47,22 +47,8 @@ class NonConvergence(RuntimeError):
         self.err_estimate = err_estimate
 
 
-class IntegrationSpec(namedtuple("IntegrationSpec",
-                                  "truncation_radius target_abs_tol max_subdivisions")):
-    """Settings for one integral: domain half-width, tolerance, budget."""
-
-    __slots__ = ()
-
-    def __new__(cls, truncation_radius, target_abs_tol=DEFAULT_TOL, max_subdivisions=2**20):
-        positive_finite(truncation_radius, "truncation_radius")
-        positive_finite(target_abs_tol, "target_abs_tol")
-        if max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        return super().__new__(cls, truncation_radius, target_abs_tol, max_subdivisions)
-
-
-def integrate(f, spec):
-    """Integrate f over [-R, R] adaptively; returns (value, err_estimate).
+def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL):
+    """Integrate f over [-R, R], R = truncation_radius, adaptively; returns (value, err_estimate).
 
     Adaptive 15-point Gauss-Kronrod rule (G7K15; QUADPACK's qk15, Piessens et
     al. 1983), like scipy.integrate.quad: f is called with one float and
@@ -75,11 +61,13 @@ def integrate(f, spec):
     err_estimate <= target_abs_tol.
 
     Raises NonConvergence (with the best estimate attached) when no panel can
-    still be halved, when halving would exceed spec.max_subdivisions panels,
+    still be halved, when halving would exceed _MAX_PANELS panels,
     or as soon as the retired panels' errors alone exceed the tolerance, which
     no further round can undo.
     """
-    R, tol = spec.truncation_radius, spec.target_abs_tol
+    positive_finite(truncation_radius, "truncation_radius")
+    positive_finite(target_abs_tol, "target_abs_tol")
+    R, tol = truncation_radius, target_abs_tol
     active = [(0.0, R)]  # (center, half-width) of each unfinished panel
     values, errs = [], []  # integral and error estimate of each retired panel
     while True:
@@ -96,7 +84,7 @@ def integrate(f, spec):
             else:
                 values.append(value)
                 errs.append(err)
-        if not split or panels + len(split) > spec.max_subdivisions or _fsum(errs) > tol:
+        if not split or panels + len(split) > _MAX_PANELS or _fsum(errs) > tol:
             raise NonConvergence(
                 f"quadrature did not reach tol={tol:g} on [-{R:g}, {R:g}] "
                 f"(error estimate {total_err:g} over {panels} panels)",

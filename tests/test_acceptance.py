@@ -14,7 +14,7 @@ from direct_entropy import direct_entropy
 from majorana_lab.cli import main as cli_main
 from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
 from majorana_lab.hermite import hermite_norm_fn
-from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius
+from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import (
     PhysicalConstants,
     SpinorState,
@@ -46,8 +46,7 @@ def verdict(number, name, ok, detail):
 def quad_norm(state, theta, space):
     freq = state.omega if space == "position" else 1.0 / state.omega
     radius = truncation_radius(freq, state.n + 1, tail_tol=1e-13)
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
-    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), spec)
+    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), radius, 1e-11)
     return value
 
 
@@ -117,15 +116,14 @@ def test_criterion_06_fourier_and_parseval():
     for n in range(7):
         state = SpinorState(n, omega)
         radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
-        spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
         sigma_p = math.sqrt(omega * (2 * n + 1))
         for p in np.linspace(-3 * sigma_p, 3 * sigma_p, 7):
             numeric = []
             for pick in (lambda v: v.comp1, lambda v: v.comp2):
                 re, _ = integrate(
-                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), spec)
+                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), radius, 1e-11)
                 im, _ = integrate(
-                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), spec)
+                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), radius, 1e-11)
                 numeric.append((re + 1j * im) / math.sqrt(2 * math.pi))
             analytic = momentum_spinor_at_phase(state, float(p), theta)
             worst_ft = max(worst_ft, abs(numeric[0] - analytic.comp1), abs(numeric[1] - analytic.comp2))

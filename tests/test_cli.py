@@ -118,7 +118,7 @@ def test_unreachable_quadrature_tol_exits_at_once(runner, monkeypatch, tol):
     # The quadrature gives up once its retired panels' errors pass tol, not at the budget
     points, integrate = [], entropy_mod.integrate
     monkeypatch.setattr(entropy_mod, "integrate",
-                        lambda f, spec: integrate(lambda y: points.append(y) or f(y), spec))
+                        lambda f, *args: integrate(lambda y: points.append(y) or f(y), *args))
     entropy_mod._unit_entropy.cache_clear()
     result = runner.invoke(main, ["table1", "--n", "0", "--tol", tol])
     assert result.exit_code == EXIT_QUAD_NONCONVERGENCE, combined_output(result)

@@ -10,7 +10,7 @@ from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, Physical
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
-from majorana_lab.quadrature import IntegrationSpec, truncation_radius
+from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import PotentialParams, SpinorState, energy
 from majorana_lab.thermo import EnsembleParams
 
@@ -79,8 +79,8 @@ def test_level_is_the_integer_protocol():
     ("omega", lambda v: SpinorState(1, v)),
     ("omega", lambda v: shannon_position(1, v)),
     ("omega", lambda v: truncation_radius(v, 1)),
-    ("truncation_radius", lambda v: IntegrationSpec(v)),
-    ("target_abs_tol", lambda v: IntegrationSpec(1.0, v)),
+    ("truncation_radius", lambda v: integrate(float, v)),
+    ("target_abs_tol", lambda v: integrate(float, 1.0, v)),
     ("beta", lambda v: EnsembleParams(v, 0.2)),
     ("k", lambda v: EnsembleParams(1.0, v)),
 ], ids=["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",

@@ -80,7 +80,7 @@ def test_integral_sweeps_the_recurrence_once_per_mirror_pair(monkeypatch, n, the
 
     monkeypatch.setattr(spinor_mod, "hermite_pair_evaluator", counted_pair)
     monkeypatch.setattr(entropy_mod, "integrate",
-                        lambda f, spec: integrate(lambda y: points.append(y) or f(y), spec))
+                        lambda f, *args: integrate(lambda y: points.append(y) or f(y), *args))
     entropy_mod._unit_entropy.cache_clear()
     entropy_mod._unit_entropy(n, theta, 1e-10)
     entropy_mod._unit_entropy.cache_clear()
@@ -135,9 +135,9 @@ def test_default_table1_makes_four_integrals(monkeypatch):
     calls = []
     integrate = entropy_mod.integrate
 
-    def counted(f, spec):
-        calls.append(spec)
-        return integrate(f, spec)
+    def counted(f, *args):
+        calls.append(args)
+        return integrate(f, *args)
 
     entropy_mod._unit_entropy.cache_clear()
     monkeypatch.setattr(entropy_mod, "integrate", counted)

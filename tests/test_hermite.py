@@ -9,7 +9,7 @@ from majorana_lab.hermite import (
     hermite_norm_fn_and_derivative,
     hermite_norm_pair,
 )
-from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius
+from majorana_lab.quadrature import integrate, truncation_radius
 
 
 def hermite_eval(n, x):
@@ -150,9 +150,8 @@ def test_norm_fn_no_overflow_high_order():
 def test_orthonormality(m):
     omega = 0.6
     radius = truncation_radius(omega, 12, tail_tol=1e-13)
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
     for n in range(m, 13):
-        value, _ = integrate(lambda y: hermite_norm_fn(m, omega, y) * hermite_norm_fn(n, omega, y), spec)
+        value, _ = integrate(lambda y: hermite_norm_fn(m, omega, y) * hermite_norm_fn(n, omega, y), radius, 1e-11)
         expected = 1.0 if m == n else 0.0
         assert abs(value - expected) < 1e-8
 

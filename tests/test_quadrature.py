@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from majorana_lab.quadrature import IntegrationSpec, NonConvergence, integrate, truncation_radius, xlogx
+from majorana_lab import quadrature
+from majorana_lab.quadrature import NonConvergence, integrate, truncation_radius, xlogx
 
 
 def gaussian_moment(m, omega):
@@ -13,22 +14,19 @@ def gaussian_moment(m, omega):
 
 
 def test_standard_normal_mass():
-    spec = IntegrationSpec(truncation_radius=12.0, target_abs_tol=1e-12)
-    value, err = integrate(lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), spec)
+    value, err = integrate(lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), 12.0, 1e-12)
     assert abs(value - 1.0) < 1e-12
     assert err <= 1e-12
 
 
 def test_scaled_gaussian_mass():
     radius = truncation_radius(0.2, 0, tail_tol=1e-13)
-    spec = IntegrationSpec(truncation_radius=radius)
-    value, _ = integrate(lambda y: math.sqrt(0.2 / math.pi) * np.exp(-0.2 * y * y), spec)
+    value, _ = integrate(lambda y: math.sqrt(0.2 / math.pi) * np.exp(-0.2 * y * y), radius)
     assert abs(value - 1.0) < 1e-10
 
 
 def test_odd_integrand_vanishes():
-    spec = IntegrationSpec(truncation_radius=9.0)
-    value, _ = integrate(lambda y: y * np.exp(-y * y), spec)
+    value, _ = integrate(lambda y: y * np.exp(-y * y), 9.0)
     assert abs(value) < 1e-14
 
 
@@ -38,8 +36,7 @@ def test_error_estimate_bounds_true_error(m, omega):
     exact = gaussian_moment(m, omega)
     radius = truncation_radius(omega, m, tail_tol=1e-16)
     # the moments reach ~1e5, so the achievable tolerance scales with size
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-10 * max(1.0, exact))
-    value, est = integrate(lambda y: y ** (2 * m) * np.exp(-omega * y * y), spec)
+    value, est = integrate(lambda y: y ** (2 * m) * np.exp(-omega * y * y), radius, 1e-10 * max(1.0, exact))
     true_err = abs(value - exact)
     # floor: truncated tail plus last-ulp roundoff of the closed form
     assert true_err <= 10.0 * est + 1e-13 * max(1.0, exact)
@@ -54,17 +51,17 @@ def test_halving_tolerance_never_increases_error(tol):
     radius = truncation_radius(omega, 4, tail_tol=1e-16)
     for m in range(5):
         f = lambda y, m=m: y ** (2 * m) * math.exp(-omega * y * y)
-        v1, _ = integrate(f, IntegrationSpec(truncation_radius=radius, target_abs_tol=tol))
-        v2, _ = integrate(f, IntegrationSpec(truncation_radius=radius, target_abs_tol=tol / 2))
+        v1, _ = integrate(f, radius, tol)
+        v2, _ = integrate(f, radius, tol / 2)
         with mpmath.workdps(40):
             exact = mpmath.gamma(m + mpmath.mpf(0.5)) / mpmath.mpf(omega) ** (m + mpmath.mpf(0.5))
             assert abs(v2 - exact) <= abs(v1 - exact)
 
 
-def test_nonconvergence_carries_best_estimate():
-    spec = IntegrationSpec(truncation_radius=1.0, target_abs_tol=1e-12, max_subdivisions=1)
+def test_nonconvergence_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 1)  # the panel budget, hit at the first halving
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(lambda y: np.cos(1e4 * y), spec)
+        integrate(lambda y: np.cos(1e4 * y), 1.0, 1e-12)
     assert math.isfinite(excinfo.value.value)
     assert math.isfinite(excinfo.value.err_estimate)
 
@@ -76,7 +73,7 @@ def test_integrand_receives_one_float():
         seen.add(type(y))
         return math.exp(-y * y)
 
-    value, _ = integrate(f, IntegrationSpec(truncation_radius=9.0, target_abs_tol=1e-12))
+    value, _ = integrate(f, 9.0, 1e-12)
     assert seen == {float}
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -90,9 +87,8 @@ def test_unreachable_tol_fails_at_once():
         calls.append(y)
         return math.exp(-y * y)
 
-    spec = IntegrationSpec(truncation_radius=truncation_radius(1.0, 1), target_abs_tol=1e-310)
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(f, spec)
+        integrate(f, truncation_radius(1.0, 1), 1e-310)
     assert len(calls) < 10_000
     assert excinfo.value.value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert excinfo.value.err_estimate > 1e-310
@@ -101,7 +97,7 @@ def test_unreachable_tol_fails_at_once():
 def test_overflowing_integrand_is_nonconvergence():
     # its panel sums overflow: math.fsum raises there, the integral reports inf instead
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(lambda y: 1e308, IntegrationSpec(truncation_radius=1.0))
+        integrate(lambda y: 1e308, 1.0)
     assert excinfo.value.value == math.inf
 
 
@@ -109,17 +105,15 @@ def test_result_independent_of_panel_order():
     # every sum is an fsum, so mirroring the integrand, which reverses the order of the
     # panels and of each panel's nodes, gives the same bits
     f = lambda y: math.exp(-0.3 * y * y) * (1.0 + y) ** 2
-    spec = IntegrationSpec(truncation_radius=truncation_radius(0.3, 1), target_abs_tol=1e-13)
-    assert integrate(f, spec) == integrate(lambda y: f(-y), spec)
+    radius = truncation_radius(0.3, 1)
+    assert integrate(f, radius, 1e-13) == integrate(lambda y: f(-y), radius, 1e-13)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        IntegrationSpec(truncation_radius=-1.0)
+        integrate(math.exp, -1.0)
     with pytest.raises(ValueError):
-        IntegrationSpec(truncation_radius=5.0, target_abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationSpec(truncation_radius=5.0, max_subdivisions=0)
+        integrate(math.exp, 5.0, 0.0)
 
 
 def test_truncation_radius_covers_gaussian_tail():

@@ -1,4 +1,4 @@
-"""The contract of the eight value records: construction, defaults, validation, immutability
+"""The contract of the seven value records: construction, defaults, validation, immutability
 and repr.  It holds for any record implementation, so it pins what callers may rely on."""
 
 import math
@@ -7,7 +7,6 @@ import pytest
 
 from majorana_lab.common import NATURAL_UNITS, PhysicalConstants
 from majorana_lab.entropy import EntropyReport
-from majorana_lab.quadrature import IntegrationSpec
 from majorana_lab.spinor import PotentialParams, SpinorState, SpinorValue
 from majorana_lab.thermo import EnsembleParams, ThermoReport
 
@@ -19,7 +18,6 @@ ENTROPY_FIELDS = ("n", "omega", "theta", "S_y", "S_p", "sum", "bbm_bound", "quad
 # record, its field names in order, and a full set of valid values for them
 RECORDS = [
     (PhysicalConstants, ("c", "hbar", "k_B"), (2.0, 0.5, 3.0)),
-    (IntegrationSpec, ("truncation_radius", "target_abs_tol", "max_subdivisions"), (7.5, 1e-8, 64)),
     (PotentialParams, ("k", "m"), (0.3, 0.25)),
     (SpinorState, ("n", "omega", "Omega"), (3, 0.4, 0.1)),
     (SpinorValue, ("comp1", "comp2"), (0.5 + 0.25j, -0.125j)),
@@ -59,7 +57,6 @@ def test_records_are_immutable(record, names, values):
 def test_defaults():
     assert PhysicalConstants() == NATURAL_UNITS == PhysicalConstants(1.0, 1.0, 1.0)
     assert repr(NATURAL_UNITS) == "PhysicalConstants(c=1.0, hbar=1.0, k_B=1.0)"
-    assert IntegrationSpec(3.0) == IntegrationSpec(3.0, 1e-10, 2**20)
     assert PotentialParams(0.2).m == 0.0
     assert SpinorState(1, 0.2).Omega == 0.0
     ep = EnsembleParams(1.5, 0.2)
@@ -71,11 +68,11 @@ def test_defaults():
 
 @pytest.mark.parametrize("build", [
     PotentialParams, SpinorValue, EntropyReport, ThermoReport,
-    lambda: SpinorState(1), lambda: EnsembleParams(1.0), IntegrationSpec,
+    lambda: SpinorState(1), lambda: EnsembleParams(1.0),
     lambda: PhysicalConstants(1.0, 1.0, 1.0, 1.0),
     lambda: SpinorState(1, 0.2, mass=0.0),
 ], ids=["PotentialParams", "SpinorValue", "EntropyReport", "ThermoReport", "SpinorState",
-        "EnsembleParams", "IntegrationSpec", "PhysicalConstants-extra", "SpinorState-unknown"])
+        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown"])
 def test_missing_or_unknown_arguments_are_type_errors(build):
     with pytest.raises(TypeError):
         build()
@@ -85,10 +82,6 @@ def test_missing_or_unknown_arguments_are_type_errors(build):
     lambda: PhysicalConstants(c=0.0), lambda: PhysicalConstants(hbar=0),
     lambda: PhysicalConstants(k_B=-1.0),
     lambda: PhysicalConstants(c=NAN), lambda: PhysicalConstants(1.0, 1.0, NAN),
-    lambda: IntegrationSpec(truncation_radius=INF), lambda: IntegrationSpec(0.0),
-    lambda: IntegrationSpec(NAN), lambda: IntegrationSpec(-1.0),
-    lambda: IntegrationSpec(1.0, target_abs_tol=0.0), lambda: IntegrationSpec(1.0, NAN),
-    lambda: IntegrationSpec(1.0, 1e-10, 0), lambda: IntegrationSpec(1.0, max_subdivisions=-3),
     lambda: PotentialParams(k=0), lambda: PotentialParams(-0.5), lambda: PotentialParams(NAN),
     lambda: PotentialParams(0.2, m=-0.1),
     lambda: SpinorState(n=-1, omega=0.2), lambda: SpinorState(1.0, 0.2), lambda: SpinorState("1", 0.2),
@@ -110,8 +103,6 @@ def test_validation_messages():
     for name in ("c", "hbar", "k_B"):
         with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
             PhysicalConstants(**{name: 0.0})
-    with pytest.raises(ValueError, match="truncation_radius must be positive and finite"):
-        IntegrationSpec(INF)
     with pytest.raises(ValueError, match="slope k must be > 0"):
         PotentialParams(0.0)
     with pytest.raises(ValueError, match="quantum number n must be an integer >= 0"):

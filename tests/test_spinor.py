@@ -5,7 +5,7 @@ import pytest
 
 from majorana_lab.common import OutOfRange
 from majorana_lab.hermite import hermite_norm_fn, hermite_norm_pair, hermite_pair_evaluator
-from majorana_lab.quadrature import IntegrationSpec, integrate, truncation_radius
+from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import (
     NATURAL_UNITS,
     PhysicalConstants,
@@ -34,19 +34,17 @@ PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
 def norm_integral(state, theta, space):
     freq = state.omega if space == "position" else 1.0 / state.omega
     radius = truncation_radius(freq, state.n + 1, tail_tol=1e-13)
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
-    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), spec)
+    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), radius, 1e-11)
     return value
 
 
 def fourier_numeric(state, theta, p):
     """(1/sqrt(2 pi)) integral of psi(y) e^{ipy} dy, by quadrature per component."""
     radius = truncation_radius(state.omega, state.n + 1, tail_tol=1e-13)
-    spec = IntegrationSpec(truncation_radius=radius, target_abs_tol=1e-11)
     comps = []
     for pick in (lambda v: v.comp1, lambda v: v.comp2):
-        re, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), spec)
-        im, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), spec)
+        re, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), radius, 1e-11)
+        im, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), radius, 1e-11)
         comps.append((re + 1j * im) / math.sqrt(2 * math.pi))
     return comps
 
