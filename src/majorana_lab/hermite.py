@@ -61,8 +61,15 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     phi, phi_prev = hermite_norm_pair(n, omega, y)
     slope = -omega * elementwise(float, y) * phi  # y as a float or a float array
     if n > 0:
-        slope = slope + math.sqrt(2.0 * n * omega) * phi_prev
+        slope = slope + sqrt_2n_omega(n, omega) * phi_prev
     return phi, slope
+
+
+def sqrt_2n_omega(n, omega):
+    """sqrt(2 n omega), formed level first, so n = 0 gives 0 at any omega, and as
+    sqrt(2 n) sqrt(omega) where 2 n omega overflows."""
+    rate = 2.0 * n * omega
+    return math.sqrt(rate) if rate < math.inf else math.sqrt(2.0 * n) * math.sqrt(omega)
 
 
 @functools.lru_cache(maxsize=128)

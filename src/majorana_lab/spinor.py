@@ -22,7 +22,8 @@ from collections import namedtuple
 
 from .common import (NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants,  # noqa: F401
                      elementwise, level, positive_finite)
-from .hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
+from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
+                      sqrt_2n_omega)
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
@@ -67,27 +68,30 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
     """Level energy: branch * sqrt(2 c hbar k n); zero at n = 0 for either branch."""
     n = level(n)
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if n == 0:  # not sqrt(2 c hbar k * 0): 2 c hbar k may overflow, and inf * 0 is nan
-        return branch * 0.0
-    return branch * math.sqrt(2.0 * pc.c * pc.hbar * pp.k * n)
+    # at n = 0 not sqrt(2 c hbar k * 0): 2 c hbar k may overflow, and inf * 0 is nan
+    return _sign(branch) * (math.sqrt(2.0 * pc.c * pc.hbar * pp.k * n) if n else 0.0)
 
 
 def state_energy(state, pc=NATURAL_UNITS, branch=1):
-    """energy() of the state's level, through the slope k = omega c hbar its omega stands for."""
-    return energy(state.n, PotentialParams(k=state.omega * pc.c * pc.hbar), pc, branch)
+    """energy() of the state's level, as branch * c hbar sqrt(2 n omega): the slope k = omega c hbar
+    its omega stands for is never formed, so it cannot overflow where the energy does not."""
+    return _sign(branch) * pc.c * pc.hbar * sqrt_2n_omega(state.n, state.omega)
+
+
+def _sign(branch):
+    """branch, the sign of an energy: +1 on the upper tower, -1 on the lower."""
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    return branch
 
 
 def phase(state, t, pc=NATURAL_UNITS):
     """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega).
 
     Raises OutOfRange naming "t" when theta_n(t) is not finite (t itself non-finite, or the
-    product overflowing).  2 n omega is formed level first, so n = 0 gives 0 at any omega.
+    product overflowing).
     """
-    rate = 2.0 * state.n * state.omega
-    rate = math.sqrt(rate) if rate < math.inf else math.sqrt(2.0 * state.n) * math.sqrt(state.omega)
-    theta = rate * pc.c * t + state.Omega
+    theta = sqrt_2n_omega(state.n, state.omega) * pc.c * t + state.Omega
     if not math.isfinite(theta):
         raise OutOfRange("t", t, f"t={t!r} takes the phase theta_n(t) out of the float range")
     return theta
@@ -163,11 +167,11 @@ def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
 
 
 def _ladder_apply(state, y, pc, sign):
-    """(sign c hbar d/dy + k y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1}."""
-    chbar = pc.c * pc.hbar
-    k = state.omega * chbar
+    """(sign c hbar d/dy + k y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1},
+    as c hbar (sign phi_n' + omega y phi_n): k = omega c hbar is never formed."""
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
-    return sign * chbar * dphi + k * elementwise(float, y) * phi  # y as a float or a float array
+    y = elementwise(float, y)  # a float or a float array
+    return pc.c * pc.hbar * (sign * dphi + state.omega * y * phi)
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):

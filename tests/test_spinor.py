@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from majorana_lab.common import OutOfRange
-from majorana_lab.hermite import hermite_norm_fn, hermite_norm_pair, hermite_pair_evaluator
+from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative, hermite_norm_pair,
+                                  hermite_pair_evaluator)
 from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import (
     NATURAL_UNITS,
@@ -380,6 +381,31 @@ def test_ladder_up_then_down_roundtrip(n):
     assert np.max(np.abs(raised - hermite_norm_fn(n + 1, omega, ys))) < 1e-12
     lowered = ladder_down(SpinorState(n + 1, omega), ys)
     assert np.max(np.abs(lowered - hermite_norm_fn(n, omega, ys))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_ladder_maps_at_huge_omega(n):
+    # 2 n omega and the slope k = omega c hbar overflow at omega = 1e308; neither is formed
+    omega = 1e308
+    ys = np.linspace(-4.0, 4.0, 41) / math.sqrt(omega)
+    scale = (omega / math.pi) ** 0.25  # the size of phi_n there
+    raised = ladder_up(SpinorState(n, omega), ys)
+    assert np.all(np.isfinite(raised))
+    assert np.max(np.abs(raised - hermite_norm_fn(n + 1, omega, ys))) < 1e-12 * scale
+    lowered = ladder_down(SpinorState(n + 1, omega), ys)
+    assert np.all(np.isfinite(lowered))
+    assert np.max(np.abs(lowered - hermite_norm_fn(n, omega, ys))) < 1e-12 * scale
+
+
+def test_huge_omega_slope_and_energy_are_finite():
+    phi, slope = hermite_norm_fn_and_derivative(1, 1e308, 1e-160)
+    # phi_1' = sqrt(2 omega) phi_0 (1 - omega y^2), 1.06225193202560354e231 by mpmath at 40 digits
+    assert slope == pytest.approx(1.06225193202560354e231, rel=1e-12)
+    pc = PhysicalConstants(c=10.0)
+    assert state_energy(SpinorState(1, 1e308), pc) == pytest.approx(10.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
+    assert state_energy(SpinorState(1, 1e308), pc, branch=-1) == -state_energy(SpinorState(1, 1e308), pc)
+    with pytest.raises(ValueError, match="branch must be"):
+        state_energy(SpinorState(1, 0.2), branch=0)
 
 
 @pytest.mark.parametrize("n", [1, 3])
