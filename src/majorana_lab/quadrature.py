@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, elementwise, positive_finite
+from .common import DEFAULT_TOL, elementwise, level, positive_finite
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -126,8 +126,7 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     R = R_1/sqrt(omega) instead, which is finite for every positive finite omega.
     """
     positive_finite(omega, "omega")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = level(n)
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must lie in (0, 1)")
     W = -math.log(tail_tol)

@@ -52,6 +52,7 @@ LEVEL_TAKERS = {
     "shannon_position": lambda n: shannon_position(n, 1.0),
     "shannon_momentum": lambda n: shannon_momentum(n, 1.0),
     "entropic_density": lambda n: entropic_density(n, 1.0, 0.3, 0.5),
+    "truncation_radius": lambda n: truncation_radius(1.0, n),
 }
 
 
