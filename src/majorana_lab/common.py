@@ -35,18 +35,18 @@ NATURAL_UNITS = PhysicalConstants()
 
 
 class LevelError(ValueError, TypeError):
-    """A level n that is not an integer >= 0: a ValueError, and a TypeError for a non-integer."""
+    """A level n or a count N that is not an integer in its range: a ValueError and a TypeError."""
 
 
-def level(n):
+def level(n, name="quantum number n", least=0):
     """n as an int by operator.index, Python's integer protocol, which numpy integers implement;
-    a bool, a non-integer or a negative n raises LevelError."""
+    a bool, a non-integer or an n below least raises LevelError naming n's parameter."""
     try:
-        if (index := operator.index(n)) >= 0 and not isinstance(n, bool):
+        if (index := operator.index(n)) >= least and not isinstance(n, bool):
             return index
     except TypeError:
         pass
-    raise LevelError("quantum number n must be an integer >= 0")
+    raise LevelError(f"{name} must be an integer >= {least}")
 
 
 def positive_finite(value, name):

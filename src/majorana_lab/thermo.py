@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
-                     linspace, positive_finite)
+                     level, linspace, positive_finite)
 
 MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
@@ -44,8 +44,7 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
     def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
         positive_finite(beta, "beta")
         positive_finite(k, "k")
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        level(N, "N", 1)
         return super().__new__(cls, beta, k, N, pc)
 
     @property

@@ -93,6 +93,10 @@ def test_missing_or_unknown_arguments_are_type_errors(build):
     lambda: EnsembleParams(1.0, 0.2, N=0), lambda: EnsembleParams(1.0, 0.2, -2),
     lambda: SpinorState(True, 0.5), lambda: SpinorState(False, 0.5),
     lambda: SpinorState(1, 0.2, Omega=INF), lambda: SpinorState(1, 0.2, NAN),
+    lambda: EnsembleParams(1.0, 0.2, N=NAN), lambda: EnsembleParams(1.0, 0.2, N=INF),
+    lambda: EnsembleParams(1.0, 0.2, N=1.5), lambda: EnsembleParams(1.0, 0.2, N=True),
+    lambda: EnsembleParams(1.0, 0.2, N=2.0), lambda: EnsembleParams(1.0, 0.2, N="2"),
+    lambda: EnsembleParams(1.0, 0.2, N=False), lambda: EnsembleParams(1.0, 0.2, N=-INF),
 ])
 def test_every_validation_raises_value_error(build):
     with pytest.raises(ValueError):
@@ -109,6 +113,9 @@ def test_validation_messages():
         SpinorState(-1, 0.2)
     with pytest.raises(ValueError, match="beta must be positive and finite"):
         EnsembleParams(0.0, 0.2)
+    for count in (0, 1.5, NAN):
+        with pytest.raises(ValueError, match="^N must be an integer >= 1$"):
+            EnsembleParams(1.0, 0.2, N=count)
 
 
 def test_methods_and_properties_survive():
