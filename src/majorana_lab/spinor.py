@@ -74,8 +74,9 @@ def energy(n, pp, pc=NATURAL_UNITS, branch=1):
 
 def state_energy(state, pc=NATURAL_UNITS, branch=1):
     """energy() of the state's level, as branch * c hbar sqrt(2 n omega): the slope k = omega c hbar
-    its omega stands for is never formed, so it cannot overflow where the energy does not."""
-    return _sign(branch) * pc.c * pc.hbar * sqrt_2n_omega(state.n, state.omega)
+    its omega stands for is never formed, so it cannot overflow where the energy does not; as
+    in energy(), n = 0 gives a signed zero even where c hbar overflows."""
+    return _sign(branch) * (pc.c * pc.hbar * sqrt_2n_omega(state.n, state.omega) if state.n else 0.0)
 
 
 def _sign(branch):

@@ -58,6 +58,9 @@ def test_energy_zero_mode():
         pp = PotentialParams(k=k)
         assert repr(energy(0, pp, branch=1)) == "0.0"
         assert repr(energy(0, pp, branch=-1)) == "-0.0"
+    pc = PhysicalConstants(c=1e200, hbar=1e200)  # c hbar overflows, and inf * 0 would be nan
+    assert repr(state_energy(SpinorState(0, 0.37), pc)) == "0.0"
+    assert repr(state_energy(SpinorState(0, 0.37), pc, branch=-1)) == "-0.0"
 
 
 def test_energy_values():
