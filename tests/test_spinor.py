@@ -388,7 +388,7 @@ def test_ladder_up_then_down_roundtrip(n):
 
 @pytest.mark.parametrize("n", range(4))
 def test_ladder_maps_at_huge_omega(n):
-    # 2 n omega and the slope k = omega c hbar overflow at omega = 1e308; neither is formed
+    # 2 n omega, and so E_n^2 = 2 c hbar k n, overflow at omega = 1e308; neither is formed
     omega = 1e308
     ys = np.linspace(-4.0, 4.0, 41) / math.sqrt(omega)
     scale = (omega / math.pi) ** 0.25  # the size of phi_n there
