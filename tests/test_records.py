@@ -78,26 +78,48 @@ def test_missing_or_unknown_arguments_are_type_errors(build):
         build()
 
 
-@pytest.mark.parametrize("build", [
-    lambda: PhysicalConstants(c=0.0), lambda: PhysicalConstants(hbar=0),
-    lambda: PhysicalConstants(k_B=-1.0),
-    lambda: PhysicalConstants(c=NAN), lambda: PhysicalConstants(1.0, 1.0, NAN),
-    lambda: PotentialParams(k=0), lambda: PotentialParams(-0.5), lambda: PotentialParams(NAN),
-    lambda: PotentialParams(0.2, m=-0.1),
-    lambda: SpinorState(n=-1, omega=0.2), lambda: SpinorState(1.0, 0.2), lambda: SpinorState("1", 0.2),
-    lambda: SpinorState(1, 0.0), lambda: SpinorState(1, -0.2), lambda: SpinorState(1, INF),
-    lambda: SpinorState(1, NAN),
-    lambda: EnsembleParams(beta=0, k=0.2), lambda: EnsembleParams(-1.0, 0.2),
-    lambda: EnsembleParams(INF, 0.2), lambda: EnsembleParams(NAN, 0.2),
-    lambda: EnsembleParams(1.0, 0.0), lambda: EnsembleParams(1.0, NAN),
-    lambda: EnsembleParams(1.0, 0.2, N=0), lambda: EnsembleParams(1.0, 0.2, -2),
-    lambda: SpinorState(True, 0.5), lambda: SpinorState(False, 0.5),
-    lambda: SpinorState(1, 0.2, Omega=INF), lambda: SpinorState(1, 0.2, NAN),
-    lambda: EnsembleParams(1.0, 0.2, N=NAN), lambda: EnsembleParams(1.0, 0.2, N=INF),
-    lambda: EnsembleParams(1.0, 0.2, N=1.5), lambda: EnsembleParams(1.0, 0.2, N=True),
-    lambda: EnsembleParams(1.0, 0.2, N=2.0), lambda: EnsembleParams(1.0, 0.2, N="2"),
-    lambda: EnsembleParams(1.0, 0.2, N=None), lambda: EnsembleParams(1.0, 0.2, N=1e300),
-])
+# one case per invalid value, named by its record and the value it refuses
+INVALID = {
+    "PhysicalConstants-c=0": lambda: PhysicalConstants(c=0.0),
+    "PhysicalConstants-hbar=0": lambda: PhysicalConstants(hbar=0),
+    "PhysicalConstants-k_B=-1": lambda: PhysicalConstants(k_B=-1.0),
+    "PhysicalConstants-c=nan": lambda: PhysicalConstants(c=NAN),
+    "PhysicalConstants-k_B=nan": lambda: PhysicalConstants(1.0, 1.0, NAN),
+    "PotentialParams-k=0": lambda: PotentialParams(k=0),
+    "PotentialParams-k=-0.5": lambda: PotentialParams(-0.5),
+    "PotentialParams-k=nan": lambda: PotentialParams(NAN),
+    "PotentialParams-m=-0.1": lambda: PotentialParams(0.2, m=-0.1),
+    "SpinorState-n=-1": lambda: SpinorState(n=-1, omega=0.2),
+    "SpinorState-n=1.0": lambda: SpinorState(1.0, 0.2),
+    "SpinorState-n=str": lambda: SpinorState("1", 0.2),
+    "SpinorState-omega=0": lambda: SpinorState(1, 0.0),
+    "SpinorState-omega=-0.2": lambda: SpinorState(1, -0.2),
+    "SpinorState-omega=inf": lambda: SpinorState(1, INF),
+    "SpinorState-omega=nan": lambda: SpinorState(1, NAN),
+    "EnsembleParams-beta=0": lambda: EnsembleParams(beta=0, k=0.2),
+    "EnsembleParams-beta=-1": lambda: EnsembleParams(-1.0, 0.2),
+    "EnsembleParams-beta=inf": lambda: EnsembleParams(INF, 0.2),
+    "EnsembleParams-beta=nan": lambda: EnsembleParams(NAN, 0.2),
+    "EnsembleParams-k=0": lambda: EnsembleParams(1.0, 0.0),
+    "EnsembleParams-k=nan": lambda: EnsembleParams(1.0, NAN),
+    "EnsembleParams-N=0": lambda: EnsembleParams(1.0, 0.2, N=0),
+    "EnsembleParams-N=-2": lambda: EnsembleParams(1.0, 0.2, -2),
+    "SpinorState-n=True": lambda: SpinorState(True, 0.5),
+    "SpinorState-n=False": lambda: SpinorState(False, 0.5),
+    "SpinorState-Omega=inf": lambda: SpinorState(1, 0.2, Omega=INF),
+    "SpinorState-Omega=nan": lambda: SpinorState(1, 0.2, NAN),
+    "EnsembleParams-N=nan": lambda: EnsembleParams(1.0, 0.2, N=NAN),
+    "EnsembleParams-N=inf": lambda: EnsembleParams(1.0, 0.2, N=INF),
+    "EnsembleParams-N=1.5": lambda: EnsembleParams(1.0, 0.2, N=1.5),
+    "EnsembleParams-N=True": lambda: EnsembleParams(1.0, 0.2, N=True),
+    "EnsembleParams-N=2.0": lambda: EnsembleParams(1.0, 0.2, N=2.0),
+    "EnsembleParams-N=str": lambda: EnsembleParams(1.0, 0.2, N="2"),
+    "EnsembleParams-N=None": lambda: EnsembleParams(1.0, 0.2, N=None),
+    "EnsembleParams-N=1e300": lambda: EnsembleParams(1.0, 0.2, N=1e300),
+}
+
+
+@pytest.mark.parametrize("build", INVALID.values(), ids=INVALID.keys())
 def test_every_validation_raises_value_error(build):
     with pytest.raises(ValueError):
         build()
