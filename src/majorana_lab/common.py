@@ -19,6 +19,12 @@ MAX_LEVEL = 64
 MAX_PARTICLES = 10**150
 
 
+def positive_finite(value, name):
+    """Raise ValueError naming value's parameter unless 0 < value < inf."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
     """Unit conventions; defaults are natural units c = hbar = k_B = 1."""
 
@@ -26,8 +32,7 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 
     def __new__(cls, c=1.0, hbar=1.0, k_B=1.0):
         for name, value in zip(cls._fields, (c, hbar, k_B)):
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be strictly positive")
+            positive_finite(value, name)
         return super().__new__(cls, c, hbar, k_B)
 
 
@@ -47,12 +52,6 @@ def level(n, name="quantum number n", least=0):
     except TypeError:
         pass
     raise LevelError(f"{name} must be an integer >= {least}")
-
-
-def positive_finite(value, name):
-    """Raise ValueError naming value's parameter unless 0 < value < inf."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite")
 
 
 class OutOfRange(ValueError):

@@ -83,6 +83,7 @@ def _half_log(omega):
 @functools.lru_cache(maxsize=128, typed=True)  # typed: a True level is not level 1
 def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
+    positive_finite(tol, "target_abs_tol")  # integrate's check, before tol sets the radius
     density = density_evaluator(SpinorState(n=n, omega=1.0), theta)
     # ln(rho) adds ~y^2 growth on top of the degree-2n polynomial, hence the
     # +1 in the tail degree.  The tail tolerance stays at or above the least

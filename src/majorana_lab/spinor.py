@@ -28,17 +28,14 @@ from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
 
-class PotentialParams(namedtuple("PotentialParams", "k m")):
-    """Linear potential V = k x with slope k > 0 and particle mass m >= 0."""
+class PotentialParams(namedtuple("PotentialParams", "k")):
+    """Linear potential V = k x with a positive, finite slope k."""
 
     __slots__ = ()
 
-    def __new__(cls, k, m=0.0):
-        if not (k > 0.0):
-            raise ValueError("slope k must be > 0 (normalizability)")
-        if m < 0.0:
-            raise ValueError("mass m must be >= 0")
-        return super().__new__(cls, k, m)
+    def __new__(cls, k):
+        positive_finite(k, "k")
+        return super().__new__(cls, k)
 
     def omega(self, pc=NATURAL_UNITS):
         return self.k / (pc.c * pc.hbar)
@@ -66,16 +63,14 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
-    """Level energy: branch * sqrt(2 c hbar k n); zero at n = 0 for either branch."""
-    n = level(n)
-    # at n = 0 not sqrt(2 c hbar k * 0): 2 c hbar k may overflow, and inf * 0 is nan
-    return _sign(branch) * (math.sqrt(2.0 * pc.c * pc.hbar * pp.k * n) if n else 0.0)
+    """Level energy branch * sqrt(2 c hbar k n): state_energy of level n at omega = k/(c hbar)."""
+    return state_energy(SpinorState.from_potential(n, pp, pc), pc, branch)
 
 
 def state_energy(state, pc=NATURAL_UNITS, branch=1):
-    """energy() of the state's level, as branch * c hbar sqrt(2 n omega): the slope k = omega c hbar
-    its omega stands for is never formed, so it cannot overflow where the energy does not; as
-    in energy(), n = 0 gives a signed zero even where c hbar overflows."""
+    """The spectrum: branch * c hbar sqrt(2 n omega), the state's level energy.  The slope
+    k = omega c hbar its omega stands for is never formed, so it cannot overflow where the
+    energy does not, and n = 0 gives a signed zero even where c hbar overflows."""
     return _sign(branch) * (pc.c * pc.hbar * sqrt_2n_omega(state.n, state.omega) if state.n else 0.0)
 
 

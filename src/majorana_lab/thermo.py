@@ -145,6 +145,7 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     summing them.  It carries Z and its bound at M = 200, the best estimate:
     that bound is at most 1.6e-19 for any lam, far below the rounding of Z >= 1.
     """
+    positive_finite(tol, "tol")
     lam = ep.beta * math.sqrt(2.0 * ep.coupling)
     m = _M
     tails, bound = _tails(lam, m)

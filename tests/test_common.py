@@ -12,7 +12,7 @@ from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivativ
                                   hermite_norm_pair, hermite_pair_evaluator)
 from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import PotentialParams, SpinorState, energy
-from majorana_lab.thermo import EnsembleParams
+from majorana_lab.thermo import EnsembleParams, moment_sums
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -84,8 +84,15 @@ def test_level_is_the_integer_protocol():
     ("target_abs_tol", lambda v: integrate(float, 1.0, v)),
     ("beta", lambda v: EnsembleParams(v, 0.2)),
     ("k", lambda v: EnsembleParams(1.0, v)),
+    ("c", lambda v: PhysicalConstants(c=v)),
+    ("hbar", lambda v: PhysicalConstants(hbar=v)),
+    ("k_B", lambda v: PhysicalConstants(k_B=v)),
+    ("k", lambda v: PotentialParams(v)),
+    ("tol", lambda v: moment_sums(EnsembleParams(1.0, 0.2), v)),
+    ("target_abs_tol", lambda v: bbm_report(1, 0.2, tol=v)),
 ], ids=["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
-        "spec-tol", "ensemble-beta", "ensemble-k"])
+        "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
+        "constants-k_B", "potential-k", "thermo-tol", "entropy-tol"])
 def test_every_positive_finite_site_has_one_rule(name, take, value):
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         take(value)

@@ -211,8 +211,9 @@ def test_report_fields():
     (lambda: bbm_report(1, 1.0, theta=math.nan), "theta must be finite"),
     (lambda: shannon_position(1, 1.0, theta=math.inf), "theta must be finite"),
     (lambda: bbm_report(1, 1.0, tol=math.inf), "target_abs_tol must be positive and finite"),
+    (lambda: bbm_report(1, 0.2, tol=math.nan), "target_abs_tol must be positive and finite"),
 ], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "report-bool-level",
-        "report-theta-nan", "position-theta-inf", "report-tol-inf"])
+        "report-theta-nan", "position-theta-inf", "report-tol-inf", "report-tol-nan"])
 def test_bad_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

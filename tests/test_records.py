@@ -18,7 +18,7 @@ ENTROPY_FIELDS = ("n", "omega", "theta", "S_y", "S_p", "sum", "bbm_bound", "quad
 # record, its field names in order, and a full set of valid values for them
 RECORDS = [
     (PhysicalConstants, ("c", "hbar", "k_B"), (2.0, 0.5, 3.0)),
-    (PotentialParams, ("k", "m"), (0.3, 0.25)),
+    (PotentialParams, ("k",), (0.3,)),
     (SpinorState, ("n", "omega", "Omega"), (3, 0.4, 0.1)),
     (SpinorValue, ("comp1", "comp2"), (0.5 + 0.25j, -0.125j)),
     (EnsembleParams, ("beta", "k", "N", "pc"), (2.0, 0.4, 3, PhysicalConstants(c=2.0))),
@@ -34,7 +34,8 @@ def test_keyword_and_positional_construction_agree(record, names, values):
     assert by_keyword == by_position
     assert hash(by_keyword) == hash(by_position)
     assert [getattr(by_keyword, name) for name in names] == list(values)
-    assert by_keyword != record(*values[:-1], values[0])
+    # the last field set to the first field's value, or doubled where it is the only field
+    assert by_keyword != record(*values[:-1], values[0] if values[1:] else 2 * values[0])
 
 
 @pytest.mark.parametrize("record, names, values", RECORDS, ids=IDS)
@@ -57,7 +58,6 @@ def test_records_are_immutable(record, names, values):
 def test_defaults():
     assert PhysicalConstants() == NATURAL_UNITS == PhysicalConstants(1.0, 1.0, 1.0)
     assert repr(NATURAL_UNITS) == "PhysicalConstants(c=1.0, hbar=1.0, k_B=1.0)"
-    assert PotentialParams(0.2).m == 0.0
     assert SpinorState(1, 0.2).Omega == 0.0
     ep = EnsembleParams(1.5, 0.2)
     assert (ep.N, ep.pc) == (1, NATURAL_UNITS)
@@ -70,9 +70,10 @@ def test_defaults():
     PotentialParams, SpinorValue, EntropyReport, ThermoReport,
     lambda: SpinorState(1), lambda: EnsembleParams(1.0),
     lambda: PhysicalConstants(1.0, 1.0, 1.0, 1.0),
-    lambda: SpinorState(1, 0.2, mass=0.0),
+    lambda: SpinorState(1, 0.2, mass=0.0), lambda: PotentialParams(0.2, m=0.0),
 ], ids=["PotentialParams", "SpinorValue", "EntropyReport", "ThermoReport", "SpinorState",
-        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown"])
+        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown",
+        "PotentialParams-unknown"])
 def test_missing_or_unknown_arguments_are_type_errors(build):
     with pytest.raises(TypeError):
         build()
@@ -88,7 +89,7 @@ INVALID = {
     "PotentialParams-k=0": lambda: PotentialParams(k=0),
     "PotentialParams-k=-0.5": lambda: PotentialParams(-0.5),
     "PotentialParams-k=nan": lambda: PotentialParams(NAN),
-    "PotentialParams-m=-0.1": lambda: PotentialParams(0.2, m=-0.1),
+    "PotentialParams-k=inf": lambda: PotentialParams(INF),
     "SpinorState-n=-1": lambda: SpinorState(n=-1, omega=0.2),
     "SpinorState-n=1.0": lambda: SpinorState(1.0, 0.2),
     "SpinorState-n=str": lambda: SpinorState("1", 0.2),
@@ -127,9 +128,9 @@ def test_every_validation_raises_value_error(build):
 
 def test_validation_messages():
     for name in ("c", "hbar", "k_B"):
-        with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             PhysicalConstants(**{name: 0.0})
-    with pytest.raises(ValueError, match="slope k must be > 0"):
+    with pytest.raises(ValueError, match="^k must be positive and finite$"):
         PotentialParams(0.0)
     with pytest.raises(ValueError, match="quantum number n must be an integer >= 0"):
         SpinorState(-1, 0.2)

@@ -54,13 +54,25 @@ def fourier_numeric(state, theta, p):
 
 
 def test_energy_zero_mode():
-    for k in (0.37, 1e308, math.inf):  # 2 c hbar k overflows at the last two
+    for k in (0.37, 1e308):  # 2 c hbar k overflows at the last
         pp = PotentialParams(k=k)
         assert repr(energy(0, pp, branch=1)) == "0.0"
         assert repr(energy(0, pp, branch=-1)) == "-0.0"
     pc = PhysicalConstants(c=1e200, hbar=1e200)  # c hbar overflows, and inf * 0 would be nan
     assert repr(state_energy(SpinorState(0, 0.37), pc)) == "0.0"
     assert repr(state_energy(SpinorState(0, 0.37), pc, branch=-1)) == "-0.0"
+
+
+def test_energy_is_the_natural_units_root_bit_for_bit():
+    # energy() is state_energy() of its level; in natural units that gives the bits of the
+    # direct root sqrt(2 k n) wherever 2 k n is finite, and stays finite where it is not
+    ks = [10.0**e for e in range(-300, 309, 7)] + [0.37, 0.2, 1.0 / 3.0, 2.5e-310, 1e308]
+    for k in ks:
+        for n in range(65):
+            if 2.0 * k * n < math.inf:
+                assert energy(n, PotentialParams(k)).hex() == math.sqrt(2.0 * k * n).hex()
+    assert energy(1, PotentialParams(1e308)) == state_energy(SpinorState(1, 1e308))
+    assert energy(1, PotentialParams(1e308)) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
 
 
 def test_energy_values():
@@ -439,18 +451,9 @@ def test_partner_potentials_by_finite_difference(n):
 # ---------------------------------------------------------------- parameter types
 
 
-def test_potential_params_shift():
-    # the mass shifts the origin of y by m c^2 / k and leaves omega = k / (c hbar) alone
-    pc = NATURAL_UNITS
-    assert PotentialParams(k=0.2, m=0.5).omega(pc) == pytest.approx(0.2, rel=1e-15)
-    assert PotentialParams(k=0.2, m=0.5).omega(pc) == PotentialParams(k=0.2).omega(pc)
-
-
 def test_type_validation():
     with pytest.raises(ValueError):
         PotentialParams(k=0.0)
-    with pytest.raises(ValueError):
-        PotentialParams(k=1.0, m=-0.1)
     with pytest.raises(ValueError):
         SpinorState(-1, 1.0)
     with pytest.raises(ValueError):
