@@ -129,8 +129,9 @@ def _resolve(settings, flags, cfg):
             s[key] = values if many else values[0]
         if many:
             s[name] = s[key][0]
+    s["pc"] = pc = PhysicalConstants(s["c"], s["hbar"], s["k_B"])
     if rank.get("k", 0) > rank.get("omega", 0):
-        s["omega"] = s["k"] / (s["c"] * s["hbar"]) if s["c"] * s["hbar"] > 0.0 else math.inf
+        s["omega"] = s["k"] / (pc.c * pc.hbar) if pc.c * pc.hbar > 0.0 else math.inf
         if not 0.0 < s["omega"] < math.inf:
             raise UsageError("Invalid value for '--k': k/(c hbar) leaves the float range")
     else:
@@ -257,11 +258,10 @@ def cmd_heatmap(s):
     if not math.isfinite(s.tmax - s.tmin):
         raise OutOfRange("t", s.tmax - s.tmin, f"the time span tmax - tmin = {s.tmax!r} - "
                          f"{s.tmin!r} leaves the float range")
-    pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
     state = SpinorState(n=s.n, omega=s.omega)
     s.radius, ys = _grid(s.omega, s.n, s.grid, "position")
     times, rows = linspace(s.tmin, s.tmax, s.tsteps), []
-    for t, values in zip(times, density_slices(state, ys, [phase(state, t, pc) for t in times])):
+    for t, values in zip(times, density_slices(state, ys, [phase(state, t, s.pc) for t in times])):
         rows.extend(zip(ys, [t] * s.grid, values))
     return ("n", "grid", "tmin", "tmax", "tsteps", "radius"), ("y", "t", "density"), rows
 
@@ -275,8 +275,7 @@ def cmd_thermo(s):
     """Partition function (exact series and closed form) and F, U, S, C_V over (k, T)."""
     from .thermo import EM_VALIDITY_WARN, EnsembleParams, thermo_sweep
 
-    pc = PhysicalConstants(c=s.c, hbar=s.hbar, k_B=s.k_B)
-    reports = thermo_sweep(s.k_list, linspace(s.tmin, s.tmax, s.tsteps), N=s.particles, pc=pc,
+    reports = thermo_sweep(s.k_list, linspace(s.tmin, s.tmax, s.tsteps), N=s.particles, pc=s.pc,
                            tol=s.tol)
     em_rel_err = [abs(r.Z_em - r.Z_exact) / r.Z_exact for r in reports]
     rows = [
@@ -284,7 +283,7 @@ def cmd_thermo(s):
          r.F_exact, r.U_exact, r.S_exact, r.C_V_exact, r.truncation_n, r.tail_bound)
         for r, err in zip(reports, em_rel_err)
     ]
-    worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=pc).em_parameter for r in reports)
+    worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=s.pc).em_parameter for r in reports)
     if worst > EM_VALIDITY_WARN:
         sys.stderr.write(
             f"warning: c*hbar*k*beta^2 reaches {worst:.3g} > {EM_VALIDITY_WARN:g}; "
