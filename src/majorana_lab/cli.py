@@ -86,7 +86,7 @@ def _load_config():
     if not path:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"${CONFIG_ENV_VAR} names an unreadable file: {exc}") from None
@@ -131,9 +131,10 @@ def _resolve(settings, flags, cfg):
             s[name] = s[key][0]
     s["pc"] = pc = PhysicalConstants(s["c"], s["hbar"], s["k_B"])
     if rank.get("k", 0) > rank.get("omega", 0):
-        s["omega"] = s["k"] / (pc.c * pc.hbar) if pc.c * pc.hbar > 0.0 else math.inf
-        if not 0.0 < s["omega"] < math.inf:
-            raise UsageError("Invalid value for '--k': k/(c hbar) leaves the float range")
+        try:
+            s["omega"] = pc.omega(s["k"])
+        except OutOfRange as exc:
+            raise UsageError(f"Invalid value for '--k': {exc}") from None
     else:
         s["k"] = 0.0
     return SimpleNamespace(**s)
@@ -298,8 +299,8 @@ def main(args=None, prog_name="majorana-lab", standalone_mode=True):
     """Quantum states, Shannon entropies, and thermodynamics of linear Majorana fermions.
 
     Runs the command args (default sys.argv[1:]) names; a usage error exits 2, or is raised
-    if not standalone_mode.  click.testing.CliRunner calls main.main, named main.name, and
-    perfbench/run.py runs each op as main.main(args=..., prog_name=..., standalone_mode=False).
+    if not standalone_mode.  perfbench/run.py runs each op as
+    main.main(args=..., prog_name=..., standalone_mode=False).
     """
     args = sys.argv[1:] if args is None else list(args)
     name = args[0] if args and args[0] in _COMMANDS else None
@@ -352,7 +353,7 @@ def _run(prog, name, args):
         raise SystemExit(_EXIT_CODES[type(exc).__name__]) from None
 
 
-main.main, main.name = main, "majorana-lab"
+main.main = main
 
 if __name__ == "__main__":
     main()

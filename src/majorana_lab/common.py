@@ -35,6 +35,15 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
             positive_finite(value, name)
         return super().__new__(cls, c, hbar, k_B)
 
+    def omega(self, k):
+        """The frequency omega = k/(c hbar) of slope k.  Raises OutOfRange naming "k" where
+        c hbar underflows to 0 or the quotient leaves the float range."""
+        c_hbar = self.c * self.hbar
+        omega = k / c_hbar if c_hbar > 0.0 else math.inf
+        if not 0.0 < omega < math.inf:
+            raise OutOfRange("k", k, "k/(c hbar) leaves the float range")
+        return omega
+
 
 NATURAL_UNITS = PhysicalConstants()
 
@@ -57,7 +66,8 @@ def level(n, name="quantum number n", least=0):
 class OutOfRange(ValueError):
     """An input that would carry a result out of the float range.
 
-    param names the input ("T", "t", "N" or "omega") and value is the offending value.
+    param names the input ("T", "t", "N", "k", "omega" or "em_parameter") and value is the
+    offending value.
     """
 
     def __init__(self, param, value, message):

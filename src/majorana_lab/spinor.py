@@ -38,7 +38,7 @@ class PotentialParams(namedtuple("PotentialParams", "k")):
         return super().__new__(cls, k)
 
     def omega(self, pc=NATURAL_UNITS):
-        return self.k / (pc.c * pc.hbar)
+        return pc.omega(self.k)
 
 
 class SpinorState(namedtuple("SpinorState", "n omega Omega")):

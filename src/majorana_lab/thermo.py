@@ -68,6 +68,16 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
         return 1.0 / (self.pc.k_B * self.beta)
 
 
+def _in_range(ep):
+    """ep, where c hbar k beta^2 is in EM_PARAMETER_RANGE; elsewhere some sum or report field
+    leaves the float range, and OutOfRange naming "em_parameter" is raised."""
+    lo, hi = EM_PARAMETER_RANGE
+    if not lo <= (x := ep.em_parameter) <= hi:
+        raise OutOfRange("em_parameter", x, f"c*hbar*k*beta^2 = {x:g} is out of [{lo:g}, "
+                                            f"{hi:g}], where the sums stay finite")
+    return ep
+
+
 # One (beta, k, N) evaluation: both partition routes and all four functions.
 ThermoReport = namedtuple("ThermoReport", "beta k N T Z_exact Z_em F U S C_V "
                                           "F_exact U_exact S_exact C_V_exact truncation_n tail_bound")
@@ -146,6 +156,7 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     that bound is at most 1.6e-19 for any lam, far below the rounding of Z >= 1.
     """
     positive_finite(tol, "tol")
+    _in_range(ep)
     lam = ep.beta * math.sqrt(2.0 * ep.coupling)
     m = _M
     tails, bound = _tails(lam, m)
@@ -169,7 +180,7 @@ def partition_exact(ep, tol=DEFAULT_TOL):
 
 def partition_em(ep):
     """Closed form 1/2 + 1/(c hbar k beta^2) as printed; it tends to 1/2, not 1, as beta -> inf."""
-    return 0.5 + 1.0 / ep.em_parameter
+    return 0.5 + 1.0 / _in_range(ep).em_parameter
 
 
 def report(ep, tol=DEFAULT_TOL):
@@ -199,10 +210,10 @@ def report(ep, tol=DEFAULT_TOL):
 def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     """Reports over the (k, T) grid in deterministic (k-major, T-minor) order.
 
-    The range rules of a sweep live here.  OutOfRange names "T" when at some
-    temperature (the first such, in T order) c hbar k beta^2 leaves
-    EM_PARAMETER_RANGE for some k, or k_B T leaves the float range; it names
-    "N" when k_B and N carry a field of an in-range point out of the float range.
+    OutOfRange names "T" when at some temperature (the first such, in T order)
+    c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or k_B T leaves the float
+    range; it names "N" when k_B and N carry a field of an in-range point out of
+    the float range.
     """
     T_values = linspace(0.1, 10.0, 50) if T_values is None else [float(T) for T in T_values]
     k_values = [float(k) for k in k_values]
@@ -211,9 +222,12 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
     for T in T_values:
         kT = pc.k_B * T
         beta = 1.0 / kT if kT > 0.0 else math.inf
-        points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
-                  if 0.0 < beta < math.inf else None)
-        if points is None or not all(lo <= ep.em_parameter <= hi for ep in points):
+        try:
+            points = ([_in_range(EnsembleParams(beta=beta, k=k, N=N, pc=pc)) for k in k_values]
+                      if 0.0 < beta < math.inf else None)
+        except OutOfRange:
+            points = None
+        if points is None:
             raise OutOfRange("T", T, f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
                                      "where the sums stay finite")
         grid.append(points)

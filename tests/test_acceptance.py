@@ -7,11 +7,10 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
 from direct_entropy import direct_entropy
-from majorana_lab.cli import main as cli_main
 from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
 from majorana_lab.hermite import hermite_norm_fn
 from majorana_lab.quadrature import integrate, truncation_radius
@@ -186,14 +185,13 @@ def test_criterion_09_euler_maclaurin_validity():
 
 
 def test_criterion_10_figure_data_smoke(tmp_path):
-    runner = CliRunner()
     failures = []
 
     def run_twice(name, args):
         out = tmp_path / f"{name}.csv"
         first = None
         for _ in range(2):
-            result = runner.invoke(cli_main, args + ["--out", str(out)])
+            result = invoke(args + ["--out", str(out)])
             if result.exit_code != 0:
                 failures.append(f"{name} exited {result.exit_code}")
                 return None

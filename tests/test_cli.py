@@ -7,10 +7,11 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import majorana_lab.cli as cli_mod
 import majorana_lab.entropy as entropy_mod
 import majorana_lab.thermo as thermo_mod
+from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
 from test_cli_golden import CASES as GOLDEN_CASES, GOLDEN
 from majorana_lab.cli import (
@@ -26,30 +27,34 @@ from majorana_lab.entropy import BBM_BOUND, BoundViolation
 from majorana_lab.thermo import MAX_TERMS
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run_ok(runner, args, env=None):
-    result = runner.invoke(main, args, env=env)
+def run_ok(args, env=None):
+    result = invoke(args, env=env)
     assert result.exit_code == 0, f"{args} failed: {result.output}\n{result.exception!r}"
     return result
 
 
-def combined_output(result):
-    try:
-        return result.output + result.stderr
-    except (ValueError, AttributeError):
-        return result.output
+@pytest.mark.parametrize("raised, code", [(SystemExit(3), 3), (SystemExit(None), 0),
+                                          (RuntimeError("a crash"), 1)],
+                         ids=["SystemExit-3", "SystemExit-None", "RuntimeError"])
+def test_runner_reports_the_exit_status(monkeypatch, raised, code):
+    # as the console script would: a crash is exit 1, never 0, or every "exits cleanly" check
+    # of the edge sweeps would pass on a traceback
+    def body(s):
+        raise raised
+
+    _, settings, flags = cli_mod._COMMANDS["density"]
+    monkeypatch.setitem(cli_mod._COMMANDS, "density", (body, settings, flags))
+    result = invoke(["density"], env={CONFIG_ENV_VAR: None})
+    assert result.exit_code == code
+    assert result.exception is (raised if code == 1 else None)
 
 
 # ---------------------------------------------------------------- table1
 
 
-def test_table1_default_rows(runner, tmp_path):
+def test_table1_default_rows(tmp_path):
     out = tmp_path / "table1.csv"
-    run_ok(runner, ["table1", "--out", str(out)])
+    run_ok(["table1", "--out", str(out)])
     header, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert columns == ["n", "omega", "S_y", "S_p", "S_sum", "bbm_bound"]
     assert len(rows) == 12
@@ -70,11 +75,11 @@ def test_table1_default_rows(runner, tmp_path):
     assert all(float(r[5]) == pytest.approx(BBM_BOUND, rel=1e-15) for r in rows)
 
 
-def test_table1_deterministic_and_17_digit(runner, tmp_path):
+def test_table1_deterministic_and_17_digit(tmp_path):
     out = tmp_path / "a.csv"
-    run_ok(runner, ["table1", "--n", "0", "--n", "1", "--omega", "0.3", "--out", str(out)])
+    run_ok(["table1", "--n", "0", "--n", "1", "--omega", "0.3", "--out", str(out)])
     first = out.read_bytes()
-    run_ok(runner, ["table1", "--n", "0", "--n", "1", "--omega", "0.3", "--out", str(out)])
+    run_ok(["table1", "--n", "0", "--n", "1", "--omega", "0.3", "--out", str(out)])
     assert out.read_bytes() == first
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     for row in rows:
@@ -82,11 +87,11 @@ def test_table1_deterministic_and_17_digit(runner, tmp_path):
             assert f"{float(field):.17g}" == field  # 17-significant-digit round trip
 
 
-def test_table1_json_mirrors_csv(runner, tmp_path):
+def test_table1_json_mirrors_csv(tmp_path):
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
     args = ["table1", "--n", "1", "--omega", "0.4", "--omega", "0.8"]
-    run_ok(runner, args + ["--out", str(csv_path)])
-    run_ok(runner, args + ["--format", "json", "--out", str(json_path)])
+    run_ok(args + ["--out", str(csv_path)])
+    run_ok(args + ["--format", "json", "--out", str(json_path)])
     _, columns, rows = parse_csv(csv_path.read_text(encoding="utf-8"))
     payload = json.loads(json_path.read_text(encoding="utf-8"))
     assert payload["command"] == "table1"
@@ -97,33 +102,33 @@ def test_table1_json_mirrors_csv(runner, tmp_path):
             assert json_row[name] == pytest.approx(float(text), rel=1e-15)
 
 
-def test_table1_bbm_violation_exit_code(runner, monkeypatch):
+def test_table1_bbm_violation_exit_code(monkeypatch):
     def explode(n, omega, theta, tol):
         raise BoundViolation("forced for the exit-code contract")
 
     # table1 looks bbm_report up in entropy when it runs: cli binds no such name
     monkeypatch.setattr(entropy_mod, "bbm_report", explode)
-    result = runner.invoke(main, ["table1"])
+    result = invoke(["table1"])
     assert result.exit_code == EXIT_BBM_VIOLATION
 
 
-def test_quadrature_failure_exit_code(runner):
-    result = runner.invoke(main, ["table1", "--n", "0", "--omega", "0.2", "--tol", "1e-300"])
+def test_quadrature_failure_exit_code():
+    result = invoke(["table1", "--n", "0", "--omega", "0.2", "--tol", "1e-300"])
     assert result.exit_code == EXIT_QUAD_NONCONVERGENCE
 
 
 @pytest.mark.parametrize("tol", ["1e-310", "1e-322", "5e-324"])
-def test_unreachable_quadrature_tol_exits_at_once(runner, monkeypatch, tol):
+def test_unreachable_quadrature_tol_exits_at_once(monkeypatch, tol):
     # below ~1e-322 the tail tolerance tol/100 underflows; it is floored, not passed on as 0.
     # The quadrature gives up once its retired panels' errors pass tol, not at the budget
     points, integrate = [], entropy_mod.integrate
     monkeypatch.setattr(entropy_mod, "integrate",
                         lambda f, *args: integrate(lambda y: points.append(y) or f(y), *args))
     entropy_mod._unit_entropy.cache_clear()
-    result = runner.invoke(main, ["table1", "--n", "0", "--tol", tol])
-    assert result.exit_code == EXIT_QUAD_NONCONVERGENCE, combined_output(result)
-    assert "error: quadrature did not reach tol=" in combined_output(result)
-    assert "Traceback" not in combined_output(result)
+    result = invoke(["table1", "--n", "0", "--tol", tol])
+    assert result.exit_code == EXIT_QUAD_NONCONVERGENCE, result.output
+    assert "error: quadrature did not reach tol=" in result.output
+    assert "Traceback" not in result.output
     assert 0 < len(points) < 10_000
 
 
@@ -135,20 +140,20 @@ _TABLE1_EDGES = [
 
 
 @pytest.mark.parametrize("flag, value", _TABLE1_EDGES)
-def test_table1_edge_sweep(runner, flag, value):
+def test_table1_edge_sweep(flag, value):
     # every edge value ends in a documented exit code, never a traceback or a non-finite field
-    result = runner.invoke(main, ["table1", flag, value])
-    assert result.exit_code in (0, 2, 3, 4, 5), combined_output(result)
+    result = invoke(["table1", flag, value])
+    assert result.exit_code in (0, 2, 3, 4, 5), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in combined_output(result)
+    assert "Traceback" not in result.output
     if result.exit_code == 0:
         _, _, rows = parse_csv(result.stdout)
         assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
 
 @pytest.mark.parametrize("n, theta", [(20, "0"), (30, "1.5707963267948966"), (64, "0")])
-def test_table1_at_theta_endpoints(runner, n, theta):
-    run_ok(runner, ["table1", "--n", str(n), "--theta", theta])
+def test_table1_at_theta_endpoints(n, theta):
+    run_ok(["table1", "--n", str(n), "--theta", theta])
 
 
 def test_cli_import_loads_no_scipy():
@@ -226,10 +231,10 @@ def test_runs_without(package, tmp_path):
 # ---------------------------------------------------------------- density
 
 
-def test_density_nodes_match_hermite_roots(runner, tmp_path):
+def test_density_nodes_match_hermite_roots(tmp_path):
     out = tmp_path / "d.csv"
-    run_ok(runner, ["density", "--n", "2", "--omega", "0.2", "--theta", str(math.pi / 2),
-                    "--grid", "2001", "--out", str(out)])
+    run_ok(["density", "--n", "2", "--omega", "0.2", "--theta", str(math.pi / 2),
+            "--grid", "2001", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert columns == ["y", "density"]
     data = np.array(rows_as_floats(columns, rows, "y", "density"))
@@ -248,9 +253,9 @@ def test_density_nodes_match_hermite_roots(runner, tmp_path):
     assert abs(centers[1] - expected) < 2 * spacing
 
 
-def test_density_symmetry_and_peak(runner, tmp_path):
+def test_density_symmetry_and_peak(tmp_path):
     out = tmp_path / "d0.csv"
-    run_ok(runner, ["density", "--n", "0", "--omega", "0.4", "--grid", "401", "--out", str(out)])
+    run_ok(["density", "--n", "0", "--omega", "0.4", "--grid", "401", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     data = np.array(rows_as_floats(columns, rows, "y", "density"))
     rho = data[:, 1]
@@ -258,30 +263,39 @@ def test_density_symmetry_and_peak(runner, tmp_path):
     assert np.allclose(rho, rho[::-1], rtol=1e-12, atol=1e-300)
 
 
-def test_density_momentum_space_column(runner, tmp_path):
+def test_density_momentum_space_column(tmp_path):
     out = tmp_path / "dp.csv"
-    run_ok(runner, ["density", "--n", "1", "--omega", "0.2", "--space", "momentum",
-                    "--grid", "51", "--out", str(out)])
+    run_ok(["density", "--n", "1", "--omega", "0.2", "--space", "momentum",
+            "--grid", "51", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert columns == ["p", "density"]
     assert len(rows) == 51
 
 
-def test_density_accepts_slope_parameterization(runner, tmp_path):
+def test_density_accepts_slope_parameterization(tmp_path):
     out = tmp_path / "dk.csv"
-    run_ok(runner, ["density", "--n", "0", "--k", "0.3", "--grid", "11", "--out", str(out)])
+    run_ok(["density", "--n", "0", "--k", "0.3", "--grid", "11", "--out", str(out)])
     header, _, _ = parse_csv(out.read_text(encoding="utf-8"))
     assert float(header["omega"]) == pytest.approx(0.3, rel=1e-15)
     assert float(header["k"]) == pytest.approx(0.3, rel=1e-15)
 
 
+def test_slope_with_no_float_frequency_is_usage_error(tmp_path):
+    # c hbar = 1e-400 underflows to 0, so omega = k/(c hbar) has no float value
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("c=1e-200\nhbar=1e-200\n", encoding="utf-8")
+    result = invoke(["density", "--k", "1"], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2 and result.exception is None, result.output
+    assert "Invalid value for '--k'" in result.stderr and "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------- entropy density
 
 
-def test_entropy_density_zero_at_nodes(runner, tmp_path):
+def test_entropy_density_zero_at_nodes(tmp_path):
     out = tmp_path / "ed.csv"
-    run_ok(runner, ["entropy-density", "--n", "1", "--omega", "0.4", "--theta", str(math.pi / 2),
-                    "--grid", "801", "--out", str(out)])
+    run_ok(["entropy-density", "--n", "1", "--omega", "0.4", "--theta", str(math.pi / 2),
+            "--grid", "801", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert columns == ["omega", "y", "entropic_density"]
     data = np.array(rows_as_floats(columns, rows, "y", "entropic_density"))
@@ -289,11 +303,11 @@ def test_entropy_density_zero_at_nodes(runner, tmp_path):
     assert abs(data[mid, 1]) < 1e-6
 
 
-def test_entropy_density_localization(runner, tmp_path):
+def test_entropy_density_localization(tmp_path):
     def half_width(space):
         out = tmp_path / f"ed_{space}.csv"
-        run_ok(runner, ["entropy-density", "--n", "1", "--omega", "0.2", "--omega", "0.8",
-                        "--space", space, "--grid", "1201", "--out", str(out)])
+        run_ok(["entropy-density", "--n", "1", "--omega", "0.2", "--omega", "0.8",
+                "--space", space, "--grid", "1201", "--out", str(out)])
         _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
         data = np.array(rows_as_floats(columns, rows, "omega", columns[1], "entropic_density"))
         widths = {}
@@ -313,12 +327,12 @@ def test_entropy_density_localization(runner, tmp_path):
 # ---------------------------------------------------------------- heatmap
 
 
-def test_heatmap_mass_and_period(runner, tmp_path):
+def test_heatmap_mass_and_period(tmp_path):
     omega, n = 0.2, 1
     period = 2 * math.pi / math.sqrt(2 * omega * n)
     out = tmp_path / "h.csv"
-    run_ok(runner, ["heatmap", "--n", str(n), "--omega", str(omega), "--grid", "401",
-                    "--tmin", "0", "--tmax", str(2 * period), "--tsteps", "9", "--out", str(out)])
+    run_ok(["heatmap", "--n", str(n), "--omega", str(omega), "--grid", "401",
+            "--tmin", "0", "--tmax", str(2 * period), "--tsteps", "9", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert columns == ["y", "t", "density"]
     data = np.array(rows_as_floats(columns, rows, "y", "t", "density"))
@@ -331,10 +345,10 @@ def test_heatmap_mass_and_period(runner, tmp_path):
     assert np.max(np.abs(slices[0, :, 2] - slices[4, :, 2])) < 1e-9
 
 
-def test_heatmap_ground_state_static(runner, tmp_path):
+def test_heatmap_ground_state_static(tmp_path):
     out = tmp_path / "h0.csv"
-    run_ok(runner, ["heatmap", "--n", "0", "--omega", "0.2", "--grid", "101",
-                    "--tmin", "0", "--tmax", "5", "--tsteps", "4", "--out", str(out)])
+    run_ok(["heatmap", "--n", "0", "--omega", "0.2", "--grid", "101",
+            "--tmin", "0", "--tmax", "5", "--tsteps", "4", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     data = np.array(rows_as_floats(columns, rows, "density"))
     slices = data.reshape(4, 101)
@@ -345,10 +359,10 @@ def test_heatmap_ground_state_static(runner, tmp_path):
 # ---------------------------------------------------------------- thermo
 
 
-def test_thermo_schema_and_values(runner, tmp_path):
+def test_thermo_schema_and_values(tmp_path):
     out = tmp_path / "th.csv"
-    result = run_ok(runner, ["thermo", "--k", "0.2", "--tmin", "1", "--tmax", "10",
-                             "--tsteps", "5", "--out", str(out)])
+    result = run_ok(["thermo", "--k", "0.2", "--tmin", "1", "--tmax", "10",
+                     "--tsteps", "5", "--out", str(out)])
     header, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert columns[:6] == ["k", "T", "beta", "Z_exact", "Z_em", "em_rel_err"]
     assert len(rows) == 5
@@ -357,21 +371,21 @@ def test_thermo_schema_and_values(runner, tmp_path):
     assert all(cv > 0.0 for _, _, cv, _ in data)
     # T = 10, k = 0.2: the closed form is safely inside its window
     assert data[-1][3] < 0.01
-    assert "warning" in combined_output(result)  # T = 1 is outside it
+    assert "warning" in result.output  # T = 1 is outside it
 
 
-def test_thermo_no_warning_when_valid(runner, tmp_path):
+def test_thermo_no_warning_when_valid(tmp_path):
     out = tmp_path / "th2.csv"
-    result = run_ok(runner, ["thermo", "--k", "0.2", "--tmin", "8", "--tmax", "10",
-                             "--tsteps", "3", "--out", str(out)])
-    assert "warning" not in combined_output(result)
+    result = run_ok(["thermo", "--k", "0.2", "--tmin", "8", "--tmax", "10",
+                     "--tsteps", "3", "--out", str(out)])
+    assert "warning" not in result.output
 
 
-def test_thermo_weak_coupling_succeeds(runner, tmp_path):
+def test_thermo_weak_coupling_succeeds(tmp_path):
     # c hbar k beta^2 down to 1e-6: the closed form's own regime.
     out = tmp_path / "weak.csv"
-    result = run_ok(runner, ["thermo", "--k", "0.01", "--tmax", "100", "--tsteps", "5",
-                             "--out", str(out)])
+    result = run_ok(["thermo", "--k", "0.01", "--tmax", "100", "--tsteps", "5",
+                     "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert len(rows) == 5
     data = rows_as_floats(columns, rows, "em_rel_err", "truncation_n", "tail_bound")
@@ -379,7 +393,7 @@ def test_thermo_weak_coupling_succeeds(runner, tmp_path):
     assert data[-1][0] < 1e-8  # T = 100: the closed form is all but exact
     worst = max(err for err, _, _ in data)
     # T = 0.1 is outside the window; the warning quotes the measured deviation
-    assert f"|Z_em - Z|/Z up to {worst:.3g}" in combined_output(result)
+    assert f"|Z_em - Z|/Z up to {worst:.3g}" in result.output
 
 
 @pytest.mark.parametrize("args", [
@@ -390,20 +404,20 @@ def test_thermo_weak_coupling_succeeds(runner, tmp_path):
     ["--k", "-1"],
     ["--tol", "0"],
 ])
-def test_thermo_bad_input_is_usage_error(runner, args):
-    result = runner.invoke(main, ["thermo", *args])
-    assert result.exit_code == 2, combined_output(result)
-    assert "Invalid value" in combined_output(result)
+def test_thermo_bad_input_is_usage_error(args):
+    result = invoke(["thermo", *args])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output
 
 
 @pytest.mark.parametrize("line", ["tmin=0", "tsteps=0", "particles=0", "k=0.2,-1", "tol=0",
                                   "k_B=0"])
-def test_thermo_bad_config_value_is_usage_error(runner, tmp_path, line):
+def test_thermo_bad_config_value_is_usage_error(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    result = runner.invoke(main, ["thermo"], env={CONFIG_ENV_VAR: str(cfg)})
-    assert result.exit_code == 2, combined_output(result)
-    assert CONFIG_ENV_VAR in combined_output(result)
+    result = invoke(["thermo"], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2, result.output
+    assert CONFIG_ENV_VAR in result.output
 
 
 @pytest.mark.parametrize("command, args", [
@@ -436,10 +450,10 @@ def test_thermo_bad_config_value_is_usage_error(runner, tmp_path, line):
     *((command, ["--n", str(MAX_LEVEL + 1)]) for command in ("table1", "density",
                                                             "entropy-density", "heatmap")),
 ])
-def test_bad_flag_is_usage_error(runner, command, args):
-    result = runner.invoke(main, [command, *args])
-    assert result.exit_code == 2, combined_output(result)
-    assert f"Invalid value for '{args[-2]}'" in combined_output(result)
+def test_bad_flag_is_usage_error(command, args):
+    result = invoke([command, *args])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{args[-2]}'" in result.output
 
 
 @pytest.mark.parametrize("command, line", [
@@ -468,24 +482,23 @@ def test_bad_flag_is_usage_error(runner, command, args):
     ("density", f"n={MAX_LEVEL + 1}"),
     ("heatmap", f"n={MAX_LEVEL + 1}"),
 ])
-def test_bad_config_value_is_usage_error(runner, tmp_path, command, line):
+def test_bad_config_value_is_usage_error(tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    result = runner.invoke(main, [command], env={CONFIG_ENV_VAR: str(cfg)})
-    assert result.exit_code == 2, combined_output(result)
-    output = combined_output(result)
-    assert f"'{line.partition('=')[0]}' in ${CONFIG_ENV_VAR}" in output
+    result = invoke([command], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2, result.output
+    assert f"'{line.partition('=')[0]}' in ${CONFIG_ENV_VAR}" in result.output
 
 
 @pytest.mark.parametrize("command", ["table1", "density", "entropy-density", "heatmap"])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_n_at_max_level_is_accepted(runner, tmp_path, command, source):
+def test_n_at_max_level_is_accepted(tmp_path, command, source):
     # the largest level the tests certify is accepted; MAX_LEVEL + 1 is a usage error above
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("grid=3\ntsteps=2\n" + (f"n={MAX_LEVEL}\n" if source == "config" else ""),
                    encoding="utf-8")
     args = [command, *(["--n", str(MAX_LEVEL)] if source == "flag" else [])]
-    result = run_ok(runner, args, env={CONFIG_ENV_VAR: str(cfg)})
+    result = run_ok(args, env={CONFIG_ENV_VAR: str(cfg)})
     _, _, rows = parse_csv(result.output)
     assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
@@ -498,11 +511,11 @@ def test_n_at_max_level_is_accepted(runner, tmp_path, command, source):
     ["heatmap", "--n", "0", "--omega", "1e308", "--grid", "3", "--tsteps", "2"],
     ["heatmap", "--n", "1", "--omega", "1e308", "--grid", "3", "--tsteps", "2"],
 ])
-def test_grid_commands_at_extreme_omega(runner, args):
+def test_grid_commands_at_extreme_omega(args):
     # the truncation radius sqrt(W/omega) overflowed here; it now follows R_1/sqrt(omega).  The
     # phase rate sqrt(2 n omega) is 0 at n = 0 however large omega is, and finite at n = 1
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, combined_output(result)
+    result = invoke(args)
+    assert result.exit_code == 0, result.output
     header, _, rows = parse_csv(result.output)
     assert math.isfinite(float(header.get("radius", 0.0)))
     assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
@@ -513,22 +526,22 @@ def test_grid_commands_at_extreme_omega(runner, args):
     (["density", "--k", "1e-320", "--space", "momentum", "--grid", "3"], "--k"),
     (["entropy-density", "--omega", "1e-310", "--space", "momentum", "--grid", "3"], "--omega"),
 ], ids=["density-omega", "density-k", "entropy-density-omega"])
-def test_momentum_frequency_overflow_is_usage_error(runner, args, flag):
+def test_momentum_frequency_overflow_is_usage_error(args, flag):
     # below omega = 2**-1024 the momentum-space frequency 1/omega overflows
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2, combined_output(result)
-    assert f"Invalid value for '{flag}'" in combined_output(result)
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{flag}'" in result.output
 
 
 @pytest.mark.parametrize("args", [
     ["--tmin", "-1e308", "--tmax", "1e308", "--tsteps", "3"],  # tmax - tmin overflows
     ["--k", "1e10", "--tmin", "1.7e308", "--tmax", "1.7e308", "--tsteps", "2"],  # the phase does
 ])
-def test_heatmap_time_overflow_is_usage_error(runner, args):
-    result = runner.invoke(main, ["heatmap", "--grid", "3", *args])
-    assert result.exit_code == 2, combined_output(result)
-    assert "Invalid value for '--tmin' / '--tmax'" in combined_output(result)
-    assert "nan" not in combined_output(result)  # a time the user never gave
+def test_heatmap_time_overflow_is_usage_error(args):
+    result = invoke(["heatmap", "--grid", "3", *args])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--tmin' / '--tmax'" in result.output
+    assert "nan" not in result.output  # a time the user never gave
 
 
 @pytest.mark.parametrize("args", [
@@ -537,29 +550,29 @@ def test_heatmap_time_overflow_is_usage_error(runner, args):
     ["--tmin", "5e-324"],  # beta = 1/T overflows
     ["--k", "1e300", "--tmin", "1"],
 ])
-def test_thermo_extreme_temperature_is_usage_error(runner, args):
-    result = runner.invoke(main, ["thermo", "--tsteps", "2", *args])
-    assert result.exit_code == 2, combined_output(result)
-    assert "Invalid value for '--tmin'" in combined_output(result)
+def test_thermo_extreme_temperature_is_usage_error(args):
+    result = invoke(["thermo", "--tsteps", "2", *args])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--tmin'" in result.output
 
 
 @pytest.mark.parametrize("k, T", [
     ("1e300", "1e300"),  # c*hbar*k*beta^2 = 1e-300, the range edge, while beta^2 underflows to 0
     ("1e-300", "1e-200"),  # c*hbar*k*beta^2 = 1e100, while beta^2 overflows
 ])
-def test_thermo_extreme_coupling_is_clean(runner, k, T):
-    result = runner.invoke(main, ["thermo", "--k", k, "--tmin", T, "--tmax", T, "--tsteps", "1"])
-    assert result.exit_code in (0, 2), combined_output(result)
+def test_thermo_extreme_coupling_is_clean(k, T):
+    result = invoke(["thermo", "--k", k, "--tmin", T, "--tmax", T, "--tsteps", "1"])
+    assert result.exit_code in (0, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-def test_thermo_underflowing_temperature_is_usage_error(runner, tmp_path):
+def test_thermo_underflowing_temperature_is_usage_error(tmp_path):
     path = tmp_path / "lab.cfg"
     path.write_text("k_B=1e-300\n", encoding="utf-8")  # k_B T underflows to 0 at --tmin
-    result = runner.invoke(main, ["thermo", "--tmin", "1e-300", "--tsteps", "2"],
-                           env={CONFIG_ENV_VAR: str(path)})
-    assert result.exit_code == 2, combined_output(result)
-    assert "Invalid value for '--tmin'" in combined_output(result)
+    result = invoke(["thermo", "--tmin", "1e-300", "--tsteps", "2"],
+              env={CONFIG_ENV_VAR: str(path)})
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--tmin'" in result.output
 
 
 @pytest.mark.parametrize("cfg, args", [
@@ -567,55 +580,55 @@ def test_thermo_underflowing_temperature_is_usage_error(runner, tmp_path):
     ("k_B=1e200", ["--k", "1", "--tmin", "1e-200", "--tmax", "1e-200",
                    "--particles", str(MAX_PARTICLES)]),
 ])
-def test_thermo_non_finite_field_is_usage_error(runner, tmp_path, cfg, args):
+def test_thermo_non_finite_field_is_usage_error(tmp_path, cfg, args):
     # c*hbar*k*beta^2 = 1 is in range; k_B and N scale S and C_V past the float range
     path = tmp_path / "lab.cfg"
     path.write_text(cfg + "\n", encoding="utf-8")
-    result = runner.invoke(main, ["thermo", "--tsteps", "1", *args],
-                           env={CONFIG_ENV_VAR: str(path)})
-    assert result.exit_code == 2, combined_output(result)
-    assert "k_B=" in combined_output(result) and "--particles" in combined_output(result)
+    result = invoke(["thermo", "--tsteps", "1", *args],
+              env={CONFIG_ENV_VAR: str(path)})
+    assert result.exit_code == 2, result.output
+    assert "k_B=" in result.output and "--particles" in result.output
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.2, 1e3])
-def test_thermo_finite_at_temperature_range_edges(runner, tmp_path, k):
+def test_thermo_finite_at_temperature_range_edges(tmp_path, k):
     # the extreme temperatures that keep c hbar k beta^2 inside [1e-300, 1e150]
     tmin, tmax = math.sqrt(k / 1e150) * (1 + 1e-12), math.sqrt(k / 1e-300) * (1 - 1e-12)
     out = tmp_path / "edge.csv"
-    run_ok(runner, ["thermo", "--k", repr(k), "--tmin", repr(tmin), "--tmax", repr(tmax),
-                    "--tsteps", "3", "--particles", "3", "--out", str(out)])
+    run_ok(["thermo", "--k", repr(k), "--tmin", repr(tmin), "--tmax", repr(tmax),
+            "--tsteps", "3", "--particles", "3", "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert len(rows) == 3
     assert all(math.isfinite(float(field)) for row in rows for field in row)
     for T, key in ((tmin * 0.99, "--tmin"), (tmax * 1.01, "--tmax")):
-        result = runner.invoke(main, ["thermo", "--k", repr(k), key, repr(T)])
-        assert result.exit_code == 2, combined_output(result)
-        assert f"Invalid value for '{key}'" in combined_output(result)
+        result = invoke(["thermo", "--k", repr(k), key, repr(T)])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{key}'" in result.output
 
 
-def test_thermo_finite_at_particle_bound(runner, tmp_path):
+def test_thermo_finite_at_particle_bound(tmp_path):
     # beta = 1 with k at both ends of c hbar k beta^2 in [1e-300, 1e150]
     out = tmp_path / "bound.csv"
-    run_ok(runner, ["thermo", "--k", "1e-300", "--k", "1e150", "--tmin", "1", "--tmax", "1",
-                    "--tsteps", "1", "--particles", str(MAX_PARTICLES), "--out", str(out)])
+    run_ok(["thermo", "--k", "1e-300", "--k", "1e150", "--tmin", "1", "--tmax", "1",
+            "--tsteps", "1", "--particles", str(MAX_PARTICLES), "--out", str(out)])
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert len(rows) == 2
     assert all(math.isfinite(float(field)) for row in rows for field in row)
-    result = runner.invoke(main, ["thermo", "--particles", str(MAX_PARTICLES + 1)])
-    assert result.exit_code == 2, combined_output(result)
-    assert "Invalid value for '--particles'" in combined_output(result)
+    result = invoke(["thermo", "--particles", str(MAX_PARTICLES + 1)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--particles'" in result.output
 
 
-def test_unwritable_out_is_usage_error(runner, tmp_path):
+def test_unwritable_out_is_usage_error(tmp_path):
     out = tmp_path / "no_such_dir" / "d.csv"
-    result = runner.invoke(main, ["density", "--grid", "3", "--out", str(out)])
-    assert result.exit_code == 2, combined_output(result)
-    assert "Invalid value for '--out'" in combined_output(result)
+    result = invoke(["density", "--grid", "3", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--out'" in result.output
 
 
-def test_thermo_truncation_budget_exit_code(runner, monkeypatch):
+def test_thermo_truncation_budget_exit_code(monkeypatch):
     monkeypatch.setattr(thermo_mod, "thermo_sweep", _raise_budget)
-    result = runner.invoke(main, ["thermo", "--tsteps", "2"])
+    result = invoke(["thermo", "--tsteps", "2"])
     assert result.exit_code == EXIT_TRUNCATION_BUDGET
 
 
@@ -667,15 +680,15 @@ def test_unmapped_runtime_error_escapes(capsys, monkeypatch):
     assert "error:" not in capsys.readouterr().err
 
 
-def test_unreachable_tol_fails_before_summing_the_budget(runner, monkeypatch):
+def test_unreachable_tol_fails_before_summing_the_budget(monkeypatch):
     # T = 0.1 (beta = 10) meets tol at M = 12800, where its tail bound underflows.  At T = 10 the
     # tail bound alone shows that no M within MAX_TERMS meets tol, so only M = 200 is summed there
     heads, seen = thermo_mod._heads, []
     monkeypatch.setattr(thermo_mod, "_heads", lambda lam, m: seen.append(m) or heads(lam, m))
-    result = runner.invoke(main, ["thermo", "--tol", "1e-300", "--tsteps", "2"])
-    assert result.exit_code == EXIT_TRUNCATION_BUDGET, combined_output(result)
+    result = invoke(["thermo", "--tol", "1e-300", "--tsteps", "2"])
+    assert result.exit_code == EXIT_TRUNCATION_BUDGET, result.output
     assert (f"error: partition series needs more than {MAX_TERMS} terms for tol=1e-300 "
-            "(beta=0.1, k=0.2)") in combined_output(result)
+            "(beta=0.1, k=0.2)") in result.output
     assert seen == [12800, 200]
 
 
@@ -687,13 +700,13 @@ _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
     *(("--particles", value) for value in ("1", "64", str(MAX_PARTICLES), str(MAX_PARTICLES + 1))),
     ("--tsteps", "1"), ("--tsteps", "64"),
 ])
-def test_thermo_edge_sweep(runner, flag, value):
+def test_thermo_edge_sweep(flag, value):
     # every edge value ends in a documented exit code, never a traceback or a non-finite field
     args = {"--tsteps": "2", flag: value}
-    result = runner.invoke(main, ["thermo", *(item for pair in args.items() for item in pair)])
-    assert result.exit_code in (0, 2, 3, 4, 5), combined_output(result)
+    result = invoke(["thermo", *(item for pair in args.items() for item in pair)])
+    assert result.exit_code in (0, 2, 3, 4, 5), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in combined_output(result)
+    assert "Traceback" not in result.output
     if result.exit_code == 0:
         _, _, rows = parse_csv(result.stdout)
         assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
@@ -724,7 +737,7 @@ _GRID_EDGES = [
 
 
 @pytest.mark.parametrize("command, flag, value", _GRID_EDGES)
-def test_grid_command_edge_sweep(runner, tmp_path, command, flag, value):
+def test_grid_command_edge_sweep(tmp_path, command, flag, value):
     # the grid counts have no maximum, so they are swept at the minimum and 64 only
     base, _ = _GRID_COMMANDS[command]
     args, env = dict(zip(base[::2], base[1::2])), {CONFIG_ENV_VAR: None}
@@ -734,21 +747,21 @@ def test_grid_command_edge_sweep(runner, tmp_path, command, flag, value):
         args["--k"] = "1"
         (tmp_path / "lab.cfg").write_text(f"{flag}={value}\n", encoding="utf-8")
         env[CONFIG_ENV_VAR] = str(tmp_path / "lab.cfg")
-    result = runner.invoke(main, [command, *(item for pair in args.items() for item in pair)],
-                           env=env)
-    assert result.exit_code in (0, 2, 3, 4, 5), combined_output(result)
+    result = invoke([command, *(item for pair in args.items() for item in pair)],
+              env=env)
+    assert result.exit_code in (0, 2, 3, 4, 5), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in combined_output(result)
+    assert "Traceback" not in result.output
     if result.exit_code == 0:
         header, _, rows = parse_csv(result.stdout)
         assert math.isfinite(float(header.get("radius", 0.0)))
         assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
 
-def test_thermo_json(runner, tmp_path):
+def test_thermo_json(tmp_path):
     out = tmp_path / "th.json"
-    run_ok(runner, ["thermo", "--k", "0.4", "--tmin", "5", "--tmax", "10", "--tsteps", "2",
-                    "--format", "json", "--out", str(out)])
+    run_ok(["thermo", "--k", "0.4", "--tmin", "5", "--tmax", "10", "--tsteps", "2",
+            "--format", "json", "--out", str(out)])
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["config"]["particles"] == 1
     assert len(payload["rows"]) == 2
@@ -758,57 +771,70 @@ def test_thermo_json(runner, tmp_path):
 # ---------------------------------------------------------------- configuration
 
 
-def test_env_config_merged_under_flags(runner, tmp_path):
+def test_env_config_merged_under_flags(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("omega=0.4\ngrid=21\n# comment line\n\n", encoding="utf-8")
     env = {CONFIG_ENV_VAR: str(cfg)}
 
     out1 = tmp_path / "cfg1.csv"
-    run_ok(runner, ["density", "--n", "0", "--out", str(out1)], env=env)
+    run_ok(["density", "--n", "0", "--out", str(out1)], env=env)
     header, _, rows = parse_csv(out1.read_text(encoding="utf-8"))
     assert float(header["omega"]) == pytest.approx(0.4, rel=1e-15)
     assert len(rows) == 21
 
     out2 = tmp_path / "cfg2.csv"
-    run_ok(runner, ["density", "--n", "0", "--omega", "0.7", "--out", str(out2)], env=env)
+    run_ok(["density", "--n", "0", "--omega", "0.7", "--out", str(out2)], env=env)
     header, _, _ = parse_csv(out2.read_text(encoding="utf-8"))
     assert float(header["omega"]) == pytest.approx(0.7, rel=1e-15)  # flag wins
 
 
-def test_env_config_missing_file_errors(runner, tmp_path):
-    result = runner.invoke(main, ["density"], env={CONFIG_ENV_VAR: str(tmp_path / "nope.cfg")})
+def test_env_config_with_a_byte_order_mark(tmp_path):
+    # as an editor may save it: the mark is not part of the first key
+    plain, marked, latin1 = tmp_path / "plain.cfg", tmp_path / "bom.cfg", tmp_path / "latin1.cfg"
+    plain.write_bytes(b"omega=0.4\n")
+    marked.write_bytes(b"\xef\xbb\xbfomega=0.4\n")
+    latin1.write_bytes(b"# \xe9\nomega=0.4\n")
+    args = ["density", "--grid", "5"]
+    expected = run_ok(args, env={CONFIG_ENV_VAR: str(plain)}).stdout_bytes
+    assert run_ok(args, env={CONFIG_ENV_VAR: str(marked)}).stdout_bytes == expected
+    result = invoke(args, env={CONFIG_ENV_VAR: str(latin1)})
+    assert result.exit_code == 2 and "names an unreadable file" in result.stderr
+
+
+def test_env_config_missing_file_errors(tmp_path):
+    result = invoke(["density"], env={CONFIG_ENV_VAR: str(tmp_path / "nope.cfg")})
     assert result.exit_code == 2
 
 
-def test_env_config_bad_line_errors(runner, tmp_path):
+def test_env_config_bad_line_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega 0.4\n", encoding="utf-8")
-    result = runner.invoke(main, ["density"], env={CONFIG_ENV_VAR: str(cfg)})
+    result = invoke(["density"], env={CONFIG_ENV_VAR: str(cfg)})
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("command", ["table1", "thermo"])
-def test_env_config_unknown_key_errors(runner, tmp_path, command):
+def test_env_config_unknown_key_errors(tmp_path, command):
     # a typo is not silently dropped: the error names the key and its line
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("# shared\ngrid=5\nomgea=0.3\n", encoding="utf-8")
-    result = runner.invoke(main, [command], env={CONFIG_ENV_VAR: str(cfg)})
-    assert result.exit_code == 2, combined_output(result)
+    result = invoke([command], env={CONFIG_ENV_VAR: str(cfg)})
+    assert result.exit_code == 2, result.output
     assert f"{cfg}:3" in result.stderr and "'omgea'" in result.stderr
     assert result.stdout == ""
 
 
-def test_env_config_key_another_command_reads_is_allowed(runner, tmp_path):
+def test_env_config_key_another_command_reads_is_allowed(tmp_path):
     # settings a command does not read (here grid, space, particles) keep a shared file usable
     cfg = tmp_path / "shared.cfg"
     cfg.write_text("grid=5\nspace=momentum\nparticles=3\nomega=0.3\n", encoding="utf-8")
-    result = run_ok(runner, ["table1", "--n", "0"], env={CONFIG_ENV_VAR: str(cfg)})
+    result = run_ok(["table1", "--n", "0"], env={CONFIG_ENV_VAR: str(cfg)})
     header, _, rows = parse_csv(result.stdout)
     assert header["omega_list"] == "0.29999999999999999" and len(rows) == 1
 
 
-def test_stdout_emission(runner):
-    result = run_ok(runner, ["density", "--n", "0", "--grid", "5"])
+def test_stdout_emission():
+    result = run_ok(["density", "--n", "0", "--grid", "5"])
     assert result.output.startswith("# majorana-lab density")
     _, columns, rows = parse_csv(result.output)
     assert columns == ["y", "density"] and len(rows) == 5
@@ -820,21 +846,21 @@ _COMMAND_FLAGS = {"table1": "--omega", "density": "--space", "entropy-density": 
                   "heatmap": "--tsteps", "thermo": "--particles"}
 
 
-def test_no_arguments_is_usage_error(runner):
-    result = runner.invoke(main, [])
+def test_no_arguments_is_usage_error():
+    result = invoke([])
     assert result.exit_code == 2
     assert "Usage:" in result.stderr and result.stdout == ""
 
 
-def test_help_lists_every_command(runner):
-    result = run_ok(runner, ["--help"])
+def test_help_lists_every_command():
+    result = run_ok(["--help"])
     assert result.stdout.startswith("Usage:")
     assert all(command in result.stdout for command in _COMMAND_FLAGS)
 
 
 @pytest.mark.parametrize("command", _COMMAND_FLAGS)
-def test_command_help_lists_its_flags(runner, command):
-    result = run_ok(runner, [command, "--help"])
+def test_command_help_lists_its_flags(command):
+    result = run_ok([command, "--help"])
     assert result.stdout.startswith("Usage:")
     assert all(flag in result.stdout for flag in (_COMMAND_FLAGS[command], "--format", "--out"))
     # --omega is named only by the commands that have it
@@ -850,23 +876,23 @@ def test_command_help_lists_its_flags(runner, command):
     (["table1", "--n"], "--n"),
     (["density", "--grid", "3", "--out"], "--out"),
 ])
-def test_bad_command_line_is_usage_error(runner, args, token):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2, combined_output(result)
+def test_bad_command_line_is_usage_error(args, token):
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
     assert token in result.stderr and result.stdout == ""
 
 
-def test_key_equals_value_form(runner):
-    spaced = run_ok(runner, ["heatmap", "--grid", "3", "--tsteps", "2", "--tmin", "-2"])
-    joined = run_ok(runner, ["heatmap", "--grid=3", "--tsteps=2", "--tmin=-2"])
+def test_key_equals_value_form():
+    spaced = run_ok(["heatmap", "--grid", "3", "--tsteps", "2", "--tmin", "-2"])
+    joined = run_ok(["heatmap", "--grid=3", "--tsteps=2", "--tmin=-2"])
     assert joined.stdout == spaced.stdout
     header, _, rows = parse_csv(joined.stdout)
     assert header["tmin"] == "-2" and len(rows) == 6
 
 
-def test_repeated_scalar_flag_keeps_the_last(runner):
-    result = run_ok(runner, ["density", "--grid", "3", "--grid", "5", "--theta", "1",
-                             "--theta", "0.5"])
+def test_repeated_scalar_flag_keeps_the_last():
+    result = run_ok(["density", "--grid", "3", "--grid", "5", "--theta", "1",
+                     "--theta", "0.5"])
     header, _, rows = parse_csv(result.stdout)
     assert header["grid"] == "5" and header["theta"] == "0.5" and len(rows) == 5
 
@@ -876,8 +902,8 @@ def test_repeated_scalar_flag_keeps_the_last(runner):
     (["density", "--grid", "3"], "--theta", _LOWEST),
     (["heatmap", "--grid", "3", "--tsteps", "2"], "--tmax", "-5"),
 ])
-def test_flag_takes_a_value_that_starts_with_a_dash(runner, args, flag, value):
-    result = run_ok(runner, [*args, flag, value])
+def test_flag_takes_a_value_that_starts_with_a_dash(args, flag, value):
+    result = run_ok([*args, flag, value])
     header, _, _ = parse_csv(result.stdout)
     assert float(header[flag[2:]]) == float(value)
 

@@ -14,12 +14,12 @@ import math
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from csv_utils import parse_csv
 from mpmath_entropy import mpmath_unit_entropy
 
-from majorana_lab.cli import CONFIG_ENV_VAR, main
+from majorana_lab.cli import CONFIG_ENV_VAR
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,7 +84,7 @@ def run_case(name, fmt, workdir):
     if config is not None:
         (workdir / "lab.cfg").write_text(config, encoding="utf-8")
         env[CONFIG_ENV_VAR] = "lab.cfg"
-    result = CliRunner().invoke(main, argv, env=env)
+    result = invoke(argv, env=env)
     assert result.exit_code == 0, f"{argv}: {result.output}\n{result.exception!r}"
     outputs = sorted(workdir.glob("out.*"))
     return outputs[0].read_bytes() if outputs else result.stdout_bytes
@@ -106,7 +106,7 @@ LARGE_OUTPUTS = {
 @pytest.mark.parametrize("name", LARGE_OUTPUTS)
 def test_large_output_sha256(name):
     argv, digest = LARGE_OUTPUTS[name]
-    result = CliRunner().invoke(main, argv, env={CONFIG_ENV_VAR: None})
+    result = invoke(argv, env={CONFIG_ENV_VAR: None})
     assert result.exit_code == 0, f"{argv}: {result.output}\n{result.exception!r}"
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 

@@ -98,6 +98,21 @@ def test_every_positive_finite_site_has_one_rule(name, take, value):
         take(value)
 
 
+@pytest.mark.parametrize("take", [
+    lambda: energy(1, PotentialParams(1.0), PhysicalConstants(c=1e-200, hbar=1e-200)),
+    lambda: SpinorState.from_potential(1, PotentialParams(1.0),
+                                       PhysicalConstants(c=1e-200, hbar=1e-200)),
+    lambda: energy(1, PotentialParams(6e282), PhysicalConstants(c=3e8, hbar=1.05e-34)),
+    lambda: PhysicalConstants(c=1e200, hbar=1e200).omega(1.0),
+], ids=["energy-c_hbar-underflows", "from_potential-c_hbar-underflows", "energy-omega-overflows",
+        "omega-c_hbar-overflows"])
+def test_omega_of_a_slope_has_one_rule(take):
+    # omega = k/(c hbar) is refused as a bad k, the value the caller gave, wherever it is formed
+    with pytest.raises(OutOfRange) as excinfo:
+        take()
+    assert excinfo.value.param == "k"
+
+
 def test_constants_are_shared():
     from majorana_lab import entropy, spinor, thermo
 

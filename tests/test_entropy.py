@@ -5,13 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import majorana_lab.entropy as entropy_mod
 import majorana_lab.spinor as spinor_mod
+from cli_runner import invoke
 from direct_entropy import direct_entropy
 from mpmath_entropy import mpmath_unit_entropy
-from majorana_lab.cli import main as cli_main
 from majorana_lab.entropy import (
     BBM_BOUND,
     DEFAULT_THETA,
@@ -141,7 +140,7 @@ def test_default_table1_makes_four_integrals(monkeypatch):
 
     entropy_mod._unit_entropy.cache_clear()
     monkeypatch.setattr(entropy_mod, "integrate", counted)
-    result = CliRunner().invoke(cli_main, ["table1"])
+    result = invoke(["table1"])
     assert result.exit_code == 0, result.output
     assert len(calls) == 4  # one per level n = 0..3, shared by the three omegas and both spaces
 

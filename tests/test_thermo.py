@@ -151,6 +151,27 @@ def test_bound_at_200_terms_is_below_double_rounding_for_every_coupling():
         assert m == 200 and 0.0 <= bound <= 1.6e-19
 
 
+TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
+
+
+@pytest.mark.parametrize("take", [
+    lambda: partition_em(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
+    lambda: partition_exact(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
+    lambda: report(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
+    lambda: report(EnsembleParams(beta=1e100, k=1e-10)),
+    lambda: report(EnsembleParams(beta=1.0, k=1e160)),
+    lambda: report(EnsembleParams(beta=1e-160, k=1e-10)),
+    lambda: report(EnsembleParams(beta=1e200, k=1e200)),
+], ids=["partition_em-c_hbar-underflows", "partition_exact-c_hbar-underflows",
+        "report-c_hbar-underflows", "report-beta=1e100-k=1e-10", "report-beta=1-k=1e160",
+        "report-beta=1e-160-k=1e-10", "report-beta=1e200-k=1e200"])
+def test_every_ensemble_function_refuses_couplings_out_of_range(take):
+    # every per-point function, not only thermo_sweep, is guarded by EM_PARAMETER_RANGE
+    with pytest.raises(OutOfRange) as excinfo:
+        take()
+    assert excinfo.value.param == "em_parameter"
+
+
 def test_partition_monotone_in_beta_and_k():
     betas = [0.2, 0.5, 1.0, 2.0]
     zs = [partition_exact(EnsembleParams(beta=b, k=0.4))[0] for b in betas]
