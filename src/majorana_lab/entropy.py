@@ -59,19 +59,19 @@ def bbm_report(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
 
     The sum is 2 S_1(n, theta), the same for every omega, and quad_err is
     twice the error estimate of the one S_1 quadrature (it enters S_y and S_p
-    alike).  Raises BoundViolation if the sum undercuts the bound by more than
-    the numerical guard; that signals a bug, not physics.
+    alike).  Raises BoundViolation if the sum plus quad_err, the top of its
+    certified interval, undercuts the bound by more than the numerical guard;
+    that signals a bug, not physics.
     """
     shift = _half_log(omega)
     s_1, err = _unit_entropy(n, theta, tol)
-    total = 2.0 * s_1
-    if total < BBM_BOUND - _BBM_GUARD:
+    total, quad_err = 2.0 * s_1, 2.0 * abs(err)
+    if total + quad_err < BBM_BOUND - _BBM_GUARD:
         raise BoundViolation(
             f"S_y + S_p = {total!r} < {BBM_BOUND!r} - {_BBM_GUARD:g} "
             f"for n={n}, omega={omega!r}, theta={theta!r}"
         )
-    return EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND,
-                         quad_err=2.0 * abs(err))
+    return EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND, quad_err)
 
 
 def _half_log(omega):
@@ -90,12 +90,6 @@ def _unit_entropy(n, theta, tol):
     # positive float, where tol * 1e-2 would underflow to 0; R grows only like
     # sqrt(ln(1/tail_tol)), and such a tol fails in the quadrature instead.
     radius = truncation_radius(1.0, n + 1, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
-
-    pending = {}  # rho is even and the panels mirror exactly: each |y| is kept till its mirror
-
-    def integrand(y):
-        r = abs(y)
-        return pending.pop(r) if r in pending else pending.setdefault(r, xlogx(density(r)))
-
-    value, err = integrate(integrand, radius, tol)
+    # rho is even, so rho ln rho is integrated over [0, R] only, density(y) at y >= 0
+    value, err = integrate(lambda y: xlogx(density(y)), radius, tol, even=True)
     return -value, err

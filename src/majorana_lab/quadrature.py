@@ -47,7 +47,7 @@ class NonConvergence(RuntimeError):
         self.err_estimate = err_estimate
 
 
-def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL):
+def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):
     """Integrate f over [-R, R], R = truncation_radius, adaptively; returns (value, err_estimate).
 
     Adaptive 15-point Gauss-Kronrod rule (G7K15; QUADPACK's qk15, Piessens et
@@ -60,6 +60,11 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL):
     panels.  On success err_estimate, the sum of the panel errors, satisfies
     err_estimate <= target_abs_tol.
 
+    even=True requires f(-y) == f(y) bit for bit and calls f at y >= 0 only:
+    the first round mirrors f's values on [-R, R], later rounds keep the
+    panels in [0, R] and double every sum and count, which is exact, so the
+    result (or NonConvergence) has even=False's bits.
+
     Raises NonConvergence (with the best estimate attached) when no panel can
     still be halved, when halving would exceed _MAX_PANELS panels,
     or as soon as the retired panels' errors alone exceed the tolerance, which
@@ -70,13 +75,14 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL):
     R, tol = truncation_radius, target_abs_tol
     active = [(0.0, R)]  # (center, half-width) of each unfinished panel
     values, errs = [], []  # integral and error estimate of each retired panel
+    copies = 1  # panels of [-R, R] per panel kept: 2 once even=True keeps only [0, R]
     while True:
-        rules = [_qk15(f, center, half) for center, half in active]
-        total = _fsum(values + [value for value, _, _ in rules])
-        total_err = _fsum(errs + [err for _, err, _ in rules])
+        rules = [_qk15(f, center, half, even and copies == 1) for center, half in active]
+        total = copies * _fsum(values + [value for value, _, _ in rules])
+        total_err = copies * _fsum(errs + [err for _, err, _ in rules])
         if total_err <= tol:
             return total, total_err
-        panels = len(values) + len(active)
+        panels = copies * (len(values) + len(active))
         split = []
         for (center, half), (value, err, floor) in zip(active, rules):
             if err > tol * half / R and err > floor and half > 100.0 * _EPS * abs(center):
@@ -84,17 +90,21 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL):
             else:
                 values.append(value)
                 errs.append(err)
-        if not split or panels + len(split) > _MAX_PANELS or _fsum(errs) > tol:
+        if not split or panels + copies * len(split) > _MAX_PANELS or copies * _fsum(errs) > tol:
             raise NonConvergence(
                 f"quadrature did not reach tol={tol:g} on [-{R:g}, {R:g}] "
                 f"(error estimate {total_err:g} over {panels} panels)",
                 total, total_err)
         active = [(c, h) for center, h in split for c in (center - h, center + h)]
+        if even and copies == 1:  # the first round split [-R, R] into [-R, 0] and [0, R]
+            active, copies = active[1:], 2
 
 
-def _qk15(f, center, half):
+def _qk15(f, center, half, mirror=False):
     """(integral, error estimate, roundoff floor) of f over center -/+ half by qk15."""
-    fx = [f(center + half * x) for x in _NODES]
+    fx = [f(center + half * x) for x in (_XK if mirror else _NODES)]
+    if mirror:  # an even f about center 0: the nodes below 0 take the values above it
+        fx += fx[-2::-1]
     kronrod = _fsum([w * v for w, v in zip(_KRONROD, fx)])
     gauss = _fsum([w * v for w, v in zip(_GAUSS, fx[1::2])])
     mean = 0.5 * kronrod

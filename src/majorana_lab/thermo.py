@@ -45,6 +45,8 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
         positive_finite(beta, "beta")
         positive_finite(k, "k")
         level(N, "N", 1)
+        if not isinstance(pc, PhysicalConstants):
+            raise ValueError("pc must be a PhysicalConstants")
         return super().__new__(cls, beta, k, N, pc)
 
     @property

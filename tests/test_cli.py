@@ -112,6 +112,14 @@ def test_table1_bbm_violation_exit_code(monkeypatch):
     assert result.exit_code == EXIT_BBM_VIOLATION
 
 
+def test_sum_below_the_bound_within_its_error_is_no_violation():
+    # at tol = 10 the first round ends the quadrature: the sum is 1.72 +/- 2.97, which spans
+    # the bound 2.14, so it is no sign of a bug
+    result = invoke(["table1", "--n", "0", "--omega", "1", "--tol", "10"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1].startswith("0,1,0.86173533467315422,")
+
+
 def test_quadrature_failure_exit_code():
     result = invoke(["table1", "--n", "0", "--omega", "0.2", "--tol", "1e-300"])
     assert result.exit_code == EXIT_QUAD_NONCONVERGENCE
@@ -123,7 +131,8 @@ def test_unreachable_quadrature_tol_exits_at_once(monkeypatch, tol):
     # The quadrature gives up once its retired panels' errors pass tol, not at the budget
     points, integrate = [], entropy_mod.integrate
     monkeypatch.setattr(entropy_mod, "integrate",
-                        lambda f, *args: integrate(lambda y: points.append(y) or f(y), *args))
+                        lambda f, *args, **kw: integrate(lambda y: points.append(y) or f(y),
+                                                         *args, **kw))
     entropy_mod._unit_entropy.cache_clear()
     result = invoke(["table1", "--n", "0", "--tol", tol])
     assert result.exit_code == EXIT_QUAD_NONCONVERGENCE, result.output

@@ -67,9 +67,9 @@ def test_unit_entropy_bits_at_other_tols(n, theta, tol, value, err):
 
 
 @pytest.mark.parametrize("n, theta", [(0, QUARTER), (5, 0.3), (17, 0.0), (64, QUARTER)])
-def test_integral_sweeps_the_recurrence_once_per_mirror_pair(monkeypatch, n, theta):
-    # rho is even, so of P quadrature points only |y| is evaluated, each once: P/2 sweeps plus
-    # the origin, every one of them at y >= 0
+def test_integral_sweeps_the_recurrence_once_per_half_line_point(monkeypatch, n, theta):
+    # rho is even, so the integral evaluates it at y >= 0 only, each point once: of the P points
+    # of the same rule over the whole line, at most the (P + 1)/2 mirror pairs and the origin
     points, sweeps = [], []
     make_pair, integrate = spinor_mod.hermite_pair_evaluator, entropy_mod.integrate
 
@@ -77,11 +77,15 @@ def test_integral_sweeps_the_recurrence_once_per_mirror_pair(monkeypatch, n, the
         pair = make_pair(n, omega)
         return lambda y: sweeps.append(y) or pair(y)
 
-    monkeypatch.setattr(spinor_mod, "hermite_pair_evaluator", counted_pair)
-    monkeypatch.setattr(entropy_mod, "integrate",
-                        lambda f, *args: integrate(lambda y: points.append(y) or f(y), *args))
     entropy_mod._unit_entropy.cache_clear()
-    entropy_mod._unit_entropy(n, theta, 1e-10)
+    with monkeypatch.context() as patch:
+        patch.setattr(spinor_mod, "hermite_pair_evaluator", counted_pair)
+        half_line = entropy_mod._unit_entropy(n, theta, 1e-10)
+    entropy_mod._unit_entropy.cache_clear()
+    # the whole line (even dropped): the integrand at every point, the density even bit for bit
+    monkeypatch.setattr(entropy_mod, "integrate", lambda f, *args, **kw: integrate(
+        lambda y: points.append(y) or f(abs(y)), *args))
+    assert entropy_mod._unit_entropy(n, theta, 1e-10) == half_line
     entropy_mod._unit_entropy.cache_clear()
     assert points and len(sweeps) <= (len(points) + 1) / 2
     assert min(sweeps) >= 0.0 and len(set(sweeps)) == len(sweeps)
@@ -134,9 +138,9 @@ def test_default_table1_makes_four_integrals(monkeypatch):
     calls = []
     integrate = entropy_mod.integrate
 
-    def counted(f, *args):
+    def counted(f, *args, **kw):
         calls.append(args)
-        return integrate(f, *args)
+        return integrate(f, *args, **kw)
 
     entropy_mod._unit_entropy.cache_clear()
     monkeypatch.setattr(entropy_mod, "integrate", counted)
@@ -225,3 +229,10 @@ def test_bound_violation_raised(monkeypatch):
     monkeypatch.setattr(entropy_mod, "_unit_entropy", fake_integral)
     with pytest.raises(BoundViolation):
         entropy_mod.bbm_report(0, 1.0)
+
+
+def test_bound_violation_needs_the_whole_certified_interval_below_the_bound():
+    # one quadrature round meets tol = 10: the sum is under the bound, its error bar is not
+    report = bbm_report(0, 1.0, tol=10.0)
+    assert report.sum < BBM_BOUND < report.sum + report.quad_err
+    assert report.quad_err <= 2 * 10.0

@@ -6,6 +6,7 @@ from scipy.special import gamma
 
 from majorana_lab import quadrature
 from majorana_lab.quadrature import NonConvergence, integrate, truncation_radius, xlogx
+from majorana_lab.spinor import SpinorState, density_evaluator
 
 
 def gaussian_moment(m, omega):
@@ -107,6 +108,54 @@ def test_result_independent_of_panel_order():
     f = lambda y: math.exp(-0.3 * y * y) * (1.0 + y) ** 2
     radius = truncation_radius(0.3, 1)
     assert integrate(f, radius, 1e-13) == integrate(lambda y: f(-y), radius, 1e-13)
+
+
+def _entropy_integrand(n, theta):
+    """rho ln rho at omega = 1, even bit for bit: the density is evaluated at |y|."""
+    density = density_evaluator(SpinorState(n, 1.0), theta)
+    return lambda y: xlogx(density(abs(y)))
+
+
+def _outcome(f, radius, tol, **kw):
+    """The repr of integrate's (value, err_estimate), or of NonConvergence's message, value and
+    err_estimate: equal reprs are equal bits, the sign of a zero included."""
+    try:
+        return repr(integrate(f, radius, tol, **kw))
+    except NonConvergence as exc:
+        return repr((str(exc), exc.value, exc.err_estimate))
+
+
+# (integrand, truncation radius): rho ln rho, and a cusp at the origin
+EVEN_INTEGRANDS = {
+    **{f"rho-ln-rho-n={n}-theta={theta:.4f}": (lambda n=n, theta=theta: (
+        _entropy_integrand(n, theta), truncation_radius(1.0, n + 1)))
+       for n in (0, 3, 20, 64) for theta in (0.3, math.pi / 4, 0.0, math.pi / 2)},
+    "cusp": lambda: (lambda y: math.exp(-abs(y)), 40.0),
+}
+# from one round (1e308, 10) to the retired panels' errors passing tol: at 1e-14 (n = 3, 20)
+# while those of [0, R] alone are still below it, and at 1e-310 and 5e-324 in the first rounds
+EVEN_TOLS = [1e308, 10.0, 1e-4, 1e-10, 1e-14, 1e-15, 1e-310, 5e-324]
+
+
+@pytest.mark.parametrize("tol", EVEN_TOLS)
+@pytest.mark.parametrize("make", EVEN_INTEGRANDS.values(), ids=EVEN_INTEGRANDS.keys())
+def test_even_integral_has_the_full_lines_bits(make, tol):
+    # half the points, each at y >= 0 and evaluated once, and the same bits as the whole line,
+    # on success and in NonConvergence's message, value and estimate alike
+    f, radius = make()
+    full, half = [], []
+    expected = _outcome(lambda y: full.append(y) or f(y), radius, tol)
+    assert _outcome(lambda y: half.append(y) or f(y), radius, tol, even=True) == expected
+    assert len(half) == (len(full) + 1) // 2
+    assert min(half) >= 0.0 and len(set(half)) == len(half)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 8, 99])
+@pytest.mark.parametrize("name", ["rho-ln-rho-n=20-theta=0.3000", "cusp"])
+def test_even_integral_counts_the_panel_budget_of_the_full_line(monkeypatch, name, budget):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", budget)
+    f, radius = EVEN_INTEGRANDS[name]()
+    assert _outcome(f, radius, 1e-12, even=True) == _outcome(f, radius, 1e-12)
 
 
 def test_spec_validation():

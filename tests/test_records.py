@@ -35,7 +35,8 @@ def test_keyword_and_positional_construction_agree(record, names, values):
     assert hash(by_keyword) == hash(by_position)
     assert [getattr(by_keyword, name) for name in names] == list(values)
     # the last field set to the first field's value, or doubled where it is the only field
-    assert by_keyword != record(*values[:-1], values[0] if values[1:] else 2 * values[0])
+    last = values[0] if values[1:] else 2 * values[0]
+    assert by_keyword != by_keyword._replace(**{names[-1]: last})
 
 
 @pytest.mark.parametrize("record, names, values", RECORDS, ids=IDS)
@@ -117,6 +118,7 @@ INVALID = {
     "EnsembleParams-N=str": lambda: EnsembleParams(1.0, 0.2, N="2"),
     "EnsembleParams-N=None": lambda: EnsembleParams(1.0, 0.2, N=None),
     "EnsembleParams-N=1e300": lambda: EnsembleParams(1.0, 0.2, N=1e300),
+    "EnsembleParams-pc=2.0": lambda: EnsembleParams(1.0, 0.2, pc=2.0),
 }
 
 
