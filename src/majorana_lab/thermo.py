@@ -11,6 +11,7 @@ both routes.
 
 import functools
 import math
+import sys
 from collections import defaultdict, namedtuple
 from operator import mul
 
@@ -37,17 +38,24 @@ class TruncationBudget(RuntimeError):
 
 
 class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
-    """Inverse temperature beta = 1/(k_B T), slope k, particle count N."""
+    """Inverse temperature beta = 1/(k_B T), slope k, particle count N; OutOfRange names
+    "em_parameter" where c hbar k beta^2 leaves EM_PARAMETER_RANGE, "N" past the largest float."""
 
     __slots__ = ()
 
     def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
         positive_finite(beta, "beta")
         positive_finite(k, "k")
-        level(N, "N", 1)
+        if level(N, "N", 1) > sys.float_info.max:  # compared as an int: float(N) overflows
+            raise OutOfRange("N", N, f"N exceeds the largest float, {sys.float_info.max:g}")
         if not isinstance(pc, PhysicalConstants):
             raise ValueError("pc must be a PhysicalConstants")
-        return super().__new__(cls, beta, k, N, pc)
+        ep = super().__new__(cls, beta, k, N, pc)
+        lo, hi = EM_PARAMETER_RANGE
+        if not lo <= (x := ep.em_parameter) <= hi:
+            raise OutOfRange("em_parameter", x, f"c*hbar*k*beta^2 = {x:g} is out of [{lo:g}, "
+                                                f"{hi:g}], where the sums stay finite")
+        return ep
 
     @property
     def coupling(self):
@@ -68,16 +76,6 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
     @property
     def temperature(self):
         return 1.0 / (self.pc.k_B * self.beta)
-
-
-def _in_range(ep):
-    """ep, where c hbar k beta^2 is in EM_PARAMETER_RANGE; elsewhere some sum or report field
-    leaves the float range, and OutOfRange naming "em_parameter" is raised."""
-    lo, hi = EM_PARAMETER_RANGE
-    if not lo <= (x := ep.em_parameter) <= hi:
-        raise OutOfRange("em_parameter", x, f"c*hbar*k*beta^2 = {x:g} is out of [{lo:g}, "
-                                            f"{hi:g}], where the sums stay finite")
-    return ep
 
 
 # One (beta, k, N) evaluation: both partition routes and all four functions.
@@ -158,7 +156,6 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     that bound is at most 1.6e-19 for any lam, far below the rounding of Z >= 1.
     """
     positive_finite(tol, "tol")
-    _in_range(ep)
     lam = ep.beta * math.sqrt(2.0 * ep.coupling)
     m = _M
     tails, bound = _tails(lam, m)
@@ -182,7 +179,7 @@ def partition_exact(ep, tol=DEFAULT_TOL):
 
 def partition_em(ep):
     """Closed form 1/2 + 1/(c hbar k beta^2) as printed; it tends to 1/2, not 1, as beta -> inf."""
-    return 0.5 + 1.0 / _in_range(ep).em_parameter
+    return 0.5 + 1.0 / ep.em_parameter
 
 
 def report(ep, tol=DEFAULT_TOL):
@@ -192,6 +189,7 @@ def report(ep, tol=DEFAULT_TOL):
     U = 4N / (beta (2 + x)), S = 4 N k_B/(2 + x) + N k_B ln Z_em and
     C_V = 4 k_B N (2 + 3x) / (2 + x)^2 -> 2 N k_B as T -> inf.  The series gives
     F = -(N/beta) ln Z, U = N <E>, S = k_B beta (U - F) and C_V = N k_B beta^2 Var E.
+    OutOfRange naming "N" is raised when k_B and N carry a field out of the float range.
     """
     (t0, t1, t2), m, bound = moment_sums(ep, tol)
     x, N, k_B = ep.em_parameter, ep.N, ep.pc.k_B
@@ -199,7 +197,7 @@ def report(ep, tol=DEFAULT_TOL):
     mean = t1 / t0  # beta <E>
     f_exact = -(N / ep.beta) * math.log(t0)
     u_exact = N * mean / ep.beta
-    return ThermoReport(
+    rep = ThermoReport(
         ep.beta, ep.k, N, ep.temperature, t0, z_em,
         -(N / ep.beta) * math.log(z_em), 4.0 * N / (ep.beta * (2.0 + x)),
         4.0 * N * k_B / (2.0 + x) + N * k_B * math.log(z_em),
@@ -207,6 +205,10 @@ def report(ep, tol=DEFAULT_TOL):
         f_exact, u_exact, k_B * ep.beta * (u_exact - f_exact),
         N * k_B * (t2 / t0 - mean * mean), m, bound,
     )
+    if not all(map(math.isfinite, rep)):
+        raise OutOfRange("N", N, f"k_B={k_B:g} with N={N} takes a field of the report "
+                                 "out of the float range")
+    return rep
 
 
 def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
@@ -214,8 +216,7 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
 
     OutOfRange names "T" when at some temperature (the first such, in T order)
     c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or k_B T leaves the float
-    range; it names "N" when k_B and N carry a field of an in-range point out of
-    the float range.
+    range; report's and EnsembleParams' refusals naming "N" pass through.
     """
     T_values = linspace(0.1, 10.0, 50) if T_values is None else [float(T) for T in T_values]
     k_values = [float(k) for k in k_values]
@@ -225,17 +226,14 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
         kT = pc.k_B * T
         beta = 1.0 / kT if kT > 0.0 else math.inf
         try:
-            points = ([_in_range(EnsembleParams(beta=beta, k=k, N=N, pc=pc)) for k in k_values]
+            points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
                       if 0.0 < beta < math.inf else None)
-        except OutOfRange:
+        except OutOfRange as exc:
+            if exc.param != "em_parameter":
+                raise
             points = None
         if points is None:
             raise OutOfRange("T", T, f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
                                      "where the sums stay finite")
         grid.append(points)
-    rows = [report(points[j], tol) for j in range(len(k_values)) for points in grid]
-    if not all(math.isfinite(v) for r in rows for v in r):
-        raise OutOfRange("N", N, f"k_B={pc.k_B:g} with N={N} takes a field of the sweep "
-                                 "out of the float range")
-    return rows
-
+    return [report(points[j], tol) for j in range(len(k_values)) for points in grid]

@@ -61,6 +61,17 @@ def test_entropy_certified_for_every_level(theta):
         assert [value.hex(), err.hex()] == pins[n], n  # bit for bit, value and error
 
 
+def test_theta_endpoints_give_the_same_density_one_level_apart():
+    # at theta = 0 level n has density phi_{n-1}^2 exactly (sin 0 = 0, cos 0 = 1); at pi/2
+    # level n - 1 has it too, up to a cos^2(pi/2) ~ 3.7e-33 weight: the pinned values agree
+    # within the sum of their error estimates, with no quadrature run here
+    at_0, at_half_pi = S1_BITS["tol_1e-10"][repr(0.0)], S1_BITS["tol_1e-10"][repr(math.pi / 2)]
+    for n in range(1, 65):
+        s_0, err_0 = map(float.fromhex, at_0[n])
+        s_half_pi, err_half_pi = map(float.fromhex, at_half_pi[n - 1])
+        assert abs(s_0 - s_half_pi) <= err_0 + err_half_pi, n
+
+
 @pytest.mark.parametrize("n, theta, tol, value, err", S1_BITS["other_tols"])
 def test_unit_entropy_bits_at_other_tols(n, theta, tol, value, err):
     assert [x.hex() for x in entropy_mod._unit_entropy(n, theta, tol)] == [value, err]

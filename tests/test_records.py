@@ -119,6 +119,11 @@ INVALID = {
     "EnsembleParams-N=None": lambda: EnsembleParams(1.0, 0.2, N=None),
     "EnsembleParams-N=1e300": lambda: EnsembleParams(1.0, 0.2, N=1e300),
     "EnsembleParams-pc=2.0": lambda: EnsembleParams(1.0, 0.2, pc=2.0),
+    "EnsembleParams-N=10**309": lambda: EnsembleParams(1.0, 0.2, N=10**309),
+    "EnsembleParams-coupling-above": lambda: EnsembleParams(1e200, 1e200),
+    "EnsembleParams-coupling-below": lambda: EnsembleParams(1e-160, 1e-10),
+    "EnsembleParams-c_hbar-underflows":
+        lambda: EnsembleParams(1.0, 1.0, pc=PhysicalConstants(c=1e-200, hbar=1e-200)),
 }
 
 

@@ -166,7 +166,7 @@ TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
         "report-c_hbar-underflows", "report-beta=1e100-k=1e-10", "report-beta=1-k=1e160",
         "report-beta=1e-160-k=1e-10", "report-beta=1e200-k=1e200"])
 def test_every_ensemble_function_refuses_couplings_out_of_range(take):
-    # every per-point function, not only thermo_sweep, is guarded by EM_PARAMETER_RANGE
+    # EnsembleParams refuses a coupling out of EM_PARAMETER_RANGE, so no function is handed one
     with pytest.raises(OutOfRange) as excinfo:
         take()
     assert excinfo.value.param == "em_parameter"
@@ -304,6 +304,25 @@ def test_sweep_rejects_fields_past_the_float_range():
         thermo_sweep(k_values=(1.0,), T_values=(1e-308,), pc=pc)
     assert excinfo.value.param == "N"
     assert "k_B=1e+308 with N=1" in str(excinfo.value)
+
+
+def test_report_refuses_fields_past_the_float_range():
+    # the same rule holds for a report made directly, not only within a sweep
+    with pytest.raises(OutOfRange) as excinfo:
+        report(EnsembleParams(1.0, 1.0, pc=PhysicalConstants(k_B=1e308)))
+    assert excinfo.value.param == "N"
+    assert "k_B=1e+308 with N=1" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("take", [
+    lambda: EnsembleParams(1.0, 0.2, N=10**309),
+    lambda: thermo_sweep((0.2,), (1.0,), N=10**309),
+], ids=["EnsembleParams", "thermo_sweep"])
+def test_particle_count_past_the_float_range_is_out_of_range(take):
+    # float(N) would overflow; N is compared as an int and named, not converted
+    with pytest.raises(OutOfRange) as excinfo:
+        take()
+    assert (excinfo.value.param, excinfo.value.value) == ("N", 10**309)
 
 
 def test_default_sweep_grid():
