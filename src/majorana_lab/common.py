@@ -29,6 +29,7 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
     """Unit conventions; defaults are natural units c = hbar = k_B = 1."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, c=1.0, hbar=1.0, k_B=1.0):
         for name, value in zip(cls._fields, (c, hbar, k_B)):

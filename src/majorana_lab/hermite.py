@@ -41,6 +41,8 @@ def hermite_pair_evaluator(n, omega):
             raise ValueError("y must be finite")
         u = root * y
         phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
+        if phi == 0.0:  # every phi_k underflows with it, where a * u may overflow to inf
+            return phi, phi_prev
         for a, b in coefficients:
             phi, phi_prev = a * u * phi - b * phi_prev, phi
         return phi, phi_prev

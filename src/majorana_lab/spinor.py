@@ -32,6 +32,7 @@ class PotentialParams(namedtuple("PotentialParams", "k")):
     """Linear potential V = k x with a positive, finite slope k."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, k):
         positive_finite(k, "k")
@@ -45,6 +46,7 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     """Level n with effective frequency omega and initial phase offset Omega."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, n, omega, Omega=0.0):
         level(n)

@@ -42,6 +42,7 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
     "em_parameter" where c hbar k beta^2 leaves EM_PARAMETER_RANGE, "N" past the largest float."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
         positive_finite(beta, "beta")
@@ -75,7 +76,8 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
 
     @property
     def temperature(self):
-        return 1.0 / (self.pc.k_B * self.beta)
+        kT = self.pc.k_B * self.beta  # 1/kT is inf where kT underflows to 0
+        return 1.0 / kT if kT > 0.0 else math.inf
 
 
 # One (beta, k, N) evaluation: both partition routes and all four functions.

@@ -215,3 +215,17 @@ def test_numpy_scalars_are_accepted():
         hermite_norm_fn(True, 1.0, 0.5)
     with pytest.raises(TypeError):
         hermite_norm_fn(np.float64(2.0), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+def test_underflowed_envelope_gives_zeros_not_nan(n):
+    # exp(-u^2/2) underflows to 0 where a * u may overflow, even for a finite u; every phi_k is 0
+    ys = [1e-300, 0.5, 7.0, 1e10, 1e150, 1e308, 1.5e308, 1.7e308]
+    ys += [-y for y in ys]
+    for omega in (1e-300, 1e-150, 1e-10, 1.0, 2.0, 7.0, 1e10, 1e150, 1e300):
+        for y in ys:
+            pair = hermite_norm_pair(n, omega, y)
+            assert all(map(math.isfinite, pair)), (omega, y, pair)
+            if abs(math.sqrt(omega) * y) > 40.0:  # exp(-800) is 0.0
+                assert pair == (0.0, 0.0), (omega, y, pair)
+    assert hermite_norm_fn(n, 1.0, 1e308) == 0.0  # u = 1e308 is finite, a * u is not

@@ -1,11 +1,13 @@
 """The contract of the seven value records: construction, defaults, validation, immutability
 and repr.  It holds for any record implementation, so it pins what callers may rely on."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
-from majorana_lab.common import NATURAL_UNITS, PhysicalConstants
+from majorana_lab.common import NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants
 from majorana_lab.entropy import EntropyReport
 from majorana_lab.spinor import PotentialParams, SpinorState, SpinorValue
 from majorana_lab.thermo import EnsembleParams, ThermoReport
@@ -34,8 +36,9 @@ def test_keyword_and_positional_construction_agree(record, names, values):
     assert by_keyword == by_position
     assert hash(by_keyword) == hash(by_position)
     assert [getattr(by_keyword, name) for name in names] == list(values)
-    # the last field set to the first field's value, or doubled where it is the only field
-    last = values[0] if values[1:] else 2 * values[0]
+    # the last field set to the first field's value, or doubled where it is the only field;
+    # an ensemble's constants, which a float would make invalid, set to natural units
+    last = NATURAL_UNITS if names[-1] == "pc" else values[0] if values[1:] else 2 * values[0]
     assert by_keyword != by_keyword._replace(**{names[-1]: last})
 
 
@@ -131,6 +134,47 @@ INVALID = {
 def test_every_validation_raises_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+# one case per invalid field that _replace or _make puts into a valid record
+INVALID_REMAKES = {
+    "PhysicalConstants-c=0": (lambda: PhysicalConstants()._replace(c=0.0), ValueError),
+    "PotentialParams-k=0": (lambda: PotentialParams(0.3)._replace(k=0.0), ValueError),
+    "SpinorState-n=-1": (lambda: SpinorState(1, 0.2)._replace(n=-1), LevelError),
+    "SpinorState-Omega=inf": (lambda: SpinorState(1, 0.2)._replace(Omega=INF), ValueError),
+    "SpinorState-_make-omega=-0.2": (lambda: SpinorState._make([1, -0.2]), ValueError),
+    "EnsembleParams-N=0": (lambda: EnsembleParams(1.0, 1.0)._replace(N=0), LevelError),
+}
+
+
+@pytest.mark.parametrize("build, error", INVALID_REMAKES.values(), ids=INVALID_REMAKES.keys())
+def test_replace_and_make_check_the_fields(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize("beta", [1e-200, 1e200])
+def test_replace_refuses_a_coupling_out_of_range(beta):
+    with pytest.raises(OutOfRange) as excinfo:
+        EnsembleParams(1.0, 1.0)._replace(beta=beta)
+    assert excinfo.value.param == "em_parameter"
+
+
+@pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_checks_the_fields():
+    assert copy.replace(SpinorState(1, 0.2), Omega=0.5) == SpinorState(1, 0.2, 0.5)
+    with pytest.raises(LevelError):
+        copy.replace(SpinorState(1, 0.2), n=-1)
+    with pytest.raises(OutOfRange):
+        copy.replace(EnsembleParams(1.0, 1.0), beta=1e200)
+
+
+@pytest.mark.parametrize("record, names, values", RECORDS, ids=IDS)
+def test_remade_records_keep_their_type_and_values(record, names, values):
+    rec = record(*values)
+    for remade in (record._make(values), rec._replace(), copy.copy(rec), copy.deepcopy(rec),
+                   pickle.loads(pickle.dumps(rec))):
+        assert type(remade) is record and remade == rec
 
 
 def test_validation_messages():

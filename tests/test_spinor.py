@@ -323,6 +323,16 @@ def test_evaluators_match_pointwise_functions_bit_for_bit(n):
                 assert density(-y) == density(y) and pair(-y) == ((-1) ** n * f_n, (-1) ** n * -f_m)
 
 
+def test_spinor_and_density_vanish_where_the_envelope_underflows():
+    # the Gaussian envelope underflows to 0 and the recurrence's a * u overflows: 0, not inf * 0
+    assert probability_density_at_phase(SpinorState(1, 0.5), 1e308, 0.3, "momentum") == 0.0
+    assert probability_density_at_phase(SpinorState(64, 1e300), -1e200, 0.3) == 0.0
+    assert position_spinor_at_phase(SpinorState(2, 7.0), 1e308, 0.3) == (0.0, 0.0)
+    assert momentum_spinor_at_phase(SpinorState(3, 1e-3), -1.5e308, 0.3) == (0.0, 0.0)
+    assert density_evaluator(SpinorState(5, 7.0), 0.3)(1e308) == 0.0
+    assert next(density_slices(SpinorState(5, 7.0), [1e308, -1e308], [0.3])) == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("n", range(9))
 @pytest.mark.parametrize("theta", PHASES)
 def test_normalization_every_phase(n, theta):

@@ -314,6 +314,17 @@ def test_report_refuses_fields_past_the_float_range():
     assert "k_B=1e+308 with N=1" in str(excinfo.value)
 
 
+def test_report_refuses_a_temperature_past_the_float_range():
+    # k_B beta underflows to 0, so T = 1/(k_B beta) is inf, while the coupling is in range
+    ep = EnsembleParams(1e-150, 1.0, pc=PhysicalConstants(k_B=1e-300))
+    assert ep.temperature == math.inf
+    with pytest.raises(OutOfRange) as excinfo:
+        report(ep)
+    assert excinfo.value.param == "N"
+    assert str(excinfo.value) == ("k_B=1e-300 with N=1 takes a field of the report "
+                                  "out of the float range")
+
+
 @pytest.mark.parametrize("take", [
     lambda: EnsembleParams(1.0, 0.2, N=10**309),
     lambda: thermo_sweep((0.2,), (1.0,), N=10**309),
