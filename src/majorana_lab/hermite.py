@@ -58,10 +58,11 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     """(phi_n(y), phi_n'(y)) from one sweep, the derivative evaluated analytically.
 
     Uses H_n' = 2n H_{n-1}, which in normalized form reads
-    phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).
+    phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).  y phi is formed first:
+    it is 0 where phi underflows, while omega y alone may overflow.
     """
     phi, phi_prev = hermite_norm_pair(n, omega, y)
-    slope = -omega * elementwise(float, y) * phi  # y as a float or a float array
+    slope = -omega * (elementwise(float, y) * phi)  # y as a float or a float array
     if n > 0:
         slope = slope + sqrt_2n_omega(n, omega) * phi_prev
     return phi, slope

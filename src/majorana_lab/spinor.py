@@ -166,10 +166,11 @@ def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
 
 def _ladder_apply(state, y, pc, sign):
     """(sign c hbar d/dy + k y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1},
-    as c hbar (sign phi_n' + omega y phi_n): k = omega c hbar is never formed."""
+    as c hbar (sign phi_n' + omega y phi_n): k = omega c hbar is never formed, and y phi is
+    formed first, 0 where phi underflows, while omega y alone may overflow."""
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
     y = elementwise(float, y)  # a float or a float array
-    return pc.c * pc.hbar * (sign * dphi + state.omega * y * phi)
+    return pc.c * pc.hbar * (sign * dphi + state.omega * (y * phi))
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):

@@ -9,7 +9,6 @@ beta -> inf.  N indistinguishable fermions enter as Z_N = Z^N; F, U, S, C_V carr
 both routes.
 """
 
-import functools
 import math
 import sys
 from collections import defaultdict, namedtuple
@@ -18,7 +17,6 @@ from operator import mul
 from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
                      level, linspace, positive_finite)
 
-MAX_TERMS = 10**8
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
 
@@ -28,7 +26,7 @@ _REMAINDER = 1.0 / 1209600.0  # |B_8| / 8! = 2 zeta(8) / (2 pi)^8
 
 
 class TruncationBudget(RuntimeError):
-    """The series remainder bound could not reach the tolerance within the term budget."""
+    """The series remainder bound at M = 200 terms exceeds the tolerance."""
 
     def __init__(self, message, partial_sum, truncation_n, tail_bound):
         super().__init__(message)
@@ -86,7 +84,7 @@ ThermoReport = namedtuple("ThermoReport", "beta k N T Z_exact Z_em F U S C_V "
 
 
 def _tail_terms(p):
-    """(tail, bound) for t_p from n = M on, as terms (c, a, e) meaning c lam^a M^e exp(-lam sqrt M).
+    """(tail, bound) of t_p from n = M on: terms (c, a, M**e), each c lam^a M^e exp(-lam sqrt M).
 
     With g(x) = (lam sqrt x)^p exp(-lam sqrt x), tail is the integral
     2 Gamma(p + 2, lam sqrt M) / lam^2 (a finite sum: the order is an integer),
@@ -107,70 +105,53 @@ def _tail_terms(p):
         if order % 2:
             for key, c in g.items():
                 tail[key] -= _BERNOULLI[order // 2] / math.factorial(order + 1) * c
-    bound = [(_REMAINDER * abs(c) / (-e - 1.0), a, e + 1.0) for (a, e), c in g.items()]
-    return [(c, a, e) for (a, e), c in tail.items()], bound
+    bound = [(_REMAINDER * abs(c) / (-e - 1.0), a, _M ** (e + 1.0)) for (a, e), c in g.items()]
+    return [(c, a, _M**e) for (a, e), c in tail.items()], bound
 
 
 _TERMS = [_tail_terms(p) for p in range(3)]
 _POWERS = sorted({a for pair in _TERMS for terms in pair for _, a, _ in terms})  # of lam
-_BLOCK = 4096  # explicit terms held in memory at once
 
 
-def _heads(lam, m):
-    """[t_0, t_1, t_2] summed over n < m with math.fsum, a block of _BLOCK terms at a time."""
-    blocks = []
-    for start in range(0, m, _BLOCK):
-        x = [lam * math.sqrt(n) for n in range(start, min(m, start + _BLOCK))]
-        e0 = [math.exp(-v) for v in x]
-        e1 = list(map(mul, x, e0))
-        blocks.append((math.fsum(e0), math.fsum(e1), math.fsum(map(mul, x, e1))))
-    return [math.fsum(sums) for sums in zip(*blocks)]
+def _heads(lam):
+    """[t_0, t_1, t_2] summed over n < _M with math.fsum."""
+    x = [lam * math.sqrt(n) for n in range(_M)]
+    e0 = [math.exp(-v) for v in x]
+    e1 = list(map(mul, x, e0))
+    return [math.fsum(e0), math.fsum(e1), math.fsum(map(mul, x, e1))]
 
 
-@functools.lru_cache(maxsize=32)
-def _terms_at(m):
-    """_TERMS with M = m, as terms (c, a, m**e)."""
-    return tuple(tuple(tuple((c, a, m**e) for c, a, e in t) for t in pair) for pair in _TERMS)
-
-
-def _tails(lam, m):
-    """((tail of t_0, t_1, t_2 from n = m on), bound on the remainder of all three)."""
-    w = math.exp(-lam * math.sqrt(m))
+def _tails(lam):
+    """((tail of t_0, t_1, t_2 from n = _M on), bound on the remainder of all three)."""
+    w = math.exp(-lam * math.sqrt(_M))
     if w == 0.0:  # tail and bound underflow to 0, while lam**a may overflow
         return (0.0, 0.0, 0.0), 0.0
-    power = {a: lam**a for a in _POWERS}  # each term stays (c * lam**a) * m**e
+    power = {a: lam**a for a in _POWERS}  # each term stays (c * lam**a) * M**e
 
     def at(t):
         return w * math.fsum([c * power[a] * m_e for c, a, m_e in t])
 
-    terms = _terms_at(m)
-    return tuple(at(tail) for tail, _ in terms), max(at(bound) for _, bound in terms)
+    return tuple(at(tail) for tail, _ in _TERMS), max(at(bound) for _, bound in _TERMS)
 
 
 def moment_sums(ep, tol=DEFAULT_TOL):
     """((t_0, t_1, t_2), M, bound) with t_p = sum_n (beta E_n)^p exp(-beta E_n).
 
     Sums n < M = 200 explicitly and adds the Euler-Maclaurin tail; bound caps
-    the remainder of all three sums.  M doubles until bound <= tol (the bound
-    needs no explicit terms, so only the final M is summed).  When that needs
-    more than MAX_TERMS explicit terms, TruncationBudget is raised without
-    summing them.  It carries Z and its bound at M = 200, the best estimate:
-    that bound is at most 1.6e-19 for any lam, far below the rounding of Z >= 1.
+    the remainder of all three sums.  bound is at most 1.6e-19 for any lam, below
+    1e-3 of half an ulp of each sum, so no larger M could move a double.  Where
+    bound > tol, TruncationBudget is raised carrying this pass's Z and bound.
     """
     positive_finite(tol, "tol")
-    lam = ep.beta * math.sqrt(2.0 * ep.coupling)
-    m = _M
-    tails, bound = _tails(lam, m)
-    while bound > tol and 2 * m <= MAX_TERMS:
-        m *= 2
-        tails, bound = _tails(lam, m)
+    root = math.sqrt(2.0 * ep.coupling)  # sqrt(2 c hbar k), as sqrt(2) sqrt(c hbar k) past overflow
+    lam = ep.beta * (root if root < math.inf else math.sqrt(2.0) * math.sqrt(ep.coupling))
+    tails, bound = _tails(lam)
+    sums = tuple(h + t for h, t in zip(_heads(lam), tails))
     if bound > tol:
-        tails, bound = _tails(lam, _M)
-        raise TruncationBudget(f"partition series needs more than {MAX_TERMS} terms for "
+        raise TruncationBudget(f"partition series remainder bound {bound:g} at M = {_M} exceeds "
                                f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})",
-                               partial_sum=_heads(lam, _M)[0] + tails[0],
-                               truncation_n=MAX_TERMS, tail_bound=bound)
-    return tuple(h + t for h, t in zip(_heads(lam, m), tails)), m, bound
+                               partial_sum=sums[0], truncation_n=_M, tail_bound=bound)
+    return sums, _M, bound
 
 
 def partition_exact(ep, tol=DEFAULT_TOL):

@@ -24,7 +24,6 @@ from majorana_lab.cli import (
 )
 from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES
 from majorana_lab.entropy import BBM_BOUND, BoundViolation
-from majorana_lab.thermo import MAX_TERMS
 
 
 def run_ok(args, env=None):
@@ -690,15 +689,32 @@ def test_unmapped_runtime_error_escapes(capsys, monkeypatch):
 
 
 def test_unreachable_tol_fails_before_summing_the_budget(monkeypatch):
-    # T = 0.1 (beta = 10) meets tol at M = 12800, where its tail bound underflows.  At T = 10 the
-    # tail bound alone shows that no M within MAX_TERMS meets tol, so only M = 200 is summed there
+    # the first report (T = 0.1, beta = 10) has a 200-term remainder bound above tol: it exits 5
+    # there, after its one 200-term pass, and reports the bound it reached
     heads, seen = thermo_mod._heads, []
-    monkeypatch.setattr(thermo_mod, "_heads", lambda lam, m: seen.append(m) or heads(lam, m))
+    monkeypatch.setattr(thermo_mod, "_heads", lambda lam: seen.append(lam) or heads(lam))
     result = invoke(["thermo", "--tol", "1e-300", "--tsteps", "2"])
     assert result.exit_code == EXIT_TRUNCATION_BUDGET, result.output
-    assert (f"error: partition series needs more than {MAX_TERMS} terms for tol=1e-300 "
-            "(beta=0.1, k=0.2)") in result.output
-    assert seen == [12800, 200]
+    assert result.output == ("error: partition series remainder bound 6.57009e-45 at M = 200 "
+                             "exceeds tol=1e-300 (beta=10.0, k=0.2)\n")
+    assert len(seen) == 1
+
+
+def test_tol_at_and_below_the_200_term_bound():
+    # the 200-term remainder bound is at most 1.6e-19 at any coupling, so a tol of 2e-19 always
+    # passes at M = 200, and a tol of 1e-20 is refused at the first report that the bound exceeds
+    _, columns, rows = parse_csv(run_ok(["thermo", "--tol", "2e-19"]).stdout)
+    assert rows and all(n == 200.0 for (n,) in rows_as_floats(columns, rows, "truncation_n"))
+    result = invoke(["thermo", "--tol", "1e-20"])
+    assert result.exit_code == EXIT_TRUNCATION_BUDGET, result.output
+    assert result.stdout == ""
+
+
+def test_thermo_where_2_c_hbar_k_overflows():
+    # c hbar k beta^2 = 1 is in range though 2 c hbar k overflows: the row is the one at k = beta = 1
+    _, columns, rows = parse_csv(run_ok(["thermo", "--k", "1e308", "--tmin", "1e154", "--tmax",
+                                         "1e154", "--tsteps", "1"]).stdout)
+    assert rows_as_floats(columns, rows, "Z_exact", "truncation_n") == [[1.7223573172376991, 200.0]]
 
 
 _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,25 @@ def test_huge_omega_slope_and_energy_are_finite():
     assert state_energy(SpinorState(1, 1e308), pc, branch=-1) == -state_energy(SpinorState(1, 1e308), pc)
     with pytest.raises(ValueError, match="branch must be"):
         state_energy(SpinorState(1, 0.2), branch=0)
+
+
+_FAR = (1e10, 1e150, 1e308, -1e308)  # far coordinates: phi underflows there unless omega is tiny
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+@pytest.mark.parametrize("omega", [1e-300, 1e-10, 1.0, 7.0, 1e10, 1e300])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega, as_array):
+    # y phi is formed before omega multiplies it: phi underflows to 0 where omega y may overflow
+    state = SpinorState(n, omega)
+    maps = [lambda y: hermite_norm_fn_and_derivative(n, omega, y)[1],
+            lambda y: annihilation_apply(state, y), lambda y: creation_apply(state, y),
+            lambda y: ladder_up(state, y), *([lambda y: ladder_down(state, y)] if n else [])]
+    for f in maps:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow of omega y
+            values = f(np.array(_FAR)).tolist() if as_array else [f(y) for y in _FAR]
+        assert all(map(math.isfinite, values)), values
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -7,10 +7,8 @@ from majorana_lab.common import OutOfRange
 from majorana_lab.spinor import PhysicalConstants
 from majorana_lab.thermo import (
     EM_PARAMETER_RANGE,
-    MAX_TERMS,
     EnsembleParams,
     TruncationBudget,
-    _BLOCK,
     moment_sums,
     partition_em,
     partition_exact,
@@ -133,22 +131,33 @@ def test_moment_pass_weak_coupling_matches_mpmath():
 
 def test_partition_budget_exhaustion():
     # The Euler-Maclaurin remainder bound meets any tolerance above double
-    # precision at M = 200, so only a tolerance far below it exhausts the budget.
-    assert MAX_TERMS == 10**8
+    # precision at M = 200, so only a tolerance far below it is refused.
     ep = EnsembleParams(beta=1e-4, k=0.5)
     with pytest.raises(TruncationBudget) as excinfo:
         partition_exact(ep, tol=1e-300)
     assert excinfo.value.partial_sum > 0.0
     assert excinfo.value.partial_sum == partition_exact(ep)[0]  # the M = 200 sum
-    assert excinfo.value.truncation_n == MAX_TERMS
+    assert excinfo.value.truncation_n == 200
     assert excinfo.value.tail_bound > 1e-300
 
 
 def test_bound_at_200_terms_is_below_double_rounding_for_every_coupling():
-    # so the M = 200 sum that TruncationBudget carries is as good as a double Z >= 1 gets
-    for e in range(-600, 301):  # c hbar k beta^2 from 1e-300 to 1e150 in steps of 10^(1/2)
-        _, m, bound = moment_sums(EnsembleParams(beta=1.0, k=10.0 ** (e / 2)), tol=1.0)
+    # below 1e-3 of half an ulp of each sum, so no larger M could move a double, and the M = 200
+    # sum that TruncationBudget carries is as good as a double gets
+    for j in range(-1200, 601):  # c hbar k beta^2 from 1e-300 to 1e150 in steps of 10^(1/4)
+        t, m, bound = moment_sums(EnsembleParams(beta=1.0, k=10.0 ** (j / 4)), tol=1.0)
         assert m == 200 and 0.0 <= bound <= 1.6e-19
+        for t_p in t:
+            assert bound <= 1e-3 * math.ulp(t_p) / 2, (j, t)
+
+
+def test_moment_sums_where_2_c_hbar_k_overflows():
+    # c hbar k beta^2 = 1 with 2 c hbar k = inf: lam is beta sqrt(2) sqrt(c hbar k), not nan
+    t, m, bound = moment_sums(EnsembleParams(beta=1e-154, k=1e308))
+    want, _, _ = moment_sums(EnsembleParams(beta=1.0, k=1.0))
+    assert m == 200 and 0.0 <= bound <= 1e-10
+    for got, t_p in zip(t, want):
+        assert got == pytest.approx(t_p, rel=1e-15)
 
 
 TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
@@ -339,13 +348,3 @@ def test_particle_count_past_the_float_range_is_out_of_range(take):
 def test_default_sweep_grid():
     rows = thermo_sweep(k_values=(0.3,))
     assert [r.beta for r in rows] == [1.0 / T for T in np.linspace(0.1, 10.0, 50).tolist()]
-
-
-def test_head_sums_in_blocks_agree_with_one_block():
-    # past 4096 explicit terms the heads are summed block by block, in bounded memory
-    ep = EnsembleParams(beta=0.1, k=0.2)
-    z, m, _ = partition_exact(ep)
-    z_blocks, m_blocks, bound = partition_exact(ep, tol=1e-29)  # M = 6400: two blocks
-    assert m == 200 and m_blocks > _BLOCK
-    assert bound <= 1e-29
-    assert z_blocks == pytest.approx(z, rel=2e-16)
