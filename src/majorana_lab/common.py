@@ -25,6 +25,23 @@ def positive_finite(value, name):
         raise ValueError(f"{name} must be positive and finite")
 
 
+def scaled_quotient(numerators, denominators=()):
+    """prod(numerators) / each denominator in turn, on the frexp mantissas with the exponents
+    summed apart: the bits of that plain left-to-right form wherever it stays normal, and 0 or
+    inf only where the result itself leaves the float range."""
+    mantissa, exponent = 1.0, 0
+    for value in numerators:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa * m, exponent + e
+    for value in denominators:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:  # the result exceeds the largest float
+        return math.inf
+
+
 class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
     """Unit conventions; defaults are natural units c = hbar = k_B = 1."""
 
@@ -37,10 +54,11 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
         return super().__new__(cls, c, hbar, k_B)
 
     def omega(self, k):
-        """The frequency omega = k/(c hbar) of slope k.  Raises OutOfRange naming "k" where
-        c hbar underflows to 0 or the quotient leaves the float range."""
+        """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone leaves
+        the float range.  Raises OutOfRange naming "k" where omega itself leaves it."""
         c_hbar = self.c * self.hbar
-        omega = k / c_hbar if c_hbar > 0.0 else math.inf
+        omega = (k / c_hbar if 0.0 < c_hbar < math.inf
+                 else scaled_quotient((k,), (self.c, self.hbar)))
         if not 0.0 < omega < math.inf:
             raise OutOfRange("k", k, "k/(c hbar) leaves the float range")
         return omega

@@ -164,40 +164,36 @@ def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
     return probability_density_at_phase(state, coord, phase(state, t, pc), space)
 
 
-def _ladder_apply(state, y, pc, sign):
-    """(sign c hbar d/dy + k y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1},
-    as c hbar (sign phi_n' + omega y phi_n): k = omega c hbar is never formed, and y phi is
-    formed first, 0 where phi underflows, while omega y alone may overflow."""
+def _ladder_apply(state, y, sign):
+    """(sign d/dy + omega y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1}:
+    the ladder operators over c hbar, so k = omega c hbar is never formed.  y phi is formed
+    first, 0 where phi underflows, while omega y alone may overflow."""
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
     y = elementwise(float, y)  # a float or a float array
-    return pc.c * pc.hbar * (sign * dphi + state.omega * (y * phi))
+    return sign * dphi + state.omega * (y * phi)
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):
     """(c hbar d/dy + k y) applied to phi_n; equals E_n phi_{n-1} (0 for n = 0)."""
-    return _ladder_apply(state, y, pc, 1.0)
+    return pc.c * pc.hbar * _ladder_apply(state, y, 1.0)
 
 
 def creation_apply(state, y, pc=NATURAL_UNITS):
     """(-c hbar d/dy + k y) applied to phi_n; equals E_{n+1} phi_{n+1}."""
-    return _ladder_apply(state, y, pc, -1.0)
+    return pc.c * pc.hbar * _ladder_apply(state, y, -1.0)
 
 
-def ladder_down(state, y, pc=NATURAL_UNITS):
-    """Partner eigenfunction below: A phi_n / E_n = phi_{n-1}.
-
-    Rejected at n = 0, where E_0 = 0 annihilates the state instead of
-    mapping it.
-    """
+def ladder_down(state, y):
+    """Partner eigenfunction below: A phi_n / E_n = phi_{n-1}, with c hbar cancelled.  Rejected
+    at n = 0, where E_0 = 0 annihilates the state instead of mapping it."""
     if state.n == 0:
         raise ZeroDivisionError("E_0 = 0: the ground state is annihilated, not lowered")
-    return annihilation_apply(state, y, pc) / state_energy(state, pc)
+    return _ladder_apply(state, y, 1.0) / sqrt_2n_omega(state.n, state.omega)
 
 
-def ladder_up(state, y, pc=NATURAL_UNITS):
-    """Partner eigenfunction above: A+ phi_n / E_{n+1} = phi_{n+1}."""
-    up = SpinorState(n=state.n + 1, omega=state.omega, Omega=state.Omega)
-    return creation_apply(state, y, pc) / state_energy(up, pc)
+def ladder_up(state, y):
+    """Partner eigenfunction above: A+ phi_n / E_{n+1} = phi_{n+1}, with c hbar cancelled."""
+    return _ladder_apply(state, y, -1.0) / sqrt_2n_omega(state.n + 1, state.omega)
 
 
 def space_frequency(omega, space):

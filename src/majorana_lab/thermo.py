@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
-                     level, linspace, positive_finite)
+                     level, linspace, positive_finite, scaled_quotient)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -67,10 +67,13 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
 
         beta^2 is formed only where it is a normal float; elsewhere the product is taken
         left to right, so it neither underflows to 0 nor overflows where beta^2 alone would.
+        Where c hbar k itself leaves the float range, the product is scaled exactly.
         """
+        if not 0.0 < (coupling := self.coupling) < math.inf:
+            return scaled_quotient((self.pc.c, self.pc.hbar, self.k, self.beta, self.beta))
         if 1e-150 < self.beta < 1e150:
-            return self.coupling * self.beta**2
-        return self.coupling * self.beta * self.beta
+            return coupling * self.beta**2
+        return coupling * self.beta * self.beta
 
     @property
     def temperature(self):
@@ -143,8 +146,11 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     bound > tol, TruncationBudget is raised carrying this pass's Z and bound.
     """
     positive_finite(tol, "tol")
-    root = math.sqrt(2.0 * ep.coupling)  # sqrt(2 c hbar k), as sqrt(2) sqrt(c hbar k) past overflow
-    lam = ep.beta * (root if root < math.inf else math.sqrt(2.0) * math.sqrt(ep.coupling))
+    if 0.0 < (coupling := ep.coupling) < math.inf:
+        root = math.sqrt(2.0 * coupling)  # as sqrt(2) sqrt(c hbar k) where 2 c hbar k overflows
+        lam = ep.beta * (root if root < math.inf else math.sqrt(2.0) * math.sqrt(coupling))
+    else:  # c hbar k alone leaves the float range, while x = c hbar k beta^2 is in it
+        lam = math.sqrt(2.0 * ep.em_parameter)
     tails, bound = _tails(lam)
     sums = tuple(h + t for h, t in zip(_heads(lam), tails))
     if bound > tol:

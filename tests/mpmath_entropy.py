@@ -9,13 +9,12 @@ vanishes), so mpmath.quad integrates [0, inf) split at those zeros.
 import functools
 
 import numpy as np
-import pytest
 
 
 @functools.lru_cache(maxsize=None)
 def mpmath_unit_entropy(n, theta):
     """S_1(n, theta) as an mpmath number with 30 significant digits."""
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     with mpmath.workdps(30):
         theta = mpmath.mpf(theta)
         # a weight below 1e-30 (cos^2 at the float nearest pi/2) moves S_1 by less than

@@ -717,6 +717,27 @@ def test_thermo_where_2_c_hbar_k_overflows():
     assert rows_as_floats(columns, rows, "Z_exact", "truncation_n") == [[1.7223573172376991, 200.0]]
 
 
+@pytest.mark.parametrize("config, args, z_exact", [
+    ("c=1e100\nhbar=1e10\n", ["--k", "1e200", "--tmin", "1e100", "--tmax", "1e100"], 1.0),
+    ("c=1e-200\nhbar=1e-200\n", ["--k", "1", "--tmin", "1e-150", "--tmax", "1e-150"], 1e100),
+], ids=["c_hbar_k-overflows", "c_hbar_k-underflows"])
+def test_thermo_where_only_c_hbar_k_leaves_the_float_range(tmp_path, config, args, z_exact):
+    # c hbar k beta^2 is 1e110 and 1e-100, inside the range, though c hbar k is inf or 0
+    (tmp_path / "lab.cfg").write_text(config, encoding="utf-8")
+    env = {CONFIG_ENV_VAR: str(tmp_path / "lab.cfg")}
+    _, columns, rows = parse_csv(run_ok(["thermo", *args, "--tsteps", "1"], env=env).stdout)
+    assert rows_as_floats(columns, rows, "Z_exact")[0][0] == pytest.approx(z_exact, rel=1e-15)
+
+
+def test_density_where_only_c_hbar_overflows(tmp_path):
+    # omega = k/(c hbar) = 1e-300 is in range, though c hbar = 1e600 is not
+    (tmp_path / "lab.cfg").write_text("c=1e300\nhbar=1e300\n", encoding="utf-8")
+    env = {CONFIG_ENV_VAR: str(tmp_path / "lab.cfg")}
+    header, _, rows = parse_csv(run_ok(["density", "--k", "1e300", "--grid", "3"], env=env).stdout)
+    assert float(header["omega"]) == 1e-300
+    assert all(math.isfinite(float(field)) for row in rows for field in row)
+
+
 _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
 
 

@@ -160,7 +160,7 @@ def golden_rows(name):
                                   "thermo_cfg-csv", "thermo_cfg_out-csv"])
 def test_thermo_golden_exact_columns_match_mpmath(name):
     # the pure-math Euler-Maclaurin pass (fsum heads) against an independent 30-digit sum
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     config, rows = golden_rows(name)
     constants = [float(config[key]) for key in ("c", "hbar", "k_B")]
     names = ("Z_exact", "F_exact", "U_exact", "S_exact", "C_V_exact")
@@ -176,7 +176,7 @@ def test_thermo_golden_exact_columns_match_mpmath(name):
                                   "table1_cfg-csv"])
 def test_table1_golden_entropies_match_mpmath(name):
     # S_sum = 2 S_1 exactly; each S_1 against an independent 30-digit quadrature, within 2 ulp
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     config, rows = golden_rows(name)
     for row in rows:
         want = mpmath_unit_entropy(int(row["n"]), float(config["theta"]))
@@ -216,7 +216,7 @@ def density_rel_bound(n, u2):
 @pytest.mark.parametrize("name", GRID_GOLDENS)
 def test_grid_golden_densities_match_mpmath(name):
     # every rho and rho ln rho of the grid goldens against 40 digits, from the file's own inputs
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     config, rows = golden_rows(name)
     n, momentum = int(config["n"]), config.get("space") == "momentum"
     for row in rows:

@@ -6,7 +6,7 @@ import pytest
 
 import majorana_lab
 from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, level,
-                                 linspace)
+                                 linspace, scaled_quotient)
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
@@ -111,6 +111,27 @@ def test_omega_of_a_slope_has_one_rule(take):
     with pytest.raises(OutOfRange) as excinfo:
         take()
     assert excinfo.value.param == "k"
+
+
+@pytest.mark.parametrize("c, hbar, k, omega", [
+    (1e300, 1e300, 1e300, 1e-300),  # c hbar overflows
+    (1e-200, 1e-200, 1e-300, 1e100),  # c hbar underflows to 0
+    (1e-310, 100.0, 0.1, 1.0000000000000031e307),  # c hbar is subnormal: k / (c hbar) as it was
+], ids=["c_hbar-overflows", "c_hbar-underflows", "c_hbar-subnormal"])
+def test_omega_where_only_c_hbar_leaves_the_float_range(c, hbar, k, omega):
+    assert PhysicalConstants(c=c, hbar=hbar).omega(k) == omega
+
+
+def test_scaled_quotient_has_the_plain_bits_wherever_they_stay_normal():
+    rng = np.random.default_rng(7)
+    for values in 10.0 ** rng.uniform(-60.0, 60.0, size=(2000, 5)):
+        a, b, c, d, e = values.tolist()
+        assert scaled_quotient((a, b, c, d, e)) == a * b * c * d * e
+        assert scaled_quotient((a, b), (c, d, e)) == a * b / c / d / e
+    assert scaled_quotient((1e200, 1e200, 1e-300)) == pytest.approx(1e100, rel=1e-15)
+    assert scaled_quotient((1e-300,), (1e-200, 1e-200)) == pytest.approx(1e100, rel=1e-15)
+    assert scaled_quotient((1e308,), (1e-10,)) == math.inf
+    assert scaled_quotient((1e-300,), (1e300,)) == 0.0
 
 
 def test_constants_are_shared():

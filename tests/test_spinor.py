@@ -391,12 +391,26 @@ def test_annihilation_kills_ground_state():
 @pytest.mark.parametrize("n", range(9))
 def test_intertwining(n):
     omega = 0.3
-    pc = PhysicalConstants(c=1.2, hbar=0.8)
     ys = np.linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 241)
-    upper = SpinorState(n + 1, omega)
-    lhs = annihilation_apply(upper, ys, pc)
-    rhs = state_energy(upper, pc) * hermite_norm_fn(n, omega, ys)
-    assert np.max(np.abs(lhs - rhs)) < 1e-8
+    state, upper = SpinorState(n, omega), SpinorState(n + 1, omega)
+    for pc in (PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
+        lhs = annihilation_apply(upper, ys, pc)
+        rhs = state_energy(upper, pc) * hermite_norm_fn(n, omega, ys)
+        assert np.max(np.abs(lhs - rhs)) < 1e-8 * pc.c * pc.hbar
+        # the normalised maps are these over the energy: c hbar cancels, so they take no constants
+        np.testing.assert_allclose(ladder_down(upper, ys), lhs / state_energy(upper, pc), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(ladder_up(state, ys),
+                                   creation_apply(state, ys, pc) / state_energy(upper, pc), rtol=1e-14, atol=0)
+
+
+def test_normalised_ladder_maps_take_no_constants():
+    # c hbar cancels in A phi / E, so a c hbar that underflows to 0 (or overflows) cannot reach them
+    pc = PhysicalConstants(c=1e-300, hbar=1e-300)
+    for ladder in (ladder_up, ladder_down):
+        with pytest.raises(TypeError):
+            ladder(SpinorState(1, 1.0), 0.5, pc)
+    for ladder, m in ((ladder_up, 2), (ladder_down, 0)):
+        assert ladder(SpinorState(1, 1.0), 0.5) == pytest.approx(hermite_norm_fn(m, 1.0, 0.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -114,7 +114,7 @@ def test_moment_pass_matches_brute_force(beta, k):
 def test_moment_pass_weak_coupling_matches_mpmath():
     # c hbar k beta^2 = 1e-6: the regime of the closed form, where plain
     # summation needs more than 1e8 terms.
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     ep = EnsembleParams(beta=0.01, k=0.01)
     t, trunc_n, bound = moment_sums(ep, tol=1e-10)
     with mpmath.workdps(30):
@@ -158,6 +158,18 @@ def test_moment_sums_where_2_c_hbar_k_overflows():
     assert m == 200 and 0.0 <= bound <= 1e-10
     for got, t_p in zip(t, want):
         assert got == pytest.approx(t_p, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta, k, c, hbar, x", [
+    (1e-100, 1e200, 1e100, 1e10, 1e110),
+    (1e150, 1.0, 1e-200, 1e-200, 1e-100),
+], ids=["c_hbar_k-overflows", "c_hbar_k-underflows"])
+def test_ensemble_where_only_c_hbar_k_leaves_the_float_range(beta, k, c, hbar, x):
+    # x = c hbar k beta^2 is in range, so the ensemble is the natural-units one at beta = 1, k = x
+    ep = EnsembleParams(beta=beta, k=k, pc=PhysicalConstants(c=c, hbar=hbar))
+    assert ep.em_parameter == pytest.approx(x, rel=1e-15)
+    assert moment_sums(ep) == moment_sums(EnsembleParams(beta=1.0, k=ep.em_parameter))
+    assert all(map(math.isfinite, report(ep)))
 
 
 TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
