@@ -7,6 +7,7 @@ float; no command does that, so none of them loads numpy.
 
 import math
 import operator
+import sys
 from collections import namedtuple
 
 DEFAULT_THETA = math.pi / 4.0  # the constant-weight phase: sin^2 = cos^2 = 1/2
@@ -27,8 +28,8 @@ def positive_finite(value, name):
 
 def scaled_quotient(numerators, denominators=()):
     """prod(numerators) / each denominator in turn, on the frexp mantissas with the exponents
-    summed apart: the bits of that plain left-to-right form wherever it stays normal, and 0 or
-    inf only where the result itself leaves the float range."""
+    summed apart: the bits of that plain left-to-right form wherever it stays normal, and a
+    signed 0 or inf only where the result itself leaves the float range."""
     mantissa, exponent = 1.0, 0
     for value in numerators:
         m, e = math.frexp(value)
@@ -39,7 +40,7 @@ def scaled_quotient(numerators, denominators=()):
     try:
         return math.ldexp(mantissa, exponent)
     except OverflowError:  # the result exceeds the largest float
-        return math.inf
+        return math.copysign(math.inf, mantissa)
 
 
 class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
@@ -54,10 +55,10 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
         return super().__new__(cls, c, hbar, k_B)
 
     def omega(self, k):
-        """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone leaves
-        the float range.  Raises OutOfRange naming "k" where omega itself leaves it."""
+        """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone is not
+        a normal float.  Raises OutOfRange naming "k" where omega itself leaves the float range."""
         c_hbar = self.c * self.hbar
-        omega = (k / c_hbar if 0.0 < c_hbar < math.inf
+        omega = (k / c_hbar if sys.float_info.min <= c_hbar < math.inf
                  else scaled_quotient((k,), (self.c, self.hbar)))
         if not 0.0 < omega < math.inf:
             raise OutOfRange("k", k, "k/(c hbar) leaves the float range")

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .common import (NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants,  # noqa: F401
-                     elementwise, level, positive_finite)
+                     elementwise, level, positive_finite, scaled_quotient)
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
 
@@ -70,10 +70,10 @@ def energy(n, pp, pc=NATURAL_UNITS, branch=1):
 
 
 def state_energy(state, pc=NATURAL_UNITS, branch=1):
-    """The spectrum: branch * c hbar sqrt(2 n omega), the state's level energy.  The slope
-    k = omega c hbar its omega stands for is never formed, so it cannot overflow where the
-    energy does not, and n = 0 gives a signed zero even where c hbar overflows."""
-    return _sign(branch) * (pc.c * pc.hbar * sqrt_2n_omega(state.n, state.omega) if state.n else 0.0)
+    """The spectrum: branch * c hbar sqrt(2 n omega), the state's level energy, as an exactly
+    scaled product: it leaves the float range only where the energy does, and n = 0 gives a
+    signed zero.  The slope k = omega c hbar its omega stands for is never formed."""
+    return _sign(branch) * scaled_quotient((pc.c, pc.hbar, sqrt_2n_omega(state.n, state.omega)))
 
 
 def _sign(branch):
@@ -87,9 +87,9 @@ def phase(state, t, pc=NATURAL_UNITS):
     """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega).
 
     Raises OutOfRange naming "t" when theta_n(t) is not finite (t itself non-finite, or the
-    product overflowing).
+    exactly scaled product overflowing).
     """
-    theta = sqrt_2n_omega(state.n, state.omega) * pc.c * t + state.Omega
+    theta = scaled_quotient((sqrt_2n_omega(state.n, state.omega), pc.c, t)) + state.Omega
     if not math.isfinite(theta):
         raise OutOfRange("t", t, f"t={t!r} takes the phase theta_n(t) out of the float range")
     return theta
@@ -175,12 +175,12 @@ def _ladder_apply(state, y, sign):
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):
     """(c hbar d/dy + k y) applied to phi_n; equals E_n phi_{n-1} (0 for n = 0)."""
-    return pc.c * pc.hbar * _ladder_apply(state, y, 1.0)
+    return elementwise(lambda v: scaled_quotient((pc.c, pc.hbar, v)), _ladder_apply(state, y, 1.0))
 
 
 def creation_apply(state, y, pc=NATURAL_UNITS):
     """(-c hbar d/dy + k y) applied to phi_n; equals E_{n+1} phi_{n+1}."""
-    return pc.c * pc.hbar * _ladder_apply(state, y, -1.0)
+    return elementwise(lambda v: scaled_quotient((pc.c, pc.hbar, v)), _ladder_apply(state, y, -1.0))
 
 
 def ladder_down(state, y):

@@ -58,22 +58,18 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
 
     @property
     def coupling(self):
-        """c hbar k, the only combination the spectrum depends on."""
-        return self.pc.c * self.pc.hbar * self.k
+        """c hbar k, the only combination the spectrum depends on, as an exactly scaled product."""
+        return scaled_quotient((self.pc.c, self.pc.hbar, self.k))
 
     @property
     def em_parameter(self):
-        """c hbar k beta^2; the closed form requires this << 1.
-
-        beta^2 is formed only where it is a normal float; elsewhere the product is taken
-        left to right, so it neither underflows to 0 nor overflows where beta^2 alone would.
-        Where c hbar k itself leaves the float range, the product is scaled exactly.
-        """
-        if not 0.0 < (coupling := self.coupling) < math.inf:
-            return scaled_quotient((self.pc.c, self.pc.hbar, self.k, self.beta, self.beta))
-        if 1e-150 < self.beta < 1e150:
-            return coupling * self.beta**2
-        return coupling * self.beta * self.beta
+        """c hbar k beta^2, which the closed form requires << 1: the exact c hbar k times beta^2
+        where the plain c hbar k and beta^2 are normal floats (the grouping of its pinned bits),
+        else the exactly scaled product of all five factors."""
+        pc, beta = self.pc, self.beta
+        if sys.float_info.min <= pc.c * pc.hbar * self.k < math.inf and 1e-150 < beta < 1e150:
+            return self.coupling * beta**2
+        return scaled_quotient((pc.c, pc.hbar, self.k, beta, beta))
 
     @property
     def temperature(self):
@@ -146,10 +142,11 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     bound > tol, TruncationBudget is raised carrying this pass's Z and bound.
     """
     positive_finite(tol, "tol")
-    if 0.0 < (coupling := ep.coupling) < math.inf:
+    if sys.float_info.min <= ep.pc.c * ep.pc.hbar * ep.k < math.inf:
+        coupling = ep.coupling
         root = math.sqrt(2.0 * coupling)  # as sqrt(2) sqrt(c hbar k) where 2 c hbar k overflows
         lam = ep.beta * (root if root < math.inf else math.sqrt(2.0) * math.sqrt(coupling))
-    else:  # c hbar k alone leaves the float range, while x = c hbar k beta^2 is in it
+    else:  # the plain c hbar k is not a normal float, while x = c hbar k beta^2 is in range
         lam = math.sqrt(2.0 * ep.em_parameter)
     tails, bound = _tails(lam)
     sums = tuple(h + t for h, t in zip(_heads(lam), tails))

@@ -11,16 +11,14 @@ import pytest
 from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
 from direct_entropy import direct_entropy
+from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
 from majorana_lab.hermite import hermite_norm_fn
-from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import (
     PhysicalConstants,
     SpinorState,
     annihilation_apply,
     momentum_spinor_at_phase,
-    position_spinor_at_phase,
-    probability_density_at_phase,
     state_energy,
 )
 from majorana_lab.thermo import EnsembleParams, partition_em, partition_exact, report, thermo_sweep
@@ -40,13 +38,6 @@ REFERENCE_SUMS = {0: 2.14473, 1: 2.77548, 2: 3.18469, 3: 3.44584}
 def verdict(number, name, ok, detail):
     print(f"[ACCEPTANCE {number:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def quad_norm(state, theta, space):
-    freq = state.omega if space == "position" else 1.0 / state.omega
-    radius = truncation_radius(freq, state.n + 1, tail_tol=1e-13)
-    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), radius, 1e-11)
-    return value
 
 
 def test_criterion_01_entropy_table_reproduction():
@@ -103,7 +94,7 @@ def test_criterion_05_normalization_across_phases():
     for n in range(9):
         state = SpinorState(n, 0.35)
         for theta in (0.0, math.pi / 6, QUARTER, math.pi / 2, 1.3):
-            worst = max(worst, abs(quad_norm(state, theta, "position") - 1.0))
+            worst = max(worst, abs(norm_integral(state, theta, "position") - 1.0))
     verdict(5, "time-independent normalization, n <= 8 x 5 phases",
             worst < 1e-8, f"worst |norm - 1| = {worst:.3g} vs 1e-8")
 
@@ -114,21 +105,14 @@ def test_criterion_06_fourier_and_parseval():
     worst_parseval = 0.0
     for n in range(7):
         state = SpinorState(n, omega)
-        radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
         sigma_p = math.sqrt(omega * (2 * n + 1))
         for p in np.linspace(-3 * sigma_p, 3 * sigma_p, 7):
-            numeric = []
-            for pick in (lambda v: v.comp1, lambda v: v.comp2):
-                re, _ = integrate(
-                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), radius, 1e-11)
-                im, _ = integrate(
-                    lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), radius, 1e-11)
-                numeric.append((re + 1j * im) / math.sqrt(2 * math.pi))
+            numeric = fourier_numeric(state, theta, p)
             analytic = momentum_spinor_at_phase(state, float(p), theta)
             worst_ft = max(worst_ft, abs(numeric[0] - analytic.comp1), abs(numeric[1] - analytic.comp2))
         worst_parseval = max(
             worst_parseval,
-            abs(quad_norm(state, theta, "position") - quad_norm(state, theta, "momentum")),
+            abs(norm_integral(state, theta, "position") - norm_integral(state, theta, "momentum")),
         )
     verdict(6, "numeric Fourier transform matches momentum spinors, n <= 6",
             worst_ft < 1e-6 and worst_parseval < 1e-8,

@@ -738,6 +738,26 @@ def test_density_where_only_c_hbar_overflows(tmp_path):
     assert all(math.isfinite(float(field)) for row in rows for field in row)
 
 
+def test_heatmap_at_t_0_where_sqrt_2n_omega_c_overflows(tmp_path):
+    # sqrt(2 omega) c = 1.4e450 is not a float, but the phase at t = 0 is 0 and at 1e-300 is finite
+    (tmp_path / "lab.cfg").write_text("c=1e300\n", encoding="utf-8")
+    env = {CONFIG_ENV_VAR: str(tmp_path / "lab.cfg")}
+    _, columns, rows = parse_csv(run_ok(["heatmap", "--n", "1", "--omega", "1e300", "--tmin", "0",
+                                         "--tmax", "1e-300", "--tsteps", "2", "--grid", "3"],
+                                        env=env).stdout)
+    assert len(rows) == 6 and all(math.isfinite(float(field)) for row in rows for field in row)
+
+
+def test_density_where_c_hbar_is_subnormal(tmp_path):
+    # c hbar = 1e-320 is subnormal: omega = k/(c hbar) is 1e20 exactly scaled, not 1.0000111e20
+    (tmp_path / "lab.cfg").write_text("c=1e-160\nhbar=1e-160\n", encoding="utf-8")
+    env = {CONFIG_ENV_VAR: str(tmp_path / "lab.cfg")}
+    by_k = run_ok(["density", "--k", "1e-300", "--grid", "5"], env=env).stdout
+    by_omega = run_ok(["density", "--omega", "1e20", "--grid", "5"], env=env).stdout
+    assert "# omega=1e+20\n" in by_k
+    assert by_k.split("\n# radius=")[1] == by_omega.split("\n# radius=")[1]
+
+
 _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
 
 

@@ -134,6 +134,11 @@ def test_scaled_quotient_has_the_plain_bits_wherever_they_stay_normal():
     assert scaled_quotient((1e-300,), (1e300,)) == 0.0
 
 
+def test_scaled_quotient_overflow_keeps_its_sign():
+    assert scaled_quotient((-1e308,), (1e-10,)) == -math.inf
+    assert scaled_quotient((1e200, -1e200)) == -math.inf
+
+
 def test_constants_are_shared():
     from majorana_lab import entropy, spinor, thermo
 

@@ -1,0 +1,251 @@
+"""One sweep of the public API over the edges of its documented range.
+
+Every function of hermite, spinor, entropy and thermo (and the radius and x ln x of
+quadrature) is called over levels n in {0, 1, 64}, magnitudes x from 5e-324 to 1e308,
+coordinates and times from 5e-324 to 1e308 of either sign, and seven sets of constants:
+natural units, c = hbar = 1e-300 and 1e300, k_B = 1e-300 and 1e300, (3e8, 1.05e-34) and
+c = hbar = 1e-160, where a product of the constants is subnormal.  An outcome is clean if
+
+  - it is finite;
+  - it raises ValueError (OutOfRange and LevelError among them), NonConvergence,
+    TruncationBudget or ladder_down's ZeroDivisionError at n = 0, with one of the wordings
+    in REFUSALS;
+  - it is +-inf where the exact product of the constants exceeds the largest float, with
+    its sign, or temperature's documented inf where k_B beta underflows.
+
+A product of the constants (c hbar, c hbar k beta^2, sqrt(2 n omega) c t) is also compared
+with its exact rational value: within 4 ulp wherever that is a normal float, and refused
+only where it is not.
+"""
+
+import math
+import re
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from majorana_lab import entropy, hermite, quadrature, spinor, thermo
+from majorana_lab.common import PhysicalConstants
+from majorana_lab.quadrature import NonConvergence
+from majorana_lab.spinor import PotentialParams, SpinorState
+from majorana_lab.thermo import EM_PARAMETER_RANGE, EnsembleParams, TruncationBudget
+
+X = (5e-324, 1e-308, 1e-150, 1e-10, 0.3, 1.0, 7.0, 1e10, 1e150, 1e308)
+LEVELS = (0, 1, 64)
+COORDS = (0.0, 1.0, -1.0, -7.0, 1e150, 1e308, 5e-324)
+CONSTANTS = {
+    "natural": PhysicalConstants(),
+    "c_hbar=1e-300": PhysicalConstants(c=1e-300, hbar=1e-300),
+    "c_hbar=1e300": PhysicalConstants(c=1e300, hbar=1e300),
+    "k_B=1e-300": PhysicalConstants(k_B=1e-300),
+    "k_B=1e300": PhysicalConstants(k_B=1e300),
+    "c=3e8,hbar=1.05e-34": PhysicalConstants(c=3e8, hbar=1.05e-34),
+    "c_hbar=1e-160": PhysicalConstants(c=1e-160, hbar=1e-160),
+}
+
+# Every wording a refusal may carry; a new one fails the sweep until it is listed here.
+REFUSALS = tuple(re.compile(pattern) for pattern in (
+    r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol) must be positive and finite",
+    r"(quantum number n|N) must be an integer >= \d+",
+    r"(y|Omega|theta) must be finite",
+    r"tail_tol must lie in \(0, 1\)",
+    r"xlogx requires v >= 0",
+    r"branch must be \+1 or -1",
+    r"space must be one of \('position', 'momentum'\)",
+    r"pc must be a PhysicalConstants",
+    r"E_0 = 0: the ground state is annihilated, not lowered",
+    r"quadrature did not reach tol=\S+ on \[\S+, \S+\] \(error estimate \S+ over \d+ panels\)",
+    r"partition series remainder bound \S+ at M = 200 exceeds tol=\S+ \(beta=\S+, k=\S+\)",
+    r"N exceeds the largest float, 1.79769e\+308",
+    r"k/\(c hbar\) leaves the float range",
+    r"omega=\S+ takes 1/omega out of the float range",
+    r"t=\S+ takes the phase theta_n\(t\) out of the float range",
+    r"c\*hbar\*k\*beta\^2 = \S+ is out of \[1e-300, 1e\+150\], where the sums stay finite",
+    r"\S+ takes c\*hbar\*k\*beta\^2 out of \[1e-300, 1e\+150\], where the sums stay finite",
+    r"k_B=\S+ with N=\d+ takes a field of the report out of the float range",
+))
+
+MIN, MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+
+
+def floats(value):
+    """The floats of a result: itself, its real and imaginary parts, or those of its items."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [v for item in value for v in floats(item)]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return [float(value)]
+
+
+def exact(*factors, divisors=()):
+    """The rational product of the float factors over the divisors."""
+    result = Fraction(1)
+    for value in factors:
+        result *= Fraction(value)
+    for value in divisors:
+        result /= Fraction(value)
+    return result
+
+
+def check(take, product=None):
+    """take()'s result or refusal, failing unless it is clean.  product is the exact value of
+    a product of the constants: the result is then within 4 ulp of it where it is a normal
+    float, +-inf only beyond the largest float, and a refusal only where it is not normal."""
+    try:
+        result = take()
+    except (ValueError, ZeroDivisionError, NonConvergence, TruncationBudget) as exc:
+        assert any(p.fullmatch(str(exc)) for p in REFUSALS), f"unlisted refusal: {exc}"
+        if product is not None:
+            assert not MIN <= abs(product) <= MAX, f"false refusal of {float(product)!r}: {exc}"
+        return exc
+    if product is None:
+        assert all(map(math.isfinite, floats(result))), result
+        return result
+    if math.isinf(result):
+        assert abs(product) > MAX and (result > 0) == (product > 0), result
+    else:
+        assert abs(product) <= MAX, result
+        if abs(product) >= MIN:
+            assert abs(Fraction(result) - product) <= 4 * Fraction(math.ulp(float(product))), (
+                result, float(product))
+    return result
+
+
+def sweep_hermite():
+    for n in LEVELS:
+        for omega in X:
+            check(lambda: hermite.sqrt_2n_omega(n, omega))
+            for f in (hermite.hermite_norm_fn, hermite.hermite_norm_pair,
+                      hermite.hermite_norm_fn_and_derivative):
+                outcomes = [check(lambda: f(n, omega, y)) for y in COORDS]
+                array = f(n, omega, np.array(COORDS))
+                assert np.array_equal(np.array(array), np.array(outcomes).T)
+
+
+def sweep_quadrature():
+    for n in LEVELS:
+        for value in X:
+            check(lambda: quadrature.truncation_radius(value, n))
+            check(lambda: quadrature.truncation_radius(1.0, n, tail_tol=value))
+    for v in (*X, *COORDS):  # v ln(v) overflows past v ~ 2.5e305
+        check(lambda: quadrature.xlogx(v), exact(v, math.log(v)) if v > 1.0 else None)
+
+
+def sweep_entropy():
+    for n in LEVELS:
+        for omega in X:
+            check(lambda: entropy.shannon_position(n, omega))
+            check(lambda: entropy.shannon_momentum(n, omega))
+            check(lambda: entropy.bbm_report(n, omega))
+            for space in ("position", "momentum"):
+                for coord in COORDS:
+                    check(lambda: entropy.entropic_density(n, omega, math.pi / 4, coord, space))
+
+
+def sweep_spectrum(pc):
+    for k in X:
+        omega = check(lambda: PotentialParams(k).omega(pc), exact(k, divisors=(pc.c, pc.hbar)))
+        for n in LEVELS:
+            check(lambda: SpinorState.from_potential(n, PotentialParams(k), pc))
+            check(lambda: spinor.energy(n, PotentialParams(k), pc, 0))
+            if not isinstance(omega, Exception):  # else energy refuses k as omega does
+                for branch in (1, -1):
+                    check(lambda: spinor.energy(n, PotentialParams(k), pc, branch),
+                          exact(branch, pc.c, pc.hbar, hermite.sqrt_2n_omega(n, omega)))
+    for n in LEVELS:
+        for omega in X:
+            state, root = SpinorState(n, omega), hermite.sqrt_2n_omega(n, omega)
+            for branch in (1, -1):
+                check(lambda: spinor.state_energy(state, pc, branch),
+                      exact(branch, pc.c, pc.hbar, root))
+            for t in COORDS:
+                check(lambda: spinor.phase(state, t, pc), exact(root, pc.c, t))
+
+
+def sweep_states(pc):
+    for n in LEVELS:
+        for omega in X:
+            state = SpinorState(n, omega)
+            for coord in COORDS:
+                for t in (0.0, 1.0, 1e308):
+                    check(lambda: spinor.position_spinor(state, coord, t, pc))
+                    check(lambda: spinor.momentum_spinor(state, coord, t, pc))
+                    for space in ("position", "momentum"):
+                        check(lambda: spinor.probability_density(state, coord, t, space, pc))
+
+
+def sweep_ladder(pc):
+    for n in LEVELS:
+        for omega in X:
+            state = SpinorState(n, omega)
+            for sign, apply in ((1.0, spinor.annihilation_apply), (-1.0, spinor.creation_apply)):
+                outcomes = [check(lambda: apply(state, y, pc),
+                                  exact(pc.c, pc.hbar, spinor._ladder_apply(state, y, sign)))
+                            for y in COORDS]
+                assert np.array_equal(apply(state, np.array(COORDS), pc), outcomes)
+            for y in COORDS:
+                check(lambda: spinor.ladder_down(state, y))
+                check(lambda: spinor.ladder_up(state, y))
+
+
+def sweep_thermo(pc):
+    lo, hi = (Fraction(bound) for bound in EM_PARAMETER_RANGE)
+    for beta in X:
+        for k in X:
+            x = exact(pc.c, pc.hbar, k, beta, beta)
+            ep = check(lambda: EnsembleParams(beta, k, pc=pc))
+            if isinstance(ep, Exception):  # refused only outside the range, up to its rounding
+                assert not lo * (1 + 2**-50) <= x <= hi * (1 - 2**-50), (beta, k, ep)
+                continue
+            check(lambda: ep.em_parameter, x)
+            temperature = ep.temperature  # 1/(k_B beta): inf only past the largest float
+            assert math.isfinite(temperature) or exact(divisors=(pc.k_B, beta)) > MAX
+            check(lambda: thermo.partition_em(ep))
+            check(lambda: thermo.report(ep))
+            check(lambda: thermo.report(ep._replace(N=10**150)))
+    for T in X:
+        check(lambda: thermo.thermo_sweep((1.0,), (T,), pc=pc))
+
+
+def sweep_bad_input():
+    """One bad argument per call: each is refused, in a listed wording."""
+    state, nan, inf = SpinorState(1, 1.0), math.nan, math.inf
+    calls = [
+        *(lambda n=n: hermite.hermite_norm_fn(n, 1.0, 0.5) for n in (-1, 1.5, True, None)),
+        *(lambda w=w: hermite.hermite_norm_pair(1, w, 0.5) for w in (0.0, -1.0, inf, nan)),
+        *(lambda y=y: hermite.hermite_norm_fn_and_derivative(1, 1.0, y) for y in (inf, -inf, nan)),
+        *(lambda t=t: quadrature.truncation_radius(1.0, 1, t) for t in (0.0, 1.0, nan)),
+        lambda: quadrature.xlogx(nan),
+        *(lambda c=c: PhysicalConstants(**{c: 0.0}) for c in PhysicalConstants._fields),
+        lambda: PotentialParams(-1.0),
+        lambda: SpinorState(0, 1.0, Omega=inf),
+        lambda: spinor.state_energy(state, branch=2),
+        *(lambda t=t: spinor.phase(state, t) for t in (inf, nan)),
+        lambda: spinor.probability_density_at_phase(state, 0.5, nan),
+        lambda: spinor.probability_density(state, 0.5, 0.0, space="spin"),
+        lambda: spinor.ladder_down(SpinorState(0, 1.0), 0.5),
+        lambda: entropy.shannon_position(1, 1.0, tol=0.0),
+        lambda: entropy.shannon_momentum(3, 1.0, 0.3, tol=1e-300),
+        *(lambda kw=kw: EnsembleParams(**{"beta": 1.0, "k": 1.0, **kw})
+          for kw in ({"beta": 0.0}, {"k": -1.0}, {"N": 0}, {"N": 1.5}, {"N": 10**400},
+                     {"pc": None})),
+        lambda: thermo.moment_sums(EnsembleParams(1.0, 1.0), tol=1e-300),
+        lambda: thermo.thermo_sweep((1.0,), (inf,)),
+    ]
+    for take in calls:
+        assert isinstance(check(take), Exception)
+
+
+SWEEPS = {"hermite": sweep_hermite, "quadrature": sweep_quadrature, "entropy": sweep_entropy,
+          "bad-input": sweep_bad_input}
+for name, sweep in (("spectrum", sweep_spectrum), ("states", sweep_states),
+                    ("ladder", sweep_ladder), ("thermo", sweep_thermo)):
+    for label, pc in CONSTANTS.items():
+        SWEEPS[f"{name}-{label}"] = lambda sweep=sweep, pc=pc: sweep(pc)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_public_api_is_clean_at_the_edges(name):
+    SWEEPS[name]()

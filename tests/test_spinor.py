@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.common import OutOfRange
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative, hermite_norm_pair,
                                   hermite_pair_evaluator)
-from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import (
     NATURAL_UNITS,
     PhysicalConstants,
@@ -31,24 +31,6 @@ from majorana_lab.spinor import (
 )
 
 PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
-
-
-def norm_integral(state, theta, space):
-    freq = state.omega if space == "position" else 1.0 / state.omega
-    radius = truncation_radius(freq, state.n + 1, tail_tol=1e-13)
-    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), radius, 1e-11)
-    return value
-
-
-def fourier_numeric(state, theta, p):
-    """(1/sqrt(2 pi)) integral of psi(y) e^{ipy} dy, by quadrature per component."""
-    radius = truncation_radius(state.omega, state.n + 1, tail_tol=1e-13)
-    comps = []
-    for pick in (lambda v: v.comp1, lambda v: v.comp2):
-        re, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), radius, 1e-11)
-        im, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), radius, 1e-11)
-        comps.append((re + 1j * im) / math.sqrt(2 * math.pi))
-    return comps
 
 
 # ---------------------------------------------------------------- spectrum
@@ -446,6 +428,38 @@ def test_huge_omega_slope_and_energy_are_finite():
     assert state_energy(SpinorState(1, 1e308), pc, branch=-1) == -state_energy(SpinorState(1, 1e308), pc)
     with pytest.raises(ValueError, match="branch must be"):
         state_energy(SpinorState(1, 0.2), branch=0)
+
+
+def test_energy_where_c_hbar_overflows_before_the_root():
+    # c hbar = 1e400 leaves the float range, E = c hbar sqrt(2 omega) ~ 1.41e240 does not
+    e_1 = state_energy(SpinorState(1, 1e-320), PhysicalConstants(c=1e300, hbar=1e100))
+    assert e_1 == pytest.approx(math.sqrt(2e-320) * 1e300 * 1e100, rel=1e-15)
+    assert state_energy(SpinorState(1, 1.0), PhysicalConstants(c=1e300, hbar=1e300)) == math.inf
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_ladder_products_where_c_hbar_overflows(as_array):
+    # c hbar = 1e600 is not a float: the kernel's exact 0 stays 0 (not inf * 0 = nan), and
+    # kernels of 5.6e-298 and 1.5e-294 give finite products
+    pc = PhysicalConstants(c=1e300, hbar=1e300)
+
+    def at(apply, state, y):
+        return apply(state, np.array([y]), pc)[0] if as_array else apply(state, y, pc)
+
+    assert at(annihilation_apply, SpinorState(0, 1.0), 0.5) == 0.0
+    for apply in (annihilation_apply, creation_apply):
+        kernel = apply(SpinorState(1, 1.0), 37.0)  # c hbar = 1
+        product = at(apply, SpinorState(1, 1.0), 37.0)
+        assert math.isfinite(product)
+        assert product / 1e300 / 1e300 == pytest.approx(kernel, rel=1e-15, abs=0.0)
+    assert at(creation_apply, SpinorState(0, 1.0), -0.5) == -math.inf  # past the largest float
+
+
+def test_phase_where_sqrt_2n_omega_c_overflows():
+    # sqrt(2 omega) c = 1.4e450 is not a float, but theta at t = 0 is Omega and at 1e-300 is 1.4e150
+    state, pc = SpinorState(1, 1e300, Omega=0.25), PhysicalConstants(c=1e300)
+    assert phase(state, 0.0, pc) == 0.25
+    assert phase(state, 1e-300, pc) == pytest.approx(math.sqrt(2e300), rel=1e-15)
 
 
 _FAR = (1e10, 1e150, 1e308, -1e308)  # far coordinates: phi underflows there unless omega is tiny

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ def test_ensemble_where_only_c_hbar_k_leaves_the_float_range(beta, k, c, hbar, x
     assert ep.em_parameter == pytest.approx(x, rel=1e-15)
     assert moment_sums(ep) == moment_sums(EnsembleParams(beta=1.0, k=ep.em_parameter))
     assert all(map(math.isfinite, report(ep)))
+
+
+@pytest.mark.parametrize("beta, k, c, hbar", [
+    (5.634361698190516e161, 1e-298, 3e8, 1.05e-34),  # c hbar k = 3.15e-324 is subnormal
+    (1e-10, 1e150, 1e-160, 1e-160),  # c hbar = 1e-320 is subnormal, c hbar k = 1e-170 is not
+], ids=["c_hbar_k-subnormal", "c_hbar-subnormal"])
+def test_report_where_a_plain_product_of_the_constants_is_subnormal(beta, k, c, hbar):
+    # the same report as in natural units at the same c hbar k beta^2, with F and U per 1/beta
+    ep = EnsembleParams(beta=beta, k=k, pc=PhysicalConstants(c=c, hbar=hbar))
+    exact = Fraction(c) * Fraction(hbar) * Fraction(k) * Fraction(beta) ** 2
+    assert ep.em_parameter == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    got, want = report(ep), report(EnsembleParams(beta=1.0, k=ep.em_parameter))
+    for field in ("Z_exact", "Z_em", "S", "C_V", "S_exact", "C_V_exact", "F", "U", "F_exact",
+                  "U_exact"):
+        scale = beta if field[0] in "FU" else 1.0
+        assert getattr(got, field) * scale == pytest.approx(getattr(want, field), rel=1e-13,
+                                                            abs=0.0), field
 
 
 TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
