@@ -284,7 +284,8 @@ def cmd_thermo(s):
          r.F_exact, r.U_exact, r.S_exact, r.C_V_exact, r.truncation_n, r.tail_bound)
         for r, err in zip(reports, em_rel_err)
     ]
-    worst = max(EnsembleParams(beta=r.beta, k=r.k, N=r.N, pc=s.pc).em_parameter for r in reports)
+    # c hbar k beta^2 is non-decreasing in beta and in k, so it is largest at the largest of each
+    worst = EnsembleParams(max(r.beta for r in reports), max(s.k_list), pc=s.pc).em_parameter
     if worst > EM_VALIDITY_WARN:
         sys.stderr.write(
             f"warning: c*hbar*k*beta^2 reaches {worst:.3g} > {EM_VALIDITY_WARN:g}; "

@@ -26,21 +26,31 @@ def positive_finite(value, name):
         raise ValueError(f"{name} must be positive and finite")
 
 
-def scaled_quotient(numerators, denominators=()):
-    """prod(numerators) / each denominator in turn, on the frexp mantissas with the exponents
-    summed apart: the bits of that plain left-to-right form wherever it stays normal, and a
-    signed 0 or inf only where the result itself leaves the float range."""
+def _frexp_quotient(numerators, denominators):
+    """(mantissa, exponent) of prod(numerators) / each denominator in turn, on frexp mantissas."""
     mantissa, exponent = 1.0, 0
-    for value in numerators:
-        m, e = math.frexp(value)
+    for m, e in map(math.frexp, numerators):
         mantissa, exponent = mantissa * m, exponent + e
-    for value in denominators:
-        m, e = math.frexp(value)
+    for m, e in map(math.frexp, denominators):
         mantissa, exponent = mantissa / m, exponent - e
+    return mantissa, exponent
+
+
+def scaled_quotient(numerators, denominators=()):
+    """prod(numerators) / each denominator in turn, on the frexp mantissas: the plain form's bits
+    wherever it stays normal, a signed 0 or inf only where the result leaves the float range."""
+    mantissa, exponent = _frexp_quotient(numerators, denominators)
     try:
         return math.ldexp(mantissa, exponent)
     except OverflowError:  # the result exceeds the largest float
         return math.copysign(math.inf, mantissa)
+
+
+def scaled_root(numerators, denominators=()):
+    """sqrt of scaled_quotient's value, taken on its mantissa: the plain root's bits where the plain
+    quotient is normal, else within 1 ulp for two factors; OverflowError past the largest float."""
+    mantissa, exponent = _frexp_quotient(numerators, denominators)
+    return math.ldexp(math.sqrt(math.ldexp(mantissa, exponent % 2)), exponent // 2)
 
 
 class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):

@@ -16,7 +16,7 @@ array of coordinates maps that float evaluation over its elements
 import functools
 import math
 
-from .common import elementwise, level, positive_finite
+from .common import elementwise, level, positive_finite, scaled_root
 
 
 def hermite_norm_pair(n, omega, y):
@@ -69,10 +69,9 @@ def hermite_norm_fn_and_derivative(n, omega, y):
 
 
 def sqrt_2n_omega(n, omega):
-    """sqrt(2 n omega), formed level first, so n = 0 gives 0 at any omega, and as
-    sqrt(2 n) sqrt(omega) where 2 n omega overflows."""
-    rate = 2.0 * n * omega
-    return math.sqrt(rate) if rate < math.inf else math.sqrt(2.0 * n) * math.sqrt(omega)
+    """sqrt(2 n omega) as an exactly scaled root (common.scaled_root), finite for every omega
+    and 0 at n = 0: the plain root's bits wherever 2 n omega is a normal float."""
+    return scaled_root((2.0 * n, omega))
 
 
 @functools.lru_cache(maxsize=128)

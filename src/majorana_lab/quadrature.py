@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, elementwise, level, positive_finite
+from .common import DEFAULT_TOL, elementwise, level, positive_finite, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -131,9 +131,7 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     """Half-width R such that the tail of exp(-omega y^2) * poly(deg 2n) is < tail_tol.
 
     R = sqrt((W + (n+2) ln(W+e)) / omega) with W = -ln(tail_tol), then doubled
-    as a safety margin (doubling squares the Gaussian tail twice over).  Where
-    the quotient overflows (omega below ~1e-306), R is formed by the scaling law
-    R = R_1/sqrt(omega) instead, which is finite for every positive finite omega.
+    as a safety margin (doubling squares the Gaussian tail twice over).
     """
     positive_finite(omega, "omega")
     n = level(n)
@@ -141,8 +139,7 @@ def truncation_radius(omega, n, tail_tol=1e-12):
         raise ValueError("tail_tol must lie in (0, 1)")
     W = -math.log(tail_tol)
     w = W + (n + 2) * math.log(W + math.e)
-    base = math.sqrt(w / omega) if w / omega < math.inf else math.sqrt(w) / math.sqrt(omega)
-    return 2.0 * base
+    return 2.0 * scaled_root((w,), (omega,))
 
 
 def xlogx(v):

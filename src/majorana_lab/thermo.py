@@ -73,8 +73,9 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
 
     @property
     def temperature(self):
-        kT = self.pc.k_B * self.beta  # 1/kT is inf where kT underflows to 0
-        return 1.0 / kT if kT > 0.0 else math.inf
+        kT = self.pc.k_B * self.beta  # inf only where 1/kT itself exceeds the largest float
+        return (1.0 / kT if sys.float_info.min <= kT < math.inf
+                else scaled_quotient((1.0,), (self.pc.k_B, self.beta)))
 
 
 # One (beta, k, N) evaluation: both partition routes and all four functions.
@@ -110,11 +111,12 @@ def _tail_terms(p):
 
 _TERMS = [_tail_terms(p) for p in range(3)]
 _POWERS = sorted({a for pair in _TERMS for terms in pair for _, a, _ in terms})  # of lam
+_ROOTS = tuple(math.sqrt(n) for n in range(_M))
 
 
 def _heads(lam):
     """[t_0, t_1, t_2] summed over n < _M with math.fsum."""
-    x = [lam * math.sqrt(n) for n in range(_M)]
+    x = [lam * root for root in _ROOTS]
     e0 = [math.exp(-v) for v in x]
     e1 = list(map(mul, x, e0))
     return [math.fsum(e0), math.fsum(e1), math.fsum(map(mul, x, e1))]
@@ -201,7 +203,7 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
     """Reports over the (k, T) grid in deterministic (k-major, T-minor) order.
 
     OutOfRange names "T" when at some temperature (the first such, in T order)
-    c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or k_B T leaves the float
+    c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or 1/(k_B T) leaves the float
     range; report's and EnsembleParams' refusals naming "N" pass through.
     """
     T_values = linspace(0.1, 10.0, 50) if T_values is None else [float(T) for T in T_values]
@@ -210,7 +212,8 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
     grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
     for T in T_values:
         kT = pc.k_B * T
-        beta = 1.0 / kT if kT > 0.0 else math.inf
+        beta = (1.0 / kT if sys.float_info.min <= kT < math.inf
+                else scaled_quotient((1.0,), (pc.k_B, T)))
         try:
             points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
                       if 0.0 < beta < math.inf else None)

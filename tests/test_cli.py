@@ -389,6 +389,14 @@ def test_thermo_no_warning_when_valid(tmp_path):
     assert "warning" not in result.output
 
 
+def test_thermo_warning_line():
+    # the default sweep's largest c hbar k beta^2 is at k = 0.8, T = 0.1: 0.8 / 0.1^2 = 80
+    assert run_ok(["thermo"]).stderr == (
+        "warning: c*hbar*k*beta^2 reaches 80 > 0.1; the closed-form (EM) columns are outside "
+        "their validity window at low T (measured |Z_em - Z|/Z up to 0.488)\n")
+    assert run_ok(["thermo", "--tmin", "3"]).stderr == ""
+
+
 def test_thermo_weak_coupling_succeeds(tmp_path):
     # c hbar k beta^2 down to 1e-6: the closed form's own regime.
     out = tmp_path / "weak.csv"

@@ -1,12 +1,14 @@
 import math
 import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import majorana_lab
 from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, level,
-                                 linspace, scaled_quotient)
+                                 linspace, scaled_quotient, scaled_root)
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
@@ -132,6 +134,26 @@ def test_scaled_quotient_has_the_plain_bits_wherever_they_stay_normal():
     assert scaled_quotient((1e-300,), (1e-200, 1e-200)) == pytest.approx(1e100, rel=1e-15)
     assert scaled_quotient((1e308,), (1e-10,)) == math.inf
     assert scaled_quotient((1e-300,), (1e300,)) == 0.0
+
+
+def test_scaled_root_has_the_plain_bits_wherever_the_quotient_is_normal():
+    rng = np.random.default_rng(25)
+    normal = 0
+    for a, b in 10.0 ** rng.uniform(-320.0, 307.0, size=(4000, 2)):
+        a, b = float(a), float(b)
+        for quotient, exact, factors in ((a * b, Fraction(a) * Fraction(b), ((a, b), ())),
+                                         (a / b, Fraction(a) / Fraction(b), ((a,), (b,)))):
+            if sys.float_info.min <= quotient < math.inf:
+                normal += 1
+                assert scaled_root(*factors) == math.sqrt(quotient), (a, b)
+            elif exact < Fraction(sys.float_info.max) ** 2:  # the root is a float
+                assert 0.0 < scaled_root(*factors) < math.inf, (a, b)
+            else:
+                with pytest.raises(OverflowError):
+                    scaled_root(*factors)
+    assert 2000 < normal < 7000  # both sides are sampled
+    assert scaled_root((0.0, 1e308)) == 0.0
+    assert scaled_root((128.0, sys.float_info.max)) == pytest.approx(1.5169e155, rel=1e-4)
 
 
 def test_scaled_quotient_overflow_keeps_its_sign():

@@ -11,23 +11,28 @@ c = hbar = 1e-160, where a product of the constants is subnormal.  An outcome is
     TruncationBudget or ladder_down's ZeroDivisionError at n = 0, with one of the wordings
     in REFUSALS;
   - it is +-inf where the exact product of the constants exceeds the largest float, with
-    its sign, or temperature's documented inf where k_B beta underflows.
+    its sign, or temperature's inf where 1/(k_B beta) exceeds the largest float.
 
 A product of the constants (c hbar, c hbar k beta^2, sqrt(2 n omega) c t) is also compared
 with its exact rational value: within 4 ulp wherever that is a normal float, and refused
-only where it is not.
+only where it is not.  The roots sqrt(2 n omega) and truncation_radius's sqrt(w/omega) are
+compared with the 60-digit root of their exact quotient: within 1 ulp at every level, over
+the magnitudes above and where the plain quotient overflows (omega past 2**1015 for
+sqrt(2 n omega), below 2**-1015 for the radius).
 """
 
 import math
+import random
 import re
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from majorana_lab import entropy, hermite, quadrature, spinor, thermo
-from majorana_lab.common import PhysicalConstants
+from majorana_lab.common import MAX_LEVEL, PhysicalConstants
 from majorana_lab.quadrature import NonConvergence
 from majorana_lab.spinor import PotentialParams, SpinorState
 from majorana_lab.thermo import EM_PARAMETER_RANGE, EnsembleParams, TruncationBudget
@@ -69,6 +74,11 @@ REFUSALS = tuple(re.compile(pattern) for pattern in (
 
 MIN, MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
 
+_RNG = random.Random(25)
+# 2 n omega overflows past omega = 2**1015 (n >= 1), and w/omega below 2**-1015
+HUGE_OMEGA = [math.ldexp(_RNG.uniform(0.5, 1.0), _RNG.randint(1016, 1024)) for _ in range(40)]
+TINY_OMEGA = [math.ldexp(_RNG.uniform(0.5, 1.0), _RNG.randint(-1073, -1015)) for _ in range(40)]
+
 
 def floats(value):
     """The floats of a result: itself, its real and imaginary parts, or those of its items."""
@@ -87,6 +97,14 @@ def exact(*factors, divisors=()):
     for value in divisors:
         result /= Fraction(value)
     return result
+
+
+def check_root(result, *factors, divisors=()):
+    """result is within 1 ulp of the 60-digit square root of exact(*factors, divisors=divisors)."""
+    quotient = exact(*factors, divisors=divisors)
+    with mpmath.workdps(60):
+        root = mpmath.sqrt(mpmath.mpf(quotient.numerator) / quotient.denominator)
+        assert abs(mpmath.mpf(result) - root) <= math.ulp(float(root)), (result, float(root))
 
 
 def check(take, product=None):
@@ -122,6 +140,16 @@ def sweep_hermite():
                 outcomes = [check(lambda: f(n, omega, y)) for y in COORDS]
                 array = f(n, omega, np.array(COORDS))
                 assert np.array_equal(np.array(array), np.array(outcomes).T)
+
+
+def sweep_roots():
+    for n in range(MAX_LEVEL + 1):
+        for omega in (*X, *HUGE_OMEGA, sys.float_info.max):
+            check_root(hermite.sqrt_2n_omega(n, omega), 2 * n, omega)
+        W = -math.log(1e-12)
+        w = W + (n + 2) * math.log(W + math.e)  # the float w that the radius forms
+        for omega in (*X, *TINY_OMEGA):
+            check_root(quadrature.truncation_radius(omega, n) / 2.0, w, divisors=(omega,))
 
 
 def sweep_quadrature():
@@ -238,8 +266,8 @@ def sweep_bad_input():
         assert isinstance(check(take), Exception)
 
 
-SWEEPS = {"hermite": sweep_hermite, "quadrature": sweep_quadrature, "entropy": sweep_entropy,
-          "bad-input": sweep_bad_input}
+SWEEPS = {"hermite": sweep_hermite, "roots": sweep_roots, "quadrature": sweep_quadrature,
+          "entropy": sweep_entropy, "bad-input": sweep_bad_input}
 for name, sweep in (("spectrum", sweep_spectrum), ("states", sweep_states),
                     ("ladder", sweep_ladder), ("thermo", sweep_thermo)):
     for label, pc in CONSTANTS.items():

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -362,6 +363,63 @@ def test_report_refuses_a_temperature_past_the_float_range():
     assert excinfo.value.param == "N"
     assert str(excinfo.value) == ("k_B=1e-300 with N=1 takes a field of the report "
                                   "out of the float range")
+
+
+def within_an_ulp(value, exact):
+    return abs(Fraction(value) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("beta", [5.7e-9, 6e-9, 9e-9])
+def test_temperature_where_k_B_beta_is_subnormal(beta):
+    # k_B beta ~ 6e-309 is subnormal: 1/(k_B beta) is taken on the scaled mantissas, not
+    # divided by a product rounded to fewer bits
+    k_B = 1e-300
+    temperature = EnsembleParams(beta, 1.0, pc=PhysicalConstants(k_B=k_B)).temperature
+    assert within_an_ulp(temperature, 1 / (Fraction(k_B) * Fraction(beta)))
+
+
+def test_temperature_has_the_plain_bits_where_k_B_beta_is_normal():
+    rng = np.random.default_rng(25)
+    normal = 0
+    for k_B, beta in 10.0 ** rng.uniform((-320.0, -70.0), (308.0, 70.0), size=(3000, 2)):
+        k_B, beta = float(k_B), float(beta)
+        temperature = EnsembleParams(beta, 1.0, pc=PhysicalConstants(k_B=k_B)).temperature
+        exact = 1 / (Fraction(k_B) * Fraction(beta))
+        if sys.float_info.min <= k_B * beta < math.inf:
+            normal += 1
+            assert temperature == 1.0 / (k_B * beta)
+        elif exact > Fraction(sys.float_info.max):  # inf only past the largest float
+            assert temperature == math.inf
+        else:  # two roundings, as in the plain 1.0 / (k_B * beta): within 1.5 ulp
+            error = abs(Fraction(temperature) - exact) / Fraction(math.ulp(float(exact)))
+            assert error <= 1.5, (k_B, beta)
+    assert 1000 < normal < 2900  # both sides of the fork are sampled
+
+
+# c = hbar = k_B = 1e-300 puts the temperatures where k_B T is subnormal within the coupling range
+SUBNORMAL_K_B_T = PhysicalConstants(c=1e-300, hbar=1e-300, k_B=1e-300)
+
+
+@pytest.mark.parametrize("T", [5.57e-9, 5.7e-9, 6e-9, 9e-9, 2e-8])
+def test_sweep_beta_where_k_B_T_is_subnormal(T):
+    (row,) = thermo_sweep((1.0,), (T,), pc=SUBNORMAL_K_B_T)
+    assert within_an_ulp(row.beta, 1 / (Fraction(1e-300) * Fraction(T)))
+    assert within_an_ulp(row.T, 1 / (Fraction(1e-300) * Fraction(row.beta)))
+
+
+@pytest.mark.parametrize("pc, T", [
+    # 1/(k_B T) exceeds the largest float
+    *((pc, T) for pc in (SUBNORMAL_K_B_T, PhysicalConstants(k_B=1e-300))
+      for T in (5e-324, 1e-310, 1e-16, 5.5e-9, 5.56e-9)),
+    # 1/(k_B T) is a float, but with c = hbar = 1, c hbar k beta^2 > 1e150 for every k
+    *((PhysicalConstants(k_B=1e-300), T) for T in (5.57e-9, 5.7e-9, 6e-9, 9e-9, 2e-8)),
+])
+def test_sweep_refuses_where_k_B_T_is_subnormal(pc, T):
+    with pytest.raises(OutOfRange) as excinfo:
+        thermo_sweep((1e-300, 1e-20, 1.0, 1e20), (T,), pc=pc)
+    assert (excinfo.value.param, excinfo.value.value) == ("T", T)
+    assert str(excinfo.value) == (f"{T:g} takes c*hbar*k*beta^2 out of [1e-300, 1e+150], "
+                                  "where the sums stay finite")
 
 
 @pytest.mark.parametrize("take", [
