@@ -29,7 +29,8 @@ _EXPORTS = {
     "spinor": ("PotentialParams SpinorState annihilation_apply creation_apply energy "
                "ladder_down ladder_up momentum_spinor phase position_spinor probability_density "
                "probability_density_at_phase state_energy"),
-    "thermo": "EnsembleParams ThermoReport TruncationBudget partition_em partition_exact thermo_sweep",
+    "thermo": ("EnsembleParams ThermoReport TruncationBudget partition_em partition_exact "
+               "thermo_sweep"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

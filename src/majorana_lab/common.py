@@ -46,6 +46,13 @@ def scaled_quotient(numerators, denominators=()):
         return math.copysign(math.inf, mantissa)
 
 
+def over_product(a, b, c):
+    """a/(b c): the plain quotient, and its bits, where the plain b c is a normal float, else
+    scaled_quotient((a,), (b, c)), a signed 0 or inf only where a/(b c) leaves the float range."""
+    bc = b * c
+    return a / bc if sys.float_info.min <= bc < math.inf else scaled_quotient((a,), (b, c))
+
+
 def scaled_root(numerators, denominators=()):
     """sqrt of scaled_quotient's value, taken on its mantissa: the plain root's bits where the plain
     quotient is normal, else within 1 ulp for two factors; OverflowError past the largest float."""
@@ -67,9 +74,7 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
     def omega(self, k):
         """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone is not
         a normal float.  Raises OutOfRange naming "k" where omega itself leaves the float range."""
-        c_hbar = self.c * self.hbar
-        omega = (k / c_hbar if sys.float_info.min <= c_hbar < math.inf
-                 else scaled_quotient((k,), (self.c, self.hbar)))
+        omega = over_product(k, self.c, self.hbar)
         if not 0.0 < omega < math.inf:
             raise OutOfRange("k", k, "k/(c hbar) leaves the float range")
         return omega

@@ -13,7 +13,6 @@ array of coordinates maps that float evaluation over its elements
 (common.elementwise), so an element gives the same bits as the float it holds.
 """
 
-import functools
 import math
 
 from .common import elementwise, level, positive_finite, scaled_root
@@ -34,7 +33,9 @@ def hermite_pair_evaluator(n, omega):
     """y -> hermite_norm_pair(n, omega, y) for a float y: an exp and the recurrence per point."""
     n = level(n)
     positive_finite(omega, "omega")
-    root, norm, coefficients = math.sqrt(omega), (omega / math.pi) ** 0.25, _coefficients(n)
+    root, norm = math.sqrt(omega), (omega / math.pi) ** 0.25
+    # phi_{k+1} = a u phi_k - b phi_{k-1} with a = sqrt(2/(k+1)), b = sqrt(k/(k+1)), for k < n
+    coefficients = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(n)]
 
     def pair(y):
         if not math.isfinite(y):
@@ -72,10 +73,3 @@ def sqrt_2n_omega(n, omega):
     """sqrt(2 n omega) as an exactly scaled root (common.scaled_root), finite for every omega
     and 0 at n = 0: the plain root's bits wherever 2 n omega is a normal float."""
     return scaled_root((2.0 * n, omega))
-
-
-@functools.lru_cache(maxsize=128)
-def _coefficients(n):
-    """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k < n: phi_{k+1} = a u phi_k - b phi_{k-1}."""
-    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(n))
-

@@ -120,7 +120,7 @@ def _qk15(f, center, half, mirror=False):
 
 
 def _fsum(terms):
-    """math.fsum of a list, or its plain sum (inf or nan) where fsum overflows or meets inf - inf."""
+    """math.fsum of a list, or its plain sum (inf or nan) where fsum overflows or sees inf - inf."""
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):

@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
-                     level, linspace, positive_finite, scaled_quotient)
+                     level, linspace, over_product, positive_finite, scaled_quotient, scaled_root)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -73,14 +73,12 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
 
     @property
     def temperature(self):
-        kT = self.pc.k_B * self.beta  # inf only where 1/kT itself exceeds the largest float
-        return (1.0 / kT if sys.float_info.min <= kT < math.inf
-                else scaled_quotient((1.0,), (self.pc.k_B, self.beta)))
+        return over_product(1.0, self.pc.k_B, self.beta)  # inf only past the largest float
 
 
 # One (beta, k, N) evaluation: both partition routes and all four functions.
-ThermoReport = namedtuple("ThermoReport", "beta k N T Z_exact Z_em F U S C_V "
-                                          "F_exact U_exact S_exact C_V_exact truncation_n tail_bound")
+ThermoReport = namedtuple("ThermoReport", "beta k N T Z_exact Z_em F U S C_V F_exact U_exact "
+                                          "S_exact C_V_exact truncation_n tail_bound")
 
 
 def _tail_terms(p):
@@ -138,16 +136,16 @@ def _tails(lam):
 def moment_sums(ep, tol=DEFAULT_TOL):
     """((t_0, t_1, t_2), M, bound) with t_p = sum_n (beta E_n)^p exp(-beta E_n).
 
-    Sums n < M = 200 explicitly and adds the Euler-Maclaurin tail; bound caps
-    the remainder of all three sums.  bound is at most 1.6e-19 for any lam, below
-    1e-3 of half an ulp of each sum, so no larger M could move a double.  Where
-    bound > tol, TruncationBudget is raised carrying this pass's Z and bound.
+    The sums depend on beta and k only through lam = beta sqrt(2 c hbar k): beta times the
+    exactly scaled root (common.scaled_root) where the plain c hbar k is a normal float, else
+    sqrt(2 x) from the in-range x = c hbar k beta^2.  Sums n < M = 200 explicitly and adds
+    the Euler-Maclaurin tail; bound caps the remainder of all three sums.  bound is at most
+    1.6e-19 for any lam, below 1e-3 of half an ulp of each sum, so no larger M could move a
+    double.  Where bound > tol, TruncationBudget is raised carrying this pass's Z and bound.
     """
     positive_finite(tol, "tol")
     if sys.float_info.min <= ep.pc.c * ep.pc.hbar * ep.k < math.inf:
-        coupling = ep.coupling
-        root = math.sqrt(2.0 * coupling)  # as sqrt(2) sqrt(c hbar k) where 2 c hbar k overflows
-        lam = ep.beta * (root if root < math.inf else math.sqrt(2.0) * math.sqrt(coupling))
+        lam = ep.beta * scaled_root((2.0, ep.pc.c, ep.pc.hbar, ep.k))
     else:  # the plain c hbar k is not a normal float, while x = c hbar k beta^2 is in range
         lam = math.sqrt(2.0 * ep.em_parameter)
     tails, bound = _tails(lam)
@@ -211,9 +209,7 @@ def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS,
     lo, hi = EM_PARAMETER_RANGE
     grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
     for T in T_values:
-        kT = pc.k_B * T
-        beta = (1.0 / kT if sys.float_info.min <= kT < math.inf
-                else scaled_quotient((1.0,), (pc.k_B, T)))
+        beta = over_product(1.0, pc.k_B, T)
         try:
             points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
                       if 0.0 < beta < math.inf else None)

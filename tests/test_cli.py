@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -722,7 +723,14 @@ def test_thermo_where_2_c_hbar_k_overflows():
     # c hbar k beta^2 = 1 is in range though 2 c hbar k overflows: the row is the one at k = beta = 1
     _, columns, rows = parse_csv(run_ok(["thermo", "--k", "1e308", "--tmin", "1e154", "--tmax",
                                          "1e154", "--tsteps", "1"]).stdout)
-    assert rows_as_floats(columns, rows, "Z_exact", "truncation_n") == [[1.7223573172376991, 200.0]]
+    assert rows_as_floats(columns, rows, "Z_exact", "truncation_n") == [[1.7223573172376998, 200.0]]
+    # within 1 ulp of the 40-digit Euler-Maclaurin sum at the exact lam = beta sqrt(2 k)
+    [[k, beta, z_exact]] = rows_as_floats(columns, rows, "k", "beta", "Z_exact")
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(beta) * mpmath.sqrt(2 * mpmath.mpf(k))
+        z = mpmath.nsum(lambda n: mpmath.exp(-lam * mpmath.sqrt(n)), [0, mpmath.inf],
+                        method="euler-maclaurin")
+        assert abs(mpmath.mpf(z_exact) - z) <= math.ulp(z_exact), (z_exact, z)
 
 
 @pytest.mark.parametrize("config, args, z_exact", [

@@ -8,7 +8,7 @@ import pytest
 
 import majorana_lab
 from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, level,
-                                 linspace, scaled_quotient, scaled_root)
+                                 linspace, over_product, scaled_quotient, scaled_root)
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
@@ -154,6 +154,20 @@ def test_scaled_root_has_the_plain_bits_wherever_the_quotient_is_normal():
     assert 2000 < normal < 7000  # both sides are sampled
     assert scaled_root((0.0, 1e308)) == 0.0
     assert scaled_root((128.0, sys.float_info.max)) == pytest.approx(1.5169e155, rel=1e-4)
+
+
+def test_over_product_is_the_plain_quotient_wherever_b_c_is_normal():
+    rng = np.random.default_rng(27)
+    sides = dict.fromkeys(("normal", "subnormal", "zero", "inf"), 0)
+    for a, b, c in 10.0 ** rng.uniform(-320.0, 308.0, size=(4000, 3)):
+        a, b, c = float(a), float(b), float(c)
+        if sys.float_info.min <= b * c < math.inf:
+            sides["normal"] += 1
+            assert over_product(a, b, c) == a / (b * c), (a, b, c)
+        else:
+            sides["inf" if b * c == math.inf else "subnormal" if b * c else "zero"] += 1
+            assert over_product(a, b, c) == scaled_quotient((a,), (b, c)), (a, b, c)
+    assert min(sides.values()) > 10, sides  # every side of the fork is sampled
 
 
 def test_scaled_quotient_overflow_keeps_its_sign():

@@ -154,12 +154,48 @@ def test_bound_at_200_terms_is_below_double_rounding_for_every_coupling():
 
 
 def test_moment_sums_where_2_c_hbar_k_overflows():
-    # c hbar k beta^2 = 1 with 2 c hbar k = inf: lam is beta sqrt(2) sqrt(c hbar k), not nan
+    # c hbar k beta^2 = 1 with 2 c hbar k = inf: lam is finite, not nan
     t, m, bound = moment_sums(EnsembleParams(beta=1e-154, k=1e308))
     want, _, _ = moment_sums(EnsembleParams(beta=1.0, k=1.0))
     assert m == 200 and 0.0 <= bound <= 1e-10
     for got, t_p in zip(t, want):
         assert got == pytest.approx(t_p, rel=1e-15)
+
+
+def rescaled(beta, k, j):
+    """(beta 2^j, k 2^-2j): the same lam = beta sqrt(2 k), exactly."""
+    return math.ldexp(beta, j), math.ldexp(k, -2 * j)
+
+
+def test_sums_depend_on_beta_and_k_only_through_lam_where_2_k_overflows():
+    # k in [2^1023, max]: 2 k overflows, while the rescaled k 2^-2j (j >= 1) does not
+    rng = np.random.default_rng(27)
+    for u, log_x, j in zip(rng.uniform(0.5, 1.0, 2000).tolist(),
+                           rng.uniform(-290.0, 140.0, 2000).tolist(),
+                           rng.integers(1, 500, 2000, endpoint=True).tolist()):
+        k = math.ldexp(u, 1024)
+        beta = math.sqrt(10.0 ** log_x) / math.sqrt(k)  # c hbar k beta^2 = 10^log_x, in range
+        assert 2.0 * k == math.inf
+        want = moment_sums(EnsembleParams(*rescaled(beta, k, j)))
+        assert moment_sums(EnsembleParams(beta, k)) == want, (beta, k, j)
+
+
+def test_sums_depend_on_beta_and_k_only_through_lam_across_the_normal_range():
+    rng = np.random.default_rng(27)
+    lo, hi = EM_PARAMETER_RANGE
+    cases = 0
+    for log_beta, log_k, j in zip(rng.uniform(-150.0, 150.0, 4000).tolist(),
+                                  rng.uniform(-300.0, 300.0, 4000).tolist(),
+                                  rng.integers(-200, 200, 4000, endpoint=True).tolist()):
+        beta, k = 10.0**log_beta, 10.0**log_k
+        # x = c hbar k beta^2 in range, and beta 2^j and 2 k 2^-2j normal floats
+        if not (lo < k * beta**2 < hi and abs(math.log2(beta) + j) < 1000
+                and abs(math.log2(2.0 * k) - 2 * j) < 1000):
+            continue
+        cases += 1
+        want = moment_sums(EnsembleParams(*rescaled(beta, k, j)))
+        assert moment_sums(EnsembleParams(beta, k)) == want, (beta, k, j)
+    assert cases > 2000  # of 4000 draws, about 2200 pass the filter
 
 
 @pytest.mark.parametrize("beta, k, c, hbar, x", [
