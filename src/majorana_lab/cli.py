@@ -342,8 +342,10 @@ def _run(prog, name, args):
     s = _resolve(settings, given, _load_config())
     try:
         _emit(s, name, *body(s))
-    except OutOfRange as exc:  # T is a thermo temperature: the end of the sweep it is
-        hint = {"t": "'--tmin' / '--tmax'", "N": "'--particles'",
+    except OutOfRange as exc:  # T is a thermo temperature: the end of the sweep it is; a field
+        # out of range at N = 1 is the temperatures' doing, as no smaller N exists
+        span = "'--tmin' / '--tmax'"
+        hint = {"t": span, "N": "'--particles'" if exc.value > 1 else span,
                 "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'",
                 "omega": "'--k'" if s.k else "'--omega'"}[exc.param]
         raise UsageError(f"Invalid value for {hint}: {exc}") from None

@@ -14,6 +14,7 @@ import majorana_lab.entropy as entropy_mod
 import majorana_lab.thermo as thermo_mod
 from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
+from mpmath_thermo import moments
 from test_cli_golden import CASES as GOLDEN_CASES, GOLDEN
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
@@ -596,15 +597,19 @@ def test_thermo_underflowing_temperature_is_usage_error(tmp_path):
     ("k_B=1e308", ["--k", "1", "--tmin", "1e-308", "--tmax", "1e-308"]),
     ("k_B=1e200", ["--k", "1", "--tmin", "1e-200", "--tmax", "1e-200",
                    "--particles", str(MAX_PARTICLES)]),
+    # beta = 1/(k_B T) = 1e-310 puts F = -(N/beta) ln Z past the float range at N = 1
+    ("c=1e300\nhbar=1e300\nk_B=1e300", ["--k", "1", "--tmin", "1e10", "--tmax", "1e10"]),
 ])
 def test_thermo_non_finite_field_is_usage_error(tmp_path, cfg, args):
-    # c*hbar*k*beta^2 = 1 is in range; k_B and N scale S and C_V past the float range
+    # c*hbar*k*beta^2 is in range; k_B and N scale the fields past the float range.  Only a
+    # count above 1 is named: at N = 1 no smaller count helps, and the temperatures are named
     path = tmp_path / "lab.cfg"
     path.write_text(cfg + "\n", encoding="utf-8")
     result = invoke(["thermo", "--tsteps", "1", *args],
               env={CONFIG_ENV_VAR: str(path)})
     assert result.exit_code == 2, result.output
-    assert "k_B=" in result.output and "--particles" in result.output
+    hint = "'--particles'" if "--particles" in args else "'--tmin' / '--tmax'"
+    assert "k_B=" in result.output and f"Invalid value for {hint}:" in result.output
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.2, 1e3])
@@ -724,13 +729,10 @@ def test_thermo_where_2_c_hbar_k_overflows():
     _, columns, rows = parse_csv(run_ok(["thermo", "--k", "1e308", "--tmin", "1e154", "--tmax",
                                          "1e154", "--tsteps", "1"]).stdout)
     assert rows_as_floats(columns, rows, "Z_exact", "truncation_n") == [[1.7223573172376998, 200.0]]
-    # within 1 ulp of the 40-digit Euler-Maclaurin sum at the exact lam = beta sqrt(2 k)
+    # within 1 ulp of the 40-digit oracle at the exact c hbar k beta^2 = k beta^2
     [[k, beta, z_exact]] = rows_as_floats(columns, rows, "k", "beta", "Z_exact")
-    with mpmath.workdps(40):
-        lam = mpmath.mpf(beta) * mpmath.sqrt(2 * mpmath.mpf(k))
-        z = mpmath.nsum(lambda n: mpmath.exp(-lam * mpmath.sqrt(n)), [0, mpmath.inf],
-                        method="euler-maclaurin")
-        assert abs(mpmath.mpf(z_exact) - z) <= math.ulp(z_exact), (z_exact, z)
+    z = moments(k, beta, beta)[0]
+    assert abs(mpmath.mpf(z_exact) - z) <= math.ulp(z_exact), (z_exact, z)
 
 
 @pytest.mark.parametrize("config, args, z_exact", [

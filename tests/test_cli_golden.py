@@ -18,6 +18,7 @@ import pytest
 from cli_runner import invoke
 from csv_utils import parse_csv
 from mpmath_entropy import mpmath_unit_entropy
+from mpmath_thermo import fields, moments
 
 from majorana_lab.cli import CONFIG_ENV_VAR
 
@@ -118,34 +119,6 @@ def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     assert output == (GOLDEN / f"{name}-{fmt}.golden").read_bytes()
 
 
-def mpmath_thermo(mpmath, k, beta, N, c, hbar, k_B, m=400, order=6):
-    """(Z, F, U, S, C_V) at 30 digits: n < m summed term by term, the tail by Euler-Maclaurin.
-
-    The tail is 2 Gamma(p + 2, lam sqrt(m)) / lam^2, the half endpoint term and `order`
-    Bernoulli corrections by numerical differentiation; at m = 400 and order 6 it meets
-    mpmath.nsum to ~1e-31.
-    """
-    with mpmath.workdps(30):
-        beta = mpmath.mpf(beta)
-        lam = beta * mpmath.sqrt(2 * mpmath.mpf(c) * mpmath.mpf(hbar) * mpmath.mpf(k))
-        t = [mpmath.mpf(0)] * 3
-        for n in range(m):
-            x = lam * mpmath.sqrt(n)
-            for p in range(3):
-                t[p] += x**p * mpmath.exp(-x)
-        for p in range(3):
-            def g(y, p=p):
-                return (lam * mpmath.sqrt(y)) ** p * mpmath.exp(-lam * mpmath.sqrt(y))
-            t[p] += 2 * mpmath.gammainc(p + 2, lam * mpmath.sqrt(m)) / lam**2 + g(m) / 2
-            for j in range(1, order + 1):
-                t[p] -= (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
-                         * mpmath.diff(g, m, 2 * j - 1))
-        mean = t[1] / t[0]
-        f = -(N / beta) * mpmath.log(t[0])
-        u = N * mean / beta
-        return t[0], f, u, mpmath.mpf(k_B) * beta * (u - f), N * mpmath.mpf(k_B) * (t[2] / t[0] - mean**2)
-
-
 def golden_rows(name):
     """(config, rows as {column: value}) of one golden file, CSV or JSON."""
     text = (GOLDEN / f"{name}.golden").read_text(encoding="utf-8")
@@ -159,14 +132,14 @@ def golden_rows(name):
 @pytest.mark.parametrize("name", ["thermo-csv", "thermo-json", "thermo_out_file-csv",
                                   "thermo_cfg-csv", "thermo_cfg_out-csv"])
 def test_thermo_golden_exact_columns_match_mpmath(name):
-    # the pure-math Euler-Maclaurin pass (fsum heads) against an independent 30-digit sum
+    # the library's moment pass against the 40-digit zeta-series oracle at the exact c hbar k beta^2
     import mpmath
     config, rows = golden_rows(name)
-    constants = [float(config[key]) for key in ("c", "hbar", "k_B")]
+    c, hbar, k_B = (float(config[key]) for key in ("c", "hbar", "k_B"))
     names = ("Z_exact", "F_exact", "U_exact", "S_exact", "C_V_exact")
     for row in rows:
-        reference = mpmath_thermo(mpmath, row["k"], row["beta"], int(config["particles"]),
-                                  *constants)
+        reference = fields(moments(c, hbar, row["k"], row["beta"], row["beta"]), row["beta"],
+                           int(config["particles"]), k_B)
         for column, want in zip(names, reference):
             rel = abs((mpmath.mpf(row[column]) - want) / want)
             assert rel <= 1e-15, (column, row, float(rel))

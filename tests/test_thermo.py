@@ -2,8 +2,11 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+
+from mpmath_thermo import HAND_OVER, direct_sum, fields, moments, series
 
 from majorana_lab.common import OutOfRange
 from majorana_lab.spinor import PhysicalConstants
@@ -19,48 +22,8 @@ from majorana_lab.thermo import (
 )
 
 
-def brute_force_z(beta, coupling, n_terms):
-    """Independent series oracle: plain fsum over the first n_terms levels."""
-    lam = beta * math.sqrt(2.0 * coupling)
-    return math.fsum(math.exp(-lam * math.sqrt(n)) for n in range(n_terms))
-
-
-def brute_force_z_converged(beta, coupling, w_stop=40.0):
-    """Vectorized series oracle, summed until the exponent reaches w_stop.
-
-    Chunking and reduction order differ from the library's, so agreement is
-    not an artifact of shared summation structure.
-    """
-    lam = beta * math.sqrt(2.0 * coupling)
-    nmax = int((w_stop / lam) ** 2) + 1
-    chunks = []
-    for n0 in range(0, nmax, 2_000_000):
-        idx = np.arange(n0, min(n0 + 2_000_000, nmax), dtype=float)
-        chunks.append(float(np.sum(np.exp(-lam * np.sqrt(idx)))))
-    return math.fsum(chunks)
-
-
-def brute_force_moments(beta, coupling, w_stop=50.0):
-    """(t_0, t_1, t_2), t_p = sum_n (lam sqrt n)^p exp(-lam sqrt n), up to lam sqrt n = w_stop.
-
-    The neglected tail is below 1e-17 relative at w_stop = 50.  Chunked
-    differently from brute_force_z_converged and from the library.
-    """
-    lam = beta * math.sqrt(2.0 * coupling)
-    nmax = int((w_stop / lam) ** 2) + 1
-    chunks = ([], [], [])
-    for n0 in range(0, nmax, 1_500_000):
-        x = lam * np.sqrt(np.arange(n0, min(n0 + 1_500_000, nmax), dtype=float))
-        e = np.exp(-x)
-        for p in range(3):
-            chunks[p].append(float(np.sum(x**p * e)))
-    return tuple(math.fsum(c) for c in chunks)
-
-
-def z_u_cv(t, ep):
-    """Z, U and C_V of ep from the moments t = (t_0, t_1, t_2)."""
-    mean = t[1] / t[0]
-    return t[0], ep.N * mean / ep.beta, ep.N * ep.pc.k_B * (t[2] / t[0] - mean**2)
+# 258 couplings c hbar k beta^2 from 1e-300 to 1.8e149, 7/4 of a decade apart
+X_GRID = [10.0 ** (j / 4) for j in range(-1200, 601, 7)]
 
 
 # ---------------------------------------------------------------- partition function
@@ -82,8 +45,7 @@ def test_partition_exact_ground_state_limit():
 def test_partition_exact_matches_brute_force():
     ep = EnsembleParams(beta=1.0, k=1.0)
     z, trunc_n, tail = partition_exact(ep, tol=1e-10)
-    oracle = brute_force_z(1.0, 1.0, 20000)
-    assert z == pytest.approx(oracle, abs=1e-10)
+    assert z == pytest.approx(float(direct_sum(1.0)[0]), abs=1e-10)
     assert z == pytest.approx(1.7223573172376996, abs=1e-9)
     assert tail < 1e-10 and trunc_n >= 1
 
@@ -91,44 +53,50 @@ def test_partition_exact_matches_brute_force():
 def test_partition_exact_weak_coupling():
     ep = EnsembleParams(beta=0.1, k=0.01)
     z, _, _ = partition_exact(ep, tol=1e-10)
-    assert z == pytest.approx(brute_force_z_converged(0.1, 0.01), abs=1e-8)
+    assert z == pytest.approx(float(moments(0.01, 0.1, 0.1)[0]), abs=1e-8)
     assert z == pytest.approx(10000.502931634, abs=1e-6)
     assert abs(partition_em(ep) - z) / z < 0.01
 
 
-@pytest.mark.parametrize("beta, k", [(0.1, 0.2), (0.05, 0.05)])
-def test_moment_pass_matches_brute_force(beta, k):
-    ep = EnsembleParams(beta=beta, k=k, N=3)
-    tol = 1e-10
-    t, trunc_n, bound = moment_sums(ep, tol)
-    oracle = brute_force_moments(beta, k)
-    for p in range(3):
-        assert t[p] == pytest.approx(oracle[p], rel=1e-13)
-    rep = report(ep, tol)
-    z, u, cv = z_u_cv(oracle, ep)
-    assert rep.Z_exact == pytest.approx(z, rel=1e-13)
-    assert rep.U_exact == pytest.approx(u, rel=1e-13)
-    assert rep.C_V_exact == pytest.approx(cv, rel=1e-12)
-    assert (rep.truncation_n, rep.tail_bound) == (trunc_n, bound)
-    assert 0.0 <= bound <= tol
+@pytest.mark.parametrize("x", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_closed_form_misses_the_next_two_series_terms(x):
+    # Z = 1/x + 1/2 - zeta(-1/2) lam - x/12 + a_3 lam^3 + O(lam^5), lam = sqrt(2 x), so the
+    # closed form's error is the next two terms, up to |a_3| lam^3 = |zeta(-3/2)| lam^3 / 6
+    rep = report(EnsembleParams(beta=1.0, k=x))
+    lam = math.sqrt(2.0 * x)
+    two_terms = -float(mpmath.zeta(-0.5)) * lam - x / 12
+    third = abs(float(mpmath.zeta(-1.5))) * lam**3 / 6
+    assert abs(rep.Z_exact - rep.Z_em - two_terms) <= third + 4 * math.ulp(1 / x)
 
 
-def test_moment_pass_weak_coupling_matches_mpmath():
-    # c hbar k beta^2 = 1e-6: the regime of the closed form, where plain
-    # summation needs more than 1e8 terms.
-    import mpmath
-    ep = EnsembleParams(beta=0.01, k=0.01)
+@pytest.mark.parametrize("x", [20.0, HAND_OVER, 45.0])
+def test_oracle_series_meets_its_direct_sum_at_the_hand_over(x):
+    # the zeta series serves x <= HAND_OVER and the direct sum above it: both agree on either side
+    for s, d in zip(series(x), direct_sum(x)):
+        assert abs(s - d) <= 1e-30 * d
+
+
+@pytest.mark.parametrize("x", X_GRID)
+def test_moment_pass_weak_coupling_matches_mpmath(x):
+    # the moments and report's Z, U and C_V against the 40-digit oracle, from the closed form's
+    # regime (x = 1e-6 needs more than 1e8 plain terms) to where t_1 underflows.  beta = 1/2 and
+    # k = 4 x keep x exact and make lam = beta sqrt(2 k) the double sqrt(2 x), the one input of
+    # the sums; the oracle takes that lam, since its rounding alone moves t_1 by lam ulps
+    ep = EnsembleParams(beta=0.5, k=4.0 * x, N=3)
     t, trunc_n, bound = moment_sums(ep, tol=1e-10)
-    with mpmath.workdps(30):
-        lam = mpmath.mpf(ep.beta) * mpmath.sqrt(2 * mpmath.mpf(ep.k))
-        oracle = [float(mpmath.nsum(lambda n, p=p: (lam * mpmath.sqrt(n)) ** p
-                                    * mpmath.exp(-lam * mpmath.sqrt(n)),
-                                    [0, mpmath.inf], method="euler-maclaurin"))
-                  for p in range(3)]
-    for got, want in zip(z_u_cv(t, ep), z_u_cv(oracle, ep)):
-        assert got == pytest.approx(want, rel=1e-14)
-    assert t[0] == pytest.approx(1_000_000.50029, abs=1e-5)
+    rep = report(ep, tol=1e-10)
+    lam = math.sqrt(2.0 * x)
+    oracle = moments(lam, lam, 0.5)
+    z, _, u, _, cv = fields(oracle, ep.beta, ep.N)
+    for got, want in zip((*t, rep.Z_exact, rep.U_exact, rep.C_V_exact), (*oracle, z, u, cv)):
+        if abs(want) >= sys.float_info.min:
+            assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+        else:  # below the normal range a double has fewer bits: it must not be normal either
+            assert abs(got) < sys.float_info.min, (got, want)
+    if x == 1e-6:
+        assert t[0] == pytest.approx(1_000_000.50029, abs=1e-5)
     assert trunc_n == 200 and 0.0 <= bound <= 1e-10
+    assert (rep.truncation_n, rep.tail_bound) == (trunc_n, bound)
 
 
 def test_partition_budget_exhaustion():
