@@ -73,9 +73,10 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 
     def omega(self, k):
         """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone is not
-        a normal float.  Raises OutOfRange naming "k" where omega itself leaves the float range."""
+        a normal float.  Raises OutOfRange naming "k" where omega is not a normal float: past
+        the largest float, or below the least normal one, where it would have lost its bits."""
         omega = over_product(k, self.c, self.hbar)
-        if not 0.0 < omega < math.inf:
+        if not sys.float_info.min <= omega < math.inf:
             raise OutOfRange("k", k, "k/(c hbar) leaves the float range")
         return omega
 

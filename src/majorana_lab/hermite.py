@@ -5,8 +5,9 @@ Every bound state in this package is built from the L2-normalized functions
     phi_n(y) = (omega/pi)^(1/4) / sqrt(2^n n!) * exp(-omega y^2 / 2) * H_n(sqrt(omega) y).
 
 A spinor needs phi_n and phi_{n-1} at the same points, and one sweep of the
-recurrence yields both.  Factorials are never materialized: 2^n n! overflows
-double precision long before n = 64, which this module must support.
+recurrence yields both.  Factorials are never materialized: each iterate is itself
+a phi_k value of order 1, while 2^n n! leaves the float range past n = 150 and the
+raw H_n(u) grows like (2u)^n.
 
 A coordinate is evaluated in pure Python (math.exp, float arithmetic); an
 array of coordinates maps that float evaluation over its elements
@@ -23,8 +24,8 @@ def hermite_norm_pair(n, omega, y):
 
     The 1/sqrt(2^n n!) normalization and the Gaussian envelope are folded
     into the recurrence start, so every iterate is itself a phi_k value and
-    stays O(1) regardless of n (no overflow for n >~ 20, unlike the naive
-    H_n / sqrt(2^n n!) route).  A scalar y gives floats, an array y arrays.
+    stays O(1) regardless of n, where the naive H_n / sqrt(2^n n!) route
+    overflows once 2^n n! does, past n = 150.  A scalar y gives floats, an array y arrays.
     """
     return elementwise(hermite_pair_evaluator(n, omega), y, outputs=2)
 

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .common import (NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants,  # noqa: F401
-                     elementwise, level, positive_finite, scaled_quotient)
+                     elementwise, level, positive_finite, scaled_quotient, scaled_root)
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
 
@@ -65,8 +65,14 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
 def energy(n, pp, pc=NATURAL_UNITS, branch=1):
-    """Level energy branch * sqrt(2 c hbar k n): state_energy of level n at omega = k/(c hbar)."""
-    return state_energy(SpinorState.from_potential(n, pp, pc), pc, branch)
+    """Level energy branch * sqrt(2 n c hbar k), the exactly scaled root (common.scaled_root) of
+    the slope's own product, so omega = k/(c hbar) is never rounded: a signed inf only where the
+    root exceeds the largest float, and a signed zero at n = 0."""
+    sign = _sign(branch)
+    try:
+        return sign * scaled_root((2.0 * level(n), pc.c, pc.hbar, pp.k))
+    except OverflowError:  # the root exceeds the largest float
+        return sign * math.inf
 
 
 def state_energy(state, pc=NATURAL_UNITS, branch=1):

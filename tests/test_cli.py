@@ -776,6 +776,19 @@ def test_density_where_c_hbar_is_subnormal(tmp_path):
     assert by_k.split("\n# radius=")[1] == by_omega.split("\n# radius=")[1]
 
 
+def test_slope_with_a_subnormal_frequency_is_usage_error(tmp_path):
+    # omega = k/(c hbar) = 3.2e-324 would round to 5e-324, so --k is refused; a subnormal
+    # --omega given as it is stays accepted
+    (tmp_path / "lab.cfg").write_text("c=1e100\nhbar=1e-50\n", encoding="utf-8")
+    env = {CONFIG_ENV_VAR: str(tmp_path / "lab.cfg")}
+    result = invoke(["density", "--k", "3.221014270844314e-274", "--grid", "3"], env=env)
+    assert result.exit_code == 2 and result.exception is None, result.output
+    assert "Invalid value for '--k': k/(c hbar) leaves the float range" in result.stderr
+    assert result.stdout == ""
+    by_omega = run_ok(["density", "--omega", "5e-324", "--grid", "3"], env=env).stdout
+    assert "# omega=4.9406564584124654e-324\n" in by_omega
+
+
 _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
 
 

@@ -18,6 +18,7 @@ import pytest
 from cli_runner import invoke
 from csv_utils import parse_csv
 from mpmath_entropy import mpmath_unit_entropy
+from mpmath_hermite import density
 from mpmath_thermo import fields, moments
 
 from majorana_lab.cli import CONFIG_ENV_VAR
@@ -162,16 +163,6 @@ GRID_GOLDENS = [path.stem for path in sorted(GOLDEN.glob("*.golden"))
 EPS = 2.0**-52
 
 
-def mpmath_density(mpmath, n, omega, theta, y):
-    """rho = sin^2(theta) phi_n^2 + cos^2(theta) phi_{n-1}^2 (phi_0^2 at n = 0) by mpmath."""
-    u = mpmath.sqrt(omega) * y
-    phi = [(omega / mpmath.pi) ** mpmath.mpf(0.25) / mpmath.sqrt(2**k * mpmath.factorial(k))
-           * mpmath.exp(-u * u / 2) * mpmath.hermite(k, u) for k in (n, max(n - 1, 0))]
-    if n == 0:
-        return phi[0] ** 2
-    return mpmath.sin(theta) ** 2 * phi[0] ** 2 + mpmath.cos(theta) ** 2 * phi[1] ** 2
-
-
 def density_rel_bound(n, u2):
     """Relative error bound, in eps, of the float path's rho(y) at u2 = omega y^2.
 
@@ -199,7 +190,7 @@ def test_grid_golden_densities_match_mpmath(name):
         coord = row["p"] if momentum else row["y"]
         with mpmath.workdps(40):
             frequency = 1 / mpmath.mpf(omega) if momentum else mpmath.mpf(omega)
-            rho = mpmath_density(mpmath, n, frequency, mpmath.mpf(theta), coord)
+            rho = density(n, frequency, theta, coord)
             bound = density_rel_bound(n, float(frequency * coord**2))
             if "entropic_density" in row:
                 # x ln x: rho's relative error times |1 + 1/ln rho|, plus log's and product's

@@ -101,18 +101,29 @@ def test_every_positive_finite_site_has_one_rule(name, take, value):
 
 
 @pytest.mark.parametrize("take", [
-    lambda: energy(1, PotentialParams(1.0), PhysicalConstants(c=1e-200, hbar=1e-200)),
     lambda: SpinorState.from_potential(1, PotentialParams(1.0),
                                        PhysicalConstants(c=1e-200, hbar=1e-200)),
-    lambda: energy(1, PotentialParams(6e282), PhysicalConstants(c=3e8, hbar=1.05e-34)),
     lambda: PhysicalConstants(c=1e200, hbar=1e200).omega(1.0),
-], ids=["energy-c_hbar-underflows", "from_potential-c_hbar-underflows", "energy-omega-overflows",
-        "omega-c_hbar-overflows"])
+    lambda: PhysicalConstants(c=1e100, hbar=1e-50).omega(3.221014270844314e-274),
+], ids=["from_potential-c_hbar-underflows", "omega-c_hbar-overflows", "omega-subnormal"])
 def test_omega_of_a_slope_has_one_rule(take):
-    # omega = k/(c hbar) is refused as a bad k, the value the caller gave, wherever it is formed
-    with pytest.raises(OutOfRange) as excinfo:
+    # omega = k/(c hbar) is refused as a bad k, the value the caller gave, wherever it is formed:
+    # past the largest float, and below the least normal one, where it has lost its bits
+    with pytest.raises(OutOfRange, match=r"^k/\(c hbar\) leaves the float range$") as excinfo:
         take()
     assert excinfo.value.param == "k"
+
+
+@pytest.mark.parametrize("n, k, c, hbar, want", [
+    (1, 1.0, 1e-200, 1e-200, 1.414213562373095e-200),
+    (1, 6e282, 3e8, 1.05e-34, 6.148170459575759e+128),
+    (13, 3.221014270844314e-274, 1e100, 1e-50, 9.151304335555242e-112),  # omega rounds to 5e-324
+], ids=["c_hbar-underflows", "omega-overflows", "omega-subnormal"])
+def test_energy_takes_the_slope_where_omega_is_no_normal_float(n, k, c, hbar, want):
+    # energy is the scaled root of 2 n c hbar k, so it never rounds omega = k/(c hbar)
+    pc = PhysicalConstants(c=c, hbar=hbar)
+    assert energy(n, PotentialParams(k), pc) == want
+    assert energy(n, PotentialParams(k), pc, branch=-1) == -want
 
 
 @pytest.mark.parametrize("c, hbar, k, omega", [

@@ -18,7 +18,8 @@ with its exact rational value: within 4 ulp wherever that is a normal float, and
 only where it is not.  The roots sqrt(2 n omega) and truncation_radius's sqrt(w/omega) are
 compared with the 60-digit root of their exact quotient: within 1 ulp at every level, over
 the magnitudes above and where the plain quotient overflows (omega past 2**1015 for
-sqrt(2 n omega), below 2**-1015 for the radius).
+sqrt(2 n omega), below 2**-1015 for the radius).  An energy sqrt(2 n c hbar k) is compared
+with its 60-digit root at every slope k: within 2 ulp, and inf only past the largest float.
 """
 
 import math
@@ -99,12 +100,17 @@ def exact(*factors, divisors=()):
     return result
 
 
-def check_root(result, *factors, divisors=()):
-    """result is within 1 ulp of the 60-digit square root of exact(*factors, divisors=divisors)."""
+def check_root(result, *factors, divisors=(), ulps=1):
+    """result is within ulps ulp of the 60-digit square root of exact(*factors, divisors=divisors),
+    and inf where that root rounds past the largest float."""
     quotient = exact(*factors, divisors=divisors)
     with mpmath.workdps(60):
         root = mpmath.sqrt(mpmath.mpf(quotient.numerator) / quotient.denominator)
-        assert abs(mpmath.mpf(result) - root) <= math.ulp(float(root)), (result, float(root))
+        want = float(root)
+        if want == math.inf:
+            assert result == math.inf, result
+        else:
+            assert abs(mpmath.mpf(result) - root) <= ulps * math.ulp(want), (result, want)
 
 
 def check(take, product=None):
@@ -174,14 +180,14 @@ def sweep_entropy():
 
 def sweep_spectrum(pc):
     for k in X:
-        omega = check(lambda: PotentialParams(k).omega(pc), exact(k, divisors=(pc.c, pc.hbar)))
+        check(lambda: PotentialParams(k).omega(pc), exact(k, divisors=(pc.c, pc.hbar)))
         for n in LEVELS:
             check(lambda: SpinorState.from_potential(n, PotentialParams(k), pc))
             check(lambda: spinor.energy(n, PotentialParams(k), pc, 0))
-            if not isinstance(omega, Exception):  # else energy refuses k as omega does
-                for branch in (1, -1):
-                    check(lambda: spinor.energy(n, PotentialParams(k), pc, branch),
-                          exact(branch, pc.c, pc.hbar, hermite.sqrt_2n_omega(n, omega)))
+            for branch in (1, -1):  # energy never forms omega, so it takes every k
+                e = spinor.energy(n, PotentialParams(k), pc, branch)
+                assert math.copysign(1.0, e) == branch, e
+                check_root(abs(e), 2 * n, pc.c, pc.hbar, k, ulps=2)
     for n in LEVELS:
         for omega in X:
             state, root = SpinorState(n, omega), hermite.sqrt_2n_omega(n, omega)
