@@ -2,7 +2,7 @@
 
 Library layout:
 
-  common      units, defaults, range errors, a float linspace and array mapping
+  common      units, defaults, the range and tolerance errors, a float linspace, array mapping
   hermite     normalized Hermite-Gauss functions, phi_n and phi_{n-1} in one sweep
   quadrature  adaptive pure-Python integration with certified truncation radii
   spinor      two-component states, spectrum, momentum space, ladder maps
@@ -21,16 +21,15 @@ __version__ = "0.1.0"
 
 # module: its public names.
 _EXPORTS = {
-    "common": "NATURAL_UNITS PhysicalConstants",
+    "common": "NATURAL_UNITS NonConvergence PhysicalConstants",
     "entropy": ("BBM_BOUND BoundViolation EntropyReport bbm_report entropic_density "
                 "shannon_momentum shannon_position"),
     "hermite": "hermite_norm_fn",
-    "quadrature": "NonConvergence integrate truncation_radius xlogx",
+    "quadrature": "integrate truncation_radius xlogx",
     "spinor": ("PotentialParams SpinorState annihilation_apply creation_apply energy "
                "ladder_down ladder_up momentum_spinor phase position_spinor probability_density "
                "probability_density_at_phase state_energy"),
-    "thermo": ("EnsembleParams ThermoReport TruncationBudget partition_em partition_exact "
-               "thermo_sweep"),
+    "thermo": "EnsembleParams ThermoReport partition_em partition_exact thermo_sweep",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -21,11 +21,9 @@ from .common import (DEFAULT_THETA, DEFAULT_TOL, MAX_LEVEL, MAX_PARTICLES, SPACE
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
 EXIT_BBM_VIOLATION = 3
-EXIT_QUAD_NONCONVERGENCE = 4
-EXIT_TRUNCATION_BUDGET = 5
+EXIT_NONCONVERGENCE = 4  # a --tol that the quadrature or the 200-term series cannot certify
 # By class name, so that mapping an error imports none of the modules that raise it.
-_EXIT_CODES = {"BoundViolation": EXIT_BBM_VIOLATION, "NonConvergence": EXIT_QUAD_NONCONVERGENCE,
-               "TruncationBudget": EXIT_TRUNCATION_BUDGET}
+_EXIT_CODES = {"BoundViolation": EXIT_BBM_VIOLATION, "NonConvergence": EXIT_NONCONVERGENCE}
 
 
 class UsageError(Exception):

@@ -1,4 +1,4 @@
-"""Shared by every layer and the CLI: units, defaults, input rules, range errors, grids, arrays.
+"""Shared by every layer and the CLI: units, defaults, input rules, range/tol errors, grids, arrays.
 
 Every number is computed by a float function.  `elementwise` maps one over an array, and
 it is the only code that imports numpy, only when it is handed something that is not a
@@ -110,6 +110,17 @@ class OutOfRange(ValueError):
         super().__init__(message)
         self.param = param
         self.value = value
+
+
+class NonConvergence(RuntimeError):
+    """A tol that the method cannot certify: the quadrature's error estimate or the 200-term
+    series remainder bound stays above it.  value is the best estimate reached, err_estimate
+    its error estimate or bound."""
+
+    def __init__(self, message, value, err_estimate):
+        super().__init__(message)
+        self.value = value
+        self.err_estimate = err_estimate
 
 
 def linspace(start, stop, num):

@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, elementwise, level, positive_finite, scaled_root
+from .common import DEFAULT_TOL, NonConvergence, elementwise, level, positive_finite, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -33,18 +33,6 @@ _GAUSS = _G7 + _G7[-2::-1]  # at the odd-indexed nodes
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 _MAX_PANELS = 2**20  # a guard against runaway subdivision; an n = 64 entropy ends below 2,000
-
-
-class NonConvergence(RuntimeError):
-    """Subdivision budget exhausted (or the rule cannot reach the tolerance).
-
-    Carries the best available estimate in `value` / `err_estimate`.
-    """
-
-    def __init__(self, message, value, err_estimate):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
 
 
 def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):

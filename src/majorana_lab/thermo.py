@@ -14,7 +14,7 @@ import sys
 from collections import defaultdict, namedtuple
 from operator import mul
 
-from .common import (DEFAULT_TOL, NATURAL_UNITS, OutOfRange, PhysicalConstants,  # noqa: F401
+from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, PhysicalConstants,
                      level, linspace, over_product, positive_finite, scaled_quotient, scaled_root)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
@@ -23,16 +23,6 @@ EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report 
 _M = 200  # explicit terms before the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
 _REMAINDER = 1.0 / 1209600.0  # |B_8| / 8! = 2 zeta(8) / (2 pi)^8
-
-
-class TruncationBudget(RuntimeError):
-    """The series remainder bound at M = 200 terms exceeds the tolerance."""
-
-    def __init__(self, message, partial_sum, truncation_n, tail_bound):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.truncation_n = truncation_n
-        self.tail_bound = tail_bound
 
 
 class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
@@ -141,7 +131,7 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     sqrt(2 x) from the in-range x = c hbar k beta^2.  Sums n < M = 200 explicitly and adds
     the Euler-Maclaurin tail; bound caps the remainder of all three sums.  bound is at most
     1.6e-19 for any lam, below 1e-3 of half an ulp of each sum, so no larger M could move a
-    double.  Where bound > tol, TruncationBudget is raised carrying this pass's Z and bound.
+    double.  Where bound > tol, it raises NonConvergence(message, this pass's Z, bound).
     """
     positive_finite(tol, "tol")
     if sys.float_info.min <= ep.pc.c * ep.pc.hbar * ep.k < math.inf:
@@ -151,9 +141,8 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     tails, bound = _tails(lam)
     sums = tuple(h + t for h, t in zip(_heads(lam), tails))
     if bound > tol:
-        raise TruncationBudget(f"partition series remainder bound {bound:g} at M = {_M} exceeds "
-                               f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})",
-                               partial_sum=sums[0], truncation_n=_M, tail_bound=bound)
+        raise NonConvergence(f"partition series remainder bound {bound:g} at M = {_M} exceeds "
+                             f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})", sums[0], bound)
     return sums, _M, bound
 
 

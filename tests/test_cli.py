@@ -19,8 +19,7 @@ from test_cli_golden import CASES as GOLDEN_CASES, GOLDEN
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
     EXIT_BBM_VIOLATION,
-    EXIT_QUAD_NONCONVERGENCE,
-    EXIT_TRUNCATION_BUDGET,
+    EXIT_NONCONVERGENCE,
     UsageError,
     main,
 )
@@ -121,9 +120,15 @@ def test_sum_below_the_bound_within_its_error_is_no_violation():
     assert result.stdout.splitlines()[-1].startswith("0,1,0.86173533467315422,")
 
 
-def test_quadrature_failure_exit_code():
-    result = invoke(["table1", "--n", "0", "--omega", "0.2", "--tol", "1e-300"])
-    assert result.exit_code == EXIT_QUAD_NONCONVERGENCE
+@pytest.mark.parametrize("args", [["table1", "--n", "0", "--omega", "0.2", "--tol", "1e-300"],
+                                  ["thermo", "--tol", "1e-300", "--tsteps", "2"]],
+                         ids=["table1", "thermo"])
+def test_quadrature_failure_exit_code(args):
+    # a --tol that the quadrature or the 200-term series cannot certify: exit 4, one line
+    result = invoke(args)
+    assert result.exit_code == EXIT_NONCONVERGENCE, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
 
 @pytest.mark.parametrize("tol", ["1e-310", "1e-322", "5e-324"])
@@ -136,7 +141,7 @@ def test_unreachable_quadrature_tol_exits_at_once(monkeypatch, tol):
                                                          *args, **kw))
     entropy_mod._unit_entropy.cache_clear()
     result = invoke(["table1", "--n", "0", "--tol", tol])
-    assert result.exit_code == EXIT_QUAD_NONCONVERGENCE, result.output
+    assert result.exit_code == EXIT_NONCONVERGENCE, result.output
     assert "error: quadrature did not reach tol=" in result.output
     assert "Traceback" not in result.output
     assert 0 < len(points) < 10_000
@@ -207,11 +212,13 @@ GRID = CORE | {"majorana_lab.hermite", "majorana_lab.quadrature", "majorana_lab.
     (["--help"], UNUSED_BY_CSV, CORE),
     (["table1"], UNUSED_BY_CSV, GRID | {"majorana_lab.entropy"}),
     (["thermo", "--tsteps", "2"], UNUSED_BY_CSV, CORE | {"majorana_lab.thermo"}),
+    (["thermo", "--tol", "1e-300", "--tsteps", "2"], UNUSED_BY_CSV, CORE | {"majorana_lab.thermo"}),
     (["density", "--grid", "5"], UNUSED_BY_CSV, GRID),
     (["entropy-density", "--grid", "5"], UNUSED_BY_CSV, GRID),
     (["heatmap", "--grid", "3", "--tsteps", "2", "--format", "json"], UNUSED_BY_CSV - {"json"},
      GRID),
-], ids=["import", "help", "table1", "thermo-csv", "density", "entropy-density", "heatmap-json"])
+], ids=["import", "help", "table1", "thermo-csv", "thermo-refused", "density", "entropy-density",
+        "heatmap-json"])
 def test_commands_load_only_what_they_use(argv, unused, package):
     # cli imports each command's modules when it runs and json only for --format json; the
     # command line is parsed by the standard library alone, and the records are namedtuples,
@@ -407,7 +414,7 @@ def test_thermo_weak_coupling_succeeds(tmp_path):
     _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert len(rows) == 5
     data = rows_as_floats(columns, rows, "em_rel_err", "truncation_n", "tail_bound")
-    assert all(n == 200 and 0.0 <= bound <= 1e-10 for _, n, bound in data)
+    assert all(n == 200 and 0.0 <= bound <= 1.6e-19 for _, n, bound in data)
     assert data[-1][0] < 1e-8  # T = 100: the closed form is all but exact
     worst = max(err for err, _, _ in data)
     # T = 0.1 is outside the window; the warning quotes the measured deviation
@@ -648,25 +655,13 @@ def test_unwritable_out_is_usage_error(tmp_path):
     assert "Invalid value for '--out'" in result.output
 
 
-def test_thermo_truncation_budget_exit_code(monkeypatch):
-    monkeypatch.setattr(thermo_mod, "thermo_sweep", _raise_budget)
-    result = invoke(["thermo", "--tsteps", "2"])
-    assert result.exit_code == EXIT_TRUNCATION_BUDGET
-
-
-def _raise_budget(*args, **kwargs):
-    from majorana_lab.thermo import TruncationBudget
-
-    raise TruncationBudget("forced", partial_sum=1.0, truncation_n=10**8, tail_bound=1.0)
-
-
 def _raise_bound(*args):
     raise BoundViolation("forced for the exit-code contract")
 
 
 def test_in_process_contract(capsys, monkeypatch):
     # perfbench/run.py runs each op in its own process as main.main(args=..., prog_name=...,
-    # standalone_mode=False): a usage error is raised to it, unprinted, and exits 3-5 stay exits
+    # standalone_mode=False): a usage error is raised to it unprinted; exits 3 and 4 stay exits
     def run(args):
         main.main(args=args, prog_name="majorana-lab", standalone_mode=False)
 
@@ -677,15 +672,14 @@ def test_in_process_contract(capsys, monkeypatch):
     run(GOLDEN_CASES["table1_defaults"][0])
     assert capsys.readouterr().out.encode() == (GOLDEN / "table1_defaults-csv.golden").read_bytes()
     monkeypatch.setattr(entropy_mod, "bbm_report", _raise_bound)
-    monkeypatch.setattr(thermo_mod, "thermo_sweep", _raise_budget)
-    for args, code in [(["table1"], EXIT_BBM_VIOLATION), (["thermo"], EXIT_TRUNCATION_BUDGET)]:
+    with pytest.raises(SystemExit) as info:
+        run(["table1"])
+    assert info.value.code == EXIT_BBM_VIOLATION
+    monkeypatch.undo()
+    for args in (["table1", "--n", "0", "--tol", "1e-300"], ["thermo", "--tol", "1e-300"]):
         with pytest.raises(SystemExit) as info:
             run(args)
-        assert info.value.code == code
-    monkeypatch.undo()
-    with pytest.raises(SystemExit) as info:
-        run(["table1", "--n", "0", "--tol", "1e-300"])
-    assert info.value.code == EXIT_QUAD_NONCONVERGENCE
+        assert info.value.code == EXIT_NONCONVERGENCE
 
 
 def test_unmapped_runtime_error_escapes(capsys, monkeypatch):
@@ -703,12 +697,12 @@ def test_unmapped_runtime_error_escapes(capsys, monkeypatch):
 
 
 def test_unreachable_tol_fails_before_summing_the_budget(monkeypatch):
-    # the first report (T = 0.1, beta = 10) has a 200-term remainder bound above tol: it exits 5
+    # the first report (T = 0.1, beta = 10) has a 200-term remainder bound above tol: it exits 4
     # there, after its one 200-term pass, and reports the bound it reached
     heads, seen = thermo_mod._heads, []
     monkeypatch.setattr(thermo_mod, "_heads", lambda lam: seen.append(lam) or heads(lam))
     result = invoke(["thermo", "--tol", "1e-300", "--tsteps", "2"])
-    assert result.exit_code == EXIT_TRUNCATION_BUDGET, result.output
+    assert result.exit_code == EXIT_NONCONVERGENCE, result.output
     assert result.output == ("error: partition series remainder bound 6.57009e-45 at M = 200 "
                              "exceeds tol=1e-300 (beta=10.0, k=0.2)\n")
     assert len(seen) == 1
@@ -720,7 +714,7 @@ def test_tol_at_and_below_the_200_term_bound():
     _, columns, rows = parse_csv(run_ok(["thermo", "--tol", "2e-19"]).stdout)
     assert rows and all(n == 200.0 for (n,) in rows_as_floats(columns, rows, "truncation_n"))
     result = invoke(["thermo", "--tol", "1e-20"])
-    assert result.exit_code == EXIT_TRUNCATION_BUDGET, result.output
+    assert result.exit_code == EXIT_NONCONVERGENCE, result.output
     assert result.stdout == ""
 
 

@@ -187,9 +187,12 @@ def test_scaled_quotient_overflow_keeps_its_sign():
 
 
 def test_constants_are_shared():
-    from majorana_lab import entropy, spinor, thermo
+    from majorana_lab import common, entropy, quadrature, spinor, thermo
 
     assert spinor.PhysicalConstants is PhysicalConstants is thermo.PhysicalConstants
+    # one failure for a tol that either method cannot certify, defined in common
+    assert quadrature.NonConvergence is thermo.NonConvergence is majorana_lab.NonConvergence
+    assert majorana_lab.NonConvergence.__module__ == common.__name__
     assert spinor.NATURAL_UNITS is NATURAL_UNITS
     assert entropy.DEFAULT_THETA == math.pi / 4
 

@@ -8,12 +8,11 @@ import pytest
 
 from mpmath_thermo import HAND_OVER, direct_sum, fields, moments, series
 
-from majorana_lab.common import OutOfRange
+from majorana_lab.common import NonConvergence, OutOfRange
 from majorana_lab.spinor import PhysicalConstants
 from majorana_lab.thermo import (
     EM_PARAMETER_RANGE,
     EnsembleParams,
-    TruncationBudget,
     moment_sums,
     partition_em,
     partition_exact,
@@ -103,17 +102,16 @@ def test_partition_budget_exhaustion():
     # The Euler-Maclaurin remainder bound meets any tolerance above double
     # precision at M = 200, so only a tolerance far below it is refused.
     ep = EnsembleParams(beta=1e-4, k=0.5)
-    with pytest.raises(TruncationBudget) as excinfo:
+    with pytest.raises(NonConvergence) as excinfo:
         partition_exact(ep, tol=1e-300)
-    assert excinfo.value.partial_sum > 0.0
-    assert excinfo.value.partial_sum == partition_exact(ep)[0]  # the M = 200 sum
-    assert excinfo.value.truncation_n == 200
-    assert excinfo.value.tail_bound > 1e-300
+    assert excinfo.value.value > 0.0
+    assert excinfo.value.value == partition_exact(ep)[0]  # the M = 200 sum
+    assert excinfo.value.err_estimate == partition_exact(ep)[2] > 1e-300  # its bound
 
 
 def test_bound_at_200_terms_is_below_double_rounding_for_every_coupling():
     # below 1e-3 of half an ulp of each sum, so no larger M could move a double, and the M = 200
-    # sum that TruncationBudget carries is as good as a double gets
+    # sum that NonConvergence carries as its value is as good as a double gets
     for j in range(-1200, 601):  # c hbar k beta^2 from 1e-300 to 1e150 in steps of 10^(1/4)
         t, m, bound = moment_sums(EnsembleParams(beta=1.0, k=10.0 ** (j / 4)), tol=1.0)
         assert m == 200 and 0.0 <= bound <= 1.6e-19
