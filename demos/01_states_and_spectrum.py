@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 
-from majorana_lab import (
+from majorana_lab.hermite import hermite_norm_fn
+from majorana_lab.spinor import (
     PotentialParams,
     SpinorState,
     annihilation_apply,
     energy,
-    hermite_norm_fn,
     ladder_down,
     ladder_up,
     position_spinor,

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from majorana_lab import SpinorState, integrate, probability_density, truncation_radius
-from majorana_lab.spinor import probability_density_at_phase
+from majorana_lab.quadrature import integrate, truncation_radius
+from majorana_lab.spinor import SpinorState, probability_density, probability_density_at_phase
 
 omega, n = 0.2, 2
 state = SpinorState(n, omega)

@@ -14,7 +14,7 @@
 
 import math
 
-from majorana_lab import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
+from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
 
 print(f"uncertainty bound 1 + ln(pi) = {BBM_BOUND:.5f} (evaluation phase theta = pi/4)\n")
 print(" n  omega      S_y      S_p    S_y+S_p   margin")

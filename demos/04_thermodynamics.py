@@ -8,8 +8,7 @@
 
 import numpy as np
 
-from majorana_lab import EnsembleParams, partition_em, partition_exact, thermo_sweep
-from majorana_lab.thermo import report
+from majorana_lab.thermo import EnsembleParams, partition_em, partition_exact, report, thermo_sweep
 
 print("single-particle Z at k = 0.2: exact series vs closed form")
 print("    T      x=k/T^2     Z_exact       Z_em      rel err")

@@ -20,8 +20,8 @@ phase, not by t.
 import math
 from collections import namedtuple
 
-from .common import (NATURAL_UNITS, SPACES, OutOfRange, PhysicalConstants,  # noqa: F401
-                     elementwise, level, positive_finite, scaled_quotient, scaled_root)
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, elementwise, level, positive_finite,
+                     scaled_quotient, scaled_root)
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
 

@@ -12,10 +12,10 @@ from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
 from direct_entropy import direct_entropy
 from spinor_integrals import fourier_numeric, norm_integral
+from majorana_lab.common import PhysicalConstants
 from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
 from majorana_lab.hermite import hermite_norm_fn
 from majorana_lab.spinor import (
-    PhysicalConstants,
     SpinorState,
     annihilation_apply,
     momentum_spinor_at_phase,

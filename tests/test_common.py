@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import majorana_lab
 from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, level,
                                  linspace, over_product, scaled_quotient, scaled_root)
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
@@ -189,18 +188,10 @@ def test_scaled_quotient_overflow_keeps_its_sign():
 def test_constants_are_shared():
     from majorana_lab import common, entropy, quadrature, spinor, thermo
 
-    assert spinor.PhysicalConstants is PhysicalConstants is thermo.PhysicalConstants
+    assert thermo.PhysicalConstants is PhysicalConstants
     # one failure for a tol that either method cannot certify, defined in common
-    assert quadrature.NonConvergence is thermo.NonConvergence is majorana_lab.NonConvergence
-    assert majorana_lab.NonConvergence.__module__ == common.__name__
+    assert quadrature.NonConvergence is thermo.NonConvergence is common.NonConvergence
+    assert common.NonConvergence.__module__ == common.__name__
     assert spinor.NATURAL_UNITS is NATURAL_UNITS
     assert entropy.DEFAULT_THETA == math.pi / 4
 
-
-def test_package_exports_resolve_lazily():
-    for name in majorana_lab.__all__:
-        assert getattr(majorana_lab, name) is not None, name
-    assert majorana_lab.partition_exact is majorana_lab.thermo.partition_exact
-    assert set(majorana_lab.__all__) <= set(dir(majorana_lab))
-    with pytest.raises(AttributeError):
-        majorana_lab.no_such_name

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from majorana_lab.spinor import (PhysicalConstants, SpinorState, annihilation_apply, creation_apply,
-                                 phase, state_energy)
+from majorana_lab.common import PhysicalConstants
+from majorana_lab.spinor import SpinorState, annihilation_apply, creation_apply, phase, state_energy
 from majorana_lab.thermo import EnsembleParams, moment_sums
 
 BITS = json.loads((Path(__file__).parent / "constant_product_bits.json").read_text())

@@ -111,6 +111,41 @@ def test_theta_endpoint_entropy_converges(n, theta):
     assert value == pytest.approx(float(mpmath_unit_entropy(n, theta)), abs=1e-9)
 
 
+def mixture_bracket(n, theta, tol):
+    """(lower, S_1(n, theta), upper): the mixture inequalities, widened by every error estimate.
+
+    rho = p phi_n^2 + (1 - p) phi_{n-1}^2 with p = sin^2 theta, and the two components are the
+    densities at theta = pi/2 and 0.  Entropy is concave, and a mixture gains at most the entropy
+    H(p) of its weights (Cover and Thomas, ch. 2 and 8), so the mix of the endpoint entropies is a
+    lower bound and the mix plus H(p) an upper one.  The endpoints are taken at tol 1e-10.
+    """
+    p = math.sin(theta) ** 2
+    s_up, err_up = entropy_mod._unit_entropy(n, math.pi / 2, 1e-10)
+    s_down, err_down = entropy_mod._unit_entropy(n, 0.0, 1e-10)
+    s_1, err = entropy_mod._unit_entropy(n, theta, tol)
+    mix = p * s_up + (1 - p) * s_down
+    slack = p * abs(err_up) + (1 - p) * abs(err_down) + abs(err)
+    h_p = -p * math.log(p) - (1 - p) * math.log1p(-p)
+    return mix - slack, s_1, mix + h_p + slack
+
+
+def test_entropy_lies_in_the_mixture_bracket():
+    # 48 cells of the n = 1..64 x theta = i pi/96 grid; the tightest margins here are 7.8e-4
+    # below and 7.4e-3 above, the same as on a 264-cell grid
+    for n in range(1, 65, 9):
+        for i in range(1, 48, 8):
+            lower, s_1, upper = mixture_bracket(n, i * math.pi / 96, 1e-10)
+            assert lower <= s_1 <= upper, (n, i)
+
+
+@pytest.mark.xfail(reason="qk15's error estimate can fall far below its error (ROADMAP item 3)")
+def test_coarse_entropy_lies_in_the_mixture_bracket():
+    # at tol 10, S_1 = 0.419 with an estimate of 0.579, against an endpoint mix of 1.356;
+    # bbm_report raises BoundViolation here, so the cell is read from _unit_entropy
+    lower, s_1, upper = mixture_bracket(2, 0.3, 10.0)
+    assert lower <= s_1 <= upper
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_scaling_law(n):
     # the library's S_1 -/+ ln(omega)/2 against -integral(rho ln rho) at omega itself;

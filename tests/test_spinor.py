@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from spinor_integrals import fourier_numeric, norm_integral
-from majorana_lab.common import OutOfRange
+from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative, hermite_norm_pair,
                                   hermite_pair_evaluator)
 from majorana_lab.spinor import (
-    NATURAL_UNITS,
-    PhysicalConstants,
     PotentialParams,
     SpinorState,
     annihilation_apply,

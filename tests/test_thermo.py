@@ -8,8 +8,7 @@ import pytest
 
 from mpmath_thermo import HAND_OVER, direct_sum, fields, moments, series
 
-from majorana_lab.common import NonConvergence, OutOfRange
-from majorana_lab.spinor import PhysicalConstants
+from majorana_lab.common import NonConvergence, OutOfRange, PhysicalConstants
 from majorana_lab.thermo import (
     EM_PARAMETER_RANGE,
     EnsembleParams,
