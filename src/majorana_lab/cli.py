@@ -15,15 +15,13 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .common import (DEFAULT_THETA, DEFAULT_TOL, MAX_LEVEL, MAX_PARTICLES, SPACES, OutOfRange,
-                     PhysicalConstants, linspace)
+from .common import (DEFAULT_THETA, DEFAULT_TOL, MAX_LEVEL, MAX_PARTICLES, SPACES, BoundViolation,
+                     NonConvergence, OutOfRange, PhysicalConstants, linspace)
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
 EXIT_BBM_VIOLATION = 3
 EXIT_NONCONVERGENCE = 4  # a --tol that the quadrature or the 200-term series cannot certify
-# By class name, so that mapping an error imports none of the modules that raise it.
-_EXIT_CODES = {"BoundViolation": EXIT_BBM_VIOLATION, "NonConvergence": EXIT_NONCONVERGENCE}
 
 
 class UsageError(Exception):
@@ -215,10 +213,10 @@ def _grid(omega, n, grid, space):
           omega_list=(0.2, 0.4, 0.8), n_list=(0, 1, 2, 3))
 def cmd_table1(s):
     """Entropy table: S_y, S_p, their sum, and the uncertainty bound per (n, omega)."""
-    from .entropy import bbm_report
+    from .entropy import bbm_reports
 
-    reports = [(n, om, bbm_report(n, om, s.theta, s.tol)) for n in s.n_list for om in s.omega_list]
-    rows = [(n, om, r.S_y, r.S_p, r.sum, r.bbm_bound) for n, om, r in reports]
+    rows = [(r.n, r.omega, r.S_y, r.S_p, r.sum, r.bbm_bound)
+            for n in s.n_list for r in bbm_reports(n, s.omega_list, s.theta, s.tol)]
     return ("n_list", "omega_list"), ("n", "omega", "S_y", "S_p", "S_sum", "bbm_bound"), rows
 
 
@@ -347,11 +345,10 @@ def _run(prog, name, args):
                 "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'",
                 "omega": "'--k'" if s.k else "'--omega'"}[exc.param]
         raise UsageError(f"Invalid value for {hint}: {exc}") from None
-    except RuntimeError as exc:
-        if type(exc).__name__ not in _EXIT_CODES:
-            raise
+    except (BoundViolation, NonConvergence) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        raise SystemExit(_EXIT_CODES[type(exc).__name__]) from None
+        raise SystemExit(EXIT_BBM_VIOLATION if isinstance(exc, BoundViolation)
+                         else EXIT_NONCONVERGENCE) from None
 
 
 main.main = main

@@ -112,6 +112,10 @@ class OutOfRange(ValueError):
         self.value = value
 
 
+class BoundViolation(RuntimeError):
+    """An entropy sum below the uncertainty bound by more than its error: a numerics bug."""
+
+
 class NonConvergence(RuntimeError):
     """A tol that the method cannot certify: the quadrature's error estimate or the 200-term
     series remainder bound stays above it.  value is the best estimate reached, err_estimate

@@ -8,15 +8,16 @@ pi/4, the unique constant-weight choice sin^2 = cos^2 = 1/2.
 omega enters only through a scaling law.  The position density at omega is
 sqrt(omega) rho_1(sqrt(omega) y), with rho_1 the density at omega = 1, and
 the momentum density at omega is the position density at 1/omega (|i^n| = 1).
-So S_y = S_1(n, theta) - ln(omega)/2 and S_p = S_1(n, theta) + ln(omega)/2,
-and one quadrature of S_1 per (n, theta) serves every omega and both spaces.
+So S_y = S_1(n, theta) - ln(omega)/2 and S_p = S_1(n, theta) + ln(omega)/2.
+Each call runs one quadrature of S_1 and keeps nothing; bbm_reports takes a
+level's omegas together, so that one quadrature serves every omega and both
+spaces.
 """
 
-import functools
 import math
 from collections import namedtuple
 
-from .common import DEFAULT_THETA, DEFAULT_TOL, positive_finite
+from .common import DEFAULT_THETA, DEFAULT_TOL, BoundViolation, positive_finite
 from .quadrature import integrate, truncation_radius, xlogx
 from .spinor import SpinorState, density_evaluator, probability_density_at_phase
 
@@ -24,11 +25,6 @@ BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
 
 # BBM can only fail here through a numerics bug, so the guard is tight.
 _BBM_GUARD = 1e-6
-
-
-class BoundViolation(RuntimeError):
-    """Entropy sum fell below the uncertainty bound: internal-consistency failure."""
-
 
 EntropyReport = namedtuple("EntropyReport", "n omega theta S_y S_p sum bbm_bound quad_err")
 
@@ -54,24 +50,35 @@ def entropic_density(n, omega, theta, coord, space="position"):
     return xlogx(probability_density_at_phase(state, coord, theta, space))
 
 
-def bbm_report(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
-    """Both entropies, their sum, and the uncertainty bound, as one record.
+def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
+    """One record of both entropies, their sum and the uncertainty bound per omega of the
+    sequence omegas.
 
-    The sum is 2 S_1(n, theta), the same for every omega, and quad_err is
-    twice the error estimate of the one S_1 quadrature (it enters S_y and S_p
-    alike).  Raises BoundViolation if the sum plus quad_err, the top of its
-    certified interval, undercuts the bound by more than the numerical guard;
-    that signals a bug, not physics.
+    Every omega is checked, then one quadrature of S_1(n, theta) serves them
+    all (an empty omegas runs none).  The sum is 2 S_1(n, theta), the same
+    for every omega, and quad_err is twice the quadrature's error estimate
+    (it enters S_y and S_p alike).  Raises BoundViolation, naming the first
+    omega, if the sum plus quad_err, the top of its certified interval,
+    undercuts the bound by more than the numerical guard; that signals a
+    bug, not physics.
     """
-    shift = _half_log(omega)
+    shifts = [_half_log(omega) for omega in omegas]
+    if not shifts:
+        return []
     s_1, err = _unit_entropy(n, theta, tol)
     total, quad_err = 2.0 * s_1, 2.0 * abs(err)
     if total + quad_err < BBM_BOUND - _BBM_GUARD:
         raise BoundViolation(
             f"S_y + S_p = {total!r} < {BBM_BOUND!r} - {_BBM_GUARD:g} "
-            f"for n={n}, omega={omega!r}, theta={theta!r}"
+            f"for n={n}, omega={omegas[0]!r}, theta={theta!r}"
         )
-    return EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND, quad_err)
+    return [EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND, quad_err)
+            for omega, shift in zip(omegas, shifts)]
+
+
+def bbm_report(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
+    """The EntropyReport of bbm_reports for the one omega."""
+    return bbm_reports(n, (omega,), theta, tol)[0]
 
 
 def _half_log(omega):
@@ -80,7 +87,6 @@ def _half_log(omega):
     return 0.5 * math.log(omega)
 
 
-@functools.lru_cache(maxsize=128, typed=True)  # typed: a True level is not level 1
 def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
     positive_finite(tol, "target_abs_tol")  # integrate's check, before tol sets the radius

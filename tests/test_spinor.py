@@ -37,11 +37,11 @@ PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
 def test_energy_zero_mode():
     for k in (0.37, 1e308):  # 2 c hbar k overflows at the last
         pp = PotentialParams(k=k)
-        assert repr(energy(0, pp, branch=1)) == "0.0"
-        assert repr(energy(0, pp, branch=-1)) == "-0.0"
+        assert repr(energy(0, pp)) == "0.0"
+        assert repr(-energy(0, pp)) == "-0.0"  # the lower tower
     pc = PhysicalConstants(c=1e200, hbar=1e200)  # c hbar overflows, and inf * 0 would be nan
     assert repr(state_energy(SpinorState(0, 0.37), pc)) == "0.0"
-    assert repr(state_energy(SpinorState(0, 0.37), pc, branch=-1)) == "-0.0"
+    assert repr(-state_energy(SpinorState(0, 0.37), pc)) == "-0.0"
 
 
 def test_energy_is_the_natural_units_root_bit_for_bit():
@@ -58,7 +58,7 @@ def test_energy_is_the_natural_units_root_bit_for_bit():
 
 def test_energy_values():
     assert energy(1, PotentialParams(k=0.2)) == pytest.approx(math.sqrt(0.4), rel=1e-14)
-    assert energy(2, PotentialParams(k=0.5), branch=-1) == pytest.approx(-math.sqrt(2.0), rel=1e-14)
+    assert -energy(2, PotentialParams(k=0.5)) == pytest.approx(-math.sqrt(2.0), rel=1e-14)
 
 
 def test_energy_with_constants():
@@ -69,8 +69,6 @@ def test_energy_with_constants():
 def test_energy_validation():
     with pytest.raises(ValueError):
         energy(-1, PotentialParams(k=1.0))
-    with pytest.raises(ValueError):
-        energy(1, PotentialParams(k=1.0), branch=2)
     for level in (1.5, 2.0, True, False):  # a level is an integer, and a bool is not one
         with pytest.raises(ValueError):
             energy(level, PotentialParams(k=1.0))
@@ -423,9 +421,7 @@ def test_huge_omega_slope_and_energy_are_finite():
     assert slope == pytest.approx(1.06225193202560354e231, rel=1e-12)
     pc = PhysicalConstants(c=10.0)
     assert state_energy(SpinorState(1, 1e308), pc) == pytest.approx(10.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
-    assert state_energy(SpinorState(1, 1e308), pc, branch=-1) == -state_energy(SpinorState(1, 1e308), pc)
-    with pytest.raises(ValueError, match="branch must be"):
-        state_energy(SpinorState(1, 0.2), branch=0)
+    assert -state_energy(SpinorState(1, 1e308), pc) == pytest.approx(-10.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
 
 
 def test_energy_where_c_hbar_overflows_before_the_root():
