@@ -7,8 +7,7 @@
 
 import math
 
-import numpy as np
-
+from majorana_lab.common import linspace
 from majorana_lab.hermite import hermite_norm_fn
 from majorana_lab.spinor import (
     PotentialParams,
@@ -47,15 +46,16 @@ for frac in (0.0, 0.125, 0.25):
     print(f"  t/T={frac:5.3f}: comp1={v.comp1:+.6f}  comp2={v.comp2:+.6f}")
 
 # Ladder checks: A phi_{n+1} = E_{n+1} phi_n pointwise, and A phi_0 = 0.
-ys = np.linspace(-8.0, 8.0, 201)
+ys = linspace(-8.0, 8.0, 201)
 for n in range(4):
     upper = SpinorState(n + 1, omega)
-    residual = annihilation_apply(upper, ys) - state_energy(upper) * hermite_norm_fn(n, omega, ys)
-    print(f"\n|A phi_{n+1} - E_{n+1} phi_{n}|_inf = {np.max(np.abs(residual)):.2e}", end="")
-print(f"\n|A phi_0|_inf               = {np.max(np.abs(annihilation_apply(SpinorState(0, omega), ys))):.2e}")
+    e_upper = state_energy(upper)
+    residual = max(abs(annihilation_apply(upper, y) - e_upper * hermite_norm_fn(n, omega, y)) for y in ys)
+    print(f"\n|A phi_{n+1} - E_{n+1} phi_{n}|_inf = {residual:.2e}", end="")
+print(f"\n|A phi_0|_inf               = {max(abs(annihilation_apply(SpinorState(0, omega), y)) for y in ys):.2e}")
 
 # Round trip: up then down reproduces the starting function to round-off.
-raised = ladder_up(SpinorState(3, omega), ys)
-lowered = ladder_down(SpinorState(4, omega), ys)
-print(f"|up(3) - phi_4|_inf         = {np.max(np.abs(raised - hermite_norm_fn(4, omega, ys))):.2e}")
-print(f"|down(4) - phi_3|_inf       = {np.max(np.abs(lowered - hermite_norm_fn(3, omega, ys))):.2e}")
+up_err = max(abs(ladder_up(SpinorState(3, omega), y) - hermite_norm_fn(4, omega, y)) for y in ys)
+down_err = max(abs(ladder_down(SpinorState(4, omega), y) - hermite_norm_fn(3, omega, y)) for y in ys)
+print(f"|up(3) - phi_4|_inf         = {up_err:.2e}")
+print(f"|down(4) - phi_3|_inf       = {down_err:.2e}")

@@ -7,8 +7,7 @@
 
 import math
 
-import numpy as np
-
+from majorana_lab.common import linspace
 from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import SpinorState, probability_density, probability_density_at_phase
 
@@ -33,12 +32,12 @@ for om in (0.2, 0.8):
 
 # ASCII heatmap: rows = time, columns = y, darker = more probable
 period = 2 * math.pi / math.sqrt(2 * omega * n)
-ys = np.linspace(-9, 9, 73)
+ys = linspace(-9, 9, 73)
 shades = " .:-=+*#%@"
 print(f"\nrho(y, t) for n={n} over one period T={period:.3f} (y in [-9, 9]):")
-for frac in np.linspace(0.0, 1.0, 13):
-    rho = probability_density(state, ys, frac * period)
-    top = rho.max()
+for frac in linspace(0.0, 1.0, 13):
+    rho = [probability_density(state, y, frac * period) for y in ys]
+    top = max(rho)
     row = "".join(shades[min(int(v / top * (len(shades) - 1)), len(shades) - 1)] for v in rho)
     print(f"  t/T={frac:4.2f} |{row}|")
 print("\nnote the pattern at t/T = 0 repeating at t/T = 1 (and again at the half period,")

@@ -6,8 +6,7 @@
 # sweep below prints both routes so the validity window is visible, and ends
 # with the high-temperature heat-capacity plateau C_V/N -> 2 k_B.
 
-import numpy as np
-
+from majorana_lab.common import linspace
 from majorana_lab.thermo import EnsembleParams, partition_em, partition_exact, report, thermo_sweep
 
 print("single-particle Z at k = 0.2: exact series vs closed form")
@@ -20,7 +19,7 @@ for T in (0.1, 0.3, 1.0, 3.0, 10.0):
     print(f"  {T:5.1f}  {ep.em_parameter:9.3g}  {z:10.6f}  {zem:10.6f}  {abs(zem - z) / z:8.2e}{flag}")
 
 print("\nper-particle thermodynamics for N = 4, exact route (k = 0.4):")
-rows = thermo_sweep(k_values=(0.4,), T_values=np.linspace(0.5, 10.0, 6), N=4)
+rows = thermo_sweep(k_values=(0.4,), T_values=linspace(0.5, 10.0, 6), N=4)
 print("    T        F/N        U/N        S/N      C_V/N")
 for r in rows:
     print(f"  {r.T:5.2f}  {r.F_exact / 4:9.5f}  {r.U_exact / 4:9.5f}  {r.S_exact / 4:9.5f}  {r.C_V_exact / 4:9.5f}")

@@ -1,8 +1,7 @@
-"""Shared by every layer and the CLI: units, defaults, input rules, range/tol errors, grids, arrays.
+"""Shared by every layer and the CLI: units, defaults, input rules, range/tol errors, grids.
 
-Every number is computed by a float function.  `elementwise` maps one over an array, and
-it is the only code that imports numpy, only when it is handed something that is not a
-float; no command does that, so none of them loads numpy.
+Every number is computed by a float function of one real coordinate at a time; no module
+imports numpy.
 """
 
 import math
@@ -144,17 +143,3 @@ def linspace(start, stop, num):
     points[-1] = stop
     return points
 
-
-def elementwise(f, x, outputs=1):
-    """f(x) for a float x, else f of each element of x as a float in x's shape, so an element
-    gets the bits its float gets.  f returns a float or a tuple of `outputs` floats, which an
-    array x turns into a tuple of arrays."""
-    if isinstance(x, float):
-        return f(x)
-    import numpy as np
-
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return f(float(arr))
-    table = np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(*arr.shape, outputs)
-    return table[..., 0] if outputs == 1 else tuple(np.moveaxis(table, -1, 0))

@@ -9,14 +9,13 @@ recurrence yields both.  Factorials are never materialized: each iterate is itse
 a phi_k value of order 1, while 2^n n! leaves the float range past n = 150 and the
 raw H_n(u) grows like (2u)^n.
 
-A coordinate is evaluated in pure Python (math.exp, float arithmetic); an
-array of coordinates maps that float evaluation over its elements
-(common.elementwise), so an element gives the same bits as the float it holds.
+A coordinate is one real number (an int, a float or a numpy scalar), taken as float(y) and
+evaluated in pure Python (math.exp, float arithmetic), so every value is a float.
 """
 
 import math
 
-from .common import elementwise, level, positive_finite, scaled_root
+from .common import level, positive_finite, scaled_root
 
 
 def hermite_norm_pair(n, omega, y):
@@ -25,9 +24,9 @@ def hermite_norm_pair(n, omega, y):
     The 1/sqrt(2^n n!) normalization and the Gaussian envelope are folded
     into the recurrence start, so every iterate is itself a phi_k value and
     stays O(1) regardless of n, where the naive H_n / sqrt(2^n n!) route
-    overflows once 2^n n! does, past n = 150.  A scalar y gives floats, an array y arrays.
+    overflows once 2^n n! does, past n = 150.
     """
-    return elementwise(hermite_pair_evaluator(n, omega), y, outputs=2)
+    return hermite_pair_evaluator(n, omega)(float(y))
 
 
 def hermite_pair_evaluator(n, omega):
@@ -64,7 +63,7 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     it is 0 where phi underflows, while omega y alone may overflow.
     """
     phi, phi_prev = hermite_norm_pair(n, omega, y)
-    slope = -omega * (elementwise(float, y) * phi)  # y as a float or a float array
+    slope = -omega * (float(y) * phi)
     if n > 0:
         slope = slope + sqrt_2n_omega(n, omega) * phi_prev
     return phi, slope

@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, NonConvergence, elementwise, level, positive_finite, scaled_root
+from .common import DEFAULT_TOL, NonConvergence, level, positive_finite, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -133,11 +133,8 @@ def truncation_radius(omega, n, tail_tol=1e-12):
 def xlogx(v):
     """v * ln(v) extended continuously with 0 at v = 0; rejects v < 0.
 
-    Mapped over an array v, element by element.  Centralizing the convention here keeps
-    rho*ln(rho) integrands NaN-free at density zeros.
+    Centralizing the convention here keeps rho*ln(rho) integrands NaN-free at density zeros.
     """
-    if not isinstance(v, float):
-        return elementwise(xlogx, v)
     if not v >= 0.0:  # not v < 0.0, which a nan passes
         raise ValueError("xlogx requires v >= 0")
     return v * math.log(v) if v > 0.0 else 0.0

@@ -20,7 +20,7 @@ phase, not by t.
 import math
 from collections import namedtuple
 
-from .common import (NATURAL_UNITS, SPACES, OutOfRange, elementwise, level, positive_finite,
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, level, positive_finite,
                      scaled_quotient, scaled_root)
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
@@ -123,10 +123,10 @@ def momentum_spinor(state, p, t, pc=NATURAL_UNITS):
 def probability_density_at_phase(state, coord, theta, space="position"):
     """|comp1|^2 + |comp2|^2 at a position (y) or momentum (p) coordinate.
 
-    Mapped over an array `coord`.  Normalized to 1 for every theta: the components
-    carry sin^2/cos^2 weights on consecutive orthonormal basis functions.
+    Normalized to 1 for every theta: the components carry sin^2/cos^2 weights on
+    consecutive orthonormal basis functions.
     """
-    return elementwise(density_evaluator(state, theta, space), coord)
+    return density_evaluator(state, theta, space)(float(coord))
 
 
 def density_evaluator(state, theta, space="position"):
@@ -167,18 +167,17 @@ def _ladder_apply(state, y, sign):
     the ladder operators over c hbar, so k = omega c hbar is never formed.  y phi is formed
     first, 0 where phi underflows, while omega y alone may overflow."""
     phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
-    y = elementwise(float, y)  # a float or a float array
-    return sign * dphi + state.omega * (y * phi)
+    return sign * dphi + state.omega * (float(y) * phi)
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):
     """(c hbar d/dy + k y) applied to phi_n; equals E_n phi_{n-1} (0 for n = 0)."""
-    return elementwise(lambda v: scaled_quotient((pc.c, pc.hbar, v)), _ladder_apply(state, y, 1.0))
+    return scaled_quotient((pc.c, pc.hbar, _ladder_apply(state, y, 1.0)))
 
 
 def creation_apply(state, y, pc=NATURAL_UNITS):
     """(-c hbar d/dy + k y) applied to phi_n; equals E_{n+1} phi_{n+1}."""
-    return elementwise(lambda v: scaled_quotient((pc.c, pc.hbar, v)), _ladder_apply(state, y, -1.0))
+    return scaled_quotient((pc.c, pc.hbar, _ladder_apply(state, y, -1.0)))
 
 
 def ladder_down(state, y):

@@ -16,6 +16,7 @@ from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
 from mpmath_thermo import moments
 from test_cli_golden import CASES as GOLDEN_CASES, GOLDEN
+from without_package import env_without
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
     EXIT_BBM_VIOLATION,
@@ -231,17 +232,15 @@ def test_commands_load_only_what_they_use(argv, unused, package):
 @pytest.mark.parametrize("package", ["click", "numpy"])
 def test_runs_without(package, tmp_path):
     # a package that cannot be imported, first on the path: no command needs it
-    (tmp_path / package).mkdir()
-    (tmp_path / package / "__init__.py").write_text(f"raise ImportError('no {package} here')\n",
-                                                    encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), *sys.path])}
+    env = env_without(package, tmp_path)
     env.pop(CONFIG_ENV_VAR, None)
-    for name in ("table1_defaults", "density", "entropy_density", "heatmap"):
-        argv, _ = GOLDEN_CASES[name]
+    for name, fmt in (("table1_defaults", "csv"), ("density", "csv"), ("entropy_density", "csv"),
+                      ("heatmap", "csv"), ("thermo", "csv"), ("table1", "json")):
+        argv = GOLDEN_CASES[name][0] + (["--format", fmt] if fmt != "csv" else [])
         out = subprocess.run([sys.executable, "-m", "majorana_lab.cli", *argv], env=env,
                              capture_output=True, timeout=60)
         assert out.returncode == 0, out.stderr.decode()
-        assert out.stdout == (GOLDEN / f"{name}-csv.golden").read_bytes(), name
+        assert out.stdout == (GOLDEN / f"{name}-{fmt}.golden").read_bytes(), (name, fmt)
 
 
 # ---------------------------------------------------------------- density

@@ -1,5 +1,6 @@
 import math
 import struct
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -11,9 +12,12 @@ from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, Physical
 from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
-from majorana_lab.quadrature import integrate, truncation_radius
-from majorana_lab.spinor import PotentialParams, SpinorState, energy
+from majorana_lab.quadrature import integrate, truncation_radius, xlogx
+from majorana_lab.spinor import (PotentialParams, SpinorState, annihilation_apply, creation_apply,
+                                 energy, ladder_down, ladder_up, momentum_spinor_at_phase,
+                                 position_spinor_at_phase, probability_density_at_phase)
 from majorana_lab.thermo import EnsembleParams, moment_sums
+from without_package import env_without
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -73,6 +77,51 @@ def test_level_is_the_integer_protocol():
     assert type(level(np.int64(64))) is int and level(np.int64(64)) == 64
     with pytest.raises(LevelError):  # an integer array has an __index__ that raises TypeError
         level(np.array([3]))
+
+
+# Run with numpy unimportable: each pointwise function evaluates an int coordinate as its float.
+INT_COORDINATES = """
+from majorana_lab.hermite import hermite_norm_fn
+from majorana_lab.quadrature import xlogx
+from majorana_lab.spinor import SpinorState, annihilation_apply, probability_density_at_phase
+
+state = SpinorState(3, 0.7)
+for y in (0, 1, -2, 5, 2**60):
+    for f in (lambda v: hermite_norm_fn(3, 0.7, v), lambda v: xlogx(abs(v)),
+              lambda v: probability_density_at_phase(state, v, 0.4),
+              lambda v: probability_density_at_phase(state, v, 0.4, "momentum"),
+              lambda v: annihilation_apply(state, v)):
+        got, want = f(y), f(float(y))
+        assert type(got) is float and got.hex() == want.hex(), (y, got, want)
+"""
+
+
+def test_an_int_coordinate_gives_the_float_bits_without_numpy(tmp_path):
+    run = subprocess.run([sys.executable, "-c", INT_COORDINATES], env=env_without("numpy", tmp_path),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
+POINTWISE = {
+    "hermite_norm_fn": lambda y: hermite_norm_fn(2, 1.0, y),
+    "hermite_norm_pair": lambda y: hermite_norm_pair(2, 1.0, y),
+    "hermite_norm_fn_and_derivative": lambda y: hermite_norm_fn_and_derivative(2, 1.0, y),
+    "xlogx": xlogx,
+    "position_spinor_at_phase": lambda y: position_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
+    "momentum_spinor_at_phase": lambda y: momentum_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
+    "probability_density_at_phase": lambda y: probability_density_at_phase(SpinorState(2, 1.0), y, 0.3),
+    "entropic_density": lambda y: entropic_density(2, 1.0, 0.3, y),
+    "annihilation_apply": lambda y: annihilation_apply(SpinorState(2, 1.0), y),
+    "creation_apply": lambda y: creation_apply(SpinorState(2, 1.0), y),
+    "ladder_up": lambda y: ladder_up(SpinorState(2, 1.0), y),
+    "ladder_down": lambda y: ladder_down(SpinorState(2, 1.0), y),
+}
+
+
+@pytest.mark.parametrize("take", POINTWISE.values(), ids=POINTWISE.keys())
+def test_a_list_coordinate_is_refused_not_mapped(take):
+    with pytest.raises(TypeError):
+        take([0.5, 1.0])
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])

@@ -29,7 +29,6 @@ import sys
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from majorana_lab import entropy, hermite, quadrature, spinor, thermo
@@ -81,7 +80,7 @@ TINY_OMEGA = [math.ldexp(_RNG.uniform(0.5, 1.0), _RNG.randint(-1073, -1015)) for
 
 def floats(value):
     """The floats of a result: itself, its real and imaginary parts, or those of its items."""
-    if isinstance(value, (tuple, list, np.ndarray)):
+    if isinstance(value, (tuple, list)):
         return [v for item in value for v in floats(item)]
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -141,9 +140,8 @@ def sweep_hermite():
             check(lambda: hermite.sqrt_2n_omega(n, omega))
             for f in (hermite.hermite_norm_fn, hermite.hermite_norm_pair,
                       hermite.hermite_norm_fn_and_derivative):
-                outcomes = [check(lambda: f(n, omega, y)) for y in COORDS]
-                array = f(n, omega, np.array(COORDS))
-                assert np.array_equal(np.array(array), np.array(outcomes).T)
+                for y in COORDS:
+                    check(lambda: f(n, omega, y))
 
 
 def sweep_roots():
@@ -212,10 +210,9 @@ def sweep_ladder(pc):
         for omega in X:
             state = SpinorState(n, omega)
             for sign, apply in ((1.0, spinor.annihilation_apply), (-1.0, spinor.creation_apply)):
-                outcomes = [check(lambda: apply(state, y, pc),
-                                  exact(pc.c, pc.hbar, spinor._ladder_apply(state, y, sign)))
-                            for y in COORDS]
-                assert np.array_equal(apply(state, np.array(COORDS), pc), outcomes)
+                for y in COORDS:
+                    check(lambda: apply(state, y, pc),
+                          exact(pc.c, pc.hbar, spinor._ladder_apply(state, y, sign)))
             for y in COORDS:
                 check(lambda: spinor.ladder_down(state, y))
                 check(lambda: spinor.ladder_up(state, y))

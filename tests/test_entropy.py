@@ -3,7 +3,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import majorana_lab.entropy as entropy_mod
@@ -11,7 +10,7 @@ import majorana_lab.spinor as spinor_mod
 from cli_runner import invoke
 from direct_entropy import direct_entropy
 from mpmath_entropy import mpmath_unit_entropy
-from majorana_lab.common import BoundViolation
+from majorana_lab.common import BoundViolation, linspace
 from majorana_lab.entropy import (
     BBM_BOUND,
     DEFAULT_THETA,
@@ -253,8 +252,8 @@ def test_entropic_density_ground_state_value():
 
 def test_entropic_density_sign_convention():
     # the report integrates MINUS this quantity; pointwise it is rho ln rho
-    values = entropic_density(1, 0.2, QUARTER, np.linspace(-3, 3, 11), "position")
-    assert np.all(values <= 0.0)  # densities < 1 here
+    for y in linspace(-3, 3, 11):
+        assert entropic_density(1, 0.2, QUARTER, y, "position") <= 0.0, y  # densities < 1 here
     assert shannon_position(1, 0.2, QUARTER) > 0.0
 
 

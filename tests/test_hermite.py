@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath_hermite import phi
 
+from majorana_lab.common import linspace
 from majorana_lab.hermite import (
     hermite_norm_fn,
     hermite_norm_fn_and_derivative,
@@ -39,10 +40,8 @@ def test_norm_fn_n2_at_origin():
 @pytest.mark.parametrize("n", [0, 1, 5, 12, 33, 64])
 @pytest.mark.parametrize("omega", [0.2, 1.0, 4.0])
 def test_norm_fn_matches_reference(n, omega):
-    ys = np.linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 25)
-    ours = hermite_norm_fn(n, omega, ys)
-    ref = np.array([float(phi(n, omega, y)) for y in ys])
-    assert np.max(np.abs(ours - ref)) < 1e-14
+    for y in linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 25):
+        assert abs(hermite_norm_fn(n, omega, y) - float(phi(n, omega, y))) < 1e-14, y
 
 
 def test_norm_fn_no_overflow_high_order():
@@ -65,15 +64,8 @@ def test_orthonormality(m):
 
 @pytest.mark.parametrize("n", range(13))
 def test_parity(n):
-    ys = np.linspace(0.1, 7.3, 19)
-    left = hermite_norm_fn(n, 0.8, -ys)
-    right = (-1.0) ** n * hermite_norm_fn(n, 0.8, ys)
-    assert np.array_equal(left, right)
-
-
-def test_array_shape_and_scalar_type():
-    assert hermite_norm_fn(4, 1.0, np.zeros((3, 2))).shape == (3, 2)
-    assert isinstance(hermite_norm_fn(4, 1.0, 0.3), float)
+    for y in linspace(0.1, 7.3, 19):
+        assert hermite_norm_fn(n, 0.8, -y) == (-1.0) ** n * hermite_norm_fn(n, 0.8, y), y
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
@@ -87,29 +79,15 @@ def test_derivative_matches_finite_difference(n):
 @pytest.mark.parametrize("omega", [0.01, 1.0, 100.0])
 def test_pair_sweep_matches_separate_lower_order(omega):
     # phi_{n-1} from the pair sweep is the same floating-point sequence as a separate call
-    ys = np.concatenate([np.linspace(-30.0, 30.0, 121) / math.sqrt(omega), [0.0, 1e-3]])
+    ys = [y / math.sqrt(omega) for y in linspace(-30.0, 30.0, 121)] + [0.0, 1e-3, 0.7]
     for n in range(1, 65):
-        assert np.array_equal(hermite_norm_pair(n, omega, ys)[1], hermite_norm_fn(n - 1, omega, ys))
-        assert hermite_norm_pair(n, omega, 0.7)[1] == hermite_norm_fn(n - 1, omega, 0.7)
+        for y in ys:
+            assert hermite_norm_pair(n, omega, y)[1] == hermite_norm_fn(n - 1, omega, y), (n, y)
 
 
 def test_pair_at_ground_state_has_zero_partner():
-    assert np.array_equal(hermite_norm_pair(0, 0.4, np.linspace(-2.0, 2.0, 5))[1], np.zeros(5))
-    assert hermite_norm_pair(0, 0.4, 1.0)[1] == 0.0
-
-
-@pytest.mark.parametrize("omega", [0.3, 1.0, 7.0])
-def test_float_and_array_paths_share_the_recurrence(omega):
-    # an array maps the float evaluation, so every element has the bits of its float
-    ys = np.linspace(-12.0, 12.0, 97) / math.sqrt(omega)
-    for n in (0, 1, 2, 17, 64):
-        f_n, f_m = hermite_norm_pair(n, omega, ys)
-        phi, slope = hermite_norm_fn_and_derivative(n, omega, ys.tolist())  # a list maps alike
-        for i, y in enumerate(ys.tolist()):
-            pair = hermite_norm_pair(n, omega, y)
-            assert all(type(v) is float for v in pair)
-            assert pair == (f_n[i], f_m[i])
-            assert hermite_norm_fn_and_derivative(n, omega, y) == (phi[i], slope[i])
+    for y in linspace(-2.0, 2.0, 5) + [1.0]:
+        assert hermite_norm_pair(0, 0.4, y)[1] == 0.0
 
 
 def test_numpy_scalars_are_accepted():

@@ -199,8 +199,6 @@ def test_xlogx_conventions():
 def test_xlogx_rejects_negative():
     with pytest.raises(ValueError):
         xlogx(-1e-12)
-    with pytest.raises(ValueError):
-        xlogx(np.array([0.5, -0.5]))
     with pytest.raises(ValueError):  # a nan is no v >= 0 either
         xlogx(math.nan)
 
@@ -209,14 +207,6 @@ def test_xlogx_scalar_types():
     assert xlogx(np.float64(0.5)) == xlogx(0.5) == 0.5 * math.log(0.5)
     assert xlogx(np.array(0.5)) == xlogx(0.5)
     assert xlogx(1) == 0.0 and isinstance(xlogx(2), float)
-
-
-def test_xlogx_array():
-    out = xlogx(np.array([0.0, 1.0, math.e, 0.5]))
-    assert out[0] == 0.0 and out[1] == 0.0
-    assert out[2] == pytest.approx(math.e, rel=1e-15)
-    assert out[3] == pytest.approx(0.5 * math.log(0.5), rel=1e-15)
-    assert not np.any(np.isnan(out))
 
 
 @pytest.mark.parametrize("omega", [1e-306, 1e-307, 1e-320, 5e-324])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinor_integrals import fourier_numeric, norm_integral
-from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants
+from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative, hermite_norm_pair,
                                   hermite_pair_evaluator)
 from majorana_lab.spinor import (
@@ -232,19 +232,19 @@ def test_momentum_spinor_time_path():
 
 
 @pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("spinor_at_phase, kind", [(position_spinor_at_phase, "f"),
-                                                   (momentum_spinor_at_phase, "c")],
+@pytest.mark.parametrize("spinor_at_phase, kind", [(position_spinor_at_phase, float),
+                                                   (momentum_spinor_at_phase, complex)],
                          ids=["position", "momentum"])
 def test_array_coordinates_give_the_float_values(spinor_at_phase, kind, n):
-    # both components follow the coordinate's shape, the ground state's zero comp2 included
+    # an array's elements are numpy scalars: each gives its float's components as Python
+    # floats (complex in momentum space), the ground state's zero comp2 included
     state, theta = SpinorState(n, 0.5), 0.3
-    for coords in (np.linspace(-1, 1, 3), np.array([[0.0, 0.25], [-2.5, 4.0]])):
-        v = spinor_at_phase(state, coords, theta)
-        for comp in (v.comp1, v.comp2):
-            assert comp.shape == coords.shape and comp.dtype.kind == kind
+    for coords in (np.linspace(-1, 1, 3), np.array([[0.0, 0.25], [-2.5, 4.0]]),
+                   np.array([0.1, -3.3], dtype=np.float32)):
         for index, coord in np.ndenumerate(coords):
-            point = spinor_at_phase(state, float(coord), theta)
-            assert (v.comp1[index], v.comp2[index]) == (point.comp1, point.comp2), (index, coord)
+            v = spinor_at_phase(state, coord, theta)
+            assert v == spinor_at_phase(state, float(coord), theta), (index, coord)
+            assert type(v.comp1) is type(v.comp2) is kind, (index, coord)
 
 
 # ---------------------------------------------------------------- densities
@@ -351,9 +351,8 @@ def test_parseval(n):
 
 
 def test_ladder_down_reaches_ground_state():
-    ys = np.linspace(-6.0, 6.0, 121)
-    lowered = ladder_down(SpinorState(1, 0.2), ys)
-    assert np.max(np.abs(lowered - hermite_norm_fn(0, 0.2, ys))) < 1e-12
+    for y in linspace(-6.0, 6.0, 121):
+        assert abs(ladder_down(SpinorState(1, 0.2), y) - hermite_norm_fn(0, 0.2, y)) < 1e-12, y
 
 
 def test_ladder_down_rejects_zero_mode():
@@ -362,23 +361,23 @@ def test_ladder_down_rejects_zero_mode():
 
 
 def test_annihilation_kills_ground_state():
-    ys = np.linspace(-8.0, 8.0, 101)
-    assert np.max(np.abs(annihilation_apply(SpinorState(0, 0.4), ys))) < 1e-15
+    for y in linspace(-8.0, 8.0, 101):
+        assert abs(annihilation_apply(SpinorState(0, 0.4), y)) < 1e-15, y
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_intertwining(n):
     omega = 0.3
-    ys = np.linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 241)
     state, upper = SpinorState(n, omega), SpinorState(n + 1, omega)
     for pc in (PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
-        lhs = annihilation_apply(upper, ys, pc)
-        rhs = state_energy(upper, pc) * hermite_norm_fn(n, omega, ys)
-        assert np.max(np.abs(lhs - rhs)) < 1e-8 * pc.c * pc.hbar
-        # the normalised maps are these over the energy: c hbar cancels, so they take no constants
-        np.testing.assert_allclose(ladder_down(upper, ys), lhs / state_energy(upper, pc), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(ladder_up(state, ys),
-                                   creation_apply(state, ys, pc) / state_energy(upper, pc), rtol=1e-14, atol=0)
+        energy = state_energy(upper, pc)
+        for y in linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 241):
+            lhs = annihilation_apply(upper, y, pc)
+            assert abs(lhs - energy * hermite_norm_fn(n, omega, y)) < 1e-8 * pc.c * pc.hbar, y
+            # the normalised maps are these over the energy: c hbar cancels, so they take no constants
+            assert ladder_down(upper, y) == pytest.approx(lhs / energy, rel=1e-14, abs=0), y
+            assert ladder_up(state, y) == pytest.approx(creation_apply(state, y, pc) / energy,
+                                                        rel=1e-14, abs=0), y
 
 
 def test_normalised_ladder_maps_take_no_constants():
@@ -394,25 +393,21 @@ def test_normalised_ladder_maps_take_no_constants():
 @pytest.mark.parametrize("n", range(5))
 def test_ladder_up_then_down_roundtrip(n):
     omega = 0.9
-    ys = np.linspace(-4.0, 4.0, 41)
-    raised = ladder_up(SpinorState(n, omega), ys)
-    assert np.max(np.abs(raised - hermite_norm_fn(n + 1, omega, ys))) < 1e-12
-    lowered = ladder_down(SpinorState(n + 1, omega), ys)
-    assert np.max(np.abs(lowered - hermite_norm_fn(n, omega, ys))) < 1e-12
+    for y in linspace(-4.0, 4.0, 41):
+        assert abs(ladder_up(SpinorState(n, omega), y) - hermite_norm_fn(n + 1, omega, y)) < 1e-12, y
+        assert abs(ladder_down(SpinorState(n + 1, omega), y) - hermite_norm_fn(n, omega, y)) < 1e-12, y
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_ladder_maps_at_huge_omega(n):
     # 2 n omega, and so E_n^2 = 2 c hbar k n, overflow at omega = 1e308; neither is formed
     omega = 1e308
-    ys = np.linspace(-4.0, 4.0, 41) / math.sqrt(omega)
     scale = (omega / math.pi) ** 0.25  # the size of phi_n there
-    raised = ladder_up(SpinorState(n, omega), ys)
-    assert np.all(np.isfinite(raised))
-    assert np.max(np.abs(raised - hermite_norm_fn(n + 1, omega, ys))) < 1e-12 * scale
-    lowered = ladder_down(SpinorState(n + 1, omega), ys)
-    assert np.all(np.isfinite(lowered))
-    assert np.max(np.abs(lowered - hermite_norm_fn(n, omega, ys))) < 1e-12 * scale
+    for y in (v / math.sqrt(omega) for v in linspace(-4.0, 4.0, 41)):
+        raised = ladder_up(SpinorState(n, omega), y)
+        assert math.isfinite(raised) and abs(raised - hermite_norm_fn(n + 1, omega, y)) < 1e-12 * scale, y
+        lowered = ladder_down(SpinorState(n + 1, omega), y)
+        assert math.isfinite(lowered) and abs(lowered - hermite_norm_fn(n, omega, y)) < 1e-12 * scale, y
 
 
 def test_huge_omega_slope_and_energy_are_finite():
@@ -431,14 +426,15 @@ def test_energy_where_c_hbar_overflows_before_the_root():
     assert state_energy(SpinorState(1, 1.0), PhysicalConstants(c=1e300, hbar=1e300)) == math.inf
 
 
-@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
-def test_ladder_products_where_c_hbar_overflows(as_array):
+@pytest.mark.parametrize("from_array", [False, True], ids=["float", "array"])
+def test_ladder_products_where_c_hbar_overflows(from_array):
     # c hbar = 1e600 is not a float: the kernel's exact 0 stays 0 (not inf * 0 = nan), and
-    # kernels of 5.6e-298 and 1.5e-294 give finite products
+    # kernels of 5.6e-298 and 1.5e-294 give finite products; an array's element, a numpy
+    # scalar, gives its float's value
     pc = PhysicalConstants(c=1e300, hbar=1e300)
 
     def at(apply, state, y):
-        return apply(state, np.array([y]), pc)[0] if as_array else apply(state, y, pc)
+        return apply(state, np.array([y])[0] if from_array else y, pc)
 
     assert at(annihilation_apply, SpinorState(0, 1.0), 0.5) == 0.0
     for apply in (annihilation_apply, creation_apply):
@@ -459,11 +455,13 @@ def test_phase_where_sqrt_2n_omega_c_overflows():
 _FAR = (1e10, 1e150, 1e308, -1e308)  # far coordinates: phi underflows there unless omega is tiny
 
 
-@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+@pytest.mark.parametrize("from_array", [False, True], ids=["float", "array"])
 @pytest.mark.parametrize("omega", [1e-300, 1e-10, 1.0, 7.0, 1e10, 1e300])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
-def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega, as_array):
-    # y phi is formed before omega multiplies it: phi underflows to 0 where omega y may overflow
+def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega, from_array):
+    # y phi is formed before omega multiplies it: phi underflows to 0 where omega y may overflow.
+    # An array's elements are numpy scalars, taken as floats: numpy's scalar arithmetic, which
+    # warns where omega y overflows, is never reached
     state = SpinorState(n, omega)
     maps = [lambda y: hermite_norm_fn_and_derivative(n, omega, y)[1],
             lambda y: annihilation_apply(state, y), lambda y: creation_apply(state, y),
@@ -471,7 +469,7 @@ def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega
     for f in maps:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow of omega y
-            values = f(np.array(_FAR)).tolist() if as_array else [f(y) for y in _FAR]
+            values = [f(y) for y in (np.array(_FAR) if from_array else _FAR)]
         assert all(map(math.isfinite, values)), values
 
 
