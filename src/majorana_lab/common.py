@@ -83,6 +83,14 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 NATURAL_UNITS = PhysicalConstants()
 
 
+def coordinate(y):
+    """float(y) of a real number, a type with __float__ or __index__ (an int, a float, a numpy
+    scalar, a Fraction); TypeError for text and other buffers, which float() would parse."""
+    if not (hasattr(type(y), "__float__") or hasattr(type(y), "__index__")):
+        raise TypeError(f"a coordinate must be a real number, not {type(y).__name__}")
+    return float(y)
+
+
 class LevelError(ValueError, TypeError):
     """A level n or a count N that is not an integer in its range: a ValueError and a TypeError."""
 

@@ -9,13 +9,13 @@ recurrence yields both.  Factorials are never materialized: each iterate is itse
 a phi_k value of order 1, while 2^n n! leaves the float range past n = 150 and the
 raw H_n(u) grows like (2u)^n.
 
-A coordinate is one real number (an int, a float or a numpy scalar), taken as float(y) and
-evaluated in pure Python (math.exp, float arithmetic), so every value is a float.
+A coordinate is one real number (an int, a float or a numpy scalar), taken by common.coordinate
+and evaluated in pure Python (math.exp, float arithmetic), so every value is a float.
 """
 
 import math
 
-from .common import level, positive_finite, scaled_root
+from .common import coordinate, level, positive_finite, scaled_root
 
 
 def hermite_norm_pair(n, omega, y):
@@ -26,7 +26,7 @@ def hermite_norm_pair(n, omega, y):
     stays O(1) regardless of n, where the naive H_n / sqrt(2^n n!) route
     overflows once 2^n n! does, past n = 150.
     """
-    return hermite_pair_evaluator(n, omega)(float(y))
+    return hermite_pair_evaluator(n, omega)(coordinate(y))
 
 
 def hermite_pair_evaluator(n, omega):
@@ -62,7 +62,7 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).  y phi is formed first:
     it is 0 where phi underflows, while omega y alone may overflow.
     """
-    phi, phi_prev = hermite_norm_pair(n, omega, y)
+    phi, phi_prev = hermite_norm_pair(n, omega, y)  # refuses a y that is not a real number
     slope = -omega * (float(y) * phi)
     if n > 0:
         slope = slope + sqrt_2n_omega(n, omega) * phi_prev

@@ -48,10 +48,10 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):
     panels.  On success err_estimate, the sum of the panel errors, satisfies
     err_estimate <= target_abs_tol.
 
-    even=True requires f(-y) == f(y) bit for bit and calls f at y >= 0 only:
-    the first round mirrors f's values on [-R, R], later rounds keep the
-    panels in [0, R] and double every sum and count, which is exact, so the
-    result (or NonConvergence) has even=False's bits.
+    The first round takes [-R, 0] and [0, R].  even=True requires f(-y) ==
+    f(y) bit for bit and calls f at y >= 0 only: it keeps the panels in [0, R]
+    and doubles every sum and count, exact as a mirror panel's nodes are the
+    negated ones, so the result (or NonConvergence) has even=False's bits.
 
     Raises NonConvergence (with the best estimate attached) when no panel can
     still be halved, when halving would exceed _MAX_PANELS panels,
@@ -61,11 +61,12 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):
     positive_finite(truncation_radius, "truncation_radius")
     positive_finite(target_abs_tol, "target_abs_tol")
     R, tol = truncation_radius, target_abs_tol
-    active = [(0.0, R)]  # (center, half-width) of each unfinished panel
+    mid = 0.5 * R  # (center, half-width) of each unfinished panel: [0, R], and [-R, 0] unless even
+    active = [(mid, mid)] if even else [(-mid, mid), (mid, mid)]
     values, errs = [], []  # integral and error estimate of each retired panel
-    copies = 1  # panels of [-R, R] per panel kept: 2 once even=True keeps only [0, R]
+    copies = 2 if even else 1  # panels of [-R, R] per panel kept
     while True:
-        rules = [_qk15(f, center, half, even and copies == 1) for center, half in active]
+        rules = [_qk15(f, center, half) for center, half in active]
         total = copies * _fsum(values + [value for value, _, _ in rules])
         total_err = copies * _fsum(errs + [err for _, err, _ in rules])
         if total_err <= tol:
@@ -84,15 +85,11 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):
                 f"(error estimate {total_err:g} over {panels} panels)",
                 total, total_err)
         active = [(c, h) for center, h in split for c in (center - h, center + h)]
-        if even and copies == 1:  # the first round split [-R, R] into [-R, 0] and [0, R]
-            active, copies = active[1:], 2
 
 
-def _qk15(f, center, half, mirror=False):
+def _qk15(f, center, half):
     """(integral, error estimate, roundoff floor) of f over center -/+ half by qk15."""
-    fx = [f(center + half * x) for x in (_XK if mirror else _NODES)]
-    if mirror:  # an even f about center 0: the nodes below 0 take the values above it
-        fx += fx[-2::-1]
+    fx = [f(center + half * x) for x in _NODES]
     kronrod = _fsum([w * v for w, v in zip(_KRONROD, fx)])
     gauss = _fsum([w * v for w, v in zip(_GAUSS, fx[1::2])])
     mean = 0.5 * kronrod

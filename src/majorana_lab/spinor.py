@@ -20,7 +20,7 @@ phase, not by t.
 import math
 from collections import namedtuple
 
-from .common import (NATURAL_UNITS, SPACES, OutOfRange, level, positive_finite,
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, positive_finite,
                      scaled_quotient, scaled_root)
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
@@ -126,7 +126,7 @@ def probability_density_at_phase(state, coord, theta, space="position"):
     Normalized to 1 for every theta: the components carry sin^2/cos^2 weights on
     consecutive orthonormal basis functions.
     """
-    return density_evaluator(state, theta, space)(float(coord))
+    return density_evaluator(state, theta, space)(coordinate(coord))
 
 
 def density_evaluator(state, theta, space="position"):

@@ -124,6 +124,24 @@ def test_a_list_coordinate_is_refused_not_mapped(take):
         take([0.5, 1.0])
 
 
+@pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5")], ids=["str", "bytes", "bytearray"])
+@pytest.mark.parametrize("take", POINTWISE.values(), ids=POINTWISE.keys())
+def test_a_text_coordinate_is_refused_not_parsed(take, text):
+    # float() parses text; xlogx refuses it in its v >= 0 comparison, the rest by one rule
+    with pytest.raises(TypeError, match="^a coordinate must be a real number, not "
+                                        f"{type(text).__name__}$|^'>=' not supported"):
+        take(text)
+
+
+@pytest.mark.parametrize("y", [2, np.int64(-1), np.float32(0.3), np.float64(0.3), Fraction(1, 3)],
+                         ids=["int", "int64", "float32", "float64", "Fraction"])
+@pytest.mark.parametrize("name", [name for name in POINTWISE if name != "xlogx"])
+def test_a_real_coordinate_gives_its_floats_bits(name, y):
+    # xlogx takes a density value, not a coordinate, and keeps a numpy scalar's arithmetic
+    take = POINTWISE[name]
+    assert repr(take(y)) == repr(take(float(y)))
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
 @pytest.mark.parametrize("name, take", [
     ("omega", lambda v: hermite_pair_evaluator(1, v)),

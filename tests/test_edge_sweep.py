@@ -54,6 +54,7 @@ REFUSALS = tuple(re.compile(pattern) for pattern in (
     r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol) must be positive and finite",
     r"(quantum number n|N) must be an integer >= \d+",
     r"(y|Omega|theta) must be finite",
+    r"a coordinate must be a real number, not \w+",
     r"tail_tol must lie in \(0, 1\)",
     r"xlogx requires v >= 0",
     r"space must be one of \('position', 'momentum'\)",

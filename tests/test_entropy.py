@@ -10,7 +10,7 @@ import majorana_lab.spinor as spinor_mod
 from cli_runner import invoke
 from direct_entropy import direct_entropy
 from mpmath_entropy import mpmath_unit_entropy
-from majorana_lab.common import BoundViolation, linspace
+from majorana_lab.common import MAX_LEVEL, BoundViolation, linspace
 from majorana_lab.entropy import (
     BBM_BOUND,
     DEFAULT_THETA,
@@ -135,10 +135,9 @@ def test_entropy_lies_in_the_mixture_bracket():
             assert lower <= s_1 <= upper, (n, i)
 
 
-@pytest.mark.xfail(reason="qk15's error estimate can fall far below its error (ROADMAP item 3)")
 def test_coarse_entropy_lies_in_the_mixture_bracket():
-    # at tol 10, S_1 = 0.419 with an estimate of 0.579, against an endpoint mix of 1.356;
-    # bbm_report raises BoundViolation here, so the cell is read from _unit_entropy
+    # one round at tol 10: its panels must catch the density's mass (S_1 = 1.4185 with an
+    # estimate of 2.23, against mpmath's 1.41397 and an endpoint mix of 1.356)
     lower, s_1, upper = mixture_bracket(2, 0.3, 10.0)
     assert lower <= s_1 <= upper
 
@@ -204,9 +203,17 @@ def test_bbm_reports_are_the_single_reports(n, theta):
     assert bbm_reports(n, (), theta) == []
 
 
-def test_bbm_reports_violation_names_the_first_omega():
-    # at tol = 10 one quadrature round leaves n = 2, theta = 0.3 far below the bound; the
-    # message is the one table1 --n 2 --omega 1 --omega 2 --theta 0.3 --tol 10 prints
+@pytest.mark.parametrize("tol", [10.0, 0.1])
+def test_loose_tol_raises_no_false_violation(tol):
+    # a loose tol ends the quadrature in its first rounds, whose panels must still catch the
+    # density's mass: a first panel over all of [-R, R] missed it in 15 cells at 10, 6 at 0.1
+    for n in range(MAX_LEVEL + 1):
+        for theta in (0.0, 0.3, math.pi / 4, math.pi / 2):
+            bbm_reports(n, (1.0,), theta, tol)
+
+
+def test_bbm_reports_violation_names_the_first_omega(monkeypatch):
+    monkeypatch.setattr(entropy_mod, "_unit_entropy", lambda n, theta, tol: (0.1, 0.0))
     with pytest.raises(BoundViolation, match=r" for n=2, omega=1\.0, theta=0\.3$"):
         bbm_reports(2, (1.0, 2.0), 0.3, 10.0)
 
