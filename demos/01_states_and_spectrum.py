@@ -7,42 +7,42 @@
 
 import math
 
-from majorana_lab.common import linspace
+from majorana_lab.common import NATURAL_UNITS, linspace
 from majorana_lab.hermite import hermite_norm_fn
 from majorana_lab.spinor import (
-    PotentialParams,
     SpinorState,
     annihilation_apply,
     energy,
     ladder_down,
     ladder_up,
-    position_spinor,
+    phase,
+    position_spinor_at_phase,
     state_energy,
 )
 
-pp = PotentialParams(k=0.2)
-omega = pp.omega()
-print(f"slope k = {pp.k}, effective frequency omega = k/(c hbar) = {omega}\n")
+k = 0.2
+omega = NATURAL_UNITS.omega(k)
+print(f"slope k = {k}, effective frequency omega = k/(c hbar) = {omega}\n")
 
 print("level   E_n = sqrt(2 c hbar k n)")
 for n in range(7):
-    print(f"  n={n}   {energy(n, pp):.6f}")
+    print(f"  n={n}   {energy(n, k):.6f}")
 
 # The n = 0 state is stationary: its lower component vanishes identically and
 # the Gaussian upper component carries no phase.
-state0 = SpinorState.from_potential(0, pp)
+state0 = SpinorState(0, omega)
 for t in (0.0, 3.0, 17.0):
-    v = position_spinor(state0, 0.5, t)
+    v = position_spinor_at_phase(state0, 0.5, phase(state0, t))
     print(f"\nground state at y=0.5, t={t:>4}: ({v.comp1:.8f}, {v.comp2})", end="")
 print()
 
 # Excited spinors oscillate between the phi_n (upper) and phi_{n-1} (lower)
 # basis functions; each evaluation reports both components.
-state2 = SpinorState.from_potential(2, pp)
+state2 = SpinorState(2, omega)
 print("\nn=2 spinor at y=1.0 over a quarter period:")
 period = 2 * math.pi / math.sqrt(2 * omega * 2)
 for frac in (0.0, 0.125, 0.25):
-    v = position_spinor(state2, 1.0, frac * period)
+    v = position_spinor_at_phase(state2, 1.0, phase(state2, frac * period))
     print(f"  t/T={frac:5.3f}: comp1={v.comp1:+.6f}  comp2={v.comp2:+.6f}")
 
 # Ladder checks: A phi_{n+1} = E_{n+1} phi_n pointwise, and A phi_0 = 0.

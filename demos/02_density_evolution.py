@@ -9,7 +9,7 @@ import math
 
 from majorana_lab.common import linspace
 from majorana_lab.quadrature import integrate, truncation_radius
-from majorana_lab.spinor import SpinorState, probability_density, probability_density_at_phase
+from majorana_lab.spinor import SpinorState, phase, probability_density_at_phase
 
 omega, n = 0.2, 2
 state = SpinorState(n, omega)
@@ -18,7 +18,8 @@ state = SpinorState(n, omega)
 radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
 print(f"n={n}, omega={omega}: mass of rho(., t) by quadrature")
 for t in (0.0, 1.7, 4.2):
-    mass, _ = integrate(lambda y: probability_density(state, y, t), radius, 1e-11)
+    theta = phase(state, t)
+    mass, _ = integrate(lambda y: probability_density_at_phase(state, y, theta), radius, 1e-11)
     print(f"  t={t:>4}: {mass:.12f}")
 
 # momentum space is the same construction at inverted frequency: broad position
@@ -36,7 +37,8 @@ ys = linspace(-9, 9, 73)
 shades = " .:-=+*#%@"
 print(f"\nrho(y, t) for n={n} over one period T={period:.3f} (y in [-9, 9]):")
 for frac in linspace(0.0, 1.0, 13):
-    rho = [probability_density(state, y, frac * period) for y in ys]
+    theta = phase(state, frac * period)
+    rho = [probability_density_at_phase(state, y, theta) for y in ys]
     top = max(rho)
     row = "".join(shades[min(int(v / top * (len(shades) - 1)), len(shades) - 1)] for v in rho)
     print(f"  t/T={frac:4.2f} |{row}|")

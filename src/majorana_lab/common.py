@@ -72,8 +72,10 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 
     def omega(self, k):
         """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone is not
-        a normal float.  Raises OutOfRange naming "k" where omega is not a normal float: past
-        the largest float, or below the least normal one, where it would have lost its bits."""
+        a normal float.  Raises ValueError unless 0 < k < inf, and OutOfRange naming "k" where
+        omega is not a normal float: past the largest float, or below the least normal one,
+        where it would have lost its bits."""
+        positive_finite(k, "k")
         omega = over_product(k, self.c, self.hbar)
         if not sys.float_info.min <= omega < math.inf:
             raise OutOfRange("k", k, "k/(c hbar) leaves the float range")
@@ -84,11 +86,14 @@ NATURAL_UNITS = PhysicalConstants()
 
 
 def coordinate(y):
-    """float(y) of a real number, a type with __float__ or __index__ (an int, a float, a numpy
-    scalar, a Fraction); TypeError for text and other buffers, which float() would parse."""
+    """float(y) of a finite real number, a type with __float__ or __index__ (an int, a float, a
+    numpy scalar, a Fraction); TypeError for text and other buffers, which float() would parse,
+    and ValueError for inf and nan."""
     if not (hasattr(type(y), "__float__") or hasattr(type(y), "__index__")):
         raise TypeError(f"a coordinate must be a real number, not {type(y).__name__}")
-    return float(y)
+    if not math.isfinite(y := float(y)):
+        raise ValueError("a coordinate must be finite")
+    return y
 
 
 class LevelError(ValueError, TypeError):

@@ -9,8 +9,10 @@ recurrence yields both.  Factorials are never materialized: each iterate is itse
 a phi_k value of order 1, while 2^n n! leaves the float range past n = 150 and the
 raw H_n(u) grows like (2u)^n.
 
-A coordinate is one real number (an int, a float or a numpy scalar), taken by common.coordinate
-and evaluated in pure Python (math.exp, float arithmetic), so every value is a float.
+A coordinate is one finite real number (an int, a float, a numpy scalar, a Fraction).  Every
+value of phi_n, of a spinor, a density or a ladder map passes through the one closure of
+hermite_pair_evaluator, which takes it by common.coordinate and evaluates it in pure Python
+(math.exp, float arithmetic), so every value is a float.
 """
 
 import math
@@ -26,11 +28,11 @@ def hermite_norm_pair(n, omega, y):
     stays O(1) regardless of n, where the naive H_n / sqrt(2^n n!) route
     overflows once 2^n n! does, past n = 150.
     """
-    return hermite_pair_evaluator(n, omega)(coordinate(y))
+    return hermite_pair_evaluator(n, omega)(y)
 
 
 def hermite_pair_evaluator(n, omega):
-    """y -> hermite_norm_pair(n, omega, y) for a float y: an exp and the recurrence per point."""
+    """y -> hermite_norm_pair(n, omega, y): the coordinate rule, an exp and the recurrence."""
     n = level(n)
     positive_finite(omega, "omega")
     root, norm = math.sqrt(omega), (omega / math.pi) ** 0.25
@@ -38,9 +40,7 @@ def hermite_pair_evaluator(n, omega):
     coefficients = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(n)]
 
     def pair(y):
-        if not math.isfinite(y):
-            raise ValueError("y must be finite")
-        u = root * y
+        u = root * coordinate(y)
         phi, phi_prev = norm * math.exp(-0.5 * u * u), 0.0
         if phi == 0.0:  # every phi_k underflows with it, where a * u may overflow to inf
             return phi, phi_prev
@@ -62,7 +62,7 @@ def hermite_norm_fn_and_derivative(n, omega, y):
     phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).  y phi is formed first:
     it is 0 where phi underflows, while omega y alone may overflow.
     """
-    phi, phi_prev = hermite_norm_pair(n, omega, y)  # refuses a y that is not a real number
+    phi, phi_prev = hermite_norm_pair(n, omega, y)  # refuses a y that is not a finite real number
     slope = -omega * (float(y) * phi)
     if n > 0:
         slope = slope + sqrt_2n_omega(n, omega) * phi_prev

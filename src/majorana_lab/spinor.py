@@ -12,34 +12,22 @@ stationary Gaussian (phi_0, 0).  Momentum-space forms follow from the Fourier
 eigenrelation of the Hermite-Gauss basis (kernel e^{+ipy}/sqrt(2 pi)), which
 maps phi_n at frequency omega to i^n times phi_n at frequency 1/omega.
 
-All time dependence enters through the single phase theta_n(t); the *_at_phase
-functions take theta directly so downstream results are parameterized by
-phase, not by t.
+Each input has one entry.  The slope is a float k > 0, taken by energy(n, k, pc) and
+PhysicalConstants.omega(k), which give a state its omega.  Time enters only through the
+phase theta_n(t) = phase(state, t, pc), which the *_at_phase functions take, so a spinor
+at time t is position_spinor_at_phase(state, y, phase(state, t, pc)).  A coordinate is
+taken once per point, by the Hermite-Gauss evaluator every value passes through.
 """
 
 import math
 from collections import namedtuple
 
-from .common import (NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, positive_finite,
-                     scaled_quotient, scaled_root)
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, level, positive_finite, scaled_quotient,
+                     scaled_root)
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
-
-
-class PotentialParams(namedtuple("PotentialParams", "k")):
-    """Linear potential V = k x with a positive, finite slope k."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
-
-    def __new__(cls, k):
-        positive_finite(k, "k")
-        return super().__new__(cls, k)
-
-    def omega(self, pc=NATURAL_UNITS):
-        return pc.omega(self.k)
 
 
 class SpinorState(namedtuple("SpinorState", "n omega Omega")):
@@ -55,21 +43,18 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
             raise ValueError("Omega must be finite")
         return super().__new__(cls, n, omega, Omega)
 
-    @classmethod
-    def from_potential(cls, n, pp, pc=NATURAL_UNITS, Omega=0.0):
-        return cls(n=n, omega=pp.omega(pc), Omega=Omega)
-
 
 # One evaluation of the spinor: upper component comp1, lower comp2.
 SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
-def energy(n, pp, pc=NATURAL_UNITS):
-    """Level energy sqrt(2 n c hbar k), the exactly scaled root (common.scaled_root) of the
-    slope's own product, so omega = k/(c hbar) is never rounded: inf only where the root
-    exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
+def energy(n, k, pc=NATURAL_UNITS):
+    """Level energy sqrt(2 n c hbar k) of a slope k > 0: the exactly scaled root of the slope's
+    own product (common.scaled_root), so omega = k/(c hbar) is never rounded; inf only where the
+    root exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
+    positive_finite(k, "k")
     try:
-        return scaled_root((2.0 * level(n), pc.c, pc.hbar, pp.k))
+        return scaled_root((2.0 * level(n), pc.c, pc.hbar, k))
     except OverflowError:  # the root exceeds the largest float
         return math.inf
 
@@ -100,10 +85,6 @@ def position_spinor_at_phase(state, y, theta):
     return SpinorValue(f_n * s, f_m * c)
 
 
-def position_spinor(state, y, t, pc=NATURAL_UNITS):
-    return position_spinor_at_phase(state, y, phase(state, t, pc))
-
-
 def momentum_spinor_at_phase(state, p, theta):
     """Momentum-space components at phase theta (complex: i^n Fourier phases).
 
@@ -116,21 +97,17 @@ def momentum_spinor_at_phase(state, p, theta):
     return SpinorValue(_I_POW[state.n % 4] * f_n * s, _I_POW[(state.n - 1) % 4] * f_m * c)
 
 
-def momentum_spinor(state, p, t, pc=NATURAL_UNITS):
-    return momentum_spinor_at_phase(state, p, phase(state, t, pc))
-
-
 def probability_density_at_phase(state, coord, theta, space="position"):
     """|comp1|^2 + |comp2|^2 at a position (y) or momentum (p) coordinate.
 
     Normalized to 1 for every theta: the components carry sin^2/cos^2 weights on
     consecutive orthonormal basis functions.
     """
-    return density_evaluator(state, theta, space)(coordinate(coord))
+    return density_evaluator(state, theta, space)(coord)
 
 
 def density_evaluator(state, theta, space="position"):
-    """coord -> probability_density_at_phase(state, coord, theta, space) for a float coord."""
+    """coord -> probability_density_at_phase(state, coord, theta, space)."""
     pair = hermite_pair_evaluator(state.n, space_frequency(state.omega, space))
     s, c = _weights(state, theta)
 
@@ -156,10 +133,6 @@ def _weights(state, theta):
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     return (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
-
-
-def probability_density(state, coord, t, space="position", pc=NATURAL_UNITS):
-    return probability_density_at_phase(state, coord, phase(state, t, pc), space)
 
 
 def _ladder_apply(state, y, sign):

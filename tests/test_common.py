@@ -13,9 +13,10 @@ from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum,
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
                                   hermite_norm_pair, hermite_pair_evaluator)
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
-from majorana_lab.spinor import (PotentialParams, SpinorState, annihilation_apply, creation_apply,
-                                 energy, ladder_down, ladder_up, momentum_spinor_at_phase,
-                                 position_spinor_at_phase, probability_density_at_phase)
+from majorana_lab.spinor import (SpinorState, annihilation_apply, creation_apply, density_evaluator,
+                                 density_slices, energy, ladder_down, ladder_up,
+                                 momentum_spinor_at_phase, position_spinor_at_phase,
+                                 probability_density_at_phase)
 from majorana_lab.thermo import EnsembleParams, moment_sums
 from without_package import env_without
 
@@ -52,7 +53,7 @@ LEVEL_TAKERS = {
     "hermite_norm_fn_and_derivative": lambda n: hermite_norm_fn_and_derivative(n, 1.0, 0.5),
     "hermite_pair_evaluator": lambda n: hermite_pair_evaluator(n, 1.0),
     "SpinorState": lambda n: SpinorState(n, 1.0),
-    "energy": lambda n: energy(n, PotentialParams(1.0)),
+    "energy": lambda n: energy(n, 1.0),
     "bbm_report": lambda n: bbm_report(n, 1.0),
     "shannon_position": lambda n: shannon_position(n, 1.0),
     "shannon_momentum": lambda n: shannon_momentum(n, 1.0),
@@ -106,10 +107,13 @@ POINTWISE = {
     "hermite_norm_fn": lambda y: hermite_norm_fn(2, 1.0, y),
     "hermite_norm_pair": lambda y: hermite_norm_pair(2, 1.0, y),
     "hermite_norm_fn_and_derivative": lambda y: hermite_norm_fn_and_derivative(2, 1.0, y),
+    "hermite_pair_evaluator": lambda y: hermite_pair_evaluator(2, 1.0)(y),
     "xlogx": xlogx,
     "position_spinor_at_phase": lambda y: position_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
     "momentum_spinor_at_phase": lambda y: momentum_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
     "probability_density_at_phase": lambda y: probability_density_at_phase(SpinorState(2, 1.0), y, 0.3),
+    "density_evaluator": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3)(y),
+    "density_slices": lambda y: next(density_slices(SpinorState(2, 1.0), [y], [0.3]))[0],
     "entropic_density": lambda y: entropic_density(2, 1.0, 0.3, y),
     "annihilation_apply": lambda y: annihilation_apply(SpinorState(2, 1.0), y),
     "creation_apply": lambda y: creation_apply(SpinorState(2, 1.0), y),
@@ -155,23 +159,23 @@ def test_a_real_coordinate_gives_its_floats_bits(name, y):
     ("c", lambda v: PhysicalConstants(c=v)),
     ("hbar", lambda v: PhysicalConstants(hbar=v)),
     ("k_B", lambda v: PhysicalConstants(k_B=v)),
-    ("k", lambda v: PotentialParams(v)),
+    ("k", lambda v: PhysicalConstants().omega(v)),  # the potential's slope, in omega = k/(c hbar)
+    ("k", lambda v: energy(1, v)),
     ("tol", lambda v: moment_sums(EnsembleParams(1.0, 0.2), v)),
     ("target_abs_tol", lambda v: bbm_report(1, 0.2, tol=v)),
 ], ids=["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
         "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
-        "constants-k_B", "potential-k", "thermo-tol", "entropy-tol"])
+        "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol"])
 def test_every_positive_finite_site_has_one_rule(name, take, value):
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         take(value)
 
 
 @pytest.mark.parametrize("take", [
-    lambda: SpinorState.from_potential(1, PotentialParams(1.0),
-                                       PhysicalConstants(c=1e-200, hbar=1e-200)),
+    lambda: PhysicalConstants(c=1e-200, hbar=1e-200).omega(1.0),
     lambda: PhysicalConstants(c=1e200, hbar=1e200).omega(1.0),
     lambda: PhysicalConstants(c=1e100, hbar=1e-50).omega(3.221014270844314e-274),
-], ids=["from_potential-c_hbar-underflows", "omega-c_hbar-overflows", "omega-subnormal"])
+], ids=["omega-c_hbar-underflows", "omega-c_hbar-overflows", "omega-subnormal"])
 def test_omega_of_a_slope_has_one_rule(take):
     # omega = k/(c hbar) is refused as a bad k, the value the caller gave, wherever it is formed:
     # past the largest float, and below the least normal one, where it has lost its bits
@@ -188,8 +192,8 @@ def test_omega_of_a_slope_has_one_rule(take):
 def test_energy_takes_the_slope_where_omega_is_no_normal_float(n, k, c, hbar, want):
     # energy is the scaled root of 2 n c hbar k, so it never rounds omega = k/(c hbar)
     pc = PhysicalConstants(c=c, hbar=hbar)
-    assert energy(n, PotentialParams(k), pc) == want
-    assert -energy(n, PotentialParams(k), pc) == -want
+    assert energy(n, k, pc) == want
+    assert -energy(n, k, pc) == -want
 
 
 @pytest.mark.parametrize("c, hbar, k, omega", [

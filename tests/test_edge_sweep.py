@@ -33,7 +33,7 @@ import pytest
 
 from majorana_lab import entropy, hermite, quadrature, spinor, thermo
 from majorana_lab.common import MAX_LEVEL, NonConvergence, PhysicalConstants
-from majorana_lab.spinor import PotentialParams, SpinorState
+from majorana_lab.spinor import SpinorState
 from majorana_lab.thermo import EM_PARAMETER_RANGE, EnsembleParams
 
 X = (5e-324, 1e-308, 1e-150, 1e-10, 0.3, 1.0, 7.0, 1e10, 1e150, 1e308)
@@ -53,8 +53,8 @@ CONSTANTS = {
 REFUSALS = tuple(re.compile(pattern) for pattern in (
     r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol) must be positive and finite",
     r"(quantum number n|N) must be an integer >= \d+",
-    r"(y|Omega|theta) must be finite",
-    r"a coordinate must be a real number, not \w+",
+    r"(Omega|theta) must be finite",
+    r"a coordinate must be (a real number, not \w+|finite)",
     r"tail_tol must lie in \(0, 1\)",
     r"xlogx requires v >= 0",
     r"space must be one of \('position', 'momentum'\)",
@@ -177,11 +177,11 @@ def sweep_entropy():
 
 def sweep_spectrum(pc):
     for k in X:
-        check(lambda: PotentialParams(k).omega(pc), exact(k, divisors=(pc.c, pc.hbar)))
+        check(lambda: pc.omega(k), exact(k, divisors=(pc.c, pc.hbar)))
         for n in LEVELS:
-            check(lambda: SpinorState.from_potential(n, PotentialParams(k), pc))
+            check(lambda: SpinorState(n, pc.omega(k)))
             for sign in (1, -1):  # energy never forms omega, so it takes every k
-                e = sign * spinor.energy(n, PotentialParams(k), pc)  # -1: the lower tower
+                e = sign * spinor.energy(n, k, pc)  # -1: the lower tower
                 assert math.copysign(1.0, e) == sign, e
                 check_root(abs(e), 2 * n, pc.c, pc.hbar, k, ulps=2)
     for n in LEVELS:
@@ -200,10 +200,13 @@ def sweep_states(pc):
             state = SpinorState(n, omega)
             for coord in COORDS:
                 for t in (0.0, 1.0, 1e308):
-                    check(lambda: spinor.position_spinor(state, coord, t, pc))
-                    check(lambda: spinor.momentum_spinor(state, coord, t, pc))
+                    check(lambda: spinor.position_spinor_at_phase(
+                        state, coord, spinor.phase(state, t, pc)))
+                    check(lambda: spinor.momentum_spinor_at_phase(
+                        state, coord, spinor.phase(state, t, pc)))
                     for space in ("position", "momentum"):
-                        check(lambda: spinor.probability_density(state, coord, t, space, pc))
+                        check(lambda: spinor.probability_density_at_phase(
+                            state, coord, spinor.phase(state, t, pc), space))
 
 
 def sweep_ladder(pc):
@@ -248,11 +251,13 @@ def sweep_bad_input():
         *(lambda t=t: quadrature.truncation_radius(1.0, 1, t) for t in (0.0, 1.0, nan)),
         lambda: quadrature.xlogx(nan),
         *(lambda c=c: PhysicalConstants(**{c: 0.0}) for c in PhysicalConstants._fields),
-        lambda: PotentialParams(-1.0),
+        lambda: PhysicalConstants().omega(-1.0),
+        lambda: spinor.energy(1, -1.0),
         lambda: SpinorState(0, 1.0, Omega=inf),
         *(lambda t=t: spinor.phase(state, t) for t in (inf, nan)),
         lambda: spinor.probability_density_at_phase(state, 0.5, nan),
-        lambda: spinor.probability_density(state, 0.5, 0.0, space="spin"),
+        lambda: spinor.probability_density_at_phase(state, 0.5, spinor.phase(state, 0.0),
+                                                    space="spin"),
         lambda: spinor.ladder_down(SpinorState(0, 1.0), 0.5),
         lambda: entropy.shannon_position(1, 1.0, tol=0.0),
         lambda: entropy.shannon_momentum(3, 1.0, 0.3, tol=1e-300),

@@ -1,4 +1,4 @@
-"""The contract of the seven value records: construction, defaults, validation, immutability
+"""The contract of the six value records: construction, defaults, validation, immutability
 and repr.  It holds for any record implementation, so it pins what callers may rely on."""
 
 import copy
@@ -9,7 +9,7 @@ import pytest
 
 from majorana_lab.common import NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants
 from majorana_lab.entropy import EntropyReport
-from majorana_lab.spinor import PotentialParams, SpinorState, SpinorValue
+from majorana_lab.spinor import SpinorState, SpinorValue
 from majorana_lab.thermo import EnsembleParams, ThermoReport
 
 NAN, INF = math.nan, math.inf
@@ -20,7 +20,6 @@ ENTROPY_FIELDS = ("n", "omega", "theta", "S_y", "S_p", "sum", "bbm_bound", "quad
 # record, its field names in order, and a full set of valid values for them
 RECORDS = [
     (PhysicalConstants, ("c", "hbar", "k_B"), (2.0, 0.5, 3.0)),
-    (PotentialParams, ("k",), (0.3,)),
     (SpinorState, ("n", "omega", "Omega"), (3, 0.4, 0.1)),
     (SpinorValue, ("comp1", "comp2"), (0.5 + 0.25j, -0.125j)),
     (EnsembleParams, ("beta", "k", "N", "pc"), (2.0, 0.4, 3, PhysicalConstants(c=2.0))),
@@ -36,9 +35,9 @@ def test_keyword_and_positional_construction_agree(record, names, values):
     assert by_keyword == by_position
     assert hash(by_keyword) == hash(by_position)
     assert [getattr(by_keyword, name) for name in names] == list(values)
-    # the last field set to the first field's value, or doubled where it is the only field;
-    # an ensemble's constants, which a float would make invalid, set to natural units
-    last = NATURAL_UNITS if names[-1] == "pc" else values[0] if values[1:] else 2 * values[0]
+    # the last field set to the first field's value; an ensemble's constants, which a float
+    # would make invalid, set to natural units
+    last = NATURAL_UNITS if names[-1] == "pc" else values[0]
     assert by_keyword != by_keyword._replace(**{names[-1]: last})
 
 
@@ -71,13 +70,12 @@ def test_defaults():
 
 
 @pytest.mark.parametrize("build", [
-    PotentialParams, SpinorValue, EntropyReport, ThermoReport,
+    SpinorValue, EntropyReport, ThermoReport,
     lambda: SpinorState(1), lambda: EnsembleParams(1.0),
     lambda: PhysicalConstants(1.0, 1.0, 1.0, 1.0),
-    lambda: SpinorState(1, 0.2, mass=0.0), lambda: PotentialParams(0.2, m=0.0),
-], ids=["PotentialParams", "SpinorValue", "EntropyReport", "ThermoReport", "SpinorState",
-        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown",
-        "PotentialParams-unknown"])
+    lambda: SpinorState(1, 0.2, mass=0.0),
+], ids=["SpinorValue", "EntropyReport", "ThermoReport", "SpinorState",
+        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown"])
 def test_missing_or_unknown_arguments_are_type_errors(build):
     with pytest.raises(TypeError):
         build()
@@ -90,10 +88,6 @@ INVALID = {
     "PhysicalConstants-k_B=-1": lambda: PhysicalConstants(k_B=-1.0),
     "PhysicalConstants-c=nan": lambda: PhysicalConstants(c=NAN),
     "PhysicalConstants-k_B=nan": lambda: PhysicalConstants(1.0, 1.0, NAN),
-    "PotentialParams-k=0": lambda: PotentialParams(k=0),
-    "PotentialParams-k=-0.5": lambda: PotentialParams(-0.5),
-    "PotentialParams-k=nan": lambda: PotentialParams(NAN),
-    "PotentialParams-k=inf": lambda: PotentialParams(INF),
     "SpinorState-n=-1": lambda: SpinorState(n=-1, omega=0.2),
     "SpinorState-n=1.0": lambda: SpinorState(1.0, 0.2),
     "SpinorState-n=str": lambda: SpinorState("1", 0.2),
@@ -139,7 +133,6 @@ def test_every_validation_raises_value_error(build):
 # one case per invalid field that _replace or _make puts into a valid record
 INVALID_REMAKES = {
     "PhysicalConstants-c=0": (lambda: PhysicalConstants()._replace(c=0.0), ValueError),
-    "PotentialParams-k=0": (lambda: PotentialParams(0.3)._replace(k=0.0), ValueError),
     "SpinorState-n=-1": (lambda: SpinorState(1, 0.2)._replace(n=-1), LevelError),
     "SpinorState-Omega=inf": (lambda: SpinorState(1, 0.2)._replace(Omega=INF), ValueError),
     "SpinorState-_make-omega=-0.2": (lambda: SpinorState._make([1, -0.2]), ValueError),
@@ -182,7 +175,7 @@ def test_validation_messages():
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             PhysicalConstants(**{name: 0.0})
     with pytest.raises(ValueError, match="^k must be positive and finite$"):
-        PotentialParams(0.0)
+        EnsembleParams(1.0, 0.0)
     with pytest.raises(ValueError, match="quantum number n must be an integer >= 0"):
         SpinorState(-1, 0.2)
     with pytest.raises(ValueError, match="beta must be positive and finite"):
@@ -194,9 +187,7 @@ def test_validation_messages():
 
 def test_methods_and_properties_survive():
     pc = PhysicalConstants(c=2.0, hbar=0.5, k_B=4.0)
-    assert PotentialParams(0.3).omega(pc) == 0.3
-    state = SpinorState.from_potential(2, PotentialParams(0.4), PhysicalConstants(c=2.0), Omega=0.5)
-    assert state == SpinorState(2, 0.2, 0.5) and type(state) is SpinorState
+    assert pc.omega(0.3) == 0.3
     ep = EnsembleParams(0.5, 0.3, 2, pc)
     assert ep.coupling == 0.3
     assert ep.em_parameter == 0.3 * 0.5**2

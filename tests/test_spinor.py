@@ -9,7 +9,6 @@ from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, li
 from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative, hermite_norm_pair,
                                   hermite_pair_evaluator)
 from majorana_lab.spinor import (
-    PotentialParams,
     SpinorState,
     annihilation_apply,
     creation_apply,
@@ -18,12 +17,9 @@ from majorana_lab.spinor import (
     energy,
     ladder_down,
     ladder_up,
-    momentum_spinor,
     momentum_spinor_at_phase,
     phase,
-    position_spinor,
     position_spinor_at_phase,
-    probability_density,
     probability_density_at_phase,
     state_energy,
 )
@@ -36,9 +32,8 @@ PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
 
 def test_energy_zero_mode():
     for k in (0.37, 1e308):  # 2 c hbar k overflows at the last
-        pp = PotentialParams(k=k)
-        assert repr(energy(0, pp)) == "0.0"
-        assert repr(-energy(0, pp)) == "-0.0"  # the lower tower
+        assert repr(energy(0, k)) == "0.0"
+        assert repr(-energy(0, k)) == "-0.0"  # the lower tower
     pc = PhysicalConstants(c=1e200, hbar=1e200)  # c hbar overflows, and inf * 0 would be nan
     assert repr(state_energy(SpinorState(0, 0.37), pc)) == "0.0"
     assert repr(-state_energy(SpinorState(0, 0.37), pc)) == "-0.0"
@@ -51,36 +46,35 @@ def test_energy_is_the_natural_units_root_bit_for_bit():
     for k in ks:
         for n in range(65):
             if 2.0 * k * n < math.inf:
-                assert energy(n, PotentialParams(k)).hex() == math.sqrt(2.0 * k * n).hex()
-    assert energy(1, PotentialParams(1e308)) == state_energy(SpinorState(1, 1e308))
-    assert energy(1, PotentialParams(1e308)) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+                assert energy(n, k).hex() == math.sqrt(2.0 * k * n).hex()
+    assert energy(1, 1e308) == state_energy(SpinorState(1, 1e308))
+    assert energy(1, 1e308) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
 
 
 def test_energy_values():
-    assert energy(1, PotentialParams(k=0.2)) == pytest.approx(math.sqrt(0.4), rel=1e-14)
-    assert -energy(2, PotentialParams(k=0.5)) == pytest.approx(-math.sqrt(2.0), rel=1e-14)
+    assert energy(1, 0.2) == pytest.approx(math.sqrt(0.4), rel=1e-14)
+    assert -energy(2, 0.5) == pytest.approx(-math.sqrt(2.0), rel=1e-14)
 
 
 def test_energy_with_constants():
     pc = PhysicalConstants(c=2.0, hbar=0.7)
-    assert energy(3, PotentialParams(k=0.5), pc) == pytest.approx(math.sqrt(2 * 2.0 * 0.7 * 0.5 * 3), rel=1e-14)
+    assert energy(3, 0.5, pc) == pytest.approx(math.sqrt(2 * 2.0 * 0.7 * 0.5 * 3), rel=1e-14)
 
 
 def test_energy_validation():
     with pytest.raises(ValueError):
-        energy(-1, PotentialParams(k=1.0))
+        energy(-1, 1.0)
     for level in (1.5, 2.0, True, False):  # a level is an integer, and a bool is not one
         with pytest.raises(ValueError):
-            energy(level, PotentialParams(k=1.0))
+            energy(level, 1.0)
 
 
 def test_partner_spectra_coincide():
     # plus-tower level n and minus-tower level n+1 share sqrt(2 c hbar k (n+1))
-    pp = PotentialParams(k=0.3)
-    pc = PhysicalConstants(c=1.4, hbar=0.9)
+    k, pc = 0.3, PhysicalConstants(c=1.4, hbar=0.9)
     for n in range(8):
-        e_minus = energy(n + 1, pp, pc)
-        e_plus = state_energy(SpinorState(n=n + 1, omega=pp.omega(pc)), pc)
+        e_minus = energy(n + 1, k, pc)
+        e_plus = state_energy(SpinorState(n=n + 1, omega=pc.omega(k)), pc)
         assert e_minus == pytest.approx(e_plus, rel=1e-14)
 
 
@@ -117,10 +111,9 @@ def test_non_finite_phase_is_rejected(n, theta):
 
 def test_phase_equals_energy_over_hbar():
     pc = PhysicalConstants(c=3.0, hbar=0.25)
-    pp = PotentialParams(k=0.6)
-    state = SpinorState.from_potential(4, pp, pc)
-    t = 2.7
-    assert phase(state, t, pc) == pytest.approx(energy(4, pp, pc) * t / pc.hbar, rel=1e-13)
+    k, t = 0.6, 2.7
+    state = SpinorState(4, pc.omega(k))
+    assert phase(state, t, pc) == pytest.approx(energy(4, k, pc) * t / pc.hbar, rel=1e-13)
 
 
 # ---------------------------------------------------------------- position space
@@ -129,7 +122,7 @@ def test_phase_equals_energy_over_hbar():
 def test_ground_state_is_stationary_gaussian():
     state = SpinorState(0, 0.2)
     for t in (0.0, 7.3, -2.0):
-        v = position_spinor(state, 0.0, t)
+        v = position_spinor_at_phase(state, 0.0, phase(state, t))
         assert v.comp1 == pytest.approx(0.5023079256810666, rel=1e-12)
         assert v.comp2 == 0.0
 
@@ -223,14 +216,6 @@ def test_momentum_closed_forms(n, theta=1.1):
         assert v.comp2 == pytest.approx(c2, rel=1e-12, abs=1e-14)
 
 
-def test_momentum_spinor_time_path():
-    state = SpinorState(2, 0.4, Omega=0.2)
-    pc = PhysicalConstants()
-    v_t = momentum_spinor(state, 0.7, 1.5, pc)
-    v_phase = momentum_spinor_at_phase(state, 0.7, phase(state, 1.5, pc))
-    assert v_t == v_phase
-
-
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("spinor_at_phase, kind", [(position_spinor_at_phase, float),
                                                    (momentum_spinor_at_phase, complex)],
@@ -247,12 +232,23 @@ def test_array_coordinates_give_the_float_values(spinor_at_phase, kind, n):
             assert type(v.comp1) is type(v.comp2) is kind, (index, coord)
 
 
+def test_momentum_spinor_time_path():
+    # a time enters only through phase(state, t, pc) = sqrt(2 n omega) c t + Omega
+    state = SpinorState(2, 0.4, Omega=0.2)
+    pc = PhysicalConstants(c=2.0)
+    v_t = momentum_spinor_at_phase(state, 0.7, phase(state, 1.5, pc))
+    v_theta = momentum_spinor_at_phase(state, 0.7, math.sqrt(2 * 2 * 0.4) * 2.0 * 1.5 + 0.2)
+    assert v_t.comp1 == pytest.approx(v_theta.comp1, rel=1e-14)
+    assert v_t.comp2 == pytest.approx(v_theta.comp2, rel=1e-14)
+
+
 # ---------------------------------------------------------------- densities
 
 
 def test_density_ground_state_peak():
     state = SpinorState(0, 0.2)
-    assert probability_density(state, 0.0, 3.0) == pytest.approx(math.sqrt(0.2 / math.pi), rel=1e-12)
+    rho = probability_density_at_phase(state, 0.0, phase(state, 3.0))
+    assert rho == pytest.approx(math.sqrt(0.2 / math.pi), rel=1e-12)
 
 
 def test_density_first_level_at_origin():
@@ -503,7 +499,7 @@ def test_partner_potentials_by_finite_difference(n):
 
 def test_type_validation():
     with pytest.raises(ValueError):
-        PotentialParams(k=0.0)
+        NATURAL_UNITS.omega(0.0)
     with pytest.raises(ValueError):
         SpinorState(-1, 1.0)
     with pytest.raises(ValueError):
@@ -513,7 +509,8 @@ def test_type_validation():
 
 
 def test_from_potential():
+    # a state of slope k takes omega = k/(c hbar) from the constants
     pc = PhysicalConstants(c=2.0, hbar=0.5)
-    state = SpinorState.from_potential(3, PotentialParams(k=0.7), pc, Omega=0.1)
+    state = SpinorState(3, pc.omega(0.7), Omega=0.1)
     assert state.omega == pytest.approx(0.7, rel=1e-15)
     assert state.n == 3 and state.Omega == 0.1
