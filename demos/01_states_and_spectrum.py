@@ -7,17 +7,14 @@
 
 import math
 
-from majorana_lab.common import NATURAL_UNITS, linspace
-from majorana_lab.hermite import hermite_norm_fn
+from majorana_lab.common import NATURAL_UNITS, energy, linspace
+from majorana_lab.hermite import hermite_norm_pair
 from majorana_lab.spinor import (
     SpinorState,
     annihilation_apply,
-    energy,
-    ladder_down,
-    ladder_up,
+    creation_apply,
     phase,
     position_spinor_at_phase,
-    state_energy,
 )
 
 k = 0.2
@@ -49,13 +46,16 @@ for frac in (0.0, 0.125, 0.25):
 ys = linspace(-8.0, 8.0, 201)
 for n in range(4):
     upper = SpinorState(n + 1, omega)
-    e_upper = state_energy(upper)
-    residual = max(abs(annihilation_apply(upper, y) - e_upper * hermite_norm_fn(n, omega, y)) for y in ys)
+    e_upper = energy(n + 1, k)
+    residual = max(abs(annihilation_apply(upper, y) - e_upper * hermite_norm_pair(n, omega, y)[0]) for y in ys)
     print(f"\n|A phi_{n+1} - E_{n+1} phi_{n}|_inf = {residual:.2e}", end="")
 print(f"\n|A phi_0|_inf               = {max(abs(annihilation_apply(SpinorState(0, omega), y)) for y in ys):.2e}")
 
-# Round trip: up then down reproduces the starting function to round-off.
-up_err = max(abs(ladder_up(SpinorState(3, omega), y) - hermite_norm_fn(4, omega, y)) for y in ys)
-down_err = max(abs(ladder_down(SpinorState(4, omega), y) - hermite_norm_fn(3, omega, y)) for y in ys)
+# Round trip: A+ phi_3 / E_4 and A phi_4 / E_4 reproduce phi_4 and phi_3 to round-off.
+e_4 = energy(4, k)
+up_err = max(abs(creation_apply(SpinorState(3, omega), y) / e_4 - hermite_norm_pair(4, omega, y)[0])
+             for y in ys)
+down_err = max(abs(annihilation_apply(SpinorState(4, omega), y) / e_4 - hermite_norm_pair(3, omega, y)[0])
+               for y in ys)
 print(f"|up(3) - phi_4|_inf         = {up_err:.2e}")
 print(f"|down(4) - phi_3|_inf       = {down_err:.2e}")

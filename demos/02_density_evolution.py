@@ -9,7 +9,7 @@ import math
 
 from majorana_lab.common import linspace
 from majorana_lab.quadrature import integrate, truncation_radius
-from majorana_lab.spinor import SpinorState, phase, probability_density_at_phase
+from majorana_lab.spinor import SpinorState, density_evaluator, phase
 
 omega, n = 0.2, 2
 state = SpinorState(n, omega)
@@ -19,7 +19,7 @@ radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
 print(f"n={n}, omega={omega}: mass of rho(., t) by quadrature")
 for t in (0.0, 1.7, 4.2):
     theta = phase(state, t)
-    mass, _ = integrate(lambda y: probability_density_at_phase(state, y, theta), radius, 1e-11)
+    mass, _ = integrate(density_evaluator(state, theta), radius, 1e-11)
     print(f"  t={t:>4}: {mass:.12f}")
 
 # momentum space is the same construction at inverted frequency: broad position
@@ -27,8 +27,8 @@ for t in (0.0, 1.7, 4.2):
 print("\npeak density at the origin (theta = pi/2 picks the pure upper component):")
 for om in (0.2, 0.8):
     st = SpinorState(2, om)
-    rho_y = probability_density_at_phase(st, 0.0, math.pi / 2, "position")
-    rho_p = probability_density_at_phase(st, 0.0, math.pi / 2, "momentum")
+    rho_y = density_evaluator(st, math.pi / 2, "position")(0.0)
+    rho_p = density_evaluator(st, math.pi / 2, "momentum")(0.0)
     print(f"  omega={om}: rho_y(0)={rho_y:.6f}  rho_p(0)={rho_p:.6f}")
 
 # ASCII heatmap: rows = time, columns = y, darker = more probable
@@ -37,8 +37,7 @@ ys = linspace(-9, 9, 73)
 shades = " .:-=+*#%@"
 print(f"\nrho(y, t) for n={n} over one period T={period:.3f} (y in [-9, 9]):")
 for frac in linspace(0.0, 1.0, 13):
-    theta = phase(state, frac * period)
-    rho = [probability_density_at_phase(state, y, theta) for y in ys]
+    rho = list(map(density_evaluator(state, phase(state, frac * period)), ys))
     top = max(rho)
     row = "".join(shades[min(int(v / top * (len(shades) - 1)), len(shades) - 1)] for v in rho)
     print(f"  t/T={frac:4.2f} |{row}|")

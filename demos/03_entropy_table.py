@@ -14,7 +14,7 @@
 
 import math
 
-from majorana_lab.entropy import BBM_BOUND, bbm_reports, shannon_momentum, shannon_position
+from majorana_lab.entropy import BBM_BOUND, bbm_reports
 
 print(f"uncertainty bound 1 + ln(pi) = {BBM_BOUND:.5f} (evaluation phase theta = pi/4)\n")
 print(" n  omega      S_y      S_p    S_y+S_p   margin")
@@ -25,14 +25,15 @@ for n in range(4):
 
 print("scaling check at n = 1: S_y(2w) - S_y(w) vs -ln(2)/2 =", f"{-0.5 * math.log(2):+.6f}")
 for omega in (0.2, 0.4):
-    delta = shannon_position(1, 2 * omega) - shannon_position(1, omega)
-    print(f"  omega {omega} -> {2 * omega}: {delta:+.6f}")
+    low, high = bbm_reports(1, (omega, 2 * omega))
+    print(f"  omega {omega} -> {2 * omega}: {high.S_y - low.S_y:+.6f}")
 
 print("\nclosed form vs quadrature for the Gaussian ground state:")
-for omega in (0.05, 1.0, 5.0):
-    analytic = 0.5 * (1 + math.log(math.pi / omega))
-    print(f"  omega={omega:>4}: S_y = {shannon_position(0, omega):.10f}   analytic {analytic:.10f}")
+for rep in bbm_reports(0, (0.05, 1.0, 5.0)):
+    analytic = 0.5 * (1 + math.log(math.pi / rep.omega))
+    print(f"  omega={rep.omega:>4}: S_y = {rep.S_y:.10f}   analytic {analytic:.10f}")
 
 print("\nmomentum side mirrors under omega -> 1/omega:")
-print(f"  S_p(0, 0.2) = {shannon_momentum(0, 0.2):.10f}")
-print(f"  S_y(0, 5.0) = {shannon_position(0, 5.0):.10f}")
+narrow, broad = bbm_reports(0, (0.2, 5.0))
+print(f"  S_p(0, 0.2) = {narrow.S_p:.10f}")
+print(f"  S_y(0, 5.0) = {broad.S_y:.10f}")

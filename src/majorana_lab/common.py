@@ -1,4 +1,4 @@
-"""Shared by every layer and the CLI: units, defaults, input rules, range/tol errors, grids.
+"""Shared by every layer and the CLI: units, the spectrum, defaults, input rules, errors, grids.
 
 Every number is computed by a float function of one real coordinate at a time; no module
 imports numpy.
@@ -85,15 +85,29 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 NATURAL_UNITS = PhysicalConstants()
 
 
+def energy(n, k, pc=NATURAL_UNITS):
+    """The spectrum E_n = sqrt(2 n c hbar k) of a slope k > 0: the exactly scaled root of the
+    slope's own product (scaled_root), so omega = k/(c hbar) is never rounded; inf only where the
+    root exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
+    positive_finite(k, "k")
+    try:
+        return scaled_root((2.0 * level(n), pc.c, pc.hbar, k))
+    except OverflowError:  # the root exceeds the largest float
+        return math.inf
+
+
 def coordinate(y):
     """float(y) of a finite real number, a type with __float__ or __index__ (an int, a float, a
     numpy scalar, a Fraction); TypeError for text and other buffers, which float() would parse,
-    and ValueError for inf and nan."""
+    and ValueError for inf, nan and a value past the largest float."""
     if not (hasattr(type(y), "__float__") or hasattr(type(y), "__index__")):
         raise TypeError(f"a coordinate must be a real number, not {type(y).__name__}")
-    if not math.isfinite(y := float(y)):
-        raise ValueError("a coordinate must be finite")
-    return y
+    try:
+        if math.isfinite(y := float(y)):
+            return y
+    except OverflowError:  # an int or a Fraction past the largest float
+        pass
+    raise ValueError("a coordinate must be finite")
 
 
 class LevelError(ValueError, TypeError):

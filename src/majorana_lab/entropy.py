@@ -9,9 +9,10 @@ omega enters only through a scaling law.  The position density at omega is
 sqrt(omega) rho_1(sqrt(omega) y), with rho_1 the density at omega = 1, and
 the momentum density at omega is the position density at 1/omega (|i^n| = 1).
 So S_y = S_1(n, theta) - ln(omega)/2 and S_p = S_1(n, theta) + ln(omega)/2.
-Each call runs one quadrature of S_1 and keeps nothing; bbm_reports takes a
-level's omegas together, so that one quadrature serves every omega and both
-spaces.
+bbm_reports is the one entry: it takes a level's omegas together, so that one
+quadrature of S_1 serves every omega and both spaces, and keeps nothing between
+calls.  The entropic density rho ln rho at a point is
+xlogx(density_evaluator(state, theta, space)(coord)).
 """
 
 import math
@@ -19,7 +20,7 @@ from collections import namedtuple
 
 from .common import DEFAULT_THETA, DEFAULT_TOL, BoundViolation, positive_finite
 from .quadrature import integrate, truncation_radius, xlogx
-from .spinor import SpinorState, density_evaluator, probability_density_at_phase
+from .spinor import SpinorState, density_evaluator
 
 BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
 
@@ -27,27 +28,6 @@ BBM_BOUND = 1.0 + math.log(math.pi)  # spatial dimension D = 1
 _BBM_GUARD = 1e-6
 
 EntropyReport = namedtuple("EntropyReport", "n omega theta S_y S_p sum bbm_bound quad_err")
-
-
-def shannon_position(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
-    """Position-space entropy -integral(rho ln rho dy) = S_1(n, theta) - ln(omega)/2."""
-    shift = _half_log(omega)
-    return _unit_entropy(n, theta, tol)[0] - shift
-
-
-def shannon_momentum(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
-    """Momentum-space entropy -integral(rho ln rho dp) = S_1(n, theta) + ln(omega)/2."""
-    shift = _half_log(omega)
-    return _unit_entropy(n, theta, tol)[0] + shift
-
-
-def entropic_density(n, omega, theta, coord, space="position"):
-    """Pointwise rho ln rho (the entropy is minus its integral).
-
-    Zero wherever the density vanishes (0 ln 0 -> 0) and wherever rho = 1.
-    """
-    state = SpinorState(n=n, omega=omega)
-    return xlogx(probability_density_at_phase(state, coord, theta, space))
 
 
 def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
@@ -74,11 +54,6 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
         )
     return [EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND, quad_err)
             for omega, shift in zip(omegas, shifts)]
-
-
-def bbm_report(n, omega, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
-    """The EntropyReport of bbm_reports for the one omega."""
-    return bbm_reports(n, (omega,), theta, tol)[0]
 
 
 def _half_log(omega):

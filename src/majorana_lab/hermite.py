@@ -50,11 +50,6 @@ def hermite_pair_evaluator(n, omega):
     return pair
 
 
-def hermite_norm_fn(n, omega, y):
-    """Normalized Hermite-Gauss function phi_n(y) for frequency omega > 0."""
-    return hermite_norm_pair(n, omega, y)[0]
-
-
 def hermite_norm_fn_and_derivative(n, omega, y):
     """(phi_n(y), phi_n'(y)) from one sweep, the derivative evaluated analytically.
 

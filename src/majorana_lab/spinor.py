@@ -12,18 +12,18 @@ stationary Gaussian (phi_0, 0).  Momentum-space forms follow from the Fourier
 eigenrelation of the Hermite-Gauss basis (kernel e^{+ipy}/sqrt(2 pi)), which
 maps phi_n at frequency omega to i^n times phi_n at frequency 1/omega.
 
-Each input has one entry.  The slope is a float k > 0, taken by energy(n, k, pc) and
-PhysicalConstants.omega(k), which give a state its omega.  Time enters only through the
-phase theta_n(t) = phase(state, t, pc), which the *_at_phase functions take, so a spinor
-at time t is position_spinor_at_phase(state, y, phase(state, t, pc)).  A coordinate is
-taken once per point, by the Hermite-Gauss evaluator every value passes through.
+Each input has one entry.  The slope is a float k > 0, taken by PhysicalConstants.omega(k),
+which gives a state its omega; the spectrum E_n is common.energy(n, k, pc).  Time enters only
+through the phase theta_n(t) = phase(state, t, pc), which the *_at_phase functions take, so a
+spinor at time t is position_spinor_at_phase(state, y, phase(state, t, pc)).  A coordinate is
+taken once per point, by the Hermite-Gauss evaluator every value passes through.  The ladder
+maps are A and A+ themselves: A phi_n = E_n phi_{n-1} and A+ phi_n = E_{n+1} phi_{n+1}.
 """
 
 import math
 from collections import namedtuple
 
-from .common import (NATURAL_UNITS, SPACES, OutOfRange, level, positive_finite, scaled_quotient,
-                     scaled_root)
+from .common import NATURAL_UNITS, SPACES, OutOfRange, level, positive_finite, scaled_quotient
 from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
                       sqrt_2n_omega)
 
@@ -46,24 +46,6 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
 
 # One evaluation of the spinor: upper component comp1, lower comp2.
 SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
-
-
-def energy(n, k, pc=NATURAL_UNITS):
-    """Level energy sqrt(2 n c hbar k) of a slope k > 0: the exactly scaled root of the slope's
-    own product (common.scaled_root), so omega = k/(c hbar) is never rounded; inf only where the
-    root exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
-    positive_finite(k, "k")
-    try:
-        return scaled_root((2.0 * level(n), pc.c, pc.hbar, k))
-    except OverflowError:  # the root exceeds the largest float
-        return math.inf
-
-
-def state_energy(state, pc=NATURAL_UNITS):
-    """The spectrum: c hbar sqrt(2 n omega), the state's level energy, as an exactly scaled
-    product: it leaves the float range only where the energy does, and n = 0 gives zero.
-    The slope k = omega c hbar its omega stands for is never formed."""
-    return scaled_quotient((pc.c, pc.hbar, sqrt_2n_omega(state.n, state.omega)))
 
 
 def phase(state, t, pc=NATURAL_UNITS):
@@ -97,17 +79,10 @@ def momentum_spinor_at_phase(state, p, theta):
     return SpinorValue(_I_POW[state.n % 4] * f_n * s, _I_POW[(state.n - 1) % 4] * f_m * c)
 
 
-def probability_density_at_phase(state, coord, theta, space="position"):
-    """|comp1|^2 + |comp2|^2 at a position (y) or momentum (p) coordinate.
-
-    Normalized to 1 for every theta: the components carry sin^2/cos^2 weights on
-    consecutive orthonormal basis functions.
-    """
-    return density_evaluator(state, theta, space)(coord)
-
-
 def density_evaluator(state, theta, space="position"):
-    """coord -> probability_density_at_phase(state, coord, theta, space)."""
+    """coord -> |comp1|^2 + |comp2|^2 at phase theta and a position (y) or momentum (p)
+    coordinate.  Normalized to 1 for every theta: the components carry sin^2/cos^2 weights on
+    consecutive orthonormal basis functions."""
     pair = hermite_pair_evaluator(state.n, space_frequency(state.omega, space))
     s, c = _weights(state, theta)
 
@@ -151,19 +126,6 @@ def annihilation_apply(state, y, pc=NATURAL_UNITS):
 def creation_apply(state, y, pc=NATURAL_UNITS):
     """(-c hbar d/dy + k y) applied to phi_n; equals E_{n+1} phi_{n+1}."""
     return scaled_quotient((pc.c, pc.hbar, _ladder_apply(state, y, -1.0)))
-
-
-def ladder_down(state, y):
-    """Partner eigenfunction below: A phi_n / E_n = phi_{n-1}, with c hbar cancelled.  Rejected
-    at n = 0, where E_0 = 0 annihilates the state instead of mapping it."""
-    if state.n == 0:
-        raise ZeroDivisionError("E_0 = 0: the ground state is annihilated, not lowered")
-    return _ladder_apply(state, y, 1.0) / sqrt_2n_omega(state.n, state.omega)
-
-
-def ladder_up(state, y):
-    """Partner eigenfunction above: A+ phi_n / E_{n+1} = phi_{n+1}, with c hbar cancelled."""
-    return _ladder_apply(state, y, -1.0) / sqrt_2n_omega(state.n + 1, state.omega)
 
 
 def space_frequency(omega, space):

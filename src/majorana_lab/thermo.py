@@ -1,4 +1,4 @@
-"""Canonical-ensemble thermodynamics for the sqrt(n) spectrum E_n = sqrt(2 c hbar k n).
+"""Canonical-ensemble thermodynamics for the sqrt(n) spectrum E_n = common.energy(n, k, pc).
 
 The exact route is one Euler-Maclaurin pass (moment_sums) that returns the moments
 t_p = sum_n (beta E_n)^p exp(-beta E_n), p = 0, 1, 2, with a certified remainder bound;
@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, PhysicalConstants,
-                     level, linspace, over_product, positive_finite, scaled_quotient, scaled_root)
+                     energy, level, linspace, over_product, positive_finite, scaled_quotient)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -127,7 +127,7 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     """((t_0, t_1, t_2), M, bound) with t_p = sum_n (beta E_n)^p exp(-beta E_n).
 
     The sums depend on beta and k only through lam = beta sqrt(2 c hbar k): beta times the
-    exactly scaled root (common.scaled_root) where the plain c hbar k is a normal float, else
+    spectrum's E_1 = common.energy(1, k, pc) where the plain c hbar k is a normal float, else
     sqrt(2 x) from the in-range x = c hbar k beta^2.  Sums n < M = 200 explicitly and adds
     the Euler-Maclaurin tail; bound caps the remainder of all three sums.  bound is at most
     1.6e-19 for any lam, below 1e-3 of half an ulp of each sum, so no larger M could move a
@@ -135,7 +135,7 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     """
     positive_finite(tol, "tol")
     if sys.float_info.min <= ep.pc.c * ep.pc.hbar * ep.k < math.inf:
-        lam = ep.beta * scaled_root((2.0, ep.pc.c, ep.pc.hbar, ep.k))
+        lam = ep.beta * energy(1, ep.k, ep.pc)
     else:  # the plain c hbar k is not a normal float, while x = c hbar k beta^2 is in range
         lam = math.sqrt(2.0 * ep.em_parameter)
     tails, bound = _tails(lam)
@@ -144,12 +144,6 @@ def moment_sums(ep, tol=DEFAULT_TOL):
         raise NonConvergence(f"partition series remainder bound {bound:g} at M = {_M} exceeds "
                              f"tol={tol:g} (beta={ep.beta!r}, k={ep.k!r})", sums[0], bound)
     return sums, _M, bound
-
-
-def partition_exact(ep, tol=DEFAULT_TOL):
-    """(Z, truncation_n, tail_bound): Z = sum_n exp(-beta E_n) with moment_sums' M and bound."""
-    (z, _, _), m, bound = moment_sums(ep, tol)
-    return z, m, bound
 
 
 def partition_em(ep):

@@ -9,17 +9,16 @@ compares the two checks the scaling law and the integrator instead of assuming t
 from scipy.integrate import quad
 
 from majorana_lab.quadrature import truncation_radius, xlogx
-from majorana_lab.spinor import SpinorState, probability_density_at_phase
+from majorana_lab.spinor import SpinorState, density_evaluator
 
 
 def direct_entropy(n, omega, theta, space, tol=1e-10):
     """-integral(rho ln rho) over the space's coordinate, rho at frequency omega."""
-    state = SpinorState(n=n, omega=omega)
+    density = density_evaluator(SpinorState(n=n, omega=omega), theta, space)
     freq = omega if space == "position" else 1.0 / omega
     # ln(rho) adds ~freq*coord^2 growth on top of the degree-2n polynomial
     radius = truncation_radius(freq, n + 1, tail_tol=min(tol * 1e-2, 1e-12))
-    value, err = quad(lambda u: xlogx(probability_density_at_phase(state, u, theta, space)),
-                      -radius, radius, epsabs=tol, epsrel=0.0, limit=200)
+    value, err = quad(lambda u: xlogx(density(u)), -radius, radius, epsabs=tol, epsrel=0.0, limit=200)
     if not err <= tol:
         raise RuntimeError(f"QUADPACK error estimate {err:g} exceeds tol={tol:g}")
     return -value

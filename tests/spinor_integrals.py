@@ -10,14 +10,14 @@ import math
 import numpy as np
 
 from majorana_lab.quadrature import integrate, truncation_radius
-from majorana_lab.spinor import position_spinor_at_phase, probability_density_at_phase
+from majorana_lab.spinor import density_evaluator, position_spinor_at_phase
 
 
 def norm_integral(state, theta, space):
     """The integral of the probability density over the space's coordinate."""
     freq = state.omega if space == "position" else 1.0 / state.omega
     radius = truncation_radius(freq, state.n + 1, tail_tol=1e-13)
-    value, _ = integrate(lambda u: probability_density_at_phase(state, u, theta, space), radius, 1e-11)
+    value, _ = integrate(density_evaluator(state, theta, space), radius, 1e-11)
     return value
 
 

@@ -12,16 +12,11 @@ from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
 from direct_entropy import direct_entropy
 from spinor_integrals import fourier_numeric, norm_integral
-from majorana_lab.common import PhysicalConstants, linspace
-from majorana_lab.entropy import BBM_BOUND, bbm_report, shannon_momentum, shannon_position
-from majorana_lab.hermite import hermite_norm_fn
-from majorana_lab.spinor import (
-    SpinorState,
-    annihilation_apply,
-    momentum_spinor_at_phase,
-    state_energy,
-)
-from majorana_lab.thermo import EnsembleParams, partition_em, partition_exact, report, thermo_sweep
+from majorana_lab.common import PhysicalConstants, energy, linspace
+from majorana_lab.entropy import BBM_BOUND, bbm_reports
+from majorana_lab.hermite import hermite_norm_pair
+from majorana_lab.spinor import SpinorState, annihilation_apply, momentum_spinor_at_phase
+from majorana_lab.thermo import EnsembleParams, moment_sums, partition_em, report, thermo_sweep
 
 QUARTER = math.pi / 4
 
@@ -43,7 +38,7 @@ def verdict(number, name, ok, detail):
 def test_criterion_01_entropy_table_reproduction():
     worst = 0.0
     for (n, omega), (s_y_ref, s_p_ref) in REFERENCE_TABLE.items():
-        rep = bbm_report(n, omega, QUARTER)
+        rep, = bbm_reports(n, (omega,), QUARTER)
         worst = max(worst, abs(rep.S_y - s_y_ref), abs(rep.S_p - s_p_ref),
                     abs(rep.sum - REFERENCE_SUMS[n]))
     verdict(1, "entropy table reproduction (24 values + sums, theta=pi/4)",
@@ -52,8 +47,8 @@ def test_criterion_01_entropy_table_reproduction():
 
 def test_criterion_02_bbm_saturation_ground_state():
     worst = max(
-        abs(bbm_report(0, omega).sum - (1.0 + math.log(math.pi)))
-        for omega in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.5, 5.0)
+        abs(rep.sum - (1.0 + math.log(math.pi)))
+        for rep in bbm_reports(0, (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.5, 5.0))
     )
     verdict(2, "ground-state BBM saturation over omega grid",
             worst < 1e-8, f"worst |sum - (1+ln pi)| = {worst:.3g} vs 1e-8")
@@ -64,9 +59,10 @@ def test_criterion_03_scaling_invariance():
     shift = -0.5 * math.log(2.0)  # -0.34657
     worst = 0.0
     for n in range(6):
-        for omega in (0.01, 0.2, 0.4, 100.0):
-            delta_y = shannon_position(n, 2 * omega, QUARTER) - direct_entropy(n, omega, QUARTER, "position")
-            delta_p = shannon_momentum(n, 2 * omega, QUARTER) - direct_entropy(n, omega, QUARTER, "momentum")
+        omegas = (0.01, 0.2, 0.4, 100.0)
+        for omega, rep in zip(omegas, bbm_reports(n, [2 * w for w in omegas], QUARTER)):
+            delta_y = rep.S_y - direct_entropy(n, omega, QUARTER, "position")
+            delta_p = rep.S_p - direct_entropy(n, omega, QUARTER, "momentum")
             worst = max(worst, abs(delta_y - shift), abs(delta_p + shift))
     verdict(3, "S_y(n, 2w) - S_y(n, w) = -ln(2)/2 = S_p(n, w) - S_p(n, 2w) for n <= 5",
             worst < 1e-6, f"worst |delta -/+ 0.34657| = {worst:.3g} vs 1e-6")
@@ -75,13 +71,14 @@ def test_criterion_03_scaling_invariance():
 def test_criterion_04_closed_form_oracle():
     # library and direct quadrature alike against the Gaussian closed form
     worst = 0.0
-    for omega in (0.01, 0.05, 0.2, 0.8, 1.0, 3.0, 5.0, 100.0):
+    for rep in bbm_reports(0, (0.01, 0.05, 0.2, 0.8, 1.0, 3.0, 5.0, 100.0)):
+        omega = rep.omega
         exact_y = 0.5 * (1.0 + math.log(math.pi / omega))
         exact_p = 0.5 * (1.0 + math.log(math.pi * omega))
         worst = max(
             worst,
-            abs(shannon_position(0, omega) - exact_y),
-            abs(shannon_momentum(0, omega) - exact_p),
+            abs(rep.S_y - exact_y),
+            abs(rep.S_p - exact_p),
             abs(direct_entropy(0, omega, QUARTER, "position") - exact_y),
             abs(direct_entropy(0, omega, QUARTER, "momentum") - exact_p),
         )
@@ -126,8 +123,8 @@ def test_criterion_07_ladder_intertwining():
     worst = 0.0
     for n in range(9):
         upper = SpinorState(n + 1, omega)
-        energy = state_energy(upper, pc)
-        worst = max(worst, *(abs(annihilation_apply(upper, y, pc) - energy * hermite_norm_fn(n, omega, y))
+        e_upper = energy(n + 1, omega, pc)  # natural units: k = omega
+        worst = max(worst, *(abs(annihilation_apply(upper, y, pc) - e_upper * hermite_norm_pair(n, omega, y)[0])
                              for y in ys))
     verdict(7, "A phi_{n+1} = E_{n+1} phi_n on |y sqrt(w)| <= 6, n <= 8",
             worst < 1e-8, f"worst residual = {worst:.3g} vs 1e-8")
@@ -163,7 +160,7 @@ def test_criterion_09_euler_maclaurin_validity():
     for x in (0.01, 0.005, 0.002, 0.001):
         for beta in (0.05, 0.1, 0.5, 1.0, 2.0):
             ep = EnsembleParams(beta=beta, k=x / beta**2)
-            z_exact, _, _ = partition_exact(ep, tol=1e-12)
+            (z_exact, _, _), _, _ = moment_sums(ep, tol=1e-12)
             worst = max(worst, abs(partition_em(ep) - z_exact) / z_exact)
     verdict(9, "closed-form Z within 1% of the series for c hbar k beta^2 <= 0.01",
             worst < 0.01, f"worst rel err = {worst:.3g} vs 0.01")

@@ -131,7 +131,7 @@ def test_loose_tol_is_no_false_violation():
     _, columns, rows = parse_csv(result.stdout)
     (s_1,), = [values[2:] for values in rows_as_floats(columns, rows, "n", "omega", "S_y")
                if values[:2] == [2.0, 1.0]]
-    report = entropy_mod.bbm_report(2, 1.0, 0.3, 10.0)
+    report, = entropy_mod.bbm_reports(2, (1.0,), 0.3, 10.0)
     assert s_1 == report.S_y
     assert abs(s_1 - float(mpmath_unit_entropy(2, 0.3))) <= report.quad_err / 2
 

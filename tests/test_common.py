@@ -1,22 +1,22 @@
+import importlib
+import inspect
 import math
 import struct
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, level,
-                                 linspace, over_product, scaled_quotient, scaled_root)
-from majorana_lab.entropy import bbm_report, entropic_density, shannon_momentum, shannon_position
-from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative,
-                                  hermite_norm_pair, hermite_pair_evaluator)
+from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, energy,
+                                 level, linspace, over_product, scaled_quotient, scaled_root)
+from majorana_lab.entropy import bbm_reports
+from majorana_lab.hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
 from majorana_lab.spinor import (SpinorState, annihilation_apply, creation_apply, density_evaluator,
-                                 density_slices, energy, ladder_down, ladder_up,
-                                 momentum_spinor_at_phase, position_spinor_at_phase,
-                                 probability_density_at_phase)
+                                 density_slices, momentum_spinor_at_phase, position_spinor_at_phase)
 from majorana_lab.thermo import EnsembleParams, moment_sums
 from without_package import env_without
 
@@ -48,16 +48,12 @@ def test_out_of_range_is_a_value_error_naming_its_parameter():
 
 
 LEVEL_TAKERS = {
-    "hermite_norm_fn": lambda n: hermite_norm_fn(n, 1.0, 0.5),
     "hermite_norm_pair": lambda n: hermite_norm_pair(n, 1.0, 0.5),
     "hermite_norm_fn_and_derivative": lambda n: hermite_norm_fn_and_derivative(n, 1.0, 0.5),
     "hermite_pair_evaluator": lambda n: hermite_pair_evaluator(n, 1.0),
     "SpinorState": lambda n: SpinorState(n, 1.0),
     "energy": lambda n: energy(n, 1.0),
-    "bbm_report": lambda n: bbm_report(n, 1.0),
-    "shannon_position": lambda n: shannon_position(n, 1.0),
-    "shannon_momentum": lambda n: shannon_momentum(n, 1.0),
-    "entropic_density": lambda n: entropic_density(n, 1.0, 0.3, 0.5),
+    "bbm_reports": lambda n: bbm_reports(n, (1.0,)),
     "truncation_radius": lambda n: truncation_radius(1.0, n),
 }
 
@@ -82,15 +78,14 @@ def test_level_is_the_integer_protocol():
 
 # Run with numpy unimportable: each pointwise function evaluates an int coordinate as its float.
 INT_COORDINATES = """
-from majorana_lab.hermite import hermite_norm_fn
+from majorana_lab.hermite import hermite_norm_pair
 from majorana_lab.quadrature import xlogx
-from majorana_lab.spinor import SpinorState, annihilation_apply, probability_density_at_phase
+from majorana_lab.spinor import SpinorState, annihilation_apply, density_evaluator
 
 state = SpinorState(3, 0.7)
 for y in (0, 1, -2, 5, 2**60):
-    for f in (lambda v: hermite_norm_fn(3, 0.7, v), lambda v: xlogx(abs(v)),
-              lambda v: probability_density_at_phase(state, v, 0.4),
-              lambda v: probability_density_at_phase(state, v, 0.4, "momentum"),
+    for f in (lambda v: hermite_norm_pair(3, 0.7, v)[0], lambda v: xlogx(abs(v)),
+              density_evaluator(state, 0.4), density_evaluator(state, 0.4, "momentum"),
               lambda v: annihilation_apply(state, v)):
         got, want = f(y), f(float(y))
         assert type(got) is float and got.hex() == want.hex(), (y, got, want)
@@ -104,21 +99,17 @@ def test_an_int_coordinate_gives_the_float_bits_without_numpy(tmp_path):
 
 
 POINTWISE = {
-    "hermite_norm_fn": lambda y: hermite_norm_fn(2, 1.0, y),
     "hermite_norm_pair": lambda y: hermite_norm_pair(2, 1.0, y),
     "hermite_norm_fn_and_derivative": lambda y: hermite_norm_fn_and_derivative(2, 1.0, y),
     "hermite_pair_evaluator": lambda y: hermite_pair_evaluator(2, 1.0)(y),
     "xlogx": xlogx,
     "position_spinor_at_phase": lambda y: position_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
     "momentum_spinor_at_phase": lambda y: momentum_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
-    "probability_density_at_phase": lambda y: probability_density_at_phase(SpinorState(2, 1.0), y, 0.3),
     "density_evaluator": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3)(y),
     "density_slices": lambda y: next(density_slices(SpinorState(2, 1.0), [y], [0.3]))[0],
-    "entropic_density": lambda y: entropic_density(2, 1.0, 0.3, y),
+    "entropy_density": lambda y: xlogx(density_evaluator(SpinorState(2, 1.0), 0.3)(y)),
     "annihilation_apply": lambda y: annihilation_apply(SpinorState(2, 1.0), y),
     "creation_apply": lambda y: creation_apply(SpinorState(2, 1.0), y),
-    "ladder_up": lambda y: ladder_up(SpinorState(2, 1.0), y),
-    "ladder_down": lambda y: ladder_down(SpinorState(2, 1.0), y),
 }
 
 
@@ -146,11 +137,21 @@ def test_a_real_coordinate_gives_its_floats_bits(name, y):
     assert repr(take(y)) == repr(take(float(y)))
 
 
+@pytest.mark.parametrize("y", [math.inf, math.nan, 10**400, Fraction(10**400, 3)],
+                         ids=["inf", "nan", "int-past-max", "Fraction-past-max"])
+@pytest.mark.parametrize("name", [name for name in POINTWISE if name != "xlogx"])
+def test_a_coordinate_that_is_no_finite_float_is_refused(name, y):
+    # float() of an int or a Fraction past the largest float raises OverflowError; the rule
+    # turns it into the same refusal as inf and nan
+    with pytest.raises(ValueError, match="^a coordinate must be finite$"):
+        POINTWISE[name](y)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
 @pytest.mark.parametrize("name, take", [
     ("omega", lambda v: hermite_pair_evaluator(1, v)),
     ("omega", lambda v: SpinorState(1, v)),
-    ("omega", lambda v: shannon_position(1, v)),
+    ("omega", lambda v: bbm_reports(1, (v,))),
     ("omega", lambda v: truncation_radius(v, 1)),
     ("truncation_radius", lambda v: integrate(float, v)),
     ("target_abs_tol", lambda v: integrate(float, 1.0, v)),
@@ -162,7 +163,7 @@ def test_a_real_coordinate_gives_its_floats_bits(name, y):
     ("k", lambda v: PhysicalConstants().omega(v)),  # the potential's slope, in omega = k/(c hbar)
     ("k", lambda v: energy(1, v)),
     ("tol", lambda v: moment_sums(EnsembleParams(1.0, 0.2), v)),
-    ("target_abs_tol", lambda v: bbm_report(1, 0.2, tol=v)),
+    ("target_abs_tol", lambda v: bbm_reports(1, (0.2,), tol=v)),
 ], ids=["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
         "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
         "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol"])
@@ -254,6 +255,36 @@ def test_over_product_is_the_plain_quotient_wherever_b_c_is_normal():
 def test_scaled_quotient_overflow_keeps_its_sign():
     assert scaled_quotient((-1e308,), (1e-10,)) == -math.inf
     assert scaled_quotient((1e200, -1e200)) == -math.inf
+
+
+# The public functions each module defines: one name per concept, so a second spelling of a
+# concept that already has its entry shows here.
+PUBLIC_FUNCTIONS = {
+    "majorana_lab": set(),
+    "majorana_lab.common": {"coordinate", "energy", "level", "linspace", "over_product",
+                            "positive_finite", "scaled_quotient", "scaled_root"},
+    "majorana_lab.hermite": {"hermite_norm_fn_and_derivative", "hermite_norm_pair",
+                             "hermite_pair_evaluator", "sqrt_2n_omega"},
+    "majorana_lab.quadrature": {"integrate", "truncation_radius", "xlogx"},
+    "majorana_lab.spinor": {"annihilation_apply", "creation_apply", "density_evaluator",
+                            "density_slices", "momentum_spinor_at_phase", "phase",
+                            "position_spinor_at_phase", "space_frequency"},
+    "majorana_lab.entropy": {"bbm_reports"},
+    "majorana_lab.thermo": {"moment_sums", "partition_em", "report", "thermo_sweep"},
+    "majorana_lab.cli": {"cmd_density", "cmd_entropy_density", "cmd_heatmap", "cmd_table1",
+                         "cmd_thermo", "main"},
+}
+
+
+def test_each_module_defines_its_pinned_public_functions():
+    package = Path(importlib.import_module("majorana_lab").__file__).parent
+    assert {"majorana_lab" + ("" if path.stem == "__init__" else f".{path.stem}")
+            for path in package.glob("*.py")} == set(PUBLIC_FUNCTIONS)
+    for name, pinned in PUBLIC_FUNCTIONS.items():
+        module = importlib.import_module(name)
+        defined = {attr for attr, value in vars(module).items() if not attr.startswith("_")
+                   and inspect.isfunction(value) and value.__module__ == name}
+        assert defined == pinned, name
 
 
 def test_constants_are_shared():

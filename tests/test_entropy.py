@@ -11,15 +11,9 @@ from cli_runner import invoke
 from direct_entropy import direct_entropy
 from mpmath_entropy import mpmath_unit_entropy
 from majorana_lab.common import MAX_LEVEL, BoundViolation, linspace
-from majorana_lab.entropy import (
-    BBM_BOUND,
-    DEFAULT_THETA,
-    bbm_report,
-    bbm_reports,
-    entropic_density,
-    shannon_momentum,
-    shannon_position,
-)
+from majorana_lab.entropy import BBM_BOUND, DEFAULT_THETA, bbm_reports
+from majorana_lab.quadrature import xlogx
+from majorana_lab.spinor import SpinorState, density_evaluator
 
 QUARTER = math.pi / 4
 # float.hex of (S_1, error estimate) from _unit_entropy, recorded before the mirrored
@@ -39,17 +33,19 @@ def gaussian_entropy_momentum(omega):
 
 @pytest.mark.parametrize("omega", [0.05, 0.2, 1.0, 2.5, 5.0])
 def test_ground_state_closed_form(omega):
-    assert abs(shannon_position(0, omega) - gaussian_entropy_position(omega)) < 1e-8
-    assert abs(shannon_momentum(0, omega) - gaussian_entropy_momentum(omega)) < 1e-8
+    rep, = bbm_reports(0, (omega,))
+    assert abs(rep.S_y - gaussian_entropy_position(omega)) < 1e-8
+    assert abs(rep.S_p - gaussian_entropy_momentum(omega)) < 1e-8
 
 
 def test_reference_rows():
     # reference five-decimal values for theta = pi/4
-    assert shannon_position(0, 0.2) == pytest.approx(1.87708, abs=2e-4)
-    assert shannon_momentum(0, 0.2) == pytest.approx(0.26765, abs=2e-4)
-    assert shannon_position(1, 0.2, QUARTER) == pytest.approx(2.19246, abs=2e-4)
-    assert shannon_momentum(3, 0.8, QUARTER) == pytest.approx(1.61135, abs=2e-4)
-    assert bbm_report(2, 0.4, QUARTER).sum == pytest.approx(3.18469, abs=2e-4)
+    ground, = bbm_reports(0, (0.2,))
+    assert ground.S_y == pytest.approx(1.87708, abs=2e-4)
+    assert ground.S_p == pytest.approx(0.26765, abs=2e-4)
+    assert bbm_reports(1, (0.2,), QUARTER)[0].S_y == pytest.approx(2.19246, abs=2e-4)
+    assert bbm_reports(3, (0.8,), QUARTER)[0].S_p == pytest.approx(1.61135, abs=2e-4)
+    assert bbm_reports(2, (0.4,), QUARTER)[0].sum == pytest.approx(3.18469, abs=2e-4)
 
 
 @pytest.mark.parametrize("theta", [QUARTER - 0.2, QUARTER, QUARTER + 0.2, 0.0, math.pi / 2])
@@ -146,15 +142,13 @@ def test_coarse_entropy_lies_in_the_mixture_bracket():
 def test_scaling_law(n):
     # the library's S_1 -/+ ln(omega)/2 against -integral(rho ln rho) at omega itself;
     # each integral is certified to 1e-10
-    for omega in (0.01, 0.2, 0.7, 1.4, 100.0):
-        assert shannon_position(n, omega) == pytest.approx(
-            direct_entropy(n, omega, DEFAULT_THETA, "position"), abs=1e-9)
-        assert shannon_momentum(n, omega) == pytest.approx(
-            direct_entropy(n, omega, DEFAULT_THETA, "momentum"), abs=1e-9)
+    for rep in bbm_reports(n, (0.01, 0.2, 0.7, 1.4, 100.0)):
+        assert rep.S_y == pytest.approx(direct_entropy(n, rep.omega, DEFAULT_THETA, "position"), abs=1e-9)
+        assert rep.S_p == pytest.approx(direct_entropy(n, rep.omega, DEFAULT_THETA, "momentum"), abs=1e-9)
 
 
 def test_sum_invariant_under_scaling():
-    total = bbm_report(1, 0.15).sum
+    total = bbm_reports(1, (0.15,))[0].sum
     for omega in (0.01, 0.15, 0.6, 100.0):
         direct = (direct_entropy(1, omega, DEFAULT_THETA, "position")
                   + direct_entropy(1, omega, DEFAULT_THETA, "momentum"))
@@ -164,15 +158,17 @@ def test_sum_invariant_under_scaling():
 @pytest.mark.parametrize("omega", [1e-100, 1e-12, 1e12, 1e100])
 def test_ground_state_exact_at_extreme_omega(omega):
     # the ln(omega)/2 shift is exact, so the only error left is S_1's and one rounding
-    for value, exact in ((shannon_position(0, omega), gaussian_entropy_position(omega)),
-                         (shannon_momentum(0, omega), gaussian_entropy_momentum(omega))):
+    rep, = bbm_reports(0, (omega,))
+    for value, exact in ((rep.S_y, gaussian_entropy_position(omega)),
+                         (rep.S_p, gaussian_entropy_momentum(omega))):
         assert abs(value - exact) <= 2e-15 + 2.0**-52 * abs(exact)
 
 
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("theta", [0.3, DEFAULT_THETA])
 def test_sum_bitwise_independent_of_omega(n, theta):
-    sums = {bbm_report(n, omega, theta).sum for omega in (1e-100, 0.01, 0.2, 1.0, 100.0, 1e100)}
+    # one call per omega, each with its own quadrature
+    sums = {bbm_reports(n, (omega,), theta)[0].sum for omega in (1e-100, 0.01, 0.2, 1.0, 100.0, 1e100)}
     assert len(sums) == 1
 
 
@@ -199,7 +195,7 @@ def test_bbm_reports_are_the_single_reports(n, theta):
     omegas = (1e-100, 0.2, 1.0, 0.2, 5e-324, 1e300)
     reports = bbm_reports(n, omegas, theta)
     assert [r.omega for r in reports] == list(omegas)
-    assert repr(reports) == repr([bbm_report(n, omega, theta) for omega in omegas])
+    assert repr(reports) == repr([bbm_reports(n, (omega,), theta)[0] for omega in omegas])
     assert bbm_reports(n, (), theta) == []
 
 
@@ -220,17 +216,18 @@ def test_bbm_reports_violation_names_the_first_omega(monkeypatch):
 
 @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 2.2, 5.0])
 def test_ground_state_saturates_bound(omega):
-    assert abs(bbm_report(0, omega).sum - BBM_BOUND) < 1e-8
+    assert abs(bbm_reports(0, (omega,))[0].sum - BBM_BOUND) < 1e-8
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2])
 def test_ground_state_theta_independent(theta):
-    assert shannon_position(0, 0.4, theta) == pytest.approx(shannon_position(0, 0.4, QUARTER), abs=1e-12)
+    assert bbm_reports(0, (0.4,), theta)[0].S_y == pytest.approx(bbm_reports(0, (0.4,), QUARTER)[0].S_y,
+                                                                 abs=1e-12)
 
 
 def test_entropy_grows_with_level():
-    s_y = [shannon_position(n, 0.4, QUARTER) for n in range(4)]
-    s_p = [shannon_momentum(n, 0.4, QUARTER) for n in range(4)]
+    reports = [bbm_reports(n, (0.4,), QUARTER)[0] for n in range(4)]
+    s_y, s_p = [r.S_y for r in reports], [r.S_p for r in reports]
     assert all(a < b for a, b in zip(s_y, s_y[1:]))
     assert all(a < b for a, b in zip(s_p, s_p[1:]))
 
@@ -238,52 +235,54 @@ def test_entropy_grows_with_level():
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("omega", [0.2, 0.8, 1.9])
 def test_bbm_bound_holds(n, omega):
-    assert bbm_report(n, omega).sum >= BBM_BOUND - 1e-6
+    assert bbm_reports(n, (omega,))[0].sum >= BBM_BOUND - 1e-6
 
 
 def test_entropic_density_zero_at_nodes():
     omega = 0.4
     node = 1.0 / math.sqrt(2.0 * omega)  # root of H_2(sqrt(omega) y)
-    assert abs(entropic_density(2, omega, math.pi / 2, node, "position")) < 1e-12
+    assert abs(xlogx(density_evaluator(SpinorState(2, omega), math.pi / 2, "position")(node))) < 1e-12
 
 
 def test_entropic_density_zero_where_density_is_one():
     # n = 0, omega = pi: rho(0) = sqrt(omega/pi) = 1, so rho ln rho = 0 exactly
-    assert entropic_density(0, math.pi, 0.3, 0.0, "position") == 0.0
+    assert xlogx(density_evaluator(SpinorState(0, math.pi), 0.3, "position")(0.0)) == 0.0
 
 
 def test_entropic_density_ground_state_value():
     rho0 = math.sqrt(0.2 / math.pi)
-    assert entropic_density(0, 0.2, 0.0, 0.0, "position") == pytest.approx(rho0 * math.log(rho0), rel=1e-12)
+    rho_ln_rho = xlogx(density_evaluator(SpinorState(0, 0.2), 0.0, "position")(0.0))
+    assert rho_ln_rho == pytest.approx(rho0 * math.log(rho0), rel=1e-12)
 
 
 def test_entropic_density_sign_convention():
     # the report integrates MINUS this quantity; pointwise it is rho ln rho
+    density = density_evaluator(SpinorState(1, 0.2), QUARTER, "position")
     for y in linspace(-3, 3, 11):
-        assert entropic_density(1, 0.2, QUARTER, y, "position") <= 0.0, y  # densities < 1 here
-    assert shannon_position(1, 0.2, QUARTER) > 0.0
+        assert xlogx(density(y)) <= 0.0, y  # densities < 1 here
+    assert bbm_reports(1, (0.2,), QUARTER)[0].S_y > 0.0
 
 
 def test_report_fields():
-    rep = bbm_report(2, 0.4)
+    rep, = bbm_reports(2, (0.4,))
     assert rep.n == 2 and rep.omega == 0.4
     assert rep.theta == DEFAULT_THETA
-    assert rep.sum == 2.0 * shannon_position(2, 1.0)  # 2 S_1: at omega = 1, S_y = S_1 exactly
+    assert rep.sum == 2.0 * bbm_reports(2, (1.0,))[0].S_y  # 2 S_1: at omega = 1, S_y = S_1 exactly
     assert rep.sum == pytest.approx(rep.S_y + rep.S_p, rel=2 * sys.float_info.epsilon, abs=0.0)
     assert rep.bbm_bound == BBM_BOUND
     assert 0.0 <= rep.quad_err < 1e-8
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: shannon_position(0, 0.0), "omega must be positive and finite"),
-    (lambda: shannon_momentum(0, math.inf), "omega must be positive and finite"),
-    (lambda: bbm_report(0, math.nan), "omega must be positive and finite"),
+    (lambda: bbm_reports(0, (0.0,)), "omega must be positive and finite"),
+    (lambda: bbm_reports(0, (math.inf,)), "omega must be positive and finite"),
+    (lambda: bbm_reports(0, (math.nan,)), "omega must be positive and finite"),
     (lambda: bbm_reports(0, (1.0, math.inf)), "omega must be positive and finite"),
-    (lambda: bbm_report(True, 0.5), "n must be an integer >= 0"),
-    (lambda: bbm_report(1, 1.0, theta=math.nan), "theta must be finite"),
-    (lambda: shannon_position(1, 1.0, theta=math.inf), "theta must be finite"),
-    (lambda: bbm_report(1, 1.0, tol=math.inf), "target_abs_tol must be positive and finite"),
-    (lambda: bbm_report(1, 0.2, tol=math.nan), "target_abs_tol must be positive and finite"),
+    (lambda: bbm_reports(True, (0.5,)), "n must be an integer >= 0"),
+    (lambda: bbm_reports(1, (1.0,), theta=math.nan), "theta must be finite"),
+    (lambda: bbm_reports(1, (1.0,), theta=math.inf), "theta must be finite"),
+    (lambda: bbm_reports(1, (1.0,), tol=math.inf), "target_abs_tol must be positive and finite"),
+    (lambda: bbm_reports(1, (0.2,), tol=math.nan), "target_abs_tol must be positive and finite"),
 ], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "reports-second-omega-inf",
         "report-bool-level", "report-theta-nan", "position-theta-inf", "report-tol-inf",
         "report-tol-nan"])
@@ -298,11 +297,11 @@ def test_bound_violation_raised(monkeypatch):
 
     monkeypatch.setattr(entropy_mod, "_unit_entropy", fake_integral)
     with pytest.raises(BoundViolation):
-        entropy_mod.bbm_report(0, 1.0)
+        entropy_mod.bbm_reports(0, (1.0,))
 
 
 def test_bound_violation_needs_the_whole_certified_interval_below_the_bound():
     # one quadrature round meets tol = 10: the sum is under the bound, its error bar is not
-    report = bbm_report(0, 1.0, tol=10.0)
+    report, = bbm_reports(0, (1.0,), tol=10.0)
     assert report.sum < BBM_BOUND < report.sum + report.quad_err
     assert report.quad_err <= 2 * 10.0

@@ -13,6 +13,10 @@ from without_package import env_without
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = ROOT / "tests" / "golden"
+# Runs the script at argv[1] with stdout writing each "\n" as it is: the text layer's default on
+# Windows writes "\r\n", while the goldens hold the bytes of a POSIX run.
+RUN_WITH_LF = ("import runpy, sys; sys.stdout.reconfigure(newline='\\n'); "
+               "runpy.run_path(sys.argv[1], run_name='__main__')")
 
 
 def run_without_numpy(argv, tmp_path):
@@ -30,7 +34,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(script, tmp_path):
     golden = GOLDEN / f"demo-{script.stem}.golden"
-    assert run_without_numpy([str(script)], tmp_path) == golden.read_bytes()
+    assert run_without_numpy(["-c", RUN_WITH_LF, str(script)], tmp_path) == golden.read_bytes()
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -5,23 +5,18 @@ import numpy as np
 import pytest
 
 from spinor_integrals import fourier_numeric, norm_integral
-from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, linspace
-from majorana_lab.hermite import (hermite_norm_fn, hermite_norm_fn_and_derivative, hermite_norm_pair,
-                                  hermite_pair_evaluator)
+from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, energy, linspace
+from majorana_lab.hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
+                                  sqrt_2n_omega)
 from majorana_lab.spinor import (
     SpinorState,
     annihilation_apply,
     creation_apply,
     density_evaluator,
     density_slices,
-    energy,
-    ladder_down,
-    ladder_up,
     momentum_spinor_at_phase,
     phase,
     position_spinor_at_phase,
-    probability_density_at_phase,
-    state_energy,
 )
 
 PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
@@ -35,19 +30,19 @@ def test_energy_zero_mode():
         assert repr(energy(0, k)) == "0.0"
         assert repr(-energy(0, k)) == "-0.0"  # the lower tower
     pc = PhysicalConstants(c=1e200, hbar=1e200)  # c hbar overflows, and inf * 0 would be nan
-    assert repr(state_energy(SpinorState(0, 0.37), pc)) == "0.0"
-    assert repr(-state_energy(SpinorState(0, 0.37), pc)) == "-0.0"
+    assert repr(energy(0, 0.37, pc)) == "0.0"
+    assert repr(-energy(0, 0.37, pc)) == "-0.0"
 
 
 def test_energy_is_the_natural_units_root_bit_for_bit():
-    # energy() is state_energy() of its level; in natural units that gives the bits of the
-    # direct root sqrt(2 k n) wherever 2 k n is finite, and stays finite where it is not
+    # in natural units energy() is the phase rate sqrt(2 n omega) at omega = k, with the bits of
+    # the direct root sqrt(2 k n) wherever 2 k n is finite, and finite where it is not
     ks = [10.0**e for e in range(-300, 309, 7)] + [0.37, 0.2, 1.0 / 3.0, 2.5e-310, 1e308]
     for k in ks:
         for n in range(65):
             if 2.0 * k * n < math.inf:
                 assert energy(n, k).hex() == math.sqrt(2.0 * k * n).hex()
-    assert energy(1, 1e308) == state_energy(SpinorState(1, 1e308))
+    assert energy(1, 1e308) == sqrt_2n_omega(1, 1e308)
     assert energy(1, 1e308) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
 
 
@@ -74,7 +69,7 @@ def test_partner_spectra_coincide():
     k, pc = 0.3, PhysicalConstants(c=1.4, hbar=0.9)
     for n in range(8):
         e_minus = energy(n + 1, k, pc)
-        e_plus = state_energy(SpinorState(n=n + 1, omega=pc.omega(k)), pc)
+        e_plus = pc.c * pc.hbar * sqrt_2n_omega(n + 1, pc.omega(k))  # c hbar sqrt(2 (n+1) omega)
         assert e_minus == pytest.approx(e_plus, rel=1e-14)
 
 
@@ -102,7 +97,7 @@ def test_non_finite_phase_is_rejected(n, theta):
     state = SpinorState(n, 0.2)
     for evaluate in (lambda: position_spinor_at_phase(state, 0.3, theta),
                      lambda: momentum_spinor_at_phase(state, 0.3, theta),
-                     lambda: probability_density_at_phase(state, 0.3, theta, "momentum"),
+                     lambda: density_evaluator(state, theta, "momentum"),
                      lambda: density_evaluator(state, theta),
                      lambda: list(density_slices(state, [0.3], [0.5, theta]))):
         with pytest.raises(ValueError, match="^theta must be finite$"):
@@ -247,12 +242,12 @@ def test_momentum_spinor_time_path():
 
 def test_density_ground_state_peak():
     state = SpinorState(0, 0.2)
-    rho = probability_density_at_phase(state, 0.0, phase(state, 3.0))
+    rho = density_evaluator(state, phase(state, 3.0))(0.0)
     assert rho == pytest.approx(math.sqrt(0.2 / math.pi), rel=1e-12)
 
 
 def test_density_first_level_at_origin():
-    rho = probability_density_at_phase(SpinorState(1, 0.2), 0.0, math.pi / 4)
+    rho = density_evaluator(SpinorState(1, 0.2), math.pi / 4)(0.0)
     assert rho == pytest.approx(math.sqrt(0.2 / math.pi) / 2.0, rel=1e-12)
     assert rho == pytest.approx(0.126156626101008, rel=1e-12)
 
@@ -262,7 +257,7 @@ def test_density_matches_spinor_value():
     for space in ("position", "momentum"):
         at = momentum_spinor_at_phase if space == "momentum" else position_spinor_at_phase
         for u in (-1.3, 0.2, 2.1):
-            direct = probability_density_at_phase(state, u, 0.77, space)
+            direct = density_evaluator(state, 0.77, space)(u)
             value = at(state, u, 0.77)
             assert direct == pytest.approx(abs(value.comp1) ** 2 + abs(value.comp2) ** 2, rel=1e-13)
 
@@ -293,15 +288,14 @@ def test_evaluators_match_pointwise_functions_bit_for_bit(n):
             for y in ys:
                 (f_n, f_m), rho = stepwise_density(n, omega, theta, y)
                 assert pair(y) == hermite_norm_pair(n, omega, y) == (f_n, f_m), (omega, y)
-                assert density(y) == rho == probability_density_at_phase(
-                    SpinorState(n, omega), y, theta), (omega, theta, y)
+                assert density(y) == rho, (omega, theta, y)
                 assert density(-y) == density(y) and pair(-y) == ((-1) ** n * f_n, (-1) ** n * -f_m)
 
 
 def test_spinor_and_density_vanish_where_the_envelope_underflows():
     # the Gaussian envelope underflows to 0 and the recurrence's a * u overflows: 0, not inf * 0
-    assert probability_density_at_phase(SpinorState(1, 0.5), 1e308, 0.3, "momentum") == 0.0
-    assert probability_density_at_phase(SpinorState(64, 1e300), -1e200, 0.3) == 0.0
+    assert density_evaluator(SpinorState(1, 0.5), 0.3, "momentum")(1e308) == 0.0
+    assert density_evaluator(SpinorState(64, 1e300), 0.3)(-1e200) == 0.0
     assert position_spinor_at_phase(SpinorState(2, 7.0), 1e308, 0.3) == (0.0, 0.0)
     assert momentum_spinor_at_phase(SpinorState(3, 1e-3), -1.5e308, 0.3) == (0.0, 0.0)
     assert density_evaluator(SpinorState(5, 7.0), 0.3)(1e308) == 0.0
@@ -317,7 +311,7 @@ def test_normalization_every_phase(n, theta):
 
 def test_space_validation():
     with pytest.raises(ValueError):
-        probability_density_at_phase(SpinorState(1, 0.2), 0.0, 0.0, space="fourier")
+        density_evaluator(SpinorState(1, 0.2), 0.0, space="fourier")
 
 
 # ---------------------------------------------------------------- Fourier pairing
@@ -347,13 +341,10 @@ def test_parseval(n):
 
 
 def test_ladder_down_reaches_ground_state():
+    # A phi_1 / E_1 = phi_0, in natural units, where k = omega
     for y in linspace(-6.0, 6.0, 121):
-        assert abs(ladder_down(SpinorState(1, 0.2), y) - hermite_norm_fn(0, 0.2, y)) < 1e-12, y
-
-
-def test_ladder_down_rejects_zero_mode():
-    with pytest.raises(ZeroDivisionError):
-        ladder_down(SpinorState(0, 0.2), 0.5)
+        lowered = annihilation_apply(SpinorState(1, 0.2), y) / energy(1, 0.2)
+        assert abs(lowered - hermite_norm_pair(0, 0.2, y)[0]) < 1e-12, y
 
 
 def test_annihilation_kills_ground_state():
@@ -366,32 +357,32 @@ def test_intertwining(n):
     omega = 0.3
     state, upper = SpinorState(n, omega), SpinorState(n + 1, omega)
     for pc in (PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
-        energy = state_energy(upper, pc)
+        e_upper = energy(n + 1, omega * pc.c * pc.hbar, pc)  # the slope k = omega c hbar
         for y in linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 241):
-            lhs = annihilation_apply(upper, y, pc)
-            assert abs(lhs - energy * hermite_norm_fn(n, omega, y)) < 1e-8 * pc.c * pc.hbar, y
-            # the normalised maps are these over the energy: c hbar cancels, so they take no constants
-            assert ladder_down(upper, y) == pytest.approx(lhs / energy, rel=1e-14, abs=0), y
-            assert ladder_up(state, y) == pytest.approx(creation_apply(state, y, pc) / energy,
-                                                        rel=1e-14, abs=0), y
+            # A phi_{n+1} = E_{n+1} phi_n and A+ phi_n = E_{n+1} phi_{n+1}
+            lowered = annihilation_apply(upper, y, pc) - e_upper * hermite_norm_pair(n, omega, y)[0]
+            raised = creation_apply(state, y, pc) - e_upper * hermite_norm_pair(n + 1, omega, y)[0]
+            assert abs(lowered) < 1e-8 * pc.c * pc.hbar and abs(raised) < 1e-8 * pc.c * pc.hbar, y
 
 
 def test_normalised_ladder_maps_take_no_constants():
-    # c hbar cancels in A phi / E, so a c hbar that underflows to 0 (or overflows) cannot reach them
-    pc = PhysicalConstants(c=1e-300, hbar=1e-300)
-    for ladder in (ladder_up, ladder_down):
-        with pytest.raises(TypeError):
-            ladder(SpinorState(1, 1.0), 0.5, pc)
-    for ladder, m in ((ladder_up, 2), (ladder_down, 0)):
-        assert ladder(SpinorState(1, 1.0), 0.5) == pytest.approx(hermite_norm_fn(m, 1.0, 0.5), rel=1e-15)
+    # c hbar cancels in A phi / E and A+ phi / E: the partner eigenfunctions are the same at every c hbar
+    for pc in (NATURAL_UNITS, PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
+        k = pc.c * pc.hbar  # omega = 1
+        state = SpinorState(1, pc.omega(k))
+        for apply, e, m in ((creation_apply, energy(2, k, pc), 2), (annihilation_apply, energy(1, k, pc), 0)):
+            assert apply(state, 0.5, pc) / e == pytest.approx(hermite_norm_pair(m, 1.0, 0.5)[0], rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_ladder_up_then_down_roundtrip(n):
     omega = 0.9
+    e = energy(n + 1, omega)  # natural units: k = omega
     for y in linspace(-4.0, 4.0, 41):
-        assert abs(ladder_up(SpinorState(n, omega), y) - hermite_norm_fn(n + 1, omega, y)) < 1e-12, y
-        assert abs(ladder_down(SpinorState(n + 1, omega), y) - hermite_norm_fn(n, omega, y)) < 1e-12, y
+        raised = creation_apply(SpinorState(n, omega), y) / e
+        assert abs(raised - hermite_norm_pair(n + 1, omega, y)[0]) < 1e-12, y
+        lowered = annihilation_apply(SpinorState(n + 1, omega), y) / e
+        assert abs(lowered - hermite_norm_pair(n, omega, y)[0]) < 1e-12, y
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -399,27 +390,28 @@ def test_ladder_maps_at_huge_omega(n):
     # 2 n omega, and so E_n^2 = 2 c hbar k n, overflow at omega = 1e308; neither is formed
     omega = 1e308
     scale = (omega / math.pi) ** 0.25  # the size of phi_n there
+    e = energy(n + 1, omega)  # natural units: k = omega
     for y in (v / math.sqrt(omega) for v in linspace(-4.0, 4.0, 41)):
-        raised = ladder_up(SpinorState(n, omega), y)
-        assert math.isfinite(raised) and abs(raised - hermite_norm_fn(n + 1, omega, y)) < 1e-12 * scale, y
-        lowered = ladder_down(SpinorState(n + 1, omega), y)
-        assert math.isfinite(lowered) and abs(lowered - hermite_norm_fn(n, omega, y)) < 1e-12 * scale, y
+        raised = creation_apply(SpinorState(n, omega), y) / e
+        assert math.isfinite(raised) and abs(raised - hermite_norm_pair(n + 1, omega, y)[0]) < 1e-12 * scale, y
+        lowered = annihilation_apply(SpinorState(n + 1, omega), y) / e
+        assert math.isfinite(lowered) and abs(lowered - hermite_norm_pair(n, omega, y)[0]) < 1e-12 * scale, y
 
 
 def test_huge_omega_slope_and_energy_are_finite():
     phi, slope = hermite_norm_fn_and_derivative(1, 1e308, 1e-160)
     # phi_1' = sqrt(2 omega) phi_0 (1 - omega y^2), 1.06225193202560354e231 by mpmath at 40 digits
     assert slope == pytest.approx(1.06225193202560354e231, rel=1e-12)
-    pc = PhysicalConstants(c=10.0)
-    assert state_energy(SpinorState(1, 1e308), pc) == pytest.approx(10.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
-    assert -state_energy(SpinorState(1, 1e308), pc) == pytest.approx(-10.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
+    pc = PhysicalConstants(c=10.0)  # 2 c hbar k = 2e309 overflows, its root does not
+    assert energy(1, 1e308, pc) == pytest.approx(math.sqrt(20.0) * 1e154, rel=1e-15)
+    assert -energy(1, 1e308, pc) == pytest.approx(-math.sqrt(20.0) * 1e154, rel=1e-15)
 
 
 def test_energy_where_c_hbar_overflows_before_the_root():
-    # c hbar = 1e400 leaves the float range, E = c hbar sqrt(2 omega) ~ 1.41e240 does not
-    e_1 = state_energy(SpinorState(1, 1e-320), PhysicalConstants(c=1e300, hbar=1e100))
-    assert e_1 == pytest.approx(math.sqrt(2e-320) * 1e300 * 1e100, rel=1e-15)
-    assert state_energy(SpinorState(1, 1.0), PhysicalConstants(c=1e300, hbar=1e300)) == math.inf
+    # c hbar = 1e400 leaves the float range, E = sqrt(2 c hbar k) ~ 1.41e240 does not
+    e_1 = energy(1, 1e80, PhysicalConstants(c=1e300, hbar=1e100))
+    assert e_1 == pytest.approx(math.sqrt(2.0) * 1e240, rel=1e-15)
+    assert energy(1, 1e300, PhysicalConstants(c=1e300, hbar=1e300)) == math.inf
 
 
 @pytest.mark.parametrize("from_array", [False, True], ids=["float", "array"])
@@ -460,8 +452,7 @@ def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega
     # warns where omega y overflows, is never reached
     state = SpinorState(n, omega)
     maps = [lambda y: hermite_norm_fn_and_derivative(n, omega, y)[1],
-            lambda y: annihilation_apply(state, y), lambda y: creation_apply(state, y),
-            lambda y: ladder_up(state, y), *([lambda y: ladder_down(state, y)] if n else [])]
+            lambda y: annihilation_apply(state, y), lambda y: creation_apply(state, y)]
     for f in maps:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow of omega y
@@ -477,21 +468,19 @@ def test_partner_potentials_by_finite_difference(n):
     k = omega * pc.c * pc.hbar
     e2 = 2.0 * pc.c * pc.hbar * k * n
     h = 1e-4
+
+    def phi(m, y):
+        return hermite_norm_pair(m, omega, y)[0]
+
     for y in np.linspace(-2.0, 2.0, 9):
         # upper tower: phi_n with V_-
-        d2 = (
-            hermite_norm_fn(n, omega, y + h) - 2 * hermite_norm_fn(n, omega, y) + hermite_norm_fn(n, omega, y - h)
-        ) / h**2
-        lhs = -((pc.c * pc.hbar) ** 2) * d2 + ((k * y) ** 2 - pc.c * pc.hbar * k) * hermite_norm_fn(n, omega, y)
-        assert lhs == pytest.approx(e2 * hermite_norm_fn(n, omega, y), rel=2e-5, abs=2e-7)
+        d2 = (phi(n, y + h) - 2 * phi(n, y) + phi(n, y - h)) / h**2
+        lhs = -((pc.c * pc.hbar) ** 2) * d2 + ((k * y) ** 2 - pc.c * pc.hbar * k) * phi(n, y)
+        assert lhs == pytest.approx(e2 * phi(n, y), rel=2e-5, abs=2e-7)
         # lower tower: phi_{n-1} with V_+ at the same energy
-        d2 = (
-            hermite_norm_fn(n - 1, omega, y + h)
-            - 2 * hermite_norm_fn(n - 1, omega, y)
-            + hermite_norm_fn(n - 1, omega, y - h)
-        ) / h**2
-        lhs = -((pc.c * pc.hbar) ** 2) * d2 + ((k * y) ** 2 + pc.c * pc.hbar * k) * hermite_norm_fn(n - 1, omega, y)
-        assert lhs == pytest.approx(e2 * hermite_norm_fn(n - 1, omega, y), rel=2e-5, abs=2e-7)
+        d2 = (phi(n - 1, y + h) - 2 * phi(n - 1, y) + phi(n - 1, y - h)) / h**2
+        lhs = -((pc.c * pc.hbar) ** 2) * d2 + ((k * y) ** 2 + pc.c * pc.hbar * k) * phi(n - 1, y)
+        assert lhs == pytest.approx(e2 * phi(n - 1, y), rel=2e-5, abs=2e-7)
 
 
 # ---------------------------------------------------------------- parameter types

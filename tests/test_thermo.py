@@ -14,7 +14,6 @@ from majorana_lab.thermo import (
     EnsembleParams,
     moment_sums,
     partition_em,
-    partition_exact,
     report,
     thermo_sweep,
 )
@@ -35,14 +34,14 @@ def test_partition_em_values():
 
 
 def test_partition_exact_ground_state_limit():
-    z, _, tail = partition_exact(EnsembleParams(beta=1e3, k=0.5), tol=1e-10)
+    (z, _, _), _, tail = moment_sums(EnsembleParams(beta=1e3, k=0.5), tol=1e-10)
     assert z == pytest.approx(1.0, abs=1e-12)
     assert tail < 1e-10
 
 
 def test_partition_exact_matches_brute_force():
     ep = EnsembleParams(beta=1.0, k=1.0)
-    z, trunc_n, tail = partition_exact(ep, tol=1e-10)
+    (z, _, _), trunc_n, tail = moment_sums(ep, tol=1e-10)
     assert z == pytest.approx(float(direct_sum(1.0)[0]), abs=1e-10)
     assert z == pytest.approx(1.7223573172376996, abs=1e-9)
     assert tail < 1e-10 and trunc_n >= 1
@@ -50,7 +49,7 @@ def test_partition_exact_matches_brute_force():
 
 def test_partition_exact_weak_coupling():
     ep = EnsembleParams(beta=0.1, k=0.01)
-    z, _, _ = partition_exact(ep, tol=1e-10)
+    (z, _, _), _, _ = moment_sums(ep, tol=1e-10)
     assert z == pytest.approx(float(moments(0.01, 0.1, 0.1)[0]), abs=1e-8)
     assert z == pytest.approx(10000.502931634, abs=1e-6)
     assert abs(partition_em(ep) - z) / z < 0.01
@@ -102,10 +101,11 @@ def test_partition_budget_exhaustion():
     # precision at M = 200, so only a tolerance far below it is refused.
     ep = EnsembleParams(beta=1e-4, k=0.5)
     with pytest.raises(NonConvergence) as excinfo:
-        partition_exact(ep, tol=1e-300)
+        moment_sums(ep, tol=1e-300)
+    (z, _, _), _, bound = moment_sums(ep)
     assert excinfo.value.value > 0.0
-    assert excinfo.value.value == partition_exact(ep)[0]  # the M = 200 sum
-    assert excinfo.value.err_estimate == partition_exact(ep)[2] > 1e-300  # its bound
+    assert excinfo.value.value == z  # the M = 200 sum
+    assert excinfo.value.err_estimate == bound > 1e-300  # its bound
 
 
 def test_bound_at_200_terms_is_below_double_rounding_for_every_coupling():
@@ -197,13 +197,13 @@ TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
 
 @pytest.mark.parametrize("take", [
     lambda: partition_em(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
-    lambda: partition_exact(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
+    lambda: moment_sums(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
     lambda: report(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
     lambda: report(EnsembleParams(beta=1e100, k=1e-10)),
     lambda: report(EnsembleParams(beta=1.0, k=1e160)),
     lambda: report(EnsembleParams(beta=1e-160, k=1e-10)),
     lambda: report(EnsembleParams(beta=1e200, k=1e200)),
-], ids=["partition_em-c_hbar-underflows", "partition_exact-c_hbar-underflows",
+], ids=["partition_em-c_hbar-underflows", "moment_sums-c_hbar-underflows",
         "report-c_hbar-underflows", "report-beta=1e100-k=1e-10", "report-beta=1-k=1e160",
         "report-beta=1e-160-k=1e-10", "report-beta=1e200-k=1e200"])
 def test_every_ensemble_function_refuses_couplings_out_of_range(take):
@@ -215,10 +215,10 @@ def test_every_ensemble_function_refuses_couplings_out_of_range(take):
 
 def test_partition_monotone_in_beta_and_k():
     betas = [0.2, 0.5, 1.0, 2.0]
-    zs = [partition_exact(EnsembleParams(beta=b, k=0.4))[0] for b in betas]
+    zs = [moment_sums(EnsembleParams(beta=b, k=0.4))[0][0] for b in betas]
     assert all(a > b for a, b in zip(zs, zs[1:]))
     ks = [0.1, 0.4, 1.0, 3.0]
-    zs = [partition_exact(EnsembleParams(beta=0.7, k=k))[0] for k in ks]
+    zs = [moment_sums(EnsembleParams(beta=0.7, k=k))[0][0] for k in ks]
     assert all(a > b for a, b in zip(zs, zs[1:]))
 
 
