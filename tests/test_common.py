@@ -47,13 +47,19 @@ def test_out_of_range_is_a_value_error_naming_its_parameter():
     assert (exc.param, exc.value, str(exc)) == ("T", 1e-300, "too cold")
 
 
+# Each row is labelled by the quantity it computes; a label that is no public name marks a row
+# that composes the kept entries as their callers do.
 LEVEL_TAKERS = {
+    "hermite_norm_fn": lambda n: hermite_norm_pair(n, 1.0, 0.5)[0],
     "hermite_norm_pair": lambda n: hermite_norm_pair(n, 1.0, 0.5),
     "hermite_norm_fn_and_derivative": lambda n: hermite_norm_fn_and_derivative(n, 1.0, 0.5),
     "hermite_pair_evaluator": lambda n: hermite_pair_evaluator(n, 1.0),
     "SpinorState": lambda n: SpinorState(n, 1.0),
     "energy": lambda n: energy(n, 1.0),
-    "bbm_reports": lambda n: bbm_reports(n, (1.0,)),
+    "bbm_report": lambda n: bbm_reports(n, (1.0,))[0],
+    "shannon_position": lambda n: bbm_reports(n, (1.0,))[0].S_y,
+    "shannon_momentum": lambda n: bbm_reports(n, (1.0,))[0].S_p,
+    "entropic_density": lambda n: xlogx(density_evaluator(SpinorState(n, 1.0), 0.3)(0.5)),
     "truncation_radius": lambda n: truncation_radius(1.0, n),
 }
 
@@ -98,18 +104,23 @@ def test_an_int_coordinate_gives_the_float_bits_without_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+# Labelled as LEVEL_TAKERS is.
 POINTWISE = {
+    "hermite_norm_fn": lambda y: hermite_norm_pair(2, 1.0, y)[0],
     "hermite_norm_pair": lambda y: hermite_norm_pair(2, 1.0, y),
     "hermite_norm_fn_and_derivative": lambda y: hermite_norm_fn_and_derivative(2, 1.0, y),
     "hermite_pair_evaluator": lambda y: hermite_pair_evaluator(2, 1.0)(y),
     "xlogx": xlogx,
     "position_spinor_at_phase": lambda y: position_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
     "momentum_spinor_at_phase": lambda y: momentum_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
+    "probability_density_at_phase": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3, "momentum")(y),
     "density_evaluator": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3)(y),
     "density_slices": lambda y: next(density_slices(SpinorState(2, 1.0), [y], [0.3]))[0],
-    "entropy_density": lambda y: xlogx(density_evaluator(SpinorState(2, 1.0), 0.3)(y)),
+    "entropic_density": lambda y: xlogx(density_evaluator(SpinorState(2, 1.0), 0.3)(y)),
     "annihilation_apply": lambda y: annihilation_apply(SpinorState(2, 1.0), y),
     "creation_apply": lambda y: creation_apply(SpinorState(2, 1.0), y),
+    "ladder_up": lambda y: creation_apply(SpinorState(2, 1.0), y) / energy(3, 1.0),
+    "ladder_down": lambda y: annihilation_apply(SpinorState(2, 1.0), y) / energy(2, 1.0),
 }
 
 
