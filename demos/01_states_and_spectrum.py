@@ -14,7 +14,7 @@ from majorana_lab.spinor import (
     annihilation_apply,
     creation_apply,
     phase,
-    position_spinor_at_phase,
+    spinor_evaluator,
 )
 
 k = 0.2
@@ -29,7 +29,7 @@ for n in range(7):
 # the Gaussian upper component carries no phase.
 state0 = SpinorState(0, omega)
 for t in (0.0, 3.0, 17.0):
-    v = position_spinor_at_phase(state0, 0.5, phase(state0, t))
+    v = spinor_evaluator(state0, phase(state0, t))(0.5)
     print(f"\nground state at y=0.5, t={t:>4}: ({v.comp1:.8f}, {v.comp2})", end="")
 print()
 
@@ -39,7 +39,7 @@ state2 = SpinorState(2, omega)
 print("\nn=2 spinor at y=1.0 over a quarter period:")
 period = 2 * math.pi / math.sqrt(2 * omega * 2)
 for frac in (0.0, 0.125, 0.25):
-    v = position_spinor_at_phase(state2, 1.0, phase(state2, frac * period))
+    v = spinor_evaluator(state2, phase(state2, frac * period))(1.0)
     print(f"  t/T={frac:5.3f}: comp1={v.comp1:+.6f}  comp2={v.comp2:+.6f}")
 
 # Ladder checks: A phi_{n+1} = E_{n+1} phi_n pointwise, and A phi_0 = 0.

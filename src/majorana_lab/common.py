@@ -19,10 +19,24 @@ MAX_LEVEL = 64
 MAX_PARTICLES = 10**150
 
 
+def coordinate(y, name="a coordinate", positive=False):
+    """float(y) of a finite real number, a type with __float__ or __index__ (an int, a float, a
+    numpy scalar, a Fraction); else, naming y's parameter, TypeError for text, which float() would
+    parse, and ValueError for inf, nan, past the largest float and, if positive, for y <= 0."""
+    if not (hasattr(type(y), "__float__") or hasattr(type(y), "__index__")):
+        raise TypeError(f"{name} must be a real number, not {type(y).__name__}")
+    try:
+        if math.isfinite(y := float(y)) and (not positive or y > 0.0):
+            return y
+    except OverflowError:  # an int or a Fraction past the largest float
+        pass
+    raise ValueError(f"{name} must be {'positive and ' * positive}finite")
+
+
 def positive_finite(value, name):
-    """Raise ValueError naming value's parameter unless 0 < value < inf."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite")
+    """Raise ValueError naming value's parameter unless it is a real number 0 < value < inf, by
+    coordinate's rule (so text is a TypeError, and an int past the largest float is refused)."""
+    coordinate(value, name, positive=True)
 
 
 def _frexp_quotient(numerators, denominators):
@@ -94,20 +108,6 @@ def energy(n, k, pc=NATURAL_UNITS):
         return scaled_root((2.0 * level(n), pc.c, pc.hbar, k))
     except OverflowError:  # the root exceeds the largest float
         return math.inf
-
-
-def coordinate(y):
-    """float(y) of a finite real number, a type with __float__ or __index__ (an int, a float, a
-    numpy scalar, a Fraction); TypeError for text and other buffers, which float() would parse,
-    and ValueError for inf, nan and a value past the largest float."""
-    if not (hasattr(type(y), "__float__") or hasattr(type(y), "__index__")):
-        raise TypeError(f"a coordinate must be a real number, not {type(y).__name__}")
-    try:
-        if math.isfinite(y := float(y)):
-            return y
-    except OverflowError:  # an int or a Fraction past the largest float
-        pass
-    raise ValueError("a coordinate must be finite")
 
 
 class LevelError(ValueError, TypeError):

@@ -18,7 +18,7 @@ xlogx(density_evaluator(state, theta, space)(coord)).
 import math
 from collections import namedtuple
 
-from .common import DEFAULT_THETA, DEFAULT_TOL, BoundViolation, positive_finite
+from .common import DEFAULT_THETA, DEFAULT_TOL, BoundViolation, level, positive_finite
 from .quadrature import integrate, truncation_radius, xlogx
 from .spinor import SpinorState, density_evaluator
 
@@ -34,7 +34,7 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     """One record of both entropies, their sum and the uncertainty bound per omega of the
     sequence omegas.
 
-    Every omega is checked, then one quadrature of S_1(n, theta) serves them
+    The level and every omega are checked, then one quadrature of S_1(n, theta) serves them
     all (an empty omegas runs none).  The sum is 2 S_1(n, theta), the same
     for every omega, and quad_err is twice the quadrature's error estimate
     (it enters S_y and S_p alike).  Raises BoundViolation, naming the first
@@ -42,6 +42,7 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     undercuts the bound by more than the numerical guard; that signals a
     bug, not physics.
     """
+    level(n)
     shifts = [_half_log(omega) for omega in omegas]
     if not shifts:
         return []

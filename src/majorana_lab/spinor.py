@@ -14,18 +14,18 @@ maps phi_n at frequency omega to i^n times phi_n at frequency 1/omega.
 
 Each input has one entry.  The slope is a float k > 0, taken by PhysicalConstants.omega(k),
 which gives a state its omega; the spectrum E_n is common.energy(n, k, pc).  Time enters only
-through the phase theta_n(t) = phase(state, t, pc), which the *_at_phase functions take, so a
-spinor at time t is position_spinor_at_phase(state, y, phase(state, t, pc)).  A coordinate is
-taken once per point, by the Hermite-Gauss evaluator every value passes through.  The ladder
-maps are A and A+ themselves: A phi_n = E_n phi_{n-1} and A+ phi_n = E_{n+1} phi_{n+1}.
+through the phase theta_n(t) = phase(state, t, pc): a spinor at time t is
+spinor_evaluator(state, phase(state, t, pc), space)(coord), the twin of density_evaluator.  A
+coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per point.
+The ladder maps are A and A+ themselves: A phi_n = E_n phi_{n-1} and A+ phi_n = E_{n+1} phi_{n+1}.
 """
 
 import math
 from collections import namedtuple
 
-from .common import NATURAL_UNITS, SPACES, OutOfRange, level, positive_finite, scaled_quotient
-from .hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
-                      sqrt_2n_omega)
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, positive_finite,
+                     scaled_quotient)
+from .hermite import hermite_norm_fn_and_derivative, hermite_pair_evaluator, sqrt_2n_omega
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
@@ -39,8 +39,7 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     def __new__(cls, n, omega, Omega=0.0):
         level(n)
         positive_finite(omega, "omega")
-        if not math.isfinite(Omega):
-            raise ValueError("Omega must be finite")
+        coordinate(Omega, "Omega")
         return super().__new__(cls, n, omega, Omega)
 
 
@@ -51,32 +50,32 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 def phase(state, t, pc=NATURAL_UNITS):
     """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega).
 
-    Raises OutOfRange naming "t" when theta_n(t) is not finite (t itself non-finite, or the
-    exactly scaled product overflowing).
+    Raises OutOfRange naming "t" when theta_n(t) is not finite: "t must be finite" where t is no
+    finite float (common.coordinate's rule: inf, nan, an int or a Fraction past the largest
+    float), and a range error where the exactly scaled product overflows.
     """
-    theta = scaled_quotient((sqrt_2n_omega(state.n, state.omega), pc.c, t)) + state.Omega
-    if not math.isfinite(theta):
+    try:
+        theta = scaled_quotient((sqrt_2n_omega(state.n, state.omega), pc.c, coordinate(t, "t")))
+    except ValueError as exc:  # t is no finite float
+        raise OutOfRange("t", t, str(exc)) from None
+    if not math.isfinite(theta := theta + state.Omega):
         raise OutOfRange("t", t, f"t={t!r} takes the phase theta_n(t) out of the float range")
     return theta
 
 
-def position_spinor_at_phase(state, y, theta):
-    """Spinor components at coordinate y for a given phase theta (both real)."""
-    f_n, f_m = hermite_norm_pair(state.n, state.omega, y)
+def spinor_evaluator(state, theta, space="position"):
+    """coord -> SpinorValue at phase theta and a position (y) or momentum (p) coordinate: real
+    in position; in momentum the Fourier phases i^n and i^(n-1) times the profiles at 1/omega."""
+    pair = hermite_pair_evaluator(state.n, space_frequency(state.omega, space))
     s, c = _weights(state, theta)
-    return SpinorValue(f_n * s, f_m * c)
+    upper, lower = 1.0, 1.0  # a position component times 1.0 is the same float, bit for bit
+    if space == "momentum":
+        upper, lower = _I_POW[state.n % 4], _I_POW[(state.n - 1) % 4]
 
-
-def momentum_spinor_at_phase(state, p, theta):
-    """Momentum-space components at phase theta (complex: i^n Fourier phases).
-
-    The radial profile is the Hermite-Gauss function at inverted frequency
-    1/omega; this reproduces the closed-form transforms of the first few
-    levels exactly.
-    """
-    f_n, f_m = hermite_norm_pair(state.n, space_frequency(state.omega, "momentum"), p)
-    s, c = _weights(state, theta)
-    return SpinorValue(_I_POW[state.n % 4] * f_n * s, _I_POW[(state.n - 1) % 4] * f_m * c)
+    def spinor(coord):
+        f_n, f_m = pair(coord)
+        return SpinorValue(upper * f_n * s, lower * f_m * c)
+    return spinor
 
 
 def density_evaluator(state, theta, space="position"):
@@ -105,8 +104,7 @@ def density_slices(state, ys, thetas):
 def _weights(state, theta):
     """The component weights (sin theta, cos theta); at n = 0, the stationary (phi_0, 0), they
     are 1 and 0, which leave phi_0 and phi_0 * phi_0 exactly as they are."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    theta = coordinate(theta, "theta")
     return (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from majorana_lab.quadrature import integrate, truncation_radius
-from majorana_lab.spinor import density_evaluator, position_spinor_at_phase
+from majorana_lab.spinor import density_evaluator, spinor_evaluator
 
 
 def norm_integral(state, theta, space):
@@ -24,9 +24,10 @@ def norm_integral(state, theta, space):
 def fourier_numeric(state, theta, p):
     """(1/sqrt(2 pi)) integral of psi(y) e^{ipy} dy, by quadrature per component."""
     radius = truncation_radius(state.omega, state.n + 1, tail_tol=1e-13)
+    spinor = spinor_evaluator(state, theta)
     comps = []
     for pick in (lambda v: v.comp1, lambda v: v.comp2):
-        re, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.cos(p * y), radius, 1e-11)
-        im, _ = integrate(lambda y: pick(position_spinor_at_phase(state, y, theta)) * np.sin(p * y), radius, 1e-11)
+        re, _ = integrate(lambda y: pick(spinor(y)) * np.cos(p * y), radius, 1e-11)
+        im, _ = integrate(lambda y: pick(spinor(y)) * np.sin(p * y), radius, 1e-11)
         comps.append((re + 1j * im) / math.sqrt(2 * math.pi))
     return comps

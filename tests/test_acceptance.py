@@ -15,7 +15,7 @@ from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.common import PhysicalConstants, energy, linspace
 from majorana_lab.entropy import BBM_BOUND, bbm_reports
 from majorana_lab.hermite import hermite_norm_pair
-from majorana_lab.spinor import SpinorState, annihilation_apply, momentum_spinor_at_phase
+from majorana_lab.spinor import SpinorState, annihilation_apply, spinor_evaluator
 from majorana_lab.thermo import EnsembleParams, moment_sums, partition_em, report, thermo_sweep
 
 QUARTER = math.pi / 4
@@ -103,9 +103,10 @@ def test_criterion_06_fourier_and_parseval():
     for n in range(7):
         state = SpinorState(n, omega)
         sigma_p = math.sqrt(omega * (2 * n + 1))
+        momentum = spinor_evaluator(state, theta, "momentum")
         for p in np.linspace(-3 * sigma_p, 3 * sigma_p, 7):
             numeric = fourier_numeric(state, theta, p)
-            analytic = momentum_spinor_at_phase(state, float(p), theta)
+            analytic = momentum(float(p))
             worst_ft = max(worst_ft, abs(numeric[0] - analytic.comp1), abs(numeric[1] - analytic.comp2))
         worst_parseval = max(
             worst_parseval,

@@ -16,7 +16,7 @@ from majorana_lab.entropy import bbm_reports
 from majorana_lab.hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
 from majorana_lab.spinor import (SpinorState, annihilation_apply, creation_apply, density_evaluator,
-                                 density_slices, momentum_spinor_at_phase, position_spinor_at_phase)
+                                 density_slices, spinor_evaluator)
 from majorana_lab.thermo import EnsembleParams, moment_sums
 from without_package import env_without
 
@@ -111,8 +111,8 @@ POINTWISE = {
     "hermite_norm_fn_and_derivative": lambda y: hermite_norm_fn_and_derivative(2, 1.0, y),
     "hermite_pair_evaluator": lambda y: hermite_pair_evaluator(2, 1.0)(y),
     "xlogx": xlogx,
-    "position_spinor_at_phase": lambda y: position_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
-    "momentum_spinor_at_phase": lambda y: momentum_spinor_at_phase(SpinorState(2, 1.0), y, 0.3),
+    "position_spinor_at_phase": lambda y: spinor_evaluator(SpinorState(2, 1.0), 0.3)(y),
+    "momentum_spinor_at_phase": lambda y: spinor_evaluator(SpinorState(2, 1.0), 0.3, "momentum")(y),
     "probability_density_at_phase": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3, "momentum")(y),
     "density_evaluator": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3)(y),
     "density_slices": lambda y: next(density_slices(SpinorState(2, 1.0), [y], [0.3]))[0],
@@ -158,8 +158,7 @@ def test_a_coordinate_that_is_no_finite_float_is_refused(name, y):
         POINTWISE[name](y)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
-@pytest.mark.parametrize("name, take", [
+POSITIVE_SITES = [
     ("omega", lambda v: hermite_pair_evaluator(1, v)),
     ("omega", lambda v: SpinorState(1, v)),
     ("omega", lambda v: bbm_reports(1, (v,))),
@@ -175,12 +174,27 @@ def test_a_coordinate_that_is_no_finite_float_is_refused(name, y):
     ("k", lambda v: energy(1, v)),
     ("tol", lambda v: moment_sums(EnsembleParams(1.0, 0.2), v)),
     ("target_abs_tol", lambda v: bbm_reports(1, (0.2,), tol=v)),
-], ids=["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
-        "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
-        "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol"])
+]
+POSITIVE_SITE_IDS = ["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
+                     "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
+                     "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol"]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, 10**400, Fraction(10**400, 3)],
+                         ids=["0", "-1", "inf", "nan", "int-past-max", "Fraction-past-max"])
+@pytest.mark.parametrize("name, take", POSITIVE_SITES, ids=POSITIVE_SITE_IDS)
 def test_every_positive_finite_site_has_one_rule(name, take, value):
+    # an int or a Fraction past the largest float is refused as inf is, not by float()'s
+    # OverflowError
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         take(value)
+
+
+@pytest.mark.parametrize("name, take", POSITIVE_SITES, ids=POSITIVE_SITE_IDS)
+def test_a_text_positive_value_is_refused_naming_its_parameter(name, take):
+    # text is no real number: the coordinate rule's TypeError, not a failed comparison
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, not str$"):
+        take("1")
 
 
 @pytest.mark.parametrize("take", [
@@ -278,8 +292,7 @@ PUBLIC_FUNCTIONS = {
                              "hermite_pair_evaluator", "sqrt_2n_omega"},
     "majorana_lab.quadrature": {"integrate", "truncation_radius", "xlogx"},
     "majorana_lab.spinor": {"annihilation_apply", "creation_apply", "density_evaluator",
-                            "density_slices", "momentum_spinor_at_phase", "phase",
-                            "position_spinor_at_phase", "space_frequency"},
+                            "density_slices", "phase", "space_frequency", "spinor_evaluator"},
     "majorana_lab.entropy": {"bbm_reports"},
     "majorana_lab.thermo": {"moment_sums", "partition_em", "report", "thermo_sweep"},
     "majorana_lab.cli": {"cmd_density", "cmd_entropy_density", "cmd_heatmap", "cmd_table1",

@@ -2,14 +2,15 @@
 
 Every function of hermite, spinor, entropy and thermo (and the spectrum of common, the radius
 and x ln x of quadrature) is called over levels n in {0, 1, 64}, magnitudes x from 5e-324 to
-1e308, coordinates and times from 5e-324 to 1e308 of either sign, coordinates past the largest
-float (an int and a Fraction), and seven sets of constants:
+1e308, coordinates and times from 5e-324 to 1e308 of either sign and past the largest float
+(an int and a Fraction), and seven sets of constants:
 natural units, c = hbar = 1e-300 and 1e300, k_B = 1e-300 and 1e300, (3e8, 1.05e-34) and
 c = hbar = 1e-160, where a product of the constants is subnormal.  An outcome is clean if
 
   - it is finite;
-  - it raises ValueError (OutOfRange and LevelError among them) or NonConvergence (from the
-    quadrature or the partition series), with one of the wordings in REFUSALS;
+  - it raises ValueError (OutOfRange and LevelError among them), TypeError (text where a real
+    number belongs) or NonConvergence (from the quadrature or the partition series), with one
+    of the wordings in REFUSALS;
   - it is +-inf where the exact product of the constants exceeds the largest float, with
     its sign, or temperature's inf where 1/(k_B beta) exceeds the largest float.
 
@@ -38,8 +39,8 @@ from majorana_lab.thermo import EM_PARAMETER_RANGE, EnsembleParams
 
 X = (5e-324, 1e-308, 1e-150, 1e-10, 0.3, 1.0, 7.0, 1e10, 1e150, 1e308)
 LEVELS = (0, 1, 64)
-FLOATS = (0.0, 1.0, -1.0, -7.0, 1e150, 1e308, 5e-324)  # coordinates, times and x ln x arguments
-COORDS = (*FLOATS, 10**400, Fraction(10**400, 3))
+FLOATS = (0.0, 1.0, -1.0, -7.0, 1e150, 1e308, 5e-324)  # x ln x arguments
+COORDS = (*FLOATS, 10**400, Fraction(10**400, 3))  # coordinates and times
 CONSTANTS = {
     "natural": PhysicalConstants(),
     "c_hbar=1e-300": PhysicalConstants(c=1e-300, hbar=1e-300),
@@ -51,11 +52,13 @@ CONSTANTS = {
 }
 
 # Every wording a refusal may carry; a new one fails the sweep until it is listed here.
+POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol)"  # common.positive_finite's names
+REAL = r"(a coordinate|t|theta|Omega)"  # common.coordinate's names
 REFUSALS = tuple(re.compile(pattern) for pattern in (
-    r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol) must be positive and finite",
+    rf"{POSITIVE} must be positive and finite",
+    rf"({POSITIVE}|{REAL}) must be a real number, not \w+",
     r"(quantum number n|N) must be an integer >= \d+",
-    r"(Omega|theta) must be finite",
-    r"a coordinate must be (a real number, not \w+|finite)",
+    rf"{REAL} must be finite",
     r"tail_tol must lie in \(0, 1\)",
     r"xlogx requires v >= 0",
     r"space must be one of \('position', 'momentum'\)",
@@ -72,6 +75,7 @@ REFUSALS = tuple(re.compile(pattern) for pattern in (
 ))
 
 MIN, MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+HUGE_AND_TEXT = (10**400, Fraction(-10**400, 3), "1")  # no real number a float holds
 
 _RNG = random.Random(25)
 # 2 n omega overflows past omega = 2**1015 (n >= 1), and w/omega below 2**-1015
@@ -117,7 +121,7 @@ def check(take, product=None):
     float, +-inf only beyond the largest float, and a refusal only where it is not normal."""
     try:
         result = take()
-    except (ValueError, NonConvergence) as exc:
+    except (ValueError, TypeError, NonConvergence) as exc:
         assert any(p.fullmatch(str(exc)) for p in REFUSALS), f"unlisted refusal: {exc}"
         if product is not None:
             assert not MIN <= abs(product) <= MAX, f"false refusal of {float(product)!r}: {exc}"
@@ -185,8 +189,9 @@ def sweep_spectrum(pc):
     for n in LEVELS:
         for omega in X:
             state, root = SpinorState(n, omega), hermite.sqrt_2n_omega(n, omega)
-            for t in FLOATS:
-                check(lambda: spinor.phase(state, t, pc), exact(root, pc.c, t))
+            for t in COORDS:  # a time past the largest float is refused, as inf is
+                product = exact(root, pc.c, t) if abs(t) <= MAX else None
+                check(lambda: spinor.phase(state, t, pc), product)
 
 
 def sweep_states(pc):
@@ -195,11 +200,8 @@ def sweep_states(pc):
             state = SpinorState(n, omega)
             for coord in COORDS:
                 for t in (0.0, 1.0, 1e308):
-                    check(lambda: spinor.position_spinor_at_phase(
-                        state, coord, spinor.phase(state, t, pc)))
-                    check(lambda: spinor.momentum_spinor_at_phase(
-                        state, coord, spinor.phase(state, t, pc)))
                     for space in ("position", "momentum"):
+                        check(lambda: spinor.spinor_evaluator(state, spinor.phase(state, t, pc), space)(coord))
                         check(lambda: density_evaluator(state, spinor.phase(state, t, pc), space)(coord))
 
 
@@ -247,11 +249,20 @@ def sweep_bad_input():
         *(lambda c=c: PhysicalConstants(**{c: 0.0}) for c in PhysicalConstants._fields),
         lambda: PhysicalConstants().omega(-1.0),
         lambda: energy(1, -1.0),
-        lambda: SpinorState(0, 1.0, Omega=inf),
-        *(lambda t=t: spinor.phase(state, t) for t in (inf, nan)),
-        lambda: density_evaluator(state, nan)(0.5),
+        # a positive real number: an int or a Fraction past the largest float, and text, too
+        *(lambda v=v: PhysicalConstants(c=v) for v in HUGE_AND_TEXT),
+        *(lambda v=v: PhysicalConstants().omega(v) for v in HUGE_AND_TEXT),
+        *(lambda v=v: energy(1, v) for v in HUGE_AND_TEXT),
+        *(lambda v=v: EnsembleParams(v, 1.0) for v in HUGE_AND_TEXT),
+        *(lambda v=v: EnsembleParams(1.0, v) for v in HUGE_AND_TEXT),
+        *(lambda v=v: entropy.bbm_reports(1, (v,)) for v in HUGE_AND_TEXT),
+        *(lambda v=v: SpinorState(0, 1.0, Omega=v) for v in (inf, *HUGE_AND_TEXT)),
+        *(lambda t=t: spinor.phase(state, t) for t in (inf, nan, *HUGE_AND_TEXT)),
+        *(lambda v=v: density_evaluator(state, v)(0.5) for v in (nan, *HUGE_AND_TEXT)),
+        *(lambda v=v: spinor.spinor_evaluator(state, v, "momentum") for v in (nan, *HUGE_AND_TEXT)),
         lambda: density_evaluator(state, spinor.phase(state, 0.0), space="spin")(0.5),
         lambda: entropy.bbm_reports(1, (1.0,), tol=0.0),
+        *(lambda n=n: entropy.bbm_reports(n, ()) for n in (-1, True)),  # no omega: the level is checked
         lambda: entropy.bbm_reports(3, (1.0,), 0.3, tol=1e-300),
         *(lambda kw=kw: EnsembleParams(**{"beta": 1.0, "k": 1.0, **kw})
           for kw in ({"beta": 0.0}, {"k": -1.0}, {"N": 0}, {"N": 1.5}, {"N": 10**400},

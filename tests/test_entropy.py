@@ -279,12 +279,15 @@ def test_report_fields():
     (lambda: bbm_reports(0, (math.nan,)), "omega must be positive and finite"),
     (lambda: bbm_reports(0, (1.0, math.inf)), "omega must be positive and finite"),
     (lambda: bbm_reports(True, (0.5,)), "n must be an integer >= 0"),
+    (lambda: bbm_reports(True, ()), "n must be an integer >= 0"),  # no omega, and no quadrature
+    (lambda: bbm_reports(-1, ()), "n must be an integer >= 0"),
     (lambda: bbm_reports(1, (1.0,), theta=math.nan), "theta must be finite"),
     (lambda: bbm_reports(1, (1.0,), theta=math.inf), "theta must be finite"),
     (lambda: bbm_reports(1, (1.0,), tol=math.inf), "target_abs_tol must be positive and finite"),
     (lambda: bbm_reports(1, (0.2,), tol=math.nan), "target_abs_tol must be positive and finite"),
 ], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "reports-second-omega-inf",
-        "report-bool-level", "report-theta-nan", "position-theta-inf", "report-tol-inf",
+        "report-bool-level", "reports-bool-level-no-omega", "reports-negative-level-no-omega",
+        "report-theta-nan", "position-theta-inf", "report-tol-inf",
         "report-tol-nan"])
 def test_bad_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from majorana_lab.spinor import (
     creation_apply,
     density_evaluator,
     density_slices,
-    momentum_spinor_at_phase,
     phase,
-    position_spinor_at_phase,
+    spinor_evaluator,
 )
 
 PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
@@ -95,13 +95,34 @@ def test_phase_out_of_float_range_is_rejected(t):
 def test_non_finite_phase_is_rejected(n, theta):
     # every evaluator takes its weights from one place, which refuses a theta with no sine
     state = SpinorState(n, 0.2)
-    for evaluate in (lambda: position_spinor_at_phase(state, 0.3, theta),
-                     lambda: momentum_spinor_at_phase(state, 0.3, theta),
+    for evaluate in (lambda: spinor_evaluator(state, theta),
+                     lambda: spinor_evaluator(state, theta, "momentum"),
                      lambda: density_evaluator(state, theta, "momentum"),
                      lambda: density_evaluator(state, theta),
                      lambda: list(density_slices(state, [0.3], [0.5, theta]))):
         with pytest.raises(ValueError, match="^theta must be finite$"):
             evaluate()
+
+
+@pytest.mark.parametrize("value", [10**400, Fraction(-10**400, 3), "0.5"],
+                         ids=["int-past-max", "Fraction-past-max", "str"])
+def test_theta_omega_and_t_are_taken_by_the_coordinate_rule(value):
+    # each is refused naming its parameter: text as no real number, a value past the largest
+    # float as not finite (for t, OutOfRange naming "t"), never by float()'s OverflowError
+    state = SpinorState(1, 0.2)
+    takers = [("theta", lambda: density_evaluator(state, value)),
+              ("theta", lambda: spinor_evaluator(state, value, "momentum")),
+              ("theta", lambda: list(density_slices(state, [0.3], [value]))),
+              ("Omega", lambda: SpinorState(1, 0.2, Omega=value)),
+              ("t", lambda: phase(state, value))]
+    for name, take in takers:
+        if isinstance(value, str):
+            with pytest.raises(TypeError, match=f"^{name} must be a real number, not str$"):
+                take()
+        else:
+            with pytest.raises(ValueError, match=f"^{name} must be finite$") as excinfo:
+                take()
+            assert name != "t" or excinfo.value.param == "t"
 
 
 def test_phase_equals_energy_over_hbar():
@@ -117,19 +138,19 @@ def test_phase_equals_energy_over_hbar():
 def test_ground_state_is_stationary_gaussian():
     state = SpinorState(0, 0.2)
     for t in (0.0, 7.3, -2.0):
-        v = position_spinor_at_phase(state, 0.0, phase(state, t))
+        v = spinor_evaluator(state, phase(state, t))(0.0)
         assert v.comp1 == pytest.approx(0.5023079256810666, rel=1e-12)
         assert v.comp2 == 0.0
 
 
 def test_first_level_at_origin_quarter_turn():
-    v = position_spinor_at_phase(SpinorState(1, 0.2), 0.0, math.pi / 2)
+    v = spinor_evaluator(SpinorState(1, 0.2), math.pi / 2)(0.0)
     assert v.comp1 == 0.0  # odd component
     assert abs(v.comp2) < 1e-15  # cos(pi/2) in floats
 
 
 def test_first_level_lower_component():
-    v = position_spinor_at_phase(SpinorState(1, 0.2), 1.0, 0.0)
+    v = spinor_evaluator(SpinorState(1, 0.2), 0.0)(1.0)
     assert v.comp1 == 0.0
     assert v.comp2 == pytest.approx((0.2 / math.pi) ** 0.25 * math.exp(-0.1), rel=1e-12)
     assert v.comp2 == pytest.approx(0.45450700653225495, rel=1e-12)
@@ -139,6 +160,7 @@ def test_first_level_lower_component():
 def test_position_closed_forms(n, theta=0.83):
     omega = 0.4
     pref = (omega / math.pi) ** 0.25
+    spinor = spinor_evaluator(SpinorState(n, omega), theta)
     for y in np.linspace(-3.5, 3.5, 15):
         env = math.exp(-0.5 * omega * y * y)
         if n == 1:
@@ -150,7 +172,7 @@ def test_position_closed_forms(n, theta=0.83):
         else:
             c1 = pref * env * math.sqrt(omega) * y * (2 * omega * y * y - 3) * math.sin(theta) / math.sqrt(3)
             c2 = pref * env * (2 * omega * y * y - 1) * math.cos(theta) / math.sqrt(2)
-        v = position_spinor_at_phase(SpinorState(n, omega), y, theta)
+        v = spinor(y)
         assert v.comp1 == pytest.approx(c1, rel=1e-12, abs=1e-14)
         assert v.comp2 == pytest.approx(c2, rel=1e-12, abs=1e-14)
 
@@ -158,10 +180,9 @@ def test_position_closed_forms(n, theta=0.83):
 @pytest.mark.parametrize("n", range(6))
 def test_component_parity(n):
     state = SpinorState(n, 0.7)
-    theta = 0.4
+    spinor = spinor_evaluator(state, 0.4)
     for y in (0.3, 1.1, 2.6):
-        v_plus = position_spinor_at_phase(state, y, theta)
-        v_minus = position_spinor_at_phase(state, -y, theta)
+        v_plus, v_minus = spinor(y), spinor(-y)
         assert v_minus.comp1 == pytest.approx((-1.0) ** n * v_plus.comp1, rel=1e-13, abs=1e-16)
         if n >= 1:
             assert v_minus.comp2 == pytest.approx((-1.0) ** (n - 1) * v_plus.comp2, rel=1e-13, abs=1e-16)
@@ -171,20 +192,20 @@ def test_component_parity(n):
 
 
 def test_momentum_ground_state():
-    v = momentum_spinor_at_phase(SpinorState(0, 0.2), 0.0, 0.9)
+    v = spinor_evaluator(SpinorState(0, 0.2), 0.9, "momentum")(0.0)
     assert v.comp1 == pytest.approx((0.2 * math.pi) ** -0.25, rel=1e-12)
     assert v.comp1 == pytest.approx(1.1231946674597775, rel=1e-12)
     assert v.comp2 == 0.0
 
 
 def test_momentum_first_level_vanishes():
-    v = momentum_spinor_at_phase(SpinorState(1, 0.5), 0.0, math.pi / 2)
+    v = spinor_evaluator(SpinorState(1, 0.5), math.pi / 2, "momentum")(0.0)
     assert v.comp1 == 0.0
     assert abs(v.comp2) < 1e-15
 
 
 def test_momentum_second_level_at_origin():
-    v = momentum_spinor_at_phase(SpinorState(2, 1.0), 0.0, math.pi / 2)
+    v = spinor_evaluator(SpinorState(2, 1.0), math.pi / 2, "momentum")(0.0)
     # i^2 * H_2(0) < 0 twice over: the value is real and positive
     assert v.comp1.real == pytest.approx(0.5311259660135984, rel=1e-12)
     assert abs(v.comp1.imag) < 1e-16
@@ -195,6 +216,7 @@ def test_momentum_second_level_at_origin():
 def test_momentum_closed_forms(n, theta=1.1):
     omega = 0.6
     s, c = math.sin(theta), math.cos(theta)
+    spinor = spinor_evaluator(SpinorState(n, omega), theta, "momentum")
     for p in np.linspace(-2.5, 2.5, 11):
         env = math.exp(-p * p / (2 * omega))
         if n == 1:
@@ -206,24 +228,23 @@ def test_momentum_closed_forms(n, theta=1.1):
         else:
             c1 = -1j * p * (4 * p * p - 6 * omega) * env * s / (math.sqrt(12) * (omega**7 * math.pi) ** 0.25)
             c2 = math.sqrt(omega) * (omega - 2 * p * p) * env * c / (math.sqrt(2) * (omega**7 * math.pi) ** 0.25)
-        v = momentum_spinor_at_phase(SpinorState(n, omega), p, theta)
+        v = spinor(p)
         assert v.comp1 == pytest.approx(c1, rel=1e-12, abs=1e-14)
         assert v.comp2 == pytest.approx(c2, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("spinor_at_phase, kind", [(position_spinor_at_phase, float),
-                                                   (momentum_spinor_at_phase, complex)],
+@pytest.mark.parametrize("space, kind", [("position", float), ("momentum", complex)],
                          ids=["position", "momentum"])
-def test_array_coordinates_give_the_float_values(spinor_at_phase, kind, n):
+def test_array_coordinates_give_the_float_values(space, kind, n):
     # an array's elements are numpy scalars: each gives its float's components as Python
     # floats (complex in momentum space), the ground state's zero comp2 included
-    state, theta = SpinorState(n, 0.5), 0.3
+    spinor = spinor_evaluator(SpinorState(n, 0.5), 0.3, space)
     for coords in (np.linspace(-1, 1, 3), np.array([[0.0, 0.25], [-2.5, 4.0]]),
                    np.array([0.1, -3.3], dtype=np.float32)):
         for index, coord in np.ndenumerate(coords):
-            v = spinor_at_phase(state, coord, theta)
-            assert v == spinor_at_phase(state, float(coord), theta), (index, coord)
+            v = spinor(coord)
+            assert v == spinor(float(coord)), (index, coord)
             assert type(v.comp1) is type(v.comp2) is kind, (index, coord)
 
 
@@ -231,8 +252,8 @@ def test_momentum_spinor_time_path():
     # a time enters only through phase(state, t, pc) = sqrt(2 n omega) c t + Omega
     state = SpinorState(2, 0.4, Omega=0.2)
     pc = PhysicalConstants(c=2.0)
-    v_t = momentum_spinor_at_phase(state, 0.7, phase(state, 1.5, pc))
-    v_theta = momentum_spinor_at_phase(state, 0.7, math.sqrt(2 * 2 * 0.4) * 2.0 * 1.5 + 0.2)
+    v_t = spinor_evaluator(state, phase(state, 1.5, pc), "momentum")(0.7)
+    v_theta = spinor_evaluator(state, math.sqrt(2 * 2 * 0.4) * 2.0 * 1.5 + 0.2, "momentum")(0.7)
     assert v_t.comp1 == pytest.approx(v_theta.comp1, rel=1e-14)
     assert v_t.comp2 == pytest.approx(v_theta.comp2, rel=1e-14)
 
@@ -255,11 +276,34 @@ def test_density_first_level_at_origin():
 def test_density_matches_spinor_value():
     state = SpinorState(3, 0.5)
     for space in ("position", "momentum"):
-        at = momentum_spinor_at_phase if space == "momentum" else position_spinor_at_phase
+        density, spinor = density_evaluator(state, 0.77, space), spinor_evaluator(state, 0.77, space)
         for u in (-1.3, 0.2, 2.1):
-            direct = density_evaluator(state, 0.77, space)(u)
-            value = at(state, u, 0.77)
+            direct = density(u)
+            value = spinor(u)
             assert direct == pytest.approx(abs(value.comp1) ** 2 + abs(value.comp2) ** 2, rel=1e-13)
+
+
+_I_POW = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))  # i**n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 64])
+def test_spinor_components_are_the_profiles_times_the_weights_bit_for_bit(n):
+    # position: f_n sin(theta) and f_m cos(theta), real; momentum: (i^n f_n) sin(theta) and
+    # (i^(n-1) f_m) cos(theta) on the profiles at 1/omega, products in that order, signed zeros
+    # included (at n = 0 the weights are 1 and 0)
+    ys = [0.0, -0.0, 1e-200, 0.3, -1.7, 11.0, 40.0, -1e308]
+    for omega in (1e-300, 0.2, 7.0, 1e300):
+        for theta in (0.0, 0.3, math.pi / 2, -2.0):
+            s, c = (1.0, 0.0) if n == 0 else (math.sin(theta), math.cos(theta))
+            state = SpinorState(n, omega)
+            position, momentum = spinor_evaluator(state, theta), spinor_evaluator(state, theta, "momentum")
+            for y in ys:
+                f_n, f_m = hermite_norm_pair(n, omega, y)
+                assert repr(tuple(position(y))) == repr((f_n * s, f_m * c)), (omega, theta, y)
+                assert type(position(y).comp1) is type(position(y).comp2) is float
+                f_n, f_m = hermite_norm_pair(n, 1.0 / omega, y)
+                want = (_I_POW[n % 4] * f_n * s, _I_POW[(n - 1) % 4] * f_m * c)
+                assert repr(tuple(momentum(y))) == repr(want), (omega, theta, y)
 
 
 def stepwise_density(n, omega, theta, y):
@@ -296,8 +340,8 @@ def test_spinor_and_density_vanish_where_the_envelope_underflows():
     # the Gaussian envelope underflows to 0 and the recurrence's a * u overflows: 0, not inf * 0
     assert density_evaluator(SpinorState(1, 0.5), 0.3, "momentum")(1e308) == 0.0
     assert density_evaluator(SpinorState(64, 1e300), 0.3)(-1e200) == 0.0
-    assert position_spinor_at_phase(SpinorState(2, 7.0), 1e308, 0.3) == (0.0, 0.0)
-    assert momentum_spinor_at_phase(SpinorState(3, 1e-3), -1.5e308, 0.3) == (0.0, 0.0)
+    assert spinor_evaluator(SpinorState(2, 7.0), 0.3)(1e308) == (0.0, 0.0)
+    assert spinor_evaluator(SpinorState(3, 1e-3), 0.3, "momentum")(-1.5e308) == (0.0, 0.0)
     assert density_evaluator(SpinorState(5, 7.0), 0.3)(1e308) == 0.0
     assert next(density_slices(SpinorState(5, 7.0), [1e308, -1e308], [0.3])) == [0.0, 0.0]
 
@@ -323,9 +367,10 @@ def test_fourier_consistency(n):
     theta = 0.7
     sigma_p = math.sqrt(state.omega * (2 * n + 1))
     worst = 0.0
+    momentum = spinor_evaluator(state, theta, "momentum")
     for p in np.linspace(-3 * sigma_p, 3 * sigma_p, 7):
         numeric = fourier_numeric(state, theta, float(p))
-        analytic = momentum_spinor_at_phase(state, float(p), theta)
+        analytic = momentum(float(p))
         worst = max(worst, abs(numeric[0] - analytic.comp1), abs(numeric[1] - analytic.comp2))
     assert worst < 1e-6
 

@@ -85,9 +85,11 @@ def test_moment_pass_weak_coupling_matches_mpmath(x):
     lam = math.sqrt(2.0 * x)
     oracle = moments(lam, lam, 0.5)
     z, _, u, _, cv = fields(oracle, ep.beta, ep.N)
-    for got, want in zip((*t, rep.Z_exact, rep.U_exact, rep.C_V_exact), (*oracle, z, u, cv)):
+    # measured over X_GRID: at most 2.2e-16 relative for t_0, t_1, t_2, Z and U, 7.5e-16 for C_V
+    rel_tols = (1e-15,) * 5 + (3e-15,)
+    for got, want, rel in zip((*t, rep.Z_exact, rep.U_exact, rep.C_V_exact), (*oracle, z, u, cv), rel_tols):
         if abs(want) >= sys.float_info.min:
-            assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+            assert abs(got - want) <= rel * abs(want), (got, want)
         else:  # below the normal range a double has fewer bits: it must not be normal either
             assert abs(got) < sys.float_info.min, (got, want)
     if x == 1e-6:
