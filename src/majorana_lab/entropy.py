@@ -32,7 +32,7 @@ EntropyReport = namedtuple("EntropyReport", "n omega theta S_y S_p sum bbm_bound
 
 def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     """One record of both entropies, their sum and the uncertainty bound per omega of the
-    sequence omegas.
+    iterable omegas, which is read once.
 
     The level and every omega are checked, then one quadrature of S_1(n, theta) serves them
     all (an empty omegas runs none).  The sum is 2 S_1(n, theta), the same
@@ -43,6 +43,7 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     bug, not physics.
     """
     level(n)
+    omegas = list(omegas)
     shifts = [_half_log(omega) for omega in omegas]
     if not shifts:
         return []

@@ -20,19 +20,9 @@ import math
 from .common import coordinate, level, positive_finite, scaled_root
 
 
-def hermite_norm_pair(n, omega, y):
-    """(phi_n(y), phi_{n-1}(y)) for frequency omega > 0 from one recurrence sweep; phi_{-1} = 0.
-
-    The 1/sqrt(2^n n!) normalization and the Gaussian envelope are folded
-    into the recurrence start, so every iterate is itself a phi_k value and
-    stays O(1) regardless of n, where the naive H_n / sqrt(2^n n!) route
-    overflows once 2^n n! does, past n = 150.
-    """
-    return hermite_pair_evaluator(n, omega)(y)
-
-
 def hermite_pair_evaluator(n, omega):
-    """y -> hermite_norm_pair(n, omega, y): the coordinate rule, an exp and the recurrence."""
+    """y -> (phi_n(y), phi_{n-1}(y)) at frequency omega > 0, with phi_{-1} = 0: n and omega are
+    checked once, and each y costs the coordinate rule, an exp and one sweep of the recurrence."""
     n = level(n)
     positive_finite(omega, "omega")
     root, norm = math.sqrt(omega), (omega / math.pi) ** 0.25
@@ -48,20 +38,6 @@ def hermite_pair_evaluator(n, omega):
             phi, phi_prev = a * u * phi - b * phi_prev, phi
         return phi, phi_prev
     return pair
-
-
-def hermite_norm_fn_and_derivative(n, omega, y):
-    """(phi_n(y), phi_n'(y)) from one sweep, the derivative evaluated analytically.
-
-    Uses H_n' = 2n H_{n-1}, which in normalized form reads
-    phi_n'(y) = -omega y phi_n(y) + sqrt(2 n omega) phi_{n-1}(y).  y phi is formed first:
-    it is 0 where phi underflows, while omega y alone may overflow.
-    """
-    phi, phi_prev = hermite_norm_pair(n, omega, y)  # refuses a y that is not a finite real number
-    slope = -omega * (float(y) * phi)
-    if n > 0:
-        slope = slope + sqrt_2n_omega(n, omega) * phi_prev
-    return phi, slope
 
 
 def sqrt_2n_omega(n, omega):

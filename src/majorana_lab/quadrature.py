@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, NonConvergence, level, positive_finite, scaled_root
+from .common import DEFAULT_TOL, NonConvergence, coordinate, level, positive_finite, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -120,6 +120,7 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     """
     positive_finite(omega, "omega")
     n = level(n)
+    tail_tol = coordinate(tail_tol, "tail_tol")
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must lie in (0, 1)")
     W = -math.log(tail_tol)

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .common import (NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, positive_finite,
                      scaled_quotient)
-from .hermite import hermite_norm_fn_and_derivative, hermite_pair_evaluator, sqrt_2n_omega
+from .hermite import hermite_pair_evaluator, sqrt_2n_omega
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
@@ -109,11 +109,16 @@ def _weights(state, theta):
 
 
 def _ladder_apply(state, y, sign):
-    """(sign d/dy + omega y) applied to phi_n, with the analytic derivative H_n' = 2n H_{n-1}:
-    the ladder operators over c hbar, so k = omega c hbar is never formed.  y phi is formed
-    first, 0 where phi underflows, while omega y alone may overflow."""
-    phi, dphi = hermite_norm_fn_and_derivative(state.n, state.omega, y)
-    return sign * dphi + state.omega * (float(y) * phi)
+    """(sign d/dy + omega y) applied to phi_n: the ladder operators over c hbar, so
+    k = omega c hbar is never formed.  The derivative is analytic: H_n' = 2n H_{n-1} reads
+    phi_n' = -omega y phi_n + sqrt(2 n omega) phi_{n-1}.  y phi is formed first, 0 where phi
+    underflows, while omega y alone may overflow."""
+    phi, phi_prev = hermite_pair_evaluator(state.n, state.omega)(y)  # refuses a bad y
+    y_phi = float(y) * phi
+    slope = -state.omega * y_phi
+    if state.n > 0:
+        slope = slope + sqrt_2n_omega(state.n, state.omega) * phi_prev
+    return sign * slope + state.omega * y_phi
 
 
 def annihilation_apply(state, y, pc=NATURAL_UNITS):

@@ -13,7 +13,7 @@ import pytest
 from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, energy,
                                  level, linspace, over_product, scaled_quotient, scaled_root)
 from majorana_lab.entropy import bbm_reports
-from majorana_lab.hermite import hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator
+from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
 from majorana_lab.spinor import (SpinorState, annihilation_apply, creation_apply, density_evaluator,
                                  density_slices, spinor_evaluator)
@@ -50,9 +50,10 @@ def test_out_of_range_is_a_value_error_naming_its_parameter():
 # Each row is labelled by the quantity it computes; a label that is no public name marks a row
 # that composes the kept entries as their callers do.
 LEVEL_TAKERS = {
-    "hermite_norm_fn": lambda n: hermite_norm_pair(n, 1.0, 0.5)[0],
-    "hermite_norm_pair": lambda n: hermite_norm_pair(n, 1.0, 0.5),
-    "hermite_norm_fn_and_derivative": lambda n: hermite_norm_fn_and_derivative(n, 1.0, 0.5),
+    "hermite_norm_fn": lambda n: hermite_pair_evaluator(n, 1.0)(0.5)[0],
+    "hermite_norm_pair": lambda n: hermite_pair_evaluator(n, 1.0)(0.5),
+    "hermite_norm_fn_and_derivative": lambda n: (annihilation_apply(SpinorState(n, 1.0), 0.5)
+                                                 - creation_apply(SpinorState(n, 1.0), 0.5)) / 2.0,
     "hermite_pair_evaluator": lambda n: hermite_pair_evaluator(n, 1.0),
     "SpinorState": lambda n: SpinorState(n, 1.0),
     "energy": lambda n: energy(n, 1.0),
@@ -84,13 +85,13 @@ def test_level_is_the_integer_protocol():
 
 # Run with numpy unimportable: each pointwise function evaluates an int coordinate as its float.
 INT_COORDINATES = """
-from majorana_lab.hermite import hermite_norm_pair
+from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.quadrature import xlogx
 from majorana_lab.spinor import SpinorState, annihilation_apply, density_evaluator
 
 state = SpinorState(3, 0.7)
 for y in (0, 1, -2, 5, 2**60):
-    for f in (lambda v: hermite_norm_pair(3, 0.7, v)[0], lambda v: xlogx(abs(v)),
+    for f in (lambda v: hermite_pair_evaluator(3, 0.7)(v)[0], lambda v: xlogx(abs(v)),
               density_evaluator(state, 0.4), density_evaluator(state, 0.4, "momentum"),
               lambda v: annihilation_apply(state, v)):
         got, want = f(y), f(float(y))
@@ -106,9 +107,10 @@ def test_an_int_coordinate_gives_the_float_bits_without_numpy(tmp_path):
 
 # Labelled as LEVEL_TAKERS is.
 POINTWISE = {
-    "hermite_norm_fn": lambda y: hermite_norm_pair(2, 1.0, y)[0],
-    "hermite_norm_pair": lambda y: hermite_norm_pair(2, 1.0, y),
-    "hermite_norm_fn_and_derivative": lambda y: hermite_norm_fn_and_derivative(2, 1.0, y),
+    "hermite_norm_fn": lambda y: hermite_pair_evaluator(2, 1.0)(y)[0],
+    "hermite_norm_pair": lambda y: hermite_pair_evaluator(2, 1.0)(y),
+    "hermite_norm_fn_and_derivative": lambda y: (annihilation_apply(SpinorState(2, 1.0), y)
+                                                 - creation_apply(SpinorState(2, 1.0), y)) / 2.0,
     "hermite_pair_evaluator": lambda y: hermite_pair_evaluator(2, 1.0)(y),
     "xlogx": xlogx,
     "position_spinor_at_phase": lambda y: spinor_evaluator(SpinorState(2, 1.0), 0.3)(y),
@@ -288,8 +290,7 @@ PUBLIC_FUNCTIONS = {
     "majorana_lab": set(),
     "majorana_lab.common": {"coordinate", "energy", "level", "linspace", "over_product",
                             "positive_finite", "scaled_quotient", "scaled_root"},
-    "majorana_lab.hermite": {"hermite_norm_fn_and_derivative", "hermite_norm_pair",
-                             "hermite_pair_evaluator", "sqrt_2n_omega"},
+    "majorana_lab.hermite": {"hermite_pair_evaluator", "sqrt_2n_omega"},
     "majorana_lab.quadrature": {"integrate", "truncation_radius", "xlogx"},
     "majorana_lab.spinor": {"annihilation_apply", "creation_apply", "density_evaluator",
                             "density_slices", "phase", "space_frequency", "spinor_evaluator"},

@@ -53,7 +53,7 @@ CONSTANTS = {
 
 # Every wording a refusal may carry; a new one fails the sweep until it is listed here.
 POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol)"  # common.positive_finite's names
-REAL = r"(a coordinate|t|theta|Omega)"  # common.coordinate's names
+REAL = r"(a coordinate|t|theta|Omega|tail_tol)"  # common.coordinate's names
 REFUSALS = tuple(re.compile(pattern) for pattern in (
     rf"{POSITIVE} must be positive and finite",
     rf"({POSITIVE}|{REAL}) must be a real number, not \w+",
@@ -143,9 +143,11 @@ def sweep_hermite():
     for n in LEVELS:
         for omega in X:
             check(lambda: hermite.sqrt_2n_omega(n, omega))
-            for f in (hermite.hermite_norm_pair, hermite.hermite_norm_fn_and_derivative):
-                for y in COORDS:
-                    check(lambda: f(n, omega, y))
+            pair, state = hermite.hermite_pair_evaluator(n, omega), SpinorState(n, omega)
+            for y in COORDS:
+                check(lambda: pair(y))
+                # phi_n' = (A - A+) phi_n / 2 in natural units
+                check(lambda: (spinor.annihilation_apply(state, y) - spinor.creation_apply(state, y)) / 2.0)
 
 
 def sweep_roots():
@@ -241,10 +243,11 @@ def sweep_bad_input():
     """One bad argument per call: each is refused, in a listed wording."""
     state, nan, inf = SpinorState(1, 1.0), math.nan, math.inf
     calls = [
-        *(lambda n=n: hermite.hermite_norm_pair(n, 1.0, 0.5) for n in (-1, 1.5, True, None)),
-        *(lambda w=w: hermite.hermite_norm_pair(1, w, 0.5) for w in (0.0, -1.0, inf, nan)),
-        *(lambda y=y: hermite.hermite_norm_fn_and_derivative(1, 1.0, y) for y in (inf, -inf, nan)),
-        *(lambda t=t: quadrature.truncation_radius(1.0, 1, t) for t in (0.0, 1.0, nan)),
+        *(lambda n=n: hermite.hermite_pair_evaluator(n, 1.0)(0.5) for n in (-1, 1.5, True, None)),
+        *(lambda w=w: hermite.hermite_pair_evaluator(1, w)(0.5) for w in (0.0, -1.0, inf, nan)),
+        *(lambda y=y: spinor.annihilation_apply(state, y) for y in (inf, -inf, nan)),
+        *(lambda y=y: spinor.creation_apply(state, y) for y in (inf, -inf, nan)),
+        *(lambda t=t: quadrature.truncation_radius(1.0, 1, t) for t in (0.0, 1.0, nan, "1e-3", None)),
         lambda: quadrature.xlogx(nan),
         *(lambda c=c: PhysicalConstants(**{c: 0.0}) for c in PhysicalConstants._fields),
         lambda: PhysicalConstants().omega(-1.0),

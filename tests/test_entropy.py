@@ -196,6 +196,7 @@ def test_bbm_reports_are_the_single_reports(n, theta):
     reports = bbm_reports(n, omegas, theta)
     assert [r.omega for r in reports] == list(omegas)
     assert repr(reports) == repr([bbm_reports(n, (omega,), theta)[0] for omega in omegas])
+    assert repr(bbm_reports(n, iter(omegas), theta)) == repr(reports)  # an iterator is read once
     assert bbm_reports(n, (), theta) == []
 
 
@@ -210,8 +211,9 @@ def test_loose_tol_raises_no_false_violation(tol):
 
 def test_bbm_reports_violation_names_the_first_omega(monkeypatch):
     monkeypatch.setattr(entropy_mod, "_unit_entropy", lambda n, theta, tol: (0.1, 0.0))
-    with pytest.raises(BoundViolation, match=r" for n=2, omega=1\.0, theta=0\.3$"):
-        bbm_reports(2, (1.0, 2.0), 0.3, 10.0)
+    for omegas in ((1.0, 2.0), (w for w in (1.0, 2.0))):  # a generator is read once
+        with pytest.raises(BoundViolation, match=r" for n=2, omega=1\.0, theta=0\.3$"):
+            bbm_reports(2, omegas, 0.3, 10.0)
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 2.2, 5.0])

@@ -188,6 +188,15 @@ def test_truncation_radius_validation():
         truncation_radius(1.0, -1)
     with pytest.raises(ValueError):
         truncation_radius(1.0, 1, tail_tol=2.0)
+    # tail_tol is a real number, by the coordinate rule, before its range is checked
+    for tail_tol in ("1e-3", None):
+        with pytest.raises(TypeError, match="^tail_tol must be a real number, not "):
+            truncation_radius(1.0, 1, tail_tol)
+    for tail_tol in (math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="^tail_tol must be finite$"):
+            truncation_radius(1.0, 1, tail_tol=tail_tol)
+    with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\)$"):
+        truncation_radius(1.0, 1, tail_tol=0)
 
 
 def test_xlogx_conventions():

@@ -2,13 +2,14 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import mpmath_hermite
 from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, energy, linspace
-from majorana_lab.hermite import (hermite_norm_fn_and_derivative, hermite_norm_pair, hermite_pair_evaluator,
-                                  sqrt_2n_omega)
+from majorana_lab.hermite import hermite_pair_evaluator, sqrt_2n_omega
 from majorana_lab.spinor import (
     SpinorState,
     annihilation_apply,
@@ -293,15 +294,16 @@ def test_spinor_components_are_the_profiles_times_the_weights_bit_for_bit(n):
     # included (at n = 0 the weights are 1 and 0)
     ys = [0.0, -0.0, 1e-200, 0.3, -1.7, 11.0, 40.0, -1e308]
     for omega in (1e-300, 0.2, 7.0, 1e300):
+        position_pair, momentum_pair = hermite_pair_evaluator(n, omega), hermite_pair_evaluator(n, 1.0 / omega)
         for theta in (0.0, 0.3, math.pi / 2, -2.0):
             s, c = (1.0, 0.0) if n == 0 else (math.sin(theta), math.cos(theta))
             state = SpinorState(n, omega)
             position, momentum = spinor_evaluator(state, theta), spinor_evaluator(state, theta, "momentum")
             for y in ys:
-                f_n, f_m = hermite_norm_pair(n, omega, y)
+                f_n, f_m = position_pair(y)
                 assert repr(tuple(position(y))) == repr((f_n * s, f_m * c)), (omega, theta, y)
                 assert type(position(y).comp1) is type(position(y).comp2) is float
-                f_n, f_m = hermite_norm_pair(n, 1.0 / omega, y)
+                f_n, f_m = momentum_pair(y)
                 want = (_I_POW[n % 4] * f_n * s, _I_POW[(n - 1) % 4] * f_m * c)
                 assert repr(tuple(momentum(y))) == repr(want), (omega, theta, y)
 
@@ -331,7 +333,7 @@ def test_evaluators_match_pointwise_functions_bit_for_bit(n):
             assert values == [density(y) for y in ys], (omega, theta)
             for y in ys:
                 (f_n, f_m), rho = stepwise_density(n, omega, theta, y)
-                assert pair(y) == hermite_norm_pair(n, omega, y) == (f_n, f_m), (omega, y)
+                assert pair(y) == (f_n, f_m), (omega, y)
                 assert density(y) == rho, (omega, theta, y)
                 assert density(-y) == density(y) and pair(-y) == ((-1) ** n * f_n, (-1) ** n * -f_m)
 
@@ -387,9 +389,10 @@ def test_parseval(n):
 
 def test_ladder_down_reaches_ground_state():
     # A phi_1 / E_1 = phi_0, in natural units, where k = omega
+    phi_0 = hermite_pair_evaluator(0, 0.2)
     for y in linspace(-6.0, 6.0, 121):
         lowered = annihilation_apply(SpinorState(1, 0.2), y) / energy(1, 0.2)
-        assert abs(lowered - hermite_norm_pair(0, 0.2, y)[0]) < 1e-12, y
+        assert abs(lowered - phi_0(y)[0]) < 1e-12, y
 
 
 def test_annihilation_kills_ground_state():
@@ -401,12 +404,14 @@ def test_annihilation_kills_ground_state():
 def test_intertwining(n):
     omega = 0.3
     state, upper = SpinorState(n, omega), SpinorState(n + 1, omega)
+    pair = hermite_pair_evaluator(n + 1, omega)  # (phi_{n+1}, phi_n)
     for pc in (PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
         e_upper = energy(n + 1, omega * pc.c * pc.hbar, pc)  # the slope k = omega c hbar
         for y in linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 241):
             # A phi_{n+1} = E_{n+1} phi_n and A+ phi_n = E_{n+1} phi_{n+1}
-            lowered = annihilation_apply(upper, y, pc) - e_upper * hermite_norm_pair(n, omega, y)[0]
-            raised = creation_apply(state, y, pc) - e_upper * hermite_norm_pair(n + 1, omega, y)[0]
+            f_upper, f_n = pair(y)
+            lowered = annihilation_apply(upper, y, pc) - e_upper * f_n
+            raised = creation_apply(state, y, pc) - e_upper * f_upper
             assert abs(lowered) < 1e-8 * pc.c * pc.hbar and abs(raised) < 1e-8 * pc.c * pc.hbar, y
 
 
@@ -416,18 +421,21 @@ def test_normalised_ladder_maps_take_no_constants():
         k = pc.c * pc.hbar  # omega = 1
         state = SpinorState(1, pc.omega(k))
         for apply, e, m in ((creation_apply, energy(2, k, pc), 2), (annihilation_apply, energy(1, k, pc), 0)):
-            assert apply(state, 0.5, pc) / e == pytest.approx(hermite_norm_pair(m, 1.0, 0.5)[0], rel=1e-14)
+            phi_m = hermite_pair_evaluator(m, 1.0)(0.5)[0]
+            assert apply(state, 0.5, pc) / e == pytest.approx(phi_m, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_ladder_up_then_down_roundtrip(n):
     omega = 0.9
     e = energy(n + 1, omega)  # natural units: k = omega
+    pair = hermite_pair_evaluator(n + 1, omega)  # (phi_{n+1}, phi_n)
     for y in linspace(-4.0, 4.0, 41):
+        f_upper, f_n = pair(y)
         raised = creation_apply(SpinorState(n, omega), y) / e
-        assert abs(raised - hermite_norm_pair(n + 1, omega, y)[0]) < 1e-12, y
+        assert abs(raised - f_upper) < 1e-12, y
         lowered = annihilation_apply(SpinorState(n + 1, omega), y) / e
-        assert abs(lowered - hermite_norm_pair(n, omega, y)[0]) < 1e-12, y
+        assert abs(lowered - f_n) < 1e-12, y
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -436,17 +444,25 @@ def test_ladder_maps_at_huge_omega(n):
     omega = 1e308
     scale = (omega / math.pi) ** 0.25  # the size of phi_n there
     e = energy(n + 1, omega)  # natural units: k = omega
+    pair = hermite_pair_evaluator(n + 1, omega)  # (phi_{n+1}, phi_n)
     for y in (v / math.sqrt(omega) for v in linspace(-4.0, 4.0, 41)):
+        f_upper, f_n = pair(y)
         raised = creation_apply(SpinorState(n, omega), y) / e
-        assert math.isfinite(raised) and abs(raised - hermite_norm_pair(n + 1, omega, y)[0]) < 1e-12 * scale, y
+        assert math.isfinite(raised) and abs(raised - f_upper) < 1e-12 * scale, y
         lowered = annihilation_apply(SpinorState(n + 1, omega), y) / e
-        assert math.isfinite(lowered) and abs(lowered - hermite_norm_pair(n, omega, y)[0]) < 1e-12 * scale, y
+        assert math.isfinite(lowered) and abs(lowered - f_n) < 1e-12 * scale, y
 
 
 def test_huge_omega_slope_and_energy_are_finite():
-    phi, slope = hermite_norm_fn_and_derivative(1, 1e308, 1e-160)
-    # phi_1' = sqrt(2 omega) phi_0 (1 - omega y^2), 1.06225193202560354e231 by mpmath at 40 digits
-    assert slope == pytest.approx(1.06225193202560354e231, rel=1e-12)
+    # phi_1' = (A - A+) phi_1 / 2 in natural units, where 2 omega overflows; by mpmath at 40
+    # digits, phi_1' = sqrt(2 omega) phi_0 - omega y phi_1 (H_1' = 2 H_0) is 1.0622519320256036e231
+    state, y = SpinorState(1, 1e308), 1e-160
+    slope = (annihilation_apply(state, y) - creation_apply(state, y)) / 2.0
+    with mpmath.workdps(40):
+        omega_mp = mpmath.mpf(state.omega)
+        phi_0, phi_1 = (mpmath_hermite.phi(m, state.omega, y) for m in (0, 1))
+        want = mpmath.sqrt(2 * omega_mp) * phi_0 - omega_mp * mpmath.mpf(y) * phi_1
+    assert slope == pytest.approx(float(want), rel=1e-12)
     pc = PhysicalConstants(c=10.0)  # 2 c hbar k = 2e309 overflows, its root does not
     assert energy(1, 1e308, pc) == pytest.approx(math.sqrt(20.0) * 1e154, rel=1e-15)
     assert -energy(1, 1e308, pc) == pytest.approx(-math.sqrt(20.0) * 1e154, rel=1e-15)
@@ -496,12 +512,10 @@ def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega
     # An array's elements are numpy scalars, taken as floats: numpy's scalar arithmetic, which
     # warns where omega y overflows, is never reached
     state = SpinorState(n, omega)
-    maps = [lambda y: hermite_norm_fn_and_derivative(n, omega, y)[1],
-            lambda y: annihilation_apply(state, y), lambda y: creation_apply(state, y)]
-    for f in maps:
+    for apply in (annihilation_apply, creation_apply):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow of omega y
-            values = [f(y) for y in (np.array(_FAR) if from_array else _FAR)]
+            values = [apply(state, y) for y in (np.array(_FAR) if from_array else _FAR)]
         assert all(map(math.isfinite, values)), values
 
 
@@ -515,7 +529,7 @@ def test_partner_potentials_by_finite_difference(n):
     h = 1e-4
 
     def phi(m, y):
-        return hermite_norm_pair(m, omega, y)[0]
+        return hermite_pair_evaluator(m, omega)(y)[0]
 
     for y in np.linspace(-2.0, 2.0, 9):
         # upper tower: phi_n with V_-
