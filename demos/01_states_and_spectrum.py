@@ -9,13 +9,7 @@ import math
 
 from majorana_lab.common import NATURAL_UNITS, energy, linspace
 from majorana_lab.hermite import hermite_pair_evaluator
-from majorana_lab.spinor import (
-    SpinorState,
-    annihilation_apply,
-    creation_apply,
-    phase,
-    spinor_evaluator,
-)
+from majorana_lab.spinor import SpinorState, ladder_evaluator, phase, spinor_evaluator
 
 k = 0.2
 omega = NATURAL_UNITS.omega(k)
@@ -45,17 +39,19 @@ for frac in (0.0, 0.125, 0.25):
 # Ladder checks: A phi_{n+1} = E_{n+1} phi_n pointwise, and A phi_0 = 0.
 ys = linspace(-8.0, 8.0, 201)
 for n in range(4):
-    upper = SpinorState(n + 1, omega)
+    ladder = ladder_evaluator(SpinorState(n + 1, omega))  # y -> (A phi_{n+1}, A+ phi_{n+1})
     e_upper = energy(n + 1, k)
     phi_n = hermite_pair_evaluator(n, omega)
-    residual = max(abs(annihilation_apply(upper, y) - e_upper * phi_n(y)[0]) for y in ys)
+    residual = max(abs(ladder(y)[0] - e_upper * phi_n(y)[0]) for y in ys)
     print(f"\n|A phi_{n+1} - E_{n+1} phi_{n}|_inf = {residual:.2e}", end="")
-print(f"\n|A phi_0|_inf               = {max(abs(annihilation_apply(SpinorState(0, omega), y)) for y in ys):.2e}")
+ground = ladder_evaluator(SpinorState(0, omega))
+print(f"\n|A phi_0|_inf               = {max(abs(ground(y)[0]) for y in ys):.2e}")
 
 # Round trip: A+ phi_3 / E_4 and A phi_4 / E_4 reproduce phi_4 and phi_3 to round-off.
 e_4 = energy(4, k)
 phi_4, phi_3 = hermite_pair_evaluator(4, omega), hermite_pair_evaluator(3, omega)
-up_err = max(abs(creation_apply(SpinorState(3, omega), y) / e_4 - phi_4(y)[0]) for y in ys)
-down_err = max(abs(annihilation_apply(SpinorState(4, omega), y) / e_4 - phi_3(y)[0]) for y in ys)
+up, down = ladder_evaluator(SpinorState(3, omega)), ladder_evaluator(SpinorState(4, omega))
+up_err = max(abs(up(y)[1] / e_4 - phi_4(y)[0]) for y in ys)
+down_err = max(abs(down(y)[0] / e_4 - phi_3(y)[0]) for y in ys)
 print(f"|up(3) - phi_4|_inf         = {up_err:.2e}")
 print(f"|down(4) - phi_3|_inf       = {down_err:.2e}")

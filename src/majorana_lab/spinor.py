@@ -17,7 +17,7 @@ which gives a state its omega; the spectrum E_n is common.energy(n, k, pc).  Tim
 through the phase theta_n(t) = phase(state, t, pc): a spinor at time t is
 spinor_evaluator(state, phase(state, t, pc), space)(coord), the twin of density_evaluator.  A
 coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per point.
-The ladder maps are A and A+ themselves: A phi_n = E_n phi_{n-1} and A+ phi_n = E_{n+1} phi_{n+1}.
+The ladder operators A and A+ are one ladder_evaluator(state, pc): y -> (A phi_n, A+ phi_n).
 """
 
 import math
@@ -108,27 +108,25 @@ def _weights(state, theta):
     return (1.0, 0.0) if state.n == 0 else (math.sin(theta), math.cos(theta))
 
 
-def _ladder_apply(state, y, sign):
-    """(sign d/dy + omega y) applied to phi_n: the ladder operators over c hbar, so
-    k = omega c hbar is never formed.  The derivative is analytic: H_n' = 2n H_{n-1} reads
-    phi_n' = -omega y phi_n + sqrt(2 n omega) phi_{n-1}.  y phi is formed first, 0 where phi
-    underflows, while omega y alone may overflow."""
-    phi, phi_prev = hermite_pair_evaluator(state.n, state.omega)(y)  # refuses a bad y
-    y_phi = float(y) * phi
-    slope = -state.omega * y_phi
-    if state.n > 0:
-        slope = slope + sqrt_2n_omega(state.n, state.omega) * phi_prev
-    return sign * slope + state.omega * y_phi
+def ladder_evaluator(state, pc=NATURAL_UNITS):
+    """y -> (A phi_n(y), A+ phi_n(y)) = (E_n phi_{n-1}(y), E_{n+1} phi_{n+1}(y)), the twin of
+    hermite_pair_evaluator: each is (+-d/dy + omega y) phi_n times c hbar as one exact product
+    (common.scaled_quotient), so k = omega c hbar is never formed.  The slope is analytic:
+    H_n' = 2n H_{n-1} reads phi_n' = -omega y phi_n + sqrt(2 n omega) phi_{n-1}; y phi is formed
+    first, 0 where phi underflows, while omega y alone may overflow."""
+    pair, omega = hermite_pair_evaluator(state.n, state.omega), state.omega
+    root, c, hbar = sqrt_2n_omega(state.n, omega), pc.c, pc.hbar
 
-
-def annihilation_apply(state, y, pc=NATURAL_UNITS):
-    """(c hbar d/dy + k y) applied to phi_n; equals E_n phi_{n-1} (0 for n = 0)."""
-    return scaled_quotient((pc.c, pc.hbar, _ladder_apply(state, y, 1.0)))
-
-
-def creation_apply(state, y, pc=NATURAL_UNITS):
-    """(-c hbar d/dy + k y) applied to phi_n; equals E_{n+1} phi_{n+1}."""
-    return scaled_quotient((pc.c, pc.hbar, _ladder_apply(state, y, -1.0)))
+    def ladder(y):
+        phi, phi_prev = pair(y)  # refuses a bad y
+        y_phi = float(y) * phi
+        slope = -omega * y_phi
+        if state.n > 0:
+            slope = slope + root * phi_prev
+        confining = omega * y_phi
+        return (scaled_quotient((c, hbar, slope + confining)),
+                scaled_quotient((c, hbar, -slope + confining)))
+    return ladder
 
 
 def space_frequency(omega, space):

@@ -15,7 +15,8 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, PhysicalConstants,
-                     energy, level, linspace, over_product, positive_finite, scaled_quotient)
+                     coordinate, energy, level, linspace, over_product, positive_finite,
+                     scaled_quotient)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -183,16 +184,17 @@ def report(ep, tol=DEFAULT_TOL):
 def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     """Reports over the (k, T) grid in deterministic (k-major, T-minor) order.
 
-    OutOfRange names "T" when at some temperature (the first such, in T order)
-    c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or 1/(k_B T) leaves the float
+    Each k is taken by common.coordinate(k, "k", positive=True) and each T, in T order, by
+    coordinate(T, "T").  OutOfRange names "T" when at some temperature (the first such)
+    T <= 0, c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or 1/(k_B T) leaves the float
     range; report's and EnsembleParams' refusals naming "N" pass through.
     """
-    T_values = linspace(0.1, 10.0, 50) if T_values is None else [float(T) for T in T_values]
-    k_values = [float(k) for k in k_values]
+    T_values = linspace(0.1, 10.0, 50) if T_values is None else T_values
+    k_values = [coordinate(k, "k", positive=True) for k in k_values]
     lo, hi = EM_PARAMETER_RANGE
     grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
-    for T in T_values:
-        beta = over_product(1.0, pc.k_B, T)
+    for T in (coordinate(T, "T") for T in T_values):
+        beta = over_product(1.0, pc.k_B, T) if T > 0.0 else 0.0
         try:
             points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
                       if 0.0 < beta < math.inf else None)

@@ -15,7 +15,7 @@ from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.common import PhysicalConstants, energy, linspace
 from majorana_lab.entropy import BBM_BOUND, bbm_reports
 from majorana_lab.hermite import hermite_pair_evaluator
-from majorana_lab.spinor import SpinorState, annihilation_apply, spinor_evaluator
+from majorana_lab.spinor import SpinorState, ladder_evaluator, spinor_evaluator
 from majorana_lab.thermo import EnsembleParams, moment_sums, partition_em, report, thermo_sweep
 
 QUARTER = math.pi / 4
@@ -123,10 +123,10 @@ def test_criterion_07_ladder_intertwining():
     ys = linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 301)
     worst = 0.0
     for n in range(9):
-        upper = SpinorState(n + 1, omega)
+        ladder = ladder_evaluator(SpinorState(n + 1, omega), pc)
         e_upper = energy(n + 1, omega, pc)  # natural units: k = omega
         phi_n = hermite_pair_evaluator(n, omega)
-        worst = max(worst, *(abs(annihilation_apply(upper, y, pc) - e_upper * phi_n(y)[0]) for y in ys))
+        worst = max(worst, *(abs(ladder(y)[0] - e_upper * phi_n(y)[0]) for y in ys))
     verdict(7, "A phi_{n+1} = E_{n+1} phi_n on |y sqrt(w)| <= 6, n <= 8",
             worst < 1e-8, f"worst residual = {worst:.3g} vs 1e-8")
 

@@ -15,8 +15,8 @@ from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, Physical
 from majorana_lab.entropy import bbm_reports
 from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
-from majorana_lab.spinor import (SpinorState, annihilation_apply, creation_apply, density_evaluator,
-                                 density_slices, spinor_evaluator)
+from majorana_lab.spinor import (SpinorState, density_evaluator, density_slices, ladder_evaluator,
+                                 spinor_evaluator)
 from majorana_lab.thermo import EnsembleParams, moment_sums
 from without_package import env_without
 
@@ -47,13 +47,18 @@ def test_out_of_range_is_a_value_error_naming_its_parameter():
     assert (exc.param, exc.value, str(exc)) == ("T", 1e-300, "too cold")
 
 
+def slope(state, y):
+    """phi_n'(y) = (A - A+) phi_n(y) / 2 in natural units."""
+    lowered, raised = ladder_evaluator(state)(y)
+    return (lowered - raised) / 2.0
+
+
 # Each row is labelled by the quantity it computes; a label that is no public name marks a row
 # that composes the kept entries as their callers do.
 LEVEL_TAKERS = {
     "hermite_norm_fn": lambda n: hermite_pair_evaluator(n, 1.0)(0.5)[0],
     "hermite_norm_pair": lambda n: hermite_pair_evaluator(n, 1.0)(0.5),
-    "hermite_norm_fn_and_derivative": lambda n: (annihilation_apply(SpinorState(n, 1.0), 0.5)
-                                                 - creation_apply(SpinorState(n, 1.0), 0.5)) / 2.0,
+    "hermite_norm_fn_and_derivative": lambda n: slope(SpinorState(n, 1.0), 0.5),
     "hermite_pair_evaluator": lambda n: hermite_pair_evaluator(n, 1.0),
     "SpinorState": lambda n: SpinorState(n, 1.0),
     "energy": lambda n: energy(n, 1.0),
@@ -87,13 +92,14 @@ def test_level_is_the_integer_protocol():
 INT_COORDINATES = """
 from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.quadrature import xlogx
-from majorana_lab.spinor import SpinorState, annihilation_apply, density_evaluator
+from majorana_lab.spinor import SpinorState, density_evaluator, ladder_evaluator
 
 state = SpinorState(3, 0.7)
+ladder = ladder_evaluator(state)
 for y in (0, 1, -2, 5, 2**60):
     for f in (lambda v: hermite_pair_evaluator(3, 0.7)(v)[0], lambda v: xlogx(abs(v)),
               density_evaluator(state, 0.4), density_evaluator(state, 0.4, "momentum"),
-              lambda v: annihilation_apply(state, v)):
+              lambda v: ladder(v)[0], lambda v: ladder(v)[1]):
         got, want = f(y), f(float(y))
         assert type(got) is float and got.hex() == want.hex(), (y, got, want)
 """
@@ -109,8 +115,7 @@ def test_an_int_coordinate_gives_the_float_bits_without_numpy(tmp_path):
 POINTWISE = {
     "hermite_norm_fn": lambda y: hermite_pair_evaluator(2, 1.0)(y)[0],
     "hermite_norm_pair": lambda y: hermite_pair_evaluator(2, 1.0)(y),
-    "hermite_norm_fn_and_derivative": lambda y: (annihilation_apply(SpinorState(2, 1.0), y)
-                                                 - creation_apply(SpinorState(2, 1.0), y)) / 2.0,
+    "hermite_norm_fn_and_derivative": lambda y: slope(SpinorState(2, 1.0), y),
     "hermite_pair_evaluator": lambda y: hermite_pair_evaluator(2, 1.0)(y),
     "xlogx": xlogx,
     "position_spinor_at_phase": lambda y: spinor_evaluator(SpinorState(2, 1.0), 0.3)(y),
@@ -119,10 +124,10 @@ POINTWISE = {
     "density_evaluator": lambda y: density_evaluator(SpinorState(2, 1.0), 0.3)(y),
     "density_slices": lambda y: next(density_slices(SpinorState(2, 1.0), [y], [0.3]))[0],
     "entropic_density": lambda y: xlogx(density_evaluator(SpinorState(2, 1.0), 0.3)(y)),
-    "annihilation_apply": lambda y: annihilation_apply(SpinorState(2, 1.0), y),
-    "creation_apply": lambda y: creation_apply(SpinorState(2, 1.0), y),
-    "ladder_up": lambda y: creation_apply(SpinorState(2, 1.0), y) / energy(3, 1.0),
-    "ladder_down": lambda y: annihilation_apply(SpinorState(2, 1.0), y) / energy(2, 1.0),
+    "annihilation_apply": lambda y: ladder_evaluator(SpinorState(2, 1.0))(y)[0],
+    "creation_apply": lambda y: ladder_evaluator(SpinorState(2, 1.0))(y)[1],
+    "ladder_up": lambda y: ladder_evaluator(SpinorState(2, 1.0))(y)[1] / energy(3, 1.0),
+    "ladder_down": lambda y: ladder_evaluator(SpinorState(2, 1.0))(y)[0] / energy(2, 1.0),
 }
 
 
@@ -292,8 +297,8 @@ PUBLIC_FUNCTIONS = {
                             "positive_finite", "scaled_quotient", "scaled_root"},
     "majorana_lab.hermite": {"hermite_pair_evaluator", "sqrt_2n_omega"},
     "majorana_lab.quadrature": {"integrate", "truncation_radius", "xlogx"},
-    "majorana_lab.spinor": {"annihilation_apply", "creation_apply", "density_evaluator",
-                            "density_slices", "phase", "space_frequency", "spinor_evaluator"},
+    "majorana_lab.spinor": {"density_evaluator", "density_slices", "ladder_evaluator", "phase",
+                            "space_frequency", "spinor_evaluator"},
     "majorana_lab.entropy": {"bbm_reports"},
     "majorana_lab.thermo": {"moment_sums", "partition_em", "report", "thermo_sweep"},
     "majorana_lab.cli": {"cmd_density", "cmd_entropy_density", "cmd_heatmap", "cmd_table1",

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from majorana_lab.common import PhysicalConstants
-from majorana_lab.spinor import SpinorState, annihilation_apply, creation_apply, phase
+from majorana_lab.spinor import SpinorState, ladder_evaluator, phase
 from majorana_lab.thermo import EnsembleParams, moment_sums
 
 BITS = json.loads((Path(__file__).parent / "constant_product_bits.json").read_text())
@@ -36,7 +36,9 @@ def outcome(take):
 
 
 def grid():
-    """(function name, arguments, outcome) in the order of the file."""
+    """(function name, arguments, outcome) in the order of the file.  The ladder rows are
+    labelled annihilation_apply (A phi_n) and creation_apply (A+ phi_n): index 0 and 1 of
+    ladder_evaluator's pair."""
     for c, hbar in CONSTANTS:
         pc = PhysicalConstants(c=c, hbar=hbar)
         for k in SLOPES:
@@ -46,9 +48,10 @@ def grid():
                 state = SpinorState(n, omega)
                 for t in TIMES:
                     yield "phase", [c, hbar, n, omega, t], outcome(lambda: phase(state, t, pc))
-                for apply in (annihilation_apply, creation_apply):
-                    floats = outcome(lambda: [apply(state, y, pc) for y in YS])
-                    yield apply.__name__, [c, hbar, n, omega], floats
+                ladder = ladder_evaluator(state, pc)
+                for index, name in enumerate(("annihilation_apply", "creation_apply")):
+                    floats = outcome(lambda: [ladder(y)[index] for y in YS])
+                    yield name, [c, hbar, n, omega], floats
         for beta in BETAS:
             for k in SLOPES:
                 try:

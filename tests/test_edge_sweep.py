@@ -53,7 +53,7 @@ CONSTANTS = {
 
 # Every wording a refusal may carry; a new one fails the sweep until it is listed here.
 POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol)"  # common.positive_finite's names
-REAL = r"(a coordinate|t|theta|Omega|tail_tol)"  # common.coordinate's names
+REAL = r"(a coordinate|t|theta|Omega|tail_tol|T)"  # common.coordinate's names
 REFUSALS = tuple(re.compile(pattern) for pattern in (
     rf"{POSITIVE} must be positive and finite",
     rf"({POSITIVE}|{REAL}) must be a real number, not \w+",
@@ -143,11 +143,12 @@ def sweep_hermite():
     for n in LEVELS:
         for omega in X:
             check(lambda: hermite.sqrt_2n_omega(n, omega))
-            pair, state = hermite.hermite_pair_evaluator(n, omega), SpinorState(n, omega)
+            pair = hermite.hermite_pair_evaluator(n, omega)
+            ladder = spinor.ladder_evaluator(SpinorState(n, omega))
             for y in COORDS:
                 check(lambda: pair(y))
                 # phi_n' = (A - A+) phi_n / 2 in natural units
-                check(lambda: (spinor.annihilation_apply(state, y) - spinor.creation_apply(state, y)) / 2.0)
+                check(lambda: (ladder(y)[0] - ladder(y)[1]) / 2.0)
 
 
 def sweep_roots():
@@ -211,13 +212,16 @@ def sweep_ladder(pc):
     for n in LEVELS:
         for omega in X:
             state = SpinorState(n, omega)
-            for sign, apply in ((1.0, spinor.annihilation_apply), (-1.0, spinor.creation_apply)):
-                for y in COORDS:
-                    try:
-                        product = exact(pc.c, pc.hbar, spinor._ladder_apply(state, y, sign))
-                    except ValueError:  # a coordinate past the largest float, which apply refuses
-                        product = None
-                    check(lambda: apply(state, y, pc), product)
+            # natural units give the raw (+-d/dy + omega y) phi_n: times c hbar = 1, bit for bit
+            raw, ladder = spinor.ladder_evaluator(state), spinor.ladder_evaluator(state, pc)
+            for y in COORDS:
+                try:
+                    kernels = raw(y)
+                except ValueError:  # a coordinate past the largest float, which ladder refuses
+                    kernels = (None, None)
+                for index, kernel in enumerate(kernels):
+                    product = None if kernel is None else exact(pc.c, pc.hbar, kernel)
+                    check(lambda: ladder(y)[index], product)
 
 
 def sweep_thermo(pc):
@@ -245,8 +249,7 @@ def sweep_bad_input():
     calls = [
         *(lambda n=n: hermite.hermite_pair_evaluator(n, 1.0)(0.5) for n in (-1, 1.5, True, None)),
         *(lambda w=w: hermite.hermite_pair_evaluator(1, w)(0.5) for w in (0.0, -1.0, inf, nan)),
-        *(lambda y=y: spinor.annihilation_apply(state, y) for y in (inf, -inf, nan)),
-        *(lambda y=y: spinor.creation_apply(state, y) for y in (inf, -inf, nan)),
+        *(lambda y=y: spinor.ladder_evaluator(state)(y) for y in (inf, -inf, nan)),
         *(lambda t=t: quadrature.truncation_radius(1.0, 1, t) for t in (0.0, 1.0, nan, "1e-3", None)),
         lambda: quadrature.xlogx(nan),
         *(lambda c=c: PhysicalConstants(**{c: 0.0}) for c in PhysicalConstants._fields),
@@ -272,6 +275,9 @@ def sweep_bad_input():
                      {"pc": None})),
         lambda: thermo.moment_sums(EnsembleParams(1.0, 1.0), tol=1e-300),
         lambda: thermo.thermo_sweep((1.0,), (inf,)),
+        # a positive real k and a real T: zero, text and an int past the largest float
+        *(lambda v=v: thermo.thermo_sweep((v,), (1.0,)) for v in (0.0, *HUGE_AND_TEXT)),
+        *(lambda v=v: thermo.thermo_sweep((1.0,), (v,)) for v in (0.0, *HUGE_AND_TEXT)),
     ]
     for take in calls:
         assert isinstance(check(take), Exception)

@@ -1,5 +1,6 @@
-"""The public examples run with numpy unimportable: every script in demos/, which prints the
-bytes of its tests/golden/demo-<stem>.golden, and the README's library quick start."""
+"""The public examples run with numpy unimportable and warnings as errors, as pytest runs them:
+every script in demos/, which prints the bytes of its tests/golden/demo-<stem>.golden, and the
+README's library quick start."""
 
 import pathlib
 import re
@@ -20,8 +21,8 @@ RUN_WITH_LF = ("import runpy, sys; sys.stdout.reconfigure(newline='\\n'); "
 
 
 def run_without_numpy(argv, tmp_path):
-    """The stdout bytes of a Python run with argv, which must exit 0."""
-    run = subprocess.run([sys.executable, *argv], env=env_without("numpy", tmp_path),
+    """The stdout bytes of a Python run with argv under -W error, which must exit 0."""
+    run = subprocess.run([sys.executable, "-W", "error", *argv], env=env_without("numpy", tmp_path),
                          capture_output=True, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:].decode(errors="replace")
     return run.stdout

@@ -6,16 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 
+import majorana_lab.spinor as spinor_mod
 import mpmath_hermite
 from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, energy, linspace
 from majorana_lab.hermite import hermite_pair_evaluator, sqrt_2n_omega
 from majorana_lab.spinor import (
     SpinorState,
-    annihilation_apply,
-    creation_apply,
     density_evaluator,
     density_slices,
+    ladder_evaluator,
     phase,
     spinor_evaluator,
 )
@@ -389,15 +389,29 @@ def test_parseval(n):
 
 def test_ladder_down_reaches_ground_state():
     # A phi_1 / E_1 = phi_0, in natural units, where k = omega
-    phi_0 = hermite_pair_evaluator(0, 0.2)
+    phi_0, ladder = hermite_pair_evaluator(0, 0.2), ladder_evaluator(SpinorState(1, 0.2))
     for y in linspace(-6.0, 6.0, 121):
-        lowered = annihilation_apply(SpinorState(1, 0.2), y) / energy(1, 0.2)
+        lowered = ladder(y)[0] / energy(1, 0.2)
         assert abs(lowered - phi_0(y)[0]) < 1e-12, y
 
 
 def test_annihilation_kills_ground_state():
+    ladder = ladder_evaluator(SpinorState(0, 0.4))
     for y in linspace(-8.0, 8.0, 101):
-        assert abs(annihilation_apply(SpinorState(0, 0.4), y)) < 1e-15, y
+        assert abs(ladder(y)[0]) < 1e-15, y
+
+
+def test_ladder_evaluator_builds_the_recurrence_once(monkeypatch):
+    # the state's Hermite evaluator is built once, not at every point for each of A and A+
+    builds = []
+
+    def counting(n, omega):
+        builds.append((n, omega))
+        return hermite_pair_evaluator(n, omega)
+    monkeypatch.setattr(spinor_mod, "hermite_pair_evaluator", counting)
+    ladder = ladder_evaluator(SpinorState(3, 0.7))
+    values = [value for y in linspace(-5.0, 5.0, 100) for value in ladder(y)]
+    assert builds == [(3, 0.7)] and len(values) == 200
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -407,11 +421,12 @@ def test_intertwining(n):
     pair = hermite_pair_evaluator(n + 1, omega)  # (phi_{n+1}, phi_n)
     for pc in (PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
         e_upper = energy(n + 1, omega * pc.c * pc.hbar, pc)  # the slope k = omega c hbar
+        down, up = ladder_evaluator(upper, pc), ladder_evaluator(state, pc)
         for y in linspace(-6.0 / math.sqrt(omega), 6.0 / math.sqrt(omega), 241):
             # A phi_{n+1} = E_{n+1} phi_n and A+ phi_n = E_{n+1} phi_{n+1}
             f_upper, f_n = pair(y)
-            lowered = annihilation_apply(upper, y, pc) - e_upper * f_n
-            raised = creation_apply(state, y, pc) - e_upper * f_upper
+            lowered = down(y)[0] - e_upper * f_n
+            raised = up(y)[1] - e_upper * f_upper
             assert abs(lowered) < 1e-8 * pc.c * pc.hbar and abs(raised) < 1e-8 * pc.c * pc.hbar, y
 
 
@@ -420,9 +435,10 @@ def test_normalised_ladder_maps_take_no_constants():
     for pc in (NATURAL_UNITS, PhysicalConstants(c=1.2, hbar=0.8), PhysicalConstants(c=3e8, hbar=1.05e-34)):
         k = pc.c * pc.hbar  # omega = 1
         state = SpinorState(1, pc.omega(k))
-        for apply, e, m in ((creation_apply, energy(2, k, pc), 2), (annihilation_apply, energy(1, k, pc), 0)):
+        lowered, raised = ladder_evaluator(state, pc)(0.5)
+        for value, e, m in ((raised, energy(2, k, pc), 2), (lowered, energy(1, k, pc), 0)):
             phi_m = hermite_pair_evaluator(m, 1.0)(0.5)[0]
-            assert apply(state, 0.5, pc) / e == pytest.approx(phi_m, rel=1e-14)
+            assert value / e == pytest.approx(phi_m, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -430,11 +446,12 @@ def test_ladder_up_then_down_roundtrip(n):
     omega = 0.9
     e = energy(n + 1, omega)  # natural units: k = omega
     pair = hermite_pair_evaluator(n + 1, omega)  # (phi_{n+1}, phi_n)
+    up, down = ladder_evaluator(SpinorState(n, omega)), ladder_evaluator(SpinorState(n + 1, omega))
     for y in linspace(-4.0, 4.0, 41):
         f_upper, f_n = pair(y)
-        raised = creation_apply(SpinorState(n, omega), y) / e
+        raised = up(y)[1] / e
         assert abs(raised - f_upper) < 1e-12, y
-        lowered = annihilation_apply(SpinorState(n + 1, omega), y) / e
+        lowered = down(y)[0] / e
         assert abs(lowered - f_n) < 1e-12, y
 
 
@@ -445,11 +462,12 @@ def test_ladder_maps_at_huge_omega(n):
     scale = (omega / math.pi) ** 0.25  # the size of phi_n there
     e = energy(n + 1, omega)  # natural units: k = omega
     pair = hermite_pair_evaluator(n + 1, omega)  # (phi_{n+1}, phi_n)
+    up, down = ladder_evaluator(SpinorState(n, omega)), ladder_evaluator(SpinorState(n + 1, omega))
     for y in (v / math.sqrt(omega) for v in linspace(-4.0, 4.0, 41)):
         f_upper, f_n = pair(y)
-        raised = creation_apply(SpinorState(n, omega), y) / e
+        raised = up(y)[1] / e
         assert math.isfinite(raised) and abs(raised - f_upper) < 1e-12 * scale, y
-        lowered = annihilation_apply(SpinorState(n + 1, omega), y) / e
+        lowered = down(y)[0] / e
         assert math.isfinite(lowered) and abs(lowered - f_n) < 1e-12 * scale, y
 
 
@@ -457,7 +475,8 @@ def test_huge_omega_slope_and_energy_are_finite():
     # phi_1' = (A - A+) phi_1 / 2 in natural units, where 2 omega overflows; by mpmath at 40
     # digits, phi_1' = sqrt(2 omega) phi_0 - omega y phi_1 (H_1' = 2 H_0) is 1.0622519320256036e231
     state, y = SpinorState(1, 1e308), 1e-160
-    slope = (annihilation_apply(state, y) - creation_apply(state, y)) / 2.0
+    lowered, raised = ladder_evaluator(state)(y)
+    slope = (lowered - raised) / 2.0
     with mpmath.workdps(40):
         omega_mp = mpmath.mpf(state.omega)
         phi_0, phi_1 = (mpmath_hermite.phi(m, state.omega, y) for m in (0, 1))
@@ -482,16 +501,15 @@ def test_ladder_products_where_c_hbar_overflows(from_array):
     # scalar, gives its float's value
     pc = PhysicalConstants(c=1e300, hbar=1e300)
 
-    def at(apply, state, y):
-        return apply(state, np.array([y])[0] if from_array else y, pc)
+    def at(state, y):
+        return ladder_evaluator(state, pc)(np.array([y])[0] if from_array else y)
 
-    assert at(annihilation_apply, SpinorState(0, 1.0), 0.5) == 0.0
-    for apply in (annihilation_apply, creation_apply):
-        kernel = apply(SpinorState(1, 1.0), 37.0)  # c hbar = 1
-        product = at(apply, SpinorState(1, 1.0), 37.0)
+    assert at(SpinorState(0, 1.0), 0.5)[0] == 0.0
+    kernels = ladder_evaluator(SpinorState(1, 1.0))(37.0)  # c hbar = 1
+    for kernel, product in zip(kernels, at(SpinorState(1, 1.0), 37.0)):
         assert math.isfinite(product)
         assert product / 1e300 / 1e300 == pytest.approx(kernel, rel=1e-15, abs=0.0)
-    assert at(creation_apply, SpinorState(0, 1.0), -0.5) == -math.inf  # past the largest float
+    assert at(SpinorState(0, 1.0), -0.5)[1] == -math.inf  # past the largest float
 
 
 def test_phase_where_sqrt_2n_omega_c_overflows():
@@ -511,12 +529,11 @@ def test_slope_and_ladder_maps_are_finite_where_the_envelope_underflows(n, omega
     # y phi is formed before omega multiplies it: phi underflows to 0 where omega y may overflow.
     # An array's elements are numpy scalars, taken as floats: numpy's scalar arithmetic, which
     # warns where omega y overflows, is never reached
-    state = SpinorState(n, omega)
-    for apply in (annihilation_apply, creation_apply):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow of omega y
-            values = [apply(state, y) for y in (np.array(_FAR) if from_array else _FAR)]
-        assert all(map(math.isfinite, values)), values
+    ladder = ladder_evaluator(SpinorState(n, omega))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow of omega y
+        values = [v for y in (np.array(_FAR) if from_array else _FAR) for v in ladder(y)]
+    assert all(map(math.isfinite, values)), values
 
 
 @pytest.mark.parametrize("n", [1, 3])

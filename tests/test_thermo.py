@@ -331,6 +331,7 @@ def test_sweep_em_agrees_where_valid():
     ([1.0, 2.0, 1e160], 1e160),  # below it at the last
     ([1.0, 5e-324], 5e-324),  # beta = 1/T overflows
     ([1.0, -1.0], -1.0),
+    ([1.0, 0.0], 0.0),  # beta = 1/T is not formed
 ])
 def test_sweep_rejects_temperatures_out_of_range(T_values, T_bad):
     with pytest.raises(OutOfRange) as excinfo:
