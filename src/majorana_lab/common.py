@@ -22,7 +22,8 @@ MAX_PARTICLES = 10**150
 def coordinate(y, name="a coordinate", positive=False):
     """float(y) of a finite real number, a type with __float__ or __index__ (an int, a float, a
     numpy scalar, a Fraction); else, naming y's parameter, TypeError for text, which float() would
-    parse, and ValueError for inf, nan, past the largest float and, if positive, for y <= 0."""
+    parse, and ValueError for inf, nan, past the largest float and, if positive, for y <= 0.  The
+    one rule for a real or positive input: each caller computes only with the float it returns."""
     if not (hasattr(type(y), "__float__") or hasattr(type(y), "__index__")):
         raise TypeError(f"{name} must be a real number, not {type(y).__name__}")
     try:
@@ -31,12 +32,6 @@ def coordinate(y, name="a coordinate", positive=False):
     except OverflowError:  # an int or a Fraction past the largest float
         pass
     raise ValueError(f"{name} must be {'positive and ' * positive}finite")
-
-
-def positive_finite(value, name):
-    """Raise ValueError naming value's parameter unless it is a real number 0 < value < inf, by
-    coordinate's rule (so text is a TypeError, and an int past the largest float is refused)."""
-    coordinate(value, name, positive=True)
 
 
 def _frexp_quotient(numerators, denominators):
@@ -80,16 +75,15 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, c=1.0, hbar=1.0, k_B=1.0):
-        for name, value in zip(cls._fields, (c, hbar, k_B)):
-            positive_finite(value, name)
-        return super().__new__(cls, c, hbar, k_B)
+        return super().__new__(cls, *(coordinate(value, name, positive=True)
+                                      for name, value in zip(cls._fields, (c, hbar, k_B))))
 
     def omega(self, k):
         """The frequency omega = k/(c hbar) of slope k, scaled exactly where c hbar alone is not
         a normal float.  Raises ValueError unless 0 < k < inf, and OutOfRange naming "k" where
         omega is not a normal float: past the largest float, or below the least normal one,
         where it would have lost its bits."""
-        positive_finite(k, "k")
+        k = coordinate(k, "k", positive=True)
         omega = over_product(k, self.c, self.hbar)
         if not sys.float_info.min <= omega < math.inf:
             raise OutOfRange("k", k, "k/(c hbar) leaves the float range")
@@ -103,7 +97,7 @@ def energy(n, k, pc=NATURAL_UNITS):
     """The spectrum E_n = sqrt(2 n c hbar k) of a slope k > 0: the exactly scaled root of the
     slope's own product (scaled_root), so omega = k/(c hbar) is never rounded; inf only where the
     root exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
-    positive_finite(k, "k")
+    k = coordinate(k, "k", positive=True)
     try:
         return scaled_root((2.0 * level(n), pc.c, pc.hbar, k))
     except OverflowError:  # the root exceeds the largest float
@@ -154,13 +148,14 @@ class NonConvergence(RuntimeError):
 
 
 def linspace(start, stop, num):
-    """np.linspace(start, stop, num).tolist(), bit for bit, as a list of floats.
+    """np.linspace(start, stop, num).tolist(), bit for bit, as a list of floats; start and stop
+    are taken by coordinate's rule and num by level's.
 
     The same operations in the same order: step = (stop - start)/(num - 1), the
     i-th point i*step + start (i/(num - 1)*(stop - start) + start when step
     underflows to 0), and the last point set to stop.
     """
-    start, stop = float(start), float(stop)
+    start, stop, num = coordinate(start, "start"), coordinate(stop, "stop"), level(num, "num")
     div, delta = num - 1, stop - start
     if div <= 0:
         return [0.0 * delta + start] * num

@@ -18,7 +18,7 @@ xlogx(density_evaluator(state, theta, space)(coord)).
 import math
 from collections import namedtuple
 
-from .common import DEFAULT_THETA, DEFAULT_TOL, BoundViolation, level, positive_finite
+from .common import DEFAULT_THETA, DEFAULT_TOL, BoundViolation, coordinate, level
 from .quadrature import integrate, truncation_radius, xlogx
 from .spinor import SpinorState, density_evaluator
 
@@ -42,11 +42,11 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     undercuts the bound by more than the numerical guard; that signals a
     bug, not physics.
     """
-    level(n)
-    omegas = list(omegas)
-    shifts = [_half_log(omega) for omega in omegas]
-    if not shifts:
+    n = level(n)
+    omegas = [coordinate(omega, "omega", positive=True) for omega in omegas]
+    if not omegas:
         return []
+    theta = coordinate(theta, "theta")
     s_1, err = _unit_entropy(n, theta, tol)
     total, quad_err = 2.0 * s_1, 2.0 * abs(err)
     if total + quad_err < BBM_BOUND - _BBM_GUARD:
@@ -54,19 +54,14 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
             f"S_y + S_p = {total!r} < {BBM_BOUND!r} - {_BBM_GUARD:g} "
             f"for n={n}, omega={omegas[0]!r}, theta={theta!r}"
         )
+    shifts = [0.5 * math.log(omega) for omega in omegas]  # all omega changes in S_y and S_p
     return [EntropyReport(n, omega, theta, s_1 - shift, s_1 + shift, total, BBM_BOUND, quad_err)
             for omega, shift in zip(omegas, shifts)]
 
 
-def _half_log(omega):
-    """ln(omega)/2: all that omega changes in S_y (minus it) and S_p (plus it)."""
-    positive_finite(omega, "omega")
-    return 0.5 * math.log(omega)
-
-
 def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
-    positive_finite(tol, "target_abs_tol")  # integrate's check, before tol sets the radius
+    tol = coordinate(tol, "target_abs_tol", positive=True)  # integrate's rule, before tol sets R
     density = density_evaluator(SpinorState(n=n, omega=1.0), theta)
     # ln(rho) adds ~y^2 growth on top of the degree-2n polynomial, hence the
     # +1 in the tail degree.  The tail tolerance stays at or above the least

@@ -17,14 +17,13 @@ hermite_pair_evaluator, which takes it by common.coordinate and evaluates it in 
 
 import math
 
-from .common import coordinate, level, positive_finite, scaled_root
+from .common import coordinate, level, scaled_root
 
 
 def hermite_pair_evaluator(n, omega):
     """y -> (phi_n(y), phi_{n-1}(y)) at frequency omega > 0, with phi_{-1} = 0: n and omega are
     checked once, and each y costs the coordinate rule, an exp and one sweep of the recurrence."""
-    n = level(n)
-    positive_finite(omega, "omega")
+    n, omega = level(n), coordinate(omega, "omega", positive=True)
     root, norm = math.sqrt(omega), (omega / math.pi) ** 0.25
     # phi_{k+1} = a u phi_k - b phi_{k-1} with a = sqrt(2/(k+1)), b = sqrt(k/(k+1)), for k < n
     coefficients = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(n)]

@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, NonConvergence, coordinate, level, positive_finite, scaled_root
+from .common import DEFAULT_TOL, NonConvergence, coordinate, level, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -58,9 +58,8 @@ def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):
     or as soon as the retired panels' errors alone exceed the tolerance, which
     no further round can undo.
     """
-    positive_finite(truncation_radius, "truncation_radius")
-    positive_finite(target_abs_tol, "target_abs_tol")
-    R, tol = truncation_radius, target_abs_tol
+    R = coordinate(truncation_radius, "truncation_radius", positive=True)
+    tol = coordinate(target_abs_tol, "target_abs_tol", positive=True)
     mid = 0.5 * R  # (center, half-width) of each unfinished panel: [0, R], and [-R, 0] unless even
     active = [(mid, mid)] if even else [(-mid, mid), (mid, mid)]
     values, errs = [], []  # integral and error estimate of each retired panel
@@ -118,8 +117,7 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     R = sqrt((W + (n+2) ln(W+e)) / omega) with W = -ln(tail_tol), then doubled
     as a safety margin (doubling squares the Gaussian tail twice over).
     """
-    positive_finite(omega, "omega")
-    n = level(n)
+    omega, n = coordinate(omega, "omega", positive=True), level(n)
     tail_tol = coordinate(tail_tol, "tail_tol")
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must lie in (0, 1)")

@@ -16,15 +16,15 @@ Each input has one entry.  The slope is a float k > 0, taken by PhysicalConstant
 which gives a state its omega; the spectrum E_n is common.energy(n, k, pc).  Time enters only
 through the phase theta_n(t) = phase(state, t, pc): a spinor at time t is
 spinor_evaluator(state, phase(state, t, pc), space)(coord), the twin of density_evaluator.  A
-coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per point.
+coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per point,
+and omega by coordinate(omega, "omega", positive=True); a state holds the floats they return.
 The ladder operators A and A+ are one ladder_evaluator(state, pc): y -> (A phi_n, A+ phi_n).
 """
 
 import math
 from collections import namedtuple
 
-from .common import (NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, positive_finite,
-                     scaled_quotient)
+from .common import NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, scaled_quotient
 from .hermite import hermite_pair_evaluator, sqrt_2n_omega
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
@@ -37,10 +37,8 @@ class SpinorState(namedtuple("SpinorState", "n omega Omega")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, n, omega, Omega=0.0):
-        level(n)
-        positive_finite(omega, "omega")
-        coordinate(Omega, "Omega")
-        return super().__new__(cls, n, omega, Omega)
+        return super().__new__(cls, level(n), coordinate(omega, "omega", positive=True),
+                               coordinate(Omega, "Omega"))
 
 
 # One evaluation of the spinor: upper component comp1, lower comp2.
@@ -134,6 +132,7 @@ def space_frequency(omega, space):
     Raises OutOfRange naming "omega" where 1/omega overflows (omega below 2**-1024)."""
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
+    omega = coordinate(omega, "omega", positive=True)
     frequency = omega if space == "position" else 1.0 / omega
     if frequency == math.inf:
         raise OutOfRange("omega", omega, f"omega={omega!r} takes 1/omega out of the float range")

@@ -15,8 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, PhysicalConstants,
-                     coordinate, energy, level, linspace, over_product, positive_finite,
-                     scaled_quotient)
+                     coordinate, energy, level, linspace, over_product, scaled_quotient)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -34,9 +33,8 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
-        positive_finite(beta, "beta")
-        positive_finite(k, "k")
-        if level(N, "N", 1) > sys.float_info.max:  # compared as an int: float(N) overflows
+        beta, k = coordinate(beta, "beta", positive=True), coordinate(k, "k", positive=True)
+        if (N := level(N, "N", 1)) > sys.float_info.max:  # compared as an int: float(N) overflows
             raise OutOfRange("N", N, f"N exceeds the largest float, {sys.float_info.max:g}")
         if not isinstance(pc, PhysicalConstants):
             raise ValueError("pc must be a PhysicalConstants")
@@ -134,7 +132,7 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     1.6e-19 for any lam, below 1e-3 of half an ulp of each sum, so no larger M could move a
     double.  Where bound > tol, it raises NonConvergence(message, this pass's Z, bound).
     """
-    positive_finite(tol, "tol")
+    tol = coordinate(tol, "tol", positive=True)
     if sys.float_info.min <= ep.pc.c * ep.pc.hbar * ep.k < math.inf:
         lam = ep.beta * energy(1, ep.k, ep.pc)
     else:  # the plain c hbar k is not a normal float, while x = c hbar k beta^2 is in range
@@ -182,7 +180,8 @@ def report(ep, tol=DEFAULT_TOL):
 
 
 def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
-    """Reports over the (k, T) grid in deterministic (k-major, T-minor) order.
+    """Reports over the (k, T) grid in deterministic (k-major, T-minor) order; an empty k or T
+    list is an empty grid and gives [], as bbm_reports(n, ()) does.
 
     Each k is taken by common.coordinate(k, "k", positive=True) and each T, in T order, by
     coordinate(T, "T").  OutOfRange names "T" when at some temperature (the first such)

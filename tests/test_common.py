@@ -12,12 +12,12 @@ import pytest
 
 from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, energy,
                                  level, linspace, over_product, scaled_quotient, scaled_root)
-from majorana_lab.entropy import bbm_reports
+from majorana_lab.entropy import EntropyReport, bbm_reports
 from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
 from majorana_lab.spinor import (SpinorState, density_evaluator, density_slices, ladder_evaluator,
-                                 spinor_evaluator)
-from majorana_lab.thermo import EnsembleParams, moment_sums
+                                 phase, space_frequency, spinor_evaluator)
+from majorana_lab.thermo import EnsembleParams, moment_sums, report, thermo_sweep
 from without_package import env_without
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
@@ -39,6 +39,17 @@ def test_linspace_matches_numpy_bitwise(start, stop, num):
     got = linspace(start, stop, num)
     assert all(type(v) is float for v in got)
     assert bits(got) == bits(expected)
+
+
+@pytest.mark.parametrize("start, stop, num, error, message", [
+    ("0", 1.0, 3, TypeError, "start must be a real number, not str"),
+    (0.0, 1.0, -1, ValueError, "num must be an integer >= 0"),
+    (0.0, 1.0, 2.5, ValueError, "num must be an integer >= 0"),
+], ids=["text-start", "negative-num", "fractional-num"])
+def test_linspace_takes_its_inputs_by_the_package_rules(start, stop, num, error, message):
+    # np.linspace refuses a negative num too; float() would parse text, range() refuse 2.5
+    with pytest.raises(error, match=f"^{message}$"):
+        linspace(start, stop, num)
 
 
 def test_out_of_range_is_a_value_error_naming_its_parameter():
@@ -181,10 +192,12 @@ POSITIVE_SITES = [
     ("k", lambda v: energy(1, v)),
     ("tol", lambda v: moment_sums(EnsembleParams(1.0, 0.2), v)),
     ("target_abs_tol", lambda v: bbm_reports(1, (0.2,), tol=v)),
+    ("omega", lambda v: space_frequency(v, "momentum")),
 ]
 POSITIVE_SITE_IDS = ["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
                      "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
-                     "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol"]
+                     "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol",
+                     "space-omega"]
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, 10**400, Fraction(10**400, 3)],
@@ -202,6 +215,66 @@ def test_a_text_positive_value_is_refused_naming_its_parameter(name, take):
     # text is no real number: the coordinate rule's TypeError, not a failed comparison
     with pytest.raises(TypeError, match=f"^{name} must be a real number, not str$"):
         take("1")
+
+
+def state_values(state):
+    return state, phase(state, 0.5), density_evaluator(state, 0.3)(0.7)
+
+
+def constants_values(pc):
+    return pc, pc.omega(1.0), thermo_sweep((0.5,), (1.0,), pc=pc)
+
+
+def ensemble_values(ep):
+    return ep, report(ep)
+
+
+# Each parameter taken through a call that evaluates a value, with the record that holds it;
+# keyed by the ids of POSITIVE_SITES, and three real parameters.
+PARAMETER_TAKERS = {
+    "hermite-omega": lambda v: hermite_pair_evaluator(1, v)(0.7),
+    "spinor-omega": lambda v: state_values(SpinorState(1, v)),
+    "entropy-omega": lambda v: bbm_reports(1, (v,)),
+    "radius-omega": lambda v: truncation_radius(v, 1),
+    "spec-radius": lambda v: integrate(math.exp, v),
+    "spec-tol": lambda v: integrate(math.exp, 0.5, v),
+    "ensemble-beta": lambda v: ensemble_values(EnsembleParams(v, 0.2)),
+    "ensemble-k": lambda v: ensemble_values(EnsembleParams(1.0, v)),
+    "constants-c": lambda v: constants_values(PhysicalConstants(c=v)),
+    "constants-hbar": lambda v: constants_values(PhysicalConstants(hbar=v)),
+    "constants-k_B": lambda v: constants_values(PhysicalConstants(k_B=v)),
+    "potential-k": lambda v: PhysicalConstants().omega(v),
+    "energy-k": lambda v: energy(1, v),
+    "thermo-tol": lambda v: moment_sums(EnsembleParams(1.0, 0.2), v),
+    "entropy-tol": lambda v: bbm_reports(1, (0.2,), tol=v),
+    "space-omega": lambda v: space_frequency(v, "momentum"),
+    "spinor-Omega": lambda v: state_values(SpinorState(1, 0.7, v)),
+    "entropy-theta": lambda v: bbm_reports(1, (0.2,), v),
+    "sweep-T": lambda v: thermo_sweep((0.5,), (v,)),
+}
+RECORDS = (PhysicalConstants, SpinorState, EnsembleParams, EntropyReport)
+
+
+def records(value):
+    """Every record of RECORDS in value, a record nested in a tuple, a list or a record."""
+    if isinstance(value, RECORDS):
+        yield value
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from records(item)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(1), np.float32(0.3), np.float64(0.3), Fraction(1, 3)],
+                         ids=["int", "int64", "float32", "float64", "Fraction"])
+@pytest.mark.parametrize("name", POSITIVE_SITE_IDS + ["spinor-Omega", "entropy-theta", "sweep-T"])
+def test_a_real_parameter_gives_its_floats_bits(name, value):
+    # a parameter is computed with, and kept as, the float its rule returns
+    got = PARAMETER_TAKERS[name](value)
+    assert repr(got) == repr(PARAMETER_TAKERS[name](float(value)))
+    for record in records(got):
+        for field, held in record._asdict().items():
+            if field != "pc":
+                assert type(held) is (int if field in ("n", "N") else float), (record, field)
 
 
 @pytest.mark.parametrize("take", [
@@ -294,7 +367,7 @@ def test_scaled_quotient_overflow_keeps_its_sign():
 PUBLIC_FUNCTIONS = {
     "majorana_lab": set(),
     "majorana_lab.common": {"coordinate", "energy", "level", "linspace", "over_product",
-                            "positive_finite", "scaled_quotient", "scaled_root"},
+                            "scaled_quotient", "scaled_root"},
     "majorana_lab.hermite": {"hermite_pair_evaluator", "sqrt_2n_omega"},
     "majorana_lab.quadrature": {"integrate", "truncation_radius", "xlogx"},
     "majorana_lab.spinor": {"density_evaluator", "density_slices", "ladder_evaluator", "phase",

@@ -52,7 +52,7 @@ CONSTANTS = {
 }
 
 # Every wording a refusal may carry; a new one fails the sweep until it is listed here.
-POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol)"  # common.positive_finite's names
+POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol)"  # common.coordinate's positive names
 REAL = r"(a coordinate|t|theta|Omega|tail_tol|T)"  # common.coordinate's names
 REFUSALS = tuple(re.compile(pattern) for pattern in (
     rf"{POSITIVE} must be positive and finite",

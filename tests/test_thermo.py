@@ -317,6 +317,7 @@ def test_sweep_order_and_exact_monotonicity():
         u = [r.U_exact for r in block]
         assert all(a > b for a, b in zip(f, f[1:]))
         assert all(a < b for a, b in zip(u, u[1:]))
+    assert thermo_sweep((), (1.0,)) == thermo_sweep((0.5,), ()) == []  # an empty grid
 
 
 def test_sweep_em_agrees_where_valid():
