@@ -93,11 +93,18 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar k_B")):
 NATURAL_UNITS = PhysicalConstants()
 
 
+def constants(pc):
+    """pc where it is a PhysicalConstants, else ValueError: the one rule for a pc argument."""
+    if not isinstance(pc, PhysicalConstants):
+        raise ValueError("pc must be a PhysicalConstants")
+    return pc
+
+
 def energy(n, k, pc=NATURAL_UNITS):
-    """The spectrum E_n = sqrt(2 n c hbar k) of a slope k > 0: the exactly scaled root of the
-    slope's own product (scaled_root), so omega = k/(c hbar) is never rounded; inf only where the
-    root exceeds the largest float, and zero at n = 0.  The lower tower is -energy(...)."""
-    k = coordinate(k, "k", positive=True)
+    """The spectrum E_n = sqrt(2 n c hbar k) of a slope k > 0, the one entry (energy(n, omega) is
+    sqrt(2 n omega)): the exactly scaled root of its product (scaled_root), so omega = k/(c hbar)
+    is never rounded; inf only past the largest float, 0 at n = 0; the lower tower is -energy."""
+    k, pc = coordinate(k, "k", positive=True), constants(pc)
     try:
         return scaled_root((2.0 * level(n), pc.c, pc.hbar, k))
     except OverflowError:  # the root exceeds the largest float

@@ -12,12 +12,12 @@ raw H_n(u) grows like (2u)^n.
 A coordinate is one finite real number (an int, a float, a numpy scalar, a Fraction).  Every
 value of phi_n, of a spinor, a density or a ladder map passes through the one closure of
 hermite_pair_evaluator, which takes it by common.coordinate and evaluates it in pure Python
-(math.exp, float arithmetic), so every value is a float.
+(math.exp, float arithmetic), so every value is a float; sqrt(2 n omega) is common.energy.
 """
 
 import math
 
-from .common import coordinate, level, scaled_root
+from .common import coordinate, level
 
 
 def hermite_pair_evaluator(n, omega):
@@ -38,8 +38,3 @@ def hermite_pair_evaluator(n, omega):
         return phi, phi_prev
     return pair
 
-
-def sqrt_2n_omega(n, omega):
-    """sqrt(2 n omega) as an exactly scaled root (common.scaled_root), finite for every omega
-    and 0 at n = 0: the plain root's bits wherever 2 n omega is a normal float."""
-    return scaled_root((2.0 * n, omega))

@@ -13,19 +13,20 @@ eigenrelation of the Hermite-Gauss basis (kernel e^{+ipy}/sqrt(2 pi)), which
 maps phi_n at frequency omega to i^n times phi_n at frequency 1/omega.
 
 Each input has one entry.  The slope is a float k > 0, taken by PhysicalConstants.omega(k),
-which gives a state its omega; the spectrum E_n is common.energy(n, k, pc).  Time enters only
-through the phase theta_n(t) = phase(state, t, pc): a spinor at time t is
-spinor_evaluator(state, phase(state, t, pc), space)(coord), the twin of density_evaluator.  A
-coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per point,
-and omega by coordinate(omega, "omega", positive=True); a state holds the floats they return.
-The ladder operators A and A+ are one ladder_evaluator(state, pc): y -> (A phi_n, A+ phi_n).
+which gives a state its omega; the spectrum is common.energy: E_n = energy(n, k, pc), and the
+phase and ladder maps take sqrt(2 n omega) as energy(n, omega).  Time enters only through
+theta_n(t) = phase(state, t, pc), so a spinor at time t is spinor_evaluator(state, theta, space).
+A coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per
+point, omega by coordinate(omega, "omega", positive=True) and pc by common.constants.  The
+ladder operators A and A+ are one ladder_evaluator(state, pc): y -> (A phi_n, A+ phi_n).
 """
 
 import math
 from collections import namedtuple
 
-from .common import NATURAL_UNITS, SPACES, OutOfRange, coordinate, level, scaled_quotient
-from .hermite import hermite_pair_evaluator, sqrt_2n_omega
+from .common import (NATURAL_UNITS, SPACES, OutOfRange, constants, coordinate, energy, level,
+                     scaled_quotient)
+from .hermite import hermite_pair_evaluator
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
@@ -46,14 +47,15 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
 def phase(state, t, pc=NATURAL_UNITS):
-    """theta_n(t) = sqrt(2 omega n) c t + Omega (equals E_n t / hbar + Omega).
+    """theta_n(t) = energy(n, omega) c t + Omega = E_n t / hbar + Omega, pc by common.constants.
 
     Raises OutOfRange naming "t" when theta_n(t) is not finite: "t must be finite" where t is no
     finite float (common.coordinate's rule: inf, nan, an int or a Fraction past the largest
     float), and a range error where the exactly scaled product overflows.
     """
+    root, c = energy(state.n, state.omega), constants(pc).c
     try:
-        theta = scaled_quotient((sqrt_2n_omega(state.n, state.omega), pc.c, coordinate(t, "t")))
+        theta = scaled_quotient((root, c, coordinate(t, "t")))
     except ValueError as exc:  # t is no finite float
         raise OutOfRange("t", t, str(exc)) from None
     if not math.isfinite(theta := theta + state.Omega):
@@ -110,10 +112,10 @@ def ladder_evaluator(state, pc=NATURAL_UNITS):
     """y -> (A phi_n(y), A+ phi_n(y)) = (E_n phi_{n-1}(y), E_{n+1} phi_{n+1}(y)), the twin of
     hermite_pair_evaluator: each is (+-d/dy + omega y) phi_n times c hbar as one exact product
     (common.scaled_quotient), so k = omega c hbar is never formed.  The slope is analytic:
-    H_n' = 2n H_{n-1} reads phi_n' = -omega y phi_n + sqrt(2 n omega) phi_{n-1}; y phi is formed
-    first, 0 where phi underflows, while omega y alone may overflow."""
-    pair, omega = hermite_pair_evaluator(state.n, state.omega), state.omega
-    root, c, hbar = sqrt_2n_omega(state.n, omega), pc.c, pc.hbar
+    H_n' = 2n H_{n-1} reads phi_n' = -omega y phi_n + energy(n, omega) phi_{n-1}; y phi is formed
+    first, 0 where phi underflows, while omega y alone may overflow.  pc: common.constants."""
+    pair, omega, pc = hermite_pair_evaluator(state.n, state.omega), state.omega, constants(pc)
+    root, c, hbar = energy(state.n, omega), pc.c, pc.hbar
 
     def ladder(y):
         phi, phi_prev = pair(y)  # refuses a bad y

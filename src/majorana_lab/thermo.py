@@ -5,8 +5,8 @@ t_p = sum_n (beta E_n)^p exp(-beta E_n), p = 0, 1, 2, with a certified remainder
 Z = t_0, U = N <E> and C_V = N k_B beta^2 Var E follow without finite differences.  The
 em route is the closed form 1/2 + 1/(c hbar k beta^2), the zeroth-order term of the same
 expansion: valid at weak coupling (c hbar k beta^2 << 1), it tends to 1/2 instead of 1 as
-beta -> inf.  N indistinguishable fermions enter as Z_N = Z^N; F, U, S, C_V carry N on
-both routes.
+beta -> inf.  Z_N = Z^N counts N independent, distinguishable copies, the paper's ensemble (not
+N fermions under exclusion); F, U, S, C_V carry N on both routes.
 """
 
 import math
@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from operator import mul
 
 from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, PhysicalConstants,
-                     coordinate, energy, level, linspace, over_product, scaled_quotient)
+                     constants, coordinate, energy, level, over_product, scaled_quotient)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -36,9 +36,7 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
         beta, k = coordinate(beta, "beta", positive=True), coordinate(k, "k", positive=True)
         if (N := level(N, "N", 1)) > sys.float_info.max:  # compared as an int: float(N) overflows
             raise OutOfRange("N", N, f"N exceeds the largest float, {sys.float_info.max:g}")
-        if not isinstance(pc, PhysicalConstants):
-            raise ValueError("pc must be a PhysicalConstants")
-        ep = super().__new__(cls, beta, k, N, pc)
+        ep = super().__new__(cls, beta, k, N, constants(pc))
         lo, hi = EM_PARAMETER_RANGE
         if not lo <= (x := ep.em_parameter) <= hi:
             raise OutOfRange("em_parameter", x, f"c*hbar*k*beta^2 = {x:g} is out of [{lo:g}, "
@@ -46,18 +44,13 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
         return ep
 
     @property
-    def coupling(self):
-        """c hbar k, the only combination the spectrum depends on, as an exactly scaled product."""
-        return scaled_quotient((self.pc.c, self.pc.hbar, self.k))
-
-    @property
     def em_parameter(self):
-        """c hbar k beta^2, which the closed form requires << 1: the exact c hbar k times beta^2
-        where the plain c hbar k and beta^2 are normal floats (the grouping of its pinned bits),
-        else the exactly scaled product of all five factors."""
+        """c hbar k beta^2, which the closed form requires << 1: the exactly scaled c hbar k times
+        beta^2 where the plain c hbar k and beta^2 are normal floats (the grouping of its pinned
+        bits), else the exactly scaled product of all five factors."""
         pc, beta = self.pc, self.beta
         if sys.float_info.min <= pc.c * pc.hbar * self.k < math.inf and 1e-150 < beta < 1e150:
-            return self.coupling * beta**2
+            return scaled_quotient((pc.c, pc.hbar, self.k)) * beta**2
         return scaled_quotient((pc.c, pc.hbar, self.k, beta, beta))
 
     @property
@@ -179,17 +172,16 @@ def report(ep, tol=DEFAULT_TOL):
     return rep
 
 
-def thermo_sweep(k_values=(0.2, 0.4, 0.8), T_values=None, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
+def thermo_sweep(k_values, T_values, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     """Reports over the (k, T) grid in deterministic (k-major, T-minor) order; an empty k or T
     list is an empty grid and gives [], as bbm_reports(n, ()) does.
 
-    Each k is taken by common.coordinate(k, "k", positive=True) and each T, in T order, by
-    coordinate(T, "T").  OutOfRange names "T" when at some temperature (the first such)
-    T <= 0, c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or 1/(k_B T) leaves the float
-    range; report's and EnsembleParams' refusals naming "N" pass through.
+    pc is taken by common.constants, each k by coordinate(k, "k", positive=True) and each T, in
+    T order, by coordinate(T, "T").  OutOfRange names "T" when at some temperature (the first
+    such) T <= 0, c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or 1/(k_B T) leaves the
+    float range; report's and EnsembleParams' refusals naming "N" pass through.
     """
-    T_values = linspace(0.1, 10.0, 50) if T_values is None else T_values
-    k_values = [coordinate(k, "k", positive=True) for k in k_values]
+    pc, k_values = constants(pc), [coordinate(k, "k", positive=True) for k in k_values]
     lo, hi = EM_PARAMETER_RANGE
     grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
     for T in (coordinate(T, "T") for T in T_values):

@@ -366,9 +366,9 @@ def test_scaled_quotient_overflow_keeps_its_sign():
 # concept that already has its entry shows here.
 PUBLIC_FUNCTIONS = {
     "majorana_lab": set(),
-    "majorana_lab.common": {"coordinate", "energy", "level", "linspace", "over_product",
-                            "scaled_quotient", "scaled_root"},
-    "majorana_lab.hermite": {"hermite_pair_evaluator", "sqrt_2n_omega"},
+    "majorana_lab.common": {"constants", "coordinate", "energy", "level", "linspace",
+                            "over_product", "scaled_quotient", "scaled_root"},
+    "majorana_lab.hermite": {"hermite_pair_evaluator"},
     "majorana_lab.quadrature": {"integrate", "truncation_radius", "xlogx"},
     "majorana_lab.spinor": {"density_evaluator", "density_slices", "ladder_evaluator", "phase",
                             "space_frequency", "spinor_evaluator"},

@@ -28,6 +28,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -142,7 +143,7 @@ def check(take, product=None):
 def sweep_hermite():
     for n in LEVELS:
         for omega in X:
-            check(lambda: hermite.sqrt_2n_omega(n, omega))
+            check(lambda: energy(n, omega))
             pair = hermite.hermite_pair_evaluator(n, omega)
             ladder = spinor.ladder_evaluator(SpinorState(n, omega))
             for y in COORDS:
@@ -154,7 +155,7 @@ def sweep_hermite():
 def sweep_roots():
     for n in range(MAX_LEVEL + 1):
         for omega in (*X, *HUGE_OMEGA, sys.float_info.max):
-            check_root(hermite.sqrt_2n_omega(n, omega), 2 * n, omega)
+            check_root(energy(n, omega), 2 * n, omega)
         W = -math.log(1e-12)
         w = W + (n + 2) * math.log(W + math.e)  # the float w that the radius forms
         for omega in (*X, *TINY_OMEGA):
@@ -191,7 +192,7 @@ def sweep_spectrum(pc):
                 check_root(abs(e), 2 * n, pc.c, pc.hbar, k, ulps=2)
     for n in LEVELS:
         for omega in X:
-            state, root = SpinorState(n, omega), hermite.sqrt_2n_omega(n, omega)
+            state, root = SpinorState(n, omega), energy(n, omega)
             for t in COORDS:  # a time past the largest float is refused, as inf is
                 product = exact(root, pc.c, t) if abs(t) <= MAX else None
                 check(lambda: spinor.phase(state, t, pc), product)
@@ -278,6 +279,11 @@ def sweep_bad_input():
         # a positive real k and a real T: zero, text and an int past the largest float
         *(lambda v=v: thermo.thermo_sweep((v,), (1.0,)) for v in (0.0, *HUGE_AND_TEXT)),
         *(lambda v=v: thermo.thermo_sweep((1.0,), (v,)) for v in (0.0, *HUGE_AND_TEXT)),
+        # constants that are no PhysicalConstants, even one with its fields, are refused
+        *(take for pc in (None, "x", (1.0, 1.0, 1.0), SimpleNamespace(c=1.0, hbar=1.0, k_B=1.0))
+          for take in (lambda pc=pc: energy(1, 1.0, pc), lambda pc=pc: spinor.phase(state, 0.5, pc),
+                       lambda pc=pc: spinor.ladder_evaluator(state, pc),
+                       lambda pc=pc: thermo.thermo_sweep((1.0,), (1.0,), pc=pc))),
     ]
     for take in calls:
         assert isinstance(check(take), Exception)

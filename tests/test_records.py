@@ -189,6 +189,5 @@ def test_methods_and_properties_survive():
     pc = PhysicalConstants(c=2.0, hbar=0.5, k_B=4.0)
     assert pc.omega(0.3) == 0.3
     ep = EnsembleParams(0.5, 0.3, 2, pc)
-    assert ep.coupling == 0.3
     assert ep.em_parameter == 0.3 * 0.5**2
     assert ep.temperature == 0.5

@@ -437,7 +437,3 @@ def test_particle_count_past_the_float_range_is_out_of_range(take):
         take()
     assert (excinfo.value.param, excinfo.value.value) == ("N", 10**309)
 
-
-def test_default_sweep_grid():
-    rows = thermo_sweep(k_values=(0.3,))
-    assert [r.beta for r in rows] == [1.0 / T for T in np.linspace(0.1, 10.0, 50).tolist()]
