@@ -19,7 +19,7 @@ radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
 print(f"n={n}, omega={omega}: mass of rho(., t) by quadrature")
 for t in (0.0, 1.7, 4.2):
     theta = phase(state, t)
-    mass, _ = integrate(density_evaluator(state, theta), radius, 1e-11)
+    mass, _ = integrate(density_evaluator(state, theta), (-radius, 0.0, radius), 1e-11)
     print(f"  t={t:>4}: {mass:.12f}")
 
 # momentum space is the same construction at inverted frequency: broad position

@@ -115,15 +115,18 @@ class LevelError(ValueError, TypeError):
     """A level n or a count N that is not an integer in its range: a ValueError and a TypeError."""
 
 
-def level(n, name="quantum number n", least=0):
+def level(n, name="quantum number n", least=0, most=MAX_LEVEL):
     """n as an int by operator.index, Python's integer protocol, which numpy integers implement;
-    a bool, a non-integer or an n below least raises LevelError naming n's parameter."""
+    a bool, a non-integer or an n outside [least, most] raises LevelError naming n's parameter."""
     try:
-        if (index := operator.index(n)) >= least and not isinstance(n, bool):
-            return index
+        index = operator.index(n)
     except TypeError:
-        pass
-    raise LevelError(f"{name} must be an integer >= {least}")
+        index = None
+    if index is None or index < least or isinstance(n, bool):
+        raise LevelError(f"{name} must be an integer >= {least}")
+    if index > most:
+        raise LevelError(f"{name} must be an integer <= {most}")
+    return index
 
 
 class OutOfRange(ValueError):
@@ -162,7 +165,8 @@ def linspace(start, stop, num):
     i-th point i*step + start (i/(num - 1)*(stop - start) + start when step
     underflows to 0), and the last point set to stop.
     """
-    start, stop, num = coordinate(start, "start"), coordinate(stop, "stop"), level(num, "num")
+    start, stop = coordinate(start, "start"), coordinate(stop, "stop")
+    num = level(num, "num", 0, math.inf)
     div, delta = num - 1, stop - start
     if div <= 0:
         return [0.0 * delta + start] * num

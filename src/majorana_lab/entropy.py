@@ -68,6 +68,6 @@ def _unit_entropy(n, theta, tol):
     # positive float, where tol * 1e-2 would underflow to 0; R grows only like
     # sqrt(ln(1/tail_tol)), and such a tol fails in the quadrature instead.
     radius = truncation_radius(1.0, n + 1, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
-    # rho is even, so rho ln rho is integrated over [0, R] only, density(y) at y >= 0
-    value, err = integrate(lambda y: xlogx(density(y)), radius, tol, even=True)
+    # rho is even, and doubling is exact: 2 rho ln rho over [0, R] has the whole line's bits
+    value, err = integrate(lambda y: 2.0 * xlogx(density(y)), (0.0, radius), tol)
     return -value, err

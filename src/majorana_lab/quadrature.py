@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, NonConvergence, coordinate, level, scaled_root
+from .common import DEFAULT_TOL, MAX_LEVEL, NonConvergence, coordinate, level, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -35,52 +35,48 @@ _TINY = sys.float_info.min
 _MAX_PANELS = 2**20  # a guard against runaway subdivision; an n = 64 entropy ends below 2,000
 
 
-def integrate(f, truncation_radius, target_abs_tol=DEFAULT_TOL, *, even=False):
-    """Integrate f over [-R, R], R = truncation_radius, adaptively; returns (value, err_estimate).
+def integrate(f, breakpoints, target_abs_tol=DEFAULT_TOL):
+    """Integrate f from the first breakpoint to the last, adaptively; returns (value, err_estimate).
 
-    Adaptive 15-point Gauss-Kronrod rule (G7K15; QUADPACK's qk15, Piessens et
-    al. 1983), like scipy.integrate.quad: f is called with one float and
-    returns one float.  Each panel carries qk15's error estimate, floored at
-    50 eps times the integral of |f| over it.  A panel retires once its error
-    is at most tol * width / 2R, or once it is at that roundoff floor or too
-    narrow to halve; every other panel is halved for the next round.  Every
-    sum is a math.fsum, so the result does not depend on the order of the
-    panels.  On success err_estimate, the sum of the panel errors, satisfies
-    err_estimate <= target_abs_tol.
+    Adaptive 15-point Gauss-Kronrod rule (G7K15; QUADPACK's qk15, Piessens et al. 1983), like
+    scipy.integrate.quad: f is called with one float and returns one float.  The first round
+    takes the panels between consecutive breakpoints, two or more finite real numbers (by
+    coordinate's rule) that strictly increase.  Each panel carries qk15's error estimate,
+    floored at 50 eps times the integral of |f| over it.  A panel retires once its error is at
+    most tol * width / (b_last - b_first), or once it is at that roundoff floor or too narrow
+    to halve; every other panel is halved for the next round.  Every sum is a math.fsum, so the
+    result does not depend on the order of the panels.  On success err_estimate, the sum of the
+    panel errors, satisfies err_estimate <= target_abs_tol.
 
-    The first round takes [-R, 0] and [0, R].  even=True requires f(-y) ==
-    f(y) bit for bit and calls f at y >= 0 only: it keeps the panels in [0, R]
-    and doubles every sum and count, exact as a mirror panel's nodes are the
-    negated ones, so the result (or NonConvergence) has even=False's bits.
-
-    Raises NonConvergence (with the best estimate attached) when no panel can
-    still be halved, when halving would exceed _MAX_PANELS panels,
-    or as soon as the retired panels' errors alone exceed the tolerance, which
-    no further round can undo.
+    Raises NonConvergence (with the best estimate attached) when no panel can still be halved,
+    when halving would exceed _MAX_PANELS panels, or as soon as the retired panels' errors
+    alone exceed the tolerance, which no further round can undo.
     """
-    R = coordinate(truncation_radius, "truncation_radius", positive=True)
+    points = [coordinate(b, "breakpoints") for b in breakpoints]
+    if len(points) < 2 or any(lo >= hi for lo, hi in zip(points, points[1:])):
+        raise ValueError("breakpoints must be two or more strictly increasing numbers")
     tol = coordinate(target_abs_tol, "target_abs_tol", positive=True)
-    mid = 0.5 * R  # (center, half-width) of each unfinished panel: [0, R], and [-R, 0] unless even
-    active = [(mid, mid)] if even else [(-mid, mid), (mid, mid)]
+    # each unfinished panel's (center, half-width), and half the span, from halved ends: no overflow
+    active = [(0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo) for lo, hi in zip(points, points[1:])]
+    half_span = 0.5 * points[-1] - 0.5 * points[0]
     values, errs = [], []  # integral and error estimate of each retired panel
-    copies = 2 if even else 1  # panels of [-R, R] per panel kept
     while True:
         rules = [_qk15(f, center, half) for center, half in active]
-        total = copies * _fsum(values + [value for value, _, _ in rules])
-        total_err = copies * _fsum(errs + [err for _, err, _ in rules])
+        total = _fsum(values + [value for value, _, _ in rules])
+        total_err = _fsum(errs + [err for _, err, _ in rules])
         if total_err <= tol:
             return total, total_err
-        panels = copies * (len(values) + len(active))
+        panels = len(values) + len(active)
         split = []
         for (center, half), (value, err, floor) in zip(active, rules):
-            if err > tol * half / R and err > floor and half > 100.0 * _EPS * abs(center):
+            if err > tol * half / half_span and err > floor and half > 100.0 * _EPS * abs(center):
                 split.append((center, 0.5 * half))
             else:
                 values.append(value)
                 errs.append(err)
-        if not split or panels + copies * len(split) > _MAX_PANELS or copies * _fsum(errs) > tol:
+        if not split or panels + len(split) > _MAX_PANELS or _fsum(errs) > tol:
             raise NonConvergence(
-                f"quadrature did not reach tol={tol:g} on [-{R:g}, {R:g}] "
+                f"quadrature did not reach tol={tol:g} on [{points[0]:g}, {points[-1]:g}] "
                 f"(error estimate {total_err:g} over {panels} panels)",
                 total, total_err)
         active = [(c, h) for center, h in split for c in (center - h, center + h)]
@@ -115,12 +111,12 @@ def truncation_radius(omega, n, tail_tol=1e-12):
     """Half-width R such that the tail of exp(-omega y^2) * poly(deg 2n) is < tail_tol.
 
     R = sqrt((W + (n+2) ln(W+e)) / omega) with W = -ln(tail_tol), then doubled
-    as a safety margin (doubling squares the Gaussian tail twice over).
+    as a safety margin (doubling squares the Gaussian tail twice over).  n is a
+    level's degree, or one more for the ln(rho) of an entropy integrand.
     """
-    omega, n = coordinate(omega, "omega", positive=True), level(n)
-    tail_tol = coordinate(tail_tol, "tail_tol")
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError("tail_tol must lie in (0, 1)")
+    omega, n = coordinate(omega, "omega", positive=True), level(n, most=MAX_LEVEL + 1)
+    if (tail_tol := coordinate(tail_tol, "tail_tol", positive=True)) >= 1.0:
+        raise ValueError("tail_tol must be less than 1")
     W = -math.log(tail_tol)
     w = W + (n + 2) * math.log(W + math.e)
     return 2.0 * scaled_root((w,), (omega,))

@@ -34,7 +34,7 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
 
     def __new__(cls, beta, k, N=1, pc=NATURAL_UNITS):
         beta, k = coordinate(beta, "beta", positive=True), coordinate(k, "k", positive=True)
-        if (N := level(N, "N", 1)) > sys.float_info.max:  # compared as an int: float(N) overflows
+        if (N := level(N, "N", 1, math.inf)) > sys.float_info.max:  # as an int: float(N) overflows
             raise OutOfRange("N", N, f"N exceeds the largest float, {sys.float_info.max:g}")
         ep = super().__new__(cls, beta, k, N, constants(pc))
         lo, hi = EM_PARAMETER_RANGE

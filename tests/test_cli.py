@@ -153,8 +153,7 @@ def test_unreachable_quadrature_tol_exits_at_once(monkeypatch, tol):
     # The quadrature gives up once its retired panels' errors pass tol, not at the budget
     points, integrate = [], entropy_mod.integrate
     monkeypatch.setattr(entropy_mod, "integrate",
-                        lambda f, *args, **kw: integrate(lambda y: points.append(y) or f(y),
-                                                         *args, **kw))
+                        lambda f, *args: integrate(lambda y: points.append(y) or f(y), *args))
     result = invoke(["table1", "--n", "0", "--tol", tol])
     assert result.exit_code == EXIT_NONCONVERGENCE, result.output
     assert "error: quadrature did not reach tol=" in result.output

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from majorana_lab.common import (NATURAL_UNITS, LevelError, OutOfRange, PhysicalConstants, energy,
-                                 level, linspace, over_product, scaled_quotient, scaled_root)
+from majorana_lab.common import (MAX_LEVEL, NATURAL_UNITS, LevelError, OutOfRange,
+                                 PhysicalConstants, energy, level, linspace, over_product,
+                                 scaled_quotient, scaled_root)
 from majorana_lab.entropy import EntropyReport, bbm_reports
 from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.quadrature import integrate, truncation_radius, xlogx
@@ -90,6 +91,31 @@ def test_every_level_entry_point_has_one_rule(take, n):
     with pytest.raises(ValueError, match="^quantum number n must be an integer >= 0$") as excinfo:
         take(n)
     assert isinstance(excinfo.value, TypeError)
+
+
+@pytest.mark.parametrize("take", [take for name, take in LEVEL_TAKERS.items()
+                                  if name != "truncation_radius"],
+                         ids=[name for name in LEVEL_TAKERS if name != "truncation_radius"])
+def test_a_level_past_max_level_is_refused(take):
+    # MAX_LEVEL is the last level each entry takes; past it the float path loses the state, so
+    # the level rule refuses it, naming n (the radius's degree goes one further, for ln rho)
+    take(MAX_LEVEL)
+    with pytest.raises(LevelError, match=f"^quantum number n must be an integer <= {MAX_LEVEL}$"):
+        take(MAX_LEVEL + 1)
+
+
+@pytest.mark.parametrize("take", [
+    lambda: phase(SpinorState(10**400, 1.0), 0.0),  # was OutOfRange naming t
+    lambda: density_evaluator(SpinorState(10**5, 1.0), 0.7)(100.0),  # was a silent 0.0
+    lambda: hermite_pair_evaluator(10**5, 1.0),  # built an n-long coefficient list
+    lambda: energy(10**400, 1.0),  # was inf
+    lambda: bbm_reports(MAX_LEVEL + 1, ()),  # no omega: was []
+    lambda: SpinorState(1, 1.0)._replace(n=MAX_LEVEL + 1),
+], ids=["phase-10**400", "density-10**5", "hermite-10**5", "energy-10**400", "entropy-no-omega",
+        "spinor-replace"])
+def test_a_level_far_past_max_level_is_refused_before_any_work(take):
+    with pytest.raises(LevelError, match=f"^quantum number n must be an integer <= {MAX_LEVEL}$"):
+        take()
 
 
 def test_level_is_the_integer_protocol():
@@ -181,8 +207,7 @@ POSITIVE_SITES = [
     ("omega", lambda v: SpinorState(1, v)),
     ("omega", lambda v: bbm_reports(1, (v,))),
     ("omega", lambda v: truncation_radius(v, 1)),
-    ("truncation_radius", lambda v: integrate(float, v)),
-    ("target_abs_tol", lambda v: integrate(float, 1.0, v)),
+    ("target_abs_tol", lambda v: integrate(float, (-1.0, 0.0, 1.0), v)),
     ("beta", lambda v: EnsembleParams(v, 0.2)),
     ("k", lambda v: EnsembleParams(1.0, v)),
     ("c", lambda v: PhysicalConstants(c=v)),
@@ -194,8 +219,8 @@ POSITIVE_SITES = [
     ("target_abs_tol", lambda v: bbm_reports(1, (0.2,), tol=v)),
     ("omega", lambda v: space_frequency(v, "momentum")),
 ]
-POSITIVE_SITE_IDS = ["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-radius",
-                     "spec-tol", "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
+POSITIVE_SITE_IDS = ["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-tol",
+                     "ensemble-beta", "ensemble-k", "constants-c", "constants-hbar",
                      "constants-k_B", "potential-k", "energy-k", "thermo-tol", "entropy-tol",
                      "space-omega"]
 
@@ -230,14 +255,13 @@ def ensemble_values(ep):
 
 
 # Each parameter taken through a call that evaluates a value, with the record that holds it;
-# keyed by the ids of POSITIVE_SITES, and three real parameters.
+# keyed by the ids of POSITIVE_SITES, and four real parameters.
 PARAMETER_TAKERS = {
     "hermite-omega": lambda v: hermite_pair_evaluator(1, v)(0.7),
     "spinor-omega": lambda v: state_values(SpinorState(1, v)),
     "entropy-omega": lambda v: bbm_reports(1, (v,)),
     "radius-omega": lambda v: truncation_radius(v, 1),
-    "spec-radius": lambda v: integrate(math.exp, v),
-    "spec-tol": lambda v: integrate(math.exp, 0.5, v),
+    "spec-tol": lambda v: integrate(math.exp, (-0.5, 0.0, 0.5), v),
     "ensemble-beta": lambda v: ensemble_values(EnsembleParams(v, 0.2)),
     "ensemble-k": lambda v: ensemble_values(EnsembleParams(1.0, v)),
     "constants-c": lambda v: constants_values(PhysicalConstants(c=v)),
@@ -251,6 +275,7 @@ PARAMETER_TAKERS = {
     "spinor-Omega": lambda v: state_values(SpinorState(1, 0.7, v)),
     "entropy-theta": lambda v: bbm_reports(1, (0.2,), v),
     "sweep-T": lambda v: thermo_sweep((0.5,), (v,)),
+    "spec-radius": lambda v: integrate(math.exp, (0.0, v)),  # a breakpoint: R of [0, R]
 }
 RECORDS = (PhysicalConstants, SpinorState, EnsembleParams, EntropyReport)
 
@@ -266,7 +291,8 @@ def records(value):
 
 @pytest.mark.parametrize("value", [2, np.int64(1), np.float32(0.3), np.float64(0.3), Fraction(1, 3)],
                          ids=["int", "int64", "float32", "float64", "Fraction"])
-@pytest.mark.parametrize("name", POSITIVE_SITE_IDS + ["spinor-Omega", "entropy-theta", "sweep-T"])
+@pytest.mark.parametrize("name", POSITIVE_SITE_IDS + ["spinor-Omega", "entropy-theta", "sweep-T",
+                                                      "spec-radius"])
 def test_a_real_parameter_gives_its_floats_bits(name, value):
     # a parameter is computed with, and kept as, the float its rule returns
     got = PARAMETER_TAKERS[name](value)

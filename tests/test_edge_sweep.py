@@ -53,14 +53,14 @@ CONSTANTS = {
 }
 
 # Every wording a refusal may carry; a new one fails the sweep until it is listed here.
-POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol)"  # common.coordinate's positive names
-REAL = r"(a coordinate|t|theta|Omega|tail_tol|T)"  # common.coordinate's names
+POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol|tail_tol)"  # coordinate's positive names
+REAL = r"(a coordinate|t|theta|Omega|T)"  # common.coordinate's names
 REFUSALS = tuple(re.compile(pattern) for pattern in (
     rf"{POSITIVE} must be positive and finite",
     rf"({POSITIVE}|{REAL}) must be a real number, not \w+",
-    r"(quantum number n|N) must be an integer >= \d+",
+    r"(quantum number n|N) must be an integer (>=|<=) \d+",
     rf"{REAL} must be finite",
-    r"tail_tol must lie in \(0, 1\)",
+    r"tail_tol must be less than 1",
     r"xlogx requires v >= 0",
     r"space must be one of \('position', 'momentum'\)",
     r"pc must be a PhysicalConstants",
@@ -248,7 +248,10 @@ def sweep_bad_input():
     """One bad argument per call: each is refused, in a listed wording."""
     state, nan, inf = SpinorState(1, 1.0), math.nan, math.inf
     calls = [
-        *(lambda n=n: hermite.hermite_pair_evaluator(n, 1.0)(0.5) for n in (-1, 1.5, True, None)),
+        *(lambda n=n: hermite.hermite_pair_evaluator(n, 1.0)(0.5)
+          for n in (-1, 1.5, True, None, MAX_LEVEL + 1)),
+        *(lambda n=n: spinor.phase(SpinorState(n, 1.0), 0.0) for n in (MAX_LEVEL + 1, 10**400)),
+        *(lambda n=n: quadrature.truncation_radius(1.0, n) for n in (MAX_LEVEL + 2, 10**400)),
         *(lambda w=w: hermite.hermite_pair_evaluator(1, w)(0.5) for w in (0.0, -1.0, inf, nan)),
         *(lambda y=y: spinor.ladder_evaluator(state)(y) for y in (inf, -inf, nan)),
         *(lambda t=t: quadrature.truncation_radius(1.0, 1, t) for t in (0.0, 1.0, nan, "1e-3", None)),

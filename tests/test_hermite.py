@@ -57,7 +57,7 @@ def test_orthonormality(m):
     phi_m = hermite_pair_evaluator(m, omega)
     for n in range(m, 13):
         phi_n = hermite_pair_evaluator(n, omega)
-        value, _ = integrate(lambda y: phi_m(y)[0] * phi_n(y)[0], radius, 1e-11)
+        value, _ = integrate(lambda y: phi_m(y)[0] * phi_n(y)[0], (-radius, 0.0, radius), 1e-11)
         expected = 1.0 if m == n else 0.0
         assert abs(value - expected) < 1e-8
 

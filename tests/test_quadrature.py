@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from majorana_lab import quadrature
+from majorana_lab.common import MAX_LEVEL, LevelError
 from majorana_lab.quadrature import NonConvergence, integrate, truncation_radius, xlogx
 from majorana_lab.spinor import SpinorState, density_evaluator
 
@@ -14,19 +16,21 @@ def gaussian_moment(m, omega):
 
 
 def test_standard_normal_mass():
-    value, err = integrate(lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), 12.0, 1e-12)
+    value, err = integrate(lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi),
+                           (-12.0, 0.0, 12.0), 1e-12)
     assert abs(value - 1.0) < 1e-12
     assert err <= 1e-12
 
 
 def test_scaled_gaussian_mass():
     radius = truncation_radius(0.2, 0, tail_tol=1e-13)
-    value, _ = integrate(lambda y: math.sqrt(0.2 / math.pi) * np.exp(-0.2 * y * y), radius)
+    value, _ = integrate(lambda y: math.sqrt(0.2 / math.pi) * np.exp(-0.2 * y * y),
+                         (-radius, 0.0, radius))
     assert abs(value - 1.0) < 1e-10
 
 
 def test_odd_integrand_vanishes():
-    value, _ = integrate(lambda y: y * np.exp(-y * y), 9.0)
+    value, _ = integrate(lambda y: y * np.exp(-y * y), (-9.0, 0.0, 9.0))
     assert abs(value) < 1e-14
 
 
@@ -36,7 +40,8 @@ def test_error_estimate_bounds_true_error(m, omega):
     exact = gaussian_moment(m, omega)
     radius = truncation_radius(omega, m, tail_tol=1e-16)
     # the moments reach ~1e5, so the achievable tolerance scales with size
-    value, est = integrate(lambda y: y ** (2 * m) * np.exp(-omega * y * y), radius, 1e-10 * max(1.0, exact))
+    value, est = integrate(lambda y: y ** (2 * m) * np.exp(-omega * y * y), (-radius, 0.0, radius),
+                           1e-10 * max(1.0, exact))
     true_err = abs(value - exact)
     # floor: truncated tail plus last-ulp roundoff of the closed form
     assert true_err <= 10.0 * est + 1e-13 * max(1.0, exact)
@@ -51,8 +56,8 @@ def test_halving_tolerance_never_increases_error(tol):
     radius = truncation_radius(omega, 4, tail_tol=1e-16)
     for m in range(5):
         f = lambda y, m=m: y ** (2 * m) * math.exp(-omega * y * y)
-        v1, _ = integrate(f, radius, tol)
-        v2, _ = integrate(f, radius, tol / 2)
+        v1, _ = integrate(f, (-radius, 0.0, radius), tol)
+        v2, _ = integrate(f, (-radius, 0.0, radius), tol / 2)
         with mpmath.workdps(40):
             exact = mpmath.gamma(m + mpmath.mpf(0.5)) / mpmath.mpf(omega) ** (m + mpmath.mpf(0.5))
             assert abs(v2 - exact) <= abs(v1 - exact)
@@ -61,7 +66,7 @@ def test_halving_tolerance_never_increases_error(tol):
 def test_nonconvergence_carries_best_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 1)  # the panel budget, hit at the first halving
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(lambda y: np.cos(1e4 * y), 1.0, 1e-12)
+        integrate(lambda y: np.cos(1e4 * y), (-1.0, 0.0, 1.0), 1e-12)
     assert math.isfinite(excinfo.value.value)
     assert math.isfinite(excinfo.value.err_estimate)
 
@@ -73,7 +78,7 @@ def test_integrand_receives_one_float():
         seen.add(type(y))
         return math.exp(-y * y)
 
-    value, _ = integrate(f, 9.0, 1e-12)
+    value, _ = integrate(f, (-9.0, 0.0, 9.0), 1e-12)
     assert seen == {float}
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -87,8 +92,9 @@ def test_unreachable_tol_fails_at_once():
         calls.append(y)
         return math.exp(-y * y)
 
+    radius = truncation_radius(1.0, 1)
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(f, truncation_radius(1.0, 1), 1e-310)
+        integrate(f, (-radius, 0.0, radius), 1e-310)
     assert len(calls) < 10_000
     assert excinfo.value.value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert excinfo.value.err_estimate > 1e-310
@@ -97,7 +103,7 @@ def test_unreachable_tol_fails_at_once():
 def test_overflowing_integrand_is_nonconvergence():
     # its panel sums overflow: math.fsum raises there, the integral reports inf instead
     with pytest.raises(NonConvergence) as excinfo:
-        integrate(lambda y: 1e308, 1.0)
+        integrate(lambda y: 1e308, (-1.0, 0.0, 1.0))
     assert excinfo.value.value == math.inf
 
 
@@ -106,7 +112,8 @@ def test_result_independent_of_panel_order():
     # panels and of each panel's nodes, gives the same bits
     f = lambda y: math.exp(-0.3 * y * y) * (1.0 + y) ** 2
     radius = truncation_radius(0.3, 1)
-    assert integrate(f, radius, 1e-13) == integrate(lambda y: f(-y), radius, 1e-13)
+    line = (-radius, 0.0, radius)
+    assert integrate(f, line, 1e-13) == integrate(lambda y: f(-y), line, 1e-13)
 
 
 def _entropy_integrand(n, theta):
@@ -115,13 +122,13 @@ def _entropy_integrand(n, theta):
     return lambda y: xlogx(density(abs(y)))
 
 
-def _outcome(f, radius, tol, **kw):
-    """The repr of integrate's (value, err_estimate), or of NonConvergence's message, value and
+def _outcome(f, breakpoints, tol):
+    """The repr of integrate's (value, err_estimate), or of NonConvergence's value and
     err_estimate: equal reprs are equal bits, the sign of a zero included."""
     try:
-        return repr(integrate(f, radius, tol, **kw))
+        return repr(integrate(f, breakpoints, tol))
     except NonConvergence as exc:
-        return repr((str(exc), exc.value, exc.err_estimate))
+        return repr(("NonConvergence", exc.value, exc.err_estimate))
 
 
 # (integrand, truncation radius): rho ln rho, and a cusp at the origin
@@ -139,29 +146,65 @@ EVEN_TOLS = [1e308, 10.0, 1e-4, 1e-10, 1e-14, 1e-15, 1e-310, 5e-324]
 @pytest.mark.parametrize("tol", EVEN_TOLS)
 @pytest.mark.parametrize("make", EVEN_INTEGRANDS.values(), ids=EVEN_INTEGRANDS.keys())
 def test_even_integral_has_the_full_lines_bits(make, tol):
-    # half the points, each at y >= 0 and evaluated once, and the same bits as the whole line,
-    # on success and in NonConvergence's message, value and estimate alike
+    # twice an even f over [0, R], the entropy's integral: half the points, each at y >= 0 and
+    # evaluated once, and the bits of f over [-R, 0, R], on success and in NonConvergence's
+    # value and estimate alike (tol is never halved: tol/2 underflows to 0 at 5e-324)
     f, radius = make()
     full, half = [], []
-    expected = _outcome(lambda y: full.append(y) or f(y), radius, tol)
-    assert _outcome(lambda y: half.append(y) or f(y), radius, tol, even=True) == expected
+    expected = _outcome(lambda y: full.append(y) or f(y), (-radius, 0.0, radius), tol)
+    assert _outcome(lambda y: half.append(y) or 2.0 * f(y), (0.0, radius), tol) == expected
     assert len(half) == (len(full) + 1) // 2
     assert min(half) >= 0.0 and len(set(half)) == len(half)
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3, 8, 99])
-@pytest.mark.parametrize("name", ["rho-ln-rho-n=20-theta=0.3000", "cusp"])
-def test_even_integral_counts_the_panel_budget_of_the_full_line(monkeypatch, name, budget):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", budget)
-    f, radius = EVEN_INTEGRANDS[name]()
-    assert _outcome(f, radius, 1e-12, even=True) == _outcome(f, radius, 1e-12)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
-        integrate(math.exp, -1.0)
+        integrate(math.exp, (-1.0, 0.0, -1.0))
     with pytest.raises(ValueError):
-        integrate(math.exp, 5.0, 0.0)
+        integrate(math.exp, (-5.0, 0.0, 5.0), 0.0)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (1.0,), (0.0, 0.0), (1.0, 0.0), (0.0, 2.0, 1.0, 3.0),
+                                         (-0.0, 0.0), iter([2.0])],
+                         ids=["none", "one", "equal", "decreasing", "out-of-order", "signed-zeros",
+                              "one-from-an-iterator"])
+def test_integrate_refuses_breakpoints_that_do_not_strictly_increase(breakpoints):
+    with pytest.raises(ValueError,
+                       match="^breakpoints must be two or more strictly increasing numbers$"):
+        integrate(math.exp, breakpoints)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (math.inf, ValueError, "breakpoints must be finite"),
+    (math.nan, ValueError, "breakpoints must be finite"),
+    (10**400, ValueError, "breakpoints must be finite"),
+    (Fraction(10**400, 3), ValueError, "breakpoints must be finite"),
+    ("1", TypeError, "breakpoints must be a real number, not str"),
+    (None, TypeError, "breakpoints must be a real number, not NoneType"),
+], ids=["inf", "nan", "int-past-max", "Fraction-past-max", "text", "None"])
+def test_integrate_takes_each_breakpoint_by_the_coordinate_rule(bad, error, message):
+    # whichever place the bad entry holds, and before any integrand call
+    calls = []
+    for breakpoints in ((bad, 0.0, 1.0), (-1.0, bad, 1.0), (-1.0, 0.0, bad)):
+        with pytest.raises(error, match=f"^{message}$"):
+            integrate(lambda y: calls.append(y) or 1.0, breakpoints)
+    assert calls == []
+
+
+def test_a_first_round_of_several_panels():
+    # a Gaussian over uneven first-round panels lands within its own estimate of the closed form
+    omega = 0.7
+    radius = truncation_radius(omega, 0, tail_tol=1e-16)
+    value, err = integrate(lambda y: math.exp(-omega * y * y), (-radius, -1.3, 0.0, 2.1, radius),
+                           1e-12)
+    assert err <= 1e-12
+    assert abs(value - math.sqrt(math.pi / omega)) <= err
+
+
+def test_breakpoints_far_apart_stay_finite():
+    # b_last - b_first overflows, but every center and half-width is formed from halves
+    value, err = integrate(lambda y: 1e-300, (-1.5e308, 1.5e308), 1e-5)  # the floor: 3.3e-6
+    assert value == pytest.approx(3e8, rel=1e-15) and err <= 1e-5
 
 
 def test_truncation_radius_covers_gaussian_tail():
@@ -188,15 +231,26 @@ def test_truncation_radius_validation():
         truncation_radius(1.0, -1)
     with pytest.raises(ValueError):
         truncation_radius(1.0, 1, tail_tol=2.0)
-    # tail_tol is a real number, by the coordinate rule, before its range is checked
+    # tail_tol is a positive real number, by the coordinate rule, before its bound is checked
     for tail_tol in ("1e-3", None):
         with pytest.raises(TypeError, match="^tail_tol must be a real number, not "):
             truncation_radius(1.0, 1, tail_tol)
-    for tail_tol in (math.nan, math.inf, 10**400):
-        with pytest.raises(ValueError, match="^tail_tol must be finite$"):
+    for tail_tol in (math.nan, math.inf, 10**400, 0, -1e-3):
+        with pytest.raises(ValueError, match="^tail_tol must be positive and finite$"):
             truncation_radius(1.0, 1, tail_tol=tail_tol)
-    with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\)$"):
-        truncation_radius(1.0, 1, tail_tol=0)
+    for tail_tol in (1, 1.0, 2.0, 1e300):
+        with pytest.raises(ValueError, match="^tail_tol must be less than 1$"):
+            truncation_radius(1.0, 1, tail_tol=tail_tol)
+
+
+@pytest.mark.parametrize("n", [MAX_LEVEL + 2, 10**5, 10**400], ids=["MAX_LEVEL+2", "10**5", "10**400"])
+def test_truncation_radius_refuses_a_degree_past_the_entropy_integrands(n):
+    # the degree of a level's rho ln rho is one more than the level's; past MAX_LEVEL + 1 no
+    # caller needs a radius, and 10**400 raised float()'s bare OverflowError
+    bound = MAX_LEVEL + 1
+    with pytest.raises(LevelError, match=f"^quantum number n must be an integer <= {bound}$"):
+        truncation_radius(1.0, n)
+    assert math.isfinite(truncation_radius(1.0, bound))
 
 
 def test_xlogx_conventions():
