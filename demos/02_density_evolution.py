@@ -15,7 +15,7 @@ omega, n = 0.2, 2
 state = SpinorState(n, omega)
 
 # mass conservation, checked by quadrature at several times
-radius = truncation_radius(omega, n + 1, tail_tol=1e-13)
+radius = truncation_radius(omega, n, tail_tol=1e-13)
 print(f"n={n}, omega={omega}: mass of rho(., t) by quadrature")
 for t in (0.0, 1.7, 4.2):
     theta = phase(state, t)

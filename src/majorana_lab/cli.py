@@ -205,7 +205,7 @@ def _grid(omega, n, grid, space):
     from .quadrature import truncation_radius
     from .spinor import space_frequency
 
-    radius = truncation_radius(space_frequency(omega, space), n + 1)
+    radius = truncation_radius(space_frequency(omega, space), n)
     return radius, linspace(-radius, radius, grid)
 
 

@@ -63,11 +63,10 @@ def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
     tol = coordinate(tol, "target_abs_tol", positive=True)  # integrate's rule, before tol sets R
     density = density_evaluator(SpinorState(n=n, omega=1.0), theta)
-    # ln(rho) adds ~y^2 growth on top of the degree-2n polynomial, hence the
-    # +1 in the tail degree.  The tail tolerance stays at or above the least
-    # positive float, where tol * 1e-2 would underflow to 0; R grows only like
-    # sqrt(ln(1/tail_tol)), and such a tol fails in the quadrature instead.
-    radius = truncation_radius(1.0, n + 1, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
+    # The tail tolerance stays at or above the least positive float, where tol * 1e-2 would
+    # underflow to 0; R grows only like sqrt(ln(1/tail_tol)), and such a tol fails in the
+    # quadrature instead.
+    radius = truncation_radius(1.0, n, tail_tol=max(min(tol * 1e-2, 1e-12), 5e-324))
     # rho is even, and doubling is exact: 2 rho ln rho over [0, R] has the whole line's bits
     value, err = integrate(lambda y: 2.0 * xlogx(density(y)), (0.0, radius), tol)
     return -value, err

@@ -12,7 +12,7 @@ entropy integrands never produce NaN at wavefunction nodes.
 import math
 import sys
 
-from .common import DEFAULT_TOL, MAX_LEVEL, NonConvergence, coordinate, level, scaled_root
+from .common import DEFAULT_TOL, NonConvergence, coordinate, level, scaled_root
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1] in descending order and their weights; the
@@ -108,17 +108,17 @@ def _fsum(terms):
 
 
 def truncation_radius(omega, n, tail_tol=1e-12):
-    """Half-width R such that the tail of exp(-omega y^2) * poly(deg 2n) is < tail_tol.
+    """Half-width R that covers level n's density and its entropic density rho ln rho.
 
-    R = sqrt((W + (n+2) ln(W+e)) / omega) with W = -ln(tail_tol), then doubled
-    as a safety margin (doubling squares the Gaussian tail twice over).  n is a
-    level's degree, or one more for the ln(rho) of an entropy integrand.
+    ln(rho) adds ~omega y^2 growth to the density's degree-2n polynomial, so R bounds the tail of
+    exp(-omega y^2) * poly(deg 2n + 2) below tail_tol: R = sqrt((W + (n+3) ln(W+e)) / omega) with
+    W = -ln(tail_tol), then doubled as a safety margin (doubling squares the Gaussian tail twice).
     """
-    omega, n = coordinate(omega, "omega", positive=True), level(n, most=MAX_LEVEL + 1)
+    omega, n = coordinate(omega, "omega", positive=True), level(n)
     if (tail_tol := coordinate(tail_tol, "tail_tol", positive=True)) >= 1.0:
         raise ValueError("tail_tol must be less than 1")
     W = -math.log(tail_tol)
-    w = W + (n + 2) * math.log(W + math.e)
+    w = W + (n + 3) * math.log(W + math.e)
     return 2.0 * scaled_root((w,), (omega,))
 
 

@@ -16,8 +16,8 @@ Each input has one entry.  The slope is a float k > 0, taken by PhysicalConstant
 which gives a state its omega; the spectrum is common.energy: E_n = energy(n, k, pc), and the
 phase and ladder maps take sqrt(2 n omega) as energy(n, omega).  Time enters only through
 theta_n(t) = phase(state, t, pc), so a spinor at time t is spinor_evaluator(state, theta, space).
-A coordinate, t, theta and Omega are each taken by common.coordinate, a coordinate once per
-point, omega by coordinate(omega, "omega", positive=True) and pc by common.constants.  The
+A coordinate, t and theta are each taken by common.coordinate, a coordinate once per point,
+omega by coordinate(omega, "omega", positive=True) and pc by common.constants.  The
 ladder operators A and A+ are one ladder_evaluator(state, pc): y -> (A phi_n, A+ phi_n).
 """
 
@@ -31,15 +31,14 @@ from .hermite import hermite_pair_evaluator
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)  # i**n without complex pow dirt
 
 
-class SpinorState(namedtuple("SpinorState", "n omega Omega")):
-    """Level n with effective frequency omega and initial phase offset Omega."""
+class SpinorState(namedtuple("SpinorState", "n omega")):
+    """Level n with effective frequency omega."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __new__(cls, n, omega, Omega=0.0):
-        return super().__new__(cls, level(n), coordinate(omega, "omega", positive=True),
-                               coordinate(Omega, "Omega"))
+    def __new__(cls, n, omega):
+        return super().__new__(cls, level(n), coordinate(omega, "omega", positive=True))
 
 
 # One evaluation of the spinor: upper component comp1, lower comp2.
@@ -47,7 +46,7 @@ SpinorValue = namedtuple("SpinorValue", "comp1 comp2")
 
 
 def phase(state, t, pc=NATURAL_UNITS):
-    """theta_n(t) = energy(n, omega) c t + Omega = E_n t / hbar + Omega, pc by common.constants.
+    """theta_n(t) = energy(n, omega) c t = E_n t / hbar (a zero as +0.0), pc by common.constants.
 
     Raises OutOfRange naming "t" when theta_n(t) is not finite: "t must be finite" where t is no
     finite float (common.coordinate's rule: inf, nan, an int or a Fraction past the largest
@@ -55,10 +54,10 @@ def phase(state, t, pc=NATURAL_UNITS):
     """
     root, c = energy(state.n, state.omega), constants(pc).c
     try:
-        theta = scaled_quotient((root, c, coordinate(t, "t")))
+        theta = scaled_quotient((root, c, coordinate(t, "t"))) + 0.0  # -0.0 + 0.0 is +0.0
     except ValueError as exc:  # t is no finite float
         raise OutOfRange("t", t, str(exc)) from None
-    if not math.isfinite(theta := theta + state.Omega):
+    if not math.isfinite(theta):
         raise OutOfRange("t", t, f"t={t!r} takes the phase theta_n(t) out of the float range")
     return theta
 

@@ -16,14 +16,14 @@ from majorana_lab.spinor import density_evaluator, spinor_evaluator
 def norm_integral(state, theta, space):
     """The integral of the probability density over the space's coordinate."""
     freq = state.omega if space == "position" else 1.0 / state.omega
-    radius = truncation_radius(freq, state.n + 1, tail_tol=1e-13)
+    radius = truncation_radius(freq, state.n, tail_tol=1e-13)
     value, _ = integrate(density_evaluator(state, theta, space), (-radius, 0.0, radius), 1e-11)
     return value
 
 
 def fourier_numeric(state, theta, p):
     """(1/sqrt(2 pi)) integral of psi(y) e^{ipy} dy, by quadrature per component."""
-    radius = truncation_radius(state.omega, state.n + 1, tail_tol=1e-13)
+    radius = truncation_radius(state.omega, state.n, tail_tol=1e-13)
     line = (-radius, 0.0, radius)
     spinor = spinor_evaluator(state, theta)
     comps = []

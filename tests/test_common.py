@@ -93,12 +93,10 @@ def test_every_level_entry_point_has_one_rule(take, n):
     assert isinstance(excinfo.value, TypeError)
 
 
-@pytest.mark.parametrize("take", [take for name, take in LEVEL_TAKERS.items()
-                                  if name != "truncation_radius"],
-                         ids=[name for name in LEVEL_TAKERS if name != "truncation_radius"])
+@pytest.mark.parametrize("take", LEVEL_TAKERS.values(), ids=LEVEL_TAKERS.keys())
 def test_a_level_past_max_level_is_refused(take):
     # MAX_LEVEL is the last level each entry takes; past it the float path loses the state, so
-    # the level rule refuses it, naming n (the radius's degree goes one further, for ln rho)
+    # the level rule refuses it, naming n
     take(MAX_LEVEL)
     with pytest.raises(LevelError, match=f"^quantum number n must be an integer <= {MAX_LEVEL}$"):
         take(MAX_LEVEL + 1)
@@ -272,7 +270,6 @@ PARAMETER_TAKERS = {
     "thermo-tol": lambda v: moment_sums(EnsembleParams(1.0, 0.2), v),
     "entropy-tol": lambda v: bbm_reports(1, (0.2,), tol=v),
     "space-omega": lambda v: space_frequency(v, "momentum"),
-    "spinor-Omega": lambda v: state_values(SpinorState(1, 0.7, v)),
     "entropy-theta": lambda v: bbm_reports(1, (0.2,), v),
     "sweep-T": lambda v: thermo_sweep((0.5,), (v,)),
     "spec-radius": lambda v: integrate(math.exp, (0.0, v)),  # a breakpoint: R of [0, R]
@@ -291,8 +288,7 @@ def records(value):
 
 @pytest.mark.parametrize("value", [2, np.int64(1), np.float32(0.3), np.float64(0.3), Fraction(1, 3)],
                          ids=["int", "int64", "float32", "float64", "Fraction"])
-@pytest.mark.parametrize("name", POSITIVE_SITE_IDS + ["spinor-Omega", "entropy-theta", "sweep-T",
-                                                      "spec-radius"])
+@pytest.mark.parametrize("name", POSITIVE_SITE_IDS + ["entropy-theta", "sweep-T", "spec-radius"])
 def test_a_real_parameter_gives_its_floats_bits(name, value):
     # a parameter is computed with, and kept as, the float its rule returns
     got = PARAMETER_TAKERS[name](value)

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import mpmath_hermite
 from majorana_lab import quadrature
 from majorana_lab.common import MAX_LEVEL, LevelError
 from majorana_lab.quadrature import NonConvergence, integrate, truncation_radius, xlogx
@@ -51,7 +53,6 @@ def test_error_estimate_bounds_true_error(m, omega):
 def test_halving_tolerance_never_increases_error(tol):
     # against the moment at 40 digits, not gaussian_moment: that float closed form is itself
     # 8.6e-15 off it at m = 4, more than tol/2 gains at m = 3 (from 2.9e-15 off to 1.1e-15)
-    import mpmath
     omega = 0.7
     radius = truncation_radius(omega, 4, tail_tol=1e-16)
     for m in range(5):
@@ -134,7 +135,7 @@ def _outcome(f, breakpoints, tol):
 # (integrand, truncation radius): rho ln rho, and a cusp at the origin
 EVEN_INTEGRANDS = {
     **{f"rho-ln-rho-n={n}-theta={theta:.4f}": (lambda n=n, theta=theta: (
-        _entropy_integrand(n, theta), truncation_radius(1.0, n + 1)))
+        _entropy_integrand(n, theta), truncation_radius(1.0, n)))
        for n in (0, 3, 20, 64) for theta in (0.3, math.pi / 4, 0.0, math.pi / 2)},
     "cusp": lambda: (lambda y: math.exp(-abs(y)), 40.0),
 }
@@ -214,6 +215,22 @@ def test_truncation_radius_covers_gaussian_tail():
     assert math.sqrt(math.pi) * math.erfc(R) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2], ids=["0", "pi/4", "pi/2"])
+@pytest.mark.parametrize("n, omega", [(0, 1.0), (1, 1.0), (8, 1.0), (32, 1.0), (MAX_LEVEL, 1.0),
+                                      (MAX_LEVEL, 0.2), (MAX_LEVEL, 5.0)])
+def test_truncation_radius_covers_the_entropic_density_of_its_level(n, omega, theta):
+    # mpmath's rho ln rho of level n beyond R/2, the radius before its safety doubling, on
+    # both sides, is below tail_tol: the radius takes the level and covers ln rho's degree itself
+    def entropic(y):
+        rho = mpmath_hermite.density(n, omega, theta, y)
+        return abs(rho * mpmath.log(rho))
+
+    for tail_tol in (1e-12, 1e-16):
+        half = truncation_radius(omega, n, tail_tol) / 2.0
+        with mpmath.workdps(15):
+            assert 2.0 * mpmath.quad(entropic, [half, mpmath.inf]) <= tail_tol
+
+
 def test_truncation_radius_scaling():
     R1 = truncation_radius(1.0, 0, tail_tol=1e-12)
     R02 = truncation_radius(0.2, 0, tail_tol=1e-12)
@@ -225,12 +242,10 @@ def test_truncation_radius_monotone_in_degree():
 
 
 def test_truncation_radius_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^omega must be positive and finite$"):
         truncation_radius(0.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelError, match="^quantum number n must be an integer >= 0$"):
         truncation_radius(1.0, -1)
-    with pytest.raises(ValueError):
-        truncation_radius(1.0, 1, tail_tol=2.0)
     # tail_tol is a positive real number, by the coordinate rule, before its bound is checked
     for tail_tol in ("1e-3", None):
         with pytest.raises(TypeError, match="^tail_tol must be a real number, not "):
@@ -241,16 +256,6 @@ def test_truncation_radius_validation():
     for tail_tol in (1, 1.0, 2.0, 1e300):
         with pytest.raises(ValueError, match="^tail_tol must be less than 1$"):
             truncation_radius(1.0, 1, tail_tol=tail_tol)
-
-
-@pytest.mark.parametrize("n", [MAX_LEVEL + 2, 10**5, 10**400], ids=["MAX_LEVEL+2", "10**5", "10**400"])
-def test_truncation_radius_refuses_a_degree_past_the_entropy_integrands(n):
-    # the degree of a level's rho ln rho is one more than the level's; past MAX_LEVEL + 1 no
-    # caller needs a radius, and 10**400 raised float()'s bare OverflowError
-    bound = MAX_LEVEL + 1
-    with pytest.raises(LevelError, match=f"^quantum number n must be an integer <= {bound}$"):
-        truncation_radius(1.0, n)
-    assert math.isfinite(truncation_radius(1.0, bound))
 
 
 def test_xlogx_conventions():

@@ -20,7 +20,7 @@ ENTROPY_FIELDS = ("n", "omega", "theta", "S_y", "S_p", "sum", "bbm_bound", "quad
 # record, its field names in order, and a full set of valid values for them
 RECORDS = [
     (PhysicalConstants, ("c", "hbar", "k_B"), (2.0, 0.5, 3.0)),
-    (SpinorState, ("n", "omega", "Omega"), (3, 0.4, 0.1)),
+    (SpinorState, ("n", "omega"), (3, 0.4)),
     (SpinorValue, ("comp1", "comp2"), (0.5 + 0.25j, -0.125j)),
     (EnsembleParams, ("beta", "k", "N", "pc"), (2.0, 0.4, 3, PhysicalConstants(c=2.0))),
     (EntropyReport, ENTROPY_FIELDS, (2, 0.4, 0.7, 1.25, 1.5, 2.75, 2.14, 1e-11)),
@@ -61,7 +61,6 @@ def test_records_are_immutable(record, names, values):
 def test_defaults():
     assert PhysicalConstants() == NATURAL_UNITS == PhysicalConstants(1.0, 1.0, 1.0)
     assert repr(NATURAL_UNITS) == "PhysicalConstants(c=1.0, hbar=1.0, k_B=1.0)"
-    assert SpinorState(1, 0.2).Omega == 0.0
     ep = EnsembleParams(1.5, 0.2)
     assert (ep.N, ep.pc) == (1, NATURAL_UNITS)
     assert ep.pc is NATURAL_UNITS
@@ -74,8 +73,9 @@ def test_defaults():
     lambda: SpinorState(1), lambda: EnsembleParams(1.0),
     lambda: PhysicalConstants(1.0, 1.0, 1.0, 1.0),
     lambda: SpinorState(1, 0.2, mass=0.0),
+    lambda: SpinorState(1, 0.2, 0.3),
 ], ids=["SpinorValue", "EntropyReport", "ThermoReport", "SpinorState",
-        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown"])
+        "EnsembleParams", "PhysicalConstants-extra", "SpinorState-unknown", "SpinorState-extra"])
 def test_missing_or_unknown_arguments_are_type_errors(build):
     with pytest.raises(TypeError):
         build()
@@ -105,8 +105,6 @@ INVALID = {
     "EnsembleParams-N=-2": lambda: EnsembleParams(1.0, 0.2, -2),
     "SpinorState-n=True": lambda: SpinorState(True, 0.5),
     "SpinorState-n=False": lambda: SpinorState(False, 0.5),
-    "SpinorState-Omega=inf": lambda: SpinorState(1, 0.2, Omega=INF),
-    "SpinorState-Omega=nan": lambda: SpinorState(1, 0.2, NAN),
     "EnsembleParams-N=nan": lambda: EnsembleParams(1.0, 0.2, N=NAN),
     "EnsembleParams-N=inf": lambda: EnsembleParams(1.0, 0.2, N=INF),
     "EnsembleParams-N=1.5": lambda: EnsembleParams(1.0, 0.2, N=1.5),
@@ -134,7 +132,6 @@ def test_every_validation_raises_value_error(build):
 INVALID_REMAKES = {
     "PhysicalConstants-c=0": (lambda: PhysicalConstants()._replace(c=0.0), ValueError),
     "SpinorState-n=-1": (lambda: SpinorState(1, 0.2)._replace(n=-1), LevelError),
-    "SpinorState-Omega=inf": (lambda: SpinorState(1, 0.2)._replace(Omega=INF), ValueError),
     "SpinorState-_make-omega=-0.2": (lambda: SpinorState._make([1, -0.2]), ValueError),
     "EnsembleParams-N=0": (lambda: EnsembleParams(1.0, 1.0)._replace(N=0), LevelError),
 }
@@ -155,7 +152,7 @@ def test_replace_refuses_a_coupling_out_of_range(beta):
 
 @pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in Python 3.13")
 def test_copy_replace_checks_the_fields():
-    assert copy.replace(SpinorState(1, 0.2), Omega=0.5) == SpinorState(1, 0.2, 0.5)
+    assert copy.replace(SpinorState(1, 0.2), omega=0.5) == SpinorState(1, 0.5)
     with pytest.raises(LevelError):
         copy.replace(SpinorState(1, 0.2), n=-1)
     with pytest.raises(OutOfRange):

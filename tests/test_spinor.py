@@ -74,11 +74,14 @@ def test_partner_spectra_coincide():
 
 
 def test_phase_examples():
-    assert phase(SpinorState(0, 0.5, Omega=0.3), 5.0) == 0.3
+    assert phase(SpinorState(0, 0.5), 5.0) == 0.0
     assert phase(SpinorState(1, 0.2), 1.0) == pytest.approx(math.sqrt(0.4), rel=1e-14)
-    assert phase(SpinorState(2, 0.2, Omega=math.pi / 4), 0.0) == math.pi / 4
+    assert phase(SpinorState(2, 0.2), 0.0) == 0.0
+    # a zero phase is +0.0, whatever the sign of t
+    for state, t in ((SpinorState(2, 0.2), -0.0), (SpinorState(0, 0.5), -5.0)):
+        assert math.copysign(1.0, phase(state, t)) == 1.0
     # 2 omega overflows at omega = 1e308: n = 0 keeps its zero rate, and n >= 1 the rate's root
-    assert phase(SpinorState(0, 1e308, Omega=0.3), 5.0) == 0.3
+    assert phase(SpinorState(0, 1e308), 5.0) == 0.0
     assert phase(SpinorState(1, 1e308), 1.0) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
     assert phase(SpinorState(2, 1e308), 1.0) == pytest.approx(2e154, rel=1e-15)
 
@@ -113,7 +116,6 @@ def test_theta_omega_and_t_are_taken_by_the_coordinate_rule(value):
     takers = [("theta", lambda: density_evaluator(state, value)),
               ("theta", lambda: spinor_evaluator(state, value, "momentum")),
               ("theta", lambda: list(density_slices(state, [0.3], [value]))),
-              ("Omega", lambda: SpinorState(1, 0.2, Omega=value)),
               ("t", lambda: phase(state, value))]
     for name, take in takers:
         if isinstance(value, str):
@@ -249,10 +251,11 @@ def test_array_coordinates_give_the_float_values(space, kind, n):
 
 
 def test_momentum_spinor_time_path():
-    # a time enters only through phase(state, t, pc) = sqrt(2 n omega) c t + Omega
-    state = SpinorState(2, 0.4, Omega=0.2)
+    # a time enters only through phase(state, t, pc) = sqrt(2 n omega) c t, and an initial
+    # phase is an offset added to it
+    state = SpinorState(2, 0.4)
     pc = PhysicalConstants(c=2.0)
-    v_t = spinor_evaluator(state, phase(state, 1.5, pc), "momentum")(0.7)
+    v_t = spinor_evaluator(state, phase(state, 1.5, pc) + 0.2, "momentum")(0.7)
     v_theta = spinor_evaluator(state, math.sqrt(2 * 2 * 0.4) * 2.0 * 1.5 + 0.2, "momentum")(0.7)
     assert v_t.comp1 == pytest.approx(v_theta.comp1, rel=1e-14)
     assert v_t.comp2 == pytest.approx(v_theta.comp2, rel=1e-14)
@@ -512,9 +515,9 @@ def test_ladder_products_where_c_hbar_overflows(from_array):
 
 
 def test_phase_where_sqrt_2n_omega_c_overflows():
-    # sqrt(2 omega) c = 1.4e450 is not a float, but theta at t = 0 is Omega and at 1e-300 is 1.4e150
-    state, pc = SpinorState(1, 1e300, Omega=0.25), PhysicalConstants(c=1e300)
-    assert phase(state, 0.0, pc) == 0.25
+    # sqrt(2 omega) c = 1.4e450 is not a float, but theta at t = 0 is 0 and at 1e-300 is 1.4e150
+    state, pc = SpinorState(1, 1e300), PhysicalConstants(c=1e300)
+    assert phase(state, 0.0, pc) == 0.0
     assert phase(state, 1e-300, pc) == pytest.approx(math.sqrt(2e300), rel=1e-15)
 
 
@@ -575,6 +578,6 @@ def test_type_validation():
 def test_from_potential():
     # a state of slope k takes omega = k/(c hbar) from the constants
     pc = PhysicalConstants(c=2.0, hbar=0.5)
-    state = SpinorState(3, pc.omega(0.7), Omega=0.1)
+    state = SpinorState(3, pc.omega(0.7))
     assert state.omega == pytest.approx(0.7, rel=1e-15)
-    assert state.n == 3 and state.Omega == 0.1
+    assert state.n == 3
