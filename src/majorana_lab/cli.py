@@ -107,17 +107,20 @@ def _resolve(settings, flags, cfg):
     and its first value stands as x in the header.  The slope rule also lives here: k
     sets omega = k/(c hbar) only when it was given more directly than omega (--k beats
     a config omega; a config k beats the default), and the header's k is 0 otherwise.
+    hints names each setting as a refusal does: by its key where the config file set it, else
+    by its flag.
     """
     s = {key: setting.default for key, setting in {**SETTINGS, **settings}.items()}
-    rank = {}
+    rank, hints = {}, {}
     for key, setting in settings.items():
         name = key.removesuffix("_list")
-        many = key != name
+        many, hint = key != name, f"'--{name}'"  # a default keeps its flag's name
         if name in flags:
-            texts, hint, rank[key] = flags[name] if many else flags[name][-1:], f"'--{name}'", 2
+            texts, rank[key] = flags[name] if many else flags[name][-1:], 2
         elif name in cfg:
             texts = [t.strip() for t in cfg[name].split(",") if t.strip()] if many else [cfg[name]]
             hint, rank[key] = f"{name!r} in ${CONFIG_ENV_VAR}", 1
+        hints[name] = hint
         if key in rank:
             if not texts:
                 raise UsageError(f"Invalid value for {hint}: expected at least one value")
@@ -130,10 +133,10 @@ def _resolve(settings, flags, cfg):
         try:
             s["omega"] = pc.omega(s["k"])
         except OutOfRange as exc:
-            raise UsageError(f"Invalid value for '--k': {exc}") from None
+            raise UsageError(f"Invalid value for {hints['k']}: {exc}") from None
     else:
         s["k"] = 0.0
-    return SimpleNamespace(**s)
+    return SimpleNamespace(**s, hints=hints)
 
 
 def _command(name, flags, config_only=(), **overrides):
@@ -296,8 +299,8 @@ def main(args=None, prog_name="majorana-lab", standalone_mode=True):
     """Quantum states, Shannon entropies, and thermodynamics of linear Majorana fermions.
 
     Runs the command args (default sys.argv[1:]) names; a usage error exits 2, or is raised
-    if not standalone_mode.  perfbench/run.py runs each op as
-    main.main(args=..., prog_name=..., standalone_mode=False).
+    if not standalone_mode.  perfbench/run.py runs an op as a cold `python -m majorana_lab.cli`
+    process; only a traced run (--trace 1) calls main.main(..., standalone_mode=False) in process.
     """
     args = sys.argv[1:] if args is None else list(args)
     name = args[0] if args and args[0] in _COMMANDS else None
@@ -340,10 +343,11 @@ def _run(prog, name, args):
         _emit(s, name, *body(s))
     except OutOfRange as exc:  # T is a thermo temperature: the end of the sweep it is; a field
         # out of range at N = 1 is the temperatures' doing, as no smaller N exists
-        span = "'--tmin' / '--tmax'"
-        hint = {"t": span, "N": "'--particles'" if exc.value > 1 else span,
-                "T": "'--tmin'" if exc.value == s.tmin else "'--tmax'",
-                "omega": "'--k'" if s.k else "'--omega'"}[exc.param]
+        span = ("tmin", "tmax")
+        keys = {"t": span, "N": ("particles",) if exc.value > 1 else span,
+                "T": ("tmin" if exc.value == s.tmin else "tmax",),
+                "omega": ("k" if s.k else "omega",)}[exc.param]
+        hint = " / ".join(s.hints[key] for key in keys)
         raise UsageError(f"Invalid value for {hint}: {exc}") from None
     except (BoundViolation, NonConvergence) as exc:
         sys.stderr.write(f"error: {exc}\n")

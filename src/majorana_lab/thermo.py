@@ -53,10 +53,6 @@ class EnsembleParams(namedtuple("EnsembleParams", "beta k N pc")):
             return scaled_quotient((pc.c, pc.hbar, self.k)) * beta**2
         return scaled_quotient((pc.c, pc.hbar, self.k, beta, beta))
 
-    @property
-    def temperature(self):
-        return over_product(1.0, self.pc.k_B, self.beta)  # inf only past the largest float
-
 
 # One (beta, k, N) evaluation: both partition routes and all four functions.
 ThermoReport = namedtuple("ThermoReport", "beta k N T Z_exact Z_em F U S C_V F_exact U_exact "
@@ -138,28 +134,24 @@ def moment_sums(ep, tol=DEFAULT_TOL):
     return sums, _M, bound
 
 
-def partition_em(ep):
-    """Closed form 1/2 + 1/(c hbar k beta^2) as printed; it tends to 1/2, not 1, as beta -> inf."""
-    return 0.5 + 1.0 / ep.em_parameter
-
-
 def report(ep, tol=DEFAULT_TOL):
-    """Both partition routes and F, U, S, C_V along each at one (beta, k, N).
+    """Both partition routes and F, U, S, C_V along each at one (beta, k, N), T = 1/(k_B beta).
 
-    With x = c hbar k beta^2 the closed forms are F = -(N/beta) ln Z_em,
-    U = 4N / (beta (2 + x)), S = 4 N k_B/(2 + x) + N k_B ln Z_em and
-    C_V = 4 k_B N (2 + 3x) / (2 + x)^2 -> 2 N k_B as T -> inf.  The series gives
-    F = -(N/beta) ln Z, U = N <E>, S = k_B beta (U - F) and C_V = N k_B beta^2 Var E.
-    OutOfRange naming "N" is raised when k_B and N carry a field out of the float range.
+    With x = c hbar k beta^2 the closed forms are Z_em = 1/2 + 1/x as printed, which tends to
+    1/2, not 1, as beta -> inf, F = -(N/beta) ln Z_em, U = 4N / (beta (2 + x)),
+    S = 4 N k_B/(2 + x) + N k_B ln Z_em and C_V = 4 k_B N (2 + 3x) / (2 + x)^2 -> 2 N k_B as
+    T -> inf.  The series gives F = -(N/beta) ln Z, U = N <E>, S = k_B beta (U - F) and
+    C_V = N k_B beta^2 Var E.  OutOfRange naming "N" is raised when k_B and N carry a field, T
+    among them, out of the float range.
     """
     (t0, t1, t2), m, bound = moment_sums(ep, tol)
     x, N, k_B = ep.em_parameter, ep.N, ep.pc.k_B
-    z_em = partition_em(ep)
+    z_em = 0.5 + 1.0 / x
     mean = t1 / t0  # beta <E>
     f_exact = -(N / ep.beta) * math.log(t0)
     u_exact = N * mean / ep.beta
     rep = ThermoReport(
-        ep.beta, ep.k, N, ep.temperature, t0, z_em,
+        ep.beta, ep.k, N, over_product(1.0, k_B, ep.beta), t0, z_em,
         -(N / ep.beta) * math.log(z_em), 4.0 * N / (ep.beta * (2.0 + x)),
         4.0 * N * k_B / (2.0 + x) + N * k_B * math.log(z_em),
         4.0 * k_B * N * (2.0 + 3.0 * x) / (2.0 + x) ** 2,
@@ -177,15 +169,17 @@ def thermo_sweep(k_values, T_values, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     list is an empty grid and gives [], as bbm_reports(n, ()) does.
 
     pc is taken by common.constants, each k by coordinate(k, "k", positive=True) and each T, in
-    T order, by coordinate(T, "T").  OutOfRange names "T" when at some temperature (the first
-    such) T <= 0, c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k, or 1/(k_B T) leaves the
-    float range; report's and EnsembleParams' refusals naming "N" pass through.
+    T order, by coordinate(T, "T").  OutOfRange names "T" at the first T <= 0 ("T must be
+    positive and finite") or whose c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k or
+    1/(k_B T) the float range; report's and EnsembleParams' refusals naming "N" pass through.
     """
     pc, k_values = constants(pc), [coordinate(k, "k", positive=True) for k in k_values]
     lo, hi = EM_PARAMETER_RANGE
     grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
     for T in (coordinate(T, "T") for T in T_values):
-        beta = over_product(1.0, pc.k_B, T) if T > 0.0 else 0.0
+        if T <= 0.0:
+            raise OutOfRange("T", T, "T must be positive and finite")
+        beta = over_product(1.0, pc.k_B, T)
         try:
             points = ([EnsembleParams(beta=beta, k=k, N=N, pc=pc) for k in k_values]
                       if 0.0 < beta < math.inf else None)

@@ -672,8 +672,9 @@ def _raise_bound(*args):
 
 
 def test_in_process_contract(capsys, monkeypatch):
-    # perfbench/run.py runs each op in its own process as main.main(args=..., prog_name=...,
-    # standalone_mode=False): a usage error is raised to it unprinted; exits 3 and 4 stay exits
+    # perfbench/run.py runs untraced ops as cold `python -m majorana_lab.cli` processes; only
+    # its traced runs (--trace 1) call main.main(args=..., prog_name=..., standalone_mode=False)
+    # within its process: a usage error is raised to it unprinted; exits 3 and 4 stay exits
     def run(args):
         main.main(args=args, prog_name="majorana-lab", standalone_mode=False)
 
@@ -793,6 +794,34 @@ def test_slope_with_a_subnormal_frequency_is_usage_error(tmp_path):
     assert result.stdout == ""
     by_omega = run_ok(["density", "--omega", "5e-324", "--grid", "3"], env=env).stdout
     assert "# omega=4.9406564584124654e-324\n" in by_omega
+
+
+_IN_CONFIG = f" in ${CONFIG_ENV_VAR}"
+
+
+@pytest.mark.parametrize("command, config, args, hint", [
+    ("density", "c=1e200\nhbar=1e200\nk=1e-10", ["--grid", "3"], "'k'" + _IN_CONFIG),
+    ("density", "omega=1e-310", ["--space", "momentum", "--grid", "3"], "'omega'" + _IN_CONFIG),
+    ("entropy-density", "omega=1e-310", ["--space", "momentum", "--grid", "3"],
+     "'omega'" + _IN_CONFIG),
+    ("thermo", "tmin=1e-300", ["--tsteps", "2"], "'tmin'" + _IN_CONFIG),
+    ("thermo", "tmax=1e160", ["--tmin", "1", "--tsteps", "2"], "'tmax'" + _IN_CONFIG),
+    ("thermo", f"k_B=1e200\nparticles={MAX_PARTICLES}",
+     ["--k", "1", "--tmin", "1e-200", "--tmax", "1e-200", "--tsteps", "1"],
+     "'particles'" + _IN_CONFIG),
+    ("heatmap", "tmin=-1e308", ["--tmax", "1e308", "--tsteps", "3", "--grid", "3"],
+     "'tmin'" + _IN_CONFIG + " / '--tmax'"),
+    # a default keeps its flag's name, though the file sets other keys
+    ("thermo", "tmax=10", ["--k", "1e300", "--tsteps", "2"], "'--tmin'"),
+    ("density", "c=1e200\nhbar=1e200", ["--k", "1e-10", "--grid", "3"], "'--k'"),
+], ids=["density-k", "density-omega", "entropy-density-omega", "thermo-tmin", "thermo-tmax",
+        "thermo-particles", "heatmap-tmin", "thermo-default-tmin", "density-flag-k"])
+def test_range_refusal_names_the_config_key_it_came_from(tmp_path, command, config, args, hint):
+    # a value refused after resolution is named where it was set: by its key in the file
+    (tmp_path / "lab.cfg").write_text(config + "\n", encoding="utf-8")
+    result = invoke([command, *args], env={CONFIG_ENV_VAR: str(tmp_path / "lab.cfg")})
+    assert result.exit_code == 2 and result.exception is None, result.output
+    assert f"Error: Invalid value for {hint}: " in result.stderr and result.stdout == ""
 
 
 _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")

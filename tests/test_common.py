@@ -395,7 +395,7 @@ PUBLIC_FUNCTIONS = {
     "majorana_lab.spinor": {"density_evaluator", "density_slices", "ladder_evaluator", "phase",
                             "space_frequency", "spinor_evaluator"},
     "majorana_lab.entropy": {"bbm_reports"},
-    "majorana_lab.thermo": {"moment_sums", "partition_em", "report", "thermo_sweep"},
+    "majorana_lab.thermo": {"moment_sums", "report", "thermo_sweep"},
     "majorana_lab.cli": {"cmd_density", "cmd_entropy_density", "cmd_heatmap", "cmd_table1",
                          "cmd_thermo", "main"},
 }

@@ -12,7 +12,7 @@ c = hbar = 1e-160, where a product of the constants is subnormal.  An outcome is
     number belongs) or NonConvergence (from the quadrature or the partition series), with one
     of the wordings in REFUSALS;
   - it is +-inf where the exact product of the constants exceeds the largest float, with
-    its sign, or temperature's inf where 1/(k_B beta) exceeds the largest float.
+    its sign.
 
 A product of the constants (c hbar, c hbar k beta^2, sqrt(2 n omega) c t) is also compared
 with its exact rational value: within 4 ulp wherever that is a normal float, and refused
@@ -53,7 +53,7 @@ CONSTANTS = {
 }
 
 # Every wording a refusal may carry; a new one fails the sweep until it is listed here.
-POSITIVE = r"(c|hbar|k_B|omega|k|beta|tol|target_abs_tol|tail_tol)"  # coordinate's positive names
+POSITIVE = r"(c|hbar|k_B|omega|k|beta|T|tol|target_abs_tol|tail_tol)"  # the positive inputs' names
 REAL = r"(a coordinate|t|theta|T)"  # common.coordinate's names
 REFUSALS = tuple(re.compile(pattern) for pattern in (
     rf"{POSITIVE} must be positive and finite",
@@ -235,9 +235,6 @@ def sweep_thermo(pc):
                 assert not lo * (1 + 2**-50) <= x <= hi * (1 - 2**-50), (beta, k, ep)
                 continue
             check(lambda: ep.em_parameter, x)
-            temperature = ep.temperature  # 1/(k_B beta): inf only past the largest float
-            assert math.isfinite(temperature) or exact(divisors=(pc.k_B, beta)) > MAX
-            check(lambda: thermo.partition_em(ep))
             check(lambda: thermo.report(ep))
             check(lambda: thermo.report(ep._replace(N=10**150)))
     for T in X:

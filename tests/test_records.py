@@ -187,4 +187,3 @@ def test_methods_and_properties_survive():
     assert pc.omega(0.3) == 0.3
     ep = EnsembleParams(0.5, 0.3, 2, pc)
     assert ep.em_parameter == 0.3 * 0.5**2
-    assert ep.temperature == 0.5

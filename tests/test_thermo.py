@@ -8,12 +8,11 @@ import pytest
 
 from mpmath_thermo import HAND_OVER, direct_sum, fields, moments, series
 
-from majorana_lab.common import NonConvergence, OutOfRange, PhysicalConstants
+from majorana_lab.common import NonConvergence, OutOfRange, PhysicalConstants, over_product
 from majorana_lab.thermo import (
     EM_PARAMETER_RANGE,
     EnsembleParams,
     moment_sums,
-    partition_em,
     report,
     thermo_sweep,
 )
@@ -27,10 +26,10 @@ X_GRID = [10.0 ** (j / 4) for j in range(-1200, 601, 7)]
 
 
 def test_partition_em_values():
-    assert partition_em(EnsembleParams(beta=1.0, k=1.0)) == pytest.approx(1.5, rel=1e-15)
-    assert partition_em(EnsembleParams(beta=2.0, k=0.01)) == pytest.approx(25.5, rel=1e-15)
+    assert report(EnsembleParams(beta=1.0, k=1.0)).Z_em == pytest.approx(1.5, rel=1e-15)
+    assert report(EnsembleParams(beta=2.0, k=0.01)).Z_em == pytest.approx(25.5, rel=1e-15)
     # beta -> inf limit of the closed form is 1/2 (not the exact series' 1)
-    assert partition_em(EnsembleParams(beta=1e6, k=1.0)) == pytest.approx(0.5, abs=1e-10)
+    assert report(EnsembleParams(beta=1e6, k=1.0)).Z_em == pytest.approx(0.5, abs=1e-10)
 
 
 def test_partition_exact_ground_state_limit():
@@ -52,7 +51,7 @@ def test_partition_exact_weak_coupling():
     (z, _, _), _, _ = moment_sums(ep, tol=1e-10)
     assert z == pytest.approx(float(moments(0.01, 0.1, 0.1)[0]), abs=1e-8)
     assert z == pytest.approx(10000.502931634, abs=1e-6)
-    assert abs(partition_em(ep) - z) / z < 0.01
+    assert abs(report(ep).Z_em - z) / z < 0.01
 
 
 @pytest.mark.parametrize("x", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -198,16 +197,14 @@ TINY_C_HBAR = PhysicalConstants(c=1e-200, hbar=1e-200)  # c hbar underflows to 0
 
 
 @pytest.mark.parametrize("take", [
-    lambda: partition_em(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
     lambda: moment_sums(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
     lambda: report(EnsembleParams(beta=1.0, k=1.0, pc=TINY_C_HBAR)),
     lambda: report(EnsembleParams(beta=1e100, k=1e-10)),
     lambda: report(EnsembleParams(beta=1.0, k=1e160)),
     lambda: report(EnsembleParams(beta=1e-160, k=1e-10)),
     lambda: report(EnsembleParams(beta=1e200, k=1e200)),
-], ids=["partition_em-c_hbar-underflows", "moment_sums-c_hbar-underflows",
-        "report-c_hbar-underflows", "report-beta=1e100-k=1e-10", "report-beta=1-k=1e160",
-        "report-beta=1e-160-k=1e-10", "report-beta=1e200-k=1e200"])
+], ids=["moment_sums-c_hbar-underflows", "report-c_hbar-underflows", "report-beta=1e100-k=1e-10",
+        "report-beta=1-k=1e160", "report-beta=1e-160-k=1e-10", "report-beta=1e200-k=1e200"])
 def test_every_ensemble_function_refuses_couplings_out_of_range(take):
     # EnsembleParams refuses a coupling out of EM_PARAMETER_RANGE, so no function is handed one
     with pytest.raises(OutOfRange) as excinfo:
@@ -234,7 +231,7 @@ def test_mean_energy_carries_particle_count():
 def test_mean_energy_matches_numeric_derivative_of_em():
     ep = EnsembleParams(beta=0.8, k=0.3, N=2)
     h = ep.beta * 1e-6
-    lnz = lambda b: ep.N * math.log(partition_em(ep._replace(beta=b)))
+    lnz = lambda b: ep.N * math.log(report(ep._replace(beta=b)).Z_em)
     numeric = -(lnz(ep.beta + h) - lnz(ep.beta - h)) / (2 * h)
     assert report(ep).U == pytest.approx(numeric, rel=1e-8)
 
@@ -339,7 +336,19 @@ def test_sweep_rejects_temperatures_out_of_range(T_values, T_bad):
         thermo_sweep(k_values=(0.2, 0.5), T_values=T_values)
     assert (excinfo.value.param, excinfo.value.value) == ("T", T_bad)
     lo, hi = EM_PARAMETER_RANGE
-    assert f"out of [{lo:g}, {hi:g}]" in str(excinfo.value)
+    want = "T must be positive and finite" if T_bad <= 0.0 else f"out of [{lo:g}, {hi:g}]"
+    assert want in str(excinfo.value)
+
+
+@pytest.mark.parametrize("T", [-1.0, 0.0, -0.0, -5e-324, -1e308])
+def test_sweep_refuses_a_temperature_that_is_not_positive(T):
+    # c hbar k beta^2 would be 1 at k = 1, T = -1: the refusal is of the sign, worded as the
+    # input rule words a positive parameter, and it names the first such T with its sign
+    with pytest.raises(OutOfRange) as excinfo:
+        thermo_sweep((1.0,), (1.0, T, -2.0))
+    assert excinfo.value.param == "T" and str(excinfo.value) == "T must be positive and finite"
+    assert math.copysign(1.0, excinfo.value.value) == math.copysign(1.0, T)
+    assert excinfo.value.value == T
 
 
 def test_sweep_rejects_fields_past_the_float_range():
@@ -362,7 +371,7 @@ def test_report_refuses_fields_past_the_float_range():
 def test_report_refuses_a_temperature_past_the_float_range():
     # k_B beta underflows to 0, so T = 1/(k_B beta) is inf, while the coupling is in range
     ep = EnsembleParams(1e-150, 1.0, pc=PhysicalConstants(k_B=1e-300))
-    assert ep.temperature == math.inf
+    assert over_product(1.0, ep.pc.k_B, ep.beta) == math.inf
     with pytest.raises(OutOfRange) as excinfo:
         report(ep)
     assert excinfo.value.param == "N"
@@ -379,7 +388,7 @@ def test_temperature_where_k_B_beta_is_subnormal(beta):
     # k_B beta ~ 6e-309 is subnormal: 1/(k_B beta) is taken on the scaled mantissas, not
     # divided by a product rounded to fewer bits
     k_B = 1e-300
-    temperature = EnsembleParams(beta, 1.0, pc=PhysicalConstants(k_B=k_B)).temperature
+    temperature = report(EnsembleParams(beta, 1.0, pc=PhysicalConstants(k_B=k_B))).T
     assert within_an_ulp(temperature, 1 / (Fraction(k_B) * Fraction(beta)))
 
 
@@ -388,7 +397,7 @@ def test_temperature_has_the_plain_bits_where_k_B_beta_is_normal():
     normal = 0
     for k_B, beta in 10.0 ** rng.uniform((-320.0, -70.0), (308.0, 70.0), size=(3000, 2)):
         k_B, beta = float(k_B), float(beta)
-        temperature = EnsembleParams(beta, 1.0, pc=PhysicalConstants(k_B=k_B)).temperature
+        temperature = over_product(1.0, k_B, beta)
         exact = 1 / (Fraction(k_B) * Fraction(beta))
         if sys.float_info.min <= k_B * beta < math.inf:
             normal += 1
