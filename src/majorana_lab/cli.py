@@ -193,13 +193,45 @@ def _emit(s, command, extras, columns, rows):
                    "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     if s.out == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write_stdout(text)
         return
+    # A missing target or a regular file is replaced whole by a file written beside it, so a
+    # failed write keeps what was there; a device, a FIFO or a symlink is written in place.  The
+    # file beside it has a short name of its own: the target's may be as long as names can be.
+    whole = not os.path.lexists(s.out) or os.path.isfile(s.out) and not os.path.islink(s.out)
+    beside = os.path.join(os.path.dirname(s.out), f"majorana-lab-{os.getpid()}.tmp")
+    path, made = beside if whole else s.out, False
     try:
-        with open(s.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "x" if whole else "w", encoding="utf-8", newline="\n") as fh:
+            made = whole
             fh.write(text)
+        if whole:
+            os.replace(path, s.out)
     except OSError as exc:
+        if made:
+            os.remove(path)
+        exc.filename = s.out  # the target, not the file beside it
+        raise UsageError(f"Invalid value for '--out': {exc}") from None
+
+
+def _write_stdout(text):
+    """text as UTF-8 bytes on the binary layer of stdout, where it has one, until it has taken
+    them all: the text layer of an unbuffered stream drops the rest of a short write.  An
+    OSError other than a closed pipe is refused as a failed --out is."""
+    try:
+        sys.stdout.flush()
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+            return
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[out.write(data):]
+        out.flush()
+    except OSError as exc:  # point stdout at devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader left: main exits 1, quietly
+            raise
         raise UsageError(f"Invalid value for '--out': {exc}") from None
 
 
@@ -309,7 +341,7 @@ def main(args=None, prog_name="majorana-lab", standalone_mode=True):
         if name:
             _run(prog, name, args[1:])
         elif args[:1] == ["--help"]:
-            sys.stdout.write(_help(prog, sorted(_COMMANDS)))
+            _write_stdout(_help(prog, sorted(_COMMANDS)))
         else:
             raise UsageError(f"No such command {args[0]!r}." if args else "Missing command.")
     except UsageError as exc:
@@ -318,8 +350,7 @@ def main(args=None, prog_name="majorana-lab", standalone_mode=True):
         sys.stderr.write(f"Usage: {prog} {'' if name else 'COMMAND '}[OPTIONS]\n"
                          f"Try '{prog} --help' for help.\n\nError: {exc}\n")
         raise SystemExit(2) from None
-    except BrokenPipeError:  # the reader left: let the flush at exit write to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader of stdout left
         raise SystemExit(1) from None
 
 
@@ -329,7 +360,7 @@ def _run(prog, name, args):
     options, given, tokens = {f"--{key.removesuffix('_list')}" for key in flags}, {}, iter(args)
     for token in tokens:
         if token == "--help":
-            sys.stdout.write(_help(prog, [name]))
+            _write_stdout(_help(prog, [name]))
             return
         flag, eq, text = token.partition("=")
         if flag not in options:

@@ -34,8 +34,8 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     """One record of both entropies, their sum and the uncertainty bound per omega of the
     iterable omegas, which is read once.
 
-    The level and every omega are checked, then one quadrature of S_1(n, theta) serves them
-    all (an empty omegas runs none).  The sum is 2 S_1(n, theta), the same
+    The level, every omega, theta and tol are taken, then one quadrature of S_1(n, theta) serves
+    every omega (an empty omegas runs none).  The sum is 2 S_1(n, theta), the same
     for every omega, and quad_err is twice the quadrature's error estimate
     (it enters S_y and S_p alike).  Raises BoundViolation, naming the first
     omega, if the sum plus quad_err, the top of its certified interval,
@@ -44,9 +44,9 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
     """
     n = level(n)
     omegas = [coordinate(omega, "omega", positive=True) for omega in omegas]
+    theta, tol = coordinate(theta, "theta"), coordinate(tol, "tol", positive=True)
     if not omegas:
         return []
-    theta = coordinate(theta, "theta")
     s_1, err = _unit_entropy(n, theta, tol)
     total, quad_err = 2.0 * s_1, 2.0 * abs(err)
     if total + quad_err < BBM_BOUND - _BBM_GUARD:
@@ -61,7 +61,6 @@ def bbm_reports(n, omegas, theta=DEFAULT_THETA, tol=DEFAULT_TOL):
 
 def _unit_entropy(n, theta, tol):
     """(S_1, error estimate): -integral(rho ln rho dy) at omega = 1, by certified quadrature."""
-    tol = coordinate(tol, "target_abs_tol", positive=True)  # integrate's rule, before tol sets R
     density = density_evaluator(SpinorState(n=n, omega=1.0), theta)
     # The tail tolerance stays at or above the least positive float, where tol * 1e-2 would
     # underflow to 0; R grows only like sqrt(ln(1/tail_tol)), and such a tol fails in the

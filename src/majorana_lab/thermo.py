@@ -14,8 +14,8 @@ import sys
 from collections import defaultdict, namedtuple
 from operator import mul
 
-from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, PhysicalConstants,
-                     constants, coordinate, energy, level, over_product, scaled_quotient)
+from .common import (DEFAULT_TOL, NATURAL_UNITS, NonConvergence, OutOfRange, constants,
+                     coordinate, energy, level, over_product, scaled_quotient)
 
 EM_VALIDITY_WARN = 0.1  # warn threshold on c*hbar*k*beta^2
 EM_PARAMETER_RANGE = (1e-300, 1e150)  # c*hbar*k*beta^2 over which every report field is finite
@@ -166,14 +166,15 @@ def report(ep, tol=DEFAULT_TOL):
 
 def thermo_sweep(k_values, T_values, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     """Reports over the (k, T) grid in deterministic (k-major, T-minor) order; an empty k or T
-    list is an empty grid and gives [], as bbm_reports(n, ()) does.
+    list is an empty grid and gives [] once every input is taken, as bbm_reports(n, ()) does.
 
-    pc is taken by common.constants, each k by coordinate(k, "k", positive=True) and each T, in
-    T order, by coordinate(T, "T").  OutOfRange names "T" at the first T <= 0 ("T must be
-    positive and finite") or whose c hbar k beta^2 leaves EM_PARAMETER_RANGE for some k or
-    1/(k_B T) the float range; report's and EnsembleParams' refusals naming "N" pass through.
+    pc is taken by common.constants, each k by coordinate(k, "k", positive=True), N and tol by
+    EnsembleParams' and moment_sums' rules, then each T in order by coordinate(T, "T"). OutOfRange
+    names "T" at the first T <= 0 ("T must be positive and finite") or whose c hbar k beta^2 leaves
+    EM_PARAMETER_RANGE for some k or 1/(k_B T) the float range; refusals naming "N" pass through.
     """
     pc, k_values = constants(pc), [coordinate(k, "k", positive=True) for k in k_values]
+    N, tol = level(N, "N", 1, math.inf), coordinate(tol, "tol", positive=True)
     lo, hi = EM_PARAMETER_RANGE
     grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
     for T in (coordinate(T, "T") for T in T_values):

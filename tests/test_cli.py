@@ -1,7 +1,11 @@
 import ast
+import contextlib
+import errno
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -27,6 +31,11 @@ from majorana_lab.cli import (
 )
 from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES, BoundViolation
 from majorana_lab.entropy import BBM_BOUND
+
+try:
+    import resource
+except ImportError:  # no file-size limit on this platform
+    resource = None
 
 
 def run_ok(args, env=None):
@@ -667,6 +676,75 @@ def test_unwritable_out_is_usage_error(tmp_path):
     assert "Invalid value for '--out'" in result.output
 
 
+def _limit_file_size():
+    """In the child only: a file may grow to 1024 bytes, and a write past that fails (EFBIG)."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+def run_cli_process(argv, stdout, unbuffered=False, limit=False, cwd=None):
+    """A `python -m majorana_lab.cli` run of argv writing stdout to the open file stdout, with
+    PYTHONUNBUFFERED set or unset, and under _limit_file_size where limit is true."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop(CONFIG_ENV_VAR, None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "majorana_lab.cli", *argv], env=env, cwd=cwd,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+                          preexec_fn=_limit_file_size if limit else None)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target, argv", [
+    ("/dev/full", ["table1"]), ("/dev/full", ["--help"]), ("/dev/full", ["table1", "--help"]),
+    ("file-size limit", ["density", "--grid", "400"]),
+], ids=["full-table1", "full-help", "full-command-help", "file-size-limit"])
+def test_a_failed_write_to_stdout_is_refused(tmp_path, target, argv, unbuffered):
+    # not a traceback (exit 1), and not exit 0 over a cut file: the text layer of an unbuffered
+    # stdout drops the rest of a short write, so the CLI writes its bytes to the binary layer
+    limit = target == "file-size limit"
+    if (resource is None) if limit else not os.path.exists(target):
+        pytest.skip(f"no {target} on this platform")
+    with open(tmp_path / "out.csv" if limit else target, "wb") as stdout:
+        out = run_cli_process(argv, stdout, unbuffered, limit)
+    assert out.returncode == 2, out.stderr.decode()
+    assert b"Traceback" not in out.stderr and b"Exception ignored" not in out.stderr
+    code = errno.EFBIG if limit else errno.ENOSPC
+    reason = f"[Errno {code}] {os.strerror(code)}"
+    assert out.stderr.endswith(f"\nError: Invalid value for '--out': {reason}\n".encode())
+
+
+@pytest.mark.skipif(resource is None, reason="no file-size limit on this platform")
+@pytest.mark.parametrize("name", ["keep.csv", "k" * 251 + ".csv"], ids=["short", "255-chars"])
+@pytest.mark.parametrize("previous", [b"# the previous run\n", None], ids=["file", "none"])
+def test_a_failed_out_write_keeps_the_file_that_was_there(tmp_path, previous, name):
+    # the file is written beside the target and replaces it only once whole; the file beside it
+    # goes when the write fails
+    if previous is not None:
+        (tmp_path / name).write_bytes(previous)
+    out = run_cli_process(["density", "--grid", "400", "--out", name], subprocess.DEVNULL,
+                          limit=True, cwd=tmp_path)
+    assert out.returncode == 2, out.stderr.decode()
+    # naming the target, not the file beside it
+    reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {name!r}"
+    assert out.stderr.endswith(f"\nError: Invalid value for '--out': {reason}\n".encode())
+    assert sorted(path.name for path in tmp_path.iterdir()) == [name] * (previous is not None)
+    if previous is not None:
+        assert (tmp_path / name).read_bytes() == previous
+
+
+def test_out_writes_through_a_symlink_in_place(tmp_path):
+    # only a missing target or a regular file is replaced: a symlink, like a device or a FIFO,
+    # is written in place, so the link and the file it names stay
+    (tmp_path / "real.csv").write_bytes(b"# the previous run\n")
+    (tmp_path / "link.csv").symlink_to("real.csv")
+    run_ok(["density", "--grid", "3", "--out", str(tmp_path / "link.csv")])
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "real.csv").read_bytes().startswith(b"# majorana-lab density\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
 def _raise_bound(*args):
     raise BoundViolation("forced for the exit-code contract")
 
@@ -682,8 +760,12 @@ def test_in_process_contract(capsys, monkeypatch):
     with pytest.raises(UsageError, match="^No such option: --nosuch$"):
         run(["table1", "--nosuch", "1"])
     assert capsys.readouterr() == ("", "")
+    golden = (GOLDEN / "table1_defaults-csv.golden").read_bytes()
     run(GOLDEN_CASES["table1_defaults"][0])
-    assert capsys.readouterr().out.encode() == (GOLDEN / "table1_defaults-csv.golden").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+    with contextlib.redirect_stdout(io.StringIO()) as text:  # a stdout with no binary layer
+        run(GOLDEN_CASES["table1_defaults"][0])
+    assert text.getvalue().encode() == golden
     monkeypatch.setattr(entropy_mod, "bbm_reports", _raise_bound)
     with pytest.raises(SystemExit) as info:
         run(["table1"])

@@ -214,7 +214,7 @@ POSITIVE_SITES = [
     ("k", lambda v: PhysicalConstants().omega(v)),  # the potential's slope, in omega = k/(c hbar)
     ("k", lambda v: energy(1, v)),
     ("tol", lambda v: moment_sums(EnsembleParams(1.0, 0.2), v)),
-    ("target_abs_tol", lambda v: bbm_reports(1, (0.2,), tol=v)),
+    ("tol", lambda v: bbm_reports(1, (0.2,), tol=v)),
     ("omega", lambda v: space_frequency(v, "momentum")),
 ]
 POSITIVE_SITE_IDS = ["hermite-omega", "spinor-omega", "entropy-omega", "radius-omega", "spec-tol",
@@ -238,6 +238,34 @@ def test_a_text_positive_value_is_refused_naming_its_parameter(name, take):
     # text is no real number: the coordinate rule's TypeError, not a failed comparison
     with pytest.raises(TypeError, match=f"^{name} must be a real number, not str$"):
         take("1")
+
+
+BAD_TOLS = ("x", 0.0, -1.0, math.inf)
+# Each sweep entry as a call on its grid, a one-point grid, and bad values of each input it takes
+# beside the grid.
+SWEEPS = {
+    "entropy": (lambda grid, **kw: bbm_reports(1, grid, **kw), (0.2,),
+                {"theta": ("x", math.nan), "tol": BAD_TOLS}),
+    "thermo-k": (lambda grid, **kw: thermo_sweep(grid, (1.0,), **kw), (0.5,),
+                 {"N": ("x", 0, 1.0), "tol": BAD_TOLS}),
+    "thermo-T": (lambda grid, **kw: thermo_sweep((0.5,), grid, **kw), (1.0,),
+                 {"N": ("x", 0, 1.0), "tol": BAD_TOLS}),
+}
+
+
+@pytest.mark.parametrize("sweep, name, value", [
+    (sweep, name, value) for sweep, (_, _, inputs) in SWEEPS.items()
+    for name, values in inputs.items() for value in values])
+def test_an_empty_grid_refuses_each_input_as_a_full_grid_does(sweep, name, value):
+    # an empty grid gives [] only once every input is taken, so bad input never reads as no work
+    take, full, _ = SWEEPS[sweep]
+    refusals = []
+    for grid in (full, ()):
+        with pytest.raises((TypeError, ValueError)) as info:
+            take(grid, **{name: value})
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][1].startswith(f"{name} must be ")
 
 
 def state_values(state):
@@ -415,7 +443,6 @@ def test_each_module_defines_its_pinned_public_functions():
 def test_constants_are_shared():
     from majorana_lab import common, entropy, quadrature, spinor, thermo
 
-    assert thermo.PhysicalConstants is PhysicalConstants
     # one failure for a tol that either method cannot certify, defined in common
     assert quadrature.NonConvergence is thermo.NonConvergence is common.NonConvergence
     assert common.NonConvergence.__module__ == common.__name__

@@ -286,8 +286,8 @@ def test_report_fields():
     (lambda: bbm_reports(-1, ()), "n must be an integer >= 0"),
     (lambda: bbm_reports(1, (1.0,), theta=math.nan), "theta must be finite"),
     (lambda: bbm_reports(1, (1.0,), theta=math.inf), "theta must be finite"),
-    (lambda: bbm_reports(1, (1.0,), tol=math.inf), "target_abs_tol must be positive and finite"),
-    (lambda: bbm_reports(1, (0.2,), tol=math.nan), "target_abs_tol must be positive and finite"),
+    (lambda: bbm_reports(1, (1.0,), tol=math.inf), "^tol must be positive and finite$"),
+    (lambda: bbm_reports(1, (0.2,), tol=math.nan), "^tol must be positive and finite$"),
 ], ids=["position-omega-0", "momentum-omega-inf", "report-omega-nan", "reports-second-omega-inf",
         "report-bool-level", "reports-bool-level-no-omega", "reports-negative-level-no-omega",
         "report-theta-nan", "position-theta-inf", "report-tol-inf",
