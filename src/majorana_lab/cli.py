@@ -15,8 +15,8 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .common import (DEFAULT_THETA, DEFAULT_TOL, MAX_LEVEL, MAX_PARTICLES, SPACES, BoundViolation,
-                     NonConvergence, OutOfRange, PhysicalConstants, linspace)
+from .common import (DEFAULT_THETA, DEFAULT_TOL, MAX_LEVEL, SPACES, BoundViolation, NonConvergence,
+                     OutOfRange, PhysicalConstants, linspace)
 
 CONFIG_ENV_VAR = "MAJORANA_LAB_CONFIG"
 
@@ -37,7 +37,7 @@ SETTINGS = {
     **dict.fromkeys(("c", "hbar", "k_B"), Setting(float, 1.0, "", _TINY)),  # config file only
     "omega": Setting(float, 0.2, "Frequency omega.", _TINY),
     "k": Setting(float, None, "Potential slope; omega = k/(c hbar) unless --omega is set.", _TINY),
-    "mass": Setting(float, 0.0, "Particle mass (records the y-origin shift).", 0.0),
+    "mass": Setting(float, 0.0, "Mass, recorded in the header; no computation reads it.", 0.0),
     "theta": Setting(float, DEFAULT_THETA, "Evaluation phase."),
     "tol": Setting(float, DEFAULT_TOL, "Quadrature or series remainder tolerance.", _TINY),
     "format": Setting(("csv", "json"), "csv", "Output format."),
@@ -48,7 +48,7 @@ SETTINGS = {
     "tmin": Setting(float, 0.0, "Start time."),
     "tmax": Setting(float, 10.0, "End time."),
     "tsteps": Setting(int, 25, "Number of time or temperature points.", 1),
-    "particles": Setting(int, 1, "Particle count N.", 1, MAX_PARTICLES),
+    "particles": Setting(int, 1, "Particle count N.", 1),
 }
 _HEADER = ("c", "hbar", "k_B", "omega", "k", "mass", "theta", "tol", "format", "out")
 _READ_BY_ALL = ("c", "hbar", "k_B", "tol", "format", "out")

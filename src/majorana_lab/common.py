@@ -14,9 +14,6 @@ DEFAULT_TOL = 1e-10  # every quadrature and series remainder tolerance, unless o
 SPACES = ("position", "momentum")  # the coordinate spaces of a density or spinor
 # The highest level the tests certify, by normalization and against mpmath entropies.
 MAX_LEVEL = 64
-# N up to which every thermo report field stays finite at both ends of its coupling range at
-# beta = 1 in natural units: per particle they stay below ~700, and C_V's closed form forms 12 N x.
-MAX_PARTICLES = 10**150
 
 
 def coordinate(y, name="a coordinate", positive=False):

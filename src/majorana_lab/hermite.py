@@ -21,8 +21,9 @@ from .common import coordinate, level
 
 
 def hermite_pair_evaluator(n, omega):
-    """y -> (phi_n(y), phi_{n-1}(y)) at frequency omega > 0, with phi_{-1} = 0: n and omega are
-    checked once, and each y costs the coordinate rule, an exp and one sweep of the recurrence."""
+    """y -> (phi_n(y), phi_{n-1}(y)) at frequency omega > 0, with phi_{-1} = 0, both 0 wherever
+    exp(-omega y^2/2) underflows: n (0 to common.MAX_LEVEL) and omega are checked once, and each
+    y costs the coordinate rule, an exp and one sweep of the recurrence."""
     n, omega = level(n), coordinate(omega, "omega", positive=True)
     root, norm = math.sqrt(omega), (omega / math.pi) ** 0.25
     # phi_{k+1} = a u phi_k - b phi_{k-1} with a = sqrt(2/(k+1)), b = sqrt(k/(k+1)), for k < n

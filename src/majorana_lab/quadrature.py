@@ -41,15 +41,16 @@ def integrate(f, breakpoints, target_abs_tol=DEFAULT_TOL):
     Adaptive 15-point Gauss-Kronrod rule (G7K15; QUADPACK's qk15, Piessens et al. 1983), like
     scipy.integrate.quad: f is called with one float and returns one float.  The first round
     takes the panels between consecutive breakpoints, two or more finite real numbers (by
-    coordinate's rule) that strictly increase.  Each panel carries qk15's error estimate,
-    floored at 50 eps times the integral of |f| over it.  A panel retires once its error is at
-    most tol * width / (b_last - b_first), or once it is at that roundoff floor or too narrow
-    to halve; every other panel is halved for the next round.  Every sum is a math.fsum, so the
+    coordinate's rule) that strictly increase, such as (-R, 0.0, R) for the whole line; tol is
+    positive and finite by the same rule.  Each panel carries qk15's error estimate, floored at
+    50 eps times the integral of |f| over it.  A panel retires once its error is at most
+    tol * width / (b_last - b_first), or once it is at that roundoff floor or too narrow to
+    halve; every other panel is halved for the next round.  Every sum is a math.fsum, so the
     result does not depend on the order of the panels.  On success err_estimate, the sum of the
     panel errors, satisfies err_estimate <= target_abs_tol.
 
     Raises NonConvergence (with the best estimate attached) when no panel can still be halved,
-    when halving would exceed _MAX_PANELS panels, or as soon as the retired panels' errors
+    when halving would exceed _MAX_PANELS = 2**20 panels, or as soon as the retired panels' errors
     alone exceed the tolerance, which no further round can undo.
     """
     points = [coordinate(b, "breakpoints") for b in breakpoints]

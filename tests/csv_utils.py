@@ -1,6 +1,4 @@
-"""Helpers for parsing the CSV/JSON files the CLI emits."""
-
-import json
+"""Helpers for parsing the CSV files the CLI emits."""
 
 
 def parse_csv(text):
@@ -22,7 +20,3 @@ def parse_csv(text):
 def rows_as_floats(columns, rows, *names):
     idx = [columns.index(name) for name in names]
     return [[float(row[i]) for i in idx] for row in rows]
-
-
-def parse_json(text):
-    return json.loads(text)

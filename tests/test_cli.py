@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import errno
 import io
@@ -21,7 +20,6 @@ from csv_utils import parse_csv, rows_as_floats
 from mpmath_entropy import mpmath_unit_entropy
 from mpmath_thermo import moments
 from test_cli_golden import CASES as GOLDEN_CASES, GOLDEN
-from without_package import env_without
 from majorana_lab.cli import (
     CONFIG_ENV_VAR,
     EXIT_BBM_VIOLATION,
@@ -29,7 +27,7 @@ from majorana_lab.cli import (
     UsageError,
     main,
 )
-from majorana_lab.common import MAX_LEVEL, MAX_PARTICLES, BoundViolation
+from majorana_lab.common import MAX_LEVEL, BoundViolation
 from majorana_lab.entropy import BBM_BOUND
 
 try:
@@ -194,76 +192,53 @@ def test_table1_at_theta_endpoints(n, theta):
     run_ok(["table1", "--n", str(n), "--theta", theta])
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, majorana_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this checkout's src
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
-
-
-def modules_loaded_by(argv):
-    """sys.modules after `from majorana_lab.cli import main` and main(argv), in a fresh process."""
-    run = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" if argv else ""
-    code = ("import sys\nfrom majorana_lab.cli import main\n" + run
-            + "sys.stderr.write('\\n' + repr(sorted(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    return ast.literal_eval(out.stderr.rsplit("\n", 1)[1])
-
-
-@pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"], ["table1"],
-                                  ["table1", "--n", "64", "--theta", "0"],
-                                  ["density", "--grid", "5"], ["entropy-density", "--grid", "5"],
-                                  ["heatmap", "--grid", "3", "--tsteps", "2", "--format", "json"]],
-                         ids=["import", "help", "thermo", "table1", "table1-n64-theta0", "density",
-                              "entropy-density", "heatmap-json"])
-def test_thermo_path_loads_no_numpy(argv):
-    # every command evaluates one float at a time, in the standard library and pure math;
-    # only an array handed to the library imports numpy
-    assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
-
-
-UNUSED_BY_CSV = {"json", "click", "dataclasses", "inspect", "numbers"}
-CORE = {"majorana_lab", "majorana_lab.cli", "majorana_lab.common"}
+CORE = {"majorana_lab", "majorana_lab.common"}
 GRID = CORE | {"majorana_lab.hermite", "majorana_lab.quadrature", "majorana_lab.spinor"}
+TABLE1, THERMO = GRID | {"majorana_lab.entropy"}, CORE | {"majorana_lab.thermo"}
+NEVER_LOADED = {"numpy", "scipy", "click", "dataclasses", "inspect", "numbers", "json"}
+# id: (argv, or the golden whose argv it runs and whose bytes it prints; exit code; the
+# package's modules it loads)
+COLD_OPS = {
+    "import": ([], 2, CORE),  # no command: the import, then a usage error
+    "help": (["--help"], 0, CORE),
+    "table1": ("table1_defaults-csv", 0, TABLE1),
+    "table1-json": ("table1-json", 0, TABLE1),
+    "table1-n64-theta0": (["table1", "--n", "64", "--theta", "0"], 0, TABLE1),
+    "thermo-csv": ("thermo-csv", 0, THERMO),
+    "thermo-refused": (["thermo", "--tol", "1e-300", "--tsteps", "2"], EXIT_NONCONVERGENCE, THERMO),
+    "density": ("density-csv", 0, GRID),
+    "entropy-density": ("entropy_density-csv", 0, GRID),
+    "heatmap-json": ("heatmap-json", 0, GRID),
+}
 
 
-@pytest.mark.parametrize("argv, unused, package", [
-    (None, UNUSED_BY_CSV, CORE),
-    (["--help"], UNUSED_BY_CSV, CORE),
-    (["table1"], UNUSED_BY_CSV, GRID | {"majorana_lab.entropy"}),
-    (["thermo", "--tsteps", "2"], UNUSED_BY_CSV, CORE | {"majorana_lab.thermo"}),
-    (["thermo", "--tol", "1e-300", "--tsteps", "2"], UNUSED_BY_CSV, CORE | {"majorana_lab.thermo"}),
-    (["density", "--grid", "5"], UNUSED_BY_CSV, GRID),
-    (["entropy-density", "--grid", "5"], UNUSED_BY_CSV, GRID),
-    (["heatmap", "--grid", "3", "--tsteps", "2", "--format", "json"], UNUSED_BY_CSV - {"json"},
-     GRID),
-], ids=["import", "help", "table1", "thermo-csv", "thermo-refused", "density", "entropy-density",
-        "heatmap-json"])
-def test_commands_load_only_what_they_use(argv, unused, package):
-    # cli imports each command's modules when it runs and json only for --format json; the
-    # command line is parsed by the standard library alone, and the records are namedtuples,
-    # so no command pulls in dataclasses and the inspect/ast/dis chain it imports.  Every
-    # module loaded is compiled on a cold start without bytecode, so the package's are pinned
-    loaded = modules_loaded_by(argv)
-    assert unused.isdisjoint(loaded)
-    assert {m for m in loaded if m.split(".")[0] == "majorana_lab"} == package
-
-
-@pytest.mark.parametrize("package", ["click", "numpy"])
-def test_runs_without(package, tmp_path):
-    # a package that cannot be imported, first on the path: no command needs it
-    env = env_without(package, tmp_path)
-    env.pop(CONFIG_ENV_VAR, None)
-    for name, fmt in (("table1_defaults", "csv"), ("density", "csv"), ("entropy_density", "csv"),
-                      ("heatmap", "csv"), ("thermo", "csv"), ("table1", "json")):
+@pytest.mark.parametrize("case", COLD_OPS)
+def test_commands_load_only_what_they_use(case):
+    # A cold `python -m majorana_lab.cli` process, as the console script and the benchmark run
+    # one, imports each command's modules when it runs, and json only for --format json.  The
+    # command line is parsed by the standard library alone, every value is one float at a time
+    # and the records are namedtuples, so no command loads numpy, scipy or click, nor dataclasses
+    # and the inspect/ast/dis chain it imports.  Every module loaded is compiled on a cold start
+    # without bytecode, so the package's are pinned; cli runs as __main__, and is never imported
+    # a second time.  -X importtime lists on stderr each module the process imports.
+    argv, code, package = COLD_OPS[case]
+    golden = argv if isinstance(argv, str) else None
+    if golden:
+        name, fmt = golden.rsplit("-", 1)
         argv = GOLDEN_CASES[name][0] + (["--format", fmt] if fmt != "csv" else [])
-        out = subprocess.run([sys.executable, "-m", "majorana_lab.cli", *argv], env=env,
-                             capture_output=True, timeout=60)
-        assert out.returncode == 0, out.stderr.decode()
-        assert out.stdout == (GOLDEN / f"{name}-{fmt}.golden").read_bytes(), (name, fmt)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop(CONFIG_ENV_VAR, None)
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "majorana_lab.cli", *argv],
+                         env=env, capture_output=True, timeout=60)
+    stderr = run.stderr.decode()
+    assert run.returncode == code, stderr[-2000:]
+    loaded = {line.rpartition("|")[2].strip() for line in stderr.splitlines()
+              if line.startswith("import time:")}
+    never = NEVER_LOADED - {"json"} if "json" in argv else NEVER_LOADED
+    assert never.isdisjoint(m.split(".")[0] for m in loaded)
+    assert {m for m in loaded if m.split(".")[0] == "majorana_lab"} == package
+    if golden:
+        assert run.stdout == (GOLDEN / f"{golden}.golden").read_bytes()
 
 
 # ---------------------------------------------------------------- density
@@ -624,7 +599,7 @@ def test_thermo_underflowing_temperature_is_usage_error(tmp_path):
 @pytest.mark.parametrize("cfg, args", [
     ("k_B=1e308", ["--k", "1", "--tmin", "1e-308", "--tmax", "1e-308"]),
     ("k_B=1e200", ["--k", "1", "--tmin", "1e-200", "--tmax", "1e-200",
-                   "--particles", str(MAX_PARTICLES)]),
+                   "--particles", str(10**150)]),
     # beta = 1/(k_B T) = 1e-310 puts F = -(N/beta) ln Z past the float range at N = 1
     ("c=1e300\nhbar=1e300\nk_B=1e300", ["--k", "1", "--tmin", "1e10", "--tmax", "1e10"]),
 ])
@@ -657,16 +632,21 @@ def test_thermo_finite_at_temperature_range_edges(tmp_path, k):
 
 
 def test_thermo_finite_at_particle_bound(tmp_path):
-    # beta = 1 with k at both ends of c hbar k beta^2 in [1e-300, 1e150]
+    # --particles has no bound of its own: N is refused only where the library refuses it, past
+    # the largest float or where a field leaves the float range.  At beta = 1, with k at both
+    # ends of c hbar k beta^2 in [1e-300, 1e150], every field is finite at N = 1e150 + 1
     out = tmp_path / "bound.csv"
     run_ok(["thermo", "--k", "1e-300", "--k", "1e150", "--tmin", "1", "--tmax", "1",
-            "--tsteps", "1", "--particles", str(MAX_PARTICLES), "--out", str(out)])
-    _, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
-    assert len(rows) == 2
+            "--tsteps", "1", "--particles", str(10**150 + 1), "--out", str(out)])
+    header, columns, rows = parse_csv(out.read_text(encoding="utf-8"))
+    assert header["particles"] == str(10**150 + 1) and len(rows) == 2
     assert all(math.isfinite(float(field)) for row in rows for field in row)
-    result = invoke(["thermo", "--particles", str(MAX_PARTICLES + 1)])
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--particles'" in result.output
+    for N, why in ((10**308, "takes a field of the report out of the float range"),
+                   (10**309, "N exceeds the largest float")):
+        result = invoke(["thermo", "--k", "0.2", "--tmin", "1", "--tmax", "1", "--tsteps", "1",
+                         "--particles", str(N)])
+        assert result.exit_code == 2 and result.stdout == "", result.output
+        assert "Invalid value for '--particles': " in result.stderr and why in result.stderr
 
 
 def test_unwritable_out_is_usage_error(tmp_path):
@@ -888,7 +868,7 @@ _IN_CONFIG = f" in ${CONFIG_ENV_VAR}"
      "'omega'" + _IN_CONFIG),
     ("thermo", "tmin=1e-300", ["--tsteps", "2"], "'tmin'" + _IN_CONFIG),
     ("thermo", "tmax=1e160", ["--tmin", "1", "--tsteps", "2"], "'tmax'" + _IN_CONFIG),
-    ("thermo", f"k_B=1e200\nparticles={MAX_PARTICLES}",
+    ("thermo", f"k_B=1e200\nparticles={10**150}",
      ["--k", "1", "--tmin", "1e-200", "--tmax", "1e-200", "--tsteps", "1"],
      "'particles'" + _IN_CONFIG),
     ("heatmap", "tmin=-1e308", ["--tmax", "1e308", "--tsteps", "3", "--grid", "3"],
@@ -911,7 +891,7 @@ _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
 
 @pytest.mark.parametrize("flag, value", [
     *((flag, value) for flag in ("--k", "--tmin", "--tmax", "--tol") for value in _EDGE_FLOATS),
-    *(("--particles", value) for value in ("1", "64", str(MAX_PARTICLES), str(MAX_PARTICLES + 1))),
+    *(("--particles", value) for value in ("1", "64", str(10**150), str(10**150 + 1))),
     ("--tsteps", "1"), ("--tsteps", "64"),
 ])
 def test_thermo_edge_sweep(flag, value):

@@ -11,6 +11,7 @@ relative path; every other case is read from stdout.
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,48 @@ def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     output = run_case(name, fmt, tmp_path)
     assert output == (GOLDEN / f"{name}-{fmt}.golden").read_bytes()
+
+
+def header_run(text):
+    """(argv, config file text) that re-make an emitted file from its header alone, by README's
+    reading rules: a flag of the command goes in as that flag and every other key through the
+    config file, which a command reads only for the keys it takes.  k=0 means omega was given
+    directly, and a nonzero k that omega was derived from it, so only --k goes in; a scalar x
+    beside x_list is the list's first value, and radius is derived: both are dropped."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        command = payload["command"]
+        header = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                  for key, value in payload["config"].items()}
+    else:
+        command, header = text.split("\n", 1)[0].removeprefix("# majorana-lab "), parse_csv(text)[0]
+    flags = set(re.findall(r"^  --(\S+)", invoke([command, "--help"]).stdout, re.M))
+    argv, config = [command], ""
+    for key, value in header.items():
+        name = key.removesuffix("_list")
+        if (key == "radius" or f"{key}_list" in header
+                or key == ("k" if float(header["k"]) == 0.0 else "omega")):
+            continue
+        if name in flags:
+            argv += [item for v in (value.split(",") if key != name else [value])
+                     for item in (f"--{name}", v)]
+        else:
+            config += f"{name}={value}\n"
+    return argv, config
+
+
+@pytest.mark.parametrize("name, fmt", _params())
+def test_golden_reruns_from_its_header(name, fmt, tmp_path, monkeypatch):
+    # a file is self-describing: its header alone, read by the rules header_run states, gives
+    # the same bytes, written where its recorded out says, in an empty directory
+    monkeypatch.chdir(tmp_path)
+    golden = (GOLDEN / f"{name}-{fmt}.golden").read_bytes()
+    argv, config = header_run(golden.decode("utf-8"))
+    (tmp_path / "lab.cfg").write_text(config, encoding="utf-8")
+    result = invoke(argv, env={CONFIG_ENV_VAR: "lab.cfg"})
+    assert result.exit_code == 0, f"{argv}: {result.output}\n{result.exception!r}"
+    outputs = sorted(tmp_path.glob("out.*"))
+    assert (outputs[0].read_bytes() if outputs else result.stdout_bytes) == golden
 
 
 def golden_rows(name):
