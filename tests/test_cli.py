@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import errno
 import io
@@ -190,6 +191,39 @@ def test_table1_edge_sweep(flag, value):
 @pytest.mark.parametrize("n, theta", [(20, "0"), (30, "1.5707963267948966"), (64, "0")])
 def test_table1_at_theta_endpoints(n, theta):
     run_ok(["table1", "--n", str(n), "--theta", theta])
+
+
+# The console script's path: import majorana_lab.cli as a module, then call main(argv).  The
+# cold `-m` runs of test_commands_load_only_what_they_use run cli as __main__ instead.
+def test_cli_import_loads_no_scipy():
+    code = "import sys, majorana_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this checkout's src
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def modules_loaded_by(argv):
+    """sys.modules after `from majorana_lab.cli import main` and main(argv), in a fresh process."""
+    run = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" if argv else ""
+    code = ("import sys\nfrom majorana_lab.cli import main\n" + run
+            + "sys.stderr.write('\\n' + repr(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return ast.literal_eval(out.stderr.rsplit("\n", 1)[1])
+
+
+@pytest.mark.parametrize("argv", [None, ["--help"], ["thermo", "--tsteps", "2"], ["table1"],
+                                  ["table1", "--n", "64", "--theta", "0"],
+                                  ["density", "--grid", "5"], ["entropy-density", "--grid", "5"],
+                                  ["heatmap", "--grid", "3", "--tsteps", "2", "--format", "json"]],
+                         ids=["import", "help", "thermo", "table1", "table1-n64-theta0", "density",
+                              "entropy-density", "heatmap-json"])
+def test_thermo_path_loads_no_numpy(argv):
+    # every command evaluates one float at a time, in the standard library and pure math;
+    # only an array handed to the library imports numpy
+    assert [m for m in modules_loaded_by(argv) if m.split(".")[0] == "numpy"] == []
 
 
 CORE = {"majorana_lab", "majorana_lab.common"}
