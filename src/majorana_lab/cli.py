@@ -29,7 +29,8 @@ class UsageError(Exception):
 
 
 # A setting's type (or a tuple of the allowed words) casts its --flag and its config value
-# alike; a number must be finite and within [low, high].  help is the flag's.
+# alike; a number must be finite and within [low, high].  help is the flag's.  A point count
+# is at most sys.maxsize, the most items a list holds.
 Setting = namedtuple("Setting", "type default help low high", defaults=("", -math.inf, math.inf))
 _TINY = math.ulp(0.0)  # the least positive float: low=_TINY means x > 0
 
@@ -44,10 +45,10 @@ SETTINGS = {
     "out": Setting(str, "-", "Output path, or - for stdout."),
     "n": Setting(int, 0, "Quantum number.", 0, MAX_LEVEL),
     "space": Setting(SPACES, "position", "Coordinate space."),
-    "grid": Setting(int, 400, "Grid point count.", 1),
+    "grid": Setting(int, 400, "Grid point count.", 1, sys.maxsize),
     "tmin": Setting(float, 0.0, "Start time."),
     "tmax": Setting(float, 10.0, "End time."),
-    "tsteps": Setting(int, 25, "Number of time or temperature points.", 1),
+    "tsteps": Setting(int, 25, "Number of time or temperature points.", 1, sys.maxsize),
     "particles": Setting(int, 1, "Particle count N.", 1),
 }
 _HEADER = ("c", "hbar", "k_B", "omega", "k", "mass", "theta", "tol", "format", "out")
@@ -65,12 +66,14 @@ def _kind(setting):
 
 
 def _cast(setting, text, hint):
-    """text, a flag's or a config value, as a value of setting; hint names where it came from."""
+    """text, a flag's or a config value, as a value of setting; hint names where it came from.
+    A text of more digits than int() converts (4300 by default) stands for 10**309: past every
+    bound a count has, as a 400-digit text is, so it is refused alike."""
     kind = setting.type
     try:
         value = kind(text) if isinstance(kind, type) else text if text in kind else None
     except ValueError:
-        value = None
+        value = 10**309 if kind is int and text.isdecimal() else None
     if value is None or kind in (int, float) and not (setting.low <= value <= setting.high
                                                       and abs(value) < math.inf):
         raise UsageError(f"Invalid value for {hint}: {text!r} does not match {_kind(setting)}.")

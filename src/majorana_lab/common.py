@@ -156,14 +156,15 @@ class NonConvergence(RuntimeError):
 
 def linspace(start, stop, num):
     """np.linspace(start, stop, num).tolist(), bit for bit, as a list of floats; start and stop
-    are taken by coordinate's rule and num by level's.
+    are taken by coordinate's rule and num by level's, up to sys.maxsize, the most items a list
+    holds.
 
     The same operations in the same order: step = (stop - start)/(num - 1), the
     i-th point i*step + start (i/(num - 1)*(stop - start) + start when step
     underflows to 0), and the last point set to stop.
     """
     start, stop = coordinate(start, "start"), coordinate(stop, "stop")
-    num = level(num, "num", 0, math.inf)
+    num = level(num, "num", 0, sys.maxsize)
     div, delta = num - 1, stop - start
     if div <= 0:
         return [0.0 * delta + start] * num

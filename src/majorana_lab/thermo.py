@@ -167,6 +167,7 @@ def report(ep, tol=DEFAULT_TOL):
 def thermo_sweep(k_values, T_values, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     """Reports over the (k, T) grid in deterministic (k-major, T-minor) order; an empty k or T
     list is an empty grid and gives [] once every input is taken, as bbm_reports(n, ()) does.
+    Each report carries the T it was asked for: 1/(k_B beta) may round to a neighbour of T.
 
     pc is taken by common.constants, each k by coordinate(k, "k", positive=True), N and tol by
     EnsembleParams' and moment_sums' rules, then each T in order by coordinate(T, "T"). OutOfRange
@@ -176,7 +177,7 @@ def thermo_sweep(k_values, T_values, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
     pc, k_values = constants(pc), [coordinate(k, "k", positive=True) for k in k_values]
     N, tol = level(N, "N", 1, math.inf), coordinate(tol, "tol", positive=True)
     lo, hi = EM_PARAMETER_RANGE
-    grid = []  # grid[i][j]: the ensemble at T_values[i] and k_values[j]
+    grid = []  # (T, its ensembles, one per k) for each T in T_values
     for T in (coordinate(T, "T") for T in T_values):
         if T <= 0.0:
             raise OutOfRange("T", T, "T must be positive and finite")
@@ -191,5 +192,6 @@ def thermo_sweep(k_values, T_values, N=1, pc=NATURAL_UNITS, tol=DEFAULT_TOL):
         if points is None:
             raise OutOfRange("T", T, f"{T:g} takes c*hbar*k*beta^2 out of [{lo:g}, {hi:g}], "
                                      "where the sums stay finite")
-        grid.append(points)
-    return [report(points[j], tol) for j in range(len(k_values)) for points in grid]
+        grid.append((T, points))
+    return [report(points[j], tol)._replace(T=T)
+            for j in range(len(k_values)) for T, points in grid]

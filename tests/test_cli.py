@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from majorana_lab.cli import (
     UsageError,
     main,
 )
-from majorana_lab.common import MAX_LEVEL, BoundViolation
+from majorana_lab.common import MAX_LEVEL, BoundViolation, linspace
 from majorana_lab.entropy import BBM_BOUND
 
 try:
@@ -167,25 +168,6 @@ def test_unreachable_quadrature_tol_exits_at_once(monkeypatch, tol):
     assert "error: quadrature did not reach tol=" in result.output
     assert "Traceback" not in result.output
     assert 0 < len(points) < 10_000
-
-
-_TABLE1_EDGES = [
-    *((flag, value) for flag in ("--omega", "--theta", "--tol")
-      for value in ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")),
-    *(("--n", value) for value in ("0", str(MAX_LEVEL), str(MAX_LEVEL + 1))),
-]
-
-
-@pytest.mark.parametrize("flag, value", _TABLE1_EDGES)
-def test_table1_edge_sweep(flag, value):
-    # every edge value ends in a documented exit code, never a traceback or a non-finite field
-    result = invoke(["table1", flag, value])
-    assert result.exit_code in (0, 2, 3, 4), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    if result.exit_code == 0:
-        _, _, rows = parse_csv(result.stdout)
-        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
 
 @pytest.mark.parametrize("n, theta", [(20, "0"), (30, "1.5707963267948966"), (64, "0")])
@@ -436,6 +418,14 @@ def test_thermo_warning_line():
     assert run_ok(["thermo", "--tmin", "3"]).stderr == ""
 
 
+def test_thermo_rows_carry_the_temperatures_asked_for():
+    # 24 of the default grid's 150 rows have a T that 1/(k_B beta) would round to a neighbour
+    grid = linspace(0.1, 10.0, 50)
+    _, columns, rows = parse_csv(run_ok(["thermo"]).stdout)
+    assert [T for T, in rows_as_floats(columns, rows, "T")] == grid * 3
+    assert sum(1.0 / (1.0 / T) != T for T in grid * 3) == 24
+
+
 def test_thermo_weak_coupling_succeeds(tmp_path):
     # c hbar k beta^2 down to 1e-6: the closed form's own regime.
     out = tmp_path / "weak.csv"
@@ -451,28 +441,11 @@ def test_thermo_weak_coupling_succeeds(tmp_path):
     assert f"|Z_em - Z|/Z up to {worst:.3g}" in result.output
 
 
-@pytest.mark.parametrize("args", [
-    ["--tmin", "0"],
-    ["--tsteps", "0"],
-    ["--particles", "0"],
-    ["--k", "0"],
-    ["--k", "-1"],
-    ["--tol", "0"],
-])
-def test_thermo_bad_input_is_usage_error(args):
-    result = invoke(["thermo", *args])
-    assert result.exit_code == 2, result.output
-    assert "Invalid value" in result.output
-
-
-@pytest.mark.parametrize("line", ["tmin=0", "tsteps=0", "particles=0", "k=0.2,-1", "tol=0",
-                                  "k_B=0"])
-def test_thermo_bad_config_value_is_usage_error(tmp_path, line):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n", encoding="utf-8")
-    result = invoke(["thermo"], env={CONFIG_ENV_VAR: str(cfg)})
-    assert result.exit_code == 2, result.output
-    assert CONFIG_ENV_VAR in result.output
+# A count past sys.maxsize, the most items a list holds: 10**320 makes no list without the bound
+_COUNTS = [("density", "grid"), ("entropy-density", "grid"), ("heatmap", "grid"),
+           ("heatmap", "tsteps"), ("thermo", "tsteps")]
+_HUGE_COUNT = str(10**320)
+_DIGITS = "9" * 5000  # more digits than int() converts
 
 
 @pytest.mark.parametrize("command, args", [
@@ -504,6 +477,9 @@ def test_thermo_bad_config_value_is_usage_error(tmp_path, line):
     ("thermo", ["--particles", "9" * 400]),  # beyond the float range
     *((command, ["--n", str(MAX_LEVEL + 1)]) for command in ("table1", "density",
                                                             "entropy-density", "heatmap")),
+    *(("thermo", args) for args in (["--tmin", "0"], ["--tsteps", "0"], ["--particles", "0"],
+                                    ["--k", "0"], ["--k", "-1"], ["--tol", "0"])),
+    *((command, [f"--{key}", _HUGE_COUNT]) for command, key in _COUNTS),
 ])
 def test_bad_flag_is_usage_error(command, args):
     result = invoke([command, *args])
@@ -536,6 +512,11 @@ def test_bad_flag_is_usage_error(command, args):
     ("table1", f"n=0,{MAX_LEVEL + 1}"),
     ("density", f"n={MAX_LEVEL + 1}"),
     ("heatmap", f"n={MAX_LEVEL + 1}"),
+    *(("thermo", line) for line in ("tmin=0", "tsteps=0", "particles=0", "k=0.2,-1", "tol=0",
+                                    "k_B=0")),
+    *(pytest.param(command, f"{key}={_HUGE_COUNT}", id=f"{command}-{key}=<321 digits>")
+      for command, key in _COUNTS),
+    pytest.param("thermo", f"particles={_DIGITS}", id="thermo-particles=<5000 digits>"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
@@ -921,69 +902,84 @@ def test_range_refusal_names_the_config_key_it_came_from(tmp_path, command, conf
 
 
 _EDGE_FLOATS = ("5e-324", "1e-300", "1", "1e300", "1.7976931348623157e308")
-
-
-@pytest.mark.parametrize("flag, value", [
-    *((flag, value) for flag in ("--k", "--tmin", "--tmax", "--tol") for value in _EDGE_FLOATS),
-    *(("--particles", value) for value in ("1", "64", str(10**150), str(10**150 + 1))),
-    ("--tsteps", "1"), ("--tsteps", "64"),
-])
-def test_thermo_edge_sweep(flag, value):
-    # every edge value ends in a documented exit code, never a traceback or a non-finite field
-    args = {"--tsteps": "2", flag: value}
-    result = invoke(["thermo", *(item for pair in args.items() for item in pair)])
-    assert result.exit_code in (0, 2, 3, 4), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    if result.exit_code == 0:
-        _, _, rows = parse_csv(result.stdout)
-        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
-
-
 _LOWEST = "-1.7976931348623157e308"
-_GRID_COMMANDS = {  # command: (its base arguments, its float flags and their smallest values)
-    "density": (["--grid", "3"], {"--omega": (), "--k": (), "--mass": ("0",),
-                                  "--theta": (_LOWEST,)}),
-    "entropy-density": (["--grid", "3"], {"--omega": (), "--theta": (_LOWEST,)}),
-    "heatmap": (["--grid", "3", "--tsteps", "2"],
-                {"--omega": (), "--k": (), "--mass": ("0",), "--tmin": (_LOWEST,),
-                 "--tmax": (_LOWEST,)}),
-}
-_GRID_EDGES = [
-    *((command, flag, value) for command, (_, floats) in _GRID_COMMANDS.items()
-      for flag, lowest in floats.items() for value in (*lowest, *_EDGE_FLOATS)),
-    *((command, "--n", value) for command in _GRID_COMMANDS
-      for value in ("0", str(MAX_LEVEL), str(MAX_LEVEL + 1))),
-    *((command, "--grid", value) for command in _GRID_COMMANDS for value in ("1", "64")),
-    ("heatmap", "--tsteps", "1"), ("heatmap", "--tsteps", "64"),
-    # settings only the config file sets: c and hbar (with --k 1, so that they set omega), and
-    # heatmap's theta
-    *((command, key, value) for command in ("density", "heatmap") for key in ("c", "hbar")
-      for value in _EDGE_FLOATS),
-    *(("heatmap", "theta", value) for value in (_LOWEST, *_EDGE_FLOATS)),
+_SMALL_RUN = {"--grid": "3", "--tsteps": "2"}  # wherever a command takes them
+# {command: [(flag, INT or FLOAT, the range left of x, the range right of x)]}, read from each
+# command's `  --name KIND RANGE` help lines, as test_cli_golden.header_run reads its flags
+_HELP_FLAGS = {command: re.findall(r"^  (--\S+) (INT|FLOAT) (\S*)x(\S*)",
+                                   invoke([command, "--help"]).stdout, re.M)
+               for command in re.findall(r"^([a-z][\w-]*): ", invoke(["--help"]).stdout, re.M)}
+# What help cannot state: the keys only the config file sets (c and hbar, with --k 1 so that they
+# set omega, and heatmap's theta), and two large particle counts, 10**150 and one past it
+_UNSTATED = [
+    *((command, key, _EDGE_FLOATS) for command in ("density", "heatmap") for key in ("c", "hbar")),
+    ("heatmap", "theta", (_LOWEST, *_EDGE_FLOATS)),
+    ("thermo", "--particles", (str(10**150), str(10**150 + 1))),
 ]
 
 
-@pytest.mark.parametrize("command, flag, value", _GRID_EDGES)
-def test_grid_command_edge_sweep(tmp_path, command, flag, value):
-    # the grid counts have no maximum, so they are swept at the minimum and 64 only
-    base, _ = _GRID_COMMANDS[command]
-    args, env = dict(zip(base[::2], base[1::2])), {CONFIG_ENV_VAR: None}
-    if flag.startswith("--"):
-        args[flag] = value
-    else:
-        args["--k"] = "1"
-        (tmp_path / "lab.cfg").write_text(f"{flag}={value}\n", encoding="utf-8")
-        env[CONFIG_ENV_VAR] = str(tmp_path / "lab.cfg")
-    result = invoke([command, *(item for pair in args.items() for item in pair)],
-              env=env)
-    assert result.exit_code in (0, 2, 3, 4), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    if result.exit_code == 0:
-        header, _, rows = parse_csv(result.stdout)
-        assert math.isfinite(float(header.get("radius", 0.0)))
-        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+def _edges(command):
+    """(flag or config key, value) over the edges of command's settings: a FLOAT at
+    _EDGE_FLOATS, the lowest float where it may be negative and 0 where it may be 0; an INT at
+    its least value, 64, its most + 1 where help prints the most exactly (not with %g), 10**309
+    and a text of more digits than int() converts."""
+    for flag, kind, low, most in _HELP_FLAGS[command]:
+        if kind == "FLOAT":
+            values = (*(_LOWEST,) * (low == "-inf<"), *("0",) * (low == "0<="), *_EDGE_FLOATS)
+        else:
+            past = [str(int(most) + 1)] if (most := most.removeprefix("<=")).isdigit() else []
+            values = (low.removesuffix("<="), "64", *past, str(10**309), _DIGITS)
+        yield from ((flag, value) for value in dict.fromkeys(values))
+    yield from ((key, value) for name, key, values in _UNSTATED if name == command
+                for value in values)
+
+
+def _edge_sweep(*commands):
+    """The edge sweep of commands, a case named [command-]flag-value per edge; a value of more
+    digits than the largest float is named by its count."""
+    cases = [pytest.param(command, flag, value, id="-".join(
+        [command] * (len(commands) > 1)
+        + [flag, value if len(value) < 310 else f"<{len(value)} digits>"]))
+        for command in commands for flag, value in _edges(command)]
+
+    @pytest.mark.parametrize("command, flag, value", cases)
+    def sweep(tmp_path, command, flag, value):
+        # every edge value ends in a documented exit code, never a traceback or a non-finite
+        # field; a refusal is a usage error, and past int()'s digit limit that of 400 digits
+        taken = {name for name, *_ in _HELP_FLAGS[command]}
+
+        def run(value):
+            args = {name: small for name, small in _SMALL_RUN.items() if name in taken}
+            env = {CONFIG_ENV_VAR: None}
+            if flag.startswith("--"):
+                args[flag] = value
+            else:
+                args["--k"] = "1"
+                (tmp_path / "lab.cfg").write_text(f"{flag}={value}\n", encoding="utf-8")
+                env[CONFIG_ENV_VAR] = str(tmp_path / "lab.cfg")
+            return invoke([command, *(item for pair in args.items() for item in pair)], env=env)
+
+        result = run(value)
+        assert result.exit_code in (0, 2, 3, 4), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code == 2:
+            assert "Error: Invalid value for " in result.stderr and result.stdout == ""
+        if value == _DIGITS:
+            assert result.stderr.replace(value, "9" * 400) == run("9" * 400).stderr
+        if result.exit_code == 0:
+            header, _, rows = parse_csv(result.stdout)
+            assert math.isfinite(float(header.get("radius", 0.0)))
+            assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
+
+    return sweep
+
+
+# One sweep, collected per group of commands: table1's, thermo's and the grid commands', the
+# last taking any other command
+test_table1_edge_sweep = _edge_sweep("table1")
+test_thermo_edge_sweep = _edge_sweep("thermo")
+test_grid_command_edge_sweep = _edge_sweep(*(command for command in _HELP_FLAGS
+                                             if command not in ("table1", "thermo")))
 
 
 def test_thermo_json(tmp_path):

@@ -46,9 +46,11 @@ def test_linspace_matches_numpy_bitwise(start, stop, num):
     ("0", 1.0, 3, TypeError, "start must be a real number, not str"),
     (0.0, 1.0, -1, ValueError, "num must be an integer >= 0"),
     (0.0, 1.0, 2.5, ValueError, "num must be an integer >= 0"),
-], ids=["text-start", "negative-num", "fractional-num"])
+    (0.0, 1.0, 10**320, ValueError, f"num must be an integer <= {sys.maxsize}"),
+], ids=["text-start", "negative-num", "fractional-num", "num-past-the-largest-list"])
 def test_linspace_takes_its_inputs_by_the_package_rules(start, stop, num, error, message):
-    # np.linspace refuses a negative num too; float() would parse text, range() refuse 2.5
+    # np.linspace refuses a negative num and one past sys.maxsize too; float() would parse
+    # text, range() refuse 2.5
     with pytest.raises(error, match=f"^{message}$"):
         linspace(start, stop, num)
 

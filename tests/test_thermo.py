@@ -418,7 +418,7 @@ SUBNORMAL_K_B_T = PhysicalConstants(c=1e-300, hbar=1e-300, k_B=1e-300)
 def test_sweep_beta_where_k_B_T_is_subnormal(T):
     (row,) = thermo_sweep((1.0,), (T,), pc=SUBNORMAL_K_B_T)
     assert within_an_ulp(row.beta, 1 / (Fraction(1e-300) * Fraction(T)))
-    assert within_an_ulp(row.T, 1 / (Fraction(1e-300) * Fraction(row.beta)))
+    assert row.T == T
 
 
 @pytest.mark.parametrize("pc, T", [
