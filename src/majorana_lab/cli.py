@@ -67,16 +67,18 @@ def _kind(setting):
 
 def _cast(setting, text, hint):
     """text, a flag's or a config value, as a value of setting; hint names where it came from.
-    A text of more digits than int() converts (4300 by default) stands for 10**309: past every
-    bound a count has, as a 400-digit text is, so it is refused alike."""
+    An empty text is no value of any setting.  A text of more digits than int() converts (4300
+    by default) stands for 10**309: past every bound a count has, as a 400-digit text is, so it
+    is refused alike.  A refusal quotes at most the text's first 40 characters."""
     kind = setting.type
     try:
         value = kind(text) if isinstance(kind, type) else text if text in kind else None
     except ValueError:
         value = 10**309 if kind is int and text.isdecimal() else None
-    if value is None or kind in (int, float) and not (setting.low <= value <= setting.high
-                                                      and abs(value) < math.inf):
-        raise UsageError(f"Invalid value for {hint}: {text!r} does not match {_kind(setting)}.")
+    if value is None or not text or kind in (int, float) and not (
+            setting.low <= value <= setting.high and abs(value) < math.inf):
+        quote = f"{text[:40]!r}..." if len(text) > 40 else repr(text)
+        raise UsageError(f"Invalid value for {hint}: {quote} does not match {_kind(setting)}.")
     return value
 
 

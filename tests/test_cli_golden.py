@@ -59,7 +59,7 @@ CASES = {
     "heatmap_cfg": (["heatmap", "--omega", "0.3"],
                     "theta=0.5\ntol=1e-8\nn=1\ngrid=4\ntsteps=2\ntmax=1.5\nmass=0.25\n"),
     "thermo_cfg": (["thermo", "--tsteps", "3"],
-                   "# shared by every command\nk=0.3,0.6\ntsteps=2\ntmin=1\ntmax=2\n"
+                   "# shared by every command\n\nk=0.3,0.6\ntsteps=2\ntmin=1\ntmax=2\n"
                    "particles=3\nk_B=2\nc=1.5\nomega=0.9\ntheta=0.1\ngrid=7\n"),
     "thermo_cfg_out": (["thermo", "--k", "0.4", "--tsteps", "2", "--tmin", "3"],
                        "out=out.json\nformat=json\n"),
@@ -171,6 +171,19 @@ def golden_rows(name):
         return payload["config"], payload["rows"]
     config, columns, fields = parse_csv(text)
     return config, [dict(zip(columns, map(float, row))) for row in fields]
+
+
+@pytest.mark.parametrize("name", [name for name, formats in FORMATS.items() if "json" in formats])
+def test_json_golden_mirrors_its_csv_golden(name):
+    # the same rows, as floats, in the same columns, under the same config but its format
+    csv_config, csv_rows = golden_rows(f"{name}-csv")
+    json_config, json_rows = golden_rows(f"{name}-json")
+    assert [list(row.items()) for row in json_rows] == [list(row.items()) for row in csv_rows]
+    assert (csv_config.pop("format"), json_config.pop("format")) == ("csv", "json")
+    assert list(json_config) == list(csv_config)
+    for key, value in json_config.items():
+        items, texts = value if isinstance(value, list) else [value], csv_config[key].split(",")
+        assert len(texts) == len(items) and [type(v)(t) for v, t in zip(items, texts)] == items
 
 
 @pytest.mark.parametrize("name", ["thermo-csv", "thermo-json", "thermo_out_file-csv",

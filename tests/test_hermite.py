@@ -10,15 +10,6 @@ from majorana_lab.quadrature import integrate, truncation_radius
 from majorana_lab.spinor import SpinorState, ladder_evaluator
 
 
-def test_input_validation():
-    with pytest.raises(ValueError):
-        hermite_pair_evaluator(-1, 1.0)(0.0)
-    with pytest.raises(ValueError):
-        hermite_pair_evaluator(2, -0.1)(0.5)
-    with pytest.raises(ValueError):
-        hermite_pair_evaluator(2, 1.0)(math.nan)
-
-
 def test_norm_fn_ground_state_value():
     assert hermite_pair_evaluator(0, 0.2)(0.0)[0] == pytest.approx((0.2 / math.pi) ** 0.25, rel=1e-14)
     assert hermite_pair_evaluator(0, 0.2)(0.0)[0] == pytest.approx(0.5023079256810666, rel=1e-12)

@@ -56,14 +56,6 @@ def test_energy_with_constants():
     assert energy(3, 0.5, pc) == pytest.approx(math.sqrt(2 * 2.0 * 0.7 * 0.5 * 3), rel=1e-14)
 
 
-def test_energy_validation():
-    with pytest.raises(ValueError):
-        energy(-1, 1.0)
-    for level in (1.5, 2.0, True, False):  # a level is an integer, and a bool is not one
-        with pytest.raises(ValueError):
-            energy(level, 1.0)
-
-
 def test_partner_spectra_coincide():
     # plus-tower level n and minus-tower level n+1 share sqrt(2 c hbar k (n+1))
     k, pc = 0.3, PhysicalConstants(c=1.4, hbar=0.9)
@@ -357,11 +349,6 @@ def test_normalization_every_phase(n, theta):
     assert abs(norm_integral(state, theta, "position") - 1.0) < 1e-8
 
 
-def test_space_validation():
-    with pytest.raises(ValueError):
-        density_evaluator(SpinorState(1, 0.2), 0.0, space="fourier")
-
-
 # ---------------------------------------------------------------- Fourier pairing
 
 
@@ -562,17 +549,6 @@ def test_partner_potentials_by_finite_difference(n):
 
 
 # ---------------------------------------------------------------- parameter types
-
-
-def test_type_validation():
-    with pytest.raises(ValueError):
-        NATURAL_UNITS.omega(0.0)
-    with pytest.raises(ValueError):
-        SpinorState(-1, 1.0)
-    with pytest.raises(ValueError):
-        SpinorState(2, 0.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(c=0.0)
 
 
 def test_from_potential():

@@ -266,15 +266,6 @@ def test_heat_capacity_positive():
             assert report(EnsembleParams(beta=1.0 / T, k=k)).C_V > 0.0
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        EnsembleParams(beta=0.0, k=1.0)
-    with pytest.raises(ValueError):
-        EnsembleParams(beta=1.0, k=-1.0)
-    with pytest.raises(ValueError):
-        EnsembleParams(beta=1.0, k=1.0, N=0)
-
-
 # ---------------------------------------------------------------- exact route
 
 
