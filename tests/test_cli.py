@@ -155,6 +155,12 @@ ENTRIES = {"module": (["-m", "majorana_lab.cli"], set()),
            "console": (["-c", "from majorana_lab.cli import main; main()"], {"majorana_lab.cli"})}
 
 
+def modules_imported(run):
+    """The modules a `python -X importtime` run imported, read from its stderr."""
+    return {line.rpartition("|")[2].strip() for line in run.stderr.decode().splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("case, entry", [
     pytest.param(case, entry, id=case if entry == "module" else f"{case}-console")
     for case in COLD_OPS for entry in ENTRIES])
@@ -174,15 +180,24 @@ def test_commands_load_only_what_they_use(case, entry):
     entry_args, entry_modules = ENTRIES[entry]
     run = subprocess.run([sys.executable, "-X", "importtime", *entry_args, *argv],
                          env=child_env(), capture_output=True, timeout=60)
-    stderr = run.stderr.decode()
-    assert run.returncode == code, stderr[-2000:]
-    loaded = {line.rpartition("|")[2].strip() for line in stderr.splitlines()
-              if line.startswith("import time:")}
+    assert run.returncode == code, run.stderr.decode()[-2000:]
+    loaded = modules_imported(run)
     never = NEVER_LOADED - {"json"} if "json" in argv else NEVER_LOADED
     assert never.isdisjoint(m.split(".")[0] for m in loaded)
     assert {m for m in loaded if m.split(".")[0] == "majorana_lab"} == package | entry_modules
     if golden:
         assert run.stdout == (GOLDEN / f"{golden}.golden").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # A program that imports cli and calls main(argv) later pays at import for the core and
+    # cli alone: no command's modules, and none of NEVER_LOADED, scipy included
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", "import majorana_lab.cli"],
+                         env=child_env(), capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()[-2000:]
+    loaded = modules_imported(run)
+    assert NEVER_LOADED.isdisjoint(m.split(".")[0] for m in loaded)
+    assert {m for m in loaded if m.split(".")[0] == "majorana_lab"} == CORE | {"majorana_lab.cli"}
 
 
 # ---------------------------------------------------------------- density
