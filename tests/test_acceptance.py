@@ -71,7 +71,7 @@ def test_criterion_03_scaling_invariance():
 def test_criterion_04_closed_form_oracle():
     # library and direct quadrature alike against the Gaussian closed form
     worst = 0.0
-    for rep in bbm_reports(0, (0.01, 0.05, 0.2, 0.8, 1.0, 3.0, 5.0, 100.0)):
+    for rep in bbm_reports(0, (0.01, 0.05, 0.2, 0.8, 1.0, 2.5, 3.0, 5.0, 100.0)):
         omega = rep.omega
         exact_y = 0.5 * (1.0 + math.log(math.pi / omega))
         exact_p = 0.5 * (1.0 + math.log(math.pi * omega))

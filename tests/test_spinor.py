@@ -8,7 +8,7 @@ import pytest
 
 import majorana_lab.spinor as spinor_mod
 import mpmath_hermite
-from spinor_integrals import fourier_numeric, norm_integral
+from spinor_integrals import norm_integral
 from majorana_lab.common import NATURAL_UNITS, OutOfRange, PhysicalConstants, energy, linspace
 from majorana_lab.hermite import hermite_pair_evaluator
 from majorana_lab.spinor import (
@@ -19,9 +19,6 @@ from majorana_lab.spinor import (
     phase,
     spinor_evaluator,
 )
-
-PHASES = (0.0, math.pi / 6, math.pi / 4, math.pi / 2, 1.3)
-
 
 # ---------------------------------------------------------------- spectrum
 
@@ -44,16 +41,6 @@ def test_energy_is_the_natural_units_root_bit_for_bit():
             if 2.0 * k * n < math.inf:
                 assert energy(n, k).hex() == math.sqrt(2.0 * k * n).hex()
     assert energy(1, 1e308) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
-
-
-def test_energy_values():
-    assert energy(1, 0.2) == pytest.approx(math.sqrt(0.4), rel=1e-14)
-    assert -energy(2, 0.5) == pytest.approx(-math.sqrt(2.0), rel=1e-14)
-
-
-def test_energy_with_constants():
-    pc = PhysicalConstants(c=2.0, hbar=0.7)
-    assert energy(3, 0.5, pc) == pytest.approx(math.sqrt(2 * 2.0 * 0.7 * 0.5 * 3), rel=1e-14)
 
 
 def test_partner_spectra_coincide():
@@ -342,28 +329,7 @@ def test_spinor_and_density_vanish_where_the_envelope_underflows():
     assert next(density_slices(SpinorState(5, 7.0), [1e308, -1e308], [0.3])) == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("n", range(9))
-@pytest.mark.parametrize("theta", PHASES)
-def test_normalization_every_phase(n, theta):
-    state = SpinorState(n, 0.35)
-    assert abs(norm_integral(state, theta, "position") - 1.0) < 1e-8
-
-
 # ---------------------------------------------------------------- Fourier pairing
-
-
-@pytest.mark.parametrize("n", range(4))
-def test_fourier_consistency(n):
-    state = SpinorState(n, 0.5)
-    theta = 0.7
-    sigma_p = math.sqrt(state.omega * (2 * n + 1))
-    worst = 0.0
-    momentum = spinor_evaluator(state, theta, "momentum")
-    for p in np.linspace(-3 * sigma_p, 3 * sigma_p, 7):
-        numeric = fourier_numeric(state, theta, float(p))
-        analytic = momentum(float(p))
-        worst = max(worst, abs(numeric[0] - analytic.comp1), abs(numeric[1] - analytic.comp2))
-    assert worst < 1e-6
 
 
 @pytest.mark.parametrize("n", range(5))
