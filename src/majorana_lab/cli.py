@@ -222,7 +222,9 @@ def _emit(s, command, extras, columns, rows):
 def _write_stdout(text):
     """text as UTF-8 bytes on the binary layer of stdout, where it has one, until it has taken
     them all: the text layer of an unbuffered stream drops the rest of a short write.  An
-    OSError other than a closed pipe is refused as a failed --out is."""
+    OSError other than a closed pipe is refused as a failed --out is, and so is a closed stdout."""
+    if sys.stdout is None:  # the process started with file descriptor 1 closed
+        raise UsageError("Invalid value for '--out': stdout is closed")
     try:
         sys.stdout.flush()
         out = getattr(sys.stdout, "buffer", None)
@@ -238,6 +240,12 @@ def _write_stdout(text):
         if isinstance(exc, BrokenPipeError):  # the reader left: main exits 1, quietly
             raise
         raise UsageError(f"Invalid value for '--out': {exc}") from None
+
+
+def _write_stderr(text):
+    """text on stderr, unless the process started with file descriptor 2 closed."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
 
 
 def _grid(omega, n, grid, space):
@@ -323,7 +331,7 @@ def cmd_thermo(s):
     # c hbar k beta^2 is non-decreasing in beta and in k, so it is largest at the largest of each
     worst = EnsembleParams(max(r.beta for r in reports), max(s.k_list), pc=s.pc).em_parameter
     if worst > EM_VALIDITY_WARN:
-        sys.stderr.write(
+        _write_stderr(
             f"warning: c*hbar*k*beta^2 reaches {worst:.3g} > {EM_VALIDITY_WARN:g}; "
             "the closed-form (EM) columns are outside their validity window at low T "
             f"(measured |Z_em - Z|/Z up to {max(em_rel_err):.3g})\n")
@@ -352,8 +360,8 @@ def main(args=None, prog_name="majorana-lab", standalone_mode=True):
     except UsageError as exc:
         if not standalone_mode:
             raise
-        sys.stderr.write(f"Usage: {prog} {'' if name else 'COMMAND '}[OPTIONS]\n"
-                         f"Try '{prog} --help' for help.\n\nError: {exc}\n")
+        _write_stderr(f"Usage: {prog} {'' if name else 'COMMAND '}[OPTIONS]\n"
+                      f"Try '{prog} --help' for help.\n\nError: {exc}\n")
         raise SystemExit(2) from None
     except BrokenPipeError:  # the reader of stdout left
         raise SystemExit(1) from None
@@ -385,8 +393,12 @@ def _run(prog, name, args):
                 "omega": ("k" if s.k else "omega",)}[exc.param]
         hint = " / ".join(s.hints[key] for key in keys)
         raise UsageError(f"Invalid value for {hint}: {exc}") from None
+    except MemoryError:  # too many rows for this machine: name the flags that count them
+        hint = " / ".join(s.hints[key.removesuffix("_list")] for key in flags
+                          if key in ("grid", "tsteps") or key.endswith("_list"))
+        raise UsageError(f"Invalid value for {hint}: the rows do not fit in memory") from None
     except (BoundViolation, NonConvergence) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write_stderr(f"error: {exc}\n")
         raise SystemExit(EXIT_BBM_VIOLATION if isinstance(exc, BoundViolation)
                          else EXIT_NONCONVERGENCE) from None
 

@@ -10,7 +10,7 @@ import pytest
 
 from cli_runner import invoke
 from csv_utils import parse_csv, rows_as_floats
-from direct_entropy import direct_entropy
+from mpmath_entropy import direct_entropy
 from spinor_integrals import fourier_numeric, norm_integral
 from majorana_lab.common import PhysicalConstants, energy, linspace
 from majorana_lab.entropy import BBM_BOUND, bbm_reports

@@ -654,6 +654,70 @@ def test_a_failed_out_write_keeps_the_file_that_was_there(tmp_path, previous, na
         assert (tmp_path / name).read_bytes() == previous
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a child's stdio descriptor")
+@pytest.mark.parametrize("fd, argv, code", [
+    (2, "thermo-csv", 0), (2, ["table1", "--n", "99"], 2),
+    (2, ["table1", "--n", "0", "--tol", "1e-300"], EXIT_NONCONVERGENCE),
+    (1, ["table1"], 2), (1, ["--help"], 2),
+], ids=["stderr-thermo-warning", "stderr-usage", "stderr-refused-tol", "stdout-table1",
+        "stdout-help"])
+def test_a_closed_stdio_stream_keeps_the_documented_exit(fd, argv, code):
+    # as `2>&-` or `>&-` in a shell: the child starts with fd closed, so sys.stderr or sys.stdout
+    # is None.  The warning, usage message or error line is dropped and the exit is the
+    # command's; the output is refused as a failed write to stdout is, naming --out
+    golden = argv if isinstance(argv, str) else None
+    if golden:
+        argv = GOLDEN_CASES[golden.rsplit("-", 1)[0]][0]
+    run = subprocess.run([sys.executable, "-m", "majorana_lab.cli", *argv], env=child_env(),
+                         stdout=subprocess.PIPE if fd == 2 else None,
+                         stderr=subprocess.PIPE if fd == 1 else None,
+                         preexec_fn=lambda: os.close(fd), timeout=60)
+    assert run.returncode == code, run.stderr
+    if fd == 2:
+        assert run.stdout == ((GOLDEN / f"{golden}.golden").read_bytes() if golden else b"")
+    else:
+        assert b"Traceback" not in run.stderr and b"Exception ignored" not in run.stderr
+        assert run.stderr.endswith(b"\nError: Invalid value for '--out': stdout is closed\n")
+
+
+def _limit_address_space():
+    """In the child only: its address space may grow to 400 MB, and an allocation past that
+    fails (MemoryError)."""
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (400 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+# id: (argv, the flags its refusal names)
+_PAST_MEMORY = {"density": (["density", "--grid", "4000000000"], "'--grid'"),
+                "heatmap": (["heatmap", "--grid", "100000", "--tsteps", "100000"],
+                            "'--grid' / '--tsteps'")}
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
+                    reason="an address-space limit is enforced on Linux only")
+def test_rows_past_memory_are_usage_error(tmp_path):
+    # a count below sys.maxsize may still ask for more rows than memory holds: exit 2 naming the
+    # flags that count them, with no traceback, and the --out file that was there stays.  Each
+    # case fills its 400 MB for about a second, so the two run at once
+    previous, procs = b"# the previous run\n", {}
+    for case, (argv, _) in _PAST_MEMORY.items():
+        (tmp_path / case).mkdir()
+        (tmp_path / case / "keep.csv").write_bytes(previous)
+        procs[case] = subprocess.Popen(
+            [sys.executable, "-m", "majorana_lab.cli", *argv, "--out", "keep.csv"],
+            env=child_env(), cwd=tmp_path / case, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, preexec_fn=_limit_address_space)
+    results = {case: (proc.communicate(timeout=60)[1], proc.returncode)
+               for case, proc in procs.items()}
+    for case, (stderr, code) in results.items():
+        assert code == 2, (case, stderr.decode()[-2000:])
+        assert b"Traceback" not in stderr, case
+        reason = f"Invalid value for {_PAST_MEMORY[case][1]}: the rows do not fit in memory"
+        assert stderr.endswith(f"\nError: {reason}\n".encode()), (case, stderr)
+        assert sorted(path.name for path in (tmp_path / case).iterdir()) == ["keep.csv"], case
+        assert (tmp_path / case / "keep.csv").read_bytes() == previous, case
+
+
 def test_out_writes_through_a_symlink_in_place(tmp_path):
     # only a missing target or a regular file is replaced: a symlink, like a device or a FIFO,
     # is written in place, so the link and the file it names stay

@@ -8,8 +8,7 @@ import pytest
 import majorana_lab.entropy as entropy_mod
 import majorana_lab.spinor as spinor_mod
 from cli_runner import invoke
-from direct_entropy import direct_entropy
-from mpmath_entropy import mpmath_unit_entropy
+from mpmath_entropy import direct_entropy, mpmath_unit_entropy
 from majorana_lab.common import MAX_LEVEL, BoundViolation, linspace
 from majorana_lab.entropy import BBM_BOUND, DEFAULT_THETA, bbm_reports
 from majorana_lab.quadrature import xlogx
